@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (LOG_ESTIMATORS, RETRAIN_PLAYER_LIMIT, EstimatorReport,
-                         GtgConfig, estimator_names, original_shapley_eval,
-                         run_log_estimator, tmc_shapley_eval)
+                         GtgConfig, check_estimator_params, estimator_names,
+                         original_shapley_eval, run_log_estimator,
+                         tmc_shapley_eval)
 from .federation import (GradientLog, LogFormatError, Participant, load_log,
                          load_log_metadata, run_federation, save_log)
 from .games import CapacityError
-from .metrics import (ComparisonRow, REPORT_SCHEMA, build_report, read_report,
+from .metrics import (ComparisonRow, build_report, read_report,
                       write_report)
 from .models import ModelArchitecture, TrainConfig, evaluate
 from .scenarios import ScenarioSpec, SyntheticSource, generate_source, partition
@@ -125,11 +126,16 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> Experime
         for item in raw_estimators:
             if isinstance(item, str):
                 item = {"name": item}
+            if not isinstance(item, dict):
+                raise ConfigError(f"{path}: each estimator must be a name or a "
+                                  f"table, got {type(item).__name__}")
             name = item.get("name")
             if name not in known:
                 raise ConfigError(f"{path}: unknown estimator {name!r}; "
                                   f"registered: {', '.join(sorted(known))}")
-            entries.append({"name": name, "params": dict(item.get("params", {}))})
+            params = item.get("params", {})
+            check_estimator_params(name, params)
+            entries.append({"name": name, "params": dict(params)})
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -293,6 +299,10 @@ def cmd_evaluate(args) -> int:
             params = json.loads(Path(args.params).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
+        try:
+            check_estimator_params(args.estimator, params)
+        except ValueError as exc:
+            raise ConfigError(f"{args.params}: {exc}") from exc
     if args.print_config:
         print(json.dumps({"estimator": args.estimator, "params": params},
                          sort_keys=True, indent=2))
@@ -376,23 +386,11 @@ def cmd_report(args) -> int:
     if args.print_config:
         print(json.dumps({"paths": list(args.paths)}, indent=2))
         return EXIT_OK
-    docs = []
-    schemas = set()
-    for path in args.paths:
-        doc = json.loads(Path(path).read_text())
-        schemas.add(doc.get("schema"))
-        if len(schemas) > 1:
-            raise ValueError(f"conflicting report schemas: "
-                             f"{', '.join(repr(s) for s in sorted(schemas, key=str))}")
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ValueError(f"{path}: schema {doc.get('schema')!r}, expected "
-                             f"{REPORT_SCHEMA!r}")
-        docs.append(doc)
     tagged = []
-    for doc in docs:
+    for path in args.paths:
+        doc = read_report(path)
         scenario = doc.get("metadata", {}).get("scenario", "?")
-        for row in doc["rows"]:
-            tagged.append((scenario, ComparisonRow(**row)))
+        tagged += [(scenario, ComparisonRow(**row)) for row in doc["rows"]]
     tagged.sort(key=lambda pair: (pair[0], pair[1].estimator_name))
     _print_rows(tagged)
     return EXIT_OK

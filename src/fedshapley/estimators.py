@@ -33,8 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import (GradientLog, Participant, RoundRecord,
-                         fedavg_aggregate, reconstruct_submodel)
+# reconstruct_submodel is not called here, but the benchmark's tracer
+# (perfbench/spans.py) wraps it at this module's attribute, so it stays.
+from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
+                         RoundStack, fedavg_aggregate, reconstruct_submodel)
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
@@ -145,16 +147,29 @@ class RoundGame:
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
                    arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
+        """The round's game over models rebuilt from its stored updates.
+
+        The base model and updates are cast to float64 once, here.  A walker's
+        coalition is rebuilt on its own; :meth:`CoalitionGame.evaluate_all`
+        rebuilds coalitions a chunk at a time.  Either way each coalition
+        costs one call to ``evaluate``.
+        """
         counter = [0]
+        stack = RoundStack(record, weights)
 
         def oracle(ids: tuple[int, ...]) -> float:
             if not ids:
                 return evaluate(arch, record.base_model, test)
             counter[0] += 1
-            model = reconstruct_submodel(record, ids, weights)
-            return evaluate(arch, model, test)
+            return evaluate(arch, stack.rebuild(ids), test)
 
-        return cls(record.round, CoalitionGame(len(weights), oracle), counter)
+        def batch_oracle(masks: np.ndarray):
+            for model in stack.rebuild_masks(masks):
+                counter[0] += 1
+                yield evaluate(arch, model, test)
+
+        game = CoalitionGame(len(weights), oracle, batch_oracle)
+        return cls(record.round, game, counter)
 
     @classmethod
     def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
@@ -323,6 +338,16 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
                      stats.reconstructions, started, [stats.converged], [stats])
 
 
+def _exact_round(rec: RoundRecord, log: GradientLog, test: LabeledDataset
+                 ) -> tuple[ContributionVector, RoundGame]:
+    """One round's exact values; every coalition is evaluated up front, its
+    model rebuilt a chunk of coalitions at a time."""
+    rgame = RoundGame.from_round(rec, log.participant_weights,
+                                 log.architecture, test)
+    rgame.game.evaluate_all()
+    return exact_shapley(rgame.game), rgame
+
+
 def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
     """Exact per-round values by subset enumeration; totals are their sum.
 
@@ -332,9 +357,7 @@ def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
     per_round = []
     evals = recon = 0
     for rec in log.rounds:
-        rgame = RoundGame.from_round(rec, log.participant_weights,
-                                     log.architecture, test)
-        vec = exact_shapley(rgame.game)
+        vec, rgame = _exact_round(rec, log, test)
         vec.round = rec.round
         per_round.append(vec)
         evals += rgame.game.eval_count
@@ -361,9 +384,7 @@ def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
             per_round.append(ContributionVector(np.zeros(log.n), round=rec.round,
                                                 converged=True))
             continue
-        rgame = RoundGame.from_round(rec, log.participant_weights,
-                                     log.architecture, test)
-        vec = exact_shapley(rgame.game)
+        vec, rgame = _exact_round(rec, log, test)
         per_round.append(ContributionVector(weight * vec.values, round=rec.round,
                                             converged=True))
         evals += rgame.game.eval_count
@@ -502,20 +523,49 @@ RETRAIN_ESTIMATORS = {
 }
 
 
+_GTG_PARAMS = tuple(f.name for f in dataclasses.fields(GtgConfig))
+# parameter names each estimator takes from a plain parameter table
+ESTIMATOR_PARAMS = {
+    "gtg": _GTG_PARAMS,
+    "gtg_ti": _GTG_PARAMS,
+    "gtg_tib": _GTG_PARAMS,
+    "gtg_oti": _GTG_PARAMS,
+    "mr": (),
+    "tmr": ("lam", "round_threshold"),
+    "tmc": _GTG_PARAMS,
+    "original": (),
+}
+
+
 def estimator_names() -> list[str]:
     return sorted(LOG_ESTIMATORS) + sorted(RETRAIN_ESTIMATORS)
+
+
+def check_estimator_params(name: str, params: object) -> None:
+    """Raise ValueError unless ``params`` is a table of parameter names that
+    the registered estimator ``name`` accepts.  Values are checked later, by
+    the estimator itself."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} params must be a table of name/value pairs, "
+                         f"got {type(params).__name__}")
+    accepted = ESTIMATOR_PARAMS[name]
+    unknown = sorted(str(key) for key in params if key not in accepted)
+    if unknown:
+        raise ValueError(f"{name} does not accept {', '.join(unknown)}; "
+                         f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def run_log_estimator(name: str, log: GradientLog, test: LabeledDataset,
                       params: dict | None = None) -> EstimatorReport:
     """Dispatch a log-based estimator by name with a plain parameter table."""
-    params = dict(params or {})
+    if name not in LOG_ESTIMATORS:
+        raise ValueError(f"unknown log-based estimator {name!r}; "
+                         f"registered: {', '.join(estimator_names())}")
+    params = {} if params is None else params
+    check_estimator_params(name, params)
     if name == "mr":
         return mr_eval(log, test)
     if name == "tmr":
         return tmr_eval(log, test, **params)
-    if name in LOG_ESTIMATORS:
-        cfg = GtgConfig(**params) if params else None
-        return LOG_ESTIMATORS[name](log, test, cfg)
-    raise ValueError(f"unknown log-based estimator {name!r}; "
-                     f"registered: {', '.join(estimator_names())}")
+    cfg = GtgConfig(**params) if params else None
+    return LOG_ESTIMATORS[name](log, test, cfg)

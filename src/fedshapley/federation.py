@@ -20,7 +20,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
 LOG_FORMAT_VERSION = 1
+CHUNK_ELEMENTS = 1 << 16  # float64 values per chunk of rebuilt models
+EXACT_WEIGHT_LIMIT = 1 << 53
 
 
 class LogFormatError(ValueError):
@@ -127,6 +129,79 @@ def reconstruct_submodel(record: RoundRecord, coalition: Iterable[int],
         raise ValueError(f"round {record.round} has no updates for {missing}")
     return fedavg_aggregate(record.base_model,
                             {i: record.updates[i] for i in ids}, weights)
+
+
+class RoundStack:
+    """One round's base model and updates, cast to float64 once, for
+    rebuilding many coalitions' models.
+
+    A rebuild follows :func:`fedavg_aggregate`'s float64 operation order
+    (the base, plus each member's weighted update in ascending id order, then
+    one cast to float32), so it returns the same bits as
+    :func:`reconstruct_submodel`.  Participants are 1..n, the keys of
+    ``weights``; a coalition given as a bitmask has bit ``i - 1`` set iff
+    participant ``i`` is in it.  Shapes are checked here, once, and not on
+    each rebuild.
+    """
+
+    def __init__(self, record: RoundRecord, weights: Mapping[int, int]):
+        n = len(weights)
+        if sorted(weights) != list(range(1, n + 1)):
+            raise ValueError(f"participant ids not contiguous from 1: "
+                             f"{sorted(weights)}")
+        missing = [i for i in range(1, n + 1) if i not in record.updates]
+        if missing:
+            raise ValueError(f"round {record.round} has no updates for {missing}")
+        self._base = np.asarray(record.base_model, dtype=np.float64)
+        for pid in range(1, n + 1):
+            shape = np.shape(record.updates[pid])
+            if shape != self._base.shape:
+                raise ValueError(
+                    f"participant {pid}: update shape {shape} does not match "
+                    f"model shape {self._base.shape}")
+        self._updates = np.array([record.updates[i] for i in range(1, n + 1)],
+                                 dtype=np.float64)
+        self._weights = [weights[i] for i in range(1, n + 1)]
+        if sum(self._weights) > EXACT_WEIGHT_LIMIT:
+            # below it every coalition's total is exact in float64, so
+            # summing weights as floats gives fedavg_aggregate's total
+            raise ValueError(f"total participant weight exceeds "
+                             f"{EXACT_WEIGHT_LIMIT}")
+        # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
+        self._chunk_rows = max(1, CHUNK_ELEMENTS // self._base.size)
+
+    def rebuild(self, ids: Sequence[int]) -> np.ndarray:
+        """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
+        total = float(sum(self._weights[i - 1] for i in ids))
+        if total <= 0:
+            raise ValueError("total coalition weight must be positive")
+        acc = self._base.copy()
+        for i in ids:
+            acc += (self._weights[i - 1] / total) * self._updates[i - 1]
+        return acc.astype(np.float32)
+
+    def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
+        """Models of the non-empty coalitions ``masks``, in order.
+
+        They are built a chunk of rows at a time, so memory stays bounded
+        however many masks there are.
+        """
+        for start in range(0, len(masks), self._chunk_rows):
+            yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])
+
+    def _rebuild_chunk(self, masks: np.ndarray) -> np.ndarray:
+        members = [(masks >> i) & 1 == 1 for i in range(len(self._weights))]
+        totals = np.zeros(len(masks), dtype=np.float64)
+        for w, member in zip(self._weights, members):
+            totals[member] += w
+        if totals.min() <= 0:
+            raise ValueError("total coalition weight must be positive")
+        acc = np.empty((len(masks), self._base.size), dtype=np.float64)
+        acc[:] = self._base
+        for w, member, update in zip(self._weights, members, self._updates):
+            rows = np.flatnonzero(member)
+            acc[rows] += (w / totals[rows])[:, None] * update
+        return acc.astype(np.float32)
 
 
 def run_federation(participants: list[Participant], arch: ModelArchitecture,

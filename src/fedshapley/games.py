@@ -58,13 +58,19 @@ class CoalitionGame:
     utility : callable
         Maps a tuple of ascending player ids (possibly empty) to a float.
         Must be deterministic; values are cached by coalition bitmask.
+    batch_utility : callable, optional
+        Maps an ascending int64 array of non-empty coalition bitmasks to an
+        iterable of their utilities, in order.  It must agree with
+        ``utility`` bit for bit; :meth:`evaluate_all` uses it.
     """
 
-    def __init__(self, n: int, utility: Callable[[tuple[int, ...]], float]):
+    def __init__(self, n: int, utility: Callable[[tuple[int, ...]], float],
+                 batch_utility: Callable[[np.ndarray], Iterable[float]] | None = None):
         if n < 1:
             raise ValueError(f"need at least one player, got n={n}")
         self.n = n
         self._utility = utility
+        self._batch_utility = batch_utility
         self._cache: dict[int, float] = {}
         self._eval_count = 0
 
@@ -90,6 +96,27 @@ class CoalitionGame:
 
     def value(self, coalition: Iterable[int]) -> float:
         return self.value_mask(mask_of(coalition))
+
+    def evaluate_all(self) -> None:
+        """Evaluate every coalition not cached yet, in ascending mask order.
+
+        Each costs one evaluation, as through :meth:`value_mask`.  With a
+        ``batch_utility`` the non-empty ones go to it in a single call.
+        """
+        if self._batch_utility is None:
+            for mask in range(self.full_mask + 1):
+                self.value_mask(mask)
+            return
+        cache = self._cache
+        if 0 not in cache:
+            self.value_mask(0)
+        missing = [m for m in range(1, self.full_mask + 1) if m not in cache]
+        if not missing:
+            return
+        values = self._batch_utility(np.array(missing, dtype=np.int64))
+        for mask, val in zip(missing, values, strict=True):
+            cache[mask] = float(val)
+            self._eval_count += 1
 
     @classmethod
     def from_table(cls, n: int, table: dict[frozenset[int] | tuple[int, ...], float],
@@ -169,18 +196,19 @@ def exact_shapley(game: CoalitionGame) -> ContributionVector:
         raise CapacityError(
             f"subset enumeration needs 2^{n} utility values; limit is n <= {EXACT_PLAYER_LIMIT}")
     full = game.full_mask
-    values = [game.value_mask(mask) for mask in range(full + 1)]
+    values = np.array([game.value_mask(mask) for mask in range(full + 1)])
+    masks = np.arange(full + 1)
+    sizes = np.zeros(full + 1, dtype=np.intp)
+    for i in range(n):
+        sizes += (masks >> i) & 1
     # 1 / C(n-1, s) for s = |S| of the coalition being joined
-    inv_choose = [1.0 / math.comb(n - 1, s) for s in range(n)]
+    inv_choose = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
     shares = np.zeros(n, dtype=np.float64)
     for pid in range(1, n + 1):
         bit = 1 << (pid - 1)
-        terms = [
-            (values[mask | bit] - values[mask]) * inv_choose[mask.bit_count()]
-            for mask in range(full + 1)
-            if not mask & bit
-        ]
-        shares[pid - 1] = math.fsum(terms) / n
+        without = masks[masks & bit == 0]
+        terms = (values[without | bit] - values[without]) * inv_choose[sizes[without]]
+        shares[pid - 1] = math.fsum(terms.tolist()) / n
     return ContributionVector(values=shares)
 
 

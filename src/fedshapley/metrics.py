@@ -131,10 +131,26 @@ def write_report(report: dict, out_dir: str | Path,
 
 
 def read_report(path: str | Path) -> dict:
-    """Parse a report JSON, enforcing the schema tag."""
-    doc = json.loads(Path(path).read_text())
-    schema = doc.get("schema")
+    """Parse a report JSON, enforcing the schema tag and the row layout.
+
+    Raises ValueError, naming the file, for anything that is not a report
+    document with a ``rows`` list of comparison rows."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != REPORT_SCHEMA:
         raise ValueError(f"{path}: schema {schema!r}, this reader expects "
                          f"{REPORT_SCHEMA!r}")
+    if not isinstance(doc.get("metadata", {}), dict):
+        raise ValueError(f"{path}: 'metadata' must be an object")
+    rows = doc.get("rows")
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: needs a 'rows' list of comparison rows")
+    for i, row in enumerate(rows):
+        try:
+            ComparisonRow(**row)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
     return doc

@@ -220,7 +220,7 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray,
         raise ValueError("cannot evaluate on an empty test set")
     logits = predict_logits(arch, params, test.features)
     predictions = logits.argmax(axis=1)
-    return float(np.mean(predictions == test.labels))
+    return int(np.count_nonzero(predictions == test.labels)) / len(test)
 
 
 def finite_difference_check(arch: ModelArchitecture, params: np.ndarray,

@@ -10,6 +10,7 @@ import pytest
 
 from fedshapley.cli import (
     CONFIG_SCHEMA,
+    ConfigError,
     ESTIMATE_SCHEMA,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -136,6 +137,23 @@ def test_unknown_estimator_in_config_lists_names(tmp_path, capsys):
     assert "unknown estimator 'mre'" in err and "mr" in err and "tmc" in err
 
 
+@pytest.mark.parametrize("entry", [
+    {"name": "gtg", "params": {"eps_withn": 0.01}},
+    {"name": "tmr", "params": {"eps_within": 0.01}},
+    {"name": "mr", "params": {"lam": 0.5}},
+    {"name": "gtg", "params": [1, 2]},
+    7,
+])
+def test_bad_estimator_entries_fail_before_any_training(tmp_path, capsys, entry):
+    cfg = write_config(tmp_path / "exp.json", estimators=["mr", entry])
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert main(["compare", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("compare_*"))
+
+
 def test_argparse_usage_error_is_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config is required
@@ -198,6 +216,19 @@ def test_evaluate_bad_params_values_are_runtime_errors(config_path, tmp_path, ca
     assert main(["evaluate", "--log", log, "--estimator", "gtg",
                  "--params", str(params), "--out", str(tmp_path),
                  "--quiet"]) == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("params", [{"eps_withn": 0.01}, [1, 2], "gtg"])
+def test_evaluate_bad_params_tables_are_usage_errors(tmp_path, capsys, params):
+    # checked before the log is read: the log here does not even exist
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["evaluate", "--log", str(tmp_path / "absent.gtgl"),
+                 "--estimator", "gtg", "--params", str(path),
+                 "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "params.json" in err
 
 
 def test_evaluate_missing_params_file_is_usage_error(config_path, tmp_path, capsys):
@@ -291,3 +322,19 @@ def test_report_rejects_foreign_documents(compare_run, tmp_path, capsys):
     assert main(["report", str(alien)]) == EXIT_RUNTIME
     assert main(["report", good, str(alien)]) == EXIT_RUNTIME
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": REPORT_SCHEMA},
+    {"schema": REPORT_SCHEMA, "rows": {"estimator_name": "mr"}},
+    {"schema": REPORT_SCHEMA, "rows": [{"estimator_name": "mr"}]},
+    {"schema": REPORT_SCHEMA, "rows": [], "metadata": []},
+    [REPORT_SCHEMA],
+])
+def test_report_rejects_malformed_documents(tmp_path, capsys, doc):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "broken.json" in err

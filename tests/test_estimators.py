@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gaussian_blobs, quick_log, split_participants
+from conftest import gaussian_blobs, quick_log, scenario_log, split_participants
 
 from fedshapley import (
     CapacityError,
@@ -25,8 +25,10 @@ from fedshapley import (
     RetrainOracle,
     RoundGame,
     RoundRecord,
+    ScenarioKind,
     TrainConfig,
     estimator_names,
+    evaluate,
     exact_shapley,
     exact_shapley_by_permutations,
     fedavg_aggregate,
@@ -40,11 +42,16 @@ from fedshapley import (
     nth_partial_permutation,
     original_shapley_eval,
     position_marginal_profile,
+    reconstruct_submodel,
     round_marginal_gains,
+    run_federation,
     run_log_estimator,
     tmc_shapley_eval,
     tmr_eval,
 )
+from fedshapley.estimators import ESTIMATOR_PARAMS
+from fedshapley.federation import CHUNK_ELEMENTS, RoundStack
+from fedshapley.games import players_of
 
 EXHAUSTIVE = GtgConfig(eps_between=0.0, eps_within=0.0, sampling="cycle",
                        max_perms_per_round=6, min_samples=6)
@@ -270,6 +277,90 @@ def test_participant_with_zero_updates_scores_exactly_zero():
     assert sampled.total.values[2] == 0.0
 
 
+# --- batched coalition reconstruction ----------------------------------------------
+
+
+def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> None:
+    """Every coalition of every round three ways: the reference
+    reconstruct_submodel, the walkers' single rebuild and the chunked
+    rebuild.  Models and utilities must agree bit for bit."""
+    weights, arch = log.participant_weights, log.architecture
+    full = (1 << log.n) - 1
+    masks = np.arange(1, full + 1)
+    for rec in log.rounds:
+        stack = RoundStack(rec, weights)
+        reference = [reconstruct_submodel(rec, players_of(m), weights)
+                     for m in masks.tolist()]
+        chunked = list(stack.rebuild_masks(masks))
+        assert len(chunked) == full
+        for mask, want, got in zip(masks.tolist(), reference, chunked):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+            assert stack.rebuild(players_of(mask)).tobytes() == want.tobytes()
+
+        batched = RoundGame.from_round(rec, weights, arch, test)
+        batched.game.evaluate_all()
+        walked = RoundGame.from_round(rec, weights, arch, test)
+        utilities = [evaluate(arch, rec.base_model, test)]
+        utilities += [evaluate(arch, model, test) for model in reference]
+        for mask, want in enumerate(utilities):
+            assert walked.game.value_mask(mask) == want
+            assert batched.game.value_mask(mask) == want
+        assert batched.game.eval_count == walked.game.eval_count == full + 1
+        assert batched.reconstructions == walked.reconstructions == full
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quick_log(n=3, rounds=2, seed=0)[:2],
+    lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
+    lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6, rounds=3,
+                         seed=4)[:2],
+    # the acceptance logs of test_acceptance.py
+    lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10, rounds=10,
+                         seed=1, lr=0.1)[:2],
+    lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE, n=10, rounds=10,
+                         seed=2, lr=0.02)[:2],
+], ids=["quick", "hidden", "unequal-weights", "acceptance-iid",
+        "acceptance-skewed"])
+def test_batched_reconstruction_is_bit_identical(build):
+    assert_coalition_paths_bit_equal(*build())
+
+
+def test_batched_reconstruction_spanning_several_chunks():
+    log, test, _ = quick_log(n=5, rounds=2, seed=14, hidden_dim=1500)
+    rows = CHUNK_ELEMENTS // log.architecture.param_count
+    assert 1 <= rows and 2 ** log.n - 1 > 3 * rows  # at least four chunks
+    assert_coalition_paths_bit_equal(log, test)
+
+
+def test_enumeration_keeps_costs_and_per_round_efficiency():
+    for log, test in (quick_log(n=4, rounds=3, seed=15)[:2],
+                      scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=8,
+                                   rounds=4, seed=3)[:2]):
+        report = mr_eval(log, test)
+        assert report.eval_count == log.total_rounds * 2 ** log.n
+        assert report.reconstructions == log.total_rounds * (2 ** log.n - 1)
+        for vec, gain in zip(report.per_round, round_marginal_gains(log, test)):
+            assert abs(math.fsum(vec.values) - gain) <= 1e-9
+
+
+def test_identical_participants_get_bit_identical_enumerated_shares():
+    data = gaussian_blobs(10, 5, 3, seed=16)
+    others = [gaussian_blobs(10, 5, 3, seed=s) for s in (17, 18)]
+    parts = [Participant(1, others[0]), Participant(2, data),
+             Participant(3, others[1]), Participant(4, data)]
+    test = gaussian_blobs(8, 5, 3, seed=19)
+    cfg = TrainConfig(local_epochs=1, batch_size=8, learning_rate=0.2, seed=3)
+    log = run_federation(parts, ModelArchitecture(5, 0, 3), cfg, rounds=3,
+                         init_seed=4)
+    for rec in log.rounds:
+        assert rec.updates[2].tobytes() == rec.updates[4].tobytes()
+    report = mr_eval(log, test)
+    assert np.any(report.total.values != 0.0)
+    for vec in report.per_round + [report.total]:
+        assert vec.values[1] == vec.values[3]
+
+
 # --- retraining-based baselines --------------------------------------------------
 
 
@@ -376,6 +467,13 @@ def test_estimator_registry_and_dispatch():
                                   tmr_eval(log, test, lam=0.5).total.values)
     with pytest.raises(ValueError, match="registered"):
         run_log_estimator("original", log, test)
+    assert sorted(ESTIMATOR_PARAMS) == sorted(estimator_names())
+    with pytest.raises(ValueError, match="eps_withn"):
+        run_log_estimator("gtg", log, test, {"eps_withn": 0.01})
+    with pytest.raises(ValueError, match="accepted: none"):
+        run_log_estimator("mr", log, test, {"lam": 0.5})
+    with pytest.raises(ValueError, match="table"):
+        run_log_estimator("tmr", log, test, [("lam", 0.5)])
 
 
 def test_report_totals_match_per_round_sums():

@@ -114,6 +114,34 @@ def test_cache_counts_only_oracle_calls():
     assert game.eval_count == 8
 
 
+def test_evaluate_all_fills_the_cache_once_in_mask_order():
+    def run(batched: bool) -> tuple[CoalitionGame, list]:
+        calls = []
+
+        def one(ids):
+            calls.append(mask_of(ids))
+            return float(len(ids))
+
+        def many(masks):
+            calls.append(masks.tolist())
+            return [float(bin(m).count("1")) for m in masks.tolist()]
+
+        game = CoalitionGame(3, one, many if batched else None)
+        game.value((1, 3))
+        game.evaluate_all()
+        game.evaluate_all()  # everything is cached by now
+        return game, calls
+
+    plain, plain_calls = run(False)
+    batched, batched_calls = run(True)
+    assert plain_calls == [5, 0, 1, 2, 3, 4, 6, 7]
+    assert batched_calls == [5, 0, [1, 2, 3, 4, 6, 7]]
+    assert plain.eval_count == batched.eval_count == 8
+    for mask in range(8):
+        want = bin(mask).count("1")
+        assert batched.value_mask(mask) == plain.value_mask(mask) == want
+
+
 def test_single_player_game():
     game = CoalitionGame.from_table(1, {(1,): 7.0})
     assert exact_shapley(game).values.tolist() == [7.0]
