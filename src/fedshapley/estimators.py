@@ -27,6 +27,7 @@ original              retraining-based exact values (ground truth)
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
-                    exact_shapley)
+                    check_enumerable, exact_shapley, shapley_from_values)
 from .models import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
                      init_params, train_local)
 from .seeding import derive_seed
@@ -149,10 +150,8 @@ class RoundGame:
                    arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
         """The round's game over models rebuilt from its stored updates.
 
-        The base model and updates are cast to float64 once, here.  A walker's
-        coalition is rebuilt on its own; :meth:`CoalitionGame.evaluate_all`
-        rebuilds coalitions a chunk at a time.  Either way each coalition
-        costs one call to ``evaluate``.
+        The base model and updates are cast to float64 once, here, and each
+        coalition a walker visits is rebuilt on its own from them.
         """
         counter = [0]
         stack = RoundStack(record, weights)
@@ -163,13 +162,7 @@ class RoundGame:
             counter[0] += 1
             return evaluate(arch, stack.rebuild(ids), test)
 
-        def batch_oracle(masks: np.ndarray):
-            for model in stack.rebuild_masks(masks):
-                counter[0] += 1
-                yield evaluate(arch, model, test)
-
-        game = CoalitionGame(len(weights), oracle, batch_oracle)
-        return cls(record.round, game, counter)
+        return cls(record.round, CoalitionGame(len(weights), oracle), counter)
 
     @classmethod
     def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
@@ -338,30 +331,40 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
                      stats.reconstructions, started, [stats.converged], [stats])
 
 
-def _exact_round(rec: RoundRecord, log: GradientLog, test: LabeledDataset
-                 ) -> tuple[ContributionVector, RoundGame]:
-    """One round's exact values; every coalition is evaluated up front, its
-    model rebuilt a chunk of coalitions at a time."""
-    rgame = RoundGame.from_round(rec, log.participant_weights,
-                                 log.architecture, test)
-    rgame.game.evaluate_all()
-    return exact_shapley(rgame.game), rgame
+def round_utilities(rec: RoundRecord, log: GradientLog,
+                    test: LabeledDataset) -> np.ndarray:
+    """Utility of every coalition of one round, indexed by bitmask.
+
+    Costs 2^n evaluations: the base model, then every non-empty coalition's
+    model, rebuilt a chunk of coalitions at a time.  The enumeration guard
+    is checked before anything is evaluated.
+    """
+    check_enumerable(log.n)
+    arch = log.architecture
+    masks = np.arange(1, 1 << log.n)
+    values = np.empty(1 << log.n, dtype=np.float64)
+    values[0] = evaluate(arch, rec.base_model, test)
+    stack = RoundStack(rec, log.participant_weights)
+    for mask, model in zip(masks.tolist(), stack.rebuild_masks(masks)):
+        values[mask] = evaluate(arch, model, test)
+    return values
 
 
 def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
     """Exact per-round values by subset enumeration; totals are their sum.
 
     Costs exactly 2^n utility evaluations per round (the base model plus
-    every non-empty coalition reconstruction, all cached)."""
+    every non-empty coalition reconstruction)."""
     started = time.perf_counter()
     per_round = []
     evals = recon = 0
     for rec in log.rounds:
-        vec, rgame = _exact_round(rec, log, test)
+        values = round_utilities(rec, log, test)
+        vec = shapley_from_values(values)
         vec.round = rec.round
         per_round.append(vec)
-        evals += rgame.game.eval_count
-        recon += rgame.reconstructions
+        evals += len(values)
+        recon += len(values) - 1
     return _totalize("mr", per_round, log.n, evals, recon, started,
                      [True] * log.total_rounds)
 
@@ -384,11 +387,12 @@ def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
             per_round.append(ContributionVector(np.zeros(log.n), round=rec.round,
                                                 converged=True))
             continue
-        vec, rgame = _exact_round(rec, log, test)
+        values = round_utilities(rec, log, test)
+        vec = shapley_from_values(values)
         per_round.append(ContributionVector(weight * vec.values, round=rec.round,
                                             converged=True))
-        evals += rgame.game.eval_count
-        recon += rgame.reconstructions
+        evals += len(values)
+        recon += len(values) - 1
     return _totalize("tmr", per_round, log.n, evals, recon, started,
                      [True] * log.total_rounds)
 
@@ -523,22 +527,23 @@ RETRAIN_ESTIMATORS = {
 }
 
 
-_GTG_PARAMS = tuple(f.name for f in dataclasses.fields(GtgConfig))
-# parameter names each estimator takes from a plain parameter table
-ESTIMATOR_PARAMS = {
-    "gtg": _GTG_PARAMS,
-    "gtg_ti": _GTG_PARAMS,
-    "gtg_tib": _GTG_PARAMS,
-    "gtg_oti": _GTG_PARAMS,
-    "mr": (),
-    "tmr": ("lam", "round_threshold"),
-    "tmc": _GTG_PARAMS,
-    "original": (),
-}
-
-
 def estimator_names() -> list[str]:
     return sorted(LOG_ESTIMATORS) + sorted(RETRAIN_ESTIMATORS)
+
+
+def accepted_params(name: str) -> tuple[str, ...]:
+    """Names a plain parameter table may hold for the estimator ``name``.
+
+    An estimator that takes a ``cfg`` takes GtgConfig's fields; any other
+    log-based one takes its keyword parameters after the log and test set.
+    A retraining estimator's other arguments come from the experiment
+    config, never from a parameter table.
+    """
+    estimator = {**LOG_ESTIMATORS, **RETRAIN_ESTIMATORS}[name]
+    params = tuple(inspect.signature(estimator).parameters)
+    if "cfg" in params:
+        return tuple(f.name for f in dataclasses.fields(GtgConfig))
+    return params[2:] if name in LOG_ESTIMATORS else ()
 
 
 def check_estimator_params(name: str, params: object) -> None:
@@ -548,7 +553,7 @@ def check_estimator_params(name: str, params: object) -> None:
     if not isinstance(params, dict):
         raise ValueError(f"{name} params must be a table of name/value pairs, "
                          f"got {type(params).__name__}")
-    accepted = ESTIMATOR_PARAMS[name]
+    accepted = accepted_params(name)
     unknown = sorted(str(key) for key in params if key not in accepted)
     if unknown:
         raise ValueError(f"{name} does not accept {', '.join(unknown)}; "

@@ -162,11 +162,9 @@ class RoundStack:
         self._updates = np.array([record.updates[i] for i in range(1, n + 1)],
                                  dtype=np.float64)
         self._weights = [weights[i] for i in range(1, n + 1)]
-        if sum(self._weights) > EXACT_WEIGHT_LIMIT:
-            # below it every coalition's total is exact in float64, so
-            # summing weights as floats gives fedavg_aggregate's total
-            raise ValueError(f"total participant weight exceeds "
-                             f"{EXACT_WEIGHT_LIMIT}")
+        # up to 2^53 every coalition's total is exact in float64, so summing
+        # the weights as floats gives fedavg_aggregate's total
+        self._float_totals_exact = sum(self._weights) <= EXACT_WEIGHT_LIMIT
         # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
         self._chunk_rows = max(1, CHUNK_ELEMENTS // self._base.size)
 
@@ -184,8 +182,15 @@ class RoundStack:
         """Models of the non-empty coalitions ``masks``, in order.
 
         They are built a chunk of rows at a time, so memory stays bounded
-        however many masks there are.
+        however many masks there are.  Past a total weight of 2^53 the
+        chunk's float64 weight totals could round differently from
+        ``fedavg_aggregate``'s, so each model is then rebuilt on its own.
         """
+        if not self._float_totals_exact:
+            for mask in masks.tolist():
+                yield self.rebuild([i + 1 for i in range(len(self._weights))
+                                    if mask >> i & 1])
+            return
         for start in range(0, len(masks), self._chunk_rows):
             yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])
 
@@ -263,8 +268,8 @@ def save_log(log: GradientLog, path: str | Path,
         for pid in sorted(rec.updates):
             buf += _f32_bytes(rec.updates[pid])
         buf += _f32_bytes(rec.aggregated)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    path.write_bytes(bytes(buf))
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
+    path.write_bytes(buf)
 
     sidecar = {"format_version": LOG_FORMAT_VERSION,
                "architecture": dataclasses.asdict(arch),
@@ -298,7 +303,7 @@ def load_log(path: str | Path) -> GradientLog:
             f"{path}: expected {expected} bytes for n={n}, T={big_t}, "
             f"P={p}; found {len(raw)} (truncated or corrupt)")
     stored_crc = struct.unpack_from("<I", raw, len(raw) - 4)[0]
-    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
 
     off = head

@@ -58,19 +58,13 @@ class CoalitionGame:
     utility : callable
         Maps a tuple of ascending player ids (possibly empty) to a float.
         Must be deterministic; values are cached by coalition bitmask.
-    batch_utility : callable, optional
-        Maps an ascending int64 array of non-empty coalition bitmasks to an
-        iterable of their utilities, in order.  It must agree with
-        ``utility`` bit for bit; :meth:`evaluate_all` uses it.
     """
 
-    def __init__(self, n: int, utility: Callable[[tuple[int, ...]], float],
-                 batch_utility: Callable[[np.ndarray], Iterable[float]] | None = None):
+    def __init__(self, n: int, utility: Callable[[tuple[int, ...]], float]):
         if n < 1:
             raise ValueError(f"need at least one player, got n={n}")
         self.n = n
         self._utility = utility
-        self._batch_utility = batch_utility
         self._cache: dict[int, float] = {}
         self._eval_count = 0
 
@@ -96,27 +90,6 @@ class CoalitionGame:
 
     def value(self, coalition: Iterable[int]) -> float:
         return self.value_mask(mask_of(coalition))
-
-    def evaluate_all(self) -> None:
-        """Evaluate every coalition not cached yet, in ascending mask order.
-
-        Each costs one evaluation, as through :meth:`value_mask`.  With a
-        ``batch_utility`` the non-empty ones go to it in a single call.
-        """
-        if self._batch_utility is None:
-            for mask in range(self.full_mask + 1):
-                self.value_mask(mask)
-            return
-        cache = self._cache
-        if 0 not in cache:
-            self.value_mask(0)
-        missing = [m for m in range(1, self.full_mask + 1) if m not in cache]
-        if not missing:
-            return
-        values = self._batch_utility(np.array(missing, dtype=np.int64))
-        for mask, val in zip(missing, values, strict=True):
-            cache[mask] = float(val)
-            self._eval_count += 1
 
     @classmethod
     def from_table(cls, n: int, table: dict[frozenset[int] | tuple[int, ...], float],
@@ -183,22 +156,40 @@ def permutation_marginals(game: CoalitionGame, order: Sequence[int]) -> np.ndarr
     return marginals
 
 
+def check_enumerable(n: int) -> None:
+    """Raise CapacityError if enumerating all 2^n coalitions is past the guard."""
+    if n > EXACT_PLAYER_LIMIT:
+        raise CapacityError(
+            f"subset enumeration needs 2^{n} utility values; limit is n <= {EXACT_PLAYER_LIMIT}")
+
+
 def exact_shapley(game: CoalitionGame) -> ContributionVector:
     """Exact Shapley values by subset enumeration.
+
+    Checks the enumeration guard before any utility is evaluated, then
+    evaluates every coalition in ascending mask order and hands the table to
+    :func:`shapley_from_values`.
+    """
+    check_enumerable(game.n)
+    return shapley_from_values(
+        np.array([game.value_mask(mask) for mask in range(game.full_mask + 1)]))
+
+
+def shapley_from_values(values: np.ndarray) -> ContributionVector:
+    """Exact Shapley values of the game whose utility at bitmask m is
+    ``values[m]``; ``len(values)`` is 2^n for n >= 1 players.
 
     For each player the weighted marginals are summed with ``math.fsum``,
     so players that are interchangeable in the utility receive bit-identical
     shares regardless of enumeration order, and a player whose marginals are
     all exactly zero receives exactly 0.0.
     """
-    n = game.n
-    if n > EXACT_PLAYER_LIMIT:
-        raise CapacityError(
-            f"subset enumeration needs 2^{n} utility values; limit is n <= {EXACT_PLAYER_LIMIT}")
-    full = game.full_mask
-    values = np.array([game.value_mask(mask) for mask in range(full + 1)])
-    masks = np.arange(full + 1)
-    sizes = np.zeros(full + 1, dtype=np.intp)
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values).bit_length() - 1
+    if n < 1 or len(values) != 1 << n:
+        raise ValueError(f"need 2^n utility values for n >= 1, got {len(values)}")
+    masks = np.arange(len(values))
+    sizes = np.zeros(len(values), dtype=np.intp)
     for i in range(n):
         sizes += (masks >> i) & 1
     # 1 / C(n-1, s) for s = |S| of the coalition being joined

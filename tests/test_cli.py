@@ -231,6 +231,18 @@ def test_evaluate_bad_params_tables_are_usage_errors(tmp_path, capsys, params):
     assert "params.json" in err
 
 
+@pytest.mark.parametrize("estimator", ["mr", "tmr"])
+def test_enumeration_past_its_guard_stops_at_once(tmp_path, capsys, estimator):
+    cfg = write_config(tmp_path / "wide.json", rounds=1,
+                       scenario={"kind": "same_dist_same_size", "n": 21},
+                       data={"train_per_class": 21, "test_per_class": 2})
+    log = simulate(cfg, tmp_path)
+    assert main(["evaluate", "--log", log, "--estimator", estimator,
+                 "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "2^21" in err
+
+
 def test_evaluate_missing_params_file_is_usage_error(config_path, tmp_path, capsys):
     log = simulate(config_path, tmp_path)
     assert main(["evaluate", "--log", log, "--estimator", "gtg",

@@ -49,7 +49,8 @@ from fedshapley import (
     tmc_shapley_eval,
     tmr_eval,
 )
-from fedshapley.estimators import ESTIMATOR_PARAMS
+from fedshapley import estimators
+from fedshapley.estimators import accepted_params, round_utilities
 from fedshapley.federation import CHUNK_ELEMENTS, RoundStack
 from fedshapley.games import players_of
 
@@ -283,7 +284,8 @@ def test_participant_with_zero_updates_scores_exactly_zero():
 def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> None:
     """Every coalition of every round three ways: the reference
     reconstruct_submodel, the walkers' single rebuild and the chunked
-    rebuild.  Models and utilities must agree bit for bit."""
+    rebuild.  Models and utilities must agree bit for bit, at the same
+    costs."""
     weights, arch = log.participant_weights, log.architecture
     full = (1 << log.n) - 1
     masks = np.arange(1, full + 1)
@@ -298,16 +300,16 @@ def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> 
             assert got.tobytes() == want.tobytes()
             assert stack.rebuild(players_of(mask)).tobytes() == want.tobytes()
 
-        batched = RoundGame.from_round(rec, weights, arch, test)
-        batched.game.evaluate_all()
+        batched = round_utilities(rec, log, test)
         walked = RoundGame.from_round(rec, weights, arch, test)
         utilities = [evaluate(arch, rec.base_model, test)]
         utilities += [evaluate(arch, model, test) for model in reference]
+        assert len(batched) == full + 1
         for mask, want in enumerate(utilities):
             assert walked.game.value_mask(mask) == want
-            assert batched.game.value_mask(mask) == want
-        assert batched.game.eval_count == walked.game.eval_count == full + 1
-        assert batched.reconstructions == walked.reconstructions == full
+            assert batched[mask] == want
+        assert walked.game.eval_count == full + 1
+        assert walked.reconstructions == full
 
 
 @pytest.mark.parametrize("build", [
@@ -331,6 +333,28 @@ def test_batched_reconstruction_spanning_several_chunks():
     rows = CHUNK_ELEMENTS // log.architecture.param_count
     assert 1 <= rows and 2 ** log.n - 1 > 3 * rows  # at least four chunks
     assert_coalition_paths_bit_equal(log, test)
+
+
+def test_weights_past_two_to_the_53_keep_every_path_exact():
+    log, test, _ = quick_log(n=3, rounds=2, seed=0)
+    # not representable in float64, so float and integer totals can differ
+    log.participant_weights = {pid: (2 ** 55) * w + pid
+                               for pid, w in log.participant_weights.items()}
+    assert_coalition_paths_bit_equal(log, test)
+    assert mr_eval(log, test).eval_count == 2 * 2 ** 3
+    assert gtg_eval(log, test).eval_count > 0
+    assert len(position_marginal_profile(log, test, samples_per_round=2)) == 3
+
+
+@pytest.mark.parametrize("estimate", [mr_eval, tmr_eval], ids=["mr", "tmr"])
+def test_enumeration_guard_comes_before_any_evaluation(monkeypatch, estimate):
+    log, test, _ = quick_log(n=21, rounds=1, seed=20, rows_per_class=1)
+    calls = []
+    monkeypatch.setattr(estimators, "evaluate",
+                        lambda *args: calls.append(args) or 0.0)
+    with pytest.raises(CapacityError, match="2\\^21"):
+        estimate(log, test)
+    assert calls == []
 
 
 def test_enumeration_keeps_costs_and_per_round_efficiency():
@@ -467,7 +491,10 @@ def test_estimator_registry_and_dispatch():
                                   tmr_eval(log, test, lam=0.5).total.values)
     with pytest.raises(ValueError, match="registered"):
         run_log_estimator("original", log, test)
-    assert sorted(ESTIMATOR_PARAMS) == sorted(estimator_names())
+    assert accepted_params("mr") == accepted_params("original") == ()
+    assert accepted_params("tmr") == ("lam", "round_threshold")
+    for name in ("gtg", "gtg_ti", "gtg_tib", "gtg_oti", "tmc"):
+        assert "eps_within" in accepted_params(name)
     with pytest.raises(ValueError, match="eps_withn"):
         run_log_estimator("gtg", log, test, {"eps_withn": 0.01})
     with pytest.raises(ValueError, match="accepted: none"):

@@ -23,6 +23,7 @@ from fedshapley import (
     run_federation,
     save_log,
 )
+from fedshapley.federation import RoundStack
 
 BASE = np.array([1.0, 2.0, -4.0], dtype=np.float32)
 U1 = np.array([0.5, -1.0, 2.0], dtype=np.float32)
@@ -82,6 +83,25 @@ def test_reconstruct_rejects_empty_or_unknown_coalitions():
         reconstruct_submodel(rec, [], WEIGHTS)
     with pytest.raises(ValueError):
         reconstruct_submodel(rec, [3], WEIGHTS)
+
+
+def test_stack_rebuilds_match_reconstruction_past_two_to_the_53():
+    # float64 sums of these weights round the {1, 2} total to 2^53, where
+    # fedavg_aggregate's integer sum gives 2^53 + 2; the 3 * 2^29 update
+    # puts that coalition's model on a float32 rounding tie, so the two
+    # totals give different models
+    weights = {1: 2 ** 53 + 1, 2: 1}
+    base = np.zeros(1, dtype=np.float32)
+    updates = {1: np.array([1.0], dtype=np.float32),
+               2: np.array([3 * 2 ** 29], dtype=np.float32)}
+    rec = RoundRecord(0, base, updates, fedavg_aggregate(base, updates, weights))
+    stack = RoundStack(rec, weights)
+    coalitions = [(1,), (2,), (1, 2)]
+    want = [reconstruct_submodel(rec, ids, weights) for ids in coalitions]
+    chunked = list(stack.rebuild_masks(np.array([1, 2, 3])))
+    single = [stack.rebuild(ids) for ids in coalitions]
+    for w, c, s in zip(want, chunked, single):
+        assert c.tobytes() == s.tobytes() == w.tobytes()
 
 
 def test_federation_chain_and_full_set_reconstruction():

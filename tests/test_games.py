@@ -26,7 +26,7 @@ from fedshapley import (
     mc_shapley,
     permutation_marginals,
 )
-from fedshapley.games import all_masks, mask_of, players_of
+from fedshapley.games import all_masks, mask_of, players_of, shapley_from_values
 
 THREE_PLAYER_TABLE = {
     (1,): 50.0, (2,): 50.0, (3,): 10.0,
@@ -114,34 +114,6 @@ def test_cache_counts_only_oracle_calls():
     assert game.eval_count == 8
 
 
-def test_evaluate_all_fills_the_cache_once_in_mask_order():
-    def run(batched: bool) -> tuple[CoalitionGame, list]:
-        calls = []
-
-        def one(ids):
-            calls.append(mask_of(ids))
-            return float(len(ids))
-
-        def many(masks):
-            calls.append(masks.tolist())
-            return [float(bin(m).count("1")) for m in masks.tolist()]
-
-        game = CoalitionGame(3, one, many if batched else None)
-        game.value((1, 3))
-        game.evaluate_all()
-        game.evaluate_all()  # everything is cached by now
-        return game, calls
-
-    plain, plain_calls = run(False)
-    batched, batched_calls = run(True)
-    assert plain_calls == [5, 0, 1, 2, 3, 4, 6, 7]
-    assert batched_calls == [5, 0, [1, 2, 3, 4, 6, 7]]
-    assert plain.eval_count == batched.eval_count == 8
-    for mask in range(8):
-        want = bin(mask).count("1")
-        assert batched.value_mask(mask) == plain.value_mask(mask) == want
-
-
 def test_single_player_game():
     game = CoalitionGame.from_table(1, {(1,): 7.0})
     assert exact_shapley(game).values.tolist() == [7.0]
@@ -225,6 +197,23 @@ def test_enumeration_guards():
         exact_shapley_by_permutations(CoalitionGame(9, lambda ids: 0.0))
     with pytest.raises(CapacityError):
         CyclingPermutationSampler(9)
+
+
+def test_exact_guard_comes_before_any_utility_call():
+    calls = []
+    with pytest.raises(CapacityError):
+        exact_shapley(CoalitionGame(21, lambda ids: calls.append(ids) or 0.0))
+    assert calls == []
+
+
+def test_solver_over_a_value_table_matches_the_game_solver():
+    game = CoalitionGame.from_table(3, THREE_PLAYER_TABLE)
+    values = np.array([game.value_mask(mask) for mask in range(8)])
+    assert (shapley_from_values(values).values.tobytes()
+            == exact_shapley(game).values.tobytes())
+    for size in (0, 1, 6):
+        with pytest.raises(ValueError, match="2\\^n"):
+            shapley_from_values(np.zeros(size))
 
 
 def test_contribution_vector_shape_checks():
