@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (LOG_ESTIMATORS, RETRAIN_PLAYER_LIMIT, EstimatorReport,
-                         GtgConfig, check_estimator_params, estimator_names,
-                         original_shapley_eval, run_log_estimator,
-                         tmc_shapley_eval)
+                         GtgConfig, accepted_params, check_estimator_params,
+                         estimator_names, original_shapley_eval,
+                         run_log_estimator, tmc_shapley_eval)
 from .federation import (GradientLog, LogFormatError, Participant, load_log,
                          load_log_metadata, run_federation, save_log)
 from .games import CapacityError
@@ -84,6 +84,12 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> Experime
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    return config_from_dict(doc, path, seed_override)
+
+
+def config_from_dict(doc: object, path: str | Path,
+                     seed_override: int | None = None) -> ExperimentConfig:
+    """Validate a config document; errors name ``path``, where it came from."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     schema = doc.get("schema")
@@ -261,32 +267,25 @@ def _config_from_sidecar(log_path: str, seed_override: int | None) -> Experiment
         raise LogFormatError(
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
-    tmp = Path(log_path).parent / ".sidecar-config.json"
-    tmp.write_text(json.dumps(config_doc))
-    try:
-        return parse_config(tmp, seed_override)
-    finally:
-        tmp.unlink(missing_ok=True)
+    return config_from_dict(config_doc, f"{log_path}.json", seed_override)
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
                          log: GradientLog, test, participants) -> EstimatorReport:
+    if name not in estimator_names():
+        raise ConfigError(f"unknown estimator {name!r}; "
+                          f"registered: {', '.join(estimator_names())}")
     params = dict(params)
+    if "seed" in accepted_params(name):
+        params.setdefault("seed", cfg.estimator_seed(name))
     if name in LOG_ESTIMATORS:
-        if name in ("gtg", "gtg_ti", "gtg_tib", "gtg_oti"):
-            params.setdefault("seed", cfg.estimator_seed(name))
         return run_log_estimator(name, log, test, params)
     if name == "tmc":
-        params.setdefault("seed", cfg.estimator_seed(name))
         return tmc_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
                                 test, init_seed=cfg.federation_seed,
                                 cfg=GtgConfig(**params))
-    if name == "original":
-        return original_shapley_eval(participants, cfg.model, cfg.train,
-                                     cfg.rounds, test,
-                                     init_seed=cfg.federation_seed)
-    raise ConfigError(f"unknown estimator {name!r}; "
-                      f"registered: {', '.join(estimator_names())}")
+    return original_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
+                                 test, init_seed=cfg.federation_seed)
 
 
 def cmd_evaluate(args) -> int:

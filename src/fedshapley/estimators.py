@@ -41,7 +41,8 @@ from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
-                    check_enumerable, exact_shapley, shapley_from_values)
+                    check_enumerable, exact_shapley, shapley_from_values,
+                    walk_order)
 from .models import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
                      init_params, train_local)
 from .seeding import derive_seed
@@ -111,9 +112,8 @@ def guided_permutation(k: int, n: int, m: int,
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     prefix = nth_partial_permutation((k - 1) % math.perm(n, m), n, m)
-    rest = [p for p in range(1, n + 1) if p not in prefix]
-    suffix = tuple(rest[i] for i in rng.permutation(len(rest)))
-    return prefix + suffix
+    rest = np.array([p for p in range(1, n + 1) if p not in prefix])
+    return prefix + tuple(rest[rng.permutation(len(rest))].tolist())
 
 
 def _make_sampler(cfg: GtgConfig, n: int, seed: int):
@@ -130,20 +130,19 @@ class RoundGame:
 
     ``base_utility`` (v0) and ``full_utility`` (vN) are evaluated on
     construction, so a round handled purely by between-round truncation costs
-    exactly two utility evaluations.
+    exactly two utility evaluations.  v0 is evaluated first and is the one
+    evaluation that rebuilds (or retrains) nothing.
     """
 
-    def __init__(self, round_index: int, game: CoalitionGame,
-                 recon_counter: list[int] | None = None):
+    def __init__(self, round_index: int, game: CoalitionGame):
         self.round = round_index
         self.game = game
-        self._recon = recon_counter if recon_counter is not None else [0]
         self.base_utility = game.value_mask(0)
         self.full_utility = game.value_mask(game.full_mask)
 
     @property
     def reconstructions(self) -> int:
-        return self._recon[0]
+        return self.game.eval_count - 1
 
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
@@ -153,16 +152,13 @@ class RoundGame:
         The base model and updates are cast to float64 once, here, and each
         coalition a walker visits is rebuilt on its own from them.
         """
-        counter = [0]
         stack = RoundStack(record, weights)
 
         def oracle(ids: tuple[int, ...]) -> float:
-            if not ids:
-                return evaluate(arch, record.base_model, test)
-            counter[0] += 1
-            return evaluate(arch, stack.rebuild(ids), test)
+            return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
+                            test)
 
-        return cls(record.round, CoalitionGame(len(weights), oracle), counter)
+        return cls(record.round, CoalitionGame(len(weights), oracle))
 
     @classmethod
     def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
@@ -207,43 +203,25 @@ def gtg_round(rgame: RoundGame, cfg: GtgConfig, sampler=None,
     """
     n = rgame.game.n
     v0, v_n = rgame.base_utility, rgame.full_utility
-    if cfg.eps_between > 0 and abs(v_n - v0) <= cfg.eps_between:
-        vec = ContributionVector(np.zeros(n), round=rgame.round,
-                                 sample_count=0, converged=True)
-        stats = GtgRoundStats(round=rgame.round, sample_count=0, converged=True,
-                              truncated=True, eval_count=rgame.game.eval_count,
-                              reconstructions=rgame.reconstructions)
-        return vec, stats
-
-    if sampler is None:
+    truncated = converged = (cfg.eps_between > 0
+                             and abs(v_n - v0) <= cfg.eps_between)
+    if sampler is None and not truncated:
         sampler = _make_sampler(cfg, n, derive_seed(cfg.seed, "round", rgame.round))
     window = cfg.window()
     phi = np.zeros(n, dtype=np.float64)
-    marginals = np.zeros(n, dtype=np.float64)
-    converged = False
+    marginals = np.empty(n, dtype=np.float64)
     k = 0
-    while k < cfg.max_perms_per_round:
+    while not converged and k < cfg.max_perms_per_round:
         k += 1
-        order = sampler(k)
-        mask = 0
-        prev = v0
-        for j, pid in enumerate(order):
-            mask |= 1 << (pid - 1)
-            if (j == 0 and always_evaluate_first) or abs(v_n - prev) >= cfg.eps_within:
-                cur = rgame.game.value_mask(mask)
-            else:
-                cur = prev
-            marginals[pid - 1] = cur - prev
-            prev = cur
+        walk_order(rgame.game, sampler(k), marginals, v0, v_n, cfg.eps_within,
+                   always_evaluate_first)
         phi = ((k - 1.0) / k) * phi + marginals / k
-        if k >= cfg.min_samples and check_convergence(window, phi):
-            converged = True
-            break
+        converged = k >= cfg.min_samples and check_convergence(window, phi)
         window.push(phi)
     vec = ContributionVector(phi, round=rgame.round, sample_count=k,
                              converged=converged)
     stats = GtgRoundStats(round=rgame.round, sample_count=k, converged=converged,
-                          truncated=False, eval_count=rgame.game.eval_count,
+                          truncated=truncated, eval_count=rgame.game.eval_count,
                           reconstructions=rgame.reconstructions)
     return vec, stats
 
@@ -282,19 +260,14 @@ def _totalize(name: str, per_round: list[ContributionVector], n: int,
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
     started = time.perf_counter()
-    per_round: list[ContributionVector] = []
-    stats_list: list[GtgRoundStats] = []
-    evals = recon = 0
-    for rec in log.rounds:
-        rgame = RoundGame.from_round(rec, log.participant_weights,
-                                     log.architecture, test)
-        vec, stats = gtg_round(rgame, cfg)
-        per_round.append(vec)
-        stats_list.append(stats)
-        evals += stats.eval_count
-        recon += stats.reconstructions
-    return _totalize(name, per_round, log.n, evals, recon, started,
-                     [s.converged for s in stats_list], stats_list)
+    rounds = [gtg_round(RoundGame.from_round(rec, log.participant_weights,
+                                             log.architecture, test), cfg)
+              for rec in log.rounds]
+    stats = [s for _, s in rounds]
+    return _totalize(name, [v for v, _ in rounds], log.n,
+                     sum(s.eval_count for s in stats),
+                     sum(s.reconstructions for s in stats), started,
+                     [s.converged for s in stats], stats)
 
 
 def gtg_eval(log: GradientLog, test: LabeledDataset,
@@ -470,7 +443,7 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
         base_cfg = dataclasses.replace(base_cfg, sampling="uniform")
     base_cfg = dataclasses.replace(base_cfg, eps_between=0.0)
     oracle = RetrainOracle(participants, arch, train_cfg, rounds, test, init_seed)
-    rgame = RoundGame(0, CoalitionGame(n, oracle), oracle.trainings)
+    rgame = RoundGame(0, CoalitionGame(n, oracle))
     vec, stats = gtg_round(rgame, base_cfg, always_evaluate_first=True)
     return _totalize("tmc", [vec], n, stats.eval_count, stats.reconstructions,
                      started, [stats.converged], [stats])
@@ -492,8 +465,11 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
     Averages v_j - v_{j-1} by join position over uniformly sampled
     permutations of every round, exposing how much of the round's gain is
     perceived by early versus late joiners."""
+    if samples_per_round < 1:
+        raise ValueError(f"samples_per_round must be >= 1, got {samples_per_round}")
     n = log.n
     sums = np.zeros(n, dtype=np.float64)
+    marginals = np.empty(n, dtype=np.float64)
     count = 0
     for rec in log.rounds:
         rgame = RoundGame.from_round(rec, log.participant_weights,
@@ -502,13 +478,8 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
                                                            rec.round))
         for k in range(1, samples_per_round + 1):
             order = sampler(k)
-            mask = 0
-            prev = rgame.base_utility
-            for j, pid in enumerate(order):
-                mask |= 1 << (pid - 1)
-                cur = rgame.game.value_mask(mask)
-                sums[j] += cur - prev
-                prev = cur
+            walk_order(rgame.game, order, marginals, rgame.base_utility)
+            sums += marginals[np.subtract(order, 1)]
             count += 1
     return sums / count
 

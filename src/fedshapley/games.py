@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,12 +38,10 @@ def mask_of(coalition: Iterable[int]) -> int:
 def players_of(mask: int) -> tuple[int, ...]:
     """1-based player ids present in ``mask``, ascending."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -145,12 +142,30 @@ def permutation_marginals(game: CoalitionGame, order: Sequence[int]) -> np.ndarr
     """
     if sorted(order) != list(range(1, game.n + 1)):
         raise ValueError(f"not a permutation of 1..{game.n}: {order!r}")
-    marginals = np.zeros(game.n, dtype=np.float64)
+    return walk_order(game, order, np.empty(game.n), game.value_mask(0))
+
+
+def walk_order(game: CoalitionGame, order: Sequence[int], marginals: np.ndarray,
+               v0: float, v_n: float | None = None, eps: float = 0.0,
+               evaluate_first: bool = False) -> np.ndarray:
+    """Fill ``marginals`` (position-indexed, zeroed first) along ``order``,
+    which must be a permutation of 1..n; returns ``marginals``.
+
+    ``v0`` is V(∅).  With ``v_n`` given, position j is evaluated only while
+    |v_n - v_{j-1}| >= ``eps``, and ``evaluate_first`` exempts position 1
+    from that test.  Truncation is absorbing: a skipped position leaves the
+    running utility as it was, so every later one sees the same gap; the
+    walk stops at the first skipped position and the rest keep marginal 0.
+    """
+    marginals.fill(0.0)
+    value_mask = game.value_mask
     mask = 0
-    prev = game.value_mask(0)
-    for pid in order:
+    prev = v0
+    for j, pid in enumerate(order):
+        if v_n is not None and not abs(v_n - prev) >= eps and (j or not evaluate_first):
+            break
         mask |= 1 << (pid - 1)
-        cur = game.value_mask(mask)
+        cur = value_mask(mask)
         marginals[pid - 1] = cur - prev
         prev = cur
     return marginals
@@ -213,14 +228,11 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ContributionVector:
     if n > FACTORIAL_PLAYER_LIMIT:
         raise CapacityError(
             f"{n}! permutations is past the enumeration guard n <= {FACTORIAL_PLAYER_LIMIT}")
-    per_player: list[list[float]] = [[] for _ in range(n)]
-    for order in itertools.permutations(range(1, n + 1)):
-        marginals = permutation_marginals(game, order)
-        for pid in range(1, n + 1):
-            per_player[pid - 1].append(marginals[pid - 1])
+    marginals = np.array([permutation_marginals(game, order)
+                          for order in itertools.permutations(range(1, n + 1))])
     count = math.factorial(n)
-    shares = np.array([math.fsum(terms) / count for terms in per_player])
-    return ContributionVector(values=shares)
+    return ContributionVector(
+        values=[math.fsum(terms) / count for terms in marginals.T.tolist()])
 
 
 # --- convergence bookkeeping -------------------------------------------------
@@ -250,30 +262,57 @@ class ConvergenceWindow:
 
     Convergence requires ``lookback`` prior estimates, so it can never be
     declared before iteration ``lookback + 1``; ``min_samples`` can push
-    that later but not earlier.
+    that later but not earlier.  The estimates live in one ``(lookback, n)``
+    float64 array, allocated at the first push after creation or ``clear``.
     """
 
     lookback: int = 10
     threshold: float = 0.05
     min_samples: int = 11
-    _history: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
         if self.lookback < 1:
             raise ValueError("lookback must be at least 1")
-        self._history = deque(self._history, maxlen=self.lookback)
+        self.clear()
+
+    @property
+    def full(self) -> bool:
+        return self._size == self.lookback
 
     @property
     def history(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._history)
+        """Copies of the stored estimates, oldest first."""
+        first = self._next - self._size
+        return tuple(self._ring[(first + i) % self.lookback].copy()
+                     for i in range(self._size))
 
     def push(self, estimate: np.ndarray) -> None:
-        self._history.append(np.array(estimate, dtype=np.float64, copy=True))
+        """Store a copy of ``estimate``, dropping the oldest once full."""
+        estimate = np.asarray(estimate, dtype=np.float64)
+        if self._ring is None:
+            self._ring = np.empty((self.lookback,) + estimate.shape)
+        self._ring[self._next] = estimate
+        self._next = (self._next + 1) % self.lookback
+        self._size = min(self._size + 1, self.lookback)
+
+    def relative_change(self, current: np.ndarray) -> float:
+        """``convergence_criterion(current, self.history)``, bit-equal: numpy
+        sums each row of the 2-D reduction as the reference sums one vector,
+        and the row sums are added oldest first in Python, as there."""
+        cur = np.asarray(current, dtype=np.float64)
+        denom = np.maximum(np.abs(cur), RELATIVE_CHANGE_FLOOR)
+        rows = (np.abs(cur - self._ring[:self._size]) / denom).sum(axis=1).tolist()
+        total = 0.0
+        # until the ring wraps, _next == _size and the rows are in order
+        for row in rows[self._next:] + rows[:self._next]:
+            total += row
+        return total / (cur.shape[0] * self._size)
 
     def clear(self) -> None:
-        self._history.clear()
+        self._ring = None  # (lookback, n), allocated by the first push
+        self._size = self._next = 0  # rows stored; row the next push writes
 
     def spawn(self) -> "ConvergenceWindow":
         """Fresh empty window with the same parameters."""
@@ -283,9 +322,7 @@ class ConvergenceWindow:
 
 def check_convergence(window: ConvergenceWindow, current: np.ndarray) -> bool:
     """True iff the window is full and the mean relative change is below threshold."""
-    if len(window.history) < window.lookback:
-        return False
-    return convergence_criterion(current, window.history) < window.threshold
+    return window.full and window.relative_change(current) < window.threshold
 
 
 # --- permutation samplers ----------------------------------------------------
@@ -296,10 +333,11 @@ class UniformPermutationSampler:
 
     def __init__(self, n: int, seed: int):
         self.n = n
+        self._ids = np.arange(1, n + 1)
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, k: int) -> tuple[int, ...]:
-        return tuple(int(p) + 1 for p in self._rng.permutation(self.n))
+        return tuple(self._ids[self._rng.permutation(self.n)].tolist())
 
 
 class CyclingPermutationSampler:
@@ -343,17 +381,10 @@ def mc_shapley(game: CoalitionGame,
     phi = np.zeros(game.n, dtype=np.float64)
     converged = False
     k = 0
-    while k < max_iters:
+    while not converged and k < max_iters:
         k += 1
-        marginals = permutation_marginals(game, sampler(k))
-        phi = ((k - 1.0) / k) * phi + marginals / k
-        if k >= window.min_samples and check_convergence(window, phi):
-            converged = True
-            break
-        window.push(phi)
+        phi = ((k - 1.0) / k) * phi + permutation_marginals(game, sampler(k)) / k
+        converged = k >= window.min_samples and check_convergence(window, phi)
+        if not converged:
+            window.push(phi)
     return ContributionVector(values=phi, sample_count=k, converged=converged)
-
-
-def all_masks(n: int) -> Iterator[int]:
-    """All 2^n coalition bitmasks, ascending."""
-    return iter(range(1 << n))

@@ -281,6 +281,28 @@ def test_evaluate_needs_embedded_config(config_path, tmp_path, capsys):
     assert "no embedded config" in capsys.readouterr().err
 
 
+def test_evaluate_leaves_the_log_directory_as_it_was(config_path, tmp_path):
+    log_dir = tmp_path / "runs"
+    log = simulate(config_path, log_dir)
+    before = sorted(p.name for p in log_dir.iterdir())
+    assert main(["evaluate", "--log", log, "--estimator", "gtg",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert sorted(p.name for p in log_dir.iterdir()) == before
+
+
+def test_bad_embedded_config_names_the_sidecar(config_path, tmp_path, capsys):
+    log = simulate(config_path, tmp_path)
+    from pathlib import Path
+    sidecar = Path(log + ".json")
+    doc = json.loads(sidecar.read_text())
+    doc["metadata"]["config"]["rounds"] = 0
+    sidecar.write_text(json.dumps(doc))
+    assert main(["evaluate", "--log", log, "--estimator", "gtg",
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {sidecar}: rounds must be >= 1, got 0"]
+
+
 # --- compare and report ------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ retraining-based baselines against an independently built retraining game.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -17,8 +18,11 @@ from conftest import gaussian_blobs, quick_log, scenario_log, split_participants
 from fedshapley import (
     CapacityError,
     CoalitionGame,
+    ContributionVector,
+    CyclingPermutationSampler,
     GradientLog,
     GtgConfig,
+    GtgRoundStats,
     LabeledDataset,
     ModelArchitecture,
     Participant,
@@ -27,6 +31,8 @@ from fedshapley import (
     RoundRecord,
     ScenarioKind,
     TrainConfig,
+    convergence_criterion,
+    derive_seed,
     estimator_names,
     evaluate,
     exact_shapley,
@@ -512,3 +518,171 @@ def test_report_totals_match_per_round_sums():
         assert report.eval_count >= report.reconstructions >= 0
         assert report.wall_time >= 0.0
         assert report.name == name
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_position_profile_needs_a_sample_before_any_evaluation(monkeypatch,
+                                                               samples):
+    log, test, _ = quick_log(n=3, rounds=2, seed=0)
+
+    def must_not_evaluate(*args):
+        raise AssertionError("evaluated before the argument check")
+
+    monkeypatch.setattr(estimators, "evaluate", must_not_evaluate)
+    with pytest.raises(ValueError, match="samples_per_round"):
+        position_marginal_profile(log, test, samples_per_round=samples)
+
+
+# --- the walker and its bookkeeping against the first implementation ------------
+# The reference functions below are the estimators' hot loop as first written: a
+# deque of past estimates checked with convergence_criterion, samplers that
+# convert one drawn element at a time, and a walk over every position of every
+# join order.  The walker must reproduce them bit for bit at the same cost.
+
+
+def reference_sampler(cfg: GtgConfig, n: int, seed: int):
+    if cfg.sampling == "cycle":
+        return CyclingPermutationSampler(n)
+    rng = np.random.default_rng(seed)
+    if cfg.sampling == "uniform":
+        return lambda k: tuple(int(p) + 1 for p in rng.permutation(n))
+    m = cfg.guided_prefix
+
+    def guided(k):
+        prefix = nth_partial_permutation((k - 1) % math.perm(n, m), n, m)
+        rest = [p for p in range(1, n + 1) if p not in prefix]
+        return prefix + tuple(rest[i] for i in rng.permutation(len(rest)))
+
+    return guided
+
+
+def reference_gtg_round(rgame, cfg, sampler=None, always_evaluate_first=False):
+    n = rgame.game.n
+    v0, v_n = rgame.base_utility, rgame.full_utility
+    if cfg.eps_between > 0 and abs(v_n - v0) <= cfg.eps_between:
+        return (ContributionVector(np.zeros(n), round=rgame.round, sample_count=0,
+                                   converged=True),
+                GtgRoundStats(rgame.round, 0, True, True, rgame.game.eval_count,
+                              rgame.reconstructions))
+    if sampler is None:
+        sampler = reference_sampler(cfg, n,
+                                    derive_seed(cfg.seed, "round", rgame.round))
+    history = collections.deque(maxlen=cfg.lookback)
+    phi = np.zeros(n, dtype=np.float64)
+    marginals = np.zeros(n, dtype=np.float64)
+    converged = False
+    k = 0
+    while k < cfg.max_perms_per_round:
+        k += 1
+        mask = 0
+        prev = v0
+        for j, pid in enumerate(sampler(k)):
+            mask |= 1 << (pid - 1)
+            if (j == 0 and always_evaluate_first) or abs(v_n - prev) >= cfg.eps_within:
+                cur = rgame.game.value_mask(mask)
+            else:
+                cur = prev
+            marginals[pid - 1] = cur - prev
+            prev = cur
+        phi = ((k - 1.0) / k) * phi + marginals / k
+        if (k >= cfg.min_samples and len(history) == cfg.lookback
+                and convergence_criterion(phi, tuple(history)) < cfg.threshold):
+            converged = True
+            break
+        history.append(phi.copy())
+    return (ContributionVector(phi, round=rgame.round, sample_count=k,
+                               converged=converged),
+            GtgRoundStats(rgame.round, k, converged, False, rgame.game.eval_count,
+                          rgame.reconstructions))
+
+
+def assert_reports_bit_equal(got, want):
+    assert got.total.values.tobytes() == want.total.values.tobytes()
+    assert ([(v.round, v.sample_count, v.converged, v.values.tobytes())
+             for v in got.per_round]
+            == [(v.round, v.sample_count, v.converged, v.values.tobytes())
+                for v in want.per_round])
+    assert got.eval_count == want.eval_count
+    assert got.reconstructions == want.reconstructions
+    assert got.round_stats == want.round_stats
+    assert got.converged_rounds == want.converged_rounds
+
+
+WALKER_LOGS = {
+    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
+    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
+                                           rounds=10, seed=1, lr=0.1)[:2],
+    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
+                                              n=10, rounds=10, seed=2,
+                                              lr=0.02)[:2],
+    "n50": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=50, rounds=3,
+                                seed=1, train_per_class=500)[:2],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WALKER_LOGS))
+def walker_log(request):
+    return request.param, WALKER_LOGS[request.param]()
+
+
+@pytest.mark.parametrize("eps_within", [0.0, 0.001, 0.05])
+def test_walker_matches_the_first_implementation(monkeypatch, walker_log,
+                                                 eps_within):
+    name, (log, test) = walker_log
+    # untruncated orders at n=50 cost 50 evaluations each; fewer keep it quick
+    perms = 40 if name == "n50" else 500
+    cfg = GtgConfig(eps_within=eps_within, seed=9, max_perms_per_round=perms)
+    for estimate in (gtg_eval, gtg_ti, gtg_tib, gtg_oti):
+        got = estimate(log, test, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(estimators, "gtg_round", reference_gtg_round)
+            want = estimate(log, test, cfg)
+        assert_reports_bit_equal(got, want)
+
+
+# at 1.0 every gap is below the threshold, so only the first position of
+# each order is evaluated: the exemption tmc asks for
+@pytest.mark.parametrize("eps_within", [0.0, 0.001, 0.05, 1.0])
+def test_retraining_walker_matches_the_first_implementation(monkeypatch,
+                                                            eps_within):
+    parts, test = small_participants(4, seed=3)
+    arch = ModelArchitecture(5, 0, 3)
+    train = TrainConfig(local_epochs=1, batch_size=8, learning_rate=0.2, seed=5)
+    cfg = GtgConfig(eps_within=eps_within, seed=4, max_perms_per_round=30)
+    got = tmc_shapley_eval(parts, arch, train, rounds=1, test=test, cfg=cfg)
+    monkeypatch.setattr(estimators, "gtg_round", reference_gtg_round)
+    want = tmc_shapley_eval(parts, arch, train, rounds=1, test=test, cfg=cfg)
+    assert_reports_bit_equal(got, want)
+    assert got.reconstructions == got.eval_count - 1
+
+
+def test_position_profile_matches_the_first_implementation():
+    log, test, _ = quick_log(n=4, rounds=3, seed=10)
+    sums = np.zeros(log.n)
+    for rec in log.rounds:
+        rgame = RoundGame.from_round(rec, log.participant_weights,
+                                     log.architecture, test)
+        sampler = reference_sampler(GtgConfig(sampling="uniform"), log.n,
+                                    derive_seed(3, "profile", rec.round))
+        for k in range(1, 11):
+            mask, prev = 0, rgame.base_utility
+            for j, pid in enumerate(sampler(k)):
+                mask |= 1 << (pid - 1)
+                cur = rgame.game.value_mask(mask)
+                sums[j] += cur - prev
+                prev = cur
+    want = sums / (10 * log.total_rounds)
+    got = position_marginal_profile(log, test, samples_per_round=10, seed=3)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (5, 2), (10, 1), (50, 1),
+                                 (100, 1), (6, 3)])
+def test_guided_sampler_matches_the_first_implementation(n, m):
+    for seed in (0, 1, 17, 2**40 + 3):
+        want = reference_sampler(GtgConfig(guided_prefix=m), n, seed)
+        rng = np.random.default_rng(seed)
+        for k in range(1, 3 * n + 2):
+            got = guided_permutation(k, n, m, rng)
+            assert got == want(k)
+            assert all(type(p) is int for p in got)

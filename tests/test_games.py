@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fedshapley import (
     mc_shapley,
     permutation_marginals,
 )
-from fedshapley.games import all_masks, mask_of, players_of, shapley_from_values
+from fedshapley.games import mask_of, players_of, shapley_from_values
 
 THREE_PLAYER_TABLE = {
     (1,): 50.0, (2,): 50.0, (3,): 10.0,
@@ -60,7 +61,6 @@ def test_mask_round_trip():
     for ids in [(), (1,), (3,), (1, 2, 3), (2, 5, 9)]:
         assert players_of(mask_of(ids)) == ids
     assert mask_of([3, 1, 2]) == mask_of([1, 2, 3]) == 0b111
-    assert list(all_masks(3)) == list(range(8))
 
 
 def test_hand_checked_three_player_values():
@@ -284,7 +284,49 @@ def test_window_stores_copies():
     assert window.history[0][0] == 1.0
 
 
+@pytest.mark.parametrize("n", [2, 10, 50, 100, 129])
+def test_window_criterion_is_bit_equal_to_the_reference(n):
+    # partly filled, exactly full and wrapped windows; zero shares; scales
+    # from 1e-8 to 10; spreads on both sides of the threshold
+    rng = np.random.default_rng(n)
+    for lookback in (1, 3, 10):
+        for pushes in sorted({1, max(1, lookback - 1), lookback, lookback + 1,
+                              3 * lookback + 2}):
+            for scale in (1e-8, 1e-3, 1.0, 10.0):
+                for spread in (1e-3, 0.1):
+                    base = scale * rng.standard_normal(n)
+                    base[rng.random(n) < 0.25] = 0.0
+                    window = ConvergenceWindow(lookback=lookback, threshold=0.05)
+                    for _ in range(pushes):
+                        window.push(base * (1 + spread * rng.standard_normal(n)))
+                    for cur in (base, np.zeros(n)):
+                        want = convergence_criterion(cur, window.history)
+                        assert window.relative_change(cur) == want
+                        assert check_convergence(window, cur) == (
+                            pushes >= lookback and want < 0.05)
+
+
+def test_players_of_matches_a_plain_bit_loop():
+    bits = random.Random(7)
+    masks = [0, 1, 2 ** 100 - 1, 2 ** 100, 2 ** 99 + 1]
+    masks += [bits.getrandbits(bits.randint(1, 100)) for _ in range(2000)]
+    for mask in masks:
+        want = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        assert players_of(mask) == want
+
+
 # --- samplers and Monte-Carlo estimation --------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 100])
+def test_uniform_sampler_matches_its_generator_form(n):
+    for seed in (0, 3, 42, 2 ** 40 + 1):
+        rng = np.random.default_rng(seed)
+        sampler = UniformPermutationSampler(n, seed)
+        for k in range(1, 30):
+            got = sampler(k)
+            assert got == tuple(int(p) + 1 for p in rng.permutation(n))
+            assert all(type(p) is int for p in got)
 
 
 def test_uniform_sampler_yields_valid_seeded_permutations():
