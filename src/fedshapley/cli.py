@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (LOG_ESTIMATORS, RETRAIN_PLAYER_LIMIT, EstimatorReport,
-                         GtgConfig, accepted_params, check_estimator_params,
-                         estimator_names, original_shapley_eval,
-                         run_log_estimator, tmc_shapley_eval)
+                         GtgConfig, check_estimator_params, estimator_names,
+                         original_shapley_eval, run_log_estimator,
+                         tmc_shapley_eval)
 from .federation import (GradientLog, LogFormatError, Participant, load_log,
                          load_log_metadata, run_federation, save_log)
 from .games import CapacityError
@@ -272,20 +272,22 @@ def _config_from_sidecar(log_path: str, seed_override: int | None) -> Experiment
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
                          log: GradientLog, test, participants) -> EstimatorReport:
-    if name not in estimator_names():
-        raise ConfigError(f"unknown estimator {name!r}; "
-                          f"registered: {', '.join(estimator_names())}")
     params = dict(params)
-    if "seed" in accepted_params(name):
-        params.setdefault("seed", cfg.estimator_seed(name))
     if name in LOG_ESTIMATORS:
+        if name in ("gtg", "gtg_ti", "gtg_tib", "gtg_oti"):
+            params.setdefault("seed", cfg.estimator_seed(name))
         return run_log_estimator(name, log, test, params)
     if name == "tmc":
+        params.setdefault("seed", cfg.estimator_seed(name))
         return tmc_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
                                 test, init_seed=cfg.federation_seed,
                                 cfg=GtgConfig(**params))
-    return original_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
-                                 test, init_seed=cfg.federation_seed)
+    if name == "original":
+        return original_shapley_eval(participants, cfg.model, cfg.train,
+                                     cfg.rounds, test,
+                                     init_seed=cfg.federation_seed)
+    raise ConfigError(f"unknown estimator {name!r}; "
+                      f"registered: {', '.join(estimator_names())}")
 
 
 def cmd_evaluate(args) -> int:

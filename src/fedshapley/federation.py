@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .games import players_of
 from .models import (LabeledDataset, ModelArchitecture, TrainConfig,
                      gradient_update, init_params, train_local)
 from .seeding import derive_seed
@@ -188,7 +187,9 @@ class RoundStack:
         ``fedavg_aggregate``'s, so each model is then rebuilt on its own.
         """
         if not self._float_totals_exact:
-            yield from (self.rebuild(players_of(m)) for m in masks.tolist())
+            for mask in masks.tolist():
+                yield self.rebuild([i + 1 for i in range(len(self._weights))
+                                    if mask >> i & 1])
             return
         for start in range(0, len(masks), self._chunk_rows):
             yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -228,11 +228,14 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ContributionVector:
     if n > FACTORIAL_PLAYER_LIMIT:
         raise CapacityError(
             f"{n}! permutations is past the enumeration guard n <= {FACTORIAL_PLAYER_LIMIT}")
-    marginals = np.array([permutation_marginals(game, order)
-                          for order in itertools.permutations(range(1, n + 1))])
+    per_player: list[list[float]] = [[] for _ in range(n)]
+    for order in itertools.permutations(range(1, n + 1)):
+        marginals = permutation_marginals(game, order)
+        for pid in range(1, n + 1):
+            per_player[pid - 1].append(marginals[pid - 1])
     count = math.factorial(n)
-    return ContributionVector(
-        values=[math.fsum(terms) / count for terms in marginals.T.tolist()])
+    shares = np.array([math.fsum(terms) / count for terms in per_player])
+    return ContributionVector(values=shares)
 
 
 # --- convergence bookkeeping -------------------------------------------------
@@ -381,10 +384,17 @@ def mc_shapley(game: CoalitionGame,
     phi = np.zeros(game.n, dtype=np.float64)
     converged = False
     k = 0
-    while not converged and k < max_iters:
+    while k < max_iters:
         k += 1
-        phi = ((k - 1.0) / k) * phi + permutation_marginals(game, sampler(k)) / k
-        converged = k >= window.min_samples and check_convergence(window, phi)
-        if not converged:
-            window.push(phi)
+        marginals = permutation_marginals(game, sampler(k))
+        phi = ((k - 1.0) / k) * phi + marginals / k
+        if k >= window.min_samples and check_convergence(window, phi):
+            converged = True
+            break
+        window.push(phi)
     return ContributionVector(values=phi, sample_count=k, converged=converged)
+
+
+def all_masks(n: int) -> Iterator[int]:
+    """All 2^n coalition bitmasks, ascending."""
+    return iter(range(1 << n))

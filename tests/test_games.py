@@ -27,7 +27,7 @@ from fedshapley import (
     mc_shapley,
     permutation_marginals,
 )
-from fedshapley.games import mask_of, players_of, shapley_from_values
+from fedshapley.games import all_masks, mask_of, players_of, shapley_from_values
 
 THREE_PLAYER_TABLE = {
     (1,): 50.0, (2,): 50.0, (3,): 10.0,
@@ -61,6 +61,7 @@ def test_mask_round_trip():
     for ids in [(), (1,), (3,), (1, 2, 3), (2, 5, 9)]:
         assert players_of(mask_of(ids)) == ids
     assert mask_of([3, 1, 2]) == mask_of([1, 2, 3]) == 0b111
+    assert list(all_masks(3)) == list(range(8))
 
 
 def test_hand_checked_three_player_values():
