@@ -13,7 +13,7 @@ scenarios (:mod:`fedshapley.scenarios`), the estimator suite
 from .estimators import (EstimatorReport, GtgConfig, GtgRoundStats, RetrainOracle,
                          RoundGame, estimator_names, gtg_eval, gtg_oti,
                          gtg_round, gtg_ti, gtg_tib, guided_permutation,
-                         mr_eval, nth_partial_permutation,
+                         mc_shapley, mr_eval, nth_partial_permutation,
                          original_shapley_eval, position_marginal_profile,
                          round_marginal_gains, run_log_estimator,
                          tmc_shapley_eval, tmr_eval)
@@ -24,8 +24,7 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
                     convergence_criterion, exact_shapley,
-                    exact_shapley_by_permutations, mc_shapley,
-                    permutation_marginals)
+                    exact_shapley_by_permutations, permutation_marginals)
 from .metrics import (ComparisonRow, build_report, cosine_distance,
                       euclidean_distance, max_difference, read_report,
                       report_to_csv, write_report)

@@ -20,10 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (LOG_ESTIMATORS, RETRAIN_PLAYER_LIMIT, EstimatorReport,
-                         GtgConfig, check_estimator_params, estimator_names,
-                         original_shapley_eval, run_log_estimator,
-                         tmc_shapley_eval)
+from .estimators import (RETRAIN_PLAYER_LIMIT, EstimatorReport,
+                         check_estimator_params, estimator)
 from .federation import (GradientLog, LogFormatError, Participant, load_log,
                          load_log_metadata, run_federation, save_log)
 from .games import CapacityError
@@ -63,9 +61,6 @@ class ExperimentConfig:
     @property
     def federation_seed(self) -> int:
         return derive_seed(self.seed, "federation")
-
-    def estimator_seed(self, name: str) -> int:
-        return derive_seed(self.seed, "estimator", name)
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -127,7 +122,6 @@ def config_from_dict(doc: object, path: str | Path,
         raw_estimators = doc.get("estimators", [])
         if not isinstance(raw_estimators, list):
             raise ConfigError(f"{path}: 'estimators' must be a list")
-        known = set(estimator_names())
         entries = []
         for item in raw_estimators:
             if isinstance(item, str):
@@ -135,13 +129,9 @@ def config_from_dict(doc: object, path: str | Path,
             if not isinstance(item, dict):
                 raise ConfigError(f"{path}: each estimator must be a name or a "
                                   f"table, got {type(item).__name__}")
-            name = item.get("name")
-            if name not in known:
-                raise ConfigError(f"{path}: unknown estimator {name!r}; "
-                                  f"registered: {', '.join(sorted(known))}")
             params = item.get("params", {})
-            check_estimator_params(name, params)
-            entries.append({"name": name, "params": dict(params)})
+            check_estimator_params(item.get("name"), params)
+            entries.append({"name": item["name"], "params": dict(params)})
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -260,40 +250,49 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _config_from_sidecar(log_path: str, seed_override: int | None) -> ExperimentConfig:
-    meta = load_log_metadata(log_path)
-    config_doc = meta.get("metadata", {}).get("config")
+def _experiment_of(log_path: str, log: GradientLog):
+    """The config embedded in ``log``'s sidecar and the participants and test
+    set it rebuilds, checked against the log: its n, rounds and model before
+    any data is drawn, its participant weights after."""
+    sidecar = f"{log_path}.json"
+    config_doc = load_log_metadata(log_path).get("metadata", {}).get("config")
     if not config_doc:
         raise LogFormatError(
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
-    return config_from_dict(config_doc, f"{log_path}.json", seed_override)
+    cfg = config_from_dict(config_doc, sidecar)
+    found = (log.n, log.total_rounds, log.architecture)
+    if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
+        raise LogFormatError(f"{sidecar}: config does not describe the log's n, "
+                             f"rounds and model {found}")
+    participants, _, test = build_participants(cfg)
+    if [p.weight for p in participants] != list(log.participant_weights.values()):
+        raise LogFormatError(f"{sidecar}: config rebuilds participants whose "
+                             "weights differ from the log's")
+    return cfg, participants, test
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
-                         log: GradientLog, test, participants) -> EstimatorReport:
+                         log: GradientLog | None, test, participants,
+                         seed: int | None = None) -> EstimatorReport:
+    """Run ``name`` on the experiment.  Unless its params set a seed, a
+    sampled estimator's seed derives from ``seed``, or else the config's."""
+    entry = estimator(name)
     params = dict(params)
-    if name in LOG_ESTIMATORS:
-        if name in ("gtg", "gtg_ti", "gtg_tib", "gtg_oti"):
-            params.setdefault("seed", cfg.estimator_seed(name))
-        return run_log_estimator(name, log, test, params)
-    if name == "tmc":
-        params.setdefault("seed", cfg.estimator_seed(name))
-        return tmc_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
-                                test, init_seed=cfg.federation_seed,
-                                cfg=GtgConfig(**params))
-    if name == "original":
-        return original_shapley_eval(participants, cfg.model, cfg.train,
-                                     cfg.rounds, test,
-                                     init_seed=cfg.federation_seed)
-    raise ConfigError(f"unknown estimator {name!r}; "
-                      f"registered: {', '.join(estimator_names())}")
+    if entry.sampled:
+        params.setdefault("seed", derive_seed(
+            cfg.seed if seed is None else seed, "estimator", name))
+    if entry.retrains:
+        return entry.run(participants, cfg.model, cfg.train, cfg.rounds, test,
+                         init_seed=cfg.federation_seed, **entry.keywords(params))
+    return entry.run(log, test, **entry.keywords(params))
 
 
 def cmd_evaluate(args) -> int:
-    if args.estimator not in set(estimator_names()):
-        raise ConfigError(f"unknown estimator {args.estimator!r}; "
-                          f"registered: {', '.join(estimator_names())}")
+    try:
+        estimator(args.estimator)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     params = {}
     if args.params:
         try:
@@ -310,10 +309,9 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
     log = load_log(args.log)
     log.validate()
-    cfg = _config_from_sidecar(args.log, args.seed)
-    participants, _, test = build_participants(cfg)
+    cfg, participants, test = _experiment_of(args.log, log)
     report = _run_named_estimator(args.estimator, params, cfg, log, test,
-                                  participants)
+                                  participants, args.seed)
     out = _out_dir(args, cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
@@ -339,8 +337,7 @@ def cmd_compare(args) -> int:
             f"compare computes ground truth by retraining all coalitions; "
             f"n={cfg.scenario.n} exceeds the n <= {RETRAIN_PLAYER_LIMIT} guard")
     participants, _, test = build_participants(cfg)
-    truth = original_shapley_eval(participants, cfg.model, cfg.train, cfg.rounds,
-                                  test, init_seed=cfg.federation_seed)
+    truth = _run_named_estimator("original", {}, cfg, None, test, participants)
     log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
                          cfg.federation_seed)
     rows = []
@@ -409,7 +406,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="override the config's master seed")
+                        help="override the config's master seed (evaluate: "
+                             "the estimator's streams only, not the data)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
     common.add_argument("--print-config", action="store_true",

@@ -27,10 +27,11 @@ original              retraining-based exact values (ground truth)
 from __future__ import annotations
 
 import dataclasses
-import inspect
+import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class RoundGame:
     evaluation that rebuilds (or retrains) nothing.
     """
 
-    def __init__(self, round_index: int, game: CoalitionGame):
+    def __init__(self, round_index: int | None, game: CoalitionGame):
         self.round = round_index
         self.game = game
         self.base_utility = game.value_mask(0)
@@ -257,17 +258,27 @@ def _totalize(name: str, per_round: list[ContributionVector], n: int,
                            round_stats=round_stats)
 
 
-def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
-                name: str) -> EstimatorReport:
+def _sample_games(name: str, n: int, cfg: GtgConfig,
+                  builders: Sequence[Callable[[], RoundGame]],
+                  evaluate_first: bool = False) -> EstimatorReport:
+    """Score the game each builder makes with :func:`gtg_round`, in order,
+    and total the rounds.  A game is built when its turn comes and dropped
+    once scored, so one game's float64 stack is alive at a time."""
     started = time.perf_counter()
-    rounds = [gtg_round(RoundGame.from_round(rec, log.participant_weights,
-                                             log.architecture, test), cfg)
-              for rec in log.rounds]
+    rounds = [gtg_round(build(), cfg, always_evaluate_first=evaluate_first)
+              for build in builders]
     stats = [s for _, s in rounds]
-    return _totalize(name, [v for v, _ in rounds], log.n,
+    return _totalize(name, [v for v, _ in rounds], n,
                      sum(s.eval_count for s in stats),
                      sum(s.reconstructions for s in stats), started,
                      [s.converged for s in stats], stats)
+
+
+def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
+                name: str) -> EstimatorReport:
+    return _sample_games(name, log.n, cfg, [
+        functools.partial(RoundGame.from_round, rec, log.participant_weights,
+                          log.architecture, test) for rec in log.rounds])
 
 
 def gtg_eval(log: GradientLog, test: LabeledDataset,
@@ -295,13 +306,10 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
             cfg: GtgConfig | None = None) -> EstimatorReport:
     """Ablation: one game over per-participant updates accumulated across
     all rounds; within-round truncation only, uniform sampling."""
-    started = time.perf_counter()
     cfg = dataclasses.replace(cfg or GtgConfig(), eps_between=0.0,
                               sampling="uniform")
-    rgame = RoundGame.accumulated(log, test)
-    vec, stats = gtg_round(rgame, cfg)
-    return _totalize("gtg_oti", [vec], log.n, stats.eval_count,
-                     stats.reconstructions, started, [stats.converged], [stats])
+    return _sample_games("gtg_oti", log.n, cfg,
+                         [lambda: RoundGame.accumulated(log, test)])
 
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
@@ -330,16 +338,15 @@ def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
     every non-empty coalition reconstruction)."""
     started = time.perf_counter()
     per_round = []
-    evals = recon = 0
+    evals = 0
     for rec in log.rounds:
         values = round_utilities(rec, log, test)
         vec = shapley_from_values(values)
         vec.round = rec.round
         per_round.append(vec)
         evals += len(values)
-        recon += len(values) - 1
-    return _totalize("mr", per_round, log.n, evals, recon, started,
-                     [True] * log.total_rounds)
+    return _totalize("mr", per_round, log.n, evals, evals - log.total_rounds,
+                     started, [True] * log.total_rounds)
 
 
 def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
@@ -390,7 +397,6 @@ class RetrainOracle:
         self._cfg = dataclasses.replace(
             train_cfg, local_epochs=train_cfg.local_epochs * rounds,
             seed=derive_seed(init_seed, "retrain"))
-        self.trainings = [0]
 
     def __call__(self, ids: tuple[int, ...]) -> float:
         if not ids:
@@ -400,27 +406,32 @@ class RetrainOracle:
             features=np.concatenate([p.features for p in parts]),
             labels=np.concatenate([p.labels for p in parts]),
             id="coalition-" + "-".join(str(i) for i in sorted(ids)))
-        self.trainings[0] += 1
         model = train_local(self._arch, self._base, merged, self._cfg)
         return evaluate(self._arch, model, self._test)
+
+
+def _retraining_game(participants: list[Participant], arch: ModelArchitecture,
+                     train_cfg: TrainConfig, rounds: int, test: LabeledDataset,
+                     init_seed: int) -> CoalitionGame:
+    """The game over :class:`RetrainOracle`, refused past the n guard."""
+    n = len(participants)
+    if n > RETRAIN_PLAYER_LIMIT:
+        raise CapacityError(f"retraining coalitions of {n} participants is past "
+                            f"the n <= {RETRAIN_PLAYER_LIMIT} guard")
+    return CoalitionGame(n, RetrainOracle(participants, arch, train_cfg, rounds,
+                                          test, init_seed))
 
 
 def original_shapley_eval(participants: list[Participant],
                           arch: ModelArchitecture, train_cfg: TrainConfig,
                           rounds: int, test: LabeledDataset,
                           init_seed: int = 0) -> EstimatorReport:
-    """Ground truth: exact values over the retraining utility (2^n trainings)."""
-    n = len(participants)
-    if n > RETRAIN_PLAYER_LIMIT:
-        raise CapacityError(
-            f"retraining all 2^{n} coalitions is past the n <= "
-            f"{RETRAIN_PLAYER_LIMIT} guard")
+    """Ground truth: exact values over the retraining utility (2^n - 1 trainings)."""
     started = time.perf_counter()
-    oracle = RetrainOracle(participants, arch, train_cfg, rounds, test, init_seed)
-    game = CoalitionGame(n, oracle)
+    game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
     vec = exact_shapley(game)
-    return _totalize("original", [vec], n, game.eval_count, oracle.trainings[0],
-                     started, [True])
+    return _totalize("original", [vec], game.n, game.eval_count,
+                     game.eval_count - 1, started, [True])
 
 
 def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
@@ -432,21 +443,29 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
     Permutation sampling with within-permutation truncation against the
     grand-coalition utility; ``eps_between`` and ``guided_prefix`` are
     ignored (single game, unguided sampling unless cfg.sampling overrides)."""
-    n = len(participants)
-    if n > RETRAIN_PLAYER_LIMIT:
-        raise CapacityError(
-            f"retraining-based sampling is past the n <= "
-            f"{RETRAIN_PLAYER_LIMIT} guard")
-    started = time.perf_counter()
-    base_cfg = cfg or GtgConfig()
-    if base_cfg.sampling == "guided":
-        base_cfg = dataclasses.replace(base_cfg, sampling="uniform")
-    base_cfg = dataclasses.replace(base_cfg, eps_between=0.0)
-    oracle = RetrainOracle(participants, arch, train_cfg, rounds, test, init_seed)
-    rgame = RoundGame(0, CoalitionGame(n, oracle))
-    vec, stats = gtg_round(rgame, base_cfg, always_evaluate_first=True)
-    return _totalize("tmc", [vec], n, stats.eval_count, stats.reconstructions,
-                     started, [stats.converged], [stats])
+    game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
+    cfg = cfg or GtgConfig()
+    cfg = dataclasses.replace(cfg, eps_between=0.0, sampling=(
+        "uniform" if cfg.sampling == "guided" else cfg.sampling))
+    return _sample_games("tmc", game.n, cfg, [lambda: RoundGame(0, game)],
+                         evaluate_first=True)
+
+
+def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
+               window: ConvergenceWindow | None = None,
+               max_iters: int = 500) -> ContributionVector:
+    """Monte-Carlo Shapley estimate over sampled join orders: one
+    :func:`gtg_round` with both truncations off, stopped by ``window``'s
+    rule (only its parameters are read) or at ``max_iters``.  The returned
+    vector's ``converged`` flag tells which; non-convergence is no error."""
+    window = window or ConvergenceWindow()
+    if max_iters < window.min_samples:
+        raise ValueError(
+            f"max_iters={max_iters} is below min_samples={window.min_samples}")
+    cfg = GtgConfig(eps_between=0.0, eps_within=0.0, max_perms_per_round=max_iters,
+                    lookback=window.lookback, threshold=window.threshold,
+                    min_samples=window.min_samples)
+    return gtg_round(RoundGame(None, game), cfg, sampler)[0]
 
 
 def round_marginal_gains(log: GradientLog, test: LabeledDataset) -> list[float]:
@@ -470,7 +489,6 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
     n = log.n
     sums = np.zeros(n, dtype=np.float64)
     marginals = np.empty(n, dtype=np.float64)
-    count = 0
     for rec in log.rounds:
         rgame = RoundGame.from_round(rec, log.participant_weights,
                                      log.architecture, test)
@@ -480,51 +498,65 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
             order = sampler(k)
             walk_order(rgame.game, order, marginals, rgame.base_utility)
             sums += marginals[np.subtract(order, 1)]
-            count += 1
-    return sums / count
+    return sums / (samples_per_round * log.total_rounds)
 
 
-LOG_ESTIMATORS = {
-    "gtg": gtg_eval,
-    "gtg_ti": gtg_ti,
-    "gtg_tib": gtg_tib,
-    "gtg_oti": gtg_oti,
-    "mr": mr_eval,
-    "tmr": tmr_eval,
-}
-RETRAIN_ESTIMATORS = {
-    "tmc": tmc_shapley_eval,
-    "original": original_shapley_eval,
+class Estimator(NamedTuple):
+    """An entry of :data:`ESTIMATORS`.  ``options``: the names its parameter
+    table may hold.  ``sampled``: it takes them as a :class:`GtgConfig` ``cfg``
+    and draws from a seed of its own.  ``retrains``: it takes ``(participants,
+    arch, train_cfg, rounds, test)`` and ``init_seed``, not ``(log, test)``."""
+
+    run: Callable[..., EstimatorReport]
+    options: tuple[str, ...] = ()
+    sampled: bool = False
+    retrains: bool = False
+
+    def keywords(self, params: dict) -> dict:
+        return {"cfg": GtgConfig(**params)} if self.sampled else dict(params)
+
+
+_CFG_FIELDS = tuple(f.name for f in dataclasses.fields(GtgConfig))
+ESTIMATORS = {
+    "gtg": Estimator(gtg_eval, _CFG_FIELDS, sampled=True),
+    "gtg_oti": Estimator(gtg_oti, _CFG_FIELDS, sampled=True),
+    "gtg_ti": Estimator(gtg_ti, _CFG_FIELDS, sampled=True),
+    "gtg_tib": Estimator(gtg_tib, _CFG_FIELDS, sampled=True),
+    "mr": Estimator(mr_eval),
+    "tmr": Estimator(tmr_eval, ("lam", "round_threshold")),
+    "original": Estimator(original_shapley_eval, retrains=True),
+    "tmc": Estimator(tmc_shapley_eval, _CFG_FIELDS, sampled=True, retrains=True),
 }
 
 
 def estimator_names() -> list[str]:
-    return sorted(LOG_ESTIMATORS) + sorted(RETRAIN_ESTIMATORS)
+    return list(ESTIMATORS)
+
+
+def estimator(name: str, log_based: bool = False) -> Estimator:
+    """The table entry for ``name``; ValueError naming the registered ones
+    (those that score a log alone, with ``log_based``) if there is none."""
+    names = [key for key, e in ESTIMATORS.items() if not (log_based and e.retrains)]
+    if name not in names:
+        kind = "log-based estimator" if log_based else "estimator"
+        raise ValueError(f"unknown {kind} {name!r}; registered: {', '.join(names)}")
+    return ESTIMATORS[name]
 
 
 def accepted_params(name: str) -> tuple[str, ...]:
-    """Names a plain parameter table may hold for the estimator ``name``.
-
-    An estimator that takes a ``cfg`` takes GtgConfig's fields; any other
-    log-based one takes its keyword parameters after the log and test set.
-    A retraining estimator's other arguments come from the experiment
-    config, never from a parameter table.
-    """
-    estimator = {**LOG_ESTIMATORS, **RETRAIN_ESTIMATORS}[name]
-    params = tuple(inspect.signature(estimator).parameters)
-    if "cfg" in params:
-        return tuple(f.name for f in dataclasses.fields(GtgConfig))
-    return params[2:] if name in LOG_ESTIMATORS else ()
+    """Names a plain parameter table may hold for the estimator ``name``; a
+    retraining estimator's other arguments come from the experiment config."""
+    return estimator(name).options
 
 
 def check_estimator_params(name: str, params: object) -> None:
-    """Raise ValueError unless ``params`` is a table of parameter names that
-    the registered estimator ``name`` accepts.  Values are checked later, by
-    the estimator itself."""
+    """Raise ValueError unless ``name`` is registered and ``params`` is a
+    table of parameter names it accepts.  Values are checked later, by the
+    estimator itself."""
+    accepted = accepted_params(name)
     if not isinstance(params, dict):
         raise ValueError(f"{name} params must be a table of name/value pairs, "
                          f"got {type(params).__name__}")
-    accepted = accepted_params(name)
     unknown = sorted(str(key) for key in params if key not in accepted)
     if unknown:
         raise ValueError(f"{name} does not accept {', '.join(unknown)}; "
@@ -534,14 +566,7 @@ def check_estimator_params(name: str, params: object) -> None:
 def run_log_estimator(name: str, log: GradientLog, test: LabeledDataset,
                       params: dict | None = None) -> EstimatorReport:
     """Dispatch a log-based estimator by name with a plain parameter table."""
-    if name not in LOG_ESTIMATORS:
-        raise ValueError(f"unknown log-based estimator {name!r}; "
-                         f"registered: {', '.join(estimator_names())}")
+    entry = estimator(name, log_based=True)
     params = {} if params is None else params
     check_estimator_params(name, params)
-    if name == "mr":
-        return mr_eval(log, test)
-    if name == "tmr":
-        return tmr_eval(log, test, **params)
-    cfg = GtgConfig(**params) if params else None
-    return LOG_ESTIMATORS[name](log, test, cfg)
+    return entry.run(log, test, **entry.keywords(params))

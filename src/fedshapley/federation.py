@@ -334,4 +334,7 @@ def load_log_metadata(path: str | Path) -> dict:
     sidecar = Path(str(path) + ".json")
     if not sidecar.exists():
         raise LogFormatError(f"no metadata sidecar at {sidecar}")
-    return json.loads(sidecar.read_text())
+    try:
+        return json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"{sidecar}: line {exc.lineno}: {exc.msg}") from exc

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -362,39 +362,3 @@ class CyclingPermutationSampler:
     def __call__(self, k: int) -> tuple[int, ...]:
         # k is the 1-based iteration index
         return self._orders[(k - 1) % self.period]
-
-
-def mc_shapley(game: CoalitionGame,
-               sampler: Callable[[int], Sequence[int]],
-               window: ConvergenceWindow | None = None,
-               max_iters: int = 500) -> ContributionVector:
-    """Monte-Carlo Shapley estimate over sampled join orders.
-
-    Running mean over permutation marginals:
-    phi <- ((k-1)/k) * phi + (1/k) * marginals.  Stops once the window's
-    relative-change criterion triggers (never before ``min_samples``
-    iterations) or at ``max_iters``; non-convergence is reported through
-    the returned vector's ``converged`` flag, never as an error.
-    """
-    if window is None:
-        window = ConvergenceWindow()
-    if max_iters < window.min_samples:
-        raise ValueError(
-            f"max_iters={max_iters} is below min_samples={window.min_samples}")
-    phi = np.zeros(game.n, dtype=np.float64)
-    converged = False
-    k = 0
-    while k < max_iters:
-        k += 1
-        marginals = permutation_marginals(game, sampler(k))
-        phi = ((k - 1.0) / k) * phi + marginals / k
-        if k >= window.min_samples and check_convergence(window, phi):
-            converged = True
-            break
-        window.push(phi)
-    return ContributionVector(values=phi, sample_count=k, converged=converged)
-
-
-def all_masks(n: int) -> Iterator[int]:
-    """All 2^n coalition bitmasks, ascending."""
-    return iter(range(1 << n))

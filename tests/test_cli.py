@@ -5,9 +5,25 @@ Exit-code contract: 0 success, 1 usage/config error, 2 runtime/data error.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from fedshapley import (
+    GtgConfig,
+    derive_seed,
+    estimator_names,
+    gtg_eval,
+    gtg_oti,
+    gtg_ti,
+    gtg_tib,
+    load_log,
+    load_log_metadata,
+    mr_eval,
+    original_shapley_eval,
+    tmc_shapley_eval,
+    tmr_eval,
+)
 from fedshapley.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -16,6 +32,8 @@ from fedshapley.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     OUT_DIR_ENV,
+    build_participants,
+    config_from_dict,
     config_to_dict,
     main,
     parse_config,
@@ -301,6 +319,94 @@ def test_bad_embedded_config_names_the_sidecar(config_path, tmp_path, capsys):
                  "--out", str(tmp_path), "--quiet"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {sidecar}: rounds must be >= 1, got 0"]
+
+
+@pytest.fixture(scope="module")
+def eval_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("eval")
+    return simulate(write_config(out / "exp.json"), out)
+
+
+def evaluate_doc(log, name, out, *extra) -> dict:
+    assert main(["evaluate", "--log", log, "--estimator", name,
+                 "--out", str(out), "--quiet", *extra]) == EXIT_OK
+    return json.loads((out / f"estimate_{name}_{STEM}.json").read_text())
+
+
+def direct_estimate(name, log_path, seed=None):
+    """``name`` called by hand on the sidecar's experiment.  The sampled
+    estimators get the seed the cli derives: from the config's master seed,
+    or from ``seed`` when given."""
+    cfg = config_from_dict(load_log_metadata(log_path)["metadata"]["config"],
+                           log_path)
+    participants, _, test = build_participants(cfg)
+    log = load_log(log_path)
+    master = cfg.seed if seed is None else seed
+    seeded = GtgConfig(seed=derive_seed(master, "estimator", name))
+    on_log = {"gtg": gtg_eval, "gtg_ti": gtg_ti, "gtg_tib": gtg_tib,
+              "gtg_oti": gtg_oti}
+    if name in on_log:
+        return on_log[name](log, test, seeded)
+    if name == "mr":
+        return mr_eval(log, test)
+    if name == "tmr":
+        return tmr_eval(log, test)
+    retrain = (participants, cfg.model, cfg.train, cfg.rounds, test)
+    if name == "tmc":
+        return tmc_shapley_eval(*retrain, init_seed=cfg.federation_seed,
+                                cfg=seeded)
+    assert name == "original"
+    return original_shapley_eval(*retrain, init_seed=cfg.federation_seed)
+
+
+@pytest.mark.parametrize("name", estimator_names())
+def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, name):
+    doc = evaluate_doc(eval_log, name, tmp_path)
+    want = direct_estimate(name, eval_log)
+    assert doc["estimator"] == want.name == name
+    assert doc["total"] == want.total.values.tolist()
+    assert ([r["values"] for r in doc["per_round"]]
+            == [v.values.tolist() for v in want.per_round])
+    assert doc["eval_count"] == want.eval_count
+
+
+def test_evaluate_seed_drives_only_the_estimator_streams(eval_log, tmp_path):
+    plain = evaluate_doc(eval_log, "mr", tmp_path / "plain")
+    seeded = evaluate_doc(eval_log, "mr", tmp_path / "seeded", "--seed", "9")
+    assert seeded["total"] == plain["total"]
+    assert seeded["per_round"] == plain["per_round"]
+    gtg = evaluate_doc(eval_log, "gtg", tmp_path / "gtg", "--seed", "9")
+    assert gtg["total"] == direct_estimate("gtg", eval_log, seed=9).total.values.tolist()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "n", 4),
+    (None, "rounds", 3),
+    ("model", "hidden_dim", 2),
+    ("data", "train_per_class", 21),  # same shape, other participant weights
+])
+def test_evaluate_rejects_a_sidecar_config_of_another_run(
+        config_path, tmp_path, capsys, section, key, value):
+    log = simulate(config_path, tmp_path)
+    sidecar = Path(log + ".json")
+    doc = json.loads(sidecar.read_text())
+    config = doc["metadata"]["config"]
+    (config if section is None else config[section])[key] = value
+    sidecar.write_text(json.dumps(doc))
+    assert main(["evaluate", "--log", log, "--estimator", "mr",
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {sidecar}: ")
+    assert not list(tmp_path.glob("estimate_*"))
+
+
+def test_evaluate_malformed_sidecar_names_it(config_path, tmp_path, capsys):
+    log = simulate(config_path, tmp_path)
+    Path(log + ".json").write_text("{bad")
+    assert main(["evaluate", "--log", log, "--estimator", "mr",
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{log}.json" in err[0]
 
 
 # --- compare and report ------------------------------------------------------------

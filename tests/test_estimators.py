@@ -402,7 +402,6 @@ def test_retraining_utility_is_a_function_of_coalition_data():
     a = oracle((1, 3))
     b = oracle((3, 1))
     assert a == b
-    assert oracle.trainings[0] == 2  # no caching at the oracle layer itself
 
 
 def test_identical_datasets_share_identical_ground_truth():

@@ -27,7 +27,7 @@ from fedshapley import (
     mc_shapley,
     permutation_marginals,
 )
-from fedshapley.games import all_masks, mask_of, players_of, shapley_from_values
+from fedshapley.games import mask_of, players_of, shapley_from_values
 
 THREE_PLAYER_TABLE = {
     (1,): 50.0, (2,): 50.0, (3,): 10.0,
@@ -61,7 +61,6 @@ def test_mask_round_trip():
     for ids in [(), (1,), (3,), (1, 2, 3), (2, 5, 9)]:
         assert players_of(mask_of(ids)) == ids
     assert mask_of([3, 1, 2]) == mask_of([1, 2, 3]) == 0b111
-    assert list(all_masks(3)) == list(range(8))
 
 
 def test_hand_checked_three_player_values():
@@ -386,3 +385,31 @@ def test_mc_rejects_budget_below_min_samples():
     with pytest.raises(ValueError):
         mc_shapley(three_player_game(), UniformPermutationSampler(3, seed=0),
                    ConvergenceWindow(min_samples=11), max_iters=10)
+
+
+def reference_mc_shapley(game, sampler, window, max_iters):
+    """The running-mean loop as first written, over full permutation walks."""
+    phi = np.zeros(game.n)
+    for k in range(1, max_iters + 1):
+        phi = ((k - 1.0) / k) * phi + permutation_marginals(game, sampler(k)) / k
+        if k >= window.min_samples and check_convergence(window, phi):
+            return phi, k, True
+        window.push(phi)
+    return phi, max_iters, False
+
+
+@pytest.mark.parametrize("n, seed, threshold, max_iters", [
+    (3, 0, 0.05, 500), (4, 1, 0.01, 500), (6, 2, 1e-3, 300), (8, 3, 0.05, 40),
+    (5, 4, 1e-9, 200),
+])
+def test_mc_matches_the_reference_loop_bit_for_bit(n, seed, threshold, max_iters):
+    game = random_table_game(n, seed)
+    got = mc_shapley(game, UniformPermutationSampler(n, seed),
+                     ConvergenceWindow(threshold=threshold), max_iters=max_iters)
+    fresh = random_table_game(n, seed)
+    phi, k, converged = reference_mc_shapley(
+        fresh, UniformPermutationSampler(n, seed),
+        ConvergenceWindow(threshold=threshold), max_iters)
+    assert got.values.tobytes() == phi.tobytes()
+    assert (got.sample_count, got.converged, got.round) == (k, converged, None)
+    assert game.eval_count == fresh.eval_count
