@@ -255,12 +255,20 @@ def _experiment_of(log_path: str, log: GradientLog):
     set it rebuilds, checked against the log: its n, rounds and model before
     any data is drawn, its participant weights after."""
     sidecar = f"{log_path}.json"
-    config_doc = load_log_metadata(log_path).get("metadata", {}).get("config")
+
+    def json_object(value, what: str) -> dict:
+        if not isinstance(value, dict):
+            raise LogFormatError(f"{sidecar}: {what} must be a JSON object, "
+                                 f"got {type(value).__name__}")
+        return value
+
+    doc = json_object(load_log_metadata(log_path), "the top level")
+    config_doc = json_object(doc.get("metadata", {}), "'metadata'").get("config")
     if not config_doc:
         raise LogFormatError(
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
-    cfg = config_from_dict(config_doc, sidecar)
+    cfg = config_from_dict(json_object(config_doc, "'metadata.config'"), sidecar)
     found = (log.n, log.total_rounds, log.architecture)
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
         raise LogFormatError(f"{sidecar}: config does not describe the log's n, "

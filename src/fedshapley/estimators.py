@@ -44,8 +44,8 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     UniformPermutationSampler, check_convergence,
                     check_enumerable, exact_shapley, shapley_from_values,
                     walk_order)
-from .models import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
-                     init_params, train_local)
+from .models import (EvalSet, LabeledDataset, ModelArchitecture, TrainConfig,
+                     eval_set, evaluate, init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -147,13 +147,16 @@ class RoundGame:
 
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
-                   arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
+                   arch: ModelArchitecture,
+                   test: LabeledDataset | EvalSet) -> "RoundGame":
         """The round's game over models rebuilt from its stored updates.
 
-        The base model and updates are cast to float64 once, here, and each
-        coalition a walker visits is rebuilt on its own from them.
+        The base model, the updates and the test features are cast to
+        float64 once, here, and each coalition a walker visits is rebuilt on
+        its own from them and evaluated once.
         """
         stack = RoundStack(record, weights)
+        test = eval_set(test)
 
         def oracle(ids: tuple[int, ...]) -> float:
             return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
@@ -162,7 +165,8 @@ class RoundGame:
         return cls(record.round, CoalitionGame(len(weights), oracle))
 
     @classmethod
-    def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
+    def accumulated(cls, log: GradientLog,
+                    test: LabeledDataset | EvalSet) -> "RoundGame":
         """Single game over updates summed across every round (float64 sums)."""
         p = log.architecture.param_count
         acc = {pid: np.zeros(p, dtype=np.float64) for pid in log.participant_weights}
@@ -313,7 +317,7 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
 
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
-                    test: LabeledDataset) -> np.ndarray:
+                    test: LabeledDataset | EvalSet) -> np.ndarray:
     """Utility of every coalition of one round, indexed by bitmask.
 
     Costs 2^n evaluations: the base model, then every non-empty coalition's
@@ -322,6 +326,7 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     """
     check_enumerable(log.n)
     arch = log.architecture
+    test = eval_set(test)
     masks = np.arange(1, 1 << log.n)
     values = np.empty(1 << log.n, dtype=np.float64)
     values[0] = evaluate(arch, rec.base_model, test)
@@ -364,13 +369,11 @@ def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
     for rec in log.rounds:
         weight = lam ** rec.round
         if weight < round_threshold:
-            per_round.append(ContributionVector(np.zeros(log.n), round=rec.round,
-                                                converged=True))
+            per_round.append(ContributionVector(np.zeros(log.n), round=rec.round))
             continue
         values = round_utilities(rec, log, test)
         vec = shapley_from_values(values)
-        per_round.append(ContributionVector(weight * vec.values, round=rec.round,
-                                            converged=True))
+        per_round.append(ContributionVector(weight * vec.values, round=rec.round))
         evals += len(values)
         recon += len(values) - 1
     return _totalize("tmr", per_round, log.n, evals, recon, started,
@@ -392,7 +395,7 @@ class RetrainOracle:
                  init_seed: int):
         self._by_id = {p.id: p for p in participants}
         self._arch = arch
-        self._test = test
+        self._test = eval_set(test)
         self._base = init_params(arch, derive_seed(init_seed, "init"))
         self._cfg = dataclasses.replace(
             train_cfg, local_epochs=train_cfg.local_epochs * rounds,
@@ -471,6 +474,7 @@ def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
 def round_marginal_gains(log: GradientLog, test: LabeledDataset) -> list[float]:
     """Per-round total utility gain v_N - v_0 (no reconstructions needed)."""
     arch = log.architecture
+    test = eval_set(test)
     return [evaluate(arch, rec.aggregated, test)
             - evaluate(arch, rec.base_model, test)
             for rec in log.rounds]

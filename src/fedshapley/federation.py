@@ -167,6 +167,8 @@ class RoundStack:
         self._float_totals_exact = sum(self._weights) <= EXACT_WEIGHT_LIMIT
         # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
         self._chunk_rows = max(1, CHUNK_ELEMENTS // self._base.size)
+        # (w_i / W) * u_i of the member being added, reused by every rebuild
+        self._scaled = np.empty_like(self._base)
 
     def rebuild(self, ids: Sequence[int]) -> np.ndarray:
         """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
@@ -174,8 +176,11 @@ class RoundStack:
         if total <= 0:
             raise ValueError("total coalition weight must be positive")
         acc = self._base.copy()
+        scaled = self._scaled
         for i in ids:
-            acc += (self._weights[i - 1] / total) * self._updates[i - 1]
+            np.multiply(self._weights[i - 1] / total, self._updates[i - 1],
+                        out=scaled)
+            acc += scaled
         return acc.astype(np.float32)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
@@ -294,8 +299,11 @@ def load_log(path: str | Path) -> GradientLog:
         raise LogFormatError(
             f"{path}: format version {version}, this reader supports "
             f"{LOG_FORMAT_VERSION}")
-    arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
-                             class_count=class_count)
+    try:
+        arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
+                                 class_count=class_count)
+    except ValueError as exc:
+        raise LogFormatError(f"{path}: header describes no model: {exc}") from exc
     p = arch.param_count
     expected = head + 8 * n + big_t * (n + 2) * p * 4 + 4
     if len(raw) != expected:

@@ -400,6 +400,39 @@ def test_evaluate_rejects_a_sidecar_config_of_another_run(
     assert not list(tmp_path.glob("estimate_*"))
 
 
+@pytest.mark.parametrize("sidecar_doc", [
+    [1],                                    # the top level is no object
+    {"metadata": [1]},                      # nor is its metadata
+    {"metadata": {"config": [1]}},          # nor the embedded config
+    {"metadata": {"config": "exp.json"}},
+], ids=["top-level", "metadata", "config-list", "config-string"])
+def test_evaluate_sidecar_parts_must_be_objects(config_path, tmp_path, capsys,
+                                                sidecar_doc):
+    log = simulate(config_path, tmp_path)
+    Path(log + ".json").write_text(json.dumps(sidecar_doc))
+    assert main(["evaluate", "--log", log, "--estimator", "mr",
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {log}.json: ")
+    assert "must be a JSON object" in err[0]
+
+
+def write_params(tmp_path, params: dict) -> Path:
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    return path
+
+
+@pytest.mark.parametrize("name", ["mr", "tmr"])
+def test_exact_estimators_mark_rounds_as_exact(eval_log, tmp_path, name):
+    doc = evaluate_doc(eval_log, name, tmp_path, "--params", str(
+        write_params(tmp_path, {"round_threshold": 0.95} if name == "tmr" else {})))
+    # tmr skips every round past the first at this threshold; skipped or
+    # solved, an exact round carries no convergence flag
+    assert [r["converged"] for r in doc["per_round"]] == [None, None]
+    assert doc["converged_rounds"] == [True, True]
+
+
 def test_evaluate_malformed_sidecar_names_it(config_path, tmp_path, capsys):
     log = simulate(config_path, tmp_path)
     Path(log + ".json").write_text("{bad")

@@ -1,0 +1,311 @@
+"""Differential tests: the model kernels and the single-coalition rebuild
+against test-local copies of their first implementations.
+
+The references below allocate a fresh float64 copy of the test features on
+every call, add biases and the ReLU into new temporaries, compute the loss on
+every training batch and allocate one temporary per coalition member.  The
+library's kernels skip that work; every result must still be bit-equal, not
+merely close.
+"""
+from __future__ import annotations
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+from conftest import gaussian_blobs, quick_log
+
+from fedshapley import (
+    EvalSet,
+    LabeledDataset,
+    ModelArchitecture,
+    TrainConfig,
+    eval_set,
+    evaluate,
+    init_params,
+    loss_and_gradient,
+    predict_logits,
+    train_local,
+)
+from fedshapley import federation
+from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
+from fedshapley.federation import RoundStack
+
+# --- reference implementations --------------------------------------------------
+
+
+def ref_check_params(arch, params):
+    if params.shape != (arch.param_count,):
+        raise ValueError(
+            f"parameter vector has shape {params.shape}, architecture needs "
+            f"({arch.param_count},)")
+
+
+def ref_unpack(arch, flat):
+    d, h, c = arch.input_dim, arch.hidden_dim, arch.class_count
+    if h == 0:
+        return flat[:d * c].reshape(d, c), flat[d * c:]
+    off = 0
+    w1 = flat[off:off + d * h].reshape(d, h); off += d * h
+    b1 = flat[off:off + h]; off += h
+    w2 = flat[off:off + h * c].reshape(h, c); off += h * c
+    b2 = flat[off:]
+    return w1, b1, w2, b2
+
+
+def ref_predict_logits(arch, params, features):
+    ref_check_params(arch, params)
+    flat = np.asarray(params, dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
+    if arch.hidden_dim == 0:
+        w, b = ref_unpack(arch, flat)
+        return x @ w + b
+    w1, b1, w2, b2 = ref_unpack(arch, flat)
+    hidden = np.maximum(x @ w1 + b1, 0.0)
+    return hidden @ w2 + b2
+
+
+def ref_evaluate(arch, params, test):
+    if len(test) == 0:
+        raise ValueError("cannot evaluate on an empty test set")
+    logits = ref_predict_logits(arch, params, test.features)
+    predictions = logits.argmax(axis=1)
+    return int(np.count_nonzero(predictions == test.labels)) / len(test)
+
+
+def ref_loss_and_gradient(arch, params, features, labels):
+    flat = np.asarray(params, dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    rows = x.shape[0]
+    if rows == 0:
+        raise ValueError("empty batch")
+    if arch.hidden_dim == 0:
+        w, b = ref_unpack(arch, flat)
+        logits = x @ w + b
+        hidden = None
+    else:
+        w1, b1, w2, b2 = ref_unpack(arch, flat)
+        pre = x @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        logits = hidden @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(rows), y].mean())
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(rows), y] -= 1.0
+    d_logits /= rows
+    grad = np.empty_like(flat)
+    if arch.hidden_dim == 0:
+        gw = x.T @ d_logits
+        gb = d_logits.sum(axis=0)
+        grad[:gw.size] = gw.reshape(-1)
+        grad[gw.size:] = gb
+    else:
+        gw2 = hidden.T @ d_logits
+        gb2 = d_logits.sum(axis=0)
+        d_hidden = d_logits @ w2.T
+        d_hidden[pre <= 0.0] = 0.0
+        gw1 = x.T @ d_hidden
+        gb1 = d_hidden.sum(axis=0)
+        grad[:] = np.concatenate([gw1.reshape(-1), gb1, gw2.reshape(-1), gb2])
+    return loss, grad
+
+
+def ref_train_local(arch, base, data, cfg):
+    ref_check_params(arch, base)
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if data.features.shape[1] != arch.input_dim:
+        raise ValueError(
+            f"dataset has {data.features.shape[1]} features, architecture "
+            f"expects {arch.input_dim}")
+    work = np.asarray(base, dtype=np.float64).copy()
+    rng = np.random.default_rng(cfg.seed)
+    rows = len(data)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(rows)
+        for start in range(0, rows, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, grad = ref_loss_and_gradient(
+                arch, work, data.features[batch], data.labels[batch])
+            work = work - cfg.learning_rate * grad
+    return work.astype(np.float32)
+
+
+def ref_rebuild(record, weights, ids):
+    base = np.asarray(record.base_model, dtype=np.float64)
+    updates = {i: np.asarray(record.updates[i], dtype=np.float64) for i in ids}
+    total = float(sum(weights[i] for i in ids))
+    acc = base.copy()
+    for i in ids:
+        acc += (weights[i] / total) * updates[i]
+    return acc.astype(np.float32)
+
+
+# --- cases --------------------------------------------------------------------------
+
+ARCHS = [
+    ModelArchitecture(input_dim=1, hidden_dim=1, class_count=2),  # 1x1 products
+    ModelArchitecture(input_dim=5, hidden_dim=0, class_count=3),
+    ModelArchitecture(input_dim=6, hidden_dim=4, class_count=3),
+    ModelArchitecture(input_dim=16, hidden_dim=0, class_count=10),
+    ModelArchitecture(input_dim=784, hidden_dim=64, class_count=10),
+]
+ARCH_IDS = [f"d{a.input_dim}h{a.hidden_dim}c{a.class_count}" for a in ARCHS]
+
+
+def blobs(arch: ModelArchitecture, rows_per_class: int, seed: int) -> LabeledDataset:
+    return gaussian_blobs(rows_per_class, arch.input_dim, arch.class_count, seed,
+                          spread=0.5)
+
+
+def param_cases(arch: ModelArchitecture) -> list[np.ndarray]:
+    """Small initial weights, large ones that saturate the softmax and kill
+    ReLU units, and all zeros (every argmax ties, and resolves to class 0)."""
+    rng = np.random.default_rng(arch.param_count)
+    return [init_params(arch, seed=3),
+            rng.uniform(-4.0, 4.0, arch.param_count).astype(np.float32),
+            np.zeros(arch.param_count, dtype=np.float32)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_forward_and_evaluate_match_the_reference(arch):
+    full = blobs(arch, 12, seed=1)
+    one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
+    for test in (full, one_row):
+        prepared = eval_set(test)
+        assert prepared.features.dtype == np.float64 and len(prepared) == len(test)
+        assert eval_set(prepared) is prepared
+        for params in param_cases(arch):
+            want = ref_predict_logits(arch, params, test.features)
+            assert same_bits(predict_logits(arch, params, test.features), want)
+            assert same_bits(predict_logits(arch, params, prepared.features), want)
+            accuracy = ref_evaluate(arch, params, test)
+            assert same_bits(evaluate(arch, params, test), accuracy)
+            assert same_bits(evaluate(arch, params, prepared), accuracy)
+            # float64 parameters holding the same values score the same
+            assert same_bits(evaluate(arch, params.astype(np.float64), prepared),
+                             accuracy)
+    zeros = param_cases(arch)[-1]
+    assert evaluate(arch, zeros, full) == float(np.mean(full.labels == 0))
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_loss_and_gradient_match_the_reference(arch):
+    data = blobs(arch, 8, seed=2)
+    for params in param_cases(arch):
+        want_loss, want_grad = ref_loss_and_gradient(arch, params, data.features,
+                                                     data.labels)
+        loss, grad = loss_and_gradient(arch, params, data.features, data.labels)
+        assert same_bits(loss, want_loss) and isinstance(loss, float)
+        assert same_bits(grad, want_grad)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_training_matches_the_reference(arch):
+    data = blobs(arch, 6, seed=4)
+    # batches of 7 rows, and batches that leave a single row at the end
+    configs = [TrainConfig(local_epochs=2, batch_size=7, learning_rate=0.3, seed=5),
+               TrainConfig(local_epochs=2, batch_size=len(data) - 1,
+                           learning_rate=0.3, seed=6)]
+    for cfg, base in itertools.product(configs, param_cases(arch)[:2]):
+        before = base.copy()
+        want = ref_train_local(arch, base, data, cfg)
+        got = train_local(arch, base, data, cfg)
+        assert same_bits(got, want)
+        assert same_bits(base, before)  # training works on its own copy
+
+
+def test_kernel_errors_are_unchanged():
+    arch = ARCHS[2]
+    params = init_params(arch, seed=0)
+    empty = LabeledDataset(np.empty((0, arch.input_dim)), np.empty(0))
+    for test in (empty, eval_set(empty)):
+        for fn in (ref_evaluate, evaluate):
+            with pytest.raises(ValueError) as err:
+                fn(arch, params, test)
+            assert str(err.value) == "cannot evaluate on an empty test set"
+    full = blobs(arch, 2, seed=0)
+    messages = []
+    for fn, test in [(ref_evaluate, full), (evaluate, full),
+                     (evaluate, eval_set(full))]:
+        with pytest.raises(ValueError) as err:
+            fn(arch, params[:-1], test)
+        messages.append(str(err.value))
+    with pytest.raises(ValueError) as err:
+        predict_logits(arch, params[:-1], full.features)
+    messages.append(str(err.value))
+    assert messages == [f"parameter vector has shape ({arch.param_count - 1},), "
+                        f"architecture needs ({arch.param_count},)"] * 4
+    for fn in (ref_loss_and_gradient, loss_and_gradient):
+        with pytest.raises(ValueError, match="^empty batch$"):
+            fn(arch, params, np.empty((0, arch.input_dim)), np.empty(0, np.int64))
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 6])
+def test_single_rebuilds_match_the_reference(hidden_dim):
+    log, _, _ = quick_log(n=4, rounds=2, seed=3, hidden_dim=hidden_dim)
+    # unequal weights, so w_i / W is no power of two and its rounding shows
+    weights = {1: 7, 2: 13, 3: 3, 4: 101}
+    for rec in log.rounds:
+        stack = RoundStack(rec, weights)
+        coalitions = [ids for k in range(1, log.n + 1)
+                      for ids in itertools.combinations(range(1, log.n + 1), k)]
+        # the scratch row is shared by every rebuild: visit the coalitions
+        # forwards and backwards so no rebuild can lean on the previous one
+        for ids in coalitions + coalitions[::-1]:
+            assert same_bits(stack.rebuild(ids), ref_rebuild(rec, weights, ids))
+
+
+def test_wide_rebuilds_match_the_reference():
+    # the d=784, hidden 64 model: P = 50,890 parameters per update
+    arch = ARCHS[-1]
+    rng = np.random.default_rng(7)
+    base = init_params(arch, seed=1)
+    updates = {i: rng.normal(0.0, 1e-3, arch.param_count).astype(np.float32)
+               for i in (1, 2, 3)}
+    weights = {1: 30, 2: 70, 3: 11}
+    rec = federation.RoundRecord(0, base, updates, base)
+    stack = RoundStack(rec, weights)
+    for ids in [(1,), (2, 3), (1, 2, 3), (1, 3)]:
+        assert same_bits(stack.rebuild(ids), ref_rebuild(rec, weights, ids))
+
+
+def simulate_bytes(tmp_path, name: str, hidden_dim: int) -> bytes:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({
+        "schema": CONFIG_SCHEMA, "seed": 4, "rounds": 2,
+        "source": {"input_dim": 7, "class_count": 3, "spread": 1.0},
+        "scenario": {"kind": "same_dist_same_size", "n": 3},
+        "model": {"hidden_dim": hidden_dim},
+        "train": {"local_epochs": 2, "batch_size": 5, "learning_rate": 0.2},
+        "data": {"train_per_class": 15, "test_per_class": 4},
+    }))
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    (log,) = out.glob("*.gtgl")
+    return log.read_bytes()
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 5])
+def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_dim):
+    got = simulate_bytes(tmp_path, "kernels", hidden_dim)
+    monkeypatch.setattr(federation, "train_local", ref_train_local)
+    want = simulate_bytes(tmp_path, "reference", hidden_dim)
+    assert got == want
+
+
+def test_a_prepared_set_needs_no_labeled_dataset():
+    arch = ARCHS[1]
+    test = blobs(arch, 5, seed=9)
+    params = init_params(arch, seed=2)
+    by_hand = EvalSet(test.features.astype(np.float64), test.labels)
+    assert evaluate(arch, params, by_hand) == ref_evaluate(arch, params, test)
