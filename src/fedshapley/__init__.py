@@ -13,10 +13,9 @@ scenarios (:mod:`fedshapley.scenarios`), the estimator suite
 from .estimators import (EstimatorReport, GtgConfig, GtgRoundStats, RetrainOracle,
                          RoundGame, estimator_names, gtg_eval, gtg_oti,
                          gtg_round, gtg_ti, gtg_tib, guided_permutation,
-                         mc_shapley, mr_eval, nth_partial_permutation,
-                         original_shapley_eval, position_marginal_profile,
-                         round_marginal_gains, run_log_estimator,
-                         tmc_shapley_eval, tmr_eval)
+                         mc_shapley, mr_eval, original_shapley_eval,
+                         position_marginal_profile, round_marginal_gains,
+                         run_log_estimator, tmc_shapley_eval, tmr_eval)
 from .federation import (GradientLog, LogFormatError, Participant, RoundRecord,
                          fedavg_aggregate, load_log, load_log_metadata,
                          reconstruct_submodel, run_federation, save_log)
@@ -55,7 +54,7 @@ __all__ = [
     "gtg_eval", "gtg_oti", "gtg_round", "gtg_ti", "gtg_tib",
     "guided_permutation", "init_params", "load_idx", "load_log",
     "load_log_metadata", "loss_and_gradient", "max_difference", "mc_shapley",
-    "mr_eval", "nth_partial_permutation", "original_shapley_eval",
+    "mr_eval", "original_shapley_eval",
     "pair_of", "partition", "permutation_marginals", "position_marginal_profile",
     "predict_logits", "read_report", "reconstruct_submodel", "report_to_csv",
     "round_marginal_gains", "run_federation", "run_log_estimator", "save_log",

@@ -15,10 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .estimators import (RETRAIN_PLAYER_LIMIT, EstimatorReport,
                          check_estimator_params, estimator)
@@ -43,7 +40,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """Fully resolved experiment: every seed already derived from the master."""
 
@@ -132,6 +129,9 @@ def config_from_dict(doc: object, path: str | Path,
             params = item.get("params", {})
             check_estimator_params(item.get("name"), params)
             entries.append({"name": item["name"], "params": dict(params)})
+        output_dir = doc.get("output_dir")
+        if not isinstance(output_dir, str | None):
+            raise ConfigError(f"{path}: output_dir must be a string, got {output_dir!r}")
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -142,7 +142,13 @@ def config_from_dict(doc: object, path: str | Path,
                             train_per_class=train_per_class,
                             test_per_class=test_per_class,
                             estimators=entries,
-                            output_dir=doc.get("output_dir"))
+                            output_dir=output_dir)
+
+
+def _section_doc(section) -> dict:
+    """A config section's fields, less its derived seed and unset (None) options."""
+    return {f.name: getattr(section, f.name) for f in dataclasses.fields(section)
+            if f.name != "seed" and getattr(section, f.name) is not None}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -151,26 +157,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "schema": CONFIG_SCHEMA,
         "seed": cfg.seed,
         "rounds": cfg.rounds,
-        "scenario": {"kind": cfg.scenario.kind.value, "n": cfg.scenario.n,
-                     "per_class_pool": cfg.scenario.per_class_pool,
-                     "params": cfg.scenario.params},
-        "source": {"input_dim": cfg.source.input_dim,
-                   "class_count": cfg.source.class_count,
-                   "spread": cfg.source.spread},
-        "model": {"input_dim": cfg.model.input_dim,
-                  "hidden_dim": cfg.model.hidden_dim,
-                  "class_count": cfg.model.class_count,
-                  "activation": cfg.model.activation},
-        "train": {"local_epochs": cfg.train.local_epochs,
-                  "batch_size": cfg.train.batch_size,
-                  "learning_rate": cfg.train.learning_rate},
+        **{key: _section_doc(getattr(cfg, key))
+           for key in ("scenario", "source", "model", "train")},
         "data": {"train_per_class": cfg.train_per_class,
                  "test_per_class": cfg.test_per_class},
         "estimators": cfg.estimators,
+        "output_dir": cfg.output_dir,
     }
-    if cfg.output_dir is not None:
-        doc["output_dir"] = cfg.output_dir
-    return doc
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 def build_participants(cfg: ExperimentConfig):
@@ -199,31 +193,19 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(x) for x in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _estimate_doc(report: EstimatorReport) -> dict:
-    return _jsonable({
+    return {
         "schema": ESTIMATE_SCHEMA,
         "estimator": report.name,
-        "total": report.total.values,
-        "per_round": [{"round": v.round, "values": v.values,
+        "total": report.total.values.tolist(),
+        "per_round": [{"round": v.round, "values": v.values.tolist(),
                        "sample_count": v.sample_count, "converged": v.converged}
                       for v in report.per_round],
         "eval_count": report.eval_count,
         "reconstructions": report.reconstructions,
         "wall_time_s": report.wall_time,
         "converged_rounds": list(report.converged_rounds),
-    })
+    }
 
 
 def _log_stem(cfg: ExperimentConfig) -> str:
@@ -355,15 +337,15 @@ def cmd_compare(args) -> int:
                                       test, participants)
         rows.append(ComparisonRow.compare(truth.total, report))
         trajectories[report.name] = {
-            "per_round": [_jsonable(v.values) for v in report.per_round],
-            "total": _jsonable(report.total.values),
+            "per_round": [v.values.tolist() for v in report.per_round],
+            "total": report.total.values.tolist(),
             "converged_rounds": list(report.converged_rounds),
         }
     metadata = {
         "config": config_to_dict(cfg),
         "scenario": cfg.scenario.kind.value,
         "seed": cfg.seed,
-        "ground_truth": _jsonable(truth.total.values),
+        "ground_truth": truth.total.values.tolist(),
         "ground_truth_evals": truth.eval_count,
         "trajectories": trajectories,
     }

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -50,6 +50,14 @@ from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
 RETRAIN_PLAYER_LIMIT = 10
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _check_types(values: dict, annotations: dict) -> None:
+    """ValueError unless each value has its annotated type; a bool is no number."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, _TYPES[annotations[name]]):
+            raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,13 +68,13 @@ class GtgConfig:
     threshold would otherwise still truncate rounds whose endpoint utilities
     tie exactly, breaking the exact-limit contract).  ``eps_within`` = 0
     likewise evaluates every position.  ``sampling`` picks the permutation
-    stream: "guided" cycles the leading positions deterministically,
+    stream: "guided" rotates which participant leads each permutation,
     "uniform" is seeded i.i.d., "cycle" enumerates all n! orders (tests).
+    A field of the wrong type or a value out of range is a ValueError.
     """
 
     eps_between: float = 0.001
     eps_within: float = 0.001
-    guided_prefix: int = 1
     max_perms_per_round: int = 500
     lookback: int = 10
     threshold: float = 0.05
@@ -75,46 +83,27 @@ class GtgConfig:
     sampling: str = "guided"
 
     def __post_init__(self) -> None:
-        if self.eps_between < 0 or self.eps_within < 0:
+        _check_types(vars(self), GtgConfig.__annotations__)
+        if not (self.eps_between >= 0 and self.eps_within >= 0):
             raise ValueError("truncation thresholds must be >= 0")
-        if self.guided_prefix < 1:
-            raise ValueError("guided_prefix must be >= 1")
         if self.max_perms_per_round < 1:
             raise ValueError("max_perms_per_round must be >= 1")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
+        self.window()  # the window checks lookback and threshold
 
     def window(self) -> ConvergenceWindow:
         return ConvergenceWindow(lookback=self.lookback, threshold=self.threshold,
                                  min_samples=self.min_samples)
 
 
-def nth_partial_permutation(rank: int, n: int, m: int) -> tuple[int, ...]:
-    """The rank-th (0-based) length-m prefix of 1..n in lexicographic order."""
-    total = math.perm(n, m)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total})")
-    available = list(range(1, n + 1))
-    prefix = []
-    for j in range(m):
-        block = math.perm(n - j - 1, m - j - 1)
-        idx, rank = divmod(rank, block)
-        prefix.append(available.pop(idx))
-    return tuple(prefix)
-
-
-def guided_permutation(k: int, n: int, m: int,
-                       rng: np.random.Generator) -> tuple[int, ...]:
-    """Iteration k's join order: deterministic length-m prefix, random suffix.
-
-    With m = 1 the leader is ((k-1) mod n) + 1, so every participant heads a
-    permutation equally often; larger m cycles all m-prefixes lexicographically.
-    """
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    prefix = nth_partial_permutation((k - 1) % math.perm(n, m), n, m)
-    rest = np.array([p for p in range(1, n + 1) if p not in prefix])
-    return prefix + tuple(rest[rng.permutation(len(rest))].tolist())
+def guided_permutation(k: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Iteration k's join order: participant ((k-1) mod n) + 1 leads, so
+    every participant heads a permutation equally often; the rest follow in
+    random order."""
+    leader = (k - 1) % n + 1
+    rest = np.array([p for p in range(1, n + 1) if p != leader])
+    return (leader,) + tuple(rest[rng.permutation(len(rest))].tolist())
 
 
 def _make_sampler(cfg: GtgConfig, n: int, seed: int):
@@ -123,7 +112,7 @@ def _make_sampler(cfg: GtgConfig, n: int, seed: int):
     if cfg.sampling == "cycle":
         return CyclingPermutationSampler(n)
     rng = np.random.default_rng(seed)
-    return lambda k: guided_permutation(k, n, cfg.guided_prefix, rng)
+    return lambda k: guided_permutation(k, n, rng)
 
 
 class RoundGame:
@@ -254,7 +243,8 @@ def _totalize(name: str, per_round: list[ContributionVector], n: int,
         values += vec.values
     total = ContributionVector(values,
                                sample_count=sum(v.sample_count for v in per_round),
-                               converged=all(converged_rounds))
+                               converged=(None if round_stats is None
+                                          else all(converged_rounds)))
     return EstimatorReport(name=name, per_round=per_round, total=total,
                            eval_count=eval_count, reconstructions=reconstructions,
                            wall_time=time.perf_counter() - started,
@@ -336,33 +326,9 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     return values
 
 
-def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
-    """Exact per-round values by subset enumeration; totals are their sum.
-
-    Costs exactly 2^n utility evaluations per round (the base model plus
-    every non-empty coalition reconstruction)."""
-    started = time.perf_counter()
-    per_round = []
-    evals = 0
-    for rec in log.rounds:
-        values = round_utilities(rec, log, test)
-        vec = shapley_from_values(values)
-        vec.round = rec.round
-        per_round.append(vec)
-        evals += len(values)
-    return _totalize("mr", per_round, log.n, evals, evals - log.total_rounds,
-                     started, [True] * log.total_rounds)
-
-
-def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
-             round_threshold: float = 0.01) -> EstimatorReport:
-    """Decay-weighted per-round exact values.
-
-    Round t's vector is scaled by lam**t; once lam**t drops below
-    ``round_threshold`` the round is skipped outright (zero vector, zero
-    evaluations)."""
-    if not 0 < lam <= 1:
-        raise ValueError("decay must lie in (0, 1]")
+def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
+                  lam: float, round_threshold: float) -> EstimatorReport:
+    """The one loop of :func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
     started = time.perf_counter()
     per_round = []
     evals = recon = 0
@@ -376,8 +342,35 @@ def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
         per_round.append(ContributionVector(weight * vec.values, round=rec.round))
         evals += len(values)
         recon += len(values) - 1
-    return _totalize("tmr", per_round, log.n, evals, recon, started,
+    return _totalize(name, per_round, log.n, evals, recon, started,
                      [True] * log.total_rounds)
+
+
+def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
+    """Exact per-round values by subset enumeration; totals are their sum.
+
+    Costs exactly 2^n utility evaluations per round (the base model plus
+    every non-empty coalition reconstruction): tmr's loop with lam = 1.0."""
+    return _exact_rounds("mr", log, test, lam=1.0, round_threshold=0.0)
+
+
+def _tmr_params(**params) -> dict:
+    """:func:`tmr_eval`'s keywords, of its annotated types; lam lies in (0, 1]."""
+    _check_types(params, tmr_eval.__annotations__)
+    if "lam" in params and not 0 < params["lam"] <= 1:
+        raise ValueError("decay must lie in (0, 1]")
+    return params
+
+
+def tmr_eval(log: GradientLog, test: LabeledDataset, lam: float = 0.9,
+             round_threshold: float = 0.01) -> EstimatorReport:
+    """Decay-weighted per-round exact values.
+
+    Round t's vector is scaled by lam**t; once lam**t drops below
+    ``round_threshold`` the round is skipped outright (zero vector, zero
+    evaluations)."""
+    return _exact_rounds("tmr", log, test, **_tmr_params(
+        lam=lam, round_threshold=round_threshold))
 
 
 class RetrainOracle:
@@ -444,8 +437,8 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
     """Truncated Monte-Carlo baseline over the retraining utility.
 
     Permutation sampling with within-permutation truncation against the
-    grand-coalition utility; ``eps_between`` and ``guided_prefix`` are
-    ignored (single game, unguided sampling unless cfg.sampling overrides)."""
+    grand-coalition utility; ``eps_between`` is ignored (single game,
+    unguided sampling unless cfg.sampling overrides)."""
     game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
     cfg = cfg or GtgConfig()
     cfg = dataclasses.replace(cfg, eps_between=0.0, sampling=(
@@ -509,15 +502,17 @@ class Estimator(NamedTuple):
     """An entry of :data:`ESTIMATORS`.  ``options``: the names its parameter
     table may hold.  ``sampled``: it takes them as a :class:`GtgConfig` ``cfg``
     and draws from a seed of its own.  ``retrains``: it takes ``(participants,
-    arch, train_cfg, rounds, test)`` and ``init_seed``, not ``(log, test)``."""
+    arch, train_cfg, rounds, test)`` and ``init_seed``, not ``(log, test)``.
+    ``checked``: the keywords of a table, if not sampled; ValueError if bad."""
 
     run: Callable[..., EstimatorReport]
     options: tuple[str, ...] = ()
     sampled: bool = False
     retrains: bool = False
+    checked: Callable[..., dict] = dict
 
     def keywords(self, params: dict) -> dict:
-        return {"cfg": GtgConfig(**params)} if self.sampled else dict(params)
+        return {"cfg": GtgConfig(**params)} if self.sampled else self.checked(**params)
 
 
 _CFG_FIELDS = tuple(f.name for f in dataclasses.fields(GtgConfig))
@@ -527,7 +522,7 @@ ESTIMATORS = {
     "gtg_ti": Estimator(gtg_ti, _CFG_FIELDS, sampled=True),
     "gtg_tib": Estimator(gtg_tib, _CFG_FIELDS, sampled=True),
     "mr": Estimator(mr_eval),
-    "tmr": Estimator(tmr_eval, ("lam", "round_threshold")),
+    "tmr": Estimator(tmr_eval, ("lam", "round_threshold"), checked=_tmr_params),
     "original": Estimator(original_shapley_eval, retrains=True),
     "tmc": Estimator(tmc_shapley_eval, _CFG_FIELDS, sampled=True, retrains=True),
 }
@@ -547,24 +542,18 @@ def estimator(name: str, log_based: bool = False) -> Estimator:
     return ESTIMATORS[name]
 
 
-def accepted_params(name: str) -> tuple[str, ...]:
-    """Names a plain parameter table may hold for the estimator ``name``; a
-    retraining estimator's other arguments come from the experiment config."""
-    return estimator(name).options
-
-
 def check_estimator_params(name: str, params: object) -> None:
     """Raise ValueError unless ``name`` is registered and ``params`` is a
-    table of parameter names it accepts.  Values are checked later, by the
-    estimator itself."""
-    accepted = accepted_params(name)
+    table of parameter names it accepts, each holding a value it accepts."""
+    entry = estimator(name)
     if not isinstance(params, dict):
         raise ValueError(f"{name} params must be a table of name/value pairs, "
                          f"got {type(params).__name__}")
-    unknown = sorted(str(key) for key in params if key not in accepted)
+    unknown = sorted(str(key) for key in params if key not in entry.options)
     if unknown:
         raise ValueError(f"{name} does not accept {', '.join(unknown)}; "
-                         f"accepted: {', '.join(accepted) or 'none'}")
+                         f"accepted: {', '.join(entry.options) or 'none'}")
+    entry.keywords(params)
 
 
 def run_log_estimator(name: str, log: GradientLog, test: LabeledDataset,

@@ -274,7 +274,7 @@ class ConvergenceWindow:
     min_samples: int = 11
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
         if self.lookback < 1:
             raise ValueError("lookback must be at least 1")
@@ -316,11 +316,6 @@ class ConvergenceWindow:
     def clear(self) -> None:
         self._ring = None  # (lookback, n), allocated by the first push
         self._size = self._next = 0  # rows stored; row the next push writes
-
-    def spawn(self) -> "ConvergenceWindow":
-        """Fresh empty window with the same parameters."""
-        return ConvergenceWindow(lookback=self.lookback, threshold=self.threshold,
-                                 min_samples=self.min_samples)
 
 
 def check_convergence(window: ConvergenceWindow, current: np.ndarray) -> bool:

@@ -263,8 +263,6 @@ def test_window_is_a_ring_buffer():
     hist = window.history
     assert len(hist) == 10
     assert hist[0][0] == 5.0 and hist[-1][0] == 14.0
-    spawned = window.spawn()
-    assert spawned.history == () and spawned.lookback == 10
     window.clear()
     assert window.history == ()
 
