@@ -10,12 +10,12 @@ scenarios (:mod:`fedshapley.scenarios`), the estimator suite
 (:mod:`fedshapley.cli`).
 """
 
-from .estimators import (EstimatorReport, GtgConfig, GtgRoundStats, RetrainOracle,
-                         RoundGame, estimator_names, gtg_eval, gtg_oti,
-                         gtg_round, gtg_ti, gtg_tib, guided_permutation,
-                         mc_shapley, mr_eval, original_shapley_eval,
-                         position_marginal_profile, round_marginal_gains,
-                         run_log_estimator, tmc_shapley_eval, tmr_eval)
+from .estimators import (EstimatorReport, GtgConfig, RetrainOracle, RoundGame,
+                         estimator_names, gtg_eval, gtg_oti, gtg_round, gtg_ti,
+                         gtg_tib, guided_permutation, mc_shapley, mr_eval,
+                         original_shapley_eval, position_marginal_profile,
+                         round_marginal_gains, run_log_estimator,
+                         tmc_shapley_eval, tmr_eval)
 from .federation import (GradientLog, LogFormatError, Participant, RoundRecord,
                          fedavg_aggregate, load_log, load_log_metadata,
                          reconstruct_submodel, run_federation, save_log)
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "CoalitionGame", "ComparisonRow", "ContributionVector",
     "ConvergenceWindow", "CyclingPermutationSampler", "EstimatorReport",
-    "EvalSet", "GradientLog", "GtgConfig", "GtgRoundStats", "LabeledDataset",
+    "EvalSet", "GradientLog", "GtgConfig", "LabeledDataset",
     "LogFormatError", "ModelArchitecture", "Participant", "RetrainOracle",
     "RoundGame", "RoundRecord", "ScenarioKind", "ScenarioSpec",
     "SyntheticSource", "TrainConfig", "UniformPermutationSampler",

@@ -24,7 +24,7 @@ from .federation import (GradientLog, LogFormatError, Participant, load_log,
 from .games import CapacityError
 from .metrics import (ComparisonRow, build_report, read_report,
                       write_report)
-from .models import ModelArchitecture, TrainConfig, evaluate
+from .models import ModelArchitecture, TrainConfig, check_types, evaluate
 from .scenarios import ScenarioSpec, SyntheticSource, generate_source, partition
 from .seeding import derive_seed
 
@@ -54,6 +54,13 @@ class ExperimentConfig:
     test_per_class: int
     estimators: list[dict]
     output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        check_types(vars(self), ExperimentConfig.__annotations__)
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.train_per_class < 1 or self.test_per_class < 1:
+            raise ValueError("per-class sample counts must be >= 1")
 
     @property
     def federation_seed(self) -> int:
@@ -89,10 +96,9 @@ def config_from_dict(doc: object, path: str | Path,
         raise ConfigError(f"{path}: schema {schema!r}, expected {CONFIG_SCHEMA!r}")
 
     try:
-        seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-        rounds = int(doc.get("rounds", 1))
-        if rounds < 1:
-            raise ConfigError(f"{path}: rounds must be >= 1, got {rounds}")
+        seed = doc.get("seed", 0) if seed_override is None else seed_override
+        # checked before every section's seed is derived from it
+        check_types({"seed": seed}, ExperimentConfig.__annotations__)
 
         source_tbl = _section(doc, "source")
         source = SyntheticSource(seed=derive_seed(seed, "source"), **source_tbl)
@@ -113,8 +119,10 @@ def config_from_dict(doc: object, path: str | Path,
         train = TrainConfig(seed=derive_seed(seed, "train"), **train_tbl)
 
         data_tbl = _section(doc, "data")
-        train_per_class = int(data_tbl.get("train_per_class", 100))
-        test_per_class = int(data_tbl.get("test_per_class", 10))
+        train_per_class = data_tbl.pop("train_per_class", 100)
+        test_per_class = data_tbl.pop("test_per_class", 10)
+        if data_tbl:
+            raise ConfigError(f"{path}: unknown data field(s) {', '.join(data_tbl)}")
 
         raw_estimators = doc.get("estimators", [])
         if not isinstance(raw_estimators, list):
@@ -129,20 +137,15 @@ def config_from_dict(doc: object, path: str | Path,
             params = item.get("params", {})
             check_estimator_params(item.get("name"), params)
             entries.append({"name": item["name"], "params": dict(params)})
-        output_dir = doc.get("output_dir")
-        if not isinstance(output_dir, str | None):
-            raise ConfigError(f"{path}: output_dir must be a string, got {output_dir!r}")
+        return ExperimentConfig(seed=seed, rounds=doc.get("rounds", 1),
+                                scenario=scenario, source=source, model=model,
+                                train=train, train_per_class=train_per_class,
+                                test_per_class=test_per_class, estimators=entries,
+                                output_dir=doc.get("output_dir"))
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    return ExperimentConfig(seed=seed, rounds=rounds, scenario=scenario,
-                            source=source, model=model, train=train,
-                            train_per_class=train_per_class,
-                            test_per_class=test_per_class,
-                            estimators=entries,
-                            output_dir=output_dir)
 
 
 def _section_doc(section) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -45,19 +44,11 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     check_enumerable, exact_shapley, shapley_from_values,
                     walk_order)
 from .models import (EvalSet, LabeledDataset, ModelArchitecture, TrainConfig,
-                     eval_set, evaluate, init_params, train_local)
+                     check_types, eval_set, evaluate, init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
 RETRAIN_PLAYER_LIMIT = 10
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
-
-
-def _check_types(values: dict, annotations: dict) -> None:
-    """ValueError unless each value has its annotated type; a bool is no number."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, _TYPES[annotations[name]]):
-            raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class GtgConfig:
     sampling: str = "guided"
 
     def __post_init__(self) -> None:
-        _check_types(vars(self), GtgConfig.__annotations__)
+        check_types(vars(self), GtgConfig.__annotations__)
         if not (self.eps_between >= 0 and self.eps_within >= 0):
             raise ValueError("truncation thresholds must be >= 0")
         if self.max_perms_per_round < 1:
@@ -130,10 +121,6 @@ class RoundGame:
         self.base_utility = game.value_mask(0)
         self.full_utility = game.value_mask(game.full_mask)
 
-    @property
-    def reconstructions(self) -> int:
-        return self.game.eval_count - 1
-
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
                    arch: ModelArchitecture,
@@ -171,35 +158,25 @@ class RoundGame:
                               log.architecture, test)
 
 
-@dataclass
-class GtgRoundStats:
-    round: int
-    sample_count: int
-    converged: bool
-    truncated: bool
-    eval_count: int
-    reconstructions: int
-
-
 def gtg_round(rgame: RoundGame, cfg: GtgConfig, sampler=None,
-              always_evaluate_first: bool = False
-              ) -> tuple[ContributionVector, GtgRoundStats]:
-    """Estimate one round's contributions with truncated permutation sampling.
+              always_evaluate_first: bool = False) -> ContributionVector:
+    """Estimate one round's contributions with truncated permutation sampling;
+    the vector carries the game's evaluation count.
 
     Between-round truncation: if the round's total utility gain |vN - v0| is
     within ``eps_between`` (and that threshold is positive), the round is
-    scored all-zero without sampling.  Within a sampled permutation, position
-    j is evaluated only while |vN - v_{j-1}| >= ``eps_within``; once the
-    residual gap falls below the threshold the remaining positions inherit
-    the running utility (marginal 0).  ``always_evaluate_first`` exempts
-    position 1 from that check (the retraining-based sampler wants every
-    permutation to refresh at least one utility).
+    scored all-zero without sampling (``sample_count`` 0).  Within a sampled
+    permutation, position j is evaluated only while |vN - v_{j-1}| >=
+    ``eps_within``; once the residual gap falls below the threshold the
+    remaining positions inherit the running utility (marginal 0).
+    ``always_evaluate_first`` exempts position 1 from that check (the
+    retraining-based sampler wants every permutation to refresh at least one
+    utility).
     """
     n = rgame.game.n
     v0, v_n = rgame.base_utility, rgame.full_utility
-    truncated = converged = (cfg.eps_between > 0
-                             and abs(v_n - v0) <= cfg.eps_between)
-    if sampler is None and not truncated:
+    converged = cfg.eps_between > 0 and abs(v_n - v0) <= cfg.eps_between
+    if sampler is None and not converged:
         sampler = _make_sampler(cfg, n, derive_seed(cfg.seed, "round", rgame.round))
     window = cfg.window()
     phi = np.zeros(n, dtype=np.float64)
@@ -212,65 +189,59 @@ def gtg_round(rgame: RoundGame, cfg: GtgConfig, sampler=None,
         phi = ((k - 1.0) / k) * phi + marginals / k
         converged = k >= cfg.min_samples and check_convergence(window, phi)
         window.push(phi)
-    vec = ContributionVector(phi, round=rgame.round, sample_count=k,
-                             converged=converged)
-    stats = GtgRoundStats(round=rgame.round, sample_count=k, converged=converged,
-                          truncated=truncated, eval_count=rgame.game.eval_count,
-                          reconstructions=rgame.reconstructions)
-    return vec, stats
+    return ContributionVector(phi, round=rgame.round, sample_count=k,
+                              converged=converged, eval_count=rgame.game.eval_count)
 
 
 @dataclass
 class EstimatorReport:
-    """What an estimator produced and what it cost."""
+    """What an estimator produced (one vector per round, at least one) and
+    what it cost; every total is derived from the rounds."""
 
     name: str
     per_round: list[ContributionVector]
-    total: ContributionVector
-    eval_count: int
-    reconstructions: int
     wall_time: float
-    converged_rounds: list[bool]
-    round_stats: list[GtgRoundStats] | None = None
+
+    @property
+    def total(self) -> ContributionVector:
+        """The rounds' sum: converged if every round is, None if all are exact."""
+        values = sum((v.values for v in self.per_round),
+                     np.zeros(len(self.per_round[0])))
+        exact = all(v.converged is None for v in self.per_round)
+        return ContributionVector(
+            values, sample_count=sum(v.sample_count for v in self.per_round),
+            converged=None if exact else all(self.converged_rounds),
+            eval_count=self.eval_count)
+
+    @property
+    def eval_count(self) -> int:
+        return sum(v.eval_count for v in self.per_round)
+
+    @property
+    def reconstructions(self) -> int:
+        """Evaluations less the base model of each round that evaluated any."""
+        return sum(v.eval_count - 1 for v in self.per_round if v.eval_count)
+
+    @property
+    def converged_rounds(self) -> list[bool]:
+        """Per round: an exact round counts as converged."""
+        return [v.converged is not False for v in self.per_round]
 
 
-def _totalize(name: str, per_round: list[ContributionVector], n: int,
-              eval_count: int, reconstructions: int, started: float,
-              converged_rounds: list[bool],
-              round_stats: list[GtgRoundStats] | None = None) -> EstimatorReport:
-    values = np.zeros(n, dtype=np.float64)
-    for vec in per_round:
-        values += vec.values
-    total = ContributionVector(values,
-                               sample_count=sum(v.sample_count for v in per_round),
-                               converged=(None if round_stats is None
-                                          else all(converged_rounds)))
-    return EstimatorReport(name=name, per_round=per_round, total=total,
-                           eval_count=eval_count, reconstructions=reconstructions,
-                           wall_time=time.perf_counter() - started,
-                           converged_rounds=converged_rounds,
-                           round_stats=round_stats)
-
-
-def _sample_games(name: str, n: int, cfg: GtgConfig,
+def _sample_games(name: str, cfg: GtgConfig,
                   builders: Sequence[Callable[[], RoundGame]],
                   evaluate_first: bool = False) -> EstimatorReport:
-    """Score the game each builder makes with :func:`gtg_round`, in order,
-    and total the rounds.  A game is built when its turn comes and dropped
-    once scored, so one game's float64 stack is alive at a time."""
+    """Score each builder's game with :func:`gtg_round`, in order; a game is
+    built when its turn comes, so one game's float64 stack is alive at a time."""
     started = time.perf_counter()
     rounds = [gtg_round(build(), cfg, always_evaluate_first=evaluate_first)
               for build in builders]
-    stats = [s for _, s in rounds]
-    return _totalize(name, [v for v, _ in rounds], n,
-                     sum(s.eval_count for s in stats),
-                     sum(s.reconstructions for s in stats), started,
-                     [s.converged for s in stats], stats)
+    return EstimatorReport(name, rounds, time.perf_counter() - started)
 
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
-    return _sample_games(name, log.n, cfg, [
+    return _sample_games(name, cfg, [
         functools.partial(RoundGame.from_round, rec, log.participant_weights,
                           log.architecture, test) for rec in log.rounds])
 
@@ -302,8 +273,7 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
     all rounds; within-round truncation only, uniform sampling."""
     cfg = dataclasses.replace(cfg or GtgConfig(), eps_between=0.0,
                               sampling="uniform")
-    return _sample_games("gtg_oti", log.n, cfg,
-                         [lambda: RoundGame.accumulated(log, test)])
+    return _sample_games("gtg_oti", cfg, [lambda: RoundGame.accumulated(log, test)])
 
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
@@ -331,19 +301,15 @@ def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
     """The one loop of :func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
     started = time.perf_counter()
     per_round = []
-    evals = recon = 0
     for rec in log.rounds:
         weight = lam ** rec.round
         if weight < round_threshold:
             per_round.append(ContributionVector(np.zeros(log.n), round=rec.round))
             continue
         values = round_utilities(rec, log, test)
-        vec = shapley_from_values(values)
-        per_round.append(ContributionVector(weight * vec.values, round=rec.round))
-        evals += len(values)
-        recon += len(values) - 1
-    return _totalize(name, per_round, log.n, evals, recon, started,
-                     [True] * log.total_rounds)
+        per_round.append(ContributionVector(weight * shapley_from_values(values).values,
+                                            round=rec.round, eval_count=len(values)))
+    return EstimatorReport(name, per_round, time.perf_counter() - started)
 
 
 def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
@@ -356,7 +322,7 @@ def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
 
 def _tmr_params(**params) -> dict:
     """:func:`tmr_eval`'s keywords, of its annotated types; lam lies in (0, 1]."""
-    _check_types(params, tmr_eval.__annotations__)
+    check_types(params, tmr_eval.__annotations__)
     if "lam" in params and not 0 < params["lam"] <= 1:
         raise ValueError("decay must lie in (0, 1]")
     return params
@@ -426,8 +392,8 @@ def original_shapley_eval(participants: list[Participant],
     started = time.perf_counter()
     game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
     vec = exact_shapley(game)
-    return _totalize("original", [vec], game.n, game.eval_count,
-                     game.eval_count - 1, started, [True])
+    vec.eval_count = game.eval_count
+    return EstimatorReport("original", [vec], time.perf_counter() - started)
 
 
 def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
@@ -443,8 +409,7 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
     cfg = cfg or GtgConfig()
     cfg = dataclasses.replace(cfg, eps_between=0.0, sampling=(
         "uniform" if cfg.sampling == "guided" else cfg.sampling))
-    return _sample_games("tmc", game.n, cfg, [lambda: RoundGame(0, game)],
-                         evaluate_first=True)
+    return _sample_games("tmc", cfg, [lambda: RoundGame(0, game)], evaluate_first=True)
 
 
 def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
@@ -461,7 +426,7 @@ def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
     cfg = GtgConfig(eps_between=0.0, eps_within=0.0, max_perms_per_round=max_iters,
                     lookback=window.lookback, threshold=window.threshold,
                     min_samples=window.min_samples)
-    return gtg_round(RoundGame(None, game), cfg, sampler)[0]
+    return gtg_round(RoundGame(None, game), cfg, sampler)
 
 
 def round_marginal_gains(log: GradientLog, test: LabeledDataset) -> list[float]:

@@ -74,6 +74,8 @@ class GradientLog:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
+        if self.n < 2 or not self.rounds:
+            raise ValueError(f"need n >= 2 and T >= 1, got n={self.n}, T={len(self.rounds)}")
         ids = sorted(self.participant_weights)
         if ids != list(range(1, self.n + 1)):
             raise ValueError(f"participant ids not contiguous from 1: {ids}")
@@ -299,6 +301,8 @@ def load_log(path: str | Path) -> GradientLog:
         raise LogFormatError(
             f"{path}: format version {version}, this reader supports "
             f"{LOG_FORMAT_VERSION}")
+    if n < 2 or big_t < 1:
+        raise LogFormatError(f"{path}: need n >= 2 and T >= 1, got n={n}, T={big_t}")
     try:
         arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
                                  class_count=class_count)

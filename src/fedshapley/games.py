@@ -114,13 +114,15 @@ class ContributionVector:
 
     ``values[i - 1]`` is the share of player ``i``.  ``sample_count`` is the
     number of permutations averaged (0 for exact computations), ``converged``
-    is None for exact results and a flag for iterative ones.
+    is None for exact results and a flag for iterative ones, and
+    ``eval_count`` is the utility evaluations it cost (0 if none were counted).
     """
 
     values: np.ndarray
     round: int | None = None
     sample_count: int = 0
     converged: bool | None = None
+    eval_count: int = 0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)

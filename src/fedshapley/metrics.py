@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .models import check_types
+
 REPORT_SCHEMA = "fedshapley-report-v1"
 CSV_HEADER = ("estimator,cosine_distance,euclidean_distance,max_difference,"
               "eval_count,wall_time_s,log10_time")
@@ -72,6 +74,8 @@ class ComparisonRow:
     log10_time: float
 
     def __post_init__(self) -> None:
+        check_types({"estimator_name": self.estimator_name},
+                    ComparisonRow.__annotations__)
         self.cosine_distance = float(self.cosine_distance)
         self.euclidean_distance = float(self.euclidean_distance)
         self.max_difference = float(self.max_difference)
@@ -143,8 +147,10 @@ def read_report(path: str | Path) -> dict:
     if schema != REPORT_SCHEMA:
         raise ValueError(f"{path}: schema {schema!r}, this reader expects "
                          f"{REPORT_SCHEMA!r}")
-    if not isinstance(doc.get("metadata", {}), dict):
-        raise ValueError(f"{path}: 'metadata' must be an object")
+    metadata = doc.get("metadata", {})
+    if not (isinstance(metadata, dict)
+            and isinstance(metadata.get("scenario", ""), str)):
+        raise ValueError(f"{path}: 'metadata' must be an object, its scenario a string")
     rows = doc.get("rows")
     if not isinstance(rows, list):
         raise ValueError(f"{path}: needs a 'rows' list of comparison rows")

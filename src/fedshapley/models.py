@@ -9,11 +9,23 @@ boundary, keeping every operation bit-reproducible for fixed inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 INIT_SCALE = 0.05
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+          "str | None": (str, type(None))}
+
+
+def check_types(values: dict, annotations: dict) -> None:
+    """ValueError unless each value annotated int, float, str or str | None has
+    that type (a bool is no number); values of other annotations are not checked."""
+    for name, value in values.items():
+        kind = _TYPES.get(annotations[name])
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +38,7 @@ class ModelArchitecture:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
+        check_types(vars(self), ModelArchitecture.__annotations__)
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if self.hidden_dim < 0:
@@ -51,6 +64,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_types(vars(self), TrainConfig.__annotations__)
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import LabeledDataset
+from .models import LabeledDataset, check_types
 from .seeding import derive_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -76,6 +76,7 @@ class ScenarioSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_types(vars(self), ScenarioSpec.__annotations__)
         if isinstance(self.kind, str):
             self.kind = ScenarioKind.parse(self.kind)
         if self.n < 2:
@@ -109,10 +110,16 @@ class SyntheticSource:
     class_means: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        check_types(vars(self), SyntheticSource.__annotations__)
         if self.class_count < 2:
             raise ValueError("need at least two classes")
         if self.spread < 0:
             raise ValueError("spread must be >= 0")
+        if self.class_means is not None:
+            shape = np.asarray(self.class_means, dtype=np.float64).shape
+            if shape != (self.class_count, self.input_dim):
+                raise ValueError(f"class_means must have shape "
+                                 f"{(self.class_count, self.input_dim)}, got {shape}")
 
 
 def generate_source(cfg: SyntheticSource, train_per_class: int,
@@ -126,8 +133,6 @@ def generate_source(cfg: SyntheticSource, train_per_class: int,
     if means is None:
         means = rng.standard_normal((c, d))
     means = np.asarray(means, dtype=np.float64)
-    if means.shape != (c, d):
-        raise ValueError(f"class_means must have shape {(c, d)}, got {means.shape}")
     diffs = means[:, None, :] - means[None, :, :]
     gaps = np.sqrt((diffs ** 2).sum(axis=2))
     if np.any(gaps[~np.eye(c, dtype=bool)] == 0.0):

@@ -604,10 +604,6 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     return ["evaluate", "--log", log, "--estimator", name, *extra]
 
 
-def _known_defect(reason: str):
-    return pytest.mark.xfail(strict=True, reason=reason)
-
-
 @pytest.mark.parametrize("argv, code", [
     # config: simulate and compare
     pytest.param(lambda w, log: ["simulate", "--config", _file(w / "c.json", "{bad")],
@@ -625,8 +621,29 @@ def _known_defect(reason: str):
                  EXIT_USAGE, id="simulate-config-output-dir-not-a-string"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 6, "class_count": 3, "class_means": [[0.0]]})],
-                 EXIT_USAGE, id="simulate-config-class-means-shape",
-                 marks=_known_defect("checked when the data is drawn: exit 2")),
+                 EXIT_USAGE, id="simulate-config-class-means-shape"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, data={"train_per_class": 0})],
+                 EXIT_USAGE, id="simulate-config-no-training-rows"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, data={"test_per_class": 0})],
+                 EXIT_USAGE, id="simulate-config-no-test-rows"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, data={"train_per_clas": 5})],
+                 EXIT_USAGE, id="simulate-config-unknown-data-field"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, data={"train_per_class": 2.9})],
+                 EXIT_USAGE, id="simulate-config-rows-not-an-integer"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2.5)],
+                 EXIT_USAGE, id="simulate-config-rounds-not-an-integer"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, seed=True)],
+                 EXIT_USAGE, id="simulate-config-seed-a-bool"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, model={"hidden_dim": 1.5})],
+                 EXIT_USAGE, id="simulate-config-hidden-dim-not-an-integer"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, train={"local_epochs": 2.5})],
+                 EXIT_USAGE, id="simulate-config-epochs-not-an-integer"),
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, scenario={"kind": "bogus", "n": 3})],
                  EXIT_USAGE, id="compare-config-unknown-scenario"),
@@ -681,8 +698,10 @@ def _known_defect(reason: str):
                  EXIT_RUNTIME, id="report-row-count-not-a-number"),
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["metadata"].update(scenario=[1]))],
-                 EXIT_RUNTIME, id="report-scenario-not-a-string",
-                 marks=_known_defect("labels are not type-checked: a traceback")),
+                 EXIT_RUNTIME, id="report-scenario-not-a-string"),
+    pytest.param(lambda w, log: ["report", _report(
+        w, lambda d: d["rows"][0].update(estimator_name=[1]))],
+                 EXIT_RUNTIME, id="report-estimator-not-a-string"),
 ])
 def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
                                           monkeypatch, argv, code):

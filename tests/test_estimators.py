@@ -21,7 +21,6 @@ from fedshapley import (
     CyclingPermutationSampler,
     GradientLog,
     GtgConfig,
-    GtgRoundStats,
     LabeledDataset,
     ModelArchitecture,
     Participant,
@@ -124,7 +123,6 @@ def test_round_game_costs_two_endpoint_evaluations():
     rgame = RoundGame.from_round(log.rounds[0], log.participant_weights,
                                  log.architecture, test)
     assert rgame.game.eval_count == 2      # empty set and grand coalition
-    assert rgame.reconstructions == 1      # only the grand coalition rebuilds
     assert rgame.base_utility == rgame.game.value(())
     assert rgame.full_utility == rgame.game.value((1, 2, 3))
     assert rgame.game.eval_count == 2      # those were cache hits
@@ -137,9 +135,9 @@ def test_no_gain_round_is_truncated_for_two_evaluations():
     log = synthetic_log(arch, base, [zeros], {1: 5, 2: 5, 3: 5})
     test = gaussian_blobs(6, 4, 3, seed=1)
     rgame = RoundGame.from_round(log.rounds[0], log.participant_weights, arch, test)
-    vec, stats = gtg_round(rgame, GtgConfig())  # default eps_between 0.001
-    assert stats.truncated and stats.sample_count == 0
-    assert stats.eval_count == 2 and vec.values.tolist() == [0.0, 0.0, 0.0]
+    vec = gtg_round(rgame, GtgConfig())  # default eps_between 0.001
+    assert vec.sample_count == 0 and vec.converged
+    assert vec.eval_count == 2 and vec.values.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_zero_gap_round_without_between_truncation_stays_cheap():
@@ -151,17 +149,17 @@ def test_zero_gap_round_without_between_truncation_stays_cheap():
     log = synthetic_log(arch, base, [zeros], {1: 5, 2: 5, 3: 5})
     test = gaussian_blobs(6, 4, 3, seed=1)
     rgame = RoundGame.from_round(log.rounds[0], log.participant_weights, arch, test)
-    vec, stats = gtg_round(rgame, GtgConfig(eps_between=0.0, sampling="uniform"))
-    assert not stats.truncated
-    assert stats.eval_count == 2
-    assert stats.converged and vec.values.tolist() == [0.0, 0.0, 0.0]
+    vec = gtg_round(rgame, GtgConfig(eps_between=0.0, sampling="uniform"))
+    assert vec.sample_count > 0
+    assert vec.eval_count == 2
+    assert vec.converged and vec.values.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_exhaustive_sampling_equals_subset_enumeration():
     log, test, _ = quick_log(n=3, rounds=1, seed=3)
     rec = log.rounds[0]
     sampled = gtg_round(RoundGame.from_round(rec, log.participant_weights,
-                                             log.architecture, test), EXHAUSTIVE)[0]
+                                             log.architecture, test), EXHAUSTIVE)
     enumerated = exact_shapley(RoundGame.from_round(
         rec, log.participant_weights, log.architecture, test).game)
     np.testing.assert_allclose(sampled.values, enumerated.values, atol=1e-9)
@@ -202,7 +200,9 @@ def test_decay_weighting_and_round_skipping():
     decayed = tmr_eval(log, test, lam=0.5, round_threshold=0.3)
     # lam**2 = 0.25 < 0.3: round 2 skipped outright
     assert decayed.per_round[2].values.tolist() == [0.0, 0.0, 0.0]
+    assert decayed.per_round[2].eval_count == 0
     assert decayed.eval_count == 2 * 2 ** 3
+    assert decayed.reconstructions == 2 * (2 ** 3 - 1)
     want = plain.per_round[0].values + 0.5 * plain.per_round[1].values
     np.testing.assert_allclose(decayed.total.values, want, atol=1e-12)
 
@@ -239,8 +239,8 @@ def test_stalled_tail_rounds_cost_two_evaluations_each():
     log = synthetic_log(arch, base, [live, dead, dead], {1: 5, 2: 5, 3: 5})
     test = gaussian_blobs(8, 4, 3, seed=4)
     report = gtg_tib(log, test, GtgConfig(seed=1))
-    assert [s.truncated for s in report.round_stats] == [False, True, True]
-    assert [s.eval_count for s in report.round_stats][1:] == [2, 2]
+    assert [v.sample_count == 0 for v in report.per_round] == [False, True, True]
+    assert [v.eval_count for v in report.per_round][1:] == [2, 2]
     for vec in report.per_round[1:]:
         assert vec.values.tolist() == [0.0, 0.0, 0.0]
 
@@ -297,7 +297,6 @@ def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> 
             assert walked.game.value_mask(mask) == want
             assert batched[mask] == want
         assert walked.game.eval_count == full + 1
-        assert walked.reconstructions == full
 
 
 @pytest.mark.parametrize("build", [
@@ -432,7 +431,7 @@ def test_aggressive_truncation_only_scores_leading_positions():
                       max_perms_per_round=6, min_samples=6))
     # position 1 always evaluates; everything after it copies forward,
     # leaving 2 endpoints + 3 singleton coalitions = 5 utility calls
-    assert sampled.round_stats[0].eval_count == 5
+    assert sampled.per_round[0].eval_count == 5
     oracle = RetrainOracle(parts, arch, cfg, rounds=1, test=test, init_seed=7)
     v0 = oracle(())
     want = np.array([(oracle((i,)) - v0) / 3 for i in (1, 2, 3)])
@@ -556,10 +555,8 @@ def reference_gtg_round(rgame, cfg, sampler=None, always_evaluate_first=False):
     n = rgame.game.n
     v0, v_n = rgame.base_utility, rgame.full_utility
     if cfg.eps_between > 0 and abs(v_n - v0) <= cfg.eps_between:
-        return (ContributionVector(np.zeros(n), round=rgame.round, sample_count=0,
-                                   converged=True),
-                GtgRoundStats(rgame.round, 0, True, True, rgame.game.eval_count,
-                              rgame.reconstructions))
+        return ContributionVector(np.zeros(n), round=rgame.round, sample_count=0,
+                                  converged=True, eval_count=rgame.game.eval_count)
     if sampler is None:
         sampler = reference_sampler(cfg, n,
                                     derive_seed(cfg.seed, "round", rgame.round))
@@ -586,21 +583,18 @@ def reference_gtg_round(rgame, cfg, sampler=None, always_evaluate_first=False):
             converged = True
             break
         history.append(phi.copy())
-    return (ContributionVector(phi, round=rgame.round, sample_count=k,
-                               converged=converged),
-            GtgRoundStats(rgame.round, k, converged, False, rgame.game.eval_count,
-                          rgame.reconstructions))
+    return ContributionVector(phi, round=rgame.round, sample_count=k,
+                              converged=converged, eval_count=rgame.game.eval_count)
 
 
 def assert_reports_bit_equal(got, want):
     assert got.total.values.tobytes() == want.total.values.tobytes()
-    assert ([(v.round, v.sample_count, v.converged, v.values.tobytes())
+    assert ([(v.round, v.sample_count, v.converged, v.eval_count, v.values.tobytes())
              for v in got.per_round]
-            == [(v.round, v.sample_count, v.converged, v.values.tobytes())
-                for v in want.per_round])
+            == [(v.round, v.sample_count, v.converged, v.eval_count,
+                 v.values.tobytes()) for v in want.per_round])
     assert got.eval_count == want.eval_count
     assert got.reconstructions == want.reconstructions
-    assert got.round_stats == want.round_stats
     assert got.converged_rounds == want.converged_rounds
 
 

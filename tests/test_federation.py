@@ -216,6 +216,18 @@ def test_loader_rejects_corruption(tmp_path):
     with pytest.raises(LogFormatError, match="version"):
         load_log(bad_version)
 
+    # no rounds, or one participant: written fine, refused on reading
+    rec = log.rounds[0]
+    alone = RoundRecord(0, rec.base_model, {1: rec.updates[1]},
+                        rec.base_model + rec.updates[1])
+    for empty in (GradientLog(log.architecture, [], log.participant_weights),
+                  GradientLog(log.architecture, [alone], {1: 5})):
+        with pytest.raises(ValueError, match="n >= 2 and T >= 1"):
+            empty.validate()
+        path = save_log(empty, tmp_path / "empty.gtgl")
+        with pytest.raises(LogFormatError, match=f"n={empty.n}, T={empty.total_rounds}"):
+            load_log(path)
+
     with pytest.raises(LogFormatError):
         load_log_metadata(tmp_path / "missing.gtgl")
 

@@ -45,6 +45,11 @@ def test_architecture_validation():
         ModelArchitecture(input_dim=3, class_count=1)
     with pytest.raises(ValueError):
         ModelArchitecture(input_dim=3, activation="tanh")
+    # each field holds its annotated type: a bool is no integer, nothing rounds
+    for bad in ({"hidden_dim": 1.5}, {"input_dim": True}, {"activation": None}):
+        with pytest.raises(ValueError, match="must be"):
+            ModelArchitecture(**{"input_dim": 3, **bad})
+    assert ModelArchitecture(np.int64(3), class_count=2).param_count == 8
 
 
 def test_train_config_validation():
@@ -55,6 +60,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-0.1)
+    for bad in ({"local_epochs": 2.5}, {"learning_rate": "0.1"}, {"seed": False}):
+        with pytest.raises(ValueError, match="must be"):
+            TrainConfig(**bad)
+    assert TrainConfig(learning_rate=1).learning_rate == 1
 
 
 def test_dataset_validation_and_dtypes():

@@ -92,6 +92,14 @@ def test_source_validation():
         generate_source(SyntheticSource(class_means=dup_means), 5, 5)
     with pytest.raises(ValueError, match="shape"):
         generate_source(SyntheticSource(class_means=np.zeros((3, 16))), 5, 5)
+    # checked on construction, before any data is drawn
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2, 3\)"):
+        SyntheticSource(input_dim=2, class_count=2, class_means=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        SyntheticSource(input_dim=2, class_count=2, class_means=[[0.0, 1.0], [2.0]])
+    for bad in ({"input_dim": 2.5}, {"spread": "1"}, {"seed": None}):
+        with pytest.raises(ValueError, match="must be"):
+            SyntheticSource(**bad)
 
 
 # --- partition schemes ---------------------------------------------------------
@@ -262,6 +270,9 @@ def test_scenario_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(ScenarioKind.NOISY_LABELS, n=4,
                      params={"flip_rates": [0.0, 0.0, -0.1, 0.0]})
+    for bad in ({"n": 4.0}, {"per_class_pool": "100"}, {"seed": True}):
+        with pytest.raises(ValueError, match="must be int"):
+            ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, **bad)
 
 
 def test_kind_parsing_accepts_both_spellings():
