@@ -480,16 +480,22 @@ class Estimator(NamedTuple):
         return {"cfg": GtgConfig(**params)} if self.sampled else self.checked(**params)
 
 
-_CFG_FIELDS = tuple(f.name for f in dataclasses.fields(GtgConfig))
+def _cfg_fields(*overridden: str) -> tuple[str, ...]:
+    """:class:`GtgConfig`'s fields, less those an estimator overrides."""
+    return tuple(f.name for f in dataclasses.fields(GtgConfig)
+                 if f.name not in overridden)
+
+
 ESTIMATORS = {
-    "gtg": Estimator(gtg_eval, _CFG_FIELDS, sampled=True),
-    "gtg_oti": Estimator(gtg_oti, _CFG_FIELDS, sampled=True),
-    "gtg_ti": Estimator(gtg_ti, _CFG_FIELDS, sampled=True),
-    "gtg_tib": Estimator(gtg_tib, _CFG_FIELDS, sampled=True),
+    "gtg": Estimator(gtg_eval, _cfg_fields(), sampled=True),
+    "gtg_oti": Estimator(gtg_oti, _cfg_fields("eps_between", "sampling"), sampled=True),
+    "gtg_ti": Estimator(gtg_ti, _cfg_fields("eps_between", "sampling"), sampled=True),
+    "gtg_tib": Estimator(gtg_tib, _cfg_fields("sampling"), sampled=True),
     "mr": Estimator(mr_eval),
     "tmr": Estimator(tmr_eval, ("lam", "round_threshold"), checked=_tmr_params),
     "original": Estimator(original_shapley_eval, retrains=True),
-    "tmc": Estimator(tmc_shapley_eval, _CFG_FIELDS, sampled=True, retrains=True),
+    "tmc": Estimator(tmc_shapley_eval, _cfg_fields("eps_between"), sampled=True,
+                     retrains=True),
 }
 
 

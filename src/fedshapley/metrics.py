@@ -74,14 +74,7 @@ class ComparisonRow:
     log10_time: float
 
     def __post_init__(self) -> None:
-        check_types({"estimator_name": self.estimator_name},
-                    ComparisonRow.__annotations__)
-        self.cosine_distance = float(self.cosine_distance)
-        self.euclidean_distance = float(self.euclidean_distance)
-        self.max_difference = float(self.max_difference)
-        self.eval_count = int(self.eval_count)
-        self.wall_time_s = float(self.wall_time_s)
-        self.log10_time = float(self.log10_time)
+        check_types(vars(self), ComparisonRow.__annotations__)
         for name in ("cosine_distance", "euclidean_distance", "max_difference"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -16,12 +16,13 @@ import numpy as np
 
 INIT_SCALE = 0.05
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-          "str | None": (str, type(None))}
+          "str | None": (str, type(None)), "dict": dict}
 
 
 def check_types(values: dict, annotations: dict) -> None:
-    """ValueError unless each value annotated int, float, str or str | None has
-    that type (a bool is no number); values of other annotations are not checked."""
+    """ValueError unless each value annotated int, float, str, str | None or
+    dict has that type (a bool is no number); values of other annotations are
+    not checked."""
     for name, value in values.items():
         kind = _TYPES.get(annotations[name])
         if kind and (isinstance(value, bool) or not isinstance(value, kind)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,6 @@ class ScenarioKind(str, Enum):
                          + ", ".join(m.value for m in cls))
 
 
-PAIRED_KINDS = frozenset({ScenarioKind.DIFF_DIST_SAME_SIZE,
-                          ScenarioKind.SAME_DIST_DIFF_SIZE,
-                          ScenarioKind.NOISY_LABELS,
-                          ScenarioKind.NOISY_FEATURES})
-
-
 def pair_of(pid: int) -> int:
     """1-based pair index of participant ``pid`` (1,2 -> 1; 3,4 -> 2; ...)."""
     return (pid + 1) // 2
@@ -65,9 +60,20 @@ def default_size_ratios(n: int) -> list[float]:
     return [0.10 + 0.05 * (pair_of(pid) - 1) for pid in range(1, n + 1)]
 
 
+# Each kind's one ``params`` entry and that entry's default for n participants.
+SCENARIO_PARAMS = {
+    ScenarioKind.SAME_DIST_SAME_SIZE: None,
+    ScenarioKind.DIFF_DIST_SAME_SIZE: ("skew", lambda n: 0.8),
+    ScenarioKind.SAME_DIST_DIFF_SIZE: ("ratios", default_size_ratios),
+    ScenarioKind.NOISY_LABELS: ("flip_rates", default_noise_rates),
+    ScenarioKind.NOISY_FEATURES: ("noise_rates", default_noise_rates),
+}
+
+
 @dataclass
 class ScenarioSpec:
-    """Which partition scheme to apply, for how many participants."""
+    """Which partition scheme to apply, for how many participants; ``params``
+    holds at most the entry :data:`SCENARIO_PARAMS` names for ``kind``."""
 
     kind: ScenarioKind
     n: int = 10
@@ -77,26 +83,39 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         check_types(vars(self), ScenarioSpec.__annotations__)
-        if isinstance(self.kind, str):
-            self.kind = ScenarioKind.parse(self.kind)
+        if not isinstance(self.kind, ScenarioKind):
+            self.kind = ScenarioKind.parse(str(self.kind))
         if self.n < 2:
             raise ValueError("need at least two participants")
-        if self.kind in PAIRED_KINDS and self.n % 2 and not self._has_schedule():
+        self.param()
+
+    def param(self) -> float | list[float] | None:
+        """The entry this kind reads, or its default; ValueError unless
+        ``params`` holds no other entry and a given skew is one number in
+        [0, 1], a given schedule n numbers: rates in [0, 1], ratios > 0."""
+        key, default = SCENARIO_PARAMS[self.kind] or (None, None)
+        others = sorted(str(k) for k in self.params if k != key)
+        if others:
+            raise ValueError(f"{self.kind.value} params may hold "
+                             f"{key or 'nothing'}, not {', '.join(others)}")
+        if key is None:
+            return None
+        if self.n % 2 and (key == "skew" or key not in self.params):
             raise ValueError(
                 f"{self.kind.value} pairs participants; n={self.n} is odd and no "
                 "explicit per-participant schedule was given")
-        for key in ("skew", "flip_rates", "noise_rates"):
-            val = self.params.get(key)
-            rates = val if isinstance(val, (list, tuple)) else [val]
-            for r in rates:
-                if r is not None and not 0.0 <= float(r) <= 1.0:
-                    raise ValueError(f"{key} values must lie in [0, 1], got {r}")
-
-    def _has_schedule(self) -> bool:
-        key = {ScenarioKind.SAME_DIST_DIFF_SIZE: "ratios",
-               ScenarioKind.NOISY_LABELS: "flip_rates",
-               ScenarioKind.NOISY_FEATURES: "noise_rates"}.get(self.kind)
-        return key is not None and key in self.params
+        if key not in self.params:
+            return default(self.n)
+        value = self.params[key]
+        values, count = ([value], 1) if key == "skew" else (value, self.n)
+        if not (isinstance(values, (list, tuple)) and len(values) == count and all(
+                isinstance(v, Real) and not isinstance(v, bool)
+                and (0 < v < math.inf if key == "ratios" else 0 <= v <= 1)
+                for v in values)):
+            raise ValueError(
+                f"{key} must be {'one number' if count == 1 else f'{count} numbers'} "
+                f"{'> 0' if key == 'ratios' else 'in [0, 1]'}, got {value!r}")
+        return float(value) if key == "skew" else [float(v) for v in value]
 
 
 @dataclass
@@ -225,12 +244,11 @@ def _skewed_counts(pid: int, size: int, class_count: int, skew: float) -> dict[i
     return counts
 
 
-def _diff_dist(pool: LabeledDataset, spec: ScenarioSpec,
+def _diff_dist(pool: LabeledDataset, n: int, skew: float,
                queues: _ClassQueues) -> list[LabeledDataset]:
-    size = len(pool) // spec.n
-    skew = float(spec.params.get("skew", 0.8))
+    size = len(pool) // n
     out = []
-    for pid in range(1, spec.n + 1):
+    for pid in range(1, n + 1):
         counts = _skewed_counts(pid, size, queues.class_count, skew)
         idx = np.concatenate([queues.take(cls, counts[cls])
                               for cls in sorted(counts)])
@@ -238,13 +256,8 @@ def _diff_dist(pool: LabeledDataset, spec: ScenarioSpec,
     return out
 
 
-def _diff_size(pool: LabeledDataset, spec: ScenarioSpec,
+def _diff_size(pool: LabeledDataset, ratios: list[float],
                queues: _ClassQueues) -> list[LabeledDataset]:
-    ratios = [float(r) for r in spec.params.get("ratios", default_size_ratios(spec.n))]
-    if len(ratios) != spec.n:
-        raise ValueError(f"need {spec.n} ratios, got {len(ratios)}")
-    if min(ratios) <= 0:
-        raise ValueError("size ratios must be positive")
     total = sum(ratios)
     rows = len(pool)
     sizes = [int(rows * r / total) for r in ratios]
@@ -254,8 +267,7 @@ def _diff_size(pool: LabeledDataset, spec: ScenarioSpec,
     c = queues.class_count
     remaining = [queues.available(cls) for cls in range(c)]
     out = []
-    for pid in range(1, spec.n + 1):
-        size = sizes[pid - 1]
+    for pid, size in enumerate(sizes, start=1):
         base, extra = divmod(size, c)
         counts = [base] * c
         remaining = [remaining[cls] - base for cls in range(c)]
@@ -273,7 +285,7 @@ def _diff_size(pool: LabeledDataset, spec: ScenarioSpec,
 
 def _flip_labels(parts: list[LabeledDataset], rates: list[float],
                  class_count: int, rng: np.random.Generator) -> None:
-    for pid, (part, rate) in enumerate(zip(parts, rates), start=1):
+    for part, rate in zip(parts, rates):
         flips = int(round(rate * len(part)))
         if flips == 0:
             continue
@@ -298,31 +310,18 @@ def partition(pool: LabeledDataset, spec: ScenarioSpec) -> list[LabeledDataset]:
         raise ValueError("pool smaller than the participant count")
     rng = np.random.default_rng(derive_seed(spec.seed, "partition", spec.kind.value))
     queues = _ClassQueues(pool, rng)
-    kind = spec.kind
-    if kind == ScenarioKind.SAME_DIST_SAME_SIZE:
-        return _equal_balanced(pool, spec.n, queues)
+    kind, value = spec.kind, spec.param()
     if kind == ScenarioKind.DIFF_DIST_SAME_SIZE:
-        return _diff_dist(pool, spec, queues)
+        return _diff_dist(pool, spec.n, value, queues)
     if kind == ScenarioKind.SAME_DIST_DIFF_SIZE:
-        return _diff_size(pool, spec, queues)
+        return _diff_size(pool, value, queues)
+    parts = _equal_balanced(pool, spec.n, queues)
     if kind == ScenarioKind.NOISY_LABELS:
-        parts = _equal_balanced(pool, spec.n, queues)
-        rates = [float(r) for r in spec.params.get("flip_rates",
-                                                   default_noise_rates(spec.n))]
-        if len(rates) != spec.n:
-            raise ValueError(f"need {spec.n} flip rates, got {len(rates)}")
-        _flip_labels(parts, rates, queues.class_count, rng)
-        return parts
-    if kind == ScenarioKind.NOISY_FEATURES:
-        parts = _equal_balanced(pool, spec.n, queues)
-        rates = [float(r) for r in spec.params.get("noise_rates",
-                                                   default_noise_rates(spec.n))]
-        if len(rates) != spec.n:
-            raise ValueError(f"need {spec.n} noise rates, got {len(rates)}")
+        _flip_labels(parts, value, queues.class_count, rng)
+    elif kind == ScenarioKind.NOISY_FEATURES:
         pool_std = pool.features.astype(np.float64).std(axis=0)
-        _add_feature_noise(parts, rates, pool_std, rng)
-        return parts
-    raise ValueError(f"unhandled scenario kind {kind!r}")
+        _add_feature_noise(parts, value, pool_std, rng)
+    return parts
 
 
 def _read_idx(path: str | Path, expected_magic: int, dims: int) -> np.ndarray:

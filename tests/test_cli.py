@@ -146,6 +146,20 @@ def test_print_config_round_trips(config_path, tmp_path, capsys):
     assert config_to_dict(parse_config(echo)) == printed
 
 
+def test_print_config_on_evaluate_and_compare_starts_no_work(
+        config_path, tmp_path, capsys, monkeypatch, work_calls):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
+    params = _params(tmp_path, {"eps_within": 0.01})
+    assert main(["evaluate", "--log", str(tmp_path / "absent.gtgl"), "--estimator",
+                 "gtg", "--params", params, "--print-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"estimator": "gtg",
+                                                   "params": {"eps_within": 0.01}}
+    assert main(["compare", "--config", str(config_path), "--print-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == config_to_dict(
+        parse_config(config_path))
+    assert not (tmp_path / "out").exists() and not work_calls
+
+
 # --- config validation -----------------------------------------------------------
 
 
@@ -574,6 +588,10 @@ def _config(work: Path, **overrides) -> str:
     return str(write_config(work / "broken.json", **overrides))
 
 
+def _scenario(work: Path, kind, params) -> str:
+    return _config(work, scenario={"kind": kind, "n": 4, "params": params})
+
+
 def _params(work: Path, params) -> str:
     return _file(work / "params.json", json.dumps(params))
 
@@ -647,6 +665,41 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, scenario={"kind": "bogus", "n": 3})],
                  EXIT_USAGE, id="compare-config-unknown-scenario"),
+    pytest.param(lambda w, log: ["compare", "--config", _scenario(w, 5, {})],
+                 EXIT_USAGE, id="compare-config-scenario-kind-not-a-name"),
+    pytest.param(lambda w, log: ["compare", "--config", _config(w, estimators=[])],
+                 EXIT_USAGE, id="compare-config-no-estimators"),
+    # scenario params: the one entry each kind reads
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "noisy_labels", [0.1] * 4)],
+                 EXIT_USAGE, id="simulate-scenario-params-not-a-table"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "noisy_labels", {"noise_rates": [0.1] * 4})],
+                 EXIT_USAGE, id="simulate-scenario-other-kinds-key"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "noisy_features", {"noise_rate": [0.1] * 4})],
+                 EXIT_USAGE, id="simulate-scenario-misspelled-key"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "same_dist_same_size", {"skew": 0.5})],
+                 EXIT_USAGE, id="simulate-scenario-key-on-same-dist"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "diff_dist_same_size", {"skew": None})],
+                 EXIT_USAGE, id="simulate-scenario-skew-null"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "same_dist_diff_size", {"ratios": 5})],
+                 EXIT_USAGE, id="simulate-scenario-ratios-a-scalar"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "same_dist_diff_size", {"ratios": "1234"})],
+                 EXIT_USAGE, id="simulate-scenario-ratios-a-string"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "same_dist_diff_size", {"ratios": [1, 2, 3]})],
+                 EXIT_USAGE, id="simulate-scenario-ratios-wrong-length"),
+    pytest.param(lambda w, log: ["compare", "--config", _scenario(
+        w, "same_dist_diff_size", {"ratios": [1, 2, 0, 4]})],
+                 EXIT_USAGE, id="compare-scenario-ratios-not-positive"),
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "noisy_labels", {"flip_rates": 0.1})],
+                 EXIT_USAGE, id="simulate-scenario-flip-rates-a-scalar"),
     pytest.param(lambda w, log: ["compare", "--config",
                                  _config(w, model={"input_dim": 5})],
                  EXIT_USAGE, id="compare-config-model-mismatch"),
@@ -669,6 +722,19 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, estimators=[{"name": "gtg", "params": {"sampling": "metropolis"}}])],
                  EXIT_USAGE, id="compare-params-unknown-sampling"),
+    # an ablation refuses the fields it overrides
+    pytest.param(lambda w, log: _evaluate(log, "gtg_ti", "--params",
+                                          _params(w, {"eps_between": 0.1})),
+                 EXIT_USAGE, id="evaluate-params-gtg-ti-eps-between"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg_oti", "--params",
+                                          _params(w, {"sampling": "guided"})),
+                 EXIT_USAGE, id="evaluate-params-gtg-oti-sampling"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg_tib", "--params",
+                                          _params(w, {"sampling": "cycle"})),
+                 EXIT_USAGE, id="evaluate-params-gtg-tib-sampling"),
+    pytest.param(lambda w, log: ["compare", "--config", _config(
+        w, estimators=[{"name": "tmc", "params": {"eps_between": 0.1}}])],
+                 EXIT_USAGE, id="compare-params-tmc-eps-between"),
     # log: evaluate
     pytest.param(lambda w, log: _evaluate(str(w / "absent.gtgl"), "mr"),
                  EXIT_RUNTIME, id="evaluate-log-missing"),
@@ -696,6 +762,12 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["rows"][0].update(eval_count="x"))],
                  EXIT_RUNTIME, id="report-row-count-not-a-number"),
+    pytest.param(lambda w, log: ["report", _report(
+        w, lambda d: d["rows"][0].update(eval_count=2.9))],
+                 EXIT_RUNTIME, id="report-row-count-fractional"),
+    pytest.param(lambda w, log: ["report", _report(
+        w, lambda d: d["rows"][0].update(wall_time_s=True))],
+                 EXIT_RUNTIME, id="report-row-time-a-bool"),
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["metadata"].update(scenario=[1]))],
                  EXIT_RUNTIME, id="report-scenario-not-a-string"),

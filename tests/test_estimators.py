@@ -8,6 +8,7 @@ retraining-based baselines against an independently built retraining game.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -479,8 +480,12 @@ def test_estimator_registry_and_dispatch():
         run_log_estimator("original", log, test)
     assert estimator("mr").options == estimator("original").options == ()
     assert estimator("tmr").options == ("lam", "round_threshold")
-    for name in ("gtg", "gtg_ti", "gtg_tib", "gtg_oti", "tmc"):
-        assert "eps_within" in estimator(name).options
+    # a sampled estimator takes the GtgConfig fields it does not override
+    fields = {f.name for f in dataclasses.fields(GtgConfig)}
+    for name, overridden in (("gtg", set()), ("gtg_ti", {"eps_between", "sampling"}),
+                             ("gtg_oti", {"eps_between", "sampling"}),
+                             ("gtg_tib", {"sampling"}), ("tmc", {"eps_between"})):
+        assert fields - set(estimator(name).options) == overridden
     with pytest.raises(ValueError, match="eps_withn"):
         run_log_estimator("gtg", log, test, {"eps_withn": 0.01})
     with pytest.raises(ValueError, match="accepted: none"):

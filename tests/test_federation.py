@@ -104,6 +104,26 @@ def test_stack_rebuilds_match_reconstruction_past_two_to_the_53():
         assert c.tobytes() == s.tobytes() == w.tobytes()
 
 
+def test_stack_refuses_malformed_rounds():
+    rec = RoundRecord(0, BASE, {1: U1, 2: U2}, BASE)
+    with pytest.raises(ValueError, match="not contiguous"):
+        RoundStack(rec, {1: 1, 3: 3})
+    with pytest.raises(ValueError, match=r"no updates for \[2\]"):
+        RoundStack(RoundRecord(0, BASE, {1: U1}, BASE), WEIGHTS)
+    with pytest.raises(ValueError, match="participant 2: update shape"):
+        RoundStack(RoundRecord(0, BASE, {1: U1, 2: U2[:2]}, BASE), WEIGHTS)
+
+
+def test_stack_refuses_coalitions_of_zero_weight():
+    # participant 1 holds no rows, so a coalition of it alone weighs nothing
+    stack = RoundStack(RoundRecord(0, BASE, {1: U1, 2: U2}, BASE), {1: 0, 2: 3})
+    assert np.array_equal(stack.rebuild([1, 2]), BASE + U2)
+    with pytest.raises(ValueError, match="must be positive"):
+        stack.rebuild([1])
+    with pytest.raises(ValueError, match="must be positive"):
+        list(stack.rebuild_masks(np.array([2, 1, 3])))
+
+
 def test_federation_chain_and_full_set_reconstruction():
     log, _, _ = quick_log(n=4, rounds=3, seed=2)
     log.validate()  # raises if the chain or re-aggregation is off
@@ -254,3 +274,8 @@ def test_validate_flags_tampering():
     weights[9] = weights.pop(3)
     with pytest.raises(ValueError):
         GradientLog(log4.architecture, log4.rounds, weights).validate()
+
+    log5, _, _ = quick_log(n=3, rounds=2, seed=1)
+    log5.rounds[1].round = 5
+    with pytest.raises(ValueError, match="round index 5 at position 1"):
+        log5.validate()

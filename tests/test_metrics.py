@@ -1,6 +1,7 @@
 """Distance metrics and report serialization."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -68,10 +69,15 @@ def test_norm_inequalities_hold():
         assert l2 <= math.sqrt(n) * linf + 1e-15
 
 
-def test_comparison_row_validation_and_coercion():
-    row = ComparisonRow("mr", 0.0, 0.5, 0.25, eval_count=80.0,
+def test_comparison_row_validation_and_types():
+    row = ComparisonRow("mr", 0, 0.5, 0.25, eval_count=np.int64(80),
                         wall_time_s=0.125, log10_time=math.log10(0.125))
-    assert row.eval_count == 80 and isinstance(row.eval_count, int)
+    assert row.eval_count == 80 and row.cosine_distance == 0
+    # a float count or a bool time is refused, not coerced
+    for bad in ({"eval_count": 80.0}, {"eval_count": 2.9}, {"wall_time_s": True},
+                {"log10_time": "0"}, {"cosine_distance": None}):
+        with pytest.raises(ValueError, match="must be"):
+            ComparisonRow(**{**dataclasses.asdict(row), **bad})
     with pytest.raises(ValueError, match=">= 0"):
         ComparisonRow("x", -0.1, 0.0, 0.0, 1, 1.0, 0.0)
     with pytest.raises(ValueError, match="exceed 2"):

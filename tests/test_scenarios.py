@@ -5,6 +5,7 @@ counts), so the tests sweep several seeds rather than eyeballing one draw.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from fedshapley import (
     partition,
     train_local,
 )
+from fedshapley.scenarios import SCENARIO_PARAMS
 
 ALL_KINDS = list(ScenarioKind)
 
@@ -195,12 +197,11 @@ def test_size_ramp_custom_ratios_and_leftovers():
                                          seed=3, params={"ratios": [1, 1, 1, 3]}))
     # floors are 166,166,166,500 summing to 998; leftovers go to low ids
     assert [len(p) for p in parts] == [167, 167, 166, 500]
-    with pytest.raises(ValueError):
-        partition(pool, ScenarioSpec(ScenarioKind.SAME_DIST_DIFF_SIZE, n=4,
-                                     seed=3, params={"ratios": [1, 1]}))
-    with pytest.raises(ValueError):
-        partition(pool, ScenarioSpec(ScenarioKind.SAME_DIST_DIFF_SIZE, n=4,
-                                     seed=3, params={"ratios": [1, 1, 1, 0.0]}))
+    # refused when the spec is built, before any data is drawn
+    for bad in ([1, 1], [1, 1, 1, 0.0]):
+        with pytest.raises(ValueError, match="ratios must be 4 numbers > 0"):
+            ScenarioSpec(ScenarioKind.SAME_DIST_DIFF_SIZE, n=4, seed=3,
+                         params={"ratios": bad})
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -273,6 +274,37 @@ def test_scenario_spec_validation():
     for bad in ({"n": 4.0}, {"per_class_pool": "100"}, {"seed": True}):
         with pytest.raises(ValueError, match="must be int"):
             ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, **bad)
+    with pytest.raises(ValueError, match="params must be dict"):
+        ScenarioSpec(ScenarioKind.NOISY_LABELS, n=4, params=[0.1] * 4)
+    with pytest.raises(ValueError, match="unknown scenario kind '5'"):
+        ScenarioSpec(5, n=4)
+    for kind, params, match in (
+            (ScenarioKind.SAME_DIST_SAME_SIZE, {"skew": 0.5}, "hold nothing, not skew"),
+            (ScenarioKind.NOISY_LABELS, {"noise_rates": [0.1] * 4},
+             "hold flip_rates, not noise_rates"),
+            (ScenarioKind.DIFF_DIST_SAME_SIZE, {"skew": None}, "one number in"),
+            (ScenarioKind.DIFF_DIST_SAME_SIZE, {"skew": [0.5]}, "one number in"),
+            (ScenarioKind.NOISY_FEATURES, {"noise_rates": 0.1}, "4 numbers in"),
+            (ScenarioKind.NOISY_FEATURES, {"noise_rates": [0.1, 0.1, True, 0.1]},
+             "4 numbers in"),
+            (ScenarioKind.SAME_DIST_DIFF_SIZE, {"ratios": "1234"}, "4 numbers > 0"),
+            (ScenarioKind.SAME_DIST_DIFF_SIZE, {"ratios": [1, 1, math.inf, 1]},
+             "4 numbers > 0")):
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec(kind, n=4, params=params)
+    with pytest.raises(ValueError, match="odd"):  # a skew is no schedule
+        ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=3, params={"skew": 0.5})
+
+
+def test_scenario_spec_resolves_its_one_entry():
+    spec = ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=4, params={"skew": 1})
+    assert spec.param() == 1.0 and spec.params == {"skew": 1}  # kept as given
+    assert ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=4).param() == 0.8
+    assert ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=3).param() is None
+    assert ScenarioSpec(ScenarioKind.NOISY_LABELS, n=4).param() == default_noise_rates(4)
+    assert ScenarioSpec(ScenarioKind.SAME_DIST_DIFF_SIZE, n=3, params={
+        "ratios": (1, 2, np.float32(0.5))}).param() == [1.0, 2.0, 0.5]
+    assert set(SCENARIO_PARAMS) == set(ScenarioKind)
 
 
 def test_kind_parsing_accepts_both_spellings():
