@@ -127,9 +127,10 @@ class RoundGame:
                    test: LabeledDataset | EvalSet) -> "RoundGame":
         """The round's game over models rebuilt from its stored updates.
 
-        The base model, the updates and the test features are cast to
-        float64 once, here, and each coalition a walker visits is rebuilt on
-        its own from them and evaluated once.
+        The base model and the updates are cast to float64 once, here, and
+        the test set is prepared unless it already is (:func:`eval_set`);
+        each coalition a walker visits is rebuilt on its own from them and
+        evaluated once.
         """
         stack = RoundStack(record, weights)
         test = eval_set(test)
@@ -241,6 +242,7 @@ def _sample_games(name: str, cfg: GtgConfig,
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
+    test = eval_set(test)
     return _sample_games(name, cfg, [
         functools.partial(RoundGame.from_round, rec, log.participant_weights,
                           log.architecture, test) for rec in log.rounds])
@@ -273,6 +275,7 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
     all rounds; within-round truncation only, uniform sampling."""
     cfg = dataclasses.replace(cfg or GtgConfig(), eps_between=0.0,
                               sampling="uniform")
+    test = eval_set(test)
     return _sample_games("gtg_oti", cfg, [lambda: RoundGame.accumulated(log, test)])
 
 
@@ -300,6 +303,7 @@ def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
                   lam: float, round_threshold: float) -> EstimatorReport:
     """The one loop of :func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
     started = time.perf_counter()
+    test = eval_set(test)
     per_round = []
     for rec in log.rounds:
         weight = lam ** rec.round
@@ -449,6 +453,7 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
     if samples_per_round < 1:
         raise ValueError(f"samples_per_round must be >= 1, got {samples_per_round}")
     n = log.n
+    test = eval_set(test)
     sums = np.zeros(n, dtype=np.float64)
     marginals = np.empty(n, dtype=np.float64)
     for rec in log.rounds:

@@ -2,9 +2,11 @@
 
 Parameters travel as flat float32 vectors so they can be aggregated, diffed,
 and serialized without knowing the layer layout; the layout is defined by a
-ModelArchitecture.  All arithmetic that feeds results (losses, gradients,
-aggregation) runs in float64 and is round-to-float32 only at the storage
-boundary, keeping every operation bit-reproducible for fixed inputs.
+ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
+gradients and aggregation run in float64 and are rounded to float32 only at
+the storage boundary, and :func:`evaluate` screens a wide test set in
+float32 only where certified error bounds prove each prediction equal to the
+float64 pass's.  Every operation is bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 INIT_SCALE = 0.05
+# evaluate screens a test set in float32 when it holds at least
+# WIDE_ELEMENTS feature values (rows x input_dim; eval_set marks it wide) and
+# the model's first layer makes at least WIDE_LAYER multiplies a row
+# (input_dim x hidden_dim, or x class_count).  Below either, the float64 pass
+# is about as fast as the screen's bookkeeping, or faster.
+WIDE_ELEMENTS = 1 << 19
+WIDE_LAYER = 1 << 12
+# Unit roundoff and smallest normal value of each precision.
+_F32 = (2.0 ** -24, 2.0 ** -126)
+_F64 = (2.0 ** -53, 2.0 ** -1022)
+_F32_MAX = float(np.finfo(np.float32).max)
+# Covers the rounding of the bounds' own float64 arithmetic.
+_SAFETY = 1.0 + 1e-9
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
           "str | None": (str, type(None)), "dict": dict}
 
@@ -103,13 +118,19 @@ class LabeledDataset:
 # a plain class: as a dataclass it would add about 0.7 ms to every import
 class EvalSet:
     """A test set prepared for many evaluations: its features already cast to
-    float64, so :func:`evaluate` casts nothing.  Build it with :func:`eval_set`."""
+    float64, so :func:`evaluate` casts nothing.  A wide set instead keeps its
+    float32 features, and each row's float64 2-norm in ``norms`` (None on
+    any other set), for :func:`evaluate`'s float32 screen; the float64 pass
+    casts the rows it needs.  Build it with :func:`eval_set`, and change
+    none of its arrays afterwards."""
 
-    __slots__ = ("features", "labels")
+    __slots__ = ("features", "labels", "norms")
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray):
+    def __init__(self, features: np.ndarray, labels: np.ndarray,
+                 norms: np.ndarray | None = None):
         self.features = features
         self.labels = labels
+        self.norms = norms
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -117,10 +138,16 @@ class EvalSet:
 
 def eval_set(test: LabeledDataset | EvalSet) -> EvalSet:
     """``test`` prepared for repeated :func:`evaluate` calls (one float64 cast;
-    a prepared set is returned as it is)."""
+    a prepared set is returned as it is).  Float32 features of at least
+    :data:`WIDE_ELEMENTS` values make a wide set."""
     if isinstance(test, EvalSet):
         return test
-    return EvalSet(np.asarray(test.features, dtype=np.float64), test.labels)
+    features = test.features
+    if features.dtype != np.float32 or features.size < WIDE_ELEMENTS:
+        return EvalSet(np.asarray(features, dtype=np.float64), test.labels)
+    features = np.ascontiguousarray(features)
+    return EvalSet(features, test.labels, np.sqrt(
+        np.einsum("ij,ij->i", features, features, dtype=np.float64)))
 
 
 def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
@@ -153,8 +180,9 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
 
 
 def _forward(layers: tuple, x: np.ndarray):
-    """One forward pass of float64 ``x`` through the views :func:`_unpack`
-    gives: (post-ReLU hidden layer or None, logits).  Biases and the ReLU are
+    """One forward pass of ``x`` through the views :func:`_unpack` gives, in
+    their precision (float64; float32 in :func:`evaluate`'s screen):
+    (post-ReLU hidden layer or None, logits).  Biases and the ReLU are
     applied in place on each fresh product, which gives the same bits as
     ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot`` makes the same
     BLAS call as ``@`` on these 2-D float64 operands, with less dispatch
@@ -263,16 +291,146 @@ def gradient_update(local: np.ndarray, base: np.ndarray) -> np.ndarray:
     return local - base
 
 
+def _bound_terms(layers: tuple, max_norm: float) -> tuple | None:
+    """What :func:`_margins` needs of float32 parameters, in float64: upper
+    bounds on the first layer's column norms and the absolute values of the
+    other weights; None where a float32 sum could overflow, for rows of
+    2-norm up to ``max_norm``, or a value is not finite."""
+    u, tiny = _F32
+    w, b = layers[0], layers[1]
+    d = w.shape[0]
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    with np.errstate(over="ignore"):  # an infinite square is refused below
+        squares = np.square(w)
+    # each column's sum of squares, summed in float32, falls short of the
+    # exact sum by at most a factor 1 - gamma and 2d smallest normals
+    sums = np.dot(np.ones(d, dtype=np.float32), squares).astype(np.float64)
+    w_norms = np.sqrt((sums + 2 * d * tiny) / (1 - gamma))
+    abs_b = np.abs(b).astype(np.float64)
+    # no partial sum of a first-layer unit, in any row, exceeds this by more
+    # than a factor 1 + gamma
+    reach = max_norm * w_norms + abs_b
+    if not reach.max() < _F32_MAX / 2:  # also refuses NaN
+        return None
+    if len(layers) == 2:
+        return d, w_norms, abs_b
+    abs_w2 = np.abs(layers[2]).astype(np.float64)
+    abs_b2 = np.abs(layers[3]).astype(np.float64)
+    # nor of a logit, since a hidden unit is at most 2 reach + 1
+    if not (np.dot(2 * reach + 1, abs_w2) + abs_b2).max() < _F32_MAX / 2:
+        return None
+    return d, w_norms, abs_b, abs_w2, abs_b2
+
+
+def _margins(terms: tuple, norms: np.ndarray, hidden: np.ndarray | None,
+             precision: tuple[float, float]) -> np.ndarray:
+    """For rows of 2-norms ``norms`` run through :func:`_forward` at
+    ``precision``: a margin per logit (float64, classes x rows) that covers
+    its distance from the float64 pass's logit, and the rounding of
+    :func:`_decide`'s float64 comparisons.
+
+    An inner product of n terms, summed in any order, with or without FMA,
+    is within gamma_n |x|.|y| of the exact one, gamma_n = nu / (1 - nu)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1);
+    the bias add makes n = d + 1.  By Cauchy-Schwarz |x|.|w_j| <=
+    ||x|| ||w_j||, so a first-layer unit is within e1 = gamma_{d+1}
+    (||x|| ||w_j|| + |b_j|) of exact.  The ReLU is 1-Lipschitz, so the
+    computed hidden layer h' is too, and a logit is within E = gamma_{h+1}
+    (|h'|.|W2| + |b2|) + e1.|W2| of exact.  Each layer adds 2n + 2 times
+    the smallest normal value, which covers underflow, gradual or flushed
+    to zero.
+
+    The float64 pass's logit is within its own E of exact, and its E is at
+    most r (1 + 2 gamma) times this one, r = 2^-53 / u (its hidden layer is
+    within 2 e1 of h'), so (1 + r (1 + 2 gamma)) E covers the distance
+    between the two.  Since |logit| <= E (1 + gamma) / gamma for the last
+    layer's gamma, the last term covers the rounding of the comparisons,
+    and the safety factor that of these bounds' own float64 arithmetic."""
+    u, tiny = precision
+    d, w_norms, abs_b = terms[:3]
+    gamma = gamma1 = (d + 1) * u / (1 - (d + 1) * u)
+    slack1 = (2 * d + 2) * tiny
+    if hidden is None:
+        err = np.multiply.outer(gamma1 * w_norms, norms)
+        err += (gamma1 * abs_b + slack1)[:, None]
+    else:
+        abs_w2, abs_b2 = terms[3:]
+        h = abs_w2.shape[0]
+        gamma = (h + 1) * u / (1 - (h + 1) * u)
+        # |h'|.|W2|, summed at the pass's precision, falls short of the
+        # exact sum by at most a factor 1 - gamma and 2h smallest normals
+        magnitude = np.dot(abs_w2.T.astype(hidden.dtype), hidden.T)
+        err = np.multiply(magnitude, gamma / (1 - gamma), dtype=np.float64)
+        # e1.|W2| is rank one in the rows
+        err += np.multiply.outer(gamma1 * np.dot(w_norms, abs_w2), norms)
+        err += (gamma1 * np.dot(abs_b, abs_w2) + slack1 * abs_w2.sum(axis=0)
+                + gamma * abs_b2 + (2 * h + 2) * tiny
+                + 2 * h * tiny * gamma / (1 - gamma))[:, None]
+    r = _F64[0] / u
+    err *= _SAFETY * (1 + r * (1 + 2 * gamma)) + 2 * _F64[0] * (1 + gamma) / gamma
+    return err
+
+
+def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top logit, and the rows where the float64 pass's argmax
+    could differ.  A row is decided when one class's lowest value (logit
+    less margin) beats every other class's highest: that class is then the
+    row's argmax at either precision.  A row with no such class at all can
+    only hold NaN, and is undecided too."""
+    scores = np.array(logits.T, dtype=np.float64, order="C")
+    low = scores - margins
+    high = np.add(scores, margins, out=margins)
+    rivals = (high >= low.max(axis=0)).sum(axis=0)
+    return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
+
+
+def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
+                     test: EvalSet) -> np.ndarray | None:
+    """The argmax of every row of ``predict_logits(arch, params,
+    test.features)``, or None.  A float32 pass decides each row whose top
+    logit beats every other by more than their bounds (see
+    :func:`_decide`); the undecided rows are scored again in float64 under
+    the float64 bounds, and if any is still undecided (exact ties, all-zero
+    parameters) or anything could overflow, the answer is None."""
+    layers = _unpack(arch, params)
+    terms = _bound_terms(layers, test.norms.max())
+    if terms is None:
+        return None
+    hidden, logits = _forward(layers, test.features)
+    top, undecided = _decide(logits, _margins(terms, test.norms, hidden, _F32))
+    if undecided.size:
+        layers = _unpack(arch, params.astype(np.float64))
+        rows = test.features[undecided].astype(np.float64)
+        hidden, logits = _forward(layers, rows)
+        rescored, still = _decide(logits, _margins(terms, test.norms[undecided],
+                                                   hidden, _F64))
+        if still.size:
+            return None
+        top[undecided] = rescored
+    return top
+
+
 def evaluate(arch: ModelArchitecture, params: np.ndarray,
              test: LabeledDataset | EvalSet) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
     A test set prepared by :func:`eval_set` is used as it is; a
-    :class:`LabeledDataset`'s features are cast to float64 on every call."""
+    :class:`LabeledDataset`'s features are cast to float64 on every call,
+    and so are a wide set's where the screen falls back.  On a wide set,
+    float32 parameters of the right shape for a wide enough first layer
+    (see :data:`WIDE_LAYER`) are screened in float32 first
+    (:func:`_screened_argmax`); the accuracy is always that of the float64
+    forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    predictions = predict_logits(arch, params, test.features).argmax(axis=1)
+    predictions = None
+    if (getattr(test, "norms", None) is not None and params.dtype == np.float32
+            and params.shape == (arch.param_count,)
+            and arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER):
+        predictions = _screened_argmax(arch, params, test)
+    if predictions is None:
+        predictions = predict_logits(arch, params, test.features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows
 
 

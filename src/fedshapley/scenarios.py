@@ -92,7 +92,8 @@ class ScenarioSpec:
     def param(self) -> float | list[float] | None:
         """The entry this kind reads, or its default; ValueError unless
         ``params`` holds no other entry and a given skew is one number in
-        [0, 1], a given schedule n numbers: rates in [0, 1], ratios > 0."""
+        [0, 1], a given schedule n numbers: rates in [0, 1], ratios > 0.
+        The default flip rates pass 1 from n = 44 on, and are refused there."""
         key, default = SCENARIO_PARAMS[self.kind] or (None, None)
         others = sorted(str(k) for k in self.params if k != key)
         if others:
@@ -105,7 +106,12 @@ class ScenarioSpec:
                 f"{self.kind.value} pairs participants; n={self.n} is odd and no "
                 "explicit per-participant schedule was given")
         if key not in self.params:
-            return default(self.n)
+            value = default(self.n)
+            # a flip rate is a share of rows; a noise scale may pass 1
+            if key == "flip_rates" and max(value) > 1:
+                raise ValueError(f"the default flip_rates pass 1 at n={self.n}; "
+                                 "give explicit flip_rates")
+            return value
         value = self.params[key]
         values, count = ([value], 1) if key == "skew" else (value, self.n)
         if not (isinstance(values, (list, tuple)) and len(values) == count and all(

@@ -700,6 +700,9 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["simulate", "--config", _scenario(
         w, "noisy_labels", {"flip_rates": 0.1})],
                  EXIT_USAGE, id="simulate-scenario-flip-rates-a-scalar"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, scenario={"kind": "noisy_labels", "n": 44})],
+                 EXIT_USAGE, id="simulate-scenario-default-flip-rates-past-one"),
     pytest.param(lambda w, log: ["compare", "--config",
                                  _config(w, model={"input_dim": 5})],
                  EXIT_USAGE, id="compare-config-model-mismatch"),

@@ -53,7 +53,7 @@ from fedshapley import (
     tmc_shapley_eval,
     tmr_eval,
 )
-from fedshapley import estimators
+from fedshapley import estimators, models
 from fedshapley.estimators import estimator, round_utilities
 from fedshapley.federation import CHUNK_ELEMENTS, RoundStack
 from fedshapley.games import players_of
@@ -633,6 +633,30 @@ def test_walker_matches_the_first_implementation(monkeypatch, walker_log,
             patched.setattr(estimators, "gtg_round", reference_gtg_round)
             want = estimate(log, test, cfg)
         assert_reports_bit_equal(got, want)
+
+
+SCREENED_LOGS = {**{name: WALKER_LOGS[name]
+                    for name in ("quick", "acceptance-iid", "acceptance-skewed")},
+                 "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2]}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED_LOGS))
+def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
+    # with every test set wide, each evaluation is screened in float32 first
+    log, test = SCREENED_LOGS[name]()
+    cfg = GtgConfig(seed=9)
+    runs = [lambda: gtg_eval(log, test, cfg), lambda: gtg_oti(log, test, cfg),
+            lambda: mr_eval(log, test)]
+    wants = [run() for run in runs]
+    screened = []
+    screen = models._screened_argmax
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    monkeypatch.setattr(models, "_screened_argmax",
+                        lambda *args: screened.append(args) or screen(*args))
+    for run, want in zip(runs, wants):
+        assert_reports_bit_equal(run(), want)
+    assert len(screened) == sum(want.eval_count for want in wants)
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

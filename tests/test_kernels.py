@@ -4,11 +4,12 @@ against test-local copies of their first implementations.
 The references below allocate a fresh float64 copy of the test features on
 every call, add biases and the ReLU into new temporaries, compute the loss on
 every training batch and allocate one temporary per coalition member.  The
-library's kernels skip that work; every result must still be bit-equal, not
-merely close.
+library's kernels skip that work, and evaluate screens wide test sets in
+float32; every result must still be bit-equal, not merely close.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 
@@ -28,7 +29,7 @@ from fedshapley import (
     predict_logits,
     train_local,
 )
-from fedshapley import federation
+from fedshapley import federation, models
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
 from fedshapley.federation import RoundStack
 
@@ -309,3 +310,114 @@ def test_a_prepared_set_needs_no_labeled_dataset():
     params = init_params(arch, seed=2)
     by_hand = EvalSet(test.features.astype(np.float64), test.labels)
     assert evaluate(arch, params, by_hand) == ref_evaluate(arch, params, test)
+
+
+# --- the float32 screen of wide test sets ---------------------------------------
+
+
+class ScreenBranches:
+    """Counts which way each screened evaluation went: "float32" (the
+    float32 pass decided every row), "float64-subset" (some rows were scored
+    again in float64) or "fallback" (the float64 pass scored the whole set)."""
+
+    def __init__(self, monkeypatch):
+        self.seen = collections.Counter()
+        decide, screen = models._decide, models._screened_argmax
+        stages = []
+
+        def counted_decide(logits, margins):
+            stages.append(logits.dtype)
+            return decide(logits, margins)
+
+        def counted_screen(*args):
+            stages.clear()
+            top = screen(*args)
+            self.seen["fallback" if top is None else
+                      "float64-subset" if len(stages) > 1 else "float32"] += 1
+            return top
+
+        monkeypatch.setattr(models, "_decide", counted_decide)
+        monkeypatch.setattr(models, "_screened_argmax", counted_screen)
+
+
+def screen_param_cases(arch: ModelArchitecture,
+                       data: LabeledDataset) -> list[np.ndarray]:
+    """:func:`param_cases`, trained parameters, and trained parameters
+    edited so that class 1 ties class 0 exactly (the tie resolves to class
+    0), or differs from it by one float32 ulp in its bias or in each
+    weight, which float32 sums can miss or reverse; one NaN; large values
+    (whose float32 sums overflow only in the second layer, if there is one)
+    and values whose float32 sums overflow in the first."""
+    cases = param_cases(arch)
+    trained = train_local(arch, cases[0], data, TrainConfig(
+        local_epochs=3, batch_size=8, learning_rate=0.3, seed=1))
+    up = np.float32(np.inf)
+    tied, near_bias, near_weight = trained.copy(), trained.copy(), trained.copy()
+    for params in (tied, near_bias, near_weight):
+        w, b = models._unpack(arch, params)[-2:]
+        w[:, 1] = w[:, 0]
+        b[1] = b[0]
+    bias = models._unpack(arch, near_bias)[-1]
+    bias[1] = np.nextafter(bias[0], up)
+    weights = models._unpack(arch, near_weight)[-2]
+    signs = np.random.default_rng(arch.param_count).choice([-up, up], len(weights))
+    weights[:, 1] = np.nextafter(weights[:, 0], signs)
+    nan = trained.copy()
+    nan[arch.param_count // 2] = np.nan
+    large = trained.copy()
+    layers = models._unpack(arch, large)
+    layers[0][...] *= np.float32(1e17)
+    if arch.hidden_dim:
+        layers[2][...] *= np.float32(1e22)
+    return cases + [trained, tied, near_bias, near_weight, nan, large,
+                    np.full(arch.param_count, 3e38, dtype=np.float32)]
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
+    # every set is wide, every model wide enough
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    branches = ScreenBranches(monkeypatch)
+    full = blobs(arch, 12, seed=5)
+    one_row = LabeledDataset(full.features[:1], full.labels[:1])
+    for test in (full, one_row):
+        prepared = eval_set(test)
+        assert prepared.norms is not None
+        for params in screen_param_cases(arch, full):
+            # neither a set that was not prepared nor float64 parameters
+            # are screened: both take the float64 pass
+            screened = branches.seen.total()
+            want = evaluate(arch, params, test)
+            assert same_bits(evaluate(arch, params.astype(np.float64), prepared), want)
+            assert branches.seen.total() == screened
+            assert same_bits(evaluate(arch, params, prepared), want)
+            assert branches.seen.total() == screened + 1
+    assert set(branches.seen) == {"float32", "float64-subset", "fallback"}
+
+
+def test_eval_set_marks_wide_sets():
+    arch = ARCHS[-1]
+    rows = -(-models.WIDE_ELEMENTS // arch.input_dim)  # the fewest wide rows
+    data = blobs(arch, rows // arch.class_count + 1, seed=6)
+    narrow = eval_set(LabeledDataset(data.features[:rows - 1], data.labels[:rows - 1]))
+    wide = eval_set(LabeledDataset(data.features[:rows], data.labels[:rows]))
+    assert narrow.features.dtype == np.float64 and narrow.norms is None
+    # a wide set keeps its float32 features, uncopied, and no float64 copy
+    assert np.shares_memory(wide.features, data.features)
+    assert wide.features.dtype == np.float32 and wide.norms.dtype == np.float64
+    assert np.allclose(wide.norms, np.linalg.norm(wide.features.astype(np.float64),
+                                                  axis=1), rtol=1e-12)
+    # a set built by hand is never wide
+    assert models.EvalSet(wide.features, wide.labels).norms is None
+
+
+def test_only_wide_enough_layers_are_screened(monkeypatch):
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    branches = ScreenBranches(monkeypatch)
+    for arch in ARCHS:
+        test = blobs(arch, 2, seed=7)
+        evaluate(arch, init_params(arch, seed=1), eval_set(test))
+        width = arch.input_dim * (arch.hidden_dim or arch.class_count)
+        assert branches.seen.total() == (width >= models.WIDE_LAYER)
+        branches.seen.clear()

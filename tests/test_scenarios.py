@@ -296,6 +296,17 @@ def test_scenario_spec_validation():
         ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=3, params={"skew": 0.5})
 
 
+def test_default_flip_rates_are_refused_past_one():
+    # pair k's default rate is 0.05 (k - 1): 1.0 at n = 42, 1.05 at n = 44
+    assert max(ScenarioSpec(ScenarioKind.NOISY_LABELS, n=42).param()) == 1.0
+    with pytest.raises(ValueError, match="^the default flip_rates pass 1 at n=44; "
+                                         "give explicit flip_rates$"):
+        ScenarioSpec(ScenarioKind.NOISY_LABELS, n=44)
+    ScenarioSpec(ScenarioKind.NOISY_LABELS, n=44, params={"flip_rates": [0.5] * 44})
+    # feature noise scales may pass 1
+    assert max(ScenarioSpec(ScenarioKind.NOISY_FEATURES, n=44).param()) == 0.05 * 21
+
+
 def test_scenario_spec_resolves_its_one_entry():
     spec = ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=4, params={"skew": 1})
     assert spec.param() == 1.0 and spec.params == {"skew": 1}  # kept as given
