@@ -105,6 +105,7 @@ def config_from_dict(doc: object, path: str | Path,
 
         scen_tbl = _section(doc, "scenario")
         scen_tbl.setdefault("kind", "same_dist_same_size")
+        scen_tbl.pop("per_class_pool", None)  # unused; earlier sidecars carry it
         scenario = ScenarioSpec(seed=derive_seed(seed, "scenario"), **scen_tbl)
 
         model_tbl = _section(doc, "model")

@@ -370,8 +370,7 @@ class RetrainOracle:
         parts = [self._by_id[i].dataset for i in sorted(ids)]
         merged = LabeledDataset(
             features=np.concatenate([p.features for p in parts]),
-            labels=np.concatenate([p.labels for p in parts]),
-            id="coalition-" + "-".join(str(i) for i in sorted(ids)))
+            labels=np.concatenate([p.labels for p in parts]))
         model = train_local(self._arch, self._base, merged, self._cfg)
         return evaluate(self._arch, model, self._test)
 
@@ -407,8 +406,8 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
     """Truncated Monte-Carlo baseline over the retraining utility.
 
     Permutation sampling with within-permutation truncation against the
-    grand-coalition utility; ``eps_between`` is ignored (single game,
-    unguided sampling unless cfg.sampling overrides)."""
+    grand-coalition utility.  One game, so ``eps_between`` is ignored;
+    "guided" sampling runs as "uniform", and "cycle" is kept."""
     game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
     cfg = cfg or GtgConfig()
     cfg = dataclasses.replace(cfg, eps_between=0.0, sampling=(
@@ -499,8 +498,8 @@ ESTIMATORS = {
     "mr": Estimator(mr_eval),
     "tmr": Estimator(tmr_eval, ("lam", "round_threshold"), checked=_tmr_params),
     "original": Estimator(original_shapley_eval, retrains=True),
-    "tmc": Estimator(tmc_shapley_eval, _cfg_fields("eps_between"), sampled=True,
-                     retrains=True),
+    "tmc": Estimator(tmc_shapley_eval, _cfg_fields("eps_between", "sampling"),
+                     sampled=True, retrains=True),
 }
 
 

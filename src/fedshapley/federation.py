@@ -30,6 +30,7 @@ from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
 LOG_FORMAT_VERSION = 1
+LOG_HEADER = struct.Struct("<4sH5I")
 CHUNK_ELEMENTS = 1 << 16  # float64 values per chunk of rebuilt models
 EXACT_WEIGHT_LIMIT = 1 << 53
 
@@ -263,13 +264,10 @@ def save_log(log: GradientLog, path: str | Path,
     path = Path(path)
     arch = log.architecture
     n, big_t = log.n, log.total_rounds
-    buf = bytearray()
-    buf += LOG_MAGIC
-    buf += struct.pack("<H", LOG_FORMAT_VERSION)
-    buf += struct.pack("<5I", arch.input_dim, arch.hidden_dim, arch.class_count,
-                       n, big_t)
-    for pid in sorted(log.participant_weights):
-        buf += struct.pack("<Q", log.participant_weights[pid])
+    buf = bytearray(LOG_HEADER.pack(LOG_MAGIC, LOG_FORMAT_VERSION, arch.input_dim,
+                                    arch.hidden_dim, arch.class_count, n, big_t))
+    buf += struct.pack(f"<{n}Q", *(log.participant_weights[pid]
+                                   for pid in sorted(log.participant_weights)))
     for rec in log.rounds:
         buf += _f32_bytes(rec.base_model)
         for pid in sorted(rec.updates):
@@ -290,11 +288,11 @@ def save_log(log: GradientLog, path: str | Path,
 def load_log(path: str | Path) -> GradientLog:
     """Read a log written by :func:`save_log`; verifies version and checksum."""
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sH5I")
+    head = LOG_HEADER.size
     if len(raw) < head + 4:
         raise LogFormatError(f"{path}: file too short to be a gradient log")
-    magic, version, input_dim, hidden_dim, class_count, n, big_t = struct.unpack_from(
-        "<4sH5I", raw)
+    magic, version, input_dim, hidden_dim, class_count, n, big_t = \
+        LOG_HEADER.unpack_from(raw)
     if magic != LOG_MAGIC:
         raise LogFormatError(f"{path}: bad magic {magic!r}")
     if version != LOG_FORMAT_VERSION:
@@ -318,25 +316,15 @@ def load_log(path: str | Path) -> GradientLog:
     if zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
 
-    off = head
-    weights: dict[int, int] = {}
-    for pid in range(1, n + 1):
-        weights[pid] = struct.unpack_from("<Q", raw, off)[0]
-        off += 8
-
-    def block() -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(raw, dtype="<f4", count=p, offset=off).copy()
-        off += 4 * p
-        return arr
-
-    records = []
-    for t in range(big_t):
-        base = block()
-        updates = {pid: block() for pid in range(1, n + 1)}
-        aggregated = block()
-        records.append(RoundRecord(round=t, base_model=base, updates=updates,
-                                   aggregated=aggregated))
+    weights = dict(enumerate(struct.unpack_from(f"<{n}Q", raw, head), start=1))
+    # blocks are copied out one by one: one copy of the whole body peaks higher
+    body = np.frombuffer(raw, dtype="<f4", count=big_t * (n + 2) * p,
+                         offset=head + 8 * n).reshape(big_t, n + 2, p)
+    records = [RoundRecord(round=t, base_model=blocks[0].copy(),
+                           updates={pid: blocks[pid].copy()
+                                    for pid in range(1, n + 1)},
+                           aggregated=blocks[n + 1].copy())
+               for t, blocks in enumerate(body)]
     return GradientLog(architecture=arch, rounds=records,
                        participant_weights=weights)
 

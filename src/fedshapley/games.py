@@ -89,15 +89,12 @@ class CoalitionGame:
         return self.value_mask(mask_of(coalition))
 
     @classmethod
-    def from_table(cls, n: int, table: dict[frozenset[int] | tuple[int, ...], float],
-                   default_empty: float = 0.0) -> "CoalitionGame":
-        """Game backed by an explicit coalition -> value table.
-
-        Missing empty coalition defaults to ``default_empty`` (the usual
-        V(∅) = 0 convention).
-        """
+    def from_table(cls, n: int, table: dict[frozenset[int] | tuple[int, ...], float]
+                   ) -> "CoalitionGame":
+        """Game backed by an explicit coalition -> value table; a missing
+        empty coalition is worth 0 (the usual V(∅) = 0 convention)."""
         by_mask = {mask_of(k): float(v) for k, v in table.items()}
-        by_mask.setdefault(0, float(default_empty))
+        by_mask.setdefault(0, 0.0)
 
         def lookup(ids: tuple[int, ...]) -> float:
             try:

@@ -95,7 +95,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    id: str = ""
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float32)
@@ -184,11 +183,12 @@ def _forward(layers: tuple, x: np.ndarray):
     their precision (float64; float32 in :func:`evaluate`'s screen):
     (post-ReLU hidden layer or None, logits).  Biases and the ReLU are
     applied in place on each fresh product, which gives the same bits as
-    ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot`` makes the same
-    BLAS call as ``@`` on these 2-D float64 operands, with less dispatch
-    overhead.  The two differ only in the sign of an exact-zero 1x1 product
-    (one row, one input, one hidden unit), which the bias add erases unless
-    that bias is -0.0."""
+    ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot`` gives ``@``'s
+    bits on these 2-D float64 operands with less dispatch overhead, except
+    for one row through a layer of one input (d = 1, or one hidden unit).
+    There an exact-zero input times a NaN or infinite weight gives 0 where
+    ``@`` gives NaN (with two or more outputs), and a 1x1 product's zero may
+    differ in sign, which the bias add erases unless that bias is -0.0."""
     if len(layers) == 2:
         w, b = layers
         logits = np.dot(x, w)

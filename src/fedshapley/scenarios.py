@@ -78,7 +78,6 @@ class ScenarioSpec:
     kind: ScenarioKind
     n: int = 10
     seed: int = 0
-    per_class_pool: int = 100
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -163,17 +162,17 @@ def generate_source(cfg: SyntheticSource, train_per_class: int,
     if np.any(gaps[~np.eye(c, dtype=bool)] == 0.0):
         raise ValueError("class means must be pairwise distinct")
 
-    def draw(per_class: int, tag: str) -> LabeledDataset:
+    def draw(per_class: int) -> LabeledDataset:
         feats = np.empty((c * per_class, d), dtype=np.float32)
         labels = np.empty(c * per_class, dtype=np.int64)
         for cls in range(c):
             block = means[cls] + cfg.spread * rng.standard_normal((per_class, d))
             feats[cls * per_class:(cls + 1) * per_class] = block.astype(np.float32)
             labels[cls * per_class:(cls + 1) * per_class] = cls
-        return LabeledDataset(features=feats, labels=labels, id=tag)
+        return LabeledDataset(features=feats, labels=labels)
 
-    train = draw(train_per_class, "train-pool")
-    test = draw(test_per_class, "test")
+    train = draw(train_per_class)
+    test = draw(test_per_class)
     return train, test
 
 
@@ -201,20 +200,19 @@ class _ClassQueues:
         return self._queues[cls][start:start + k]
 
 
-def _slice(pool: LabeledDataset, idx: np.ndarray, pid: int) -> LabeledDataset:
+def _slice(pool: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
     return LabeledDataset(features=pool.features[idx].copy(),
-                          labels=pool.labels[idx].copy(),
-                          id=f"participant-{pid}")
+                          labels=pool.labels[idx].copy())
 
 
 def _equal_balanced(pool: LabeledDataset, n: int,
                     queues: _ClassQueues) -> list[LabeledDataset]:
     shares = [queues.available(cls) // n for cls in range(queues.class_count)]
     out = []
-    for pid in range(1, n + 1):
+    for _ in range(n):
         idx = np.concatenate([queues.take(cls, shares[cls])
                               for cls in range(queues.class_count)])
-        out.append(_slice(pool, idx, pid))
+        out.append(_slice(pool, idx))
     return out
 
 
@@ -258,7 +256,7 @@ def _diff_dist(pool: LabeledDataset, n: int, skew: float,
         counts = _skewed_counts(pid, size, queues.class_count, skew)
         idx = np.concatenate([queues.take(cls, counts[cls])
                               for cls in sorted(counts)])
-        out.append(_slice(pool, idx, pid))
+        out.append(_slice(pool, idx))
     return out
 
 
@@ -273,7 +271,7 @@ def _diff_size(pool: LabeledDataset, ratios: list[float],
     c = queues.class_count
     remaining = [queues.available(cls) for cls in range(c)]
     out = []
-    for pid, size in enumerate(sizes, start=1):
+    for size in sizes:
         base, extra = divmod(size, c)
         counts = [base] * c
         remaining = [remaining[cls] - base for cls in range(c)]
@@ -285,7 +283,7 @@ def _diff_size(pool: LabeledDataset, ratios: list[float],
             counts[cls] += 1
             remaining[cls] -= 1
         idx = np.concatenate([queues.take(cls, counts[cls]) for cls in range(c)])
-        out.append(_slice(pool, idx, pid))
+        out.append(_slice(pool, idx))
     return out
 
 
@@ -356,5 +354,4 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset
         raise ValueError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
     feats = images.reshape(images.shape[0], -1).astype(np.float32) / np.float32(255.0)
-    return LabeledDataset(features=feats, labels=labels.astype(np.int64),
-                          id=str(images_path))
+    return LabeledDataset(features=feats, labels=labels.astype(np.int64))

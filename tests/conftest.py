@@ -39,8 +39,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def gaussian_blobs(rows_per_class: int, input_dim: int, class_count: int,
-                   seed: int, spread: float = 2.0,
-                   name: str = "blob") -> LabeledDataset:
+                   seed: int, spread: float = 2.0) -> LabeledDataset:
     """Well-separated class blobs; spread scales the mean separation."""
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((class_count, input_dim)) * spread
@@ -50,7 +49,7 @@ def gaussian_blobs(rows_per_class: int, input_dim: int, class_count: int,
         feats.append(means[c] + rng.standard_normal((rows_per_class, input_dim)))
         labels.append(np.full(rows_per_class, c, dtype=np.int64))
     return LabeledDataset(np.concatenate(feats).astype(np.float32),
-                          np.concatenate(labels), id=name)
+                          np.concatenate(labels))
 
 
 def split_participants(data: LabeledDataset, n: int) -> list[Participant]:
@@ -59,9 +58,7 @@ def split_participants(data: LabeledDataset, n: int) -> list[Participant]:
     for i in range(n):
         idx = np.arange(i, len(data), n)
         parts.append(Participant(
-            id=i + 1,
-            dataset=LabeledDataset(data.features[idx], data.labels[idx],
-                                   id=f"p{i + 1}")))
+            id=i + 1, dataset=LabeledDataset(data.features[idx], data.labels[idx])))
     return parts
 
 
@@ -73,7 +70,7 @@ def quick_log(n: int = 3, rounds: int = 2, seed: int = 0, lr: float = 0.1,
     arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
                              class_count=class_count)
     train = gaussian_blobs(rows_per_class * n, input_dim, class_count, seed)
-    test = gaussian_blobs(8, input_dim, class_count, seed + 1, name="test")
+    test = gaussian_blobs(8, input_dim, class_count, seed + 1)
     parts = split_participants(train, n)
     cfg = TrainConfig(local_epochs=1, batch_size=16, learning_rate=lr,
                       seed=seed + 100)

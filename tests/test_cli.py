@@ -463,6 +463,24 @@ def test_class_means_reach_the_sidecar_and_evaluate(tmp_path, capsys):
     assert evaluate_doc(log, "mr", tmp_path)["total"] == want
 
 
+def test_sidecars_written_with_per_class_pool_still_evaluate(
+        eval_log, tmp_path, capsys):
+    # every sidecar written before per_class_pool was deleted carries it
+    log = str(tmp_path / Path(eval_log).name)
+    shutil.copy(eval_log, log)
+    shutil.copy(eval_log + ".json", log + ".json")
+    _sidecar(log, lambda d: d["metadata"]["config"]["scenario"].update(
+        per_class_pool=100))
+    old = evaluate_doc(log, "gtg", tmp_path / "old")
+    new = evaluate_doc(eval_log, "gtg", tmp_path / "new")
+    del old["wall_time_s"], new["wall_time_s"]
+    assert old == new
+    config = load_log_metadata(log)["metadata"]["config"]
+    config_path = _file(tmp_path / "old.json", json.dumps(config))
+    assert main(["simulate", "--config", config_path, "--print-config"]) == EXIT_OK
+    assert "per_class_pool" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("sidecar_doc", [
     [1],                                    # the top level is no object
     {"metadata": [1]},                      # nor is its metadata
@@ -738,6 +756,9 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, estimators=[{"name": "tmc", "params": {"eps_between": 0.1}}])],
                  EXIT_USAGE, id="compare-params-tmc-eps-between"),
+    pytest.param(lambda w, log: ["compare", "--config", _config(
+        w, estimators=[{"name": "tmc", "params": {"sampling": "guided"}}])],
+                 EXIT_USAGE, id="compare-params-tmc-sampling"),
     # log: evaluate
     pytest.param(lambda w, log: _evaluate(str(w / "absent.gtgl"), "mr"),
                  EXIT_RUNTIME, id="evaluate-log-missing"),

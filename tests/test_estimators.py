@@ -77,7 +77,7 @@ def synthetic_log(arch: ModelArchitecture, base: np.ndarray,
 
 def small_participants(n: int, seed: int = 0) -> tuple[list[Participant], LabeledDataset]:
     train = gaussian_blobs(6 * n, 5, 3, seed=seed)
-    test = gaussian_blobs(8, 5, 3, seed=seed, name="test")
+    test = gaussian_blobs(8, 5, 3, seed=seed)
     return split_participants(train, n), test
 
 
@@ -484,7 +484,8 @@ def test_estimator_registry_and_dispatch():
     fields = {f.name for f in dataclasses.fields(GtgConfig)}
     for name, overridden in (("gtg", set()), ("gtg_ti", {"eps_between", "sampling"}),
                              ("gtg_oti", {"eps_between", "sampling"}),
-                             ("gtg_tib", {"sampling"}), ("tmc", {"eps_between"})):
+                             ("gtg_tib", {"sampling"}),
+                             ("tmc", {"eps_between", "sampling"})):
         assert fields - set(estimator(name).options) == overridden
     with pytest.raises(ValueError, match="eps_withn"):
         run_log_estimator("gtg", log, test, {"eps_withn": 0.01})

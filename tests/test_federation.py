@@ -197,6 +197,20 @@ def test_log_round_trip_is_bit_exact(tmp_path):
     assert load_log_metadata(path)["metadata"] == {"note": "round trip"}
 
 
+def test_loaded_blocks_are_separate_writable_float32_arrays(tmp_path):
+    log, _, _ = quick_log(n=3, rounds=2, seed=4, hidden_dim=4)
+    loaded = load_log(save_log(log, tmp_path / "run.gtgl"))
+    blocks = [a for rec in loaded.rounds
+              for a in (rec.base_model, *rec.updates.values(), rec.aggregated)]
+    assert len(blocks) == 2 * (3 + 2)
+    for a in blocks:
+        assert a.dtype == np.float32 and a.shape == (log.architecture.param_count,)
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.flags.owndata  # copied out on its own, not a view of the body
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(blocks) for b in blocks[i + 1:])
+
+
 def test_save_is_byte_deterministic(tmp_path):
     log, _, _ = quick_log(n=3, rounds=2, seed=4)
     p1 = save_log(log, tmp_path / "a.gtgl")
