@@ -11,8 +11,8 @@ scenarios (:mod:`fedshapley.scenarios`), the estimator suite
 """
 
 from .estimators import (EstimatorReport, GtgConfig, RetrainOracle, RoundGame,
-                         estimator_names, gtg_eval, gtg_oti, gtg_round, gtg_ti,
-                         gtg_tib, guided_permutation, mc_shapley, mr_eval,
+                         gtg_eval, gtg_oti, gtg_round, gtg_ti, gtg_tib,
+                         guided_permutation, mc_shapley, mr_eval,
                          original_shapley_eval, position_marginal_profile,
                          round_marginal_gains, run_log_estimator,
                          tmc_shapley_eval, tmr_eval)
@@ -33,7 +33,7 @@ from .models import (EvalSet, LabeledDataset, ModelArchitecture, TrainConfig,
                      predict_logits, train_local)
 from .scenarios import (ScenarioKind, ScenarioSpec, SyntheticSource,
                         default_noise_rates, default_size_ratios,
-                        generate_source, load_idx, pair_of, partition)
+                        generate_source, pair_of, partition)
 from .seeding import derive_seed
 
 __version__ = "0.1.0"
@@ -47,12 +47,11 @@ __all__ = [
     "SyntheticSource", "TrainConfig", "UniformPermutationSampler",
     "build_report", "check_convergence", "convergence_criterion",
     "cosine_distance", "default_noise_rates", "default_size_ratios",
-    "derive_seed", "estimator_names", "euclidean_distance", "eval_set",
-    "evaluate",
+    "derive_seed", "euclidean_distance", "eval_set", "evaluate",
     "exact_shapley", "exact_shapley_by_permutations", "fedavg_aggregate",
     "finite_difference_check", "generate_source", "gradient_update",
     "gtg_eval", "gtg_oti", "gtg_round", "gtg_ti", "gtg_tib",
-    "guided_permutation", "init_params", "load_idx", "load_log",
+    "guided_permutation", "init_params", "load_log",
     "load_log_metadata", "loss_and_gradient", "max_difference", "mc_shapley",
     "mr_eval", "original_shapley_eval",
     "pair_of", "partition", "permutation_marginals", "position_marginal_profile",

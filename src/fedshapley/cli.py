@@ -451,8 +451,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, LogFormatError, OSError, RuntimeError,
-            ValueError) as exc:
+    except (CapacityError, LogFormatError, MemoryError, OSError,
+            RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -503,10 +503,6 @@ ESTIMATORS = {
 }
 
 
-def estimator_names() -> list[str]:
-    return list(ESTIMATORS)
-
-
 def estimator(name: str, log_based: bool = False) -> Estimator:
     """The table entry for ``name``; ValueError naming the registered ones
     (those that score a log alone, with ``log_based``) if there is none."""

@@ -283,13 +283,6 @@ class ConvergenceWindow:
     def full(self) -> bool:
         return self._size == self.lookback
 
-    @property
-    def history(self) -> tuple[np.ndarray, ...]:
-        """Copies of the stored estimates, oldest first."""
-        first = self._next - self._size
-        return tuple(self._ring[(first + i) % self.lookback].copy()
-                     for i in range(self._size))
-
     def push(self, estimate: np.ndarray) -> None:
         """Store a copy of ``estimate``, dropping the oldest once full."""
         estimate = np.asarray(estimate, dtype=np.float64)
@@ -300,9 +293,9 @@ class ConvergenceWindow:
         self._size = min(self._size + 1, self.lookback)
 
     def relative_change(self, current: np.ndarray) -> float:
-        """``convergence_criterion(current, self.history)``, bit-equal: numpy
-        sums each row of the 2-D reduction as the reference sums one vector,
-        and the row sums are added oldest first in Python, as there."""
+        """``convergence_criterion(current, pushed[-lookback:])`` over the
+        estimates pushed since ``clear``, bit-equal: numpy sums each row as
+        the reference sums one vector, and the row sums are added oldest first."""
         cur = np.asarray(current, dtype=np.float64)
         denom = np.maximum(np.abs(cur), RELATIVE_CHANGE_FLOOR)
         rows = (np.abs(cur - self._ring[:self._size]) / denom).sum(axis=1).tolist()

@@ -16,15 +16,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
-from pathlib import Path
 
 import numpy as np
 
 from .models import LabeledDataset, check_types
 from .seeding import derive_seed
-
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 
 class ScenarioKind(str, Enum):
@@ -201,8 +197,7 @@ class _ClassQueues:
 
 
 def _slice(pool: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
-    return LabeledDataset(features=pool.features[idx].copy(),
-                          labels=pool.labels[idx].copy())
+    return LabeledDataset(features=pool.features[idx], labels=pool.labels[idx])
 
 
 def _equal_balanced(pool: LabeledDataset, n: int,
@@ -327,31 +322,3 @@ def partition(pool: LabeledDataset, spec: ScenarioSpec) -> list[LabeledDataset]:
         _add_feature_noise(parts, value, pool_std, rng)
     return parts
 
-
-def _read_idx(path: str | Path, expected_magic: int, dims: int) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    header = 4 + 4 * dims
-    if len(raw) < header:
-        raise ValueError(f"{path}: truncated IDX header")
-    magic = int.from_bytes(raw[:4], "big")
-    if magic != expected_magic:
-        raise ValueError(f"{path}: bad IDX magic {magic:#010x}, "
-                         f"expected {expected_magic:#010x}")
-    shape = tuple(int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big")
-                  for i in range(dims))
-    need = header + math.prod(shape)
-    if len(raw) != need:
-        raise ValueError(f"{path}: expected {need} bytes for shape {shape}, "
-                         f"found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)
-
-
-def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
-    """Load an IDX image/label pair; pixels scaled to [0, 1]."""
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, dims=3)
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, dims=1)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    feats = images.reshape(images.shape[0], -1).astype(np.float32) / np.float32(255.0)
-    return LabeledDataset(features=feats, labels=labels.astype(np.int64))

@@ -16,7 +16,6 @@ from fedshapley import cli, estimators, federation
 from fedshapley import (
     GtgConfig,
     derive_seed,
-    estimator_names,
     gtg_eval,
     gtg_oti,
     gtg_ti,
@@ -404,7 +403,7 @@ def direct_estimate(name, log_path, seed=None):
     return original_shapley_eval(*retrain, init_seed=cfg.federation_seed)
 
 
-@pytest.mark.parametrize("name", estimator_names())
+@pytest.mark.parametrize("name", list(estimators.ESTIMATORS))
 def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, name):
     doc = evaluate_doc(eval_log, name, tmp_path)
     want = direct_estimate(name, eval_log)
@@ -759,6 +758,20 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, estimators=[{"name": "tmc", "params": {"sampling": "guided"}}])],
                  EXIT_USAGE, id="compare-params-tmc-sampling"),
+    # out of memory: each array is past 2^47 bytes, more than a 64-bit
+    # process can map, so numpy fails at once and touches no memory
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, model={"hidden_dim": 10**13})],
+                 EXIT_RUNTIME, id="simulate-out-of-memory-hidden-dim"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, data={"train_per_class": 10**14, "test_per_class": 6})],
+                 EXIT_RUNTIME, id="simulate-out-of-memory-train-rows"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 10**14, "class_count": 3})],
+                 EXIT_RUNTIME, id="simulate-out-of-memory-input-dim"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
+                                          _params(w, {"lookback": 10**14})),
+                 EXIT_RUNTIME, id="evaluate-out-of-memory-lookback"),
     # log: evaluate
     pytest.param(lambda w, log: _evaluate(str(w / "absent.gtgl"), "mr"),
                  EXIT_RUNTIME, id="evaluate-log-missing"),

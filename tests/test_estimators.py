@@ -32,7 +32,6 @@ from fedshapley import (
     TrainConfig,
     convergence_criterion,
     derive_seed,
-    estimator_names,
     evaluate,
     exact_shapley,
     exact_shapley_by_permutations,
@@ -463,8 +462,8 @@ def test_position_profile_telescopes_to_mean_round_gain():
 
 
 def test_estimator_registry_and_dispatch():
-    assert estimator_names() == ["gtg", "gtg_oti", "gtg_ti", "gtg_tib",
-                                 "mr", "tmr", "original", "tmc"]
+    assert list(estimators.ESTIMATORS) == ["gtg", "gtg_oti", "gtg_ti", "gtg_tib",
+                                           "mr", "tmr", "original", "tmc"]
     log, test, _ = quick_log(n=3, rounds=2, seed=11)
     by_name = run_log_estimator("mr", log, test)
     np.testing.assert_array_equal(by_name.total.values,

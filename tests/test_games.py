@@ -257,14 +257,22 @@ def test_near_zero_shares_do_not_converge_for_free():
 
 
 def test_window_is_a_ring_buffer():
+    # the window scores against the last ``lookback`` pushes, before and
+    # after the ring wraps, and ``clear`` forgets every earlier push
     window = ConvergenceWindow(lookback=10)
+    cur = np.array([3.0, -2.0])
+    pushed = []
     for k in range(15):
-        window.push(np.full(2, float(k)))
-    hist = window.history
-    assert len(hist) == 10
-    assert hist[0][0] == 5.0 and hist[-1][0] == 14.0
+        pushed.append(np.array([float(k), 1.0 / (k + 1)]))
+        window.push(pushed[-1])
+        assert window.full == (k >= 9)
+        assert window.relative_change(cur) == convergence_criterion(cur, pushed[-10:])
     window.clear()
-    assert window.history == ()
+    assert not window.full
+    pushed = [np.array([7.0, 0.5]), np.array([-1.0, 4.0])]
+    for estimate in pushed:
+        window.push(estimate)
+    assert window.relative_change(cur) == convergence_criterion(cur, pushed)
 
 
 def test_window_parameter_validation():
@@ -279,7 +287,9 @@ def test_window_stores_copies():
     estimate = np.array([1.0, 2.0])
     window.push(estimate)
     estimate[0] = 99.0
-    assert window.history[0][0] == 1.0
+    cur = np.array([1.5, 2.0])
+    assert window.relative_change(cur) == convergence_criterion(
+        cur, [np.array([1.0, 2.0])])
 
 
 @pytest.mark.parametrize("n", [2, 10, 50, 100, 129])
@@ -295,10 +305,12 @@ def test_window_criterion_is_bit_equal_to_the_reference(n):
                     base = scale * rng.standard_normal(n)
                     base[rng.random(n) < 0.25] = 0.0
                     window = ConvergenceWindow(lookback=lookback, threshold=0.05)
+                    pushed = []
                     for _ in range(pushes):
-                        window.push(base * (1 + spread * rng.standard_normal(n)))
+                        pushed.append(base * (1 + spread * rng.standard_normal(n)))
+                        window.push(pushed[-1])
                     for cur in (base, np.zeros(n)):
-                        want = convergence_criterion(cur, window.history)
+                        want = convergence_criterion(cur, pushed[-lookback:])
                         assert window.relative_change(cur) == want
                         assert check_convergence(window, cur) == (
                             pushes >= lookback and want < 0.05)

@@ -1,0 +1,14 @@
+"""The package's public surface: ``fedshapley.__all__``."""
+from __future__ import annotations
+
+import fedshapley
+
+
+def test_public_names_resolve():
+    names = fedshapley.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(fedshapley, name)] == []
+    # removed from the API: the IDX loader and a wrapper of list(ESTIMATORS)
+    for gone in ("load_idx", "estimator_names"):
+        assert gone not in names and not hasattr(fedshapley, gone)
+    assert not hasattr(fedshapley.ConvergenceWindow, "history")

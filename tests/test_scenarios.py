@@ -1,4 +1,4 @@
-"""Synthetic sources, the five partition schemes, and IDX loading.
+"""Synthetic sources and the five partition schemes.
 
 The partition contracts are all exact (row counts, class histograms, flip
 counts), so the tests sweep several seeds rather than eyeballing one draw.
@@ -6,7 +6,6 @@ counts), so the tests sweep several seeds rather than eyeballing one draw.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from fedshapley import (
     evaluate,
     generate_source,
     init_params,
-    load_idx,
     pair_of,
     partition,
     train_local,
@@ -330,47 +328,3 @@ def test_kind_parsing_accepts_both_spellings():
 def test_pair_layout():
     assert [pair_of(p) for p in range(1, 7)] == [1, 1, 2, 2, 3, 3]
 
-
-# --- IDX loading ---------------------------------------------------------------
-
-
-def idx_fixture(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
-                label_count=None):
-    img = struct.pack(">IIII", image_magic, len(pixels) // 4, 2, 2) + bytes(pixels)
-    lab = struct.pack(">II", label_magic, label_count if label_count is not None
-                      else len(labels)) + bytes(labels)
-    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-    ip.write_bytes(img)
-    lp.write_bytes(lab)
-    return ip, lp
-
-
-def test_idx_round_trip(tmp_path):
-    ip, lp = idx_fixture(tmp_path, [0, 51, 102, 153, 204, 255, 10, 20], [3, 1])
-    data = load_idx(ip, lp)
-    assert data.features.shape == (2, 4)
-    assert data.labels.tolist() == [3, 1] and data.labels.dtype == np.int64
-    np.testing.assert_array_equal(
-        data.features,
-        (np.array([[0, 51, 102, 153], [204, 255, 10, 20]], dtype=np.float32)
-         / np.float32(255.0)))
-    assert data.features.max() <= 1.0 and data.features.min() >= 0.0
-
-
-def test_idx_rejects_malformed_files(tmp_path):
-    ip, lp = idx_fixture(tmp_path, [1] * 8, [0, 1], image_magic=0x805)
-    with pytest.raises(ValueError, match="magic"):
-        load_idx(ip, lp)
-
-    ip, lp = idx_fixture(tmp_path, [1] * 8, [0, 1], label_count=3)
-    with pytest.raises(ValueError):
-        load_idx(ip, lp)
-
-    ip, lp = idx_fixture(tmp_path, [1] * 8, [0, 1, 2])  # 3 labels, 2 images
-    with pytest.raises(ValueError, match="mismatch"):
-        load_idx(ip, lp)
-
-    stub = tmp_path / "stub.idx"
-    stub.write_bytes(b"\x00\x00")
-    with pytest.raises(ValueError, match="truncated"):
-        load_idx(stub, lp)
