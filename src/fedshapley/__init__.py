@@ -27,10 +27,9 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
 from .metrics import (ComparisonRow, build_report, cosine_distance,
                       euclidean_distance, max_difference, read_report,
                       report_to_csv, write_report)
-from .models import (EvalSet, LabeledDataset, ModelArchitecture, TrainConfig,
-                     eval_set, evaluate, finite_difference_check,
-                     gradient_update, init_params, loss_and_gradient,
-                     predict_logits, train_local)
+from .models import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
+                     finite_difference_check, gradient_update, init_params,
+                     loss_and_gradient, predict_logits, train_local)
 from .scenarios import (ScenarioKind, ScenarioSpec, SyntheticSource,
                         default_noise_rates, default_size_ratios,
                         generate_source, pair_of, partition)
@@ -41,13 +40,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "CoalitionGame", "ComparisonRow", "ContributionVector",
     "ConvergenceWindow", "CyclingPermutationSampler", "EstimatorReport",
-    "EvalSet", "GradientLog", "GtgConfig", "LabeledDataset",
+    "GradientLog", "GtgConfig", "LabeledDataset",
     "LogFormatError", "ModelArchitecture", "Participant", "RetrainOracle",
     "RoundGame", "RoundRecord", "ScenarioKind", "ScenarioSpec",
     "SyntheticSource", "TrainConfig", "UniformPermutationSampler",
     "build_report", "check_convergence", "convergence_criterion",
     "cosine_distance", "default_noise_rates", "default_size_ratios",
-    "derive_seed", "euclidean_distance", "eval_set", "evaluate",
+    "derive_seed", "euclidean_distance", "evaluate",
     "exact_shapley", "exact_shapley_by_permutations", "fedavg_aggregate",
     "finite_difference_check", "generate_source", "gradient_update",
     "gtg_eval", "gtg_oti", "gtg_round", "gtg_ti", "gtg_tib",

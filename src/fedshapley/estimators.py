@@ -43,8 +43,8 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     UniformPermutationSampler, check_convergence,
                     check_enumerable, exact_shapley, shapley_from_values,
                     walk_order)
-from .models import (EvalSet, LabeledDataset, ModelArchitecture, TrainConfig,
-                     check_types, eval_set, evaluate, init_params, train_local)
+from .models import (LabeledDataset, ModelArchitecture, TrainConfig, check_types,
+                     evaluate, init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -84,8 +84,10 @@ class GtgConfig:
         self.window()  # the window checks lookback and threshold
 
     def window(self) -> ConvergenceWindow:
-        return ConvergenceWindow(lookback=self.lookback, threshold=self.threshold,
-                                 min_samples=self.min_samples)
+        # a round checks before it pushes, so a window longer than
+        # max_perms_per_round could never fill: it is sized down to that
+        return ConvergenceWindow(lookback=min(self.lookback, self.max_perms_per_round),
+                                 threshold=self.threshold, min_samples=self.min_samples)
 
 
 def guided_permutation(k: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -123,17 +125,14 @@ class RoundGame:
 
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
-                   arch: ModelArchitecture,
-                   test: LabeledDataset | EvalSet) -> "RoundGame":
+                   arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
         """The round's game over models rebuilt from its stored updates.
 
-        The base model and the updates are cast to float64 once, here, and
-        the test set is prepared unless it already is (:func:`eval_set`);
-        each coalition a walker visits is rebuilt on its own from them and
+        The base model and the updates are cast to float64 once, here; each
+        coalition a walker visits is rebuilt on its own from them and
         evaluated once.
         """
         stack = RoundStack(record, weights)
-        test = eval_set(test)
 
         def oracle(ids: tuple[int, ...]) -> float:
             return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
@@ -142,8 +141,7 @@ class RoundGame:
         return cls(record.round, CoalitionGame(len(weights), oracle))
 
     @classmethod
-    def accumulated(cls, log: GradientLog,
-                    test: LabeledDataset | EvalSet) -> "RoundGame":
+    def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
         """Single game over updates summed across every round (float64 sums)."""
         p = log.architecture.param_count
         acc = {pid: np.zeros(p, dtype=np.float64) for pid in log.participant_weights}
@@ -242,7 +240,6 @@ def _sample_games(name: str, cfg: GtgConfig,
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
-    test = eval_set(test)
     return _sample_games(name, cfg, [
         functools.partial(RoundGame.from_round, rec, log.participant_weights,
                           log.architecture, test) for rec in log.rounds])
@@ -275,12 +272,11 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
     all rounds; within-round truncation only, uniform sampling."""
     cfg = dataclasses.replace(cfg or GtgConfig(), eps_between=0.0,
                               sampling="uniform")
-    test = eval_set(test)
     return _sample_games("gtg_oti", cfg, [lambda: RoundGame.accumulated(log, test)])
 
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
-                    test: LabeledDataset | EvalSet) -> np.ndarray:
+                    test: LabeledDataset) -> np.ndarray:
     """Utility of every coalition of one round, indexed by bitmask.
 
     Costs 2^n evaluations: the base model, then every non-empty coalition's
@@ -289,7 +285,6 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     """
     check_enumerable(log.n)
     arch = log.architecture
-    test = eval_set(test)
     masks = np.arange(1, 1 << log.n)
     values = np.empty(1 << log.n, dtype=np.float64)
     values[0] = evaluate(arch, rec.base_model, test)
@@ -303,7 +298,6 @@ def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
                   lam: float, round_threshold: float) -> EstimatorReport:
     """The one loop of :func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
     started = time.perf_counter()
-    test = eval_set(test)
     per_round = []
     for rec in log.rounds:
         weight = lam ** rec.round
@@ -358,7 +352,7 @@ class RetrainOracle:
                  init_seed: int):
         self._by_id = {p.id: p for p in participants}
         self._arch = arch
-        self._test = eval_set(test)
+        self._test = test
         self._base = init_params(arch, derive_seed(init_seed, "init"))
         self._cfg = dataclasses.replace(
             train_cfg, local_epochs=train_cfg.local_epochs * rounds,
@@ -435,7 +429,6 @@ def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
 def round_marginal_gains(log: GradientLog, test: LabeledDataset) -> list[float]:
     """Per-round total utility gain v_N - v_0 (no reconstructions needed)."""
     arch = log.architecture
-    test = eval_set(test)
     return [evaluate(arch, rec.aggregated, test)
             - evaluate(arch, rec.base_model, test)
             for rec in log.rounds]
@@ -452,7 +445,6 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
     if samples_per_round < 1:
         raise ValueError(f"samples_per_round must be >= 1, got {samples_per_round}")
     n = log.n
-    test = eval_set(test)
     sums = np.zeros(n, dtype=np.float64)
     marginals = np.empty(n, dtype=np.float64)
     for rec in log.rounds:

@@ -6,11 +6,14 @@ ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
 gradients and aggregation run in float64 and are rounded to float32 only at
 the storage boundary, and :func:`evaluate` screens a wide test set in
 float32 only where certified error bounds prove each prediction equal to the
-float64 pass's.  Every operation is bit-reproducible for fixed inputs.
+float64 pass's, on a test set prepared once, at its first evaluation.  Every
+operation is bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -18,7 +21,7 @@ import numpy as np
 
 INIT_SCALE = 0.05
 # evaluate screens a test set in float32 when it holds at least
-# WIDE_ELEMENTS feature values (rows x input_dim; eval_set marks it wide) and
+# WIDE_ELEMENTS feature values (rows x input_dim; see LabeledDataset.prepared) and
 # the model's first layer makes at least WIDE_LAYER multiplies a row
 # (input_dim x hidden_dim, or x class_count).  Below either, the float64 pass
 # is about as fast as the screen's bookkeeping, or faster.
@@ -36,11 +39,12 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
 
 def check_types(values: dict, annotations: dict) -> None:
     """ValueError unless each value annotated int, float, str, str | None or
-    dict has that type (a bool is no number); values of other annotations are
-    not checked."""
+    dict has that type (a bool is no number, NaN no float); values of other
+    annotations are not checked."""
     for name, value in values.items():
         kind = _TYPES.get(annotations[name])
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)
+                     or kind is numbers.Real and value != value):  # NaN
             raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
 
 
@@ -85,20 +89,21 @@ class TrainConfig:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix plus integer class labels."""
+    """Feature matrix plus integer class labels.  Frozen; change no feature in
+    place either, as :func:`evaluate` caches their preparation (not labels)."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "features", np.asarray(self.features, np.float32))
+        object.__setattr__(self, "labels", np.asarray(self.labels, np.int64))
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.ndim != 1:
@@ -113,40 +118,17 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-
-# a plain class: as a dataclass it would add about 0.7 ms to every import
-class EvalSet:
-    """A test set prepared for many evaluations: its features already cast to
-    float64, so :func:`evaluate` casts nothing.  A wide set instead keeps its
-    float32 features, and each row's float64 2-norm in ``norms`` (None on
-    any other set), for :func:`evaluate`'s float32 screen; the float64 pass
-    casts the rows it needs.  Build it with :func:`eval_set`, and change
-    none of its arrays afterwards."""
-
-    __slots__ = ("features", "labels", "norms")
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray,
-                 norms: np.ndarray | None = None):
-        self.features = features
-        self.labels = labels
-        self.norms = norms
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-
-def eval_set(test: LabeledDataset | EvalSet) -> EvalSet:
-    """``test`` prepared for repeated :func:`evaluate` calls (one float64 cast;
-    a prepared set is returned as it is).  Float32 features of at least
-    :data:`WIDE_ELEMENTS` values make a wide set."""
-    if isinstance(test, EvalSet):
-        return test
-    features = test.features
-    if features.dtype != np.float32 or features.size < WIDE_ELEMENTS:
-        return EvalSet(np.asarray(features, dtype=np.float64), test.labels)
-    features = np.ascontiguousarray(features)
-    return EvalSet(features, test.labels, np.sqrt(
-        np.einsum("ij,ij->i", features, features, dtype=np.float64)))
+    @functools.cached_property
+    def prepared(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """What :func:`evaluate` reads, built at the first evaluation: the
+        features cast to float64 and None; on a set of :data:`WIDE_ELEMENTS`
+        values or more, the float32 features (uncopied) and row 2-norms."""
+        features = self.features
+        if features.size < WIDE_ELEMENTS:
+            return np.asarray(features, dtype=np.float64), None
+        features = np.ascontiguousarray(features)
+        return features, np.sqrt(
+            np.einsum("ij,ij->i", features, features, dtype=np.float64))
 
 
 def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
@@ -385,24 +367,24 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
-                     test: EvalSet) -> np.ndarray | None:
-    """The argmax of every row of ``predict_logits(arch, params,
-    test.features)``, or None.  A float32 pass decides each row whose top
-    logit beats every other by more than their bounds (see
+                     features: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
+    """The argmax of every row of ``predict_logits(arch, params, features)``
+    for float32 rows of 2-norms ``norms``, or None.  A float32 pass decides
+    each row whose top logit beats every other by more than their bounds (see
     :func:`_decide`); the undecided rows are scored again in float64 under
     the float64 bounds, and if any is still undecided (exact ties, all-zero
     parameters) or anything could overflow, the answer is None."""
     layers = _unpack(arch, params)
-    terms = _bound_terms(layers, test.norms.max())
+    terms = _bound_terms(layers, norms.max())
     if terms is None:
         return None
-    hidden, logits = _forward(layers, test.features)
-    top, undecided = _decide(logits, _margins(terms, test.norms, hidden, _F32))
+    hidden, logits = _forward(layers, features)
+    top, undecided = _decide(logits, _margins(terms, norms, hidden, _F32))
     if undecided.size:
         layers = _unpack(arch, params.astype(np.float64))
-        rows = test.features[undecided].astype(np.float64)
+        rows = features[undecided].astype(np.float64)
         hidden, logits = _forward(layers, rows)
-        rescored, still = _decide(logits, _margins(terms, test.norms[undecided],
+        rescored, still = _decide(logits, _margins(terms, norms[undecided],
                                                    hidden, _F64))
         if still.size:
             return None
@@ -411,26 +393,24 @@ def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
 
 
 def evaluate(arch: ModelArchitecture, params: np.ndarray,
-             test: LabeledDataset | EvalSet) -> float:
+             test: LabeledDataset) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
-    A test set prepared by :func:`eval_set` is used as it is; a
-    :class:`LabeledDataset`'s features are cast to float64 on every call,
-    and so are a wide set's where the screen falls back.  On a wide set,
-    float32 parameters of the right shape for a wide enough first layer
-    (see :data:`WIDE_LAYER`) are screened in float32 first
-    (:func:`_screened_argmax`); the accuracy is always that of the float64
-    forward pass."""
+    On a wide set (see :attr:`LabeledDataset.prepared`), float32 parameters
+    of the right shape for a wide enough first layer (see :data:`WIDE_LAYER`)
+    are screened in float32 first (:func:`_screened_argmax`); the accuracy is
+    always that of the float64 forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
+    features, norms = test.prepared
     predictions = None
-    if (getattr(test, "norms", None) is not None and params.dtype == np.float32
+    if (norms is not None and params.dtype == np.float32
             and params.shape == (arch.param_count,)
             and arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER):
-        predictions = _screened_argmax(arch, params, test)
+        predictions = _screened_argmax(arch, params, features, norms)
     if predictions is None:
-        predictions = predict_logits(arch, params, test.features).argmax(axis=1)
+        predictions = predict_logits(arch, params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows
 
 

@@ -133,13 +133,16 @@ class SyntheticSource:
         check_types(vars(self), SyntheticSource.__annotations__)
         if self.class_count < 2:
             raise ValueError("need at least two classes")
-        if self.spread < 0:
-            raise ValueError("spread must be >= 0")
+        if not 0 <= self.spread < math.inf:
+            raise ValueError("spread must be finite and >= 0")
         if self.class_means is not None:
-            shape = np.asarray(self.class_means, dtype=np.float64).shape
-            if shape != (self.class_count, self.input_dim):
-                raise ValueError(f"class_means must have shape "
-                                 f"{(self.class_count, self.input_dim)}, got {shape}")
+            means = np.asarray(self.class_means, dtype=np.float64)
+            shape = (self.class_count, self.input_dim)
+            if means.shape != shape:
+                raise ValueError(f"class_means must have shape {shape}, "
+                                 f"got {means.shape}")
+            if not np.isfinite(means).all():
+                raise ValueError("class_means must be finite")
 
 
 def generate_source(cfg: SyntheticSource, train_per_class: int,
@@ -296,11 +299,12 @@ def _flip_labels(parts: list[LabeledDataset], rates: list[float],
 
 def _add_feature_noise(parts: list[LabeledDataset], rates: list[float],
                        pool_std: np.ndarray, rng: np.random.Generator) -> None:
-    for part, rate in zip(parts, rates):
+    for i, (part, rate) in enumerate(zip(parts, rates)):
         if rate == 0.0:
             continue
         noise = rng.standard_normal(part.features.shape) * (rate * pool_std)
-        part.features = (part.features.astype(np.float64) + noise).astype(np.float32)
+        noisy = (part.features + noise).astype(np.float32)
+        parts[i] = LabeledDataset(noisy, part.labels)
 
 
 def partition(pool: LabeledDataset, spec: ScenarioSpec) -> list[LabeledDataset]:

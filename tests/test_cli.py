@@ -273,6 +273,18 @@ def test_evaluate_accepts_params_file(config_path, tmp_path):
     assert (tmp_path / f"estimate_gtg_ti_{STEM}.json").exists()
 
 
+def test_a_lookback_past_the_cap_scores_as_the_cap(eval_log, tmp_path):
+    # a round checks before it pushes, so no more than max_perms_per_round
+    # estimates ever fill the window: a longer one, here one whose ring numpy
+    # could not even map, is sized to the cap and scores the same
+    docs = [evaluate_doc(eval_log, "gtg", tmp_path / str(lookback), "--params",
+                         _params(tmp_path, {"lookback": lookback}))
+            for lookback in (10**14, GtgConfig().max_perms_per_round)]
+    for doc in docs:
+        del doc["wall_time_s"]
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("params", [
     {"eps_withn": 0.01}, [1, 2], "gtg",
     # values and types are checked as early as the names
@@ -679,6 +691,29 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["simulate", "--config",
                                  _config(w, train={"local_epochs": 2.5})],
                  EXIT_USAGE, id="simulate-config-epochs-not-an-integer"),
+    # non-finite numbers: NaN nowhere, inf only where it means something
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, train={"learning_rate": math.nan})],
+                 EXIT_USAGE, id="simulate-config-learning-rate-nan"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, train={"learning_rate": math.inf})],
+                 EXIT_USAGE, id="simulate-config-learning-rate-inf"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 3, "spread": math.nan})],
+                 EXIT_USAGE, id="simulate-config-spread-nan"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 3, "spread": math.inf})],
+                 EXIT_USAGE, id="simulate-config-spread-inf"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 3,
+                   "class_means": [[0.0] * 5 + [math.inf]] * 3})],
+                 EXIT_USAGE, id="simulate-config-class-means-inf"),
+    pytest.param(lambda w, log: _evaluate(log, "tmr", "--params",
+                                          _params(w, {"round_threshold": math.nan})),
+                 EXIT_USAGE, id="evaluate-params-tmr-threshold-nan"),
+    pytest.param(lambda w, log: ["report", _report(
+        w, lambda d: d["rows"][0].update(wall_time_s=math.nan))],
+                 EXIT_RUNTIME, id="report-wall-time-nan"),
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, scenario={"kind": "bogus", "n": 3})],
                  EXIT_USAGE, id="compare-config-unknown-scenario"),
@@ -769,9 +804,6 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 10**14, "class_count": 3})],
                  EXIT_RUNTIME, id="simulate-out-of-memory-input-dim"),
-    pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
-                                          _params(w, {"lookback": 10**14})),
-                 EXIT_RUNTIME, id="evaluate-out-of-memory-lookback"),
     # log: evaluate
     pytest.param(lambda w, log: _evaluate(str(w / "absent.gtgl"), "mr"),
                  EXIT_RUNTIME, id="evaluate-log-missing"),

@@ -645,9 +645,9 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     # with every test set wide, each evaluation is screened in float32 first
     log, test = SCREENED_LOGS[name]()
     cfg = GtgConfig(seed=9)
-    runs = [lambda: gtg_eval(log, test, cfg), lambda: gtg_oti(log, test, cfg),
-            lambda: mr_eval(log, test)]
-    wants = [run() for run in runs]
+    runs = [lambda t: gtg_eval(log, t, cfg), lambda t: gtg_oti(log, t, cfg),
+            lambda t: mr_eval(log, t)]
+    wants = [run(test) for run in runs]
     screened = []
     screen = models._screened_argmax
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
@@ -655,7 +655,9 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     monkeypatch.setattr(models, "_screened_argmax",
                         lambda *args: screened.append(args) or screen(*args))
     for run, want in zip(runs, wants):
-        assert_reports_bit_equal(run(), want)
+        # a fresh set over the same arrays, prepared under the patched bounds
+        assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
+                                 want)
     assert len(screened) == sum(want.eval_count for want in wants)
 
 

@@ -10,6 +10,7 @@ float32; every result must still be bit-equal, not merely close.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import json
 
@@ -18,11 +19,9 @@ import pytest
 from conftest import gaussian_blobs, quick_log
 
 from fedshapley import (
-    EvalSet,
     LabeledDataset,
     ModelArchitecture,
     TrainConfig,
-    eval_set,
     evaluate,
     init_params,
     loss_and_gradient,
@@ -181,19 +180,18 @@ def test_forward_and_evaluate_match_the_reference(arch):
     full = blobs(arch, 12, seed=1)
     one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
     for test in (full, one_row):
-        prepared = eval_set(test)
-        assert prepared.features.dtype == np.float64 and len(prepared) == len(test)
-        assert eval_set(prepared) is prepared
         for params in param_cases(arch):
             want = ref_predict_logits(arch, params, test.features)
             assert same_bits(predict_logits(arch, params, test.features), want)
-            assert same_bits(predict_logits(arch, params, prepared.features), want)
             accuracy = ref_evaluate(arch, params, test)
             assert same_bits(evaluate(arch, params, test), accuracy)
-            assert same_bits(evaluate(arch, params, prepared), accuracy)
             # float64 parameters holding the same values score the same
-            assert same_bits(evaluate(arch, params.astype(np.float64), prepared),
+            assert same_bits(evaluate(arch, params.astype(np.float64), test),
                              accuracy)
+            # the prepared float64 features give the same logits
+            assert same_bits(predict_logits(arch, params, test.prepared[0]), want)
+        features, norms = test.prepared
+        assert features.dtype == np.float64 and norms is None
     zeros = param_cases(arch)[-1]
     assert evaluate(arch, zeros, full) == float(np.mean(full.labels == 0))
 
@@ -228,17 +226,16 @@ def test_kernel_errors_are_unchanged():
     arch = ARCHS[2]
     params = init_params(arch, seed=0)
     empty = LabeledDataset(np.empty((0, arch.input_dim)), np.empty(0))
-    for test in (empty, eval_set(empty)):
-        for fn in (ref_evaluate, evaluate):
-            with pytest.raises(ValueError) as err:
-                fn(arch, params, test)
-            assert str(err.value) == "cannot evaluate on an empty test set"
+    for fn in (ref_evaluate, evaluate):
+        with pytest.raises(ValueError) as err:
+            fn(arch, params, empty)
+        assert str(err.value) == "cannot evaluate on an empty test set"
     full = blobs(arch, 2, seed=0)
     messages = []
-    for fn, test in [(ref_evaluate, full), (evaluate, full),
-                     (evaluate, eval_set(full))]:
+    # evaluate fails the same on a set it has already prepared
+    for fn in (ref_evaluate, evaluate, evaluate):
         with pytest.raises(ValueError) as err:
-            fn(arch, params[:-1], test)
+            fn(arch, params[:-1], full)
         messages.append(str(err.value))
     with pytest.raises(ValueError) as err:
         predict_logits(arch, params[:-1], full.features)
@@ -304,14 +301,6 @@ def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_d
     assert got == want
 
 
-def test_a_prepared_set_needs_no_labeled_dataset():
-    arch = ARCHS[1]
-    test = blobs(arch, 5, seed=9)
-    params = init_params(arch, seed=2)
-    by_hand = EvalSet(test.features.astype(np.float64), test.labels)
-    assert evaluate(arch, params, by_hand) == ref_evaluate(arch, params, test)
-
-
 # --- the float32 screen of wide test sets ---------------------------------------
 
 
@@ -373,6 +362,13 @@ def screen_param_cases(arch: ModelArchitecture,
                     np.full(arch.param_count, 3e38, dtype=np.float32)]
 
 
+def float64_pass(arch: ModelArchitecture, params: np.ndarray,
+                 test: LabeledDataset) -> float:
+    """evaluate's accuracy where nothing is screened."""
+    predictions = predict_logits(arch, params, test.features).argmax(axis=1)
+    return int(np.count_nonzero(predictions == test.labels)) / len(test)
+
+
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     # every set is wide, every model wide enough
@@ -382,34 +378,64 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     full = blobs(arch, 12, seed=5)
     one_row = LabeledDataset(full.features[:1], full.labels[:1])
     for test in (full, one_row):
-        prepared = eval_set(test)
-        assert prepared.norms is not None
         for params in screen_param_cases(arch, full):
-            # neither a set that was not prepared nor float64 parameters
-            # are screened: both take the float64 pass
+            # float64 parameters are not screened: they take the float64 pass
             screened = branches.seen.total()
-            want = evaluate(arch, params, test)
-            assert same_bits(evaluate(arch, params.astype(np.float64), prepared), want)
+            want = float64_pass(arch, params, test)
+            assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
             assert branches.seen.total() == screened
-            assert same_bits(evaluate(arch, params, prepared), want)
+            assert same_bits(evaluate(arch, params, test), want)
             assert branches.seen.total() == screened + 1
+        assert test.prepared[1] is not None
     assert set(branches.seen) == {"float32", "float64-subset", "fallback"}
 
 
-def test_eval_set_marks_wide_sets():
-    arch = ARCHS[-1]
-    rows = -(-models.WIDE_ELEMENTS // arch.input_dim)  # the fewest wide rows
+def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
+    """The wide set of fewest rows: WIDE_ELEMENTS / input_dim, rounded up."""
+    rows = -(-models.WIDE_ELEMENTS // arch.input_dim)
     data = blobs(arch, rows // arch.class_count + 1, seed=6)
-    narrow = eval_set(LabeledDataset(data.features[:rows - 1], data.labels[:rows - 1]))
-    wide = eval_set(LabeledDataset(data.features[:rows], data.labels[:rows]))
-    assert narrow.features.dtype == np.float64 and narrow.norms is None
+    return LabeledDataset(data.features[:rows], data.labels[:rows])
+
+
+def test_a_set_is_wide_from_wide_elements_values():
+    arch = ARCHS[-1]
+    wide = fewest_wide_rows(arch)
+    narrow = LabeledDataset(wide.features[:-1], wide.labels[:-1])
+    assert narrow.features.size < models.WIDE_ELEMENTS <= wide.features.size
+    features, norms = narrow.prepared
+    assert features.dtype == np.float64 and norms is None
     # a wide set keeps its float32 features, uncopied, and no float64 copy
-    assert np.shares_memory(wide.features, data.features)
-    assert wide.features.dtype == np.float32 and wide.norms.dtype == np.float64
-    assert np.allclose(wide.norms, np.linalg.norm(wide.features.astype(np.float64),
-                                                  axis=1), rtol=1e-12)
-    # a set built by hand is never wide
-    assert models.EvalSet(wide.features, wide.labels).norms is None
+    features, norms = wide.prepared
+    assert features.dtype == np.float32 and np.shares_memory(features, wide.features)
+    assert norms.dtype == np.float64
+    assert np.allclose(norms, np.linalg.norm(features.astype(np.float64), axis=1),
+                       rtol=1e-12)
+
+
+def test_a_set_is_prepared_once():
+    for arch, test in [(ARCHS[1], blobs(ARCHS[1], 3, seed=8)),  # narrow
+                       (ARCHS[-1], fewest_wide_rows(ARCHS[-1]))]:  # wide
+        params = init_params(arch, seed=2)
+        evaluate(arch, params, test)
+        features, norms = test.prepared
+        evaluate(arch, params, test)
+        assert test.prepared[0] is features and test.prepared[1] is norms
+
+
+def test_a_wide_dataset_passed_straight_to_evaluate_is_screened(monkeypatch):
+    branches = ScreenBranches(monkeypatch)
+    arch = ARCHS[-1]
+    test = fewest_wide_rows(arch)
+    params = init_params(arch, seed=4)
+    assert same_bits(evaluate(arch, params, test), ref_evaluate(arch, params, test))
+    assert branches.seen.total() == 1
+
+
+def test_a_dataset_is_frozen():
+    data = blobs(ARCHS[1], 2, seed=0)
+    for name in ("features", "labels"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, getattr(data, name))
 
 
 def test_only_wide_enough_layers_are_screened(monkeypatch):
@@ -417,7 +443,7 @@ def test_only_wide_enough_layers_are_screened(monkeypatch):
     branches = ScreenBranches(monkeypatch)
     for arch in ARCHS:
         test = blobs(arch, 2, seed=7)
-        evaluate(arch, init_params(arch, seed=1), eval_set(test))
+        evaluate(arch, init_params(arch, seed=1), test)
         width = arch.input_dim * (arch.hidden_dim or arch.class_count)
         assert branches.seen.total() == (width >= models.WIDE_LAYER)
         branches.seen.clear()
