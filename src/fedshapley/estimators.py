@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -41,10 +42,11 @@ from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
-                    check_enumerable, exact_shapley, shapley_from_values,
-                    walk_order)
-from .models import (LabeledDataset, ModelArchitecture, TrainConfig, check_types,
-                     evaluate, init_params, train_local)
+                    check_enumerable, exact_shapley, players_of,
+                    shapley_from_values, walk_order)
+from .models import (FirstLayer, FirstLayerProducts, LabeledDataset,
+                     ModelArchitecture, TrainConfig, check_types, evaluate,
+                     init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -128,15 +130,17 @@ class RoundGame:
                    arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
         """The round's game over models rebuilt from its stored updates.
 
-        The base model and the updates are cast to float64 once, here; each
-        coalition a walker visits is rebuilt on its own from them and
-        evaluated once.
+        The base model and the updates are cast to float64 once, here, and
+        on a wide test set their first layers' products with it are made
+        once too; each coalition a walker visits is rebuilt on its own from
+        them and evaluated once.
         """
         stack = RoundStack(record, weights)
+        products = stack.first_layer_products(arch, test)
 
         def oracle(ids: tuple[int, ...]) -> float:
             return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
-                            test)
+                            test, _first_layer(stack, products, ids))
 
         return cls(record.round, CoalitionGame(len(weights), oracle))
 
@@ -155,6 +159,12 @@ class RoundGame:
                                  base, summed, log.participant_weights))
         return cls.from_round(record, log.participant_weights,
                               log.architecture, test)
+
+
+def _first_layer(stack: RoundStack, products: FirstLayerProducts | None,
+                 ids: Sequence[int]) -> FirstLayer | None:
+    """The coalition's first layer from the round's products, if it has any."""
+    return None if products is None else products.combine(stack.coefficients(ids))
 
 
 def gtg_round(rgame: RoundGame, cfg: GtgConfig, sampler=None,
@@ -280,17 +290,21 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     """Utility of every coalition of one round, indexed by bitmask.
 
     Costs 2^n evaluations: the base model, then every non-empty coalition's
-    model, rebuilt a chunk of coalitions at a time.  The enumeration guard
+    model, rebuilt a chunk of coalitions at a time (on a wide test set, each
+    with its first layer from the round's products).  The enumeration guard
     is checked before anything is evaluated.
     """
     check_enumerable(log.n)
     arch = log.architecture
     masks = np.arange(1, 1 << log.n)
     values = np.empty(1 << log.n, dtype=np.float64)
-    values[0] = evaluate(arch, rec.base_model, test)
     stack = RoundStack(rec, log.participant_weights)
-    for mask, model in zip(masks.tolist(), stack.rebuild_masks(masks)):
-        values[mask] = evaluate(arch, model, test)
+    products = stack.first_layer_products(arch, test)
+    values[0] = evaluate(arch, rec.base_model, test, _first_layer(stack, products, ()))
+    firsts = (itertools.repeat(None) if products is None else
+              (_first_layer(stack, products, players_of(m)) for m in masks.tolist()))
+    for mask, model, first in zip(masks.tolist(), stack.rebuild_masks(masks), firsts):
+        values[mask] = evaluate(arch, model, test, first)
     return values
 
 

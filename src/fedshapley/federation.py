@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .models import (LabeledDataset, ModelArchitecture, TrainConfig,
-                     gradient_update, init_params, train_local)
+from .models import (FirstLayerProducts, LabeledDataset, ModelArchitecture,
+                     TrainConfig, first_layer_products, gradient_update,
+                     init_params, train_local)
 from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
@@ -173,11 +175,16 @@ class RoundStack:
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._base)
 
-    def rebuild(self, ids: Sequence[int]) -> np.ndarray:
-        """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
+    def _total(self, ids: Sequence[int]) -> float:
+        """W_S, the total weight of the non-empty coalition ``ids``."""
         total = float(sum(self._weights[i - 1] for i in ids))
         if total <= 0:
             raise ValueError("total coalition weight must be positive")
+        return total
+
+    def rebuild(self, ids: Sequence[int]) -> np.ndarray:
+        """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
+        total = self._total(ids)
         acc = self._base.copy()
         scaled = self._scaled
         for i in ids:
@@ -185,6 +192,26 @@ class RoundStack:
                         out=scaled)
             acc += scaled
         return acc.astype(np.float32)
+
+    def coefficients(self, ids: Sequence[int]) -> np.ndarray:
+        """The coalition ``ids``'s model as a weighted sum of the base and
+        the updates (float64, n + 1 values): 1 for the base, then the
+        w_i / W_S that every rebuild gives each member i, 0 for the rest.
+        No ids give the base alone, the empty coalition's model."""
+        coefficients = np.zeros(len(self._weights) + 1)
+        coefficients[0] = 1.0
+        if ids:
+            total = self._total(ids)
+            for i in ids:
+                coefficients[i] = self._weights[i - 1] / total
+        return coefficients
+
+    def first_layer_products(self, arch: ModelArchitecture,
+                             test: LabeledDataset) -> FirstLayerProducts | None:
+        """``test``'s products with the first layers of the base and the
+        updates, in the order of :meth:`coefficients`, where ``evaluate``
+        reads them (see :func:`~fedshapley.models.first_layer_products`)."""
+        return first_layer_products(arch, [self._base, *self._updates], test)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
         """Models of the non-empty coalitions ``masks``, in order.
@@ -254,27 +281,37 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
                        participant_weights=weights)
 
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
+def _f32(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<f4")
 
 
 def save_log(log: GradientLog, path: str | Path,
              metadata: dict | None = None) -> Path:
-    """Write the binary log plus a ``<path>.json`` metadata sidecar."""
+    """Write the binary log plus a ``<path>.json`` metadata sidecar.
+
+    The log is written a block at a time, under a running checksum, so no
+    copy of the whole file is held."""
     path = Path(path)
     arch = log.architecture
     n, big_t = log.n, log.total_rounds
-    buf = bytearray(LOG_HEADER.pack(LOG_MAGIC, LOG_FORMAT_VERSION, arch.input_dim,
-                                    arch.hidden_dim, arch.class_count, n, big_t))
-    buf += struct.pack(f"<{n}Q", *(log.participant_weights[pid]
-                                   for pid in sorted(log.participant_weights)))
-    for rec in log.rounds:
-        buf += _f32_bytes(rec.base_model)
-        for pid in sorted(rec.updates):
-            buf += _f32_bytes(rec.updates[pid])
-        buf += _f32_bytes(rec.aggregated)
-    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
-    path.write_bytes(buf)
+    with path.open("wb") as out:
+        crc = 0
+
+        def write(chunk) -> None:
+            nonlocal crc
+            out.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
+        write(LOG_HEADER.pack(LOG_MAGIC, LOG_FORMAT_VERSION, arch.input_dim,
+                              arch.hidden_dim, arch.class_count, n, big_t))
+        write(struct.pack(f"<{n}Q", *(log.participant_weights[pid]
+                                      for pid in sorted(log.participant_weights))))
+        for rec in log.rounds:
+            write(_f32(rec.base_model))
+            for pid in sorted(rec.updates):
+                write(_f32(rec.updates[pid]))
+            write(_f32(rec.aggregated))
+        out.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
     sidecar = {"format_version": LOG_FORMAT_VERSION,
                "architecture": dataclasses.asdict(arch),
@@ -286,13 +323,23 @@ def save_log(log: GradientLog, path: str | Path,
 
 
 def load_log(path: str | Path) -> GradientLog:
-    """Read a log written by :func:`save_log`; verifies version and checksum."""
-    raw = Path(path).read_bytes()
+    """Read a log written by :func:`save_log`; verifies version and checksum.
+
+    The header and the file's size are checked before any block is read;
+    each block is then read straight into its own array, under a running
+    checksum, so the log is held once."""
+    with Path(path).open("rb") as src:
+        return _read_log(src, path)
+
+
+def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
+    size = os.fstat(src.fileno()).st_size
     head = LOG_HEADER.size
-    if len(raw) < head + 4:
+    if size < head + 4:
         raise LogFormatError(f"{path}: file too short to be a gradient log")
+    header = src.read(head)
     magic, version, input_dim, hidden_dim, class_count, n, big_t = \
-        LOG_HEADER.unpack_from(raw)
+        LOG_HEADER.unpack(header)
     if magic != LOG_MAGIC:
         raise LogFormatError(f"{path}: bad magic {magic!r}")
     if version != LOG_FORMAT_VERSION:
@@ -308,23 +355,29 @@ def load_log(path: str | Path) -> GradientLog:
         raise LogFormatError(f"{path}: header describes no model: {exc}") from exc
     p = arch.param_count
     expected = head + 8 * n + big_t * (n + 2) * p * 4 + 4
-    if len(raw) != expected:
+    if size != expected:
         raise LogFormatError(
             f"{path}: expected {expected} bytes for n={n}, T={big_t}, "
-            f"P={p}; found {len(raw)} (truncated or corrupt)")
-    stored_crc = struct.unpack_from("<I", raw, len(raw) - 4)[0]
-    if zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise LogFormatError(f"{path}: checksum mismatch")
+            f"P={p}; found {size} (truncated or corrupt)")
+    raw_weights = src.read(8 * n)
+    crc = zlib.crc32(raw_weights, zlib.crc32(header))
 
-    weights = dict(enumerate(struct.unpack_from(f"<{n}Q", raw, head), start=1))
-    # blocks are copied out one by one: one copy of the whole body peaks higher
-    body = np.frombuffer(raw, dtype="<f4", count=big_t * (n + 2) * p,
-                         offset=head + 8 * n).reshape(big_t, n + 2, p)
-    records = [RoundRecord(round=t, base_model=blocks[0].copy(),
-                           updates={pid: blocks[pid].copy()
-                                    for pid in range(1, n + 1)},
-                           aggregated=blocks[n + 1].copy())
-               for t, blocks in enumerate(body)]
+    def block() -> np.ndarray:
+        nonlocal crc
+        values = np.empty(p, dtype="<f4")
+        if src.readinto(values) != values.nbytes:
+            raise LogFormatError(f"{path}: file changed while it was read")
+        crc = zlib.crc32(values, crc)
+        return values
+
+    records = [RoundRecord(round=t, base_model=block(),
+                           updates={pid: block() for pid in range(1, n + 1)},
+                           aggregated=block())
+               for t in range(big_t)]
+    stored_crc = struct.unpack("<I", src.read(4))[0]
+    if crc & 0xFFFFFFFF != stored_crc:
+        raise LogFormatError(f"{path}: checksum mismatch")
+    weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
     return GradientLog(architecture=arch, rounds=records,
                        participant_weights=weights)
 

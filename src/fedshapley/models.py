@@ -4,10 +4,11 @@ Parameters travel as flat float32 vectors so they can be aggregated, diffed,
 and serialized without knowing the layer layout; the layout is defined by a
 ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
 gradients and aggregation run in float64 and are rounded to float32 only at
-the storage boundary, and :func:`evaluate` screens a wide test set in
-float32 only where certified error bounds prove each prediction equal to the
-float64 pass's, on a test set prepared once, at its first evaluation.  Every
-operation is bit-reproducible for fixed inputs.
+the storage boundary, and :func:`evaluate` screens a wide test set, in
+float32 or from first-layer products made once for many models
+(:class:`FirstLayerProducts`), only where certified error bounds prove each
+prediction equal to the float64 pass's, on a test set prepared once, at its
+first evaluation.  Every operation is bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -16,17 +17,21 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 INIT_SCALE = 0.05
-# evaluate screens a test set in float32 when it holds at least
-# WIDE_ELEMENTS feature values (rows x input_dim; see LabeledDataset.prepared) and
-# the model's first layer makes at least WIDE_LAYER multiplies a row
-# (input_dim x hidden_dim, or x class_count).  Below either, the float64 pass
-# is about as fast as the screen's bookkeeping, or faster.
+# evaluate screens a test set (and first_layer_products makes products of it)
+# when it holds at least WIDE_ELEMENTS feature values (rows x input_dim; see
+# LabeledDataset.prepared) and the model's first layer makes at least
+# WIDE_LAYER multiplies a row (input_dim x hidden_dim, or x class_count).
+# Below either, the float64 pass is about as fast as the screen's
+# bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
 WIDE_LAYER = 1 << 12
+# float64 values per chunk of test rows cast for FirstLayerProducts (512 KiB)
+PRODUCT_CHUNK_ELEMENTS = 1 << 16
 # Unit roundoff and smallest normal value of each precision.
 _F32 = (2.0 ** -24, 2.0 ** -126)
 _F64 = (2.0 ** -53, 2.0 ** -1022)
@@ -39,13 +44,19 @@ _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
 
 def check_types(values: dict, annotations: dict) -> None:
     """ValueError unless each value annotated int, float, str, str | None or
-    dict has that type (a bool is no number, NaN no float); values of other
-    annotations are not checked."""
+    dict has that type (a bool is no number, NaN no float, and an int past
+    the float range no float); values of other annotations are not checked."""
     for name, value in values.items():
         kind = _TYPES.get(annotations[name])
         if kind and (isinstance(value, bool) or not isinstance(value, kind)
                      or kind is numbers.Real and value != value):  # NaN
             raise ValueError(f"{name} must be {annotations[name]}, got {value!r}")
+        if kind is numbers.Real and isinstance(value, numbers.Integral):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be {annotations[name]}, got an "
+                                 "integer past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -160,28 +171,28 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _forward(layers: tuple, x: np.ndarray):
+def _forward(layers: tuple, x: np.ndarray | None,
+             first: np.ndarray | None = None):
     """One forward pass of ``x`` through the views :func:`_unpack` gives, in
     their precision (float64; float32 in :func:`evaluate`'s screen):
-    (post-ReLU hidden layer or None, logits).  Biases and the ReLU are
-    applied in place on each fresh product, which gives the same bits as
-    ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot`` gives ``@``'s
-    bits on these 2-D float64 operands with less dispatch overhead, except
-    for one row through a layer of one input (d = 1, or one hidden unit).
-    There an exact-zero input times a NaN or infinite weight gives 0 where
-    ``@`` gives NaN (with two or more outputs), and a 1x1 product's zero may
-    differ in sign, which the bias add erases unless that bias is -0.0."""
+    (post-ReLU hidden layer or None, logits).  Given ``first``, the product
+    of ``x`` with the first layer's weights (float64, made elsewhere), ``x``
+    is not read, and the rest runs in float64 on ``first`` itself.  Biases
+    and the ReLU are applied in place on each fresh product, which gives the
+    same bits as ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot``
+    gives ``@``'s bits on these 2-D float64 operands with less dispatch
+    overhead, except for one row through a layer of one input (d = 1, or one
+    hidden unit).  There an exact-zero input times a NaN or infinite weight
+    gives 0 where ``@`` gives NaN (with two or more outputs), and a 1x1
+    product's zero may differ in sign, which the bias add erases unless that
+    bias is -0.0."""
+    hidden = np.dot(x, layers[0]) if first is None else first
+    hidden += layers[1]
     if len(layers) == 2:
-        w, b = layers
-        logits = np.dot(x, w)
-        logits += b
-        return None, logits
-    w1, b1, w2, b2 = layers
-    hidden = np.dot(x, w1)
-    hidden += b1
+        return None, hidden
     np.maximum(hidden, 0.0, out=hidden)
-    logits = np.dot(hidden, w2)
-    logits += b2
+    logits = np.dot(hidden, layers[2])
+    logits += layers[3]
     return hidden, logits
 
 
@@ -273,83 +284,199 @@ def gradient_update(local: np.ndarray, base: np.ndarray) -> np.ndarray:
     return local - base
 
 
+def _gamma(k: int, precision: tuple[float, float]) -> float:
+    """Higham's gamma_k = k u / (1 - k u), for unit roundoff u."""
+    u = precision[0]
+    return k * u / (1 - k * u)
+
+
+def _wide_layer(arch: ModelArchitecture) -> bool:
+    """Whether the first layer makes at least :data:`WIDE_LAYER` multiplies a row."""
+    return arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER
+
+
+def _abs64(arrays) -> tuple[np.ndarray, ...]:
+    return tuple(np.abs(a).astype(np.float64) for a in arrays)
+
+
 def _bound_terms(layers: tuple, max_norm: float) -> tuple | None:
-    """What :func:`_margins` needs of float32 parameters, in float64: upper
-    bounds on the first layer's column norms and the absolute values of the
-    other weights; None where a float32 sum could overflow, for rows of
+    """What :func:`_margins` needs of float32 parameters for a float32 pass,
+    in float64: upper bounds on the first layer's column norms, and the
+    absolute values of the other layers (|b1|, and |W2| and |b2| if there
+    is a hidden layer); None where a float32 sum could overflow, for rows of
     2-norm up to ``max_norm``, or a value is not finite."""
-    u, tiny = _F32
-    w, b = layers[0], layers[1]
+    tiny = _F32[1]
+    w = layers[0]
     d = w.shape[0]
-    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    gamma = _gamma(d + 1, _F32)
     with np.errstate(over="ignore"):  # an infinite square is refused below
         squares = np.square(w)
     # each column's sum of squares, summed in float32, falls short of the
     # exact sum by at most a factor 1 - gamma and 2d smallest normals
     sums = np.dot(np.ones(d, dtype=np.float32), squares).astype(np.float64)
     w_norms = np.sqrt((sums + 2 * d * tiny) / (1 - gamma))
-    abs_b = np.abs(b).astype(np.float64)
+    others = _abs64(layers[1:])
     # no partial sum of a first-layer unit, in any row, exceeds this by more
     # than a factor 1 + gamma
-    reach = max_norm * w_norms + abs_b
+    reach = max_norm * w_norms + others[0]
     if not reach.max() < _F32_MAX / 2:  # also refuses NaN
         return None
-    if len(layers) == 2:
-        return d, w_norms, abs_b
-    abs_w2 = np.abs(layers[2]).astype(np.float64)
-    abs_b2 = np.abs(layers[3]).astype(np.float64)
     # nor of a logit, since a hidden unit is at most 2 reach + 1
-    if not (np.dot(2 * reach + 1, abs_w2) + abs_b2).max() < _F32_MAX / 2:
+    if len(layers) == 4 and not (np.dot(2 * reach + 1, others[1])
+                                 + others[2]).max() < _F32_MAX / 2:
         return None
-    return d, w_norms, abs_b, abs_w2, abs_b2
+    return w_norms, others
 
 
-def _margins(terms: tuple, norms: np.ndarray, hidden: np.ndarray | None,
+def _first_layer_error(d: int, w_norms: np.ndarray, abs_b: np.ndarray,
+                       precision: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Per first-layer unit j, a slope and an offset such that a pass at
+    ``precision`` computes the unit, for a row x, within slope_j ||x|| +
+    offset_j of exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`)."""
+    gamma = _gamma(d + 1, precision)
+    return gamma * w_norms, gamma * abs_b + (2 * d + 2) * precision[1]
+
+
+class FirstLayer(NamedTuple):
+    """One model's first layer on every row of a wide test set, from
+    :meth:`FirstLayerProducts.combine`: ``values`` (float64, rows x units)
+    before the bias, and per unit j bounds ``slope_j`` and ``w_norms_j``.
+    Once the bias b is added in float64, a row x's unit j is within slope_j
+    ||x|| + 2^-53 |b_j| + ``floor`` of the exact x.W1_j + b_j, and ||W1_j||
+    <= w_norms_j (see :func:`_margins`).  :func:`evaluate` adds the bias to
+    ``values`` in place, so a first layer serves one evaluation."""
+
+    values: np.ndarray
+    slope: np.ndarray
+    floor: float
+    w_norms: np.ndarray
+
+
+class FirstLayerProducts:
+    """The float64 products Q_i = X.B_i of a wide test set's rows X with the
+    first-layer blocks B_0..B_n of n + 1 flat float64 parameter vectors v_i,
+    and each B_i's column 2-norms, made once (see
+    :func:`first_layer_products`).  The rows are cast to float64 a chunk at a
+    time: no float64 copy of X is kept.
+
+    A model whose parameters are fl32(sum_i c_i v_i), the products c_i v_i
+    and their sum taken in float64, in any order (as
+    :class:`~fedshapley.federation.RoundStack` rebuilds a coalition, with
+    c_0 = 1 for the base), has the first layer sum_i c_i Q_i, to within
+    bounds that :meth:`combine` gives."""
+
+    def __init__(self, arch: ModelArchitecture, vectors: Sequence[np.ndarray],
+                 features: np.ndarray, max_abs: np.ndarray):
+        d, width = arch.input_dim, arch.hidden_dim or arch.class_count
+        self._shape = (features.shape[0], width)
+        blocks = [v[:d * width].reshape(d, width) for v in vectors]
+        self._products = np.empty((len(blocks), features.shape[0] * width))
+        step = max(1, PRODUCT_CHUNK_ELEMENTS // d)
+        for start in range(0, features.shape[0], step):
+            rows = features[start:start + step].astype(np.float64)
+            for block, out in zip(blocks, self._products):
+                np.dot(rows, block, out=out.reshape(self._shape)[start:start + step])
+        self._norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
+        self._max_abs = max_abs
+        # see _margins for these factors of s_j = sum_i |c_i| ||B_ij||
+        u32, u = _F32[0], _F64[0]
+        g, g_d = _gamma(len(blocks), _F64), _gamma(d, _F64)
+        cast = u32 * (1 + g) + g
+        self._w_factor = 1 + cast
+        self._slope_factor = (cast + g_d + g * (1 + g_d)) * (1 + u) + u * (1 + cast)
+        self._subnormal = math.sqrt(d) * 2.0 ** -150
+        self._floor = (2 * (d + len(blocks)) + 2) * _F64[1]
+
+    def combine(self, coefficients: np.ndarray) -> FirstLayer | None:
+        """The first layer of the model fl32(sum_i c_i v_i) for
+        ``coefficients`` c (float64, n + 1 values), or None where its float32
+        parameters could overflow."""
+        weights = np.abs(coefficients)
+        if not np.dot(weights, self._max_abs) < _F32_MAX / 2:
+            return None
+        s = np.dot(weights, self._norms)
+        return FirstLayer(
+            np.dot(coefficients, self._products).reshape(self._shape),
+            self._slope_factor * s + self._subnormal * (1 + 2 * _F64[0]),
+            self._floor, self._w_factor * s + self._subnormal)
+
+
+def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
+                         test: LabeledDataset) -> FirstLayerProducts | None:
+    """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
+    (flat float64 parameters of ``arch``), where :func:`evaluate` reads them:
+    a wide set, a wide enough first layer, every value finite; else None."""
+    features, norms = test.prepared
+    if (norms is None or not _wide_layer(arch)
+            or any(v.shape != (arch.param_count,) for v in vectors)):
+        return None
+    max_abs = np.array([np.abs(v).max() for v in vectors])
+    if not (np.isfinite(max_abs).all() and np.isfinite(norms).all()):
+        return None
+    return FirstLayerProducts(arch, vectors, features, max_abs)
+
+
+def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
+             hidden: np.ndarray | None, others: tuple,
              precision: tuple[float, float]) -> np.ndarray:
-    """For rows of 2-norms ``norms`` run through :func:`_forward` at
-    ``precision``: a margin per logit (float64, classes x rows) that covers
-    its distance from the float64 pass's logit, and the rounding of
-    :func:`_decide`'s float64 comparisons.
+    """A margin per logit (float64, classes x rows) that covers its distance
+    from the float64 pass's logit, for rows of 2-norms ``norms``.  For each
+    first-layer unit j and row x, slope_j ||x|| + offset_j bounds e1 + e1',
+    the pass's and the float64 pass's distances from the exact unit (before
+    the ReLU).  ``hidden`` is the pass's hidden layer (None without one) at
+    ``precision``; ``others`` holds |b1|, |W2| and |b2| (float64).
 
     An inner product of n terms, summed in any order, with or without FMA,
     is within gamma_n |x|.|y| of the exact one, gamma_n = nu / (1 - nu)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1);
-    the bias add makes n = d + 1.  By Cauchy-Schwarz |x|.|w_j| <=
-    ||x|| ||w_j||, so a first-layer unit is within e1 = gamma_{d+1}
-    (||x|| ||w_j|| + |b_j|) of exact.  The ReLU is 1-Lipschitz, so the
-    computed hidden layer h' is too, and a logit is within E = gamma_{h+1}
-    (|h'|.|W2| + |b2|) + e1.|W2| of exact.  Each layer adds 2n + 2 times
-    the smallest normal value, which covers underflow, gradual or flushed
-    to zero.
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+    and each layer adds 2n + 2 times the smallest normal value, which covers
+    underflow, gradual or flushed to zero.  By Cauchy-Schwarz |x|.|w_j| <=
+    ||x|| ||w_j||, so a pass at unit roundoff u computes a first-layer unit,
+    bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
+    (:func:`_first_layer_error`).
 
-    The float64 pass's logit is within its own E of exact, and its E is at
-    most r (1 + 2 gamma) times this one, r = 2^-53 / u (its hidden layer is
-    within 2 e1 of h'), so (1 + r (1 + 2 gamma)) E covers the distance
-    between the two.  Since |logit| <= E (1 + gamma) / gamma for the last
-    layer's gamma, the last term covers the rounding of the comparisons,
-    and the safety factor that of these bounds' own float64 arithmetic."""
-    u, tiny = precision
-    d, w_norms, abs_b = terms[:3]
-    gamma = gamma1 = (d + 1) * u / (1 - (d + 1) * u)
-    slack1 = (2 * d + 2) * tiny
+    From :class:`FirstLayerProducts` (float64, u = 2^-53): with s_j =
+    sum_i |c_i| ||B_ij||, g = gamma_{n+1} and A = sum_i c_i B_i, the
+    rebuild's float64 sum is within g sum_i |c_i||B_i| of A, and its cast to
+    float32 adds u32 = 2^-24 of that sum and up to 2^-150 (half a subnormal
+    step) per value, so ||W1_j - A_j|| <= (u32 (1 + g) + g) s_j + sqrt(d)
+    2^-150 and ||W1_j|| <= w_norms_j = s_j + that.  Each product x.B_ij is
+    within gamma_d ||x|| ||B_ij|| of exact, and their combination within g
+    (1 + gamma_d) ||x|| s_j of its exact value, so the values are within
+    sigma_j ||x|| of x.W1_j, sigma_j = (u32 (1 + g) + g + gamma_d + g (1 +
+    gamma_d)) s_j + sqrt(d) 2^-150; adding the bias in float64 adds u
+    (||x|| (w_norms_j + sigma_j) + |b_j|), so slope_j = sigma_j (1 + u) + u
+    w_norms_j.  The floor covers underflow in the products and their
+    combination.  The guard of :meth:`FirstLayerProducts.combine` keeps the
+    cast from overflowing.
+
+    Without a hidden layer the units are the logits, and e1 + e1' is the
+    margin.  With one, the ReLU is 1-Lipschitz, so the pass's logit is
+    within E = gamma_{h+1} (|h|.|W2| + |b2|) + e1.|W2| of exact, gamma at
+    the pass's precision.  The float64 pass's hidden layer is within e1 +
+    e1' of the pass's h, so its logit is within E' = gamma'_{h+1} ((|h| + e1
+    + e1').|W2| + |b2|) + e1'.|W2| of exact, and E + E' is the margin.
+    |h|.|W2|, summed at the pass's precision, falls short of the exact sum
+    by at most a factor 1 - gamma and 2h smallest normals.  The safety
+    factor covers the rounding of these bounds' own float64 arithmetic,
+    whose relative error is of order (d + n) 2^-53."""
     if hidden is None:
-        err = np.multiply.outer(gamma1 * w_norms, norms)
-        err += (gamma1 * abs_b + slack1)[:, None]
+        err = np.multiply.outer(slope, norms)
+        err += offset[:, None]
     else:
-        abs_w2, abs_b2 = terms[3:]
+        abs_w2, abs_b2 = others[1:]
         h = abs_w2.shape[0]
-        gamma = (h + 1) * u / (1 - (h + 1) * u)
-        # |h'|.|W2|, summed at the pass's precision, falls short of the
-        # exact sum by at most a factor 1 - gamma and 2h smallest normals
+        own, tiny = _gamma(h + 1, precision), precision[1]
+        gamma = own + _gamma(h + 1, _F64)
+        lift = 1 + _gamma(h + 1, _F64)
         magnitude = np.dot(abs_w2.T.astype(hidden.dtype), hidden.T)
-        err = np.multiply(magnitude, gamma / (1 - gamma), dtype=np.float64)
-        # e1.|W2| is rank one in the rows
-        err += np.multiply.outer(gamma1 * np.dot(w_norms, abs_w2), norms)
-        err += (gamma1 * np.dot(abs_b, abs_w2) + slack1 * abs_w2.sum(axis=0)
-                + gamma * abs_b2 + (2 * h + 2) * tiny
-                + 2 * h * tiny * gamma / (1 - gamma))[:, None]
-    r = _F64[0] / u
-    err *= _SAFETY * (1 + r * (1 + 2 * gamma)) + 2 * _F64[0] * (1 + gamma) / gamma
+        err = np.multiply(magnitude, gamma / (1 - own), dtype=np.float64)
+        # (e1 + e1').|W2| is rank one in the rows, plus a constant
+        err += np.multiply.outer(lift * np.dot(slope, abs_w2), norms)
+        err += (lift * np.dot(offset, abs_w2) + gamma * abs_b2
+                + (2 * h + 2) * (tiny + _F64[1])
+                + 2 * h * tiny * gamma / (1 - own))[:, None]
+    err *= _SAFETY
     return err
 
 
@@ -358,8 +485,13 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
     could differ.  A row is decided when one class's lowest value (logit
     less margin) beats every other class's highest: that class is then the
     row's argmax at either precision.  A row with no such class at all can
-    only hold NaN, and is undecided too."""
+    only hold NaN, and is undecided too.  Each margin first grows by 2^-52
+    times its logit's magnitude, which covers the rounding of these float64
+    sums (given the safety factor of :func:`_margins`)."""
     scores = np.array(logits.T, dtype=np.float64, order="C")
+    pad = np.abs(scores)
+    pad *= 2 * _F64[0]
+    margins += pad
     low = scores - margins
     high = np.add(scores, margins, out=margins)
     rivals = (high >= low.max(axis=0)).sum(axis=0)
@@ -367,25 +499,42 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
-                     features: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
+                     features: np.ndarray, norms: np.ndarray,
+                     first_layer: FirstLayer | None = None) -> np.ndarray | None:
     """The argmax of every row of ``predict_logits(arch, params, features)``
-    for float32 rows of 2-norms ``norms``, or None.  A float32 pass decides
-    each row whose top logit beats every other by more than their bounds (see
-    :func:`_decide`); the undecided rows are scored again in float64 under
-    the float64 bounds, and if any is still undecided (exact ties, all-zero
-    parameters) or anything could overflow, the answer is None."""
+    for float32 rows of 2-norms ``norms``, or None.  A first pass decides
+    each row whose top logit beats every other by more than their bounds
+    (see :func:`_decide`): a float32 pass, or given ``first_layer`` (from
+    the products, for these parameters), a float64 pass from it.  The
+    undecided rows are scored again in float64 under the float64 bounds, and
+    if any is still undecided (exact ties, all-zero parameters) or anything
+    could overflow, the answer is None."""
     layers = _unpack(arch, params)
-    terms = _bound_terms(layers, norms.max())
-    if terms is None:
-        return None
-    hidden, logits = _forward(layers, features)
-    top, undecided = _decide(logits, _margins(terms, norms, hidden, _F32))
+    d = arch.input_dim
+    if first_layer is None:
+        terms = _bound_terms(layers, norms.max())
+        if terms is None:
+            return None
+        w_norms, others = terms
+        slope, offset = _first_layer_error(d, w_norms, others[0], _F32)
+        hidden, logits = _forward(layers, features)
+        precision = _F32
+    else:
+        w_norms, others = first_layer.w_norms, _abs64(layers[1:])
+        slope = first_layer.slope
+        offset = _F64[0] * others[0] + first_layer.floor
+        hidden, logits = _forward(layers, None, first_layer.values)
+        precision = _F64
+    ref_slope, ref_offset = _first_layer_error(d, w_norms, others[0], _F64)
+    top, undecided = _decide(logits, _margins(slope + ref_slope, offset + ref_offset,
+                                              norms, hidden, others, precision))
     if undecided.size:
         layers = _unpack(arch, params.astype(np.float64))
         rows = features[undecided].astype(np.float64)
         hidden, logits = _forward(layers, rows)
-        rescored, still = _decide(logits, _margins(terms, norms[undecided],
-                                                   hidden, _F64))
+        rescored, still = _decide(logits, _margins(2 * ref_slope, 2 * ref_offset,
+                                                   norms[undecided], hidden, others,
+                                                   _F64))
         if still.size:
             return None
         top[undecided] = rescored
@@ -393,22 +542,23 @@ def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
 
 
 def evaluate(arch: ModelArchitecture, params: np.ndarray,
-             test: LabeledDataset) -> float:
+             test: LabeledDataset, first_layer: FirstLayer | None = None) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
     On a wide set (see :attr:`LabeledDataset.prepared`), float32 parameters
     of the right shape for a wide enough first layer (see :data:`WIDE_LAYER`)
-    are screened in float32 first (:func:`_screened_argmax`); the accuracy is
-    always that of the float64 forward pass."""
+    are screened first (:func:`_screened_argmax`): in float32, or from
+    ``first_layer`` if given, which must be these parameters' first layer on
+    ``test`` (:meth:`FirstLayerProducts.combine`).  The accuracy is always
+    that of the float64 forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
     features, norms = test.prepared
     predictions = None
     if (norms is not None and params.dtype == np.float32
-            and params.shape == (arch.param_count,)
-            and arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER):
-        predictions = _screened_argmax(arch, params, features, norms)
+            and params.shape == (arch.param_count,) and _wide_layer(arch)):
+        predictions = _screened_argmax(arch, params, features, norms, first_layer)
     if predictions is None:
         predictions = predict_logits(arch, params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows

@@ -711,6 +711,16 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: _evaluate(log, "tmr", "--params",
                                           _params(w, {"round_threshold": math.nan})),
                  EXIT_USAGE, id="evaluate-params-tmr-threshold-nan"),
+    # integers past the float range, in float fields
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 3, "spread": 10 ** 400})],
+                 EXIT_USAGE, id="simulate-config-spread-past-float-range"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, train={"learning_rate": 10 ** 400})],
+                 EXIT_USAGE, id="simulate-config-learning-rate-past-float-range"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
+                                          _params(w, {"eps_within": 10 ** 400})),
+                 EXIT_USAGE, id="evaluate-params-eps-within-past-float-range"),
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["rows"][0].update(wall_time_s=math.nan))],
                  EXIT_RUNTIME, id="report-wall-time-nan"),

@@ -642,23 +642,28 @@ SCREENED_LOGS = {**{name: WALKER_LOGS[name]
 
 @pytest.mark.parametrize("name", sorted(SCREENED_LOGS))
 def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
-    # with every test set wide, each evaluation is screened in float32 first
+    # with every test set wide, each evaluation is screened first, from the
+    # first layer the round's products give its coalition
     log, test = SCREENED_LOGS[name]()
     cfg = GtgConfig(seed=9)
     runs = [lambda t: gtg_eval(log, t, cfg), lambda t: gtg_oti(log, t, cfg),
             lambda t: mr_eval(log, t)]
     wants = [run(test) for run in runs]
-    screened = []
+    from_products = []
     screen = models._screened_argmax
+
+    def counted(arch, params, features, norms, first_layer=None):
+        from_products.append(first_layer is not None)
+        return screen(arch, params, features, norms, first_layer)
+
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
-    monkeypatch.setattr(models, "_screened_argmax",
-                        lambda *args: screened.append(args) or screen(*args))
+    monkeypatch.setattr(models, "_screened_argmax", counted)
     for run, want in zip(runs, wants):
         # a fresh set over the same arrays, prepared under the patched bounds
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
                                  want)
-    assert len(screened) == sum(want.eval_count for want in wants)
+    assert from_products == [True] * sum(want.eval_count for want in wants)
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,39 @@ def test_loaded_blocks_are_separate_writable_float32_arrays(tmp_path):
         assert a.flags.owndata  # copied out on its own, not a view of the body
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(blocks) for b in blocks[i + 1:])
+
+
+def test_save_and_load_hold_the_log_once(tmp_path):
+    # the d=784, hidden 64 model: P = 50,890, so the blocks (2 MB here)
+    # dwarf the per-block bookkeeping
+    arch = ModelArchitecture(input_dim=784, hidden_dim=64, class_count=10)
+    rng = np.random.default_rng(5)
+    base = rng.normal(0.0, 0.05, arch.param_count).astype(np.float32)
+    updates = {pid: rng.normal(0.0, 1e-3, arch.param_count).astype(np.float32)
+               for pid in (1, 2, 3)}
+    weights = {1: 3, 2: 5, 3: 8}
+    aggregated = fedavg_aggregate(base, updates, weights)
+    log = GradientLog(arch, [RoundRecord(0, base, updates, aggregated),
+                             RoundRecord(1, aggregated, updates,
+                                         fedavg_aggregate(aggregated, updates,
+                                                          weights))], weights)
+    blocks = 2 * (3 + 2) * arch.param_count * 4
+    path = tmp_path / "run.gtgl"
+    tracemalloc.start()
+    try:
+        save_log(log, path)
+        saving = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_log(path)
+        loading = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > blocks
+    # no copy of the file while writing, and the blocks alone while reading
+    assert saving <= 0.1 * blocks
+    assert loading <= 1.1 * blocks
+    assert all(np.array_equal(a.aggregated, b.aggregated)
+               for a, b in zip(log.rounds, loaded.rounds))
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -304,10 +304,15 @@ def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_d
 # --- the float32 screen of wide test sets ---------------------------------------
 
 
+BRANCHES = ("decided", "rescored", "fallback")
+
+
 class ScreenBranches:
-    """Counts which way each screened evaluation went: "float32" (the
-    float32 pass decided every row), "float64-subset" (some rows were scored
-    again in float64) or "fallback" (the float64 pass scored the whole set)."""
+    """Counts which way each screened evaluation went, by the source of its
+    first pass ("float32", or "products" given a first layer) and branch:
+    "decided" (the first pass decided every row), "rescored" (some rows were
+    scored again in float64) or "fallback" (the float64 pass scored the
+    whole set)."""
 
     def __init__(self, monkeypatch):
         self.seen = collections.Counter()
@@ -318,11 +323,12 @@ class ScreenBranches:
             stages.append(logits.dtype)
             return decide(logits, margins)
 
-        def counted_screen(*args):
+        def counted_screen(arch, params, features, norms, first_layer=None):
             stages.clear()
-            top = screen(*args)
-            self.seen["fallback" if top is None else
-                      "float64-subset" if len(stages) > 1 else "float32"] += 1
+            top = screen(arch, params, features, norms, first_layer)
+            source = "float32" if first_layer is None else "products"
+            self.seen[source, "fallback" if top is None else
+                      "rescored" if len(stages) > 1 else "decided"] += 1
             return top
 
         monkeypatch.setattr(models, "_decide", counted_decide)
@@ -387,7 +393,7 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
             assert same_bits(evaluate(arch, params, test), want)
             assert branches.seen.total() == screened + 1
         assert test.prepared[1] is not None
-    assert set(branches.seen) == {"float32", "float64-subset", "fallback"}
+    assert set(branches.seen) == {("float32", branch) for branch in BRANCHES}
 
 
 def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
@@ -447,3 +453,90 @@ def test_only_wide_enough_layers_are_screened(monkeypatch):
         width = arch.input_dim * (arch.hidden_dim or arch.class_count)
         assert branches.seen.total() == (width >= models.WIDE_LAYER)
         branches.seen.clear()
+
+
+# --- the first layer from per-round products ------------------------------------
+
+
+def first_layer_bound_holds(arch, params, test, first) -> bool:
+    """Whether ``first`` bounds its distance from the float64 pass's first
+    layer (before the ReLU) as its fields say, plus that pass's own error,
+    and bounds the first layer's column norms."""
+    features, norms = test.prepared
+    w, b = [a.astype(np.float64) for a in models._unpack(arch, params)[:2]]
+    u, d = 2.0 ** -53, arch.input_dim
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    reference = features.astype(np.float64) @ w + b
+    margin = ((first.slope + gamma * first.w_norms) * norms[:, None]
+              + (u + gamma) * np.abs(b) + first.floor + gamma * (2 * d + 2) * 2.0 ** -1022)
+    return (np.all(np.abs(first.values + b - reference) <= margin * (1 + 1e-9))
+            and np.all(np.linalg.norm(w, axis=0) <= first.w_norms))
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
+    # every set is wide, every model wide enough
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    branches = ScreenBranches(monkeypatch)
+    full = blobs(arch, 12, seed=5)
+    # the row of largest norm: in the 1x1 model it keeps the hidden unit
+    # alive, so that a one-ulp tie in the second layer shows
+    top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
+    one_row = LabeledDataset(full.features[top:top + 1], full.labels[top:top + 1])
+    # unequal weights, so w_i / W is no power of two and its rounding shows
+    weights = {1: 7, 2: 13, 3: 3, 4: 101}
+    coalitions = [ids for k in range(5) for ids in itertools.combinations(range(1, 5), k)]
+    rng = np.random.default_rng(arch.param_count)
+    refused = 0
+    for base in screen_param_cases(arch, full):
+        # a zero update; two that scale the base by powers of two, so that
+        # every coalition's model keeps the base's exact ties and (up to
+        # rounding) its one-ulp ones, its NaN and its scale; a random one
+        updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
+                   3: base * np.float32(-0.25),
+                   4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
+        stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+        for test in (full, one_row):
+            products = stack.first_layer_products(arch, test)
+            # a NaN anywhere in the round leaves it without products
+            assert (products is None) == bool(np.isnan(base).any())
+            for ids in coalitions:
+                params = stack.rebuild(ids) if ids else base
+                first = None if products is None else products.combine(
+                    stack.coefficients(ids))
+                if first is None:
+                    refused += products is not None
+                else:
+                    assert first_layer_bound_holds(arch, params, test, first)
+                want = float64_pass(arch, params, test)
+                # float64 parameters holding the same values are not screened
+                screened = branches.seen.total()
+                assert same_bits(evaluate(arch, params.astype(np.float64), test,
+                                          first), want)
+                assert branches.seen.total() == screened
+                assert same_bits(evaluate(arch, params, test, first), want)
+                assert branches.seen.total() == screened + 1
+    # values near float32's largest, whose models could overflow, are refused
+    assert refused
+    assert {branch for source, branch in branches.seen
+            if source == "products"} == set(BRANCHES)
+
+
+def test_coefficients_are_the_rebuilds_shares():
+    weights = {1: 7, 2: 13, 3: 3, 4: 101}
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=5).astype(np.float32)
+    updates = {i: rng.normal(size=5).astype(np.float32) for i in weights}
+    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+    for ids in [(), (2,), (1, 4), (1, 2, 3, 4)]:
+        c = stack.coefficients(ids)
+        assert c.dtype == np.float64 and c[0] == 1.0
+        total = sum(weights[i] for i in ids)
+        assert c[1:].tolist() == [weights[i] / total if i in ids else 0.0
+                                  for i in weights]
+        if ids:  # one float64 term per member, summed in id order
+            acc = base.astype(np.float64)
+            for i in ids:
+                acc = acc + c[i] * updates[i].astype(np.float64)
+            assert same_bits(stack.rebuild(ids), acc.astype(np.float32))
