@@ -82,6 +82,9 @@ class GradientLog:
         ids = sorted(self.participant_weights)
         if ids != list(range(1, self.n + 1)):
             raise ValueError(f"participant ids not contiguous from 1: {ids}")
+        if min(self.participant_weights.values()) < 1:
+            raise ValueError(f"participant weights must be positive, got "
+                             f"{self.participant_weights}")
         for t, rec in enumerate(self.rounds):
             if rec.round != t:
                 raise ValueError(f"round index {rec.round} at position {t}")
@@ -378,6 +381,9 @@ def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
     if crc & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
     weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
+    if 0 in weights.values():
+        raise LogFormatError(f"{path}: participant weights must be positive, "
+                             f"got {weights}")
     return GradientLog(architecture=arch, rounds=records,
                        participant_weights=weights)
 

@@ -4,11 +4,11 @@ Parameters travel as flat float32 vectors so they can be aggregated, diffed,
 and serialized without knowing the layer layout; the layout is defined by a
 ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
 gradients and aggregation run in float64 and are rounded to float32 only at
-the storage boundary, and :func:`evaluate` screens a wide test set, in
-float32 or from first-layer products made once for many models
-(:class:`FirstLayerProducts`), only where certified error bounds prove each
-prediction equal to the float64 pass's, on a test set prepared once, at its
-first evaluation.  Every operation is bit-reproducible for fixed inputs.
+the storage boundary, and :func:`evaluate` screens a wide test set from
+first-layer products (:class:`FirstLayerProducts`, made once for many models
+or for one), only where certified error bounds prove each prediction equal
+to the float64 pass's, on a test set prepared once, at its first
+evaluation.  Every operation is bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,18 +22,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 INIT_SCALE = 0.05
-# evaluate screens a test set (and first_layer_products makes products of it)
-# when it holds at least WIDE_ELEMENTS feature values (rows x input_dim; see
-# LabeledDataset.prepared) and the model's first layer makes at least
-# WIDE_LAYER multiplies a row (input_dim x hidden_dim, or x class_count).
-# Below either, the float64 pass is about as fast as the screen's
+# evaluate screens a test set from first-layer products (and
+# first_layer_products makes them) when it holds at least WIDE_ELEMENTS
+# feature values (rows x input_dim; see LabeledDataset.prepared) and the
+# model's first layer makes at least WIDE_LAYER multiplies a row (input_dim x
+# hidden_dim, or x class_count).  Below either, the float64 pass, on a float64
+# copy of the set that is still small, is about as fast as the screen's
 # bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
 WIDE_LAYER = 1 << 12
 # float64 values per chunk of test rows cast for FirstLayerProducts (512 KiB)
 PRODUCT_CHUNK_ELEMENTS = 1 << 16
-# Unit roundoff and smallest normal value of each precision.
-_F32 = (2.0 ** -24, 2.0 ** -126)
+# Unit roundoff and smallest normal value of float64.
 _F64 = (2.0 ** -53, 2.0 ** -1022)
 _F32_MAX = float(np.finfo(np.float32).max)
 # Covers the rounding of the bounds' own float64 arithmetic.
@@ -173,11 +173,11 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
 
 def _forward(layers: tuple, x: np.ndarray | None,
              first: np.ndarray | None = None):
-    """One forward pass of ``x`` through the views :func:`_unpack` gives, in
-    their precision (float64; float32 in :func:`evaluate`'s screen):
-    (post-ReLU hidden layer or None, logits).  Given ``first``, the product
-    of ``x`` with the first layer's weights (float64, made elsewhere), ``x``
-    is not read, and the rest runs in float64 on ``first`` itself.  Biases
+    """One float64 forward pass of ``x`` through the views :func:`_unpack`
+    gives: (post-ReLU hidden layer or None, logits).  Given ``first``, the
+    product of ``x`` with the first layer's weights (float64, made
+    elsewhere), ``x`` is not read, and the rest runs on ``first`` itself,
+    also from float32 views (as :func:`evaluate`'s screen does).  Biases
     and the ReLU are applied in place on each fresh product, which gives the
     same bits as ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot``
     gives ``@``'s bits on these 2-D float64 operands with less dispatch
@@ -284,9 +284,9 @@ def gradient_update(local: np.ndarray, base: np.ndarray) -> np.ndarray:
     return local - base
 
 
-def _gamma(k: int, precision: tuple[float, float]) -> float:
-    """Higham's gamma_k = k u / (1 - k u), for unit roundoff u."""
-    u = precision[0]
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), for float64's unit roundoff u."""
+    u = _F64[0]
     return k * u / (1 - k * u)
 
 
@@ -295,46 +295,13 @@ def _wide_layer(arch: ModelArchitecture) -> bool:
     return arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER
 
 
-def _abs64(arrays) -> tuple[np.ndarray, ...]:
-    return tuple(np.abs(a).astype(np.float64) for a in arrays)
-
-
-def _bound_terms(layers: tuple, max_norm: float) -> tuple | None:
-    """What :func:`_margins` needs of float32 parameters for a float32 pass,
-    in float64: upper bounds on the first layer's column norms, and the
-    absolute values of the other layers (|b1|, and |W2| and |b2| if there
-    is a hidden layer); None where a float32 sum could overflow, for rows of
-    2-norm up to ``max_norm``, or a value is not finite."""
-    tiny = _F32[1]
-    w = layers[0]
-    d = w.shape[0]
-    gamma = _gamma(d + 1, _F32)
-    with np.errstate(over="ignore"):  # an infinite square is refused below
-        squares = np.square(w)
-    # each column's sum of squares, summed in float32, falls short of the
-    # exact sum by at most a factor 1 - gamma and 2d smallest normals
-    sums = np.dot(np.ones(d, dtype=np.float32), squares).astype(np.float64)
-    w_norms = np.sqrt((sums + 2 * d * tiny) / (1 - gamma))
-    others = _abs64(layers[1:])
-    # no partial sum of a first-layer unit, in any row, exceeds this by more
-    # than a factor 1 + gamma
-    reach = max_norm * w_norms + others[0]
-    if not reach.max() < _F32_MAX / 2:  # also refuses NaN
-        return None
-    # nor of a logit, since a hidden unit is at most 2 reach + 1
-    if len(layers) == 4 and not (np.dot(2 * reach + 1, others[1])
-                                 + others[2]).max() < _F32_MAX / 2:
-        return None
-    return w_norms, others
-
-
-def _first_layer_error(d: int, w_norms: np.ndarray, abs_b: np.ndarray,
-                       precision: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Per first-layer unit j, a slope and an offset such that a pass at
-    ``precision`` computes the unit, for a row x, within slope_j ||x|| +
-    offset_j of exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`)."""
-    gamma = _gamma(d + 1, precision)
-    return gamma * w_norms, gamma * abs_b + (2 * d + 2) * precision[1]
+def _first_layer_error(d: int, w_norms: np.ndarray,
+                       abs_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per first-layer unit j, a slope and an offset such that the float64
+    pass computes the unit, for a row x, within slope_j ||x|| + offset_j of
+    exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`)."""
+    gamma = _gamma(d + 1)
+    return gamma * w_norms, gamma * abs_b + (2 * d + 2) * _F64[1]
 
 
 class FirstLayer(NamedTuple):
@@ -379,8 +346,8 @@ class FirstLayerProducts:
         self._norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
         self._max_abs = max_abs
         # see _margins for these factors of s_j = sum_i |c_i| ||B_ij||
-        u32, u = _F32[0], _F64[0]
-        g, g_d = _gamma(len(blocks), _F64), _gamma(d, _F64)
+        u32, u = 2.0 ** -24, _F64[0]  # float32's unit roundoff, and float64's
+        g, g_d = _gamma(len(blocks)), _gamma(d)
         cast = u32 * (1 + g) + g
         self._w_factor = 1 + cast
         self._slope_factor = (cast + g_d + g * (1 + g_d)) * (1 + u) + u * (1 + cast)
@@ -417,22 +384,21 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
 
 
 def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
-             hidden: np.ndarray | None, others: tuple,
-             precision: tuple[float, float]) -> np.ndarray:
+             hidden: np.ndarray | None, others: tuple) -> np.ndarray:
     """A margin per logit (float64, classes x rows) that covers its distance
     from the float64 pass's logit, for rows of 2-norms ``norms``.  For each
     first-layer unit j and row x, slope_j ||x|| + offset_j bounds e1 + e1',
-    the pass's and the float64 pass's distances from the exact unit (before
-    the ReLU).  ``hidden`` is the pass's hidden layer (None without one) at
-    ``precision``; ``others`` holds |b1|, |W2| and |b2| (float64).
+    the first pass's and the float64 pass's distances from the exact unit
+    (before the ReLU).  ``hidden`` is the first pass's hidden layer (float64;
+    None without one); ``others`` holds |b1|, |W2| and |b2| (float64).
 
     An inner product of n terms, summed in any order, with or without FMA,
     is within gamma_n |x|.|y| of the exact one, gamma_n = nu / (1 - nu)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
     and each layer adds 2n + 2 times the smallest normal value, which covers
     underflow, gradual or flushed to zero.  By Cauchy-Schwarz |x|.|w_j| <=
-    ||x|| ||w_j||, so a pass at unit roundoff u computes a first-layer unit,
-    bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
+    ||x|| ||w_j||, so the float64 pass (u = 2^-53) computes a first-layer
+    unit, bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
     (:func:`_first_layer_error`).
 
     From :class:`FirstLayerProducts` (float64, u = 2^-53): with s_j =
@@ -451,13 +417,13 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
     cast from overflowing.
 
     Without a hidden layer the units are the logits, and e1 + e1' is the
-    margin.  With one, the ReLU is 1-Lipschitz, so the pass's logit is
-    within E = gamma_{h+1} (|h|.|W2| + |b2|) + e1.|W2| of exact, gamma at
-    the pass's precision.  The float64 pass's hidden layer is within e1 +
-    e1' of the pass's h, so its logit is within E' = gamma'_{h+1} ((|h| + e1
-    + e1').|W2| + |b2|) + e1'.|W2| of exact, and E + E' is the margin.
-    |h|.|W2|, summed at the pass's precision, falls short of the exact sum
-    by at most a factor 1 - gamma and 2h smallest normals.  The safety
+    margin.  With one, the ReLU is 1-Lipschitz, so the first pass's logit is
+    within E = gamma (|h|.|W2| + |b2|) + e1.|W2| of exact, gamma =
+    gamma_{h+1}.  The float64 pass's hidden layer is within e1 + e1' of the
+    first pass's h, so its logit is within E' = gamma ((|h| + e1 +
+    e1').|W2| + |b2|) + e1'.|W2| of exact, and E + E' is the margin.
+    |h|.|W2|, summed in float64, falls short of the exact sum by at most a
+    factor 1 - gamma and 2h smallest normals.  The safety
     factor covers the rounding of these bounds' own float64 arithmetic,
     whose relative error is of order (d + n) 2^-53."""
     if hidden is None:
@@ -465,17 +431,16 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
         err += offset[:, None]
     else:
         abs_w2, abs_b2 = others[1:]
-        h = abs_w2.shape[0]
-        own, tiny = _gamma(h + 1, precision), precision[1]
-        gamma = own + _gamma(h + 1, _F64)
-        lift = 1 + _gamma(h + 1, _F64)
-        magnitude = np.dot(abs_w2.T.astype(hidden.dtype), hidden.T)
-        err = np.multiply(magnitude, gamma / (1 - own), dtype=np.float64)
+        h, tiny = abs_w2.shape[0], _F64[1]
+        gamma = _gamma(h + 1)
+        lift, both = 1 + gamma, 2 * gamma  # both: in E and in E'
+        err = np.dot(abs_w2.T, hidden.T)
+        err *= both / (1 - gamma)
         # (e1 + e1').|W2| is rank one in the rows, plus a constant
         err += np.multiply.outer(lift * np.dot(slope, abs_w2), norms)
-        err += (lift * np.dot(offset, abs_w2) + gamma * abs_b2
-                + (2 * h + 2) * (tiny + _F64[1])
-                + 2 * h * tiny * gamma / (1 - own))[:, None]
+        err += (lift * np.dot(offset, abs_w2) + both * abs_b2
+                + (2 * h + 2) * 2 * tiny
+                + 2 * h * tiny * both / (1 - gamma))[:, None]
     err *= _SAFETY
     return err
 
@@ -484,7 +449,7 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
     """Each row's top logit, and the rows where the float64 pass's argmax
     could differ.  A row is decided when one class's lowest value (logit
     less margin) beats every other class's highest: that class is then the
-    row's argmax at either precision.  A row with no such class at all can
+    row's argmax in either pass.  A row with no such class at all can
     only hold NaN, and is undecided too.  Each margin first grows by 2^-52
     times its logit's magnitude, which covers the rounding of these float64
     sums (given the safety factor of :func:`_margins`)."""
@@ -500,41 +465,29 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
                      features: np.ndarray, norms: np.ndarray,
-                     first_layer: FirstLayer | None = None) -> np.ndarray | None:
+                     first_layer: FirstLayer) -> np.ndarray | None:
     """The argmax of every row of ``predict_logits(arch, params, features)``
-    for float32 rows of 2-norms ``norms``, or None.  A first pass decides
-    each row whose top logit beats every other by more than their bounds
-    (see :func:`_decide`): a float32 pass, or given ``first_layer`` (from
-    the products, for these parameters), a float64 pass from it.  The
-    undecided rows are scored again in float64 under the float64 bounds, and
-    if any is still undecided (exact ties, all-zero parameters) or anything
-    could overflow, the answer is None."""
+    for float32 rows of 2-norms ``norms``, or None.  A float64 pass from
+    ``first_layer``, these parameters' first layer on the rows, decides each
+    row whose top logit beats every other by more than their bounds (see
+    :func:`_decide`).  The undecided rows are scored again by the float64
+    pass, under its own bounds, and if any is still undecided (exact ties,
+    all-zero parameters), the answer is None."""
     layers = _unpack(arch, params)
-    d = arch.input_dim
-    if first_layer is None:
-        terms = _bound_terms(layers, norms.max())
-        if terms is None:
-            return None
-        w_norms, others = terms
-        slope, offset = _first_layer_error(d, w_norms, others[0], _F32)
-        hidden, logits = _forward(layers, features)
-        precision = _F32
-    else:
-        w_norms, others = first_layer.w_norms, _abs64(layers[1:])
-        slope = first_layer.slope
-        offset = _F64[0] * others[0] + first_layer.floor
-        hidden, logits = _forward(layers, None, first_layer.values)
-        precision = _F64
-    ref_slope, ref_offset = _first_layer_error(d, w_norms, others[0], _F64)
-    top, undecided = _decide(logits, _margins(slope + ref_slope, offset + ref_offset,
-                                              norms, hidden, others, precision))
+    others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
+    ref_slope, ref_offset = _first_layer_error(arch.input_dim, first_layer.w_norms,
+                                               others[0])
+    offset = _F64[0] * others[0] + first_layer.floor
+    hidden, logits = _forward(layers, None, first_layer.values)
+    top, undecided = _decide(logits, _margins(first_layer.slope + ref_slope,
+                                              offset + ref_offset, norms, hidden,
+                                              others))
     if undecided.size:
         layers = _unpack(arch, params.astype(np.float64))
         rows = features[undecided].astype(np.float64)
         hidden, logits = _forward(layers, rows)
         rescored, still = _decide(logits, _margins(2 * ref_slope, 2 * ref_offset,
-                                                   norms[undecided], hidden, others,
-                                                   _F64))
+                                                   norms[undecided], hidden, others))
         if still.size:
             return None
         top[undecided] = rescored
@@ -547,10 +500,12 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray,
 
     On a wide set (see :attr:`LabeledDataset.prepared`), float32 parameters
     of the right shape for a wide enough first layer (see :data:`WIDE_LAYER`)
-    are screened first (:func:`_screened_argmax`): in float32, or from
-    ``first_layer`` if given, which must be these parameters' first layer on
-    ``test`` (:meth:`FirstLayerProducts.combine`).  The accuracy is always
-    that of the float64 forward pass."""
+    are screened first (:func:`_screened_argmax`) from ``first_layer``,
+    which must be these parameters' first layer on ``test``
+    (:meth:`FirstLayerProducts.combine`).  Without one they are screened
+    from products of their own, which cast the set to float64 a chunk at a
+    time, unless :func:`first_layer_products` or ``combine`` refuses them.
+    The accuracy is always that of the float64 forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
@@ -558,7 +513,11 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray,
     predictions = None
     if (norms is not None and params.dtype == np.float32
             and params.shape == (arch.param_count,) and _wide_layer(arch)):
-        predictions = _screened_argmax(arch, params, features, norms, first_layer)
+        if first_layer is None:
+            products = first_layer_products(arch, [params.astype(np.float64)], test)
+            first_layer = None if products is None else products.combine(np.ones(1))
+        if first_layer is not None:
+            predictions = _screened_argmax(arch, params, features, norms, first_layer)
     if predictions is None:
         predictions = predict_logits(arch, params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows

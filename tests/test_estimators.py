@@ -649,21 +649,28 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     runs = [lambda t: gtg_eval(log, t, cfg), lambda t: gtg_oti(log, t, cfg),
             lambda t: mr_eval(log, t)]
     wants = [run(test) for run in runs]
-    from_products = []
-    screen = models._screened_argmax
+    calls = collections.Counter()
+    screen, products = models._screened_argmax, models.first_layer_products
 
-    def counted(arch, params, features, norms, first_layer=None):
-        from_products.append(first_layer is not None)
+    def counted(arch, params, features, norms, first_layer):
+        calls["screen"] += 1
         return screen(arch, params, features, norms, first_layer)
+
+    # evaluate makes products of a model's own only when given no first layer
+    # (the rounds' products are made through RoundStack)
+    def counted_products(arch, vectors, test):
+        calls["own products"] += 1
+        return products(arch, vectors, test)
 
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "_screened_argmax", counted)
+    monkeypatch.setattr(models, "first_layer_products", counted_products)
     for run, want in zip(runs, wants):
         # a fresh set over the same arrays, prepared under the patched bounds
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
                                  want)
-    assert from_products == [True] * sum(want.eval_count for want in wants)
+    assert calls == {"screen": sum(want.eval_count for want in wants)}
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

@@ -284,16 +284,25 @@ def test_loader_rejects_corruption(tmp_path):
     with pytest.raises(LogFormatError, match="version"):
         load_log(bad_version)
 
-    # no rounds, or one participant: written fine, refused on reading
+    # no rounds, one participant, or a participant of weight 0 (whose
+    # coalition of one has no weight): written fine, refused on reading
     rec = log.rounds[0]
     alone = RoundRecord(0, rec.base_model, {1: rec.updates[1]},
                         rec.base_model + rec.updates[1])
-    for empty in (GradientLog(log.architecture, [], log.participant_weights),
-                  GradientLog(log.architecture, [alone], {1: 5})):
-        with pytest.raises(ValueError, match="n >= 2 and T >= 1"):
-            empty.validate()
-        path = save_log(empty, tmp_path / "empty.gtgl")
-        with pytest.raises(LogFormatError, match=f"n={empty.n}, T={empty.total_rounds}"):
+    weightless = {**log.participant_weights, 2: 0}
+    reweighed = RoundRecord(0, rec.base_model, rec.updates, fedavg_aggregate(
+        rec.base_model, rec.updates, weightless))
+    for bad, why in [
+            (GradientLog(log.architecture, [], log.participant_weights),
+             "n >= 2 and T >= 1, got n=2, T=0"),
+            (GradientLog(log.architecture, [alone], {1: 5}),
+             "n >= 2 and T >= 1, got n=1, T=1"),
+            (GradientLog(log.architecture, [reweighed], weightless),
+             "participant weights must be positive")]:
+        with pytest.raises(ValueError, match=why):
+            bad.validate()
+        path = save_log(bad, tmp_path / "bad.gtgl")
+        with pytest.raises(LogFormatError, match=why):
             load_log(path)
 
     with pytest.raises(LogFormatError):

@@ -4,8 +4,9 @@ against test-local copies of their first implementations.
 The references below allocate a fresh float64 copy of the test features on
 every call, add biases and the ReLU into new temporaries, compute the loss on
 every training batch and allocate one temporary per coalition member.  The
-library's kernels skip that work, and evaluate screens wide test sets in
-float32; every result must still be bit-equal, not merely close.
+library's kernels skip that work, and evaluate screens wide test sets from
+first-layer products; every result must still be bit-equal, not merely
+close.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,18 +303,17 @@ def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_d
     assert got == want
 
 
-# --- the float32 screen of wide test sets ---------------------------------------
+# --- the screen of wide test sets -----------------------------------------------
 
 
 BRANCHES = ("decided", "rescored", "fallback")
 
 
 class ScreenBranches:
-    """Counts which way each screened evaluation went, by the source of its
-    first pass ("float32", or "products" given a first layer) and branch:
-    "decided" (the first pass decided every row), "rescored" (some rows were
-    scored again in float64) or "fallback" (the float64 pass scored the
-    whole set)."""
+    """Counts which way each screened evaluation went: "decided" (the first
+    pass, from the first layer, decided every row), "rescored" (some rows
+    were scored again in float64) or "fallback" (the float64 pass scored
+    the whole set)."""
 
     def __init__(self, monkeypatch):
         self.seen = collections.Counter()
@@ -323,11 +324,10 @@ class ScreenBranches:
             stages.append(logits.dtype)
             return decide(logits, margins)
 
-        def counted_screen(arch, params, features, norms, first_layer=None):
+        def counted_screen(arch, params, features, norms, first_layer):
             stages.clear()
             top = screen(arch, params, features, norms, first_layer)
-            source = "float32" if first_layer is None else "products"
-            self.seen[source, "fallback" if top is None else
+            self.seen["fallback" if top is None else
                       "rescored" if len(stages) > 1 else "decided"] += 1
             return top
 
@@ -340,9 +340,11 @@ def screen_param_cases(arch: ModelArchitecture,
     """:func:`param_cases`, trained parameters, and trained parameters
     edited so that class 1 ties class 0 exactly (the tie resolves to class
     0), or differs from it by one float32 ulp in its bias or in each
-    weight, which float32 sums can miss or reverse; one NaN; large values
-    (whose float32 sums overflow only in the second layer, if there is one)
-    and values whose float32 sums overflow in the first."""
+    weight, which rounding can miss or reverse; one NaN, which leaves a
+    model without products; large values, scaled by 1e17 in the first layer
+    and 1e22 in the second, if there is one; and values near float32's
+    largest, whose products :meth:`~models.FirstLayerProducts.combine`
+    refuses."""
     cases = param_cases(arch)
     trained = train_local(arch, cases[0], data, TrainConfig(
         local_epochs=3, batch_size=8, learning_rate=0.3, seed=1))
@@ -375,25 +377,45 @@ def float64_pass(arch: ModelArchitecture, params: np.ndarray,
     return int(np.count_nonzero(predictions == test.labels)) / len(test)
 
 
-@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
+def own_first_layer(arch: ModelArchitecture, params: np.ndarray,
+                    test: LabeledDataset) -> models.FirstLayer | None:
+    """The first layer of float32 ``params`` from products of their own, as
+    evaluate makes it when given none; None where there are no products or
+    combine refuses them."""
+    products = models.first_layer_products(arch, [params.astype(np.float64)], test)
+    return None if products is None else products.combine(np.ones(1))
+
+
+def test_a_single_model_is_screened_from_its_own_products(monkeypatch):
     # every set is wide, every model wide enough
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
     branches = ScreenBranches(monkeypatch)
-    full = blobs(arch, 12, seed=5)
-    one_row = LabeledDataset(full.features[:1], full.labels[:1])
-    for test in (full, one_row):
-        for params in screen_param_cases(arch, full):
-            # float64 parameters are not screened: they take the float64 pass
-            screened = branches.seen.total()
-            want = float64_pass(arch, params, test)
-            assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
-            assert branches.seen.total() == screened
-            assert same_bits(evaluate(arch, params, test), want)
-            assert branches.seen.total() == screened + 1
-        assert test.prepared[1] is not None
-    assert set(branches.seen) == {("float32", branch) for branch in BRANCHES}
+    for arch in ARCHS:
+        full = blobs(arch, 12, seed=5)
+        one_row = LabeledDataset(full.features[:1], full.labels[:1])
+        cases = screen_param_cases(arch, full)
+        nan, huge = cases[-3], cases[-1]
+        for test in (full, one_row):
+            for params in cases:
+                # float64 parameters are not screened: they take the float64 pass
+                screened = branches.seen.total()
+                want = float64_pass(arch, params, test)
+                assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
+                assert branches.seen.total() == screened
+                assert same_bits(evaluate(arch, params, test), want)
+                first = own_first_layer(arch, params, test)
+                assert (first is None) == (params is nan or params is huge)
+                assert branches.seen.total() == screened + (first is not None)
+            assert test.prepared[1] is not None
+            # a NaN gives no products; values near float32's largest are refused
+            assert models.first_layer_products(
+                arch, [nan.astype(np.float64)], test) is None
+            assert models.first_layer_products(
+                arch, [huge.astype(np.float64)], test) is not None
+    # across the architectures, not in each: the 1x1 model's own products
+    # leave no row to rescore
+    assert set(branches.seen) == set(BRANCHES)
 
 
 def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
@@ -435,6 +457,21 @@ def test_a_wide_dataset_passed_straight_to_evaluate_is_screened(monkeypatch):
     params = init_params(arch, seed=4)
     assert same_bits(evaluate(arch, params, test), ref_evaluate(arch, params, test))
     assert branches.seen.total() == 1
+
+
+def test_a_single_model_is_screened_without_a_float64_copy_of_the_set():
+    arch = ARCHS[-1]
+    test = blobs(arch, 100, seed=9)  # 1,000 rows of 784 values
+    assert test.features.size >= models.WIDE_ELEMENTS
+    params = init_params(arch, seed=4)
+    tracemalloc.start()
+    try:
+        evaluate(arch, params, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below the float32 set's own size, let alone a float64 copy's
+    assert peak < test.features.nbytes
 
 
 def test_a_dataset_is_frozen():
@@ -488,7 +525,7 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     weights = {1: 7, 2: 13, 3: 3, 4: 101}
     coalitions = [ids for k in range(5) for ids in itertools.combinations(range(1, 5), k)]
     rng = np.random.default_rng(arch.param_count)
-    refused = 0
+    refused, from_coalitions = 0, collections.Counter()
     for base in screen_param_cases(arch, full):
         # a zero update; two that scale the base by powers of two, so that
         # every coalition's model keeps the base's exact ties and (up to
@@ -511,16 +548,20 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
                     assert first_layer_bound_holds(arch, params, test, first)
                 want = float64_pass(arch, params, test)
                 # float64 parameters holding the same values are not screened
-                screened = branches.seen.total()
+                before = branches.seen.copy()
                 assert same_bits(evaluate(arch, params.astype(np.float64), test,
                                           first), want)
-                assert branches.seen.total() == screened
+                assert branches.seen == before
                 assert same_bits(evaluate(arch, params, test, first), want)
-                assert branches.seen.total() == screened + 1
+                seen = branches.seen - before
+                # without a first layer, from products of its own if accepted
+                assert seen.total() == (first is not None or own_first_layer(
+                    arch, params, test) is not None)
+                if first is not None:
+                    from_coalitions.update(seen)
     # values near float32's largest, whose models could overflow, are refused
     assert refused
-    assert {branch for source, branch in branches.seen
-            if source == "products"} == set(BRANCHES)
+    assert set(from_coalitions) == set(BRANCHES)
 
 
 def test_coefficients_are_the_rebuilds_shares():
