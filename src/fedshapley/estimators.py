@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -44,9 +43,8 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     UniformPermutationSampler, check_convergence,
                     check_enumerable, exact_shapley, players_of,
                     shapley_from_values, walk_order)
-from .models import (FirstLayer, FirstLayerProducts, LabeledDataset,
-                     ModelArchitecture, TrainConfig, check_types, evaluate,
-                     init_params, train_local)
+from .models import (LabeledDataset, LazyModel, ModelArchitecture, TrainConfig,
+                     check_types, evaluate, init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -133,14 +131,26 @@ class RoundGame:
         The base model and the updates are cast to float64 once, here, and
         on a wide test set their first layers' products with it are made
         once too; each coalition a walker visits is rebuilt on its own from
-        them and evaluated once.
+        them and evaluated once.  On a wide set that rebuild is the model's
+        tail, the parameters after the first layer's weights, and the full
+        model is rebuilt only if ``evaluate`` reads it (see
+        :class:`~fedshapley.models.LazyModel`).
         """
         stack = RoundStack(record, weights)
         products = stack.first_layer_products(arch, test)
+        if products is None:
+            def oracle(ids: tuple[int, ...]) -> float:
+                return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
+                                test)
+        else:
+            tails = stack.tail(arch.first_layer_size)
 
-        def oracle(ids: tuple[int, ...]) -> float:
-            return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
-                            test, _first_layer(stack, products, ids))
+            def oracle(ids: tuple[int, ...]) -> float:
+                first = products.combine(stack.coefficients(ids))
+                if not ids:
+                    return evaluate(arch, record.base_model, test, first)
+                full = functools.partial(stack.rebuild, ids)
+                return evaluate(arch, LazyModel(tails.rebuild(ids), full), test, first)
 
         return cls(record.round, CoalitionGame(len(weights), oracle))
 
@@ -159,12 +169,6 @@ class RoundGame:
                                  base, summed, log.participant_weights))
         return cls.from_round(record, log.participant_weights,
                               log.architecture, test)
-
-
-def _first_layer(stack: RoundStack, products: FirstLayerProducts | None,
-                 ids: Sequence[int]) -> FirstLayer | None:
-    """The coalition's first layer from the round's products, if it has any."""
-    return None if products is None else products.combine(stack.coefficients(ids))
 
 
 def gtg_round(rgame: RoundGame, cfg: GtgConfig, sampler=None,
@@ -290,9 +294,10 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     """Utility of every coalition of one round, indexed by bitmask.
 
     Costs 2^n evaluations: the base model, then every non-empty coalition's
-    model, rebuilt a chunk of coalitions at a time (on a wide test set, each
-    with its first layer from the round's products).  The enumeration guard
-    is checked before anything is evaluated.
+    model, rebuilt a chunk of coalitions at a time.  On a wide test set each
+    has its first layer from the round's products, and the chunks hold
+    only the models' tails, as in :meth:`RoundGame.from_round`.  The
+    enumeration guard is checked before anything is evaluated.
     """
     check_enumerable(log.n)
     arch = log.architecture
@@ -300,11 +305,19 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
     values = np.empty(1 << log.n, dtype=np.float64)
     stack = RoundStack(rec, log.participant_weights)
     products = stack.first_layer_products(arch, test)
-    values[0] = evaluate(arch, rec.base_model, test, _first_layer(stack, products, ()))
-    firsts = (itertools.repeat(None) if products is None else
-              (_first_layer(stack, products, players_of(m)) for m in masks.tolist()))
-    for mask, model, first in zip(masks.tolist(), stack.rebuild_masks(masks), firsts):
-        values[mask] = evaluate(arch, model, test, first)
+    if products is None:
+        values[0] = evaluate(arch, rec.base_model, test)
+        for mask, model in zip(masks.tolist(), stack.rebuild_masks(masks)):
+            values[mask] = evaluate(arch, model, test)
+        return values
+    values[0] = evaluate(arch, rec.base_model, test,
+                         products.combine(stack.coefficients(())))
+    tails = stack.tail(arch.first_layer_size)
+    for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
+        ids = players_of(mask)
+        first = products.combine(stack.coefficients(ids))
+        full = functools.partial(stack.rebuild, ids)
+        values[mask] = evaluate(arch, LazyModel(tail, full), test, first)
     return values
 
 

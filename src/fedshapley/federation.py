@@ -14,6 +14,7 @@ A ``<path>.json`` sidecar carries run metadata.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -149,7 +150,9 @@ class RoundStack:
     :func:`reconstruct_submodel`.  Participants are 1..n, the keys of
     ``weights``; a coalition given as a bitmask has bit ``i - 1`` set iff
     participant ``i`` is in it.  Shapes are checked here, once, and not on
-    each rebuild.
+    each rebuild.  Every operation is element-wise, so the stack of
+    :meth:`tail` rebuilds a slice of each model, bit for bit (on a wide test
+    set, what follows the first layer's weights: see ``models.LazyModel``).
     """
 
     def __init__(self, record: RoundRecord, weights: Mapping[int, int]):
@@ -195,6 +198,17 @@ class RoundStack:
                         out=scaled)
             acc += scaled
         return acc.astype(np.float32)
+
+    def tail(self, start: int) -> "RoundStack":
+        """This stack over the parameters from ``start`` on: its rebuilds
+        are ``self.rebuild(ids)[start:]``, bit for bit, at the cost of the
+        slice alone."""
+        tail = copy.copy(self)
+        tail._base = self._base[start:]
+        tail._updates = self._updates[:, start:]
+        tail._chunk_rows = max(1, CHUNK_ELEMENTS // tail._base.size)
+        tail._scaled = np.empty_like(tail._base)
+        return tail
 
     def coefficients(self, ids: Sequence[int]) -> np.ndarray:
         """The coalition ``ids``'s model as a weighted sum of the base and

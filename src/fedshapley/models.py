@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,6 +85,11 @@ class ModelArchitecture:
             return self.input_dim * self.class_count + self.class_count
         return (self.input_dim * self.hidden_dim + self.hidden_dim
                 + self.hidden_dim * self.class_count + self.class_count)
+
+    @property
+    def first_layer_size(self) -> int:
+        """The first layer's weights: where the rest of a flat vector starts."""
+        return self.input_dim * (self.hidden_dim or self.class_count)
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,17 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
     w2 = flat[off:off + h * c].reshape(h, c); off += h * c
     b2 = flat[off:]
     return w1, b1, w2, b2
+
+
+def _unpack_tail(arch: ModelArchitecture, tail: np.ndarray) -> tuple:
+    """:func:`_unpack`'s views after the first layer's weights, from a vector
+    ``tail`` of the parameters from ``arch.first_layer_size`` on.  (Training
+    and narrow evaluations unpack a whole vector per call, so :func:`_unpack`
+    keeps its own offsets rather than pay for a call of this.)"""
+    h, c = arch.hidden_dim, arch.class_count
+    if h == 0:
+        return (tail,)
+    return tail[:h], tail[h:h + h * c].reshape(h, c), tail[h + h * c:]
 
 
 def _forward(layers: tuple, x: np.ndarray | None,
@@ -292,7 +308,7 @@ def _gamma(k: int) -> float:
 
 def _wide_layer(arch: ModelArchitecture) -> bool:
     """Whether the first layer makes at least :data:`WIDE_LAYER` multiplies a row."""
-    return arch.input_dim * (arch.hidden_dim or arch.class_count) >= WIDE_LAYER
+    return arch.first_layer_size >= WIDE_LAYER
 
 
 def _first_layer_error(d: int, w_norms: np.ndarray,
@@ -319,6 +335,22 @@ class FirstLayer(NamedTuple):
     w_norms: np.ndarray
 
 
+class LazyModel:
+    """Float32 parameters of which only ``tail``, those from
+    ``arch.first_layer_size`` on, are built up front; ``params``, every
+    value, is built by ``build()`` at its first read.  :func:`evaluate`
+    screens the model from ``tail`` and its :class:`FirstLayer`, and reads
+    ``params`` only to score rows again or to run the float64 pass."""
+
+    def __init__(self, tail: np.ndarray, build: Callable[[], np.ndarray]):
+        self.tail = tail
+        self._build = build
+
+    @functools.cached_property
+    def params(self) -> np.ndarray:
+        return self._build()
+
+
 class FirstLayerProducts:
     """The float64 products Q_i = X.B_i of a wide test set's rows X with the
     first-layer blocks B_0..B_n of n + 1 flat float64 parameter vectors v_i,
@@ -336,7 +368,7 @@ class FirstLayerProducts:
                  features: np.ndarray, max_abs: np.ndarray):
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
         self._shape = (features.shape[0], width)
-        blocks = [v[:d * width].reshape(d, width) for v in vectors]
+        blocks = [v[:arch.first_layer_size].reshape(d, width) for v in vectors]
         self._products = np.empty((len(blocks), features.shape[0] * width))
         step = max(1, PRODUCT_CHUNK_ELEMENTS // d)
         for start in range(0, features.shape[0], step):
@@ -463,17 +495,17 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
     return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
 
 
-def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
+def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
                      features: np.ndarray, norms: np.ndarray,
                      first_layer: FirstLayer) -> np.ndarray | None:
-    """The argmax of every row of ``predict_logits(arch, params, features)``
-    for float32 rows of 2-norms ``norms``, or None.  A float64 pass from
-    ``first_layer``, these parameters' first layer on the rows, decides each
-    row whose top logit beats every other by more than their bounds (see
-    :func:`_decide`).  The undecided rows are scored again by the float64
-    pass, under its own bounds, and if any is still undecided (exact ties,
-    all-zero parameters), the answer is None."""
-    layers = _unpack(arch, params)
+    """The argmax of every row of ``predict_logits(arch, model.params,
+    features)`` for float32 rows of 2-norms ``norms``, or None.  A float64
+    pass from ``first_layer``, these parameters' first layer on the rows,
+    and ``model.tail`` decides each row whose top logit beats every other by
+    more than their bounds (see :func:`_decide`).  The undecided rows are
+    scored again by the float64 pass, under its own bounds, and if any is
+    still undecided (exact ties, all-zero parameters), the answer is None."""
+    layers = (None, *_unpack_tail(arch, model.tail))
     others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
     ref_slope, ref_offset = _first_layer_error(arch.input_dim, first_layer.w_norms,
                                                others[0])
@@ -483,7 +515,7 @@ def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
                                               offset + ref_offset, norms, hidden,
                                               others))
     if undecided.size:
-        layers = _unpack(arch, params.astype(np.float64))
+        layers = _unpack(arch, model.params.astype(np.float64))
         rows = features[undecided].astype(np.float64)
         hidden, logits = _forward(layers, rows)
         rescored, still = _decide(logits, _margins(2 * ref_slope, 2 * ref_offset,
@@ -494,7 +526,7 @@ def _screened_argmax(arch: ModelArchitecture, params: np.ndarray,
     return top
 
 
-def evaluate(arch: ModelArchitecture, params: np.ndarray,
+def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
              test: LabeledDataset, first_layer: FirstLayer | None = None) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
@@ -505,19 +537,31 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray,
     (:meth:`FirstLayerProducts.combine`).  Without one they are screened
     from products of their own, which cast the set to float64 a chunk at a
     time, unless :func:`first_layer_products` or ``combine`` refuses them.
-    The accuracy is always that of the float64 forward pass."""
+    A :class:`LazyModel`, which only a wide set takes, is screened from its
+    first layer and its tail, and built in full only where the screen needs
+    it; given no first layer, it is built and scored like any float32
+    parameters.  The accuracy is always that of the float64 forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
     features, norms = test.prepared
     predictions = None
-    if (norms is not None and params.dtype == np.float32
-            and params.shape == (arch.param_count,) and _wide_layer(arch)):
-        if first_layer is None:
-            products = first_layer_products(arch, [params.astype(np.float64)], test)
-            first_layer = None if products is None else products.combine(np.ones(1))
-        if first_layer is not None:
-            predictions = _screened_argmax(arch, params, features, norms, first_layer)
+    if norms is not None:
+        model = params if isinstance(params, LazyModel) else None
+        if model is not None and first_layer is None:
+            params, model = model.params, None
+        if (model is None and params.dtype == np.float32
+                and params.shape == (arch.param_count,) and _wide_layer(arch)):
+            if first_layer is None:
+                products = first_layer_products(arch, [params.astype(np.float64)], test)
+                first_layer = None if products is None else products.combine(np.ones(1))
+            if first_layer is not None:
+                full = params
+                model = LazyModel(full[arch.first_layer_size:], lambda: full)
+        if model is not None:
+            predictions = _screened_argmax(arch, model, features, norms, first_layer)
+            if predictions is None:
+                params = model.params
     if predictions is None:
         predictions = predict_logits(arch, params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows

@@ -649,12 +649,29 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     runs = [lambda t: gtg_eval(log, t, cfg), lambda t: gtg_oti(log, t, cfg),
             lambda t: mr_eval(log, t)]
     wants = [run(test) for run in runs]
-    calls = collections.Counter()
+    calls, rebuilds = collections.Counter(), collections.Counter()
     screen, products = models._screened_argmax, models.first_layer_products
+    decide, rebuild = models._decide, RoundStack.rebuild
 
-    def counted(arch, params, features, norms, first_layer):
+    def counted(arch, model, features, norms, first_layer):
         calls["screen"] += 1
-        return screen(arch, params, features, norms, first_layer)
+        decided = rebuilds["decide"]
+        top = screen(arch, model, features, norms, first_layer)
+        # a second decide scored rows again; None sends the set to the
+        # float64 pass
+        rescored = rebuilds["decide"] > decided + 1
+        rebuilds["rescored or fell back"] += top is None or rescored
+        return top
+
+    def counted_decide(logits, margins):
+        rebuilds["decide"] += 1
+        return decide(logits, margins)
+
+    # a coalition's tail is rebuilt through the same method, on a tail stack
+    def counted_rebuild(stack, ids):
+        model = rebuild(stack, ids)
+        rebuilds["full"] += model.size == log.architecture.param_count
+        return model
 
     # evaluate makes products of a model's own only when given no first layer
     # (the rounds' products are made through RoundStack)
@@ -666,11 +683,15 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "_screened_argmax", counted)
     monkeypatch.setattr(models, "first_layer_products", counted_products)
+    monkeypatch.setattr(models, "_decide", counted_decide)
+    monkeypatch.setattr(RoundStack, "rebuild", counted_rebuild)
     for run, want in zip(runs, wants):
         # a fresh set over the same arrays, prepared under the patched bounds
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
                                  want)
     assert calls == {"screen": sum(want.eval_count for want in wants)}
+    # a coalition's model is rebuilt in full only where the screen read it
+    assert rebuilds["full"] <= rebuilds["rescored or fell back"]
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

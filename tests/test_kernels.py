@@ -30,9 +30,10 @@ from fedshapley import (
     predict_logits,
     train_local,
 )
-from fedshapley import federation, models
+from fedshapley import estimators, federation, models
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
 from fedshapley.federation import RoundStack
+from fedshapley.games import players_of
 
 # --- reference implementations --------------------------------------------------
 
@@ -324,9 +325,9 @@ class ScreenBranches:
             stages.append(logits.dtype)
             return decide(logits, margins)
 
-        def counted_screen(arch, params, features, norms, first_layer):
+        def counted_screen(arch, model, features, norms, first_layer):
             stages.clear()
-            top = screen(arch, params, features, norms, first_layer)
+            top = screen(arch, model, features, norms, first_layer)
             self.seen["fallback" if top is None else
                       "rescored" if len(stages) > 1 else "decided"] += 1
             return top
@@ -567,6 +568,86 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # values near float32's largest, whose models could overflow, are refused
     assert refused
     assert set(from_coalitions) == set(BRANCHES)
+
+
+# --- the lazy full rebuild of a wide coalition -----------------------------------
+
+
+@pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
+                                     {1: 2 ** 53, 2: 13, 3: 3, 4: 101}],
+                         ids=["chunked", "per-model"])
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
+        monkeypatch, arch, weights):
+    # every set is wide, every model wide enough; past a total weight of
+    # 2^53 rebuild_masks rebuilds each model on its own, else in chunks
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    branches = ScreenBranches(monkeypatch)
+    start = arch.first_layer_size
+    full_rebuilds = []
+    rebuild = RoundStack.rebuild
+
+    def counted_rebuild(stack, ids):
+        model = rebuild(stack, ids)
+        if model.size == arch.param_count:
+            full_rebuilds.append(ids)
+        return model
+
+    outcomes = collections.Counter()
+
+    def checked_evaluate(arch, params, test, first_layer=None):
+        seen, rebuilt = branches.seen.copy(), len(full_rebuilds)
+        accuracy = models.evaluate(arch, params, test, first_layer)
+        seen, rebuilt = branches.seen - seen, len(full_rebuilds) - rebuilt
+        if isinstance(params, models.LazyModel):
+            # rebuilt in full once, where a row was scored again, the
+            # screen fell back, or combine refused the coalition
+            if first_layer is None:
+                outcome = "refused"
+            else:
+                (outcome,) = seen
+            outcomes[outcome] += 1
+            assert rebuilt == (outcome != "decided")
+            # the tail is the model's, bit for bit
+            assert same_bits(params.tail, params.params[start:])
+            params = params.params
+        else:
+            assert rebuilt == 0
+        assert same_bits(accuracy, float64_pass(arch, params, test))
+        return accuracy
+
+    monkeypatch.setattr(RoundStack, "rebuild", counted_rebuild)
+    monkeypatch.setattr(estimators, "evaluate", checked_evaluate)
+    full = blobs(arch, 12, seed=5)
+    top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
+    one_row = LabeledDataset(full.features[top:top + 1], full.labels[top:top + 1])
+    rng = np.random.default_rng(arch.param_count)
+    for base in screen_param_cases(arch, full):
+        zeros = np.zeros_like(base)
+        # as in the products test above, and a round of zero updates, whose
+        # every coalition is the base, with its ties
+        mixed = {1: zeros, 2: base * np.float32(0.125), 3: base * np.float32(-0.25),
+                 4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
+        for updates in (mixed, dict.fromkeys(weights, zeros)):
+            rec = federation.RoundRecord(0, base, updates, base)
+            log = federation.GradientLog(arch, [rec], weights)
+            stack = RoundStack(rec, weights)
+            tails = stack.tail(start)
+            masks = np.arange(1, 16)
+            for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
+                model = rebuild(stack, players_of(mask))
+                assert same_bits(tail, model[start:])
+                assert same_bits(rebuild(tails, players_of(mask)), model[start:])
+            for test in (full, one_row):
+                lazy = outcomes.total()
+                game = estimators.RoundGame.from_round(rec, weights, arch, test).game
+                values = [game.value_mask(mask) for mask in range(16)]
+                assert estimators.round_utilities(rec, log, test).tolist() == values
+                # a NaN leaves the round without products: every model is
+                # rebuilt in full before evaluate, as on a narrow set
+                assert outcomes.total() - lazy == (0 if np.isnan(base).any() else 30)
+    assert set(outcomes) == {"decided", "rescored", "fallback", "refused"}
 
 
 def test_coefficients_are_the_rebuilds_shares():
