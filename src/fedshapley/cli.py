@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -192,6 +193,23 @@ def _out_dir(args, cfg_dir: str | None = None) -> Path:
     return Path.cwd()
 
 
+@contextlib.contextmanager
+def _output_dir(args, cfg_dir: str | None = None):
+    """The output directory, made before the work whose results go there, so
+    that a path no directory can take fails at once; if the work fails, the
+    directories made here are removed again, those still empty."""
+    out = _out_dir(args, cfg_dir)
+    made = [path for path in (out, *out.parents) if not path.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -222,12 +240,11 @@ def cmd_simulate(args) -> int:
         print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
     participants, _, test = build_participants(cfg)
-    log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
-                         cfg.federation_seed)
-    out = _out_dir(args, cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{_log_stem(cfg)}.gtgl"
-    save_log(log, path, metadata={"config": config_to_dict(cfg)})
+    with _output_dir(args, cfg.output_dir) as out:
+        log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
+                             cfg.federation_seed)
+        path = out / f"{_log_stem(cfg)}.gtgl"
+        save_log(log, path, metadata={"config": config_to_dict(cfg)})
     final_acc = evaluate(cfg.model, log.rounds[-1].aggregated, test)
     start_acc = evaluate(cfg.model, log.rounds[0].base_model, test)
     _say(args, f"log: {path}")
@@ -236,10 +253,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _experiment_of(log_path: str, log: GradientLog):
-    """The config embedded in ``log``'s sidecar and the participants and test
-    set it rebuilds, checked against the log: its n, rounds and model before
-    any data is drawn, its participant weights after."""
+def _sidecar_config(log_path: str) -> ExperimentConfig:
+    """The config embedded in the sidecar of the log at ``log_path``."""
     sidecar = f"{log_path}.json"
 
     def json_object(value, what: str) -> dict:
@@ -254,7 +269,14 @@ def _experiment_of(log_path: str, log: GradientLog):
         raise LogFormatError(
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
-    cfg = config_from_dict(json_object(config_doc, "'metadata.config'"), sidecar)
+    return config_from_dict(json_object(config_doc, "'metadata.config'"), sidecar)
+
+
+def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
+    """The participants and test set that the sidecar's config ``cfg``
+    rebuilds, checked against ``log``: its n, rounds and model before any
+    data is drawn, its participant weights after."""
+    sidecar = f"{log_path}.json"
     found = (log.n, log.total_rounds, log.architecture)
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
         raise LogFormatError(f"{sidecar}: config does not describe the log's n, "
@@ -263,7 +285,7 @@ def _experiment_of(log_path: str, log: GradientLog):
     if [p.weight for p in participants] != list(log.participant_weights.values()):
         raise LogFormatError(f"{sidecar}: config rebuilds participants whose "
                              "weights differ from the log's")
-    return cfg, participants, test
+    return participants, test
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
@@ -301,16 +323,16 @@ def cmd_evaluate(args) -> int:
         print(json.dumps({"estimator": args.estimator, "params": params},
                          sort_keys=True, indent=2))
         return EXIT_OK
-    log = load_log(args.log)
-    log.validate()
-    cfg, participants, test = _experiment_of(args.log, log)
-    report = _run_named_estimator(args.estimator, params, cfg, log, test,
-                                  participants, args.seed)
-    out = _out_dir(args, cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
-    path.write_text(json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
-                    + "\n")
+    cfg = _sidecar_config(args.log)
+    with _output_dir(args, cfg.output_dir) as out:
+        log = load_log(args.log)
+        log.validate()
+        participants, test = _experiment_of(args.log, cfg, log)
+        report = _run_named_estimator(args.estimator, params, cfg, log, test,
+                                      participants, args.seed)
+        path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
+        path.write_text(json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
+                        + "\n")
     _say(args, f"report: {path}")
     shares = ", ".join(f"{v:.5f}" for v in report.total.values)
     _say(args, f"total contributions: [{shares}]")
@@ -331,31 +353,31 @@ def cmd_compare(args) -> int:
             f"compare computes ground truth by retraining all coalitions; "
             f"n={cfg.scenario.n} exceeds the n <= {RETRAIN_PLAYER_LIMIT} guard")
     participants, _, test = build_participants(cfg)
-    truth = _run_named_estimator("original", {}, cfg, None, test, participants)
-    log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
-                         cfg.federation_seed)
-    rows = []
-    trajectories = {}
-    for entry in cfg.estimators:
-        report = _run_named_estimator(entry["name"], entry["params"], cfg, log,
-                                      test, participants)
-        rows.append(ComparisonRow.compare(truth.total, report))
-        trajectories[report.name] = {
-            "per_round": [v.values.tolist() for v in report.per_round],
-            "total": report.total.values.tolist(),
-            "converged_rounds": list(report.converged_rounds),
+    with _output_dir(args, cfg.output_dir) as out:
+        truth = _run_named_estimator("original", {}, cfg, None, test, participants)
+        log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
+                             cfg.federation_seed)
+        rows = []
+        trajectories = {}
+        for entry in cfg.estimators:
+            report = _run_named_estimator(entry["name"], entry["params"], cfg, log,
+                                          test, participants)
+            rows.append(ComparisonRow.compare(truth.total, report))
+            trajectories[report.name] = {
+                "per_round": [v.values.tolist() for v in report.per_round],
+                "total": report.total.values.tolist(),
+                "converged_rounds": list(report.converged_rounds),
+            }
+        metadata = {
+            "config": config_to_dict(cfg),
+            "scenario": cfg.scenario.kind.value,
+            "seed": cfg.seed,
+            "ground_truth": truth.total.values.tolist(),
+            "ground_truth_evals": truth.eval_count,
+            "trajectories": trajectories,
         }
-    metadata = {
-        "config": config_to_dict(cfg),
-        "scenario": cfg.scenario.kind.value,
-        "seed": cfg.seed,
-        "ground_truth": truth.total.values.tolist(),
-        "ground_truth_evals": truth.eval_count,
-        "trajectories": trajectories,
-    }
-    out = _out_dir(args, cfg.output_dir)
-    csv_path, json_path = write_report(build_report(rows, metadata), out,
-                                       f"compare_{_log_stem(cfg)}")
+        csv_path, json_path = write_report(build_report(rows, metadata), out,
+                                           f"compare_{_log_stem(cfg)}")
     _say(args, f"csv:  {csv_path}")
     _say(args, f"json: {json_path}")
     if not args.quiet:

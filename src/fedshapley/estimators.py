@@ -146,7 +146,7 @@ class RoundGame:
             tails = stack.tail(arch.first_layer_size)
 
             def oracle(ids: tuple[int, ...]) -> float:
-                first = products.combine(stack.coefficients(ids))
+                first = products.combine(ids)
                 if not ids:
                     return evaluate(arch, record.base_model, test, first)
                 full = functools.partial(stack.rebuild, ids)
@@ -311,11 +311,11 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
             values[mask] = evaluate(arch, model, test)
         return values
     values[0] = evaluate(arch, rec.base_model, test,
-                         products.combine(stack.coefficients(())))
+                         products.combine())
     tails = stack.tail(arch.first_layer_size)
     for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
         ids = players_of(mask)
-        first = products.combine(stack.coefficients(ids))
+        first = products.combine(ids)
         full = functools.partial(stack.rebuild, ids)
         values[mask] = evaluate(arch, LazyModel(tail, full), test, first)
     return values

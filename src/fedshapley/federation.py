@@ -210,25 +210,14 @@ class RoundStack:
         tail._scaled = np.empty_like(tail._base)
         return tail
 
-    def coefficients(self, ids: Sequence[int]) -> np.ndarray:
-        """The coalition ``ids``'s model as a weighted sum of the base and
-        the updates (float64, n + 1 values): 1 for the base, then the
-        w_i / W_S that every rebuild gives each member i, 0 for the rest.
-        No ids give the base alone, the empty coalition's model."""
-        coefficients = np.zeros(len(self._weights) + 1)
-        coefficients[0] = 1.0
-        if ids:
-            total = self._total(ids)
-            for i in ids:
-                coefficients[i] = self._weights[i - 1] / total
-        return coefficients
-
     def first_layer_products(self, arch: ModelArchitecture,
                              test: LabeledDataset) -> FirstLayerProducts | None:
         """``test``'s products with the first layers of the base and the
-        updates, in the order of :meth:`coefficients`, where ``evaluate``
-        reads them (see :func:`~fedshapley.models.first_layer_products`)."""
-        return first_layer_products(arch, [self._base, *self._updates], test)
+        updates, participant i's at row i, weighted by ``weights``, where
+        ``evaluate`` reads them (see
+        :func:`~fedshapley.models.first_layer_products`)."""
+        return first_layer_products(arch, [self._base, *self._updates], test,
+                                    self._weights)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
         """Models of the non-empty coalitions ``masks``, in order.

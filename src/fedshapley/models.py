@@ -36,6 +36,7 @@ PRODUCT_CHUNK_ELEMENTS = 1 << 16
 # Unit roundoff and smallest normal value of float64.
 _F64 = (2.0 ** -53, 2.0 ** -1022)
 _F32_MAX = float(np.finfo(np.float32).max)
+_F64_MAX = float(np.finfo(np.float64).max)
 # Covers the rounding of the bounds' own float64 arithmetic.
 _SAFETY = 1.0 + 1e-9
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
@@ -353,58 +354,121 @@ class LazyModel:
 
 class FirstLayerProducts:
     """The float64 products Q_i = X.B_i of a wide test set's rows X with the
-    first-layer blocks B_0..B_n of n + 1 flat float64 parameter vectors v_i,
+    first-layer blocks B_0..B_n of n + 1 flat float64 parameter vectors v_i
+    (a base, then one update per participant, of integer weight w_i >= 0),
     and each B_i's column 2-norms, made once (see
     :func:`first_layer_products`).  The rows are cast to float64 a chunk at a
-    time: no float64 copy of X is kept.
+    time: no float64 copy of X is kept.  Q_0 is kept as it is, and each
+    update's row as P_i = w_i (Q_0 + Q_i), in float64.
 
-    A model whose parameters are fl32(sum_i c_i v_i), the products c_i v_i
-    and their sum taken in float64, in any order (as
-    :class:`~fedshapley.federation.RoundStack` rebuilds a coalition, with
-    c_0 = 1 for the base), has the first layer sum_i c_i Q_i, to within
-    bounds that :meth:`combine` gives."""
+    A coalition S's model is fl32(v_0 + sum_{i in S} c_i v_i), with
+    c_i = w_i / W_S the float64 shares of :meth:`coefficients` and the
+    products and their sum taken in float64, in any order (as
+    :class:`~fedshapley.federation.RoundStack` rebuilds it).  Since
+    W_S = sum_{i in S} w_i, its first layer is R_S / W_S, with the running
+    sum R_S = sum_{i in S} P_i, to within bounds that :meth:`combine`
+    gives.  ``combine`` keeps the R_S it made last, one row: a walk adds one
+    member at a time, so the next coalition is often that one plus one
+    member p, and costs one add of P_p."""
 
     def __init__(self, arch: ModelArchitecture, vectors: Sequence[np.ndarray],
-                 features: np.ndarray, max_abs: np.ndarray):
+                 features: np.ndarray, max_abs: np.ndarray,
+                 weights: Sequence[int] = ()):
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
         self._shape = (features.shape[0], width)
         blocks = [v[:arch.first_layer_size].reshape(d, width) for v in vectors]
-        self._products = np.empty((len(blocks), features.shape[0] * width))
+        self._weights = list(weights)
+        scales = np.array(self._weights, dtype=np.float64)[:, None, None]
+        products = np.empty((len(blocks), *self._shape))
         step = max(1, PRODUCT_CHUNK_ELEMENTS // d)
         for start in range(0, features.shape[0], step):
             rows = features[start:start + step].astype(np.float64)
-            for block, out in zip(blocks, self._products):
-                np.dot(rows, block, out=out.reshape(self._shape)[start:start + step])
+            chunk = products[:, start:start + step]
+            for block, out in zip(blocks, chunk):
+                np.dot(rows, block, out=out)
+            chunk[1:] += chunk[0]  # P_i, while the chunk is in cache
+            chunk[1:] *= scales
+        self._products = products.reshape(len(blocks), -1)
+        # R_S of the coalition whose bitmask (bit i for participant i) is
+        # _summed; 0: none yet
+        self._sum = np.empty(self._products.shape[1])
+        self._summed = 0
         self._norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
         self._max_abs = max_abs
-        # see _margins for these factors of s_j = sum_i |c_i| ||B_ij||
+        # see _margins for these factors of s_j = ||B_0j|| + sum_i c_i ||B_ij||
         u32, u = 2.0 ** -24, _F64[0]  # float32's unit roundoff, and float64's
-        g, g_d = _gamma(len(blocks)), _gamma(d)
-        cast = u32 * (1 + g) + g
+        n, g_d = len(blocks) - 1, _gamma(d)
+        cast = u32 * (1 + _gamma(n + 1)) + _gamma(n + 1)
         self._w_factor = 1 + cast
-        self._slope_factor = (cast + g_d + g * (1 + g_d)) * (1 + u) + u * (1 + cast)
+        self._slope_factor = ((cast + g_d + _gamma(n + 7) * (1 + g_d)) * (1 + u)
+                              + u * (1 + cast))
         self._subnormal = math.sqrt(d) * 2.0 ** -150
-        self._floor = (2 * (d + len(blocks)) + 2) * _F64[1]
+        self._floor = (4 * d + 2 * n + 8) * _F64[1]
 
-    def combine(self, coefficients: np.ndarray) -> FirstLayer | None:
-        """The first layer of the model fl32(sum_i c_i v_i) for
-        ``coefficients`` c (float64, n + 1 values), or None where its float32
-        parameters could overflow."""
-        weights = np.abs(coefficients)
-        if not np.dot(weights, self._max_abs) < _F32_MAX / 2:
+    def _total(self, ids: Sequence[int]) -> float:
+        """W_S, the total weight of the non-empty coalition ``ids``, as the
+        rebuild sums it."""
+        total = float(sum(self._weights[i - 1] for i in ids))
+        if total <= 0:
+            raise ValueError("total coalition weight must be positive")
+        return total
+
+    def coefficients(self, ids: Sequence[int]) -> np.ndarray:
+        """The coalition ``ids``'s model as a weighted sum of the vectors
+        (float64, n + 1 values): 1 for the base, then the w_i / W_S that
+        every rebuild gives each member i, 0 for the rest.  No ids give the
+        base alone, the empty coalition's model."""
+        coefficients = np.zeros(len(self._products))
+        coefficients[0] = 1.0
+        if ids:
+            total = self._total(ids)
+            for i in ids:
+                coefficients[i] = self._weights[i - 1] / total
+        return coefficients
+
+    def _running_sum(self, ids: Sequence[int]) -> np.ndarray:
+        """R_S for the non-empty coalition ``ids`` (members in 1..n), kept
+        for the next call: one add where the coalition is the last one summed
+        plus one member, else a sum of its members' rows."""
+        rows, mask = self._products, sum(1 << i for i in ids)
+        last, added = self._summed, mask & ~self._summed
+        if last and mask & last == last and added and not added & (added - 1):
+            self._sum += rows[added.bit_length() - 1]
+        elif len(ids) == 1:
+            np.copyto(self._sum, rows[ids[0]])
+        else:
+            np.add(rows[ids[0]], rows[ids[1]], out=self._sum)
+            for i in ids[2:]:
+                self._sum += rows[i]
+        self._summed = mask
+        return self._sum
+
+    def combine(self, ids: Sequence[int] = ()) -> FirstLayer | None:
+        """The first layer of the coalition ``ids``'s model (ascending, in
+        1..n; none for the base alone), or None where its float32 parameters
+        could overflow."""
+        c = self.coefficients(ids)  # none negative
+        if not np.dot(c, self._max_abs) < _F32_MAX / 2:
             return None
-        s = np.dot(weights, self._norms)
+        if ids:
+            values = np.multiply(self._running_sum(ids), 1.0 / self._total(ids))
+        else:
+            values = self._products[0].copy()
+        s = np.dot(c, self._norms)
         return FirstLayer(
-            np.dot(coefficients, self._products).reshape(self._shape),
+            values.reshape(self._shape),
             self._slope_factor * s + self._subnormal * (1 + 2 * _F64[0]),
             self._floor, self._w_factor * s + self._subnormal)
 
 
 def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
-                         test: LabeledDataset) -> FirstLayerProducts | None:
+                         test: LabeledDataset, weights: Sequence[int] = ()
+                         ) -> FirstLayerProducts | None:
     """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
-    (flat float64 parameters of ``arch``), where :func:`evaluate` reads them:
-    a wide set, a wide enough first layer, every value finite; else None."""
+    (flat float64 parameters of ``arch``: a base, then one update per
+    weight), where :func:`evaluate` reads them: a wide set, a wide enough
+    first layer, every value finite, no weight negative and every sum of
+    weighted products far inside float64's range; else None."""
     features, norms = test.prepared
     if (norms is None or not _wide_layer(arch)
             or any(v.shape != (arch.param_count,) for v in vectors)):
@@ -412,7 +476,12 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
     max_abs = np.array([np.abs(v).max() for v in vectors])
     if not (np.isfinite(max_abs).all() and np.isfinite(norms).all()):
         return None
-    return FirstLayerProducts(arch, vectors, features, max_abs)
+    # |P_i| <= w_i sqrt(d) (max|v_0| + max|v_i|) ||x||, up to rounding
+    scales = np.array(weights, dtype=np.float64)
+    reach = np.dot(scales, max_abs[1:] + max_abs[0]) * math.sqrt(arch.input_dim)
+    if not (scales >= 0).all() or not reach * norms.max() < _F64_MAX / 4:
+        return None
+    return FirstLayerProducts(arch, vectors, features, max_abs, weights)
 
 
 def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
@@ -433,20 +502,36 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
     unit, bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
     (:func:`_first_layer_error`).
 
-    From :class:`FirstLayerProducts` (float64, u = 2^-53): with s_j =
-    sum_i |c_i| ||B_ij||, g = gamma_{n+1} and A = sum_i c_i B_i, the
-    rebuild's float64 sum is within g sum_i |c_i||B_i| of A, and its cast to
-    float32 adds u32 = 2^-24 of that sum and up to 2^-150 (half a subnormal
-    step) per value, so ||W1_j - A_j|| <= (u32 (1 + g) + g) s_j + sqrt(d)
-    2^-150 and ||W1_j|| <= w_norms_j = s_j + that.  Each product x.B_ij is
-    within gamma_d ||x|| ||B_ij|| of exact, and their combination within g
-    (1 + gamma_d) ||x|| s_j of its exact value, so the values are within
-    sigma_j ||x|| of x.W1_j, sigma_j = (u32 (1 + g) + g + gamma_d + g (1 +
-    gamma_d)) s_j + sqrt(d) 2^-150; adding the bias in float64 adds u
-    (||x|| (w_norms_j + sigma_j) + |b_j|), so slope_j = sigma_j (1 + u) + u
-    w_norms_j.  The floor covers underflow in the products and their
-    combination.  The guard of :meth:`FirstLayerProducts.combine` keeps the
-    cast from overflowing.
+    From :class:`FirstLayerProducts` (float64, u = 2^-53), for a coalition S
+    of m <= n members: c_i = fl(w_i / W) are the rebuild's shares of the
+    weights w_i >= 0 and total W, cast to float64 as the rebuild casts them,
+    c_0 = 1, A = sum_i c_i B_i, s_j = sum_i c_i ||B_ij|| and g = gamma_{n+1}.
+    The rebuild's float64 sum is within g sum_i c_i |B_i| of A, and its cast
+    to float32 adds u32 = 2^-24 of that sum and up to 2^-150 (half a
+    subnormal step) per value, so ||W1_j - A_j|| <= (u32 (1 + g) + g) s_j +
+    sqrt(d) 2^-150 and ||W1_j|| <= w_norms_j = s_j + that.  Each product
+    Q_i = x.B_ij is within gamma_d ||x|| ||B_ij|| of exact.  The values are
+    fl(R fl(1 / W)), R the float64 sum, in any order, of the members' rows
+    P_i = fl(w_i fl(Q_0 + Q_i)); a member's term takes at most m + 4
+    roundings (two make P_i, m - 1 adds, the scale, and the two that part
+    w_i fl(1 / W) from c_i), so by Higham's Lemma 3.1 the values are
+    sum_{i in S} c_i (Q_0 + Q_i) (1 + theta_i), |theta_i| <= gamma_{m+4}.
+    With w_i >= 0, sum_{i in S} c_i is within gamma_3 of 1 (each cast
+    weight, the cast total and each share round once), even where weights
+    past 2^53 make the cast weights' sum differ from the cast total.  So the
+    values are within gamma_{m+7} (|Q_0| + sum_{i in S} c_i |Q_i|) <= g' (1
+    + gamma_d) ||x|| s_j of Q_0 + sum_{i in S} c_i Q_i, g' = gamma_{n+7}
+    (the empty coalition's are Q_0 itself), and within sigma_j ||x|| of
+    x.W1_j, sigma_j = (u32 (1 + g) + g + gamma_d + g' (1 + gamma_d)) s_j +
+    sqrt(d) 2^-150; adding the bias in float64 adds u (||x|| (w_norms_j +
+    sigma_j) + |b_j|), so slope_j = sigma_j (1 + u) + u w_norms_j.  The
+    floor, 4d + 2n + 8 smallest normals, covers underflow: up to 2d + 2 in
+    each product, which reaches the values times c_i (Q_i) or sum_{i in S}
+    c_i (Q_0), and one in each later operation, times c_i or 1 / W (W is at
+    least the count of members of non-zero weight; one of weight 0 adds an
+    exact 0).  The guard of :meth:`FirstLayerProducts.combine` keeps the
+    cast from overflowing, and :func:`first_layer_products` every sum of
+    rows from passing float64's range.
 
     Without a hidden layer the units are the logits, and e1 + e1' is the
     margin.  With one, the ReLU is 1-Lipschitz, so the first pass's logit is
@@ -554,7 +639,7 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
                 and params.shape == (arch.param_count,) and _wide_layer(arch)):
             if first_layer is None:
                 products = first_layer_products(arch, [params.astype(np.float64)], test)
-                first_layer = None if products is None else products.combine(np.ones(1))
+                first_layer = None if products is None else products.combine()
             if first_layer is not None:
                 full = params
                 model = LazyModel(full[arch.first_layer_size:], lambda: full)

@@ -159,6 +159,20 @@ def test_print_config_on_evaluate_and_compare_starts_no_work(
     assert not (tmp_path / "out").exists() and not work_calls
 
 
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "compare"])
+def test_an_out_path_taken_by_a_file_fails_before_any_work(
+        eval_log, config_path, tmp_path, capsys, work_calls, command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    argv = {"simulate": ["simulate", "--config", str(config_path)],
+            "evaluate": ["evaluate", "--log", eval_log, "--estimator", "gtg"],
+            "compare": ["compare", "--config", str(config_path)]}[command]
+    assert main([*argv, "--out", str(taken), "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not work_calls and taken.read_text() == "kept"
+
+
 # --- config validation -----------------------------------------------------------
 
 

@@ -384,7 +384,7 @@ def own_first_layer(arch: ModelArchitecture, params: np.ndarray,
     evaluate makes it when given none; None where there are no products or
     combine refuses them."""
     products = models.first_layer_products(arch, [params.astype(np.float64)], test)
-    return None if products is None else products.combine(np.ones(1))
+    return None if products is None else products.combine()
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
@@ -516,6 +516,43 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
             and np.all(np.linalg.norm(w, axis=0) <= first.w_norms))
 
 
+# join orders over four players, each cut after the positions it reaches, as
+# truncation cuts a walk: the game's cache then skips a prefix scored before
+JOIN_ORDERS = [((1, 2, 3, 4), 4), ((2, 4, 1, 3), 1), ((1, 3, 4, 2), 3),
+               ((4, 3, 1, 2), 2), ((3, 1, 2, 4), 1), ((3, 4, 2, 1), 3),
+               ((1, 2, 4, 3), 3)]
+STEPS = ("empty", "grown by one", "grown by more", "singleton",
+         "one more, not a superset", "other")
+
+
+def walked_coalitions(walks) -> list[tuple[int, ...]]:
+    """The coalitions a walker scores along ``walks``, in order: each once,
+    as the game's cache has them."""
+    seen, scored = set(), []
+    for order, reach in walks:
+        for k in range(reach + 1):
+            ids = tuple(sorted(order[:k]))
+            if ids not in seen:
+                seen.add(ids)
+                scored.append(ids)
+    return scored
+
+
+def steps(scored) -> list[str]:
+    """How each coalition of ``scored`` follows the last non-empty one
+    before it (see :data:`STEPS`)."""
+    kinds, last = [], ()
+    for ids in scored:
+        more = len(ids) - len(last)
+        kinds.append("empty" if not ids else
+                     "singleton" if len(ids) == 1 else
+                     ("grown by one" if more == 1 else "grown by more")
+                     if set(last) < set(ids) else
+                     "one more, not a superset" if more == 1 else "other")
+        last = ids or last
+    return kinds
+
+
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # every set is wide, every model wide enough
@@ -527,9 +564,12 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # alive, so that a one-ulp tie in the second layer shows
     top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
     one_row = LabeledDataset(full.features[top:top + 1], full.labels[top:top + 1])
-    # unequal weights, so w_i / W is no power of two and its rounding shows
-    weights = {1: 7, 2: 13, 3: 3, 4: 101}
-    coalitions = [ids for k in range(5) for ids in itertools.combinations(range(1, 5), k)]
+    # the walks' coalitions, then all 16 in ascending mask order, as mr
+    # enumerates them: combine's running sum is grown by one member, or
+    # summed anew after a singleton, the base or a skipped prefix
+    scored = walked_coalitions(JOIN_ORDERS) + [players_of(m) for m in range(16)]
+    kinds = steps(scored)
+    assert set(kinds) == set(STEPS)
     rng = np.random.default_rng(arch.param_count)
     refused, from_coalitions = 0, collections.Counter()
     for base in screen_param_cases(arch, full):
@@ -539,35 +579,62 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
         updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
                    3: base * np.float32(-0.25),
                    4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
-        stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
-        for test in (full, one_row):
-            products = stack.first_layer_products(arch, test)
-            # a NaN anywhere in the round leaves it without products
-            assert (products is None) == bool(np.isnan(base).any())
-            for ids in coalitions:
-                params = stack.rebuild(ids) if ids else base
-                first = None if products is None else products.combine(
-                    stack.coefficients(ids))
-                if first is None:
-                    refused += products is not None
-                else:
-                    assert first_layer_bound_holds(arch, params, test, first)
-                want = float64_pass(arch, params, test)
-                # float64 parameters holding the same values are not screened
-                before = branches.seen.copy()
-                assert same_bits(evaluate(arch, params.astype(np.float64), test,
-                                          first), want)
-                assert branches.seen == before
-                assert same_bits(evaluate(arch, params, test, first), want)
-                seen = branches.seen - before
-                # without a first layer, from products of its own if accepted
-                assert seen.total() == (first is not None or own_first_layer(
-                    arch, params, test) is not None)
-                if first is not None:
-                    from_coalitions.update(seen)
+        # unequal weights, so w_i / W is no power of two and its rounding
+        # shows; then one past 2^53, which rounds when cast to float64
+        for weights in ({1: 7, 2: 13, 3: 3, 4: 101}, {1: 2 ** 53, 2: 13, 3: 3, 4: 101}):
+            stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+            for test in (full, one_row):
+                products = stack.first_layer_products(arch, test)
+                # a NaN anywhere in the round leaves it without products
+                assert (products is None) == bool(np.isnan(base).any())
+                for ids, kind in zip(scored, kinds):
+                    params = stack.rebuild(ids) if ids else base
+                    first = None if products is None else products.combine(ids)
+                    if first is None:
+                        refused += products is not None
+                    else:
+                        assert first_layer_bound_holds(arch, params, test,
+                                                       first), (ids, kind)
+                    want = float64_pass(arch, params, test)
+                    # float64 parameters holding the same values are not screened
+                    before = branches.seen.copy()
+                    assert same_bits(evaluate(arch, params.astype(np.float64), test,
+                                              first), want)
+                    assert branches.seen == before
+                    assert same_bits(evaluate(arch, params, test, first), want), (
+                        ids, kind)
+                    seen = branches.seen - before
+                    # without a first layer, from products of its own if accepted
+                    assert seen.total() == (first is not None or own_first_layer(
+                        arch, params, test) is not None)
+                    if first is not None:
+                        from_coalitions.update(seen)
     # values near float32's largest, whose models could overflow, are refused
     assert refused
     assert set(from_coalitions) == set(BRANCHES)
+
+
+def test_scoring_a_round_holds_one_running_sum():
+    arch = ARCHS[-1]
+    test = blobs(arch, 100, seed=9)  # 1,000 rows: 512,000 bytes a product
+    test.prepared
+    weights = {i: 10 + i for i in range(1, 7)}
+    rng = np.random.default_rng(0)
+    base = init_params(arch, seed=4)
+    updates = {i: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)
+               for i in weights}
+    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+    row = len(test) * arch.hidden_dim * 8
+    tracemalloc.start()
+    try:
+        products = stack.first_layer_products(arch, test)
+        for mask in [*range(64), *rng.permutation(64).tolist()]:
+            products.combine(players_of(mask))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 7 products, the running sum, one first layer and a chunk of rows
+    assert peak <= (len(weights) + 1 + 3) * row
 
 
 # --- the lazy full rebuild of a wide coalition -----------------------------------
@@ -650,14 +717,19 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
     assert set(outcomes) == {"decided", "rescored", "fallback", "refused"}
 
 
-def test_coefficients_are_the_rebuilds_shares():
+def test_coefficients_are_the_rebuilds_shares(monkeypatch):
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    arch = ARCHS[1]
     weights = {1: 7, 2: 13, 3: 3, 4: 101}
     rng = np.random.default_rng(3)
-    base = rng.normal(size=5).astype(np.float32)
-    updates = {i: rng.normal(size=5).astype(np.float32) for i in weights}
+    base = rng.normal(size=arch.param_count).astype(np.float32)
+    updates = {i: rng.normal(size=arch.param_count).astype(np.float32)
+               for i in weights}
     stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+    products = stack.first_layer_products(arch, blobs(arch, 1, seed=0))
     for ids in [(), (2,), (1, 4), (1, 2, 3, 4)]:
-        c = stack.coefficients(ids)
+        c = products.coefficients(ids)
         assert c.dtype == np.float64 and c[0] == 1.0
         total = sum(weights[i] for i in ids)
         assert c[1:].tolist() == [weights[i] / total if i in ids else 0.0
