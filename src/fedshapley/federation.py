@@ -26,15 +26,20 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+# run_federation trains with train_group; train_local, the trainer of one
+# dataset, stays importable from here under the name it has always had
 from .models import (FirstLayerProducts, LabeledDataset, ModelArchitecture,
-                     TrainConfig, first_layer_products, gradient_update,
-                     init_params, train_local)
+                     TrainConfig, check_training, coalition_total,
+                     first_layer_products, gradient_update, init_params,
+                     train_group, train_local)
 from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
 LOG_FORMAT_VERSION = 1
 LOG_HEADER = struct.Struct("<4sH5I")
-CHUNK_ELEMENTS = 1 << 16  # float64 values per chunk of rebuilt models
+# float64 values per chunk of rebuilt models, and per group of participants
+# trained in one stacked pass (512 KiB)
+CHUNK_ELEMENTS = 1 << 16
 EXACT_WEIGHT_LIMIT = 1 << 53
 
 
@@ -113,9 +118,7 @@ def fedavg_aggregate(base: np.ndarray, updates: Mapping[int, np.ndarray],
     if not updates:
         raise ValueError("no updates to aggregate")
     ids = sorted(updates)
-    total = float(sum(weights[i] for i in ids))
-    if total <= 0:
-        raise ValueError("total coalition weight must be positive")
+    total = coalition_total(weights[i] for i in ids)
     acc = np.asarray(base, dtype=np.float64).copy()
     for pid in ids:
         delta = np.asarray(updates[pid])
@@ -181,16 +184,9 @@ class RoundStack:
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._base)
 
-    def _total(self, ids: Sequence[int]) -> float:
-        """W_S, the total weight of the non-empty coalition ``ids``."""
-        total = float(sum(self._weights[i - 1] for i in ids))
-        if total <= 0:
-            raise ValueError("total coalition weight must be positive")
-        return total
-
     def rebuild(self, ids: Sequence[int]) -> np.ndarray:
         """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
-        total = self._total(ids)
+        total = coalition_total(self._weights[i - 1] for i in ids)
         acc = self._base.copy()
         scaled = self._scaled
         for i in ids:
@@ -236,6 +232,8 @@ class RoundStack:
             yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])
 
     def _rebuild_chunk(self, masks: np.ndarray) -> np.ndarray:
+        # models.coalition_total's rule, vectorised: below EXACT_WEIGHT_LIMIT
+        # these float64 sums are the exact integer totals, cast once
         members = [(masks >> i) & 1 == 1 for i in range(len(self._weights))]
         totals = np.zeros(len(masks), dtype=np.float64)
         for w, member in zip(self._weights, members):
@@ -257,6 +255,9 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     ``init_seed`` fixes the starting model; local-training shuffles use a
     per-round seed derived from ``cfg.seed`` shared by all participants, so
     identically configured participants produce identical updates.
+    Participants whose datasets have one length visit the same batch
+    positions, so each round trains them together (``models.train_group``),
+    in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters.
     """
     if len(participants) < 2:
         raise ValueError("need at least two participants")
@@ -267,18 +268,33 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
         raise ValueError(f"participant ids must be 1..n, got {ids}")
     by_id = {p.id: p for p in participants}
     weights = {p.id: p.weight for p in participants}
+    by_length: dict[int, list[int]] = {}
+    for pid in ids:
+        by_length.setdefault(weights[pid], []).append(pid)
+    cap = max(1, CHUNK_ELEMENTS // arch.param_count)
+    groups = [members[start:start + cap] for members in by_length.values()
+              for start in range(0, len(members), cap)]
 
     base = init_params(arch, derive_seed(init_seed, "init"))
+    # the datasets are fixed, and every base fits arch: a set that cannot
+    # train fails the first round
+    for pid in ids:
+        try:
+            check_training(arch, base, by_id[pid].dataset)
+        except ValueError as exc:
+            raise RuntimeError(f"round 0, participant {pid}: {exc}") from exc
     records: list[RoundRecord] = []
     for t in range(rounds):
         round_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "round", t))
-        updates: dict[int, np.ndarray] = {}
-        for pid in ids:
+        updates = dict.fromkeys(ids)  # in ascending id order
+        for group in groups:
             try:
-                local = train_local(arch, base, by_id[pid].dataset, round_cfg)
+                trained = train_group(arch, base, [by_id[pid].dataset for pid in group],
+                                      round_cfg)
             except Exception as exc:
-                raise RuntimeError(f"round {t}, participant {pid}: {exc}") from exc
-            updates[pid] = gradient_update(local, base)
+                raise RuntimeError(f"round {t}, participants {group}: {exc}") from exc
+            for pid, local in zip(group, trained):
+                updates[pid] = gradient_update(local, base)
         aggregated = fedavg_aggregate(base, updates, weights)
         records.append(RoundRecord(round=t, base_model=base, updates=updates,
                                    aggregated=aggregated))

@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,6 +155,16 @@ def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
     return flat.astype(np.float32)
 
 
+def coalition_total(weights: Iterable[int]) -> float:
+    """W_S, a coalition's total weight, as every rebuild and aggregation
+    takes it: the members' integer weights summed exactly, then cast to
+    float64 once.  ValueError unless it is positive."""
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("total coalition weight must be positive")
+    return total
+
+
 def _check_params(arch: ModelArchitecture, params: np.ndarray) -> None:
     if params.shape != (arch.param_count,):
         raise ValueError(
@@ -189,7 +199,7 @@ def _unpack_tail(arch: ModelArchitecture, tail: np.ndarray) -> tuple:
 
 
 def _forward(layers: tuple, x: np.ndarray | None,
-             first: np.ndarray | None = None):
+             first: np.ndarray | None = None, product=np.dot):
     """One float64 forward pass of ``x`` through the views :func:`_unpack`
     gives: (post-ReLU hidden layer or None, logits).  Given ``first``, the
     product of ``x`` with the first layer's weights (float64, made
@@ -202,13 +212,14 @@ def _forward(layers: tuple, x: np.ndarray | None,
     hidden unit).  There an exact-zero input times a NaN or infinite weight
     gives 0 where ``@`` gives NaN (with two or more outputs), and a 1x1
     product's zero may differ in sign, which the bias add erases unless that
-    bias is -0.0."""
-    hidden = np.dot(x, layers[0]) if first is None else first
+    bias is -0.0.  Training passes ``product=np.matmul`` and the stacks of
+    :func:`_unpack_stack`, which run each member's slice as ``@`` does."""
+    hidden = product(x, layers[0]) if first is None else first
     hidden += layers[1]
     if len(layers) == 2:
         return None, hidden
     np.maximum(hidden, 0.0, out=hidden)
-    logits = np.dot(hidden, layers[2])
+    logits = product(hidden, layers[2])
     logits += layers[3]
     return hidden, logits
 
@@ -221,34 +232,55 @@ def predict_logits(arch: ModelArchitecture, params: np.ndarray,
     return _forward(_unpack(arch, flat), np.asarray(features, dtype=np.float64))[1]
 
 
-def _gradient(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray,
-              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient (flat float64) of the mean cross-entropy over a non-empty
-    float64 batch, and the log-probabilities it came from.  The loss itself
-    is left to :func:`loss_and_gradient`, so training does not pay for it."""
-    rows = x.shape[0]
-    layers = _unpack(arch, flat)
-    hidden, logits = _forward(layers, x)
+def _unpack_stack(arch: ModelArchitecture, stack: np.ndarray) -> tuple:
+    """:func:`_unpack`'s views of each row of a (G, P) stack of flat vectors:
+    weights (G, inputs, outputs) and biases (G, 1, outputs)."""
+    d, h, c = arch.input_dim, arch.hidden_dim, arch.class_count
+    g = stack.shape[0]
+    if h == 0:
+        return stack[:, :d * c].reshape(g, d, c), stack[:, None, d * c:]
+    off = d * h + h
+    return (stack[:, :d * h].reshape(g, d, h), stack[:, None, d * h:off],
+            stack[:, off:off + h * c].reshape(g, h, c), stack[:, None, off + h * c:])
+
+
+def _gradient(layers: tuple, x: np.ndarray, y: np.ndarray,
+              grads: tuple) -> np.ndarray:
+    """For each member g of a stack, the gradient of the mean cross-entropy
+    over its non-empty float64 batch ``x[g]`` (G x rows x d; labels ``y``, G
+    x rows) at the parameters ``layers`` (:func:`_unpack_stack` views),
+    written into ``grads`` (the same views of a gradient stack); returns the
+    log-probabilities.  The loss is left to :func:`loss_and_gradient`, so
+    training does not pay for it.  Each product is one ``np.matmul``, which
+    runs each member's slice as a 2-D ``@`` does; the rest is element-wise
+    or reduces a member's own values along one axis, so each member's
+    gradient is bit-equal to that of a stack of one."""
+    rows = x.shape[1]
+    hidden, logits = _forward(layers, x, product=np.matmul)
 
     # log-sum-exp stabilized log-softmax, in place on the logits
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=2, keepdims=True)
     log_probs = logits
-    log_probs -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    log_probs -= np.log(np.exp(logits).sum(axis=2, keepdims=True))
 
     d_logits = np.exp(log_probs)
-    d_logits[np.arange(rows), y] -= 1.0
+    d_logits.reshape(y.size, -1)[np.arange(y.size), y.reshape(-1)] -= 1.0
     d_logits /= rows
 
+    x_t = x.transpose(0, 2, 1)
     if hidden is None:
-        return log_probs, np.concatenate([(x.T @ d_logits).reshape(-1),
-                                          d_logits.sum(axis=0)])
-    d_hidden = d_logits @ layers[2].T
+        np.matmul(x_t, d_logits, out=grads[0])
+        d_logits.sum(axis=1, keepdims=True, out=grads[1])
+        return log_probs
+    d_hidden = np.matmul(d_logits, layers[2].transpose(0, 2, 1))
     # no gradient flows where the ReLU's input was <= 0, which is exactly
     # where its output is
     d_hidden[hidden <= 0.0] = 0.0
-    return log_probs, np.concatenate([
-        (x.T @ d_hidden).reshape(-1), d_hidden.sum(axis=0),
-        (hidden.T @ d_logits).reshape(-1), d_logits.sum(axis=0)])
+    np.matmul(x_t, d_hidden, out=grads[0])
+    d_hidden.sum(axis=1, keepdims=True, out=grads[1])
+    np.matmul(hidden.transpose(0, 2, 1), d_logits, out=grads[2])
+    d_logits.sum(axis=1, keepdims=True, out=grads[3])
+    return log_probs
 
 
 def loss_and_gradient(arch: ModelArchitecture, params: np.ndarray,
@@ -259,8 +291,59 @@ def loss_and_gradient(arch: ModelArchitecture, params: np.ndarray,
     y = np.asarray(labels)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    log_probs, grad = _gradient(arch, np.asarray(params, dtype=np.float64), x, y)
-    return float(-log_probs[np.arange(x.shape[0]), y].mean()), grad
+    flat = np.asarray(params, dtype=np.float64)[None]
+    grad = np.empty_like(flat)
+    log_probs = _gradient(_unpack_stack(arch, flat), x[None], y[None],
+                          _unpack_stack(arch, grad))[0]
+    return float(-log_probs[np.arange(x.shape[0]), y].mean()), grad[0]
+
+
+def check_training(arch: ModelArchitecture, base: np.ndarray,
+                   data: LabeledDataset) -> None:
+    """ValueError unless ``base`` fits ``arch`` and ``data`` is a non-empty
+    set of ``arch``'s width, as training needs."""
+    _check_params(arch, base)
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if data.features.shape[1] != arch.input_dim:
+        raise ValueError(
+            f"dataset has {data.features.shape[1]} features, architecture "
+            f"expects {arch.input_dim}")
+
+
+def train_group(arch: ModelArchitecture, base: np.ndarray,
+                datasets: Sequence[LabeledDataset], cfg: TrainConfig) -> np.ndarray:
+    """:func:`train_local` of each of ``datasets``, of one length, in one
+    pass: float32 parameters, a row per dataset, each bit-equal to training
+    that dataset alone.  One length means one shuffle visits the same batch
+    positions in each; their parameters, batches and gradients are stacked
+    along a leading axis (see :func:`_gradient`)."""
+    if not datasets:
+        raise ValueError("no datasets to train on")
+    rows = len(datasets[0])
+    for data in datasets:
+        check_training(arch, base, data)
+        if len(data) != rows:
+            raise ValueError(f"datasets of one group must have one length, got "
+                             f"{rows} and {len(data)} rows")
+    if len(datasets) == 1:  # a view, not a copy, of a lone member's set
+        features, labels = datasets[0].features[None], datasets[0].labels[None]
+    else:
+        features = np.stack([data.features for data in datasets])
+        labels = np.stack([data.labels for data in datasets])
+    work = np.broadcast_to(base, (len(datasets), arch.param_count)).astype(np.float64)
+    grad = np.empty_like(work)
+    layers, grads = _unpack_stack(arch, work), _unpack_stack(arch, grad)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(rows)
+        for start in range(0, rows, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _gradient(layers, np.take(features, batch, axis=1).astype(np.float64),
+                      np.take(labels, batch, axis=1), grads)
+            grad *= cfg.learning_rate
+            work -= grad
+    return work.astype(np.float32)
 
 
 def train_local(arch: ModelArchitecture, base: np.ndarray,
@@ -269,27 +352,9 @@ def train_local(arch: ModelArchitecture, base: np.ndarray,
 
     Bit-deterministic: shuffling is seeded per config, batches are visited in
     shuffle order, and the working precision is float64 with a single cast to
-    float32 at the end.
+    float32 at the end.  A group of one for :func:`train_group`.
     """
-    _check_params(arch, base)
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if data.features.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"dataset has {data.features.shape[1]} features, architecture "
-            f"expects {arch.input_dim}")
-    work = np.asarray(base, dtype=np.float64).copy()
-    rng = np.random.default_rng(cfg.seed)
-    rows = len(data)
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(rows)
-        for start in range(0, rows, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            grad = _gradient(arch, work,
-                             data.features[batch].astype(np.float64),
-                             data.labels[batch])[1]
-            work = work - cfg.learning_rate * grad
-    return work.astype(np.float32)
+    return train_group(arch, base, [data], cfg)[0]
 
 
 def gradient_update(local: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -408,10 +473,7 @@ class FirstLayerProducts:
     def _total(self, ids: Sequence[int]) -> float:
         """W_S, the total weight of the non-empty coalition ``ids``, as the
         rebuild sums it."""
-        total = float(sum(self._weights[i - 1] for i in ids))
-        if total <= 0:
-            raise ValueError("total coalition weight must be positive")
-        return total
+        return coalition_total(self._weights[i - 1] for i in ids)
 
     def coefficients(self, ids: Sequence[int]) -> np.ndarray:
         """The coalition ``ids``'s model as a weighted sum of the vectors

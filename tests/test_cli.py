@@ -74,7 +74,7 @@ def work_calls(monkeypatch):
     """Counts the calls that start work: reading a log, training a model."""
     calls = collections.Counter()
     for module, name in ((cli, "load_log"), (federation, "train_local"),
-                         (estimators, "train_local")):
+                         (federation, "train_group"), (estimators, "train_local")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -143,6 +143,16 @@ def test_print_config_round_trips(config_path, tmp_path, capsys):
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(printed))
     assert config_to_dict(parse_config(echo)) == printed
+
+
+def test_work_calls_see_simulate_train_and_evaluate_read(config_path, tmp_path,
+                                                         work_calls):
+    # the counter that the fail-fast tests below find empty sees real work
+    log = simulate(config_path, tmp_path / "runs")
+    assert work_calls["train_group"] > 0 and work_calls["load_log"] == 0
+    assert main(["evaluate", "--log", log, "--estimator", "mr",
+                 "--out", str(tmp_path / "est"), "--quiet"]) == EXIT_OK
+    assert work_calls["load_log"] == 1
 
 
 def test_print_config_on_evaluate_and_compare_starts_no_work(

@@ -24,6 +24,7 @@ from fedshapley import (
     run_federation,
     save_log,
 )
+from fedshapley import federation
 from fedshapley.federation import RoundStack
 
 BASE = np.array([1.0, 2.0, -4.0], dtype=np.float32)
@@ -176,6 +177,25 @@ def test_training_failures_carry_round_and_participant():
     with pytest.raises(RuntimeError, match=r"round 0, participant 2"):
         run_federation([Participant(1, good), Participant(2, bad)],
                        arch, TrainConfig(), 1, 0)
+    # participants 1 and 3 share a length, so they would train together
+    shorter = LabeledDataset(good.features[:-1], good.labels[:-1])
+    wide = LabeledDataset(np.ones((len(good), 7)), good.labels)
+    with pytest.raises(RuntimeError, match=r"^round 0, participant 3: dataset has 7 "
+                                           r"features, architecture expects 5$"):
+        run_federation([Participant(1, good), Participant(2, shorter),
+                        Participant(3, wide)], arch, TrainConfig(), 1, 0)
+
+
+def test_a_group_that_fails_to_train_names_its_round_and_participants(monkeypatch):
+    def out_of_memory(arch, base, datasets, cfg):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(federation, "train_group", out_of_memory)
+    good = gaussian_blobs(6, 5, 3, seed=0)
+    with pytest.raises(RuntimeError, match=r"^round 0, participants \[1, 2\]: out of "
+                                           r"memory$"):
+        run_federation([Participant(1, good), Participant(2, good)],
+                       ModelArchitecture(5, 0, 3), TrainConfig(), 1, 0)
 
 
 # --- persistence ---------------------------------------------------------------

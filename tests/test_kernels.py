@@ -34,6 +34,7 @@ from fedshapley import estimators, federation, models
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
 from fedshapley.federation import RoundStack
 from fedshapley.games import players_of
+from fedshapley.scenarios import ScenarioKind
 
 # --- reference implementations --------------------------------------------------
 
@@ -135,6 +136,11 @@ def ref_train_local(arch, base, data, cfg):
                 arch, work, data.features[batch], data.labels[batch])
             work = work - cfg.learning_rate * grad
     return work.astype(np.float32)
+
+
+def ref_train_group(arch, base, datasets, cfg):
+    """One :func:`ref_train_local` per dataset, in order."""
+    return [ref_train_local(arch, base, data, cfg) for data in datasets]
 
 
 def ref_rebuild(record, weights, ids):
@@ -279,7 +285,7 @@ def test_wide_rebuilds_match_the_reference():
         assert same_bits(stack.rebuild(ids), ref_rebuild(rec, weights, ids))
 
 
-def simulate_bytes(tmp_path, name: str, hidden_dim: int) -> bytes:
+def simulate_bytes(tmp_path, name: str, hidden_dim: int, **sections) -> bytes:
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps({
         "schema": CONFIG_SCHEMA, "seed": 4, "rounds": 2,
@@ -288,6 +294,7 @@ def simulate_bytes(tmp_path, name: str, hidden_dim: int) -> bytes:
         "model": {"hidden_dim": hidden_dim},
         "train": {"local_epochs": 2, "batch_size": 5, "learning_rate": 0.2},
         "data": {"train_per_class": 15, "test_per_class": 4},
+        **sections,
     }))
     out = tmp_path / name
     assert main(["simulate", "--config", str(config), "--out", str(out),
@@ -299,9 +306,77 @@ def simulate_bytes(tmp_path, name: str, hidden_dim: int) -> bytes:
 @pytest.mark.parametrize("hidden_dim", [0, 5])
 def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_dim):
     got = simulate_bytes(tmp_path, "kernels", hidden_dim)
-    monkeypatch.setattr(federation, "train_local", ref_train_local)
+    # run_federation trains through train_group: the reference trains each
+    # participant alone
+    monkeypatch.setattr(federation, "train_group", ref_train_group)
     want = simulate_bytes(tmp_path, "reference", hidden_dim)
     assert got == want
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 5])
+@pytest.mark.parametrize("kind", [kind.value for kind in ScenarioKind])
+def test_simulate_trains_groups_as_each_participant_alone(tmp_path, monkeypatch,
+                                                          kind, hidden_dim):
+    # ten participants; the same-size kinds hold 20 rows each, and
+    # same_dist_diff_size pairs 10, 10, 15, 15, .., 30, 30 (25 rows leave a
+    # last batch of one); a budget of three models splits each group of one
+    # length into groups of at most three
+    sections = {"source": {"input_dim": 16, "class_count": 10, "spread": 1.0},
+                "scenario": {"kind": kind, "n": 10},
+                "train": {"local_epochs": 2, "batch_size": 8, "learning_rate": 0.2},
+                "data": {"train_per_class": 20, "test_per_class": 4}}
+    arch = ModelArchitecture(16, hidden_dim, 10)
+    monkeypatch.setattr(federation, "CHUNK_ELEMENTS", 3 * arch.param_count + 2)
+    groups = []
+    train_group = federation.train_group
+
+    def recorded(arch, base, datasets, cfg):
+        groups.append([len(data) for data in datasets])
+        return train_group(arch, base, datasets, cfg)
+
+    monkeypatch.setattr(federation, "train_group", recorded)
+    got = simulate_bytes(tmp_path, "groups", hidden_dim, **sections)
+    monkeypatch.setattr(federation, "train_group", ref_train_group)
+    want = simulate_bytes(tmp_path, "reference", hidden_dim, **sections)
+    assert got == want
+    # two rounds of ten participants, in groups of one length, of at most three
+    assert sum(map(len, groups)) == 20
+    assert all(len(set(lengths)) == 1 for lengths in groups)
+    assert max(map(len, groups)) == (2 if kind == "same_dist_diff_size" else 3)
+
+
+def equal_length_sets(arch: ModelArchitecture, rows: int,
+                      count: int) -> list[LabeledDataset]:
+    """``count`` datasets of ``rows`` rows each, drawn from one pool."""
+    pool = blobs(arch, rows, seed=10)
+    rng = np.random.default_rng(rows)
+    picks = [rng.choice(len(pool), rows, replace=False) for _ in range(count)]
+    return [LabeledDataset(pool.features[p], pool.labels[p]) for p in picks]
+
+
+# (architecture, rows, batch size): each last batch holds one row, through
+# softmax and hidden-layer models, and through a layer of one input (d = 1)
+# and of one hidden unit (h = 1)
+STACKED = [(ARCHS[0], 10, 3), (ModelArchitecture(1, 0, 3), 10, 3),
+           (ModelArchitecture(3, 1, 2), 65, 8), (ARCHS[2], 33, 32),
+           (ARCHS[3], 97, 32), (ARCHS[-1], 100, 33)]
+
+
+@pytest.mark.parametrize("arch, rows, batch_size", STACKED,
+                         ids=[f"d{a.input_dim}h{a.hidden_dim}c{a.class_count}-{r}rows"
+                              for a, r, _ in STACKED])
+def test_the_stacked_trainer_matches_the_reference(arch, rows, batch_size):
+    assert rows % batch_size == 1
+    datasets = equal_length_sets(arch, rows, 3)
+    for epochs, base in itertools.product((1, 2), param_cases(arch)[:2]):
+        cfg = TrainConfig(local_epochs=epochs, batch_size=batch_size,
+                          learning_rate=0.3, seed=epochs)
+        before = base.copy()
+        trained = models.train_group(arch, base, datasets, cfg)
+        assert trained.shape == (len(datasets), arch.param_count)
+        for data, got in zip(datasets, trained):
+            assert same_bits(got, ref_train_local(arch, base, data, cfg))
+        assert same_bits(base, before)  # training works on its own copy
 
 
 # --- the screen of wide test sets -----------------------------------------------

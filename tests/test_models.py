@@ -15,6 +15,7 @@ from fedshapley import (
     init_params,
     loss_and_gradient,
     predict_logits,
+    train_group,
     train_local,
 )
 
@@ -228,6 +229,17 @@ def test_train_input_validation():
         train_local(SOFTMAX, base, wrong_width, TrainConfig())
     with pytest.raises(ValueError):
         train_local(SOFTMAX, base[:-1], probe_data(), TrainConfig())
+
+
+def test_a_group_trains_datasets_of_one_length():
+    base = init_params(SOFTMAX, seed=0)
+    with pytest.raises(ValueError, match="no datasets"):
+        train_group(SOFTMAX, base, [], TrainConfig())
+    with pytest.raises(ValueError, match="one length, got 12 and 11 rows"):
+        train_group(SOFTMAX, base, [probe_data(), probe_data(rows=11)], TrainConfig())
+    # a member that cannot train fails the group, as it fails alone
+    with pytest.raises(ValueError, match="empty dataset"):
+        train_group(SOFTMAX, base, [probe_data(), probe_data(rows=0)], TrainConfig())
 
 
 def test_gradient_update_is_plain_difference():
