@@ -116,6 +116,9 @@ def config_from_dict(doc: object, path: str | Path,
         if model.input_dim != source.input_dim:
             raise ConfigError(f"{path}: model input_dim {model.input_dim} does "
                               f"not match source input_dim {source.input_dim}")
+        if model.class_count < source.class_count:
+            raise ConfigError(f"{path}: model class_count {model.class_count} is "
+                              f"below source class_count {source.class_count}")
 
         train_tbl = _section(doc, "train")
         train = TrainConfig(seed=derive_seed(seed, "train"), **train_tbl)

@@ -37,7 +37,7 @@ import numpy as np
 # reconstruct_submodel is not called here, but the benchmark's tracer
 # (perfbench/spans.py) wraps it at this module's attribute, so it stays.
 from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
-                         RoundStack, fedavg_aggregate, reconstruct_submodel)
+                         RoundStack, reconstruct_submodel)
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
@@ -108,6 +108,46 @@ def _make_sampler(cfg: GtgConfig, n: int, seed: int):
     return lambda k: guided_permutation(k, n, rng)
 
 
+class RoundScorer:
+    """A round's coalition utilities, one evaluation each, from models rebuilt
+    out of its updates, cast to float64 once.  On a wide test set the
+    first-layer products are made once too, and with them a coalition is
+    rebuilt as its tail, in full only where ``evaluate`` reads it (see
+    :class:`~fedshapley.models.LazyModel`); else in full."""
+
+    def __init__(self, record: RoundRecord, weights: dict[int, int],
+                 arch: ModelArchitecture, test: LabeledDataset):
+        self._arch, self._test, self._base = arch, test, record.base_model
+        self._stack = RoundStack(record, weights)
+        self._products = self._stack.first_layer_products(arch, test)
+        self._tails = (self._stack if self._products is None
+                       else self._stack.tail(arch.first_layer_size))
+
+    def score(self, ids: tuple[int, ...]) -> float:
+        """The coalition ``ids``'s utility: a game's oracle, as a bound method,
+        which Python calls inline (an instance's ``__call__`` goes through C)."""
+        return self._score(ids, self._tails.rebuild(ids) if ids else None)
+
+    def every_coalition(self, n: int) -> np.ndarray:
+        """Utility of every coalition, indexed by bitmask; rebuilt in chunks."""
+        masks = np.arange(1, 1 << n)
+        # only the products read a coalition's members
+        members = ([None] * len(masks) if self._products is None
+                   else map(players_of, masks.tolist()))
+        tails = self._tails.rebuild_masks(masks)
+        return np.array([self.score(())] + [self._score(ids, tail)
+                                            for ids, tail in zip(members, tails)])
+
+    def _score(self, ids: tuple[int, ...] | None, tail: np.ndarray | None) -> float:
+        """The utility of ``ids`` from its rebuilt ``tail`` (None: the base's)."""
+        if self._products is None:
+            return evaluate(self._arch, self._base if tail is None else tail,
+                            self._test)
+        model = (self._base if tail is None else
+                 LazyModel(tail, functools.partial(self._stack.rebuild, ids)))
+        return evaluate(self._arch, model, self._test, self._products.combine(ids))
+
+
 class RoundGame:
     """One round's cached coalition-utility game.
 
@@ -126,33 +166,9 @@ class RoundGame:
     @classmethod
     def from_round(cls, record: RoundRecord, weights: dict[int, int],
                    arch: ModelArchitecture, test: LabeledDataset) -> "RoundGame":
-        """The round's game over models rebuilt from its stored updates.
-
-        The base model and the updates are cast to float64 once, here, and
-        on a wide test set their first layers' products with it are made
-        once too; each coalition a walker visits is rebuilt on its own from
-        them and evaluated once.  On a wide set that rebuild is the model's
-        tail, the parameters after the first layer's weights, and the full
-        model is rebuilt only if ``evaluate`` reads it (see
-        :class:`~fedshapley.models.LazyModel`).
-        """
-        stack = RoundStack(record, weights)
-        products = stack.first_layer_products(arch, test)
-        if products is None:
-            def oracle(ids: tuple[int, ...]) -> float:
-                return evaluate(arch, stack.rebuild(ids) if ids else record.base_model,
-                                test)
-        else:
-            tails = stack.tail(arch.first_layer_size)
-
-            def oracle(ids: tuple[int, ...]) -> float:
-                first = products.combine(ids)
-                if not ids:
-                    return evaluate(arch, record.base_model, test, first)
-                full = functools.partial(stack.rebuild, ids)
-                return evaluate(arch, LazyModel(tails.rebuild(ids), full), test, first)
-
-        return cls(record.round, CoalitionGame(len(weights), oracle))
+        """The round's game over its :class:`RoundScorer`."""
+        return cls(record.round, CoalitionGame(
+            len(weights), RoundScorer(record, weights, arch, test).score))
 
     @classmethod
     def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
@@ -163,10 +179,8 @@ class RoundGame:
             for pid, delta in rec.updates.items():
                 acc[pid] += delta.astype(np.float64)
         summed = {pid: acc[pid].astype(np.float32) for pid in acc}
-        base = log.rounds[0].base_model
-        record = RoundRecord(round=0, base_model=base, updates=summed,
-                             aggregated=fedavg_aggregate(
-                                 base, summed, log.participant_weights))
+        # coalitions are rebuilt from the base and the updates alone
+        record = RoundRecord(0, log.rounds[0].base_model, summed, aggregated=None)
         return cls.from_round(record, log.participant_weights,
                               log.architecture, test)
 
@@ -291,34 +305,12 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
                     test: LabeledDataset) -> np.ndarray:
-    """Utility of every coalition of one round, indexed by bitmask.
-
-    Costs 2^n evaluations: the base model, then every non-empty coalition's
-    model, rebuilt a chunk of coalitions at a time.  On a wide test set each
-    has its first layer from the round's products, and the chunks hold
-    only the models' tails, as in :meth:`RoundGame.from_round`.  The
-    enumeration guard is checked before anything is evaluated.
-    """
+    """Utility of every coalition of one round, indexed by bitmask
+    (:meth:`RoundScorer.every_coalition`): 2^n evaluations.  The enumeration
+    guard is checked before anything is evaluated."""
     check_enumerable(log.n)
-    arch = log.architecture
-    masks = np.arange(1, 1 << log.n)
-    values = np.empty(1 << log.n, dtype=np.float64)
-    stack = RoundStack(rec, log.participant_weights)
-    products = stack.first_layer_products(arch, test)
-    if products is None:
-        values[0] = evaluate(arch, rec.base_model, test)
-        for mask, model in zip(masks.tolist(), stack.rebuild_masks(masks)):
-            values[mask] = evaluate(arch, model, test)
-        return values
-    values[0] = evaluate(arch, rec.base_model, test,
-                         products.combine())
-    tails = stack.tail(arch.first_layer_size)
-    for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
-        ids = players_of(mask)
-        first = products.combine(ids)
-        full = functools.partial(stack.rebuild, ids)
-        values[mask] = evaluate(arch, LazyModel(tail, full), test, first)
-    return values
+    return RoundScorer(rec, log.participant_weights, log.architecture,
+                       test).every_coalition(log.n)
 
 
 def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,

@@ -279,8 +279,12 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     # the datasets are fixed, and every base fits arch: a set that cannot
     # train fails the first round
     for pid in ids:
+        data = by_id[pid].dataset
         try:
-            check_training(arch, base, by_id[pid].dataset)
+            check_training(arch, base, data)
+            if data.labels.max() >= arch.class_count:
+                raise ValueError(f"label {data.labels.max()} is past the model's "
+                                 f"{arch.class_count} classes")
         except ValueError as exc:
             raise RuntimeError(f"round 0, participant {pid}: {exc}") from exc
     records: list[RoundRecord] = []

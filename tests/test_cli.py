@@ -792,6 +792,9 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config",
                                  _config(w, model={"input_dim": 5})],
                  EXIT_USAGE, id="compare-config-model-mismatch"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 10}, model={"class_count": 3})],
+                 EXIT_USAGE, id="simulate-config-model-fewer-classes"),
     pytest.param(lambda w, log: ["compare", "--config",
                                  _config(w, estimators={"mr": 1})],
                  EXIT_USAGE, id="compare-config-estimators-not-a-list"),

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gaussian_blobs, quick_log, scenario_log, split_participants
+from conftest import (float64_pass, gaussian_blobs, quick_log, scenario_log,
+                      split_participants)
 
 from fedshapley import (
     CapacityError,
@@ -32,7 +33,6 @@ from fedshapley import (
     TrainConfig,
     convergence_criterion,
     derive_seed,
-    evaluate,
     exact_shapley,
     exact_shapley_by_permutations,
     fedavg_aggregate,
@@ -272,8 +272,8 @@ def test_participant_with_zero_updates_scores_exactly_zero():
 def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> None:
     """Every coalition of every round three ways: the reference
     reconstruct_submodel, the walkers' single rebuild and the chunked
-    rebuild.  Models and utilities must agree bit for bit, at the same
-    costs."""
+    rebuild.  Models must agree bit for bit, and both scorers' utilities
+    with the float64 pass's over the reference models, at the same costs."""
     weights, arch = log.participant_weights, log.architecture
     full = (1 << log.n) - 1
     masks = np.arange(1, full + 1)
@@ -290,8 +290,8 @@ def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> 
 
         batched = round_utilities(rec, log, test)
         walked = RoundGame.from_round(rec, weights, arch, test)
-        utilities = [evaluate(arch, rec.base_model, test)]
-        utilities += [evaluate(arch, model, test) for model in reference]
+        utilities = [float64_pass(arch, model, test)
+                     for model in [rec.base_model, *reference]]
         assert len(batched) == full + 1
         for mask, want in enumerate(utilities):
             assert walked.game.value_mask(mask) == want
@@ -299,38 +299,67 @@ def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> 
         assert walked.game.eval_count == full + 1
 
 
-@pytest.mark.parametrize("build", [
-    lambda: quick_log(n=3, rounds=2, seed=0)[:2],
-    lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
-    lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6, rounds=3,
-                         seed=4)[:2],
+def spanning_log() -> tuple[GradientLog, LabeledDataset]:
+    """A log whose chunked rebuilds of every coalition span four chunks."""
+    log, test, _ = quick_log(n=5, rounds=2, seed=14, hidden_dim=1500)
+    rows = CHUNK_ELEMENTS // log.architecture.param_count
+    assert 1 <= rows and 2 ** log.n - 1 > 3 * rows  # at least four chunks
+    return log, test
+
+
+def heavy_log() -> tuple[GradientLog, LabeledDataset]:
+    """A log whose weights are not representable in float64, so float and
+    integer totals can differ."""
+    log, test, _ = quick_log(n=3, rounds=2, seed=0)
+    log.participant_weights = {pid: (2 ** 55) * w + pid
+                               for pid, w in log.participant_weights.items()}
+    return log, test
+
+
+COALITION_BUILDS = {
+    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
+    "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
+    "unequal-weights": lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6,
+                                            rounds=3, seed=4)[:2],
     # the acceptance logs of test_acceptance.py
-    lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10, rounds=10,
-                         seed=1, lr=0.1)[:2],
-    lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE, n=10, rounds=10,
-                         seed=2, lr=0.02)[:2],
-], ids=["quick", "hidden", "unequal-weights", "acceptance-iid",
-        "acceptance-skewed"])
+    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
+                                           rounds=10, seed=1, lr=0.1)[:2],
+    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
+                                              n=10, rounds=10, seed=2, lr=0.02)[:2],
+}
+
+
+@pytest.mark.parametrize("build", COALITION_BUILDS.values(), ids=COALITION_BUILDS)
 def test_batched_reconstruction_is_bit_identical(build):
     assert_coalition_paths_bit_equal(*build())
 
 
 def test_batched_reconstruction_spanning_several_chunks():
-    log, test, _ = quick_log(n=5, rounds=2, seed=14, hidden_dim=1500)
-    rows = CHUNK_ELEMENTS // log.architecture.param_count
-    assert 1 <= rows and 2 ** log.n - 1 > 3 * rows  # at least four chunks
-    assert_coalition_paths_bit_equal(log, test)
+    assert_coalition_paths_bit_equal(*spanning_log())
 
 
 def test_weights_past_two_to_the_53_keep_every_path_exact():
-    log, test, _ = quick_log(n=3, rounds=2, seed=0)
-    # not representable in float64, so float and integer totals can differ
-    log.participant_weights = {pid: (2 ** 55) * w + pid
-                               for pid, w in log.participant_weights.items()}
+    log, test = heavy_log()
     assert_coalition_paths_bit_equal(log, test)
     assert mr_eval(log, test).eval_count == 2 * 2 ** 3
     assert gtg_eval(log, test).eval_count > 0
     assert len(position_marginal_profile(log, test, samples_per_round=2)) == 3
+
+
+WIDE_BUILDS = {**COALITION_BUILDS, "spanning": spanning_log, "past-2^53": heavy_log}
+
+
+@pytest.mark.parametrize("build", WIDE_BUILDS.values(), ids=WIDE_BUILDS)
+def test_wide_reconstruction_is_bit_identical(monkeypatch, build):
+    # every set is wide and every first layer wide enough, so both scorers
+    # rebuild tails and screen from the round's first-layer products
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    log, test = build()
+    for rec in log.rounds:
+        stack = RoundStack(rec, log.participant_weights)
+        assert stack.first_layer_products(log.architecture, test) is not None
+    assert_coalition_paths_bit_equal(log, test)
 
 
 @pytest.mark.parametrize("estimate", [mr_eval, tmr_eval], ids=["mr", "tmr"])

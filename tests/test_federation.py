@@ -186,6 +186,20 @@ def test_training_failures_carry_round_and_participant():
                         Participant(3, wide)], arch, TrainConfig(), 1, 0)
 
 
+def test_a_label_past_the_models_classes_names_its_participant():
+    good = gaussian_blobs(6, 5, 3, seed=0)
+    # participants 1 and 2 share a length, so they would train together
+    past = LabeledDataset(good.features, np.where(good.labels == 2, 3, good.labels))
+    with pytest.raises(RuntimeError, match=r"^round 0, participant 2: label 3 is "
+                                           r"past the model's 3 classes$"):
+        run_federation([Participant(1, good), Participant(2, past)],
+                       ModelArchitecture(5, 0, 3), TrainConfig(), 1, 0)
+    # the same labels train a model of four classes
+    log = run_federation([Participant(1, good), Participant(2, past)],
+                         ModelArchitecture(5, 0, 4), TrainConfig(), 1, 0)
+    assert log.total_rounds == 1
+
+
 def test_a_group_that_fails_to_train_names_its_round_and_participants(monkeypatch):
     def out_of_memory(arch, base, datasets, cfg):
         raise MemoryError("out of memory")

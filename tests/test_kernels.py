@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import gaussian_blobs, quick_log
+from conftest import float64_pass, gaussian_blobs, quick_log
 
 from fedshapley import (
     LabeledDataset,
@@ -444,13 +444,6 @@ def screen_param_cases(arch: ModelArchitecture,
         layers[2][...] *= np.float32(1e22)
     return cases + [trained, tied, near_bias, near_weight, nan, large,
                     np.full(arch.param_count, 3e38, dtype=np.float32)]
-
-
-def float64_pass(arch: ModelArchitecture, params: np.ndarray,
-                 test: LabeledDataset) -> float:
-    """evaluate's accuracy where nothing is screened."""
-    predictions = predict_logits(arch, params, test.features).argmax(axis=1)
-    return int(np.count_nonzero(predictions == test.labels)) / len(test)
 
 
 def own_first_layer(arch: ModelArchitecture, params: np.ndarray,
