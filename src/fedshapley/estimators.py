@@ -121,7 +121,7 @@ class RoundScorer:
         self._stack = RoundStack(record, weights)
         self._products = self._stack.first_layer_products(arch, test)
         self._tails = (self._stack if self._products is None
-                       else self._stack.tail(arch.first_layer_size))
+                       else RoundStack(record, weights, arch.first_layer_size))
 
     def score(self, ids: tuple[int, ...]) -> float:
         """The coalition ``ids``'s utility: a game's oracle, as a bound method,

@@ -14,7 +14,6 @@ A ``<path>.json`` sidecar carries run metadata.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import os
@@ -40,7 +39,6 @@ LOG_HEADER = struct.Struct("<4sH5I")
 # float64 values per chunk of rebuilt models, and per group of participants
 # trained in one stacked pass (512 KiB)
 CHUNK_ELEMENTS = 1 << 16
-EXACT_WEIGHT_LIMIT = 1 << 53
 
 
 class LogFormatError(ValueError):
@@ -144,8 +142,8 @@ def reconstruct_submodel(record: RoundRecord, coalition: Iterable[int],
 
 
 class RoundStack:
-    """One round's base model and updates, cast to float64 once, for
-    rebuilding many coalitions' models.
+    """One round's base model and updates from parameter ``start`` on, cast
+    to float64 once, for rebuilding many coalitions' models.
 
     A rebuild follows :func:`fedavg_aggregate`'s float64 operation order
     (the base, plus each member's weighted update in ascending id order, then
@@ -153,12 +151,14 @@ class RoundStack:
     :func:`reconstruct_submodel`.  Participants are 1..n, the keys of
     ``weights``; a coalition given as a bitmask has bit ``i - 1`` set iff
     participant ``i`` is in it.  Shapes are checked here, once, and not on
-    each rebuild.  Every operation is element-wise, so the stack of
-    :meth:`tail` rebuilds a slice of each model, bit for bit (on a wide test
-    set, what follows the first layer's weights: see ``models.LazyModel``).
+    each rebuild.  Every operation is element-wise, so a stack from
+    ``start`` rebuilds ``reconstruct_submodel(...)[start:]``, bit for bit, at
+    the cost of the slice alone (on a wide test set, what follows the first
+    layer's weights: see ``models.LazyModel``).
     """
 
-    def __init__(self, record: RoundRecord, weights: Mapping[int, int]):
+    def __init__(self, record: RoundRecord, weights: Mapping[int, int],
+                 start: int = 0):
         n = len(weights)
         if sorted(weights) != list(range(1, n + 1)):
             raise ValueError(f"participant ids not contiguous from 1: "
@@ -166,19 +166,19 @@ class RoundStack:
         missing = [i for i in range(1, n + 1) if i not in record.updates]
         if missing:
             raise ValueError(f"round {record.round} has no updates for {missing}")
-        self._base = np.asarray(record.base_model, dtype=np.float64)
+        model_shape = np.shape(record.base_model)
         for pid in range(1, n + 1):
             shape = np.shape(record.updates[pid])
-            if shape != self._base.shape:
+            if shape != model_shape:
                 raise ValueError(
                     f"participant {pid}: update shape {shape} does not match "
-                    f"model shape {self._base.shape}")
-        self._updates = np.array([record.updates[i] for i in range(1, n + 1)],
+                    f"model shape {model_shape}")
+        self._base = np.asarray(record.base_model[start:], dtype=np.float64)
+        self._updates = np.array([record.updates[i][start:] for i in range(1, n + 1)],
                                  dtype=np.float64)
         self._weights = [weights[i] for i in range(1, n + 1)]
-        # up to 2^53 every coalition's total is exact in float64, so summing
-        # the weights as floats gives fedavg_aggregate's total
-        self._float_totals_exact = sum(self._weights) <= EXACT_WEIGHT_LIMIT
+        # coalition totals are summed exactly, in int64 while every total fits
+        self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
         # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
         self._chunk_rows = max(1, CHUNK_ELEMENTS // self._base.size)
         # (w_i / W) * u_i of the member being added, reused by every rebuild
@@ -195,17 +195,6 @@ class RoundStack:
             acc += scaled
         return acc.astype(np.float32)
 
-    def tail(self, start: int) -> "RoundStack":
-        """This stack over the parameters from ``start`` on: its rebuilds
-        are ``self.rebuild(ids)[start:]``, bit for bit, at the cost of the
-        slice alone."""
-        tail = copy.copy(self)
-        tail._base = self._base[start:]
-        tail._updates = self._updates[:, start:]
-        tail._chunk_rows = max(1, CHUNK_ELEMENTS // tail._base.size)
-        tail._scaled = np.empty_like(tail._base)
-        return tail
-
     def first_layer_products(self, arch: ModelArchitecture,
                              test: LabeledDataset) -> FirstLayerProducts | None:
         """``test``'s products with the first layers of the base and the
@@ -219,32 +208,26 @@ class RoundStack:
         """Models of the non-empty coalitions ``masks``, in order.
 
         They are built a chunk of rows at a time, so memory stays bounded
-        however many masks there are.  Past a total weight of 2^53 the
-        chunk's float64 weight totals could round differently from
-        ``fedavg_aggregate``'s, so each model is then rebuilt on its own.
+        however many masks there are.
         """
-        if not self._float_totals_exact:
-            for mask in masks.tolist():
-                yield self.rebuild([i + 1 for i in range(len(self._weights))
-                                    if mask >> i & 1])
-            return
         for start in range(0, len(masks), self._chunk_rows):
             yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])
 
     def _rebuild_chunk(self, masks: np.ndarray) -> np.ndarray:
-        # models.coalition_total's rule, vectorised: below EXACT_WEIGHT_LIMIT
-        # these float64 sums are the exact integer totals, cast once
+        # models.coalition_total's rule, vectorised: exact integer totals
+        # (Python ints past int64), each cast to float64 once
         members = [(masks >> i) & 1 == 1 for i in range(len(self._weights))]
-        totals = np.zeros(len(masks), dtype=np.float64)
+        totals = np.zeros(len(masks), dtype=self._total_type)
         for w, member in zip(self._weights, members):
             totals[member] += w
+        totals = totals.astype(np.float64)
         if totals.min() <= 0:
             raise ValueError("total coalition weight must be positive")
         acc = np.empty((len(masks), self._base.size), dtype=np.float64)
         acc[:] = self._base
         for w, member, update in zip(self._weights, members, self._updates):
             rows = np.flatnonzero(member)
-            acc[rows] += (w / totals[rows])[:, None] * update
+            acc[rows] += (float(w) / totals[rows])[:, None] * update
         return acc.astype(np.float32)
 
 

@@ -23,14 +23,16 @@ CSV_HEADER = ("estimator,cosine_distance,euclidean_distance,max_difference,"
 WALL_TIME_FLOOR = 1e-9  # keeps log10 finite on sub-resolution timings
 
 
-def _as_array(vec) -> np.ndarray:
-    values = getattr(vec, "values", vec)
-    return np.asarray(values, dtype=np.float64)
-
-
-def _check_lengths(truth: np.ndarray, est: np.ndarray) -> None:
-    if truth.shape != est.shape:
-        raise ValueError(f"length mismatch: {truth.shape} vs {est.shape}")
+def _checked(truth, est) -> tuple[np.ndarray, np.ndarray]:
+    """Both vectors (or their ``values``) as float64 arrays; ValueError unless
+    they have one length and only finite values (max(0.0, nan) is 0.0)."""
+    t, e = (np.asarray(getattr(v, "values", v), dtype=np.float64) for v in (truth, est))
+    if t.shape != e.shape:
+        raise ValueError(f"length mismatch: {t.shape} vs {e.shape}")
+    for name, vector in (("reference", t), ("estimate", e)):
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{name} vector holds a value that is not finite")
+    return t, e
 
 
 def cosine_distance(truth, est) -> float:
@@ -38,8 +40,7 @@ def cosine_distance(truth, est) -> float:
 
     The zero-estimate convention matters because truncation can legitimately
     produce all-zero estimates; a zero *reference* vector is rejected."""
-    t, e = _as_array(truth), _as_array(est)
-    _check_lengths(t, e)
+    t, e = _checked(truth, est)
     t_norm = float(np.linalg.norm(t))
     if t_norm == 0.0:
         raise ValueError("reference vector must be nonzero")
@@ -50,14 +51,12 @@ def cosine_distance(truth, est) -> float:
 
 
 def euclidean_distance(truth, est) -> float:
-    t, e = _as_array(truth), _as_array(est)
-    _check_lengths(t, e)
+    t, e = _checked(truth, est)
     return float(np.linalg.norm(t - e))
 
 
 def max_difference(truth, est) -> float:
-    t, e = _as_array(truth), _as_array(est)
-    _check_lengths(t, e)
+    t, e = _checked(truth, est)
     return float(np.max(np.abs(t - e)))
 
 

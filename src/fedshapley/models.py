@@ -4,11 +4,13 @@ Parameters travel as flat float32 vectors so they can be aggregated, diffed,
 and serialized without knowing the layer layout; the layout is defined by a
 ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
 gradients and aggregation run in float64 and are rounded to float32 only at
-the storage boundary, and :func:`evaluate` screens a wide test set from
-first-layer products (:class:`FirstLayerProducts`, made once for many models
-or for one), only where certified error bounds prove each prediction equal
-to the float64 pass's, on a test set prepared once, at its first
-evaluation.  Every operation is bit-reproducible for fixed inputs.
+the storage boundary, and :func:`evaluate` decides each row of a wide test
+set under certified error bounds that prove its prediction equal to the
+float64 pass's: from a coalition's first-layer products
+(:class:`FirstLayerProducts`, made once per round) where the caller has
+them, else by that pass itself, a chunk of rows at a time, on a test set
+prepared once, at its first evaluation.  Every operation is
+bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 INIT_SCALE = 0.05
-# evaluate screens a test set from first-layer products (and
-# first_layer_products makes them) when it holds at least WIDE_ELEMENTS
-# feature values (rows x input_dim; see LabeledDataset.prepared) and the
+# A test set of at least WIDE_ELEMENTS feature values (rows x input_dim; see
+# LabeledDataset.prepared) is wide: evaluate casts it to float64 a chunk of
+# rows at a time.  first_layer_products makes products for it only where the
 # model's first layer makes at least WIDE_LAYER multiplies a row (input_dim x
-# hidden_dim, or x class_count).  Below either, the float64 pass, on a float64
-# copy of the set that is still small, is about as fast as the screen's
-# bookkeeping, or faster.
+# hidden_dim, or x class_count).  Below either, the plain float64 work is
+# about as fast as the screen's bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
 WIDE_LAYER = 1 << 12
-# float64 values per chunk of test rows cast for FirstLayerProducts (512 KiB)
+# float64 values per chunk of test rows cast to float64 (512 KiB)
 PRODUCT_CHUNK_ELEMENTS = 1 << 16
 # Unit roundoff and smallest normal value of float64.
 _F64 = (2.0 ** -53, 2.0 ** -1022)
@@ -372,9 +373,18 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
-def _wide_layer(arch: ModelArchitecture) -> bool:
-    """Whether the first layer makes at least :data:`WIDE_LAYER` multiplies a row."""
-    return arch.first_layer_size >= WIDE_LAYER
+def _norm_bound(w: np.ndarray) -> np.ndarray:
+    """Per column j of a float64 matrix ``w`` of d rows, a bound at least its
+    exact 2-norm ||w_j||.  Each square rounds once (a float32 value's not at
+    all), and their float64 sum, in any order, is within gamma_d of the exact
+    one (Higham, 3.1), less at most 2d - 1 smallest normals for underflow,
+    which the padding adds back.  The pad's add and the root round once each,
+    so the root is at least (1 - gamma_{d+2}) ||w_j||, and the factor
+    1 + gamma_{2d+4}, itself rounded and applied, more than makes up that."""
+    d = w.shape[0]
+    sums = np.einsum("ij,ij->j", w, w)
+    sums += 2 * d * _F64[1]
+    return np.sqrt(sums) * (1 + _gamma(2 * d + 4))
 
 
 def _first_layer_error(d: int, w_norms: np.ndarray,
@@ -437,8 +447,7 @@ class FirstLayerProducts:
     member p, and costs one add of P_p."""
 
     def __init__(self, arch: ModelArchitecture, vectors: Sequence[np.ndarray],
-                 features: np.ndarray, max_abs: np.ndarray,
-                 weights: Sequence[int] = ()):
+                 features: np.ndarray, max_abs: np.ndarray, weights: Sequence[int]):
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
         self._shape = (features.shape[0], width)
         blocks = [v[:arch.first_layer_size].reshape(d, width) for v in vectors]
@@ -524,7 +533,7 @@ class FirstLayerProducts:
 
 
 def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
-                         test: LabeledDataset, weights: Sequence[int] = ()
+                         test: LabeledDataset, weights: Sequence[int]
                          ) -> FirstLayerProducts | None:
     """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
     (flat float64 parameters of ``arch``: a base, then one update per
@@ -532,7 +541,7 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
     first layer, every value finite, no weight negative and every sum of
     weighted products far inside float64's range; else None."""
     features, norms = test.prepared
-    if (norms is None or not _wide_layer(arch)
+    if (norms is None or arch.first_layer_size < WIDE_LAYER
             or any(v.shape != (arch.param_count,) for v in vectors)):
         return None
     max_abs = np.array([np.abs(v).max() for v in vectors])
@@ -644,73 +653,79 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
                      features: np.ndarray, norms: np.ndarray,
-                     first_layer: FirstLayer) -> np.ndarray | None:
+                     first_layer: FirstLayer | None) -> np.ndarray | None:
     """The argmax of every row of ``predict_logits(arch, model.params,
-    features)`` for float32 rows of 2-norms ``norms``, or None.  A float64
-    pass from ``first_layer``, these parameters' first layer on the rows,
-    and ``model.tail`` decides each row whose top logit beats every other by
-    more than their bounds (see :func:`_decide`).  The undecided rows are
-    scored again by the float64 pass, under its own bounds, and if any is
-    still undecided (exact ties, all-zero parameters), the answer is None."""
-    layers = (None, *_unpack_tail(arch, model.tail))
-    others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
-    ref_slope, ref_offset = _first_layer_error(arch.input_dim, first_layer.w_norms,
-                                               others[0])
-    offset = _F64[0] * others[0] + first_layer.floor
-    hidden, logits = _forward(layers, None, first_layer.values)
-    top, undecided = _decide(logits, _margins(first_layer.slope + ref_slope,
-                                              offset + ref_offset, norms, hidden,
-                                              others))
-    if undecided.size:
-        layers = _unpack(arch, model.params.astype(np.float64))
-        rows = features[undecided].astype(np.float64)
-        hidden, logits = _forward(layers, rows)
-        rescored, still = _decide(logits, _margins(2 * ref_slope, 2 * ref_offset,
-                                                   norms[undecided], hidden, others))
-        if still.size:
-            return None
-        top[undecided] = rescored
-    return top
+    features)`` for float32 rows of 2-norms ``norms``, or None.  Given
+    ``first_layer``, these parameters' first layer on the rows, a float64
+    pass from it and ``model.tail`` decides each row whose top logit beats
+    every other by more than their bounds (see :func:`_decide`).  The rows
+    it leaves, or all without a first layer, take the float64 pass itself:
+    their first layer :data:`PRODUCT_CHUNK_ELEMENTS` / d rows at a time, so
+    no float64 copy of the set is made, under twice that pass's own error
+    (it is both passes of :func:`_margins`), from column norms bounded by
+    :func:`_norm_bound`.  None where a parameter or a row norm is not
+    finite, or a row is still undecided (exact ties, all-zero parameters)."""
+    top, rows = np.empty(len(features), dtype=np.intp), None
+    if first_layer is not None:
+        layers = (None, *_unpack_tail(arch, model.tail))
+        others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
+        ref_slope, ref_offset = _first_layer_error(arch.input_dim,
+                                                   first_layer.w_norms, others[0])
+        offset = _F64[0] * others[0] + first_layer.floor
+        hidden, logits = _forward(layers, None, first_layer.values)
+        top, rows = _decide(logits, _margins(first_layer.slope + ref_slope,
+                                             offset + ref_offset, norms, hidden,
+                                             others))
+        if not rows.size:
+            return top
+    flat = np.asarray(model.params, dtype=np.float64)
+    if not (np.isfinite(flat).all() and np.isfinite(norms).all()):
+        return None
+    layers = _unpack(arch, flat)
+    others = tuple(np.abs(a) for a in layers[1:])
+    slope, offset = _first_layer_error(arch.input_dim, _norm_bound(layers[0]),
+                                       others[0])
+    count = len(features) if rows is None else len(rows)
+    first = np.empty((count, layers[0].shape[1]))
+    step = max(1, PRODUCT_CHUNK_ELEMENTS // arch.input_dim)
+    for start in range(0, count, step):
+        stop = start + step
+        x = features[start:stop] if rows is None else features[rows[start:stop]]
+        np.dot(x.astype(np.float64), layers[0], out=first[start:stop])
+    hidden, logits = _forward(layers, None, first)
+    picks = slice(None) if rows is None else rows
+    top[picks], still = _decide(logits, _margins(2 * slope, 2 * offset, norms[picks],
+                                                 hidden, others))
+    return None if still.size else top
 
 
 def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
              test: LabeledDataset, first_layer: FirstLayer | None = None) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
-    On a wide set (see :attr:`LabeledDataset.prepared`), float32 parameters
-    of the right shape for a wide enough first layer (see :data:`WIDE_LAYER`)
-    are screened first (:func:`_screened_argmax`) from ``first_layer``,
-    which must be these parameters' first layer on ``test``
-    (:meth:`FirstLayerProducts.combine`).  Without one they are screened
-    from products of their own, which cast the set to float64 a chunk at a
-    time, unless :func:`first_layer_products` or ``combine`` refuses them.
-    A :class:`LazyModel`, which only a wide set takes, is screened from its
-    first layer and its tail, and built in full only where the screen needs
-    it; given no first layer, it is built and scored like any float32
-    parameters.  The accuracy is always that of the float64 forward pass."""
+    On a wide set (see :attr:`LabeledDataset.prepared`), every model takes
+    :func:`_screened_argmax`: screened from ``first_layer`` where the caller
+    passes one, which must be these parameters' first layer on ``test``
+    (:meth:`FirstLayerProducts.combine`), and otherwise scored by the float64
+    pass a chunk of rows at a time, under certified bounds, without a float64
+    copy of the set.  A :class:`LazyModel`, which only a wide set takes, is
+    built in full only where that pass runs.  Only a row still undecided, a
+    parameter or row norm that is not finite sends the whole set through the
+    float64 pass at once.  The accuracy is always that of the float64
+    forward pass."""
     rows = len(test)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
     features, norms = test.prepared
     predictions = None
     if norms is not None:
-        model = params if isinstance(params, LazyModel) else None
-        if model is not None and first_layer is None:
-            params, model = model.params, None
-        if (model is None and params.dtype == np.float32
-                and params.shape == (arch.param_count,) and _wide_layer(arch)):
-            if first_layer is None:
-                products = first_layer_products(arch, [params.astype(np.float64)], test)
-                first_layer = None if products is None else products.combine()
-            if first_layer is not None:
-                full = params
-                model = LazyModel(full[arch.first_layer_size:], lambda: full)
-        if model is not None:
-            predictions = _screened_argmax(arch, model, features, norms, first_layer)
-            if predictions is None:
-                params = model.params
+        if not isinstance(params, LazyModel):
+            _check_params(arch, params)
+            params = LazyModel(params[arch.first_layer_size:], lambda full=params: full)
+        predictions = _screened_argmax(arch, params, features, norms, first_layer)
     if predictions is None:
-        predictions = predict_logits(arch, params, features).argmax(axis=1)
+        full = params.params if isinstance(params, LazyModel) else params
+        predictions = predict_logits(arch, full, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows
 
 

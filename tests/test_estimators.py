@@ -702,11 +702,10 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         rebuilds["full"] += model.size == log.architecture.param_count
         return model
 
-    # evaluate makes products of a model's own only when given no first layer
-    # (the rounds' products are made through RoundStack)
-    def counted_products(arch, vectors, test):
+    # evaluate makes no products (the rounds' are made through RoundStack)
+    def counted_products(arch, vectors, test, weights):
         calls["own products"] += 1
-        return products(arch, vectors, test)
+        return products(arch, vectors, test, weights)
 
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)

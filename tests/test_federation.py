@@ -26,6 +26,7 @@ from fedshapley import (
 )
 from fedshapley import federation
 from fedshapley.federation import RoundStack
+from fedshapley.games import players_of
 
 BASE = np.array([1.0, 2.0, -4.0], dtype=np.float32)
 U1 = np.array([0.5, -1.0, 2.0], dtype=np.float32)
@@ -104,6 +105,28 @@ def test_stack_rebuilds_match_reconstruction_past_two_to_the_53():
     single = [stack.rebuild(ids) for ids in coalitions]
     for w, c, s in zip(want, chunked, single):
         assert c.tobytes() == s.tobytes() == w.tobytes()
+
+
+def test_stack_rebuilds_match_reconstruction_past_two_to_the_63():
+    # the first weight and every total past it do not fit in int64, so the
+    # chunks sum Python ints; participant 3's update is scaled up so that its
+    # share, about 7 / 2^63, shows in every coalition's model
+    weights = {1: 2 ** 63 + 5, 2: 2 ** 62 + 3, 3: 7}
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=5).astype(np.float32)
+    updates = {1: rng.normal(size=5).astype(np.float32),
+               2: rng.normal(size=5).astype(np.float32),
+               3: (rng.normal(size=5) * 2.0 ** 62).astype(np.float32)}
+    rec = RoundRecord(0, base, updates, fedavg_aggregate(base, updates, weights))
+    masks = np.arange(1, 8)
+    coalitions = [players_of(mask) for mask in masks.tolist()]
+    want = [reconstruct_submodel(rec, ids, weights) for ids in coalitions]
+    stack, tails = RoundStack(rec, weights), RoundStack(rec, weights, 2)
+    chunked = list(stack.rebuild_masks(masks))
+    single = [stack.rebuild(ids) for ids in coalitions]
+    for w, c, s, t in zip(want, chunked, single, tails.rebuild_masks(masks)):
+        assert c.tobytes() == s.tobytes() == w.tobytes()
+        assert t.tobytes() == w[2:].tobytes()
 
 
 def test_stack_refuses_malformed_rounds():

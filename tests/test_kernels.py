@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,14 +383,13 @@ def test_the_stacked_trainer_matches_the_reference(arch, rows, batch_size):
 # --- the screen of wide test sets -----------------------------------------------
 
 
-BRANCHES = ("decided", "rescored", "fallback")
-
-
 class ScreenBranches:
-    """Counts which way each screened evaluation went: "decided" (the first
-    pass, from the first layer, decided every row), "rescored" (some rows
-    were scored again in float64) or "fallback" (the float64 pass scored
-    the whole set)."""
+    """Counts which way each evaluation of a wide set went: "decided" (the
+    first pass, from the caller's first layer, decided every row),
+    "rescored" (some of its rows were scored again by the chunked float64
+    pass), "chunked" (given no first layer, the chunked float64 pass decided
+    every row) or "fallback" (the float64 pass scored the whole set at
+    once)."""
 
     def __init__(self, monkeypatch):
         self.seen = collections.Counter()
@@ -404,6 +404,7 @@ class ScreenBranches:
             stages.clear()
             top = screen(arch, model, features, norms, first_layer)
             self.seen["fallback" if top is None else
+                      "chunked" if first_layer is None else
                       "rescored" if len(stages) > 1 else "decided"] += 1
             return top
 
@@ -446,21 +447,13 @@ def screen_param_cases(arch: ModelArchitecture,
                     np.full(arch.param_count, 3e38, dtype=np.float32)]
 
 
-def own_first_layer(arch: ModelArchitecture, params: np.ndarray,
-                    test: LabeledDataset) -> models.FirstLayer | None:
-    """The first layer of float32 ``params`` from products of their own, as
-    evaluate makes it when given none; None where there are no products or
-    combine refuses them."""
-    products = models.first_layer_products(arch, [params.astype(np.float64)], test)
-    return None if products is None else products.combine()
-
-
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
-    # a float32 model is screened from first-layer products of its own;
-    # every set is wide, every model wide enough
+    # a model given no first layer is scored by the chunked float64 pass, here
+    # 7 rows a chunk; every set is wide, every model wide enough for products
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 7 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
     one_row = LabeledDataset(full.features[:1], full.labels[:1])
@@ -468,28 +461,25 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     nan, huge = cases[-3], cases[-1]
     for test in (full, one_row):
         for params in cases:
-            # float64 parameters are not screened: they take the float64 pass
-            screened = branches.seen.total()
             want = float64_pass(arch, params, test)
-            assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
-            assert branches.seen.total() == screened
+            before = branches.seen.copy()
             assert same_bits(evaluate(arch, params, test), want)
-            first = own_first_layer(arch, params, test)
-            assert (first is None) == (params is nan or params is huge)
-            assert branches.seen.total() == screened + (first is not None)
+            (branch,) = branches.seen - before
+            # float64 parameters holding the same values go the same way
+            assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
+            assert branches.seen - before == {branch: 2}
+            # a NaN sends the set straight to the float64 pass
+            assert branch == "fallback" or params is not nan
         assert test.prepared[1] is not None
-        # a NaN gives no products; values near float32's largest are refused
+        # a NaN gives no products; values near float32's largest give
+        # products whose first layer combine refuses
         assert models.first_layer_products(
-            arch, [nan.astype(np.float64)], test) is None
-        assert models.first_layer_products(
-            arch, [huge.astype(np.float64)], test) is not None
-    # every branch occurs across the architectures; the 1x1 model's own
-    # products leave no row to rescore (the coalition products test covers
-    # that branch for it)
-    want_branches = set(BRANCHES)
-    if arch == ARCHS[0]:
-        want_branches.discard("rescored")
-    assert set(branches.seen) == want_branches
+            arch, [nan.astype(np.float64)], test, ()) is None
+        products = models.first_layer_products(
+            arch, [huge.astype(np.float64)], test, ())
+        assert products is not None and products.combine() is None
+    # exact ties and the NaN leave the whole set to the float64 pass
+    assert set(branches.seen) == {"chunked", "fallback"}
 
 
 def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
@@ -530,7 +520,10 @@ def test_a_wide_dataset_passed_straight_to_evaluate_is_screened(monkeypatch):
     test = fewest_wide_rows(arch)
     params = init_params(arch, seed=4)
     assert same_bits(evaluate(arch, params, test), ref_evaluate(arch, params, test))
-    assert branches.seen.total() == 1
+    assert branches.seen == {"chunked": 1}
+    # a vector of the wrong shape fails as on a narrow set
+    with pytest.raises(ValueError, match=r"^parameter vector has shape \(50889,\)"):
+        evaluate(arch, params[:-1], test)
 
 
 def test_a_single_model_is_screened_without_a_float64_copy_of_the_set():
@@ -548,6 +541,60 @@ def test_a_single_model_is_screened_without_a_float64_copy_of_the_set():
     assert peak < test.features.nbytes
 
 
+def near_float32_max(arch: ModelArchitecture) -> np.ndarray:
+    """Initial parameters scaled up to values near float32's largest, whose
+    first layer :meth:`~models.FirstLayerProducts.combine` refuses."""
+    params = (init_params(arch, seed=4).astype(np.float64) * 6e39).astype(np.float32)
+    assert np.abs(params).max() > float(np.finfo(np.float32).max) / 2
+    return params
+
+
+SINGLE_MODELS = {
+    "float64": (ARCHS[-1], lambda arch: init_params(arch, seed=4).astype(np.float64)),
+    "narrow-first-layer": (ModelArchitecture(784, 4, 10),
+                           lambda arch: init_params(arch, seed=4)),
+    "near-float32-max": (ARCHS[-1], near_float32_max),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_MODELS.values(), ids=SINGLE_MODELS)
+def test_every_single_model_is_scored_without_a_float64_copy_of_the_set(case):
+    # models that products never screen take the chunked float64 pass
+    arch, make = case
+    test = blobs(arch, 100, seed=9)  # 1,000 rows of 784 values
+    assert test.features.size >= models.WIDE_ELEMENTS
+    params = make(arch)
+    want = float64_pass(arch, params, test)
+    tracemalloc.start()
+    try:
+        accuracy = evaluate(arch, params, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(accuracy, want)
+    assert peak < test.features.nbytes
+
+
+def test_a_single_models_column_norm_bound_covers_the_exact_norms():
+    # squares of float32 values are exact in float64, and Fractions sum them
+    # exactly.  In each tight column [s, t 2^-27 s], with s a power of two
+    # and t^2 < 2, the float64 sum s^2 (1 + t^2 2^-54) rounds down to s^2, so
+    # the plain root falls short of the exact norm; the loose ones are random
+    scales = 2.0 ** np.arange(-60, 61, 20)
+    tight = np.concatenate([np.array([[1.0], [t * 2.0 ** -27]]) * scales
+                            for t in (1.0, 1.25, 1.4)], axis=1)
+    rng = np.random.default_rng(0)
+    loose = rng.normal(size=(784, 8)) * rng.choice([1e-20, 1.0, 1e20], 8)
+    for w, rounds_down in ((tight, True), (loose, False)):
+        w = w.astype(np.float32).astype(np.float64)
+        exact = [sum(Fraction(v) ** 2 for v in column) for column in w.T]
+        plain = np.sqrt(np.einsum("ij,ij->j", w, w))
+        if rounds_down:
+            assert all(Fraction(p) ** 2 < e for p, e in zip(plain, exact))
+        bound = models._norm_bound(w)
+        assert all(Fraction(b) ** 2 >= e for b, e in zip(bound, exact))
+
+
 def test_a_dataset_is_frozen():
     data = blobs(ARCHS[1], 2, seed=0)
     for name in ("features", "labels"):
@@ -556,14 +603,21 @@ def test_a_dataset_is_frozen():
 
 
 def test_only_wide_enough_layers_are_screened(monkeypatch):
+    # every model on a wide set takes the screen's way; first-layer products,
+    # which screen a coalition, are made only for a first layer of at least
+    # WIDE_LAYER multiplies a row: 64 x 64, not 64 x 63
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     branches = ScreenBranches(monkeypatch)
-    for arch in ARCHS:
+    for arch in ARCHS + [ModelArchitecture(64, 64, 2), ModelArchitecture(64, 63, 2)]:
         test = blobs(arch, 2, seed=7)
-        evaluate(arch, init_params(arch, seed=1), test)
-        width = arch.input_dim * (arch.hidden_dim or arch.class_count)
-        assert branches.seen.total() == (width >= models.WIDE_LAYER)
+        params = init_params(arch, seed=1)
+        evaluate(arch, params, test)
+        assert branches.seen.total() == 1
         branches.seen.clear()
+        vectors = [params.astype(np.float64), np.zeros(arch.param_count)]
+        width = arch.input_dim * (arch.hidden_dim or arch.class_count)
+        assert (models.first_layer_products(arch, vectors, test, [1]) is not None
+                ) == (width >= models.WIDE_LAYER)
 
 
 # --- the first layer from per-round products ------------------------------------
@@ -623,9 +677,10 @@ def steps(scored) -> list[str]:
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
-    # every set is wide, every model wide enough
+    # every set is wide, every model wide enough; rows are rescored 5 a chunk
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
     # the row of largest norm: in the 1x1 model it keeps the hidden unit
@@ -664,22 +719,24 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
                         assert first_layer_bound_holds(arch, params, test,
                                                        first), (ids, kind)
                     want = float64_pass(arch, params, test)
-                    # float64 parameters holding the same values are not screened
+                    # evaluate adds the bias into a first layer's values
+                    again = None if first is None else first._replace(
+                        values=first.values.copy())
                     before = branches.seen.copy()
-                    assert same_bits(evaluate(arch, params.astype(np.float64), test,
-                                              first), want)
-                    assert branches.seen == before
                     assert same_bits(evaluate(arch, params, test, first), want), (
                         ids, kind)
-                    seen = branches.seen - before
-                    # without a first layer, from products of its own if accepted
-                    assert seen.total() == (first is not None or own_first_layer(
-                        arch, params, test) is not None)
+                    (branch,) = branches.seen - before
+                    # float64 parameters holding the same values go the same way
+                    assert same_bits(evaluate(arch, params.astype(np.float64), test,
+                                              again), want)
+                    assert branches.seen - before == {branch: 2}
+                    # without a first layer, by the chunked float64 pass
+                    assert (branch == "chunked") <= (first is None)
                     if first is not None:
-                        from_coalitions.update(seen)
+                        from_coalitions[branch] += 1
     # values near float32's largest, whose models could overflow, are refused
     assert refused
-    assert set(from_coalitions) == set(BRANCHES)
+    assert set(from_coalitions) == {"decided", "rescored", "fallback"}
 
 
 def test_scoring_a_round_holds_one_running_sum():
@@ -710,12 +767,13 @@ def test_scoring_a_round_holds_one_running_sum():
 
 @pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
                                      {1: 2 ** 53, 2: 13, 3: 3, 4: 101}],
-                         ids=["chunked", "per-model"])
+                         ids=["chunked", "past-2^53"])
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         monkeypatch, arch, weights):
-    # every set is wide, every model wide enough; past a total weight of
-    # 2^53 rebuild_masks rebuilds each model on its own, else in chunks
+    # every set is wide, every model wide enough; rebuild_masks rebuilds in
+    # chunks from exact integer totals, also past a total weight of 2^53,
+    # where the weights' and totals' casts to float64 round
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
     branches = ScreenBranches(monkeypatch)
@@ -737,9 +795,11 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         seen, rebuilt = branches.seen - seen, len(full_rebuilds) - rebuilt
         if isinstance(params, models.LazyModel):
             # rebuilt in full once, where a row was scored again, the
-            # screen fell back, or combine refused the coalition
+            # screen fell back, or combine refused the coalition, which the
+            # chunked float64 pass then scores
             if first_layer is None:
                 outcome = "refused"
+                assert seen.total() == 1 and set(seen) <= {"chunked", "fallback"}
             else:
                 (outcome,) = seen
             outcomes[outcome] += 1
@@ -768,7 +828,7 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
             rec = federation.RoundRecord(0, base, updates, base)
             log = federation.GradientLog(arch, [rec], weights)
             stack = RoundStack(rec, weights)
-            tails = stack.tail(start)
+            tails = RoundStack(rec, weights, start)
             masks = np.arange(1, 16)
             for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
                 model = rebuild(stack, players_of(mask))

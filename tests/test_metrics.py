@@ -50,6 +50,18 @@ def test_euclidean_and_max_difference():
         euclidean_distance([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("metric", [cosine_distance, euclidean_distance,
+                                    max_difference])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_refuse_values_that_are_not_finite(metric, bad):
+    # cosine_distance used to read a NaN or infinite estimate as 0.0
+    for truth, est, which in (([1.0, 2.0], [bad, 1.0], "estimate"),
+                              ([bad, 1.0], [1.0, 2.0], "reference")):
+        with pytest.raises(ValueError, match=f"^{which} vector") as err:
+            metric(truth, est)
+        assert "\n" not in str(err.value)
+
+
 def test_metrics_accept_contribution_vectors():
     truth = ContributionVector(np.array([1.0, 2.0, 3.0]))
     est = ContributionVector(np.array([1.0, 2.0, 4.0]))
