@@ -25,12 +25,12 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-# run_federation trains with train_group; train_local, the trainer of one
-# dataset, stays importable from here under the name it has always had
+# run_federation trains with models._train_stacked; train_local, the trainer
+# of one dataset, stays importable from here under the name it has always had
 from .models import (FirstLayerProducts, LabeledDataset, ModelArchitecture,
-                     TrainConfig, check_training, coalition_total,
-                     first_layer_products, gradient_update, init_params,
-                     train_group, train_local)
+                     TrainConfig, _stack_datasets, _train_stacked, check_training,
+                     coalition_total, first_layer_products, gradient_update,
+                     init_params, train_local)
 from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
@@ -39,6 +39,15 @@ LOG_HEADER = struct.Struct("<4sH5I")
 # float64 values per chunk of rebuilt models, and per group of participants
 # trained in one stacked pass (512 KiB)
 CHUNK_ELEMENTS = 1 << 16
+# RoundStack.rebuild sums a coalition of at least GATHER_MEMBERS members of a
+# model of at most GATHER_PARAMS values in one reduction over its gathered
+# rows; below either, adding one member at a time is faster.  Timed on a
+# 2-core Xeon (numpy 2.4.6): at 170 values, 4 members take 11 us one at a
+# time and 14 us gathered, and 31 members 72 us and 23 us; at 714 values
+# (cli784's tails), 4 members take 8.6 us and 15 us; at 2,410 and 50,890
+# values one at a time is faster at every size.
+GATHER_MEMBERS = 6
+GATHER_PARAMS = 512
 
 
 class LogFormatError(ValueError):
@@ -143,7 +152,8 @@ def reconstruct_submodel(record: RoundRecord, coalition: Iterable[int],
 
 class RoundStack:
     """One round's base model and updates from parameter ``start`` on, cast
-    to float64 once, for rebuilding many coalitions' models.
+    to float64 once into one array, the base at row 0 and participant i's
+    update at row i, for rebuilding many coalitions' models.
 
     A rebuild follows :func:`fedavg_aggregate`'s float64 operation order
     (the base, plus each member's weighted update in ascending id order, then
@@ -173,25 +183,48 @@ class RoundStack:
                 raise ValueError(
                     f"participant {pid}: update shape {shape} does not match "
                     f"model shape {model_shape}")
-        self._base = np.asarray(record.base_model[start:], dtype=np.float64)
-        self._updates = np.array([record.updates[i][start:] for i in range(1, n + 1)],
-                                 dtype=np.float64)
+        base = record.base_model[start:]
+        # each row is cast into place: no other copy of the updates is made
+        self._rows = np.empty((n + 1, len(base)))
+        self._rows[0] = base
+        for i in range(1, n + 1):
+            self._rows[i] = record.updates[i][start:]
         self._weights = [weights[i] for i in range(1, n + 1)]
+        # fl(w_i), row i's weight as w_i / W_S casts it (row 0, the base,
+        # always takes 1)
+        self._float_weights = np.array([1.0, *map(float, self._weights)])
+        # a rebuild of this many members or more gathers its rows; past
+        # GATHER_PARAMS values, none does
+        self._gather_from = (GATHER_MEMBERS if len(base) <= GATHER_PARAMS
+                             else n + 1)
         # coalition totals are summed exactly, in int64 while every total fits
         self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
         # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
-        self._chunk_rows = max(1, CHUNK_ELEMENTS // self._base.size)
+        self._chunk_rows = max(1, CHUNK_ELEMENTS // len(base))
         # (w_i / W) * u_i of the member being added, reused by every rebuild
-        self._scaled = np.empty_like(self._base)
+        self._scaled = np.empty_like(self._rows[0])
 
     def rebuild(self, ids: Sequence[int]) -> np.ndarray:
-        """Model of the coalition ``ids``: ascending, non-empty, in 1..n."""
+        """Model of the coalition ``ids``: ascending, non-empty, in 1..n.
+
+        A coalition of at least :data:`GATHER_MEMBERS` members of a model of
+        at most :data:`GATHER_PARAMS` values gathers its rows, scales them
+        and sums them in one reduction; any other adds its members one at a
+        time, which is faster there.  The reduction starts from -0.0, the
+        one value whose sum with the base is the base itself, signed zeros
+        included, so both give the same bits."""
         total = coalition_total(self._weights[i - 1] for i in ids)
-        acc = self._base.copy()
+        if len(ids) >= self._gather_from:
+            members = np.array((0, *ids))
+            scales = self._float_weights[members] / total
+            scales[0] = 1.0
+            rows = self._rows[members]
+            rows *= scales[:, None]
+            return np.add.reduce(rows, axis=0, initial=-0.0).astype(np.float32)
+        acc = self._rows[0].copy()
         scaled = self._scaled
         for i in ids:
-            np.multiply(self._weights[i - 1] / total, self._updates[i - 1],
-                        out=scaled)
+            np.multiply(self._weights[i - 1] / total, self._rows[i], out=scaled)
             acc += scaled
         return acc.astype(np.float32)
 
@@ -201,8 +234,7 @@ class RoundStack:
         updates, participant i's at row i, weighted by ``weights``, where
         ``evaluate`` reads them (see
         :func:`~fedshapley.models.first_layer_products`)."""
-        return first_layer_products(arch, [self._base, *self._updates], test,
-                                    self._weights)
+        return first_layer_products(arch, self._rows, test, self._weights)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
         """Models of the non-empty coalitions ``masks``, in order.
@@ -223,9 +255,9 @@ class RoundStack:
         totals = totals.astype(np.float64)
         if totals.min() <= 0:
             raise ValueError("total coalition weight must be positive")
-        acc = np.empty((len(masks), self._base.size), dtype=np.float64)
-        acc[:] = self._base
-        for w, member, update in zip(self._weights, members, self._updates):
+        acc = np.empty((len(masks), self._rows.shape[1]), dtype=np.float64)
+        acc[:] = self._rows[0]
+        for w, member, update in zip(self._weights, members, self._rows[1:]):
             rows = np.flatnonzero(member)
             acc[rows] += (float(w) / totals[rows])[:, None] * update
         return acc.astype(np.float32)
@@ -239,8 +271,9 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     per-round seed derived from ``cfg.seed`` shared by all participants, so
     identically configured participants produce identical updates.
     Participants whose datasets have one length visit the same batch
-    positions, so each round trains them together (``models.train_group``),
-    in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters.
+    positions, so each round trains them together (as ``models.train_group``
+    does), in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters,
+    whose datasets are stacked once per run.
     """
     if len(participants) < 2:
         raise ValueError("need at least two participants")
@@ -270,14 +303,15 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
                                  f"{arch.class_count} classes")
         except ValueError as exc:
             raise RuntimeError(f"round 0, participant {pid}: {exc}") from exc
+    # the datasets are fixed: each group's are stacked once, for every round
+    stacks = [_stack_datasets([by_id[pid].dataset for pid in group]) for group in groups]
     records: list[RoundRecord] = []
     for t in range(rounds):
         round_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "round", t))
         updates = dict.fromkeys(ids)  # in ascending id order
-        for group in groups:
+        for group, (features, labels) in zip(groups, stacks):
             try:
-                trained = train_group(arch, base, [by_id[pid].dataset for pid in group],
-                                      round_cfg)
+                trained = _train_stacked(arch, base, features, labels, round_cfg)
             except Exception as exc:
                 raise RuntimeError(f"round {t}, participants {group}: {exc}") from exc
             for pid, local in zip(group, trained):

@@ -327,12 +327,26 @@ def train_group(arch: ModelArchitecture, base: np.ndarray,
         if len(data) != rows:
             raise ValueError(f"datasets of one group must have one length, got "
                              f"{rows} and {len(data)} rows")
-    if len(datasets) == 1:  # a view, not a copy, of a lone member's set
-        features, labels = datasets[0].features[None], datasets[0].labels[None]
-    else:
-        features = np.stack([data.features for data in datasets])
-        labels = np.stack([data.labels for data in datasets])
-    work = np.broadcast_to(base, (len(datasets), arch.param_count)).astype(np.float64)
+    return _train_stacked(arch, base, *_stack_datasets(datasets), cfg)
+
+
+def _stack_datasets(datasets: Sequence[LabeledDataset]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The features (sets x rows x d) and labels (sets x rows) of non-empty
+    ``datasets`` of one length, as :func:`_train_stacked` reads them: a view,
+    not a copy, of a lone set's."""
+    if len(datasets) == 1:
+        return datasets[0].features[None], datasets[0].labels[None]
+    return (np.stack([data.features for data in datasets]),
+            np.stack([data.labels for data in datasets]))
+
+
+def _train_stacked(arch: ModelArchitecture, base: np.ndarray, features: np.ndarray,
+                   labels: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """:func:`train_group`'s pass over the stacks of :func:`_stack_datasets`,
+    of sets that :func:`check_training` accepts for ``base``."""
+    rows = features.shape[1]
+    work = np.broadcast_to(base, (len(features), arch.param_count)).astype(np.float64)
     grad = np.empty_like(work)
     layers, grads = _unpack_stack(arch, work), _unpack_stack(arch, grad)
     rng = np.random.default_rng(cfg.seed)
@@ -403,7 +417,8 @@ class FirstLayer(NamedTuple):
     Once the bias b is added in float64, a row x's unit j is within slope_j
     ||x|| + 2^-53 |b_j| + ``floor`` of the exact x.W1_j + b_j, and ||W1_j||
     <= w_norms_j (see :func:`_margins`).  :func:`evaluate` adds the bias to
-    ``values`` in place, so a first layer serves one evaluation."""
+    ``values`` in place and then makes them read-only, spent, so a first
+    layer serves one evaluation: another is a ValueError."""
 
     values: np.ndarray
     slope: np.ndarray
@@ -667,12 +682,15 @@ def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
     finite, or a row is still undecided (exact ties, all-zero parameters)."""
     top, rows = np.empty(len(features), dtype=np.intp), None
     if first_layer is not None:
+        if not first_layer.values.flags.writeable:
+            raise ValueError("a first layer serves one evaluation")
         layers = (None, *_unpack_tail(arch, model.tail))
         others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
         ref_slope, ref_offset = _first_layer_error(arch.input_dim,
                                                    first_layer.w_norms, others[0])
         offset = _F64[0] * others[0] + first_layer.floor
         hidden, logits = _forward(layers, None, first_layer.values)
+        first_layer.values.flags.writeable = False  # it holds the bias now
         top, rows = _decide(logits, _margins(first_layer.slope + ref_slope,
                                              offset + ref_offset, norms, hidden,
                                              others))
@@ -703,29 +721,33 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
              test: LabeledDataset, first_layer: FirstLayer | None = None) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
-    On a wide set (see :attr:`LabeledDataset.prepared`), every model takes
-    :func:`_screened_argmax`: screened from ``first_layer`` where the caller
-    passes one, which must be these parameters' first layer on ``test``
-    (:meth:`FirstLayerProducts.combine`), and otherwise scored by the float64
-    pass a chunk of rows at a time, under certified bounds, without a float64
-    copy of the set.  A :class:`LazyModel`, which only a wide set takes, is
-    built in full only where that pass runs.  Only a row still undecided, a
-    parameter or row norm that is not finite sends the whole set through the
-    float64 pass at once.  The accuracy is always that of the float64
-    forward pass."""
-    rows = len(test)
+    A narrow set takes the float64 forward pass on its cached float64
+    features.  On a wide set (see :attr:`LabeledDataset.prepared`), every
+    model takes :func:`_screened_argmax`: screened from ``first_layer`` where
+    the caller passes one, which must be these parameters' first layer on
+    ``test`` (:meth:`FirstLayerProducts.combine`), not yet spent by another
+    evaluation, and otherwise scored by the float64 pass a chunk of rows at a
+    time, under certified bounds, without a float64 copy of the set.  A
+    :class:`LazyModel` is built in full only where that pass runs.  Only a
+    row still undecided, a parameter or row norm that is not finite sends
+    the whole set through the float64 pass at once.  The accuracy is always
+    that of the float64 forward pass."""
+    features, norms = test.prepared
+    rows = len(features)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    features, norms = test.prepared
-    predictions = None
-    if norms is not None:
+    if norms is None:
+        full = params.params if isinstance(params, LazyModel) else params
+        _check_params(arch, full)
+        logits = _forward(_unpack(arch, np.asarray(full, dtype=np.float64)), features)[1]
+        predictions = logits.argmax(axis=1)
+    else:
         if not isinstance(params, LazyModel):
             _check_params(arch, params)
             params = LazyModel(params[arch.first_layer_size:], lambda full=params: full)
         predictions = _screened_argmax(arch, params, features, norms, first_layer)
-    if predictions is None:
-        full = params.params if isinstance(params, LazyModel) else params
-        predictions = predict_logits(arch, full, features).argmax(axis=1)
+        if predictions is None:
+            predictions = predict_logits(arch, params.params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows
 
 

@@ -74,7 +74,7 @@ def work_calls(monkeypatch):
     """Counts the calls that start work: reading a log, training a model."""
     calls = collections.Counter()
     for module, name in ((cli, "load_log"), (federation, "train_local"),
-                         (federation, "train_group"), (estimators, "train_local")):
+                         (federation, "_train_stacked"), (estimators, "train_local")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -149,7 +149,7 @@ def test_work_calls_see_simulate_train_and_evaluate_read(config_path, tmp_path,
                                                          work_calls):
     # the counter that the fail-fast tests below find empty sees real work
     log = simulate(config_path, tmp_path / "runs")
-    assert work_calls["train_group"] > 0 and work_calls["load_log"] == 0
+    assert work_calls["_train_stacked"] > 0 and work_calls["load_log"] == 0
     assert main(["evaluate", "--log", log, "--estimator", "mr",
                  "--out", str(tmp_path / "est"), "--quiet"]) == EXIT_OK
     assert work_calls["load_log"] == 1

@@ -129,6 +129,40 @@ def test_stack_rebuilds_match_reconstruction_past_two_to_the_63():
         assert t.tobytes() == w[2:].tobytes()
 
 
+@pytest.mark.parametrize("weights", [
+    {i: 10 + 3 * i for i in range(1, 9)},
+    {1: 2 ** 53 + 1, **{i: i for i in range(2, 9)}},
+    {1: 2 ** 63 + 5, 2: 2 ** 62 + 3, **{i: 7 * i for i in range(3, 9)}},
+], ids=["small", "past-2^53", "past-2^63"])
+@pytest.mark.parametrize("size", [federation.GATHER_PARAMS, federation.GATHER_PARAMS + 1])
+def test_stack_rebuilds_match_reconstruction_bit_for_bit(weights, size):
+    # coalitions on both sides of GATHER_MEMBERS, models on both sides of
+    # GATHER_PARAMS, and tails from parameter 1 (the 513-value model's is
+    # 512 values long); each update is scaled by its weight's inverse, so
+    # that every member's share shows
+    rng = np.random.default_rng(size)
+    top = max(weights.values())
+    base = rng.normal(size=size).astype(np.float32)
+    updates = {i: (rng.normal(size=size) * (top / w)).astype(np.float32)
+               for i, w in weights.items()}
+    # a -0.0 base whose every member adds -0.0 stays -0.0; and +0.0, +0.0
+    base[1:5] = [-0.0, -0.0, 0.0, 0.0]
+    for update in updates.values():
+        update[1:5] = [-0.0, 0.0, -0.0, 0.0]
+    rec = RoundRecord(0, base, updates, fedavg_aggregate(base, updates, weights))
+    members = federation.GATHER_MEMBERS
+    coalitions = [tuple(range(1, members)), tuple(range(1, members + 1)),
+                  tuple(range(9 - members, 9)), tuple(range(1, 9))]
+    coalitions += [tuple(sorted(rng.choice(np.arange(1, 9), k, replace=False).tolist()))
+                   for k in (members - 1, members, members + 1) for _ in range(3)]
+    stack, tails = RoundStack(rec, weights), RoundStack(rec, weights, 1)
+    for ids in coalitions:
+        want = reconstruct_submodel(rec, ids, weights)
+        assert stack.rebuild(ids).tobytes() == want.tobytes(), ids
+        assert tails.rebuild(ids).tobytes() == want[1:].tobytes(), ids
+        assert np.signbit(want[1:5]).tolist() == [True, False, False, False]
+
+
 def test_stack_refuses_malformed_rounds():
     rec = RoundRecord(0, BASE, {1: U1, 2: U2}, BASE)
     with pytest.raises(ValueError, match="not contiguous"):
@@ -224,10 +258,10 @@ def test_a_label_past_the_models_classes_names_its_participant():
 
 
 def test_a_group_that_fails_to_train_names_its_round_and_participants(monkeypatch):
-    def out_of_memory(arch, base, datasets, cfg):
+    def out_of_memory(arch, base, features, labels, cfg):
         raise MemoryError("out of memory")
 
-    monkeypatch.setattr(federation, "train_group", out_of_memory)
+    monkeypatch.setattr(federation, "_train_stacked", out_of_memory)
     good = gaussian_blobs(6, 5, 3, seed=0)
     with pytest.raises(RuntimeError, match=r"^round 0, participants \[1, 2\]: out of "
                                            r"memory$"):

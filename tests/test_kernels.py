@@ -139,9 +139,10 @@ def ref_train_local(arch, base, data, cfg):
     return work.astype(np.float32)
 
 
-def ref_train_group(arch, base, datasets, cfg):
-    """One :func:`ref_train_local` per dataset, in order."""
-    return [ref_train_local(arch, base, data, cfg) for data in datasets]
+def ref_train_stacked(arch, base, features, labels, cfg):
+    """One :func:`ref_train_local` per stacked dataset, in order."""
+    return [ref_train_local(arch, base, LabeledDataset(x, y), cfg)
+            for x, y in zip(features, labels)]
 
 
 def ref_rebuild(record, weights, ids):
@@ -307,9 +308,9 @@ def simulate_bytes(tmp_path, name: str, hidden_dim: int, **sections) -> bytes:
 @pytest.mark.parametrize("hidden_dim", [0, 5])
 def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_dim):
     got = simulate_bytes(tmp_path, "kernels", hidden_dim)
-    # run_federation trains through train_group: the reference trains each
-    # participant alone
-    monkeypatch.setattr(federation, "train_group", ref_train_group)
+    # run_federation trains each group's stacked datasets in one pass: the
+    # reference trains each participant alone
+    monkeypatch.setattr(federation, "_train_stacked", ref_train_stacked)
     want = simulate_bytes(tmp_path, "reference", hidden_dim)
     assert got == want
 
@@ -329,21 +330,32 @@ def test_simulate_trains_groups_as_each_participant_alone(tmp_path, monkeypatch,
     arch = ModelArchitecture(16, hidden_dim, 10)
     monkeypatch.setattr(federation, "CHUNK_ELEMENTS", 3 * arch.param_count + 2)
     groups = []
-    train_group = federation.train_group
+    train_stacked = federation._train_stacked
 
-    def recorded(arch, base, datasets, cfg):
-        groups.append([len(data) for data in datasets])
-        return train_group(arch, base, datasets, cfg)
+    def recorded(arch, base, features, labels, cfg):
+        groups.append([len(rows) for rows in labels])
+        return train_stacked(arch, base, features, labels, cfg)
 
-    monkeypatch.setattr(federation, "train_group", recorded)
+    monkeypatch.setattr(federation, "_train_stacked", recorded)
+    stacked = []
+    stack_datasets = federation._stack_datasets
+
+    def counted(datasets):
+        stacked.append(len(datasets))
+        return stack_datasets(datasets)
+
+    monkeypatch.setattr(federation, "_stack_datasets", counted)
     got = simulate_bytes(tmp_path, "groups", hidden_dim, **sections)
-    monkeypatch.setattr(federation, "train_group", ref_train_group)
+    monkeypatch.setattr(federation, "_stack_datasets", stack_datasets)
+    monkeypatch.setattr(federation, "_train_stacked", ref_train_stacked)
     want = simulate_bytes(tmp_path, "reference", hidden_dim, **sections)
     assert got == want
     # two rounds of ten participants, in groups of one length, of at most three
     assert sum(map(len, groups)) == 20
     assert all(len(set(lengths)) == 1 for lengths in groups)
     assert max(map(len, groups)) == (2 if kind == "same_dist_diff_size" else 3)
+    # each group is stacked once, for both rounds
+    assert stacked == [len(lengths) for lengths in groups[:len(groups) // 2]]
 
 
 def equal_length_sets(arch: ModelArchitecture, rows: int,
@@ -410,6 +422,54 @@ class ScreenBranches:
 
         monkeypatch.setattr(models, "_decide", counted_decide)
         monkeypatch.setattr(models, "_screened_argmax", counted_screen)
+
+
+def logits_path(arch, params, test) -> float:
+    """Accuracy through :func:`predict_logits` on the prepared features, as
+    evaluate scored a narrow set before it ran the forward pass itself."""
+    if len(test) == 0:
+        raise ValueError("cannot evaluate on an empty test set")
+    full = params.params if isinstance(params, models.LazyModel) else params
+    predictions = predict_logits(arch, full, test.prepared[0]).argmax(axis=1)
+    return int(np.count_nonzero(predictions == test.labels)) / len(test)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_a_narrow_set_scores_as_the_logits_path(arch):
+    full = blobs(arch, 12, seed=1)
+    one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
+    nan = init_params(arch, seed=3)
+    nan[arch.param_count // 2] = np.nan
+    builds = []
+
+    def lazy(params):
+        def build():
+            builds.append(1)
+            return params
+        return models.LazyModel(params[arch.first_layer_size:], build)
+
+    for test in (full, one_row):
+        assert test.prepared[1] is None
+        # all zeros tie every class and score class 0; a NaN picks its class
+        for params in [*param_cases(arch), nan, nan.astype(np.float64)]:
+            want = logits_path(arch, params, test)
+            assert same_bits(evaluate(arch, params, test), want)
+            # a LazyModel is read through params, built once
+            del builds[:]
+            assert same_bits(evaluate(arch, lazy(params), test), want)
+            assert len(builds) == 1
+    # the messages, an empty set's first, whatever the parameters
+    empty = LabeledDataset(np.empty((0, arch.input_dim)), np.empty(0))
+    short = init_params(arch, seed=0)[:-1]
+    for params in (short, lazy(short)):
+        for test, message in [(empty, "cannot evaluate on an empty test set"),
+                              (full, f"parameter vector has shape "
+                                     f"({arch.param_count - 1},), architecture "
+                                     f"needs ({arch.param_count},)")]:
+            for fn in (logits_path, evaluate):
+                with pytest.raises(ValueError) as err:
+                    fn(arch, params, test)
+                assert str(err.value) == message
 
 
 def screen_param_cases(arch: ModelArchitecture,
@@ -737,6 +797,31 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # values near float32's largest, whose models could overflow, are refused
     assert refused
     assert set(from_coalitions) == {"decided", "rescored", "fallback"}
+
+
+def test_a_first_layer_serves_one_evaluation(monkeypatch):
+    # evaluate adds the bias into a first layer's values: scored again, the
+    # same values would count the bias twice
+    arch = ARCHS[1]
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    test = blobs(arch, 12, seed=5)
+    rng = np.random.default_rng(2)
+    base = init_params(arch, seed=3) * np.float32(20.0)
+    updates = {i: rng.normal(0.0, 1.0, arch.param_count).astype(np.float32)
+               for i in (1, 2, 3)}
+    weights = {1: 7, 2: 13, 3: 3}
+    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+    products = stack.first_layer_products(arch, test)
+    for ids in [(), (1,), (1, 3), (1, 2, 3)]:
+        params = stack.rebuild(ids) if ids else base
+        first = products.combine(ids)
+        want = float64_pass(arch, params, test)
+        assert same_bits(evaluate(arch, params, test, first), want)
+        for model in (params, params.astype(np.float64)):
+            with pytest.raises(ValueError, match="^a first layer serves one evaluation$"):
+                evaluate(arch, model, test, first)
+        assert same_bits(evaluate(arch, params, test, products.combine(ids)), want)
 
 
 def test_scoring_a_round_holds_one_running_sum():
