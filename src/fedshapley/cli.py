@@ -20,8 +20,9 @@ from pathlib import Path
 
 from .estimators import (RETRAIN_PLAYER_LIMIT, EstimatorReport,
                          check_estimator_params, estimator)
-from .federation import (GradientLog, LogFormatError, Participant, load_log,
-                         load_log_metadata, run_federation, save_log)
+from .federation import (HEADER_FIELD_MAX, GradientLog, LogFormatError,
+                         Participant, load_log, load_log_metadata, run_federation,
+                         save_log)
 from .games import CapacityError
 from .metrics import (ComparisonRow, build_report, read_report,
                       write_report)
@@ -60,6 +61,9 @@ class ExperimentConfig:
         check_types(vars(self), ExperimentConfig.__annotations__)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.rounds > HEADER_FIELD_MAX:
+            raise ValueError(f"rounds must be at most {HEADER_FIELD_MAX}, what a "
+                             f"log's header stores, got {self.rounds}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("per-class sample counts must be >= 1")
 
@@ -242,7 +246,8 @@ def cmd_simulate(args) -> int:
     if args.print_config:
         print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
-    participants, _, test = build_participants(cfg)
+    # the pool is not kept alive through training: nothing reads it
+    participants, test = build_participants(cfg)[::2]
     with _output_dir(args, cfg.output_dir) as out:
         log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
                              cfg.federation_seed)
@@ -331,6 +336,8 @@ def cmd_evaluate(args) -> int:
         log = load_log(args.log)
         log.validate()
         participants, test = _experiment_of(args.log, cfg, log)
+        if not estimator(args.estimator).retrains:
+            participants = None  # checked against the log, and read no more
         report = _run_named_estimator(args.estimator, params, cfg, log, test,
                                       participants, args.seed)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
@@ -355,7 +362,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(
             f"compare computes ground truth by retraining all coalitions; "
             f"n={cfg.scenario.n} exceeds the n <= {RETRAIN_PLAYER_LIMIT} guard")
-    participants, _, test = build_participants(cfg)
+    # the pool is not kept alive through training: nothing reads it
+    participants, test = build_participants(cfg)[::2]
     with _output_dir(args, cfg.output_dir) as out:
         truth = _run_named_estimator("original", {}, cfg, None, test, participants)
         log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,

@@ -34,17 +34,19 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# reconstruct_submodel is not called here, but the benchmark's tracer
-# (perfbench/spans.py) wraps it at this module's attribute, so it stays.
-from .federation import (GradientLog, Participant, RoundRecord,  # noqa: F401
-                         RoundStack, reconstruct_submodel)
+# RoundScorer rebuilds a wide coalition's full model through this module's
+# reconstruct_submodel, read when it is called; the benchmark's tracer
+# (perfbench/spans.py) counts those calls by wrapping that attribute.
+from .federation import (GradientLog, Participant, RoundRecord, RoundStack,
+                         reconstruct_submodel, round_vectors)
 from .games import (CapacityError, CoalitionGame, ContributionVector,
                     ConvergenceWindow, CyclingPermutationSampler,
                     UniformPermutationSampler, check_convergence,
                     check_enumerable, exact_shapley, players_of,
                     shapley_from_values, walk_order)
 from .models import (LabeledDataset, LazyModel, ModelArchitecture, TrainConfig,
-                     check_types, evaluate, init_params, train_local)
+                     check_types, evaluate, first_layer_products, init_params,
+                     train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -110,23 +112,29 @@ def _make_sampler(cfg: GtgConfig, n: int, seed: int):
 
 class RoundScorer:
     """A round's coalition utilities, one evaluation each, from models rebuilt
-    out of its updates, cast to float64 once.  On a wide test set the
-    first-layer products are made once too, and with them a coalition is
-    rebuilt as its tail, in full only where ``evaluate`` reads it (see
-    :class:`~fedshapley.models.LazyModel`); else in full."""
+    out of its updates.  On a wide test set (see
+    :func:`~fedshapley.models.first_layer_products`, which gates it first)
+    the first-layer products are made once, from the record's float32
+    blocks; a coalition is then rebuilt as its tail, from a stack of the
+    tails alone, and in full, by
+    :func:`~fedshapley.federation.reconstruct_submodel`, only where
+    ``evaluate`` reads it (see :class:`~fedshapley.models.LazyModel`).  Else
+    every coalition is rebuilt in full, from one stack of the round."""
 
     def __init__(self, record: RoundRecord, weights: dict[int, int],
                  arch: ModelArchitecture, test: LabeledDataset):
         self._arch, self._test, self._base = arch, test, record.base_model
-        self._stack = RoundStack(record, weights)
-        self._products = self._stack.first_layer_products(arch, test)
-        self._tails = (self._stack if self._products is None
-                       else RoundStack(record, weights, arch.first_layer_size))
+        self._record, self._weights = record, weights
+        self._products = first_layer_products(
+            arch, round_vectors(record, weights), test,
+            [weights[i] for i in range(1, len(weights) + 1)])
+        self._stack = RoundStack(record, weights, 0 if self._products is None
+                                 else arch.first_layer_size)
 
     def score(self, ids: tuple[int, ...]) -> float:
         """The coalition ``ids``'s utility: a game's oracle, as a bound method,
         which Python calls inline (an instance's ``__call__`` goes through C)."""
-        return self._score(ids, self._tails.rebuild(ids) if ids else None)
+        return self._score(ids, self._stack.rebuild(ids) if ids else None)
 
     def every_coalition(self, n: int) -> np.ndarray:
         """Utility of every coalition, indexed by bitmask; rebuilt in chunks."""
@@ -134,17 +142,18 @@ class RoundScorer:
         # only the products read a coalition's members
         members = ([None] * len(masks) if self._products is None
                    else map(players_of, masks.tolist()))
-        tails = self._tails.rebuild_masks(masks)
-        return np.array([self.score(())] + [self._score(ids, tail)
-                                            for ids, tail in zip(members, tails)])
+        rebuilt = self._stack.rebuild_masks(masks)
+        return np.array([self.score(())] + [self._score(ids, model)
+                                            for ids, model in zip(members, rebuilt)])
 
-    def _score(self, ids: tuple[int, ...] | None, tail: np.ndarray | None) -> float:
-        """The utility of ``ids`` from its rebuilt ``tail`` (None: the base's)."""
+    def _score(self, ids: tuple[int, ...] | None, model: np.ndarray | None) -> float:
+        """The utility of ``ids`` from its rebuilt ``model``, a tail where
+        there are products (None: the base)."""
         if self._products is None:
-            return evaluate(self._arch, self._base if tail is None else tail,
+            return evaluate(self._arch, self._base if model is None else model,
                             self._test)
-        model = (self._base if tail is None else
-                 LazyModel(tail, functools.partial(self._stack.rebuild, ids)))
+        model = (self._base if model is None else LazyModel(
+            model, lambda: reconstruct_submodel(self._record, ids, self._weights)))
         return evaluate(self._arch, model, self._test, self._products.combine(ids))
 
 
@@ -259,7 +268,8 @@ def _sample_games(name: str, cfg: GtgConfig,
                   builders: Sequence[Callable[[], RoundGame]],
                   evaluate_first: bool = False) -> EstimatorReport:
     """Score each builder's game with :func:`gtg_round`, in order; a game is
-    built when its turn comes, so one game's float64 stack is alive at a time."""
+    built when its turn comes, so one game's stack (and products) is alive at
+    a time."""
     started = time.perf_counter()
     rounds = [gtg_round(build(), cfg, always_evaluate_first=evaluate_first)
               for build in builders]

@@ -27,15 +27,16 @@ import numpy as np
 
 # run_federation trains with models._train_stacked; train_local, the trainer
 # of one dataset, stays importable from here under the name it has always had
-from .models import (FirstLayerProducts, LabeledDataset, ModelArchitecture,
-                     TrainConfig, _stack_datasets, _train_stacked, check_training,
-                     coalition_total, first_layer_products, gradient_update,
-                     init_params, train_local)
+from .models import (LabeledDataset, ModelArchitecture, TrainConfig,
+                     _stack_datasets, _train_stacked, check_training,
+                     coalition_total, gradient_update, init_params, train_local)
 from .seeding import derive_seed
 
 LOG_MAGIC = b"GTGL"
 LOG_FORMAT_VERSION = 1
 LOG_HEADER = struct.Struct("<4sH5I")
+# the largest value a u32 header field (a dimension, n or T) stores
+HEADER_FIELD_MAX = (1 << 32) - 1
 # float64 values per chunk of rebuilt models, and per group of participants
 # trained in one stacked pass (512 KiB)
 CHUNK_ELEMENTS = 1 << 16
@@ -150,6 +151,26 @@ def reconstruct_submodel(record: RoundRecord, coalition: Iterable[int],
                             {i: record.updates[i] for i in ids}, weights)
 
 
+def round_vectors(record: RoundRecord, weights: Mapping[int, int]) -> list[np.ndarray]:
+    """The round's base and its updates, participant i's at index i, as the
+    record holds them (uncopied), once checked: participants are 1..n, the
+    keys of ``weights``, and each has an update of the base's shape."""
+    n = len(weights)
+    if sorted(weights) != list(range(1, n + 1)):
+        raise ValueError(f"participant ids not contiguous from 1: {sorted(weights)}")
+    missing = [i for i in range(1, n + 1) if i not in record.updates]
+    if missing:
+        raise ValueError(f"round {record.round} has no updates for {missing}")
+    model_shape = np.shape(record.base_model)
+    for pid in range(1, n + 1):
+        shape = np.shape(record.updates[pid])
+        if shape != model_shape:
+            raise ValueError(
+                f"participant {pid}: update shape {shape} does not match "
+                f"model shape {model_shape}")
+    return [record.base_model, *(record.updates[i] for i in range(1, n + 1))]
+
+
 class RoundStack:
     """One round's base model and updates from parameter ``start`` on, cast
     to float64 once into one array, the base at row 0 and participant i's
@@ -160,47 +181,33 @@ class RoundStack:
     one cast to float32), so it returns the same bits as
     :func:`reconstruct_submodel`.  Participants are 1..n, the keys of
     ``weights``; a coalition given as a bitmask has bit ``i - 1`` set iff
-    participant ``i`` is in it.  Shapes are checked here, once, and not on
-    each rebuild.  Every operation is element-wise, so a stack from
-    ``start`` rebuilds ``reconstruct_submodel(...)[start:]``, bit for bit, at
-    the cost of the slice alone (on a wide test set, what follows the first
-    layer's weights: see ``models.LazyModel``).
+    participant ``i`` is in it.  Shapes are checked here, once
+    (:func:`round_vectors`), and not on each rebuild.  Every operation is
+    element-wise, so a stack from ``start`` rebuilds
+    ``reconstruct_submodel(...)[start:]``, bit for bit, at the cost of the
+    slice alone (on a wide test set, what follows the first layer's weights:
+    see ``models.LazyModel``).
     """
 
     def __init__(self, record: RoundRecord, weights: Mapping[int, int],
                  start: int = 0):
-        n = len(weights)
-        if sorted(weights) != list(range(1, n + 1)):
-            raise ValueError(f"participant ids not contiguous from 1: "
-                             f"{sorted(weights)}")
-        missing = [i for i in range(1, n + 1) if i not in record.updates]
-        if missing:
-            raise ValueError(f"round {record.round} has no updates for {missing}")
-        model_shape = np.shape(record.base_model)
-        for pid in range(1, n + 1):
-            shape = np.shape(record.updates[pid])
-            if shape != model_shape:
-                raise ValueError(
-                    f"participant {pid}: update shape {shape} does not match "
-                    f"model shape {model_shape}")
-        base = record.base_model[start:]
+        vectors = round_vectors(record, weights)
+        n, size = len(weights), len(record.base_model[start:])
         # each row is cast into place: no other copy of the updates is made
-        self._rows = np.empty((n + 1, len(base)))
-        self._rows[0] = base
-        for i in range(1, n + 1):
-            self._rows[i] = record.updates[i][start:]
+        self._rows = np.empty((n + 1, size))
+        for row, vector in zip(self._rows, vectors):
+            row[:] = vector[start:]
         self._weights = [weights[i] for i in range(1, n + 1)]
         # fl(w_i), row i's weight as w_i / W_S casts it (row 0, the base,
         # always takes 1)
         self._float_weights = np.array([1.0, *map(float, self._weights)])
         # a rebuild of this many members or more gathers its rows; past
         # GATHER_PARAMS values, none does
-        self._gather_from = (GATHER_MEMBERS if len(base) <= GATHER_PARAMS
-                             else n + 1)
+        self._gather_from = GATHER_MEMBERS if size <= GATHER_PARAMS else n + 1
         # coalition totals are summed exactly, in int64 while every total fits
         self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
         # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
-        self._chunk_rows = max(1, CHUNK_ELEMENTS // len(base))
+        self._chunk_rows = max(1, CHUNK_ELEMENTS // size)
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._rows[0])
 
@@ -227,14 +234,6 @@ class RoundStack:
             np.multiply(self._weights[i - 1] / total, self._rows[i], out=scaled)
             acc += scaled
         return acc.astype(np.float32)
-
-    def first_layer_products(self, arch: ModelArchitecture,
-                             test: LabeledDataset) -> FirstLayerProducts | None:
-        """``test``'s products with the first layers of the base and the
-        updates, participant i's at row i, weighted by ``weights``, where
-        ``evaluate`` reads them (see
-        :func:`~fedshapley.models.first_layer_products`)."""
-        return first_layer_products(arch, self._rows, test, self._weights)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
         """Models of the non-empty coalitions ``masks``, in order.

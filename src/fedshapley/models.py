@@ -444,12 +444,13 @@ class LazyModel:
 
 class FirstLayerProducts:
     """The float64 products Q_i = X.B_i of a wide test set's rows X with the
-    first-layer blocks B_0..B_n of n + 1 flat float64 parameter vectors v_i
-    (a base, then one update per participant, of integer weight w_i >= 0),
-    and each B_i's column 2-norms, made once (see
-    :func:`first_layer_products`).  The rows are cast to float64 a chunk at a
-    time: no float64 copy of X is kept.  Q_0 is kept as it is, and each
-    update's row as P_i = w_i (Q_0 + Q_i), in float64.
+    first-layer blocks B_0..B_n of n + 1 flat parameter vectors v_i (a base,
+    then one update per participant, of integer weight w_i >= 0), and each
+    B_i's column 2-norms, made once (see :func:`first_layer_products`).  The
+    vectors may be float32, as a round's record holds them: each block is
+    cast to float64 in its turn, and the rows a chunk at a time, so neither
+    every float64 block nor a float64 copy of X is held.  Q_0 is kept as it
+    is, and each update's row as P_i = w_i (Q_0 + Q_i), in float64.
 
     A coalition S's model is fl32(v_0 + sum_{i in S} c_i v_i), with
     c_i = w_i / W_S the float64 shares of :meth:`coefficients` and the
@@ -465,28 +466,30 @@ class FirstLayerProducts:
                  features: np.ndarray, max_abs: np.ndarray, weights: Sequence[int]):
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
         self._shape = (features.shape[0], width)
-        blocks = [v[:arch.first_layer_size].reshape(d, width) for v in vectors]
         self._weights = list(weights)
-        scales = np.array(self._weights, dtype=np.float64)[:, None, None]
-        products = np.empty((len(blocks), *self._shape))
+        scales = np.array(self._weights, dtype=np.float64)
+        products = np.empty((len(vectors), *self._shape))
+        squares = np.empty((len(vectors), width))
         step = max(1, PRODUCT_CHUNK_ELEMENTS // d)
-        for start in range(0, features.shape[0], step):
-            rows = features[start:start + step].astype(np.float64)
-            chunk = products[:, start:start + step]
-            for block, out in zip(blocks, chunk):
-                np.dot(rows, block, out=out)
-            chunk[1:] += chunk[0]  # P_i, while the chunk is in cache
-            chunk[1:] *= scales
-        self._products = products.reshape(len(blocks), -1)
+        for i, (vector, out) in enumerate(zip(vectors, products)):
+            block = vector[:arch.first_layer_size].reshape(d, width).astype(np.float64)
+            squares[i] = np.einsum("ij,ij->j", block, block)
+            for start in range(0, features.shape[0], step):
+                np.dot(features[start:start + step].astype(np.float64), block,
+                       out=out[start:start + step])
+            if i:  # P_i
+                out += products[0]
+                out *= scales[i - 1]
+        self._products = products.reshape(len(vectors), -1)
         # R_S of the coalition whose bitmask (bit i for participant i) is
         # _summed; 0: none yet
         self._sum = np.empty(self._products.shape[1])
         self._summed = 0
-        self._norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
+        self._norms = np.sqrt(squares)
         self._max_abs = max_abs
         # see _margins for these factors of s_j = ||B_0j|| + sum_i c_i ||B_ij||
         u32, u = 2.0 ** -24, _F64[0]  # float32's unit roundoff, and float64's
-        n, g_d = len(blocks) - 1, _gamma(d)
+        n, g_d = len(vectors) - 1, _gamma(d)
         cast = u32 * (1 + _gamma(n + 1)) + _gamma(n + 1)
         self._w_factor = 1 + cast
         self._slope_factor = ((cast + g_d + _gamma(n + 7) * (1 + g_d)) * (1 + u)
@@ -551,15 +554,17 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
                          test: LabeledDataset, weights: Sequence[int]
                          ) -> FirstLayerProducts | None:
     """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
-    (flat float64 parameters of ``arch``: a base, then one update per
-    weight), where :func:`evaluate` reads them: a wide set, a wide enough
-    first layer, every value finite, no weight negative and every sum of
-    weighted products far inside float64's range; else None."""
+    (flat float32 or float64 parameters of ``arch``, such as a round
+    record's blocks: a base, then one update per weight), where
+    :func:`evaluate` reads them: a wide set, a wide enough first layer,
+    every value finite, no weight negative and every sum of weighted
+    products far inside float64's range; else None.  The set and the
+    layer's width are checked first, before any vector is read."""
     features, norms = test.prepared
     if (norms is None or arch.first_layer_size < WIDE_LAYER
             or any(v.shape != (arch.param_count,) for v in vectors)):
         return None
-    max_abs = np.array([np.abs(v).max() for v in vectors])
+    max_abs = np.array([np.abs(v).max() for v in vectors], dtype=np.float64)
     if not (np.isfinite(max_abs).all() and np.isfinite(norms).all()):
         return None
     # |P_i| <= w_i sqrt(d) (max|v_0| + max|v_i|) ||x||, up to rounding

@@ -21,6 +21,9 @@ from fedshapley import (
     predict_logits,
     run_federation,
 )
+from fedshapley.federation import RoundRecord, round_vectors
+from fedshapley import models
+from fedshapley.models import FirstLayerProducts, first_layer_products
 
 _ACCEPTANCE_OUTCOMES: dict[str, str] = {}
 
@@ -101,3 +104,95 @@ def float64_pass(arch: ModelArchitecture, params: np.ndarray,
     """evaluate's accuracy where nothing is screened."""
     predictions = predict_logits(arch, params, test.features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / len(test)
+
+
+def round_products(record: RoundRecord, weights: dict[int, int],
+                   arch: ModelArchitecture, test: LabeledDataset
+                   ) -> FirstLayerProducts | None:
+    """A round's first-layer products on ``test``, made from the record's
+    float32 blocks as the round's scorer makes them (None where evaluate
+    reads none)."""
+    return first_layer_products(arch, round_vectors(record, weights), test,
+                                [weights[i] for i in sorted(weights)])
+
+
+def assert_products_match_the_float64_casts(record: RoundRecord,
+                                            weights: dict[int, int],
+                                            arch: ModelArchitecture,
+                                            test: LabeledDataset) -> None:
+    """The round's products made from the record's float32 blocks equal, bit
+    for bit, those made from the blocks' float64 casts, and both equal the
+    products of the first construction: every float64 block held at once,
+    each chunk of rows multiplied by each block in turn.  Every coalition's
+    first layer from them is the same too."""
+    vectors = round_vectors(record, weights)
+    shares = [weights[i] for i in sorted(weights)]
+    got = first_layer_products(arch, vectors, test, shares)
+    cast = first_layer_products(arch, [v.astype(np.float64) for v in vectors],
+                                test, shares)
+    assert got is not None and cast is not None
+    # the first construction, on the float64 casts
+    d, width = arch.input_dim, arch.hidden_dim or arch.class_count
+    blocks = [v[:arch.first_layer_size].reshape(d, width).astype(np.float64)
+              for v in vectors]
+    features = test.prepared[0]
+    products = np.empty((len(blocks), len(features), width))
+    step = max(1, models.PRODUCT_CHUNK_ELEMENTS // d)
+    for start in range(0, len(features), step):
+        rows = features[start:start + step].astype(np.float64)
+        chunk = products[:, start:start + step]
+        for block, out in zip(blocks, chunk):
+            np.dot(rows, block, out=out)
+        chunk[1:] += chunk[0]
+        chunk[1:] *= np.array(shares, dtype=np.float64)[:, None, None]
+    norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
+    max_abs = np.array([np.abs(v.astype(np.float64)).max() for v in vectors])
+    for made in (got, cast):
+        for name, want in [("_products", products.reshape(len(blocks), -1)),
+                           ("_norms", norms), ("_max_abs", max_abs)]:
+            have = getattr(made, name)
+            assert have.dtype == np.float64 and have.tobytes() == want.tobytes(), name
+    for mask in range(1 << len(weights)):
+        ids = tuple(i for i in sorted(weights) if mask >> (i - 1) & 1)
+        first, again = got.combine(ids), cast.combine(ids)
+        assert (first is None) == (again is None)
+        if first is not None:
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                       for a, b in zip(first, again))
+
+
+# join orders over four players, each cut after the positions it reaches, as
+# truncation cuts a walk: the game's cache then skips a prefix scored before
+JOIN_ORDERS = [((1, 2, 3, 4), 4), ((2, 4, 1, 3), 1), ((1, 3, 4, 2), 3),
+               ((4, 3, 1, 2), 2), ((3, 1, 2, 4), 1), ((3, 4, 2, 1), 3),
+               ((1, 2, 4, 3), 3)]
+STEPS = ("empty", "grown by one", "grown by more", "singleton",
+         "one more, not a superset", "other")
+
+
+def walked_coalitions(walks) -> list[tuple[int, ...]]:
+    """The coalitions a walker scores along ``walks``, in order: each once,
+    as the game's cache has them."""
+    seen, scored = set(), []
+    for order, reach in walks:
+        for k in range(reach + 1):
+            ids = tuple(sorted(order[:k]))
+            if ids not in seen:
+                seen.add(ids)
+                scored.append(ids)
+    return scored
+
+
+def steps(scored) -> list[str]:
+    """How each coalition of ``scored`` follows the last non-empty one
+    before it (see :data:`STEPS`)."""
+    kinds, last = [], ()
+    for ids in scored:
+        more = len(ids) - len(last)
+        kinds.append("empty" if not ids else
+                     "singleton" if len(ids) == 1 else
+                     ("grown by one" if more == 1 else "grown by more")
+                     if set(last) < set(ids) else
+                     "one more, not a superset" if more == 1 else "other")
+        last = ids or last
+    return kinds

@@ -8,6 +8,7 @@ import collections
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,12 @@ def test_zero_rounds_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", rounds=0)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
     assert "rounds must be >= 1" in capsys.readouterr().err
+
+
+def test_the_most_rounds_a_log_header_stores_are_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.json", rounds=2 ** 32 - 1)
+    assert main(["simulate", "--config", str(cfg), "--print-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rounds"] == 2 ** 32 - 1
 
 
 def test_wrong_config_schema_rejected(tmp_path, capsys):
@@ -516,6 +523,41 @@ def test_sidecars_written_with_per_class_pool_still_evaluate(
     assert "per_class_pool" not in capsys.readouterr().out
 
 
+def test_evaluate_holds_the_log_the_test_set_and_one_rounds_products(tmp_path):
+    # a wide log: 670 test rows of 784 values (past WIDE_ELEMENTS), a first
+    # layer of 784 x 64 (past WIDE_LAYER) and 8 participants
+    n, rows, width = 8, 670, 64
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({
+        "schema": CONFIG_SCHEMA, "rounds": 1,
+        "source": {"input_dim": 784, "class_count": 10},
+        "scenario": {"n": n}, "model": {"hidden_dim": width},
+        "data": {"train_per_class": 8, "test_per_class": rows // 10}}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                 "--quiet"]) == EXIT_OK
+    log = tmp_path / "same_dist_same_size_seed0.gtgl"
+    argv = ["evaluate", "--log", str(log), "--estimator", "gtg",
+            "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == EXIT_OK  # once first, so that lazy imports are done
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads((tmp_path / f"estimate_gtg_{log.stem}.json").read_text())
+    assert doc["eval_count"] > 2 * n  # the round was sampled, not truncated
+    test_set = rows * 784 * 4
+    products = (n + 1) * rows * width * 8
+    # the slack covers a chunk of rows and a block cast to float64 while the
+    # products are made, their running sum and a first layer while they are
+    # scored, and a full model rebuilt where the screen reads one; it is
+    # below the round's float64 stack of every parameter, (n + 1) x 50,890 x
+    # 8 bytes (3.7 MB), and the participants' rows are not held
+    slack = 3 * 2 ** 20
+    assert peak < log.stat().st_size + test_set + products + slack
+
+
 @pytest.mark.parametrize("sidecar_doc", [
     [1],                                    # the top level is no object
     {"metadata": [1]},                      # nor is its metadata
@@ -707,6 +749,17 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="simulate-config-rows-not-an-integer"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2.5)],
                  EXIT_USAGE, id="simulate-config-rounds-not-an-integer"),
+    # the log's header stores T as a u32: refused before any data is drawn
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2 ** 32),
+                                 "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-rounds-past-u32"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2 ** 70),
+                                 "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-rounds-2-to-the-70"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2 ** 32)],
+                 EXIT_USAGE, id="simulate-config-rounds-past-u32"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2 ** 70)],
+                 EXIT_USAGE, id="simulate-config-rounds-2-to-the-70"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, seed=True)],
                  EXIT_USAGE, id="simulate-config-seed-a-bool"),
     pytest.param(lambda w, log: ["simulate", "--config",

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (float64_pass, gaussian_blobs, quick_log, scenario_log,
-                      split_participants)
+from conftest import (assert_products_match_the_float64_casts, float64_pass,
+                      gaussian_blobs, quick_log, scenario_log, split_participants)
 
 from fedshapley import (
     CapacityError,
@@ -352,13 +352,14 @@ WIDE_BUILDS = {**COALITION_BUILDS, "spanning": spanning_log, "past-2^53": heavy_
 @pytest.mark.parametrize("build", WIDE_BUILDS.values(), ids=WIDE_BUILDS)
 def test_wide_reconstruction_is_bit_identical(monkeypatch, build):
     # every set is wide and every first layer wide enough, so both scorers
-    # rebuild tails and screen from the round's first-layer products
+    # rebuild tails and screen from the round's first-layer products, made
+    # from the record's float32 blocks as from their float64 casts
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "WIDE_LAYER", 0)
     log, test = build()
     for rec in log.rounds:
-        stack = RoundStack(rec, log.participant_weights)
-        assert stack.first_layer_products(log.architecture, test) is not None
+        assert_products_match_the_float64_casts(rec, log.participant_weights,
+                                                log.architecture, test)
     assert_coalition_paths_bit_equal(log, test)
 
 
@@ -680,7 +681,7 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     wants = [run(test) for run in runs]
     calls, rebuilds = collections.Counter(), collections.Counter()
     screen, products = models._screened_argmax, models.first_layer_products
-    decide, rebuild = models._decide, RoundStack.rebuild
+    decide, reconstruct = models._decide, estimators.reconstruct_submodel
 
     def counted(arch, model, features, norms, first_layer):
         calls["screen"] += 1
@@ -696,13 +697,13 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         rebuilds["decide"] += 1
         return decide(logits, margins)
 
-    # a coalition's tail is rebuilt through the same method, on a tail stack
-    def counted_rebuild(stack, ids):
-        model = rebuild(stack, ids)
-        rebuilds["full"] += model.size == log.architecture.param_count
-        return model
+    # a coalition's tail comes from a stack of tails, its full model from
+    # reconstruct_submodel, where evaluate reads it
+    def counted_reconstruct(record, ids, weights):
+        rebuilds["full"] += 1
+        return reconstruct(record, ids, weights)
 
-    # evaluate makes no products (the rounds' are made through RoundStack)
+    # evaluate makes no products (the rounds' are made by their scorers)
     def counted_products(arch, vectors, test, weights):
         calls["own products"] += 1
         return products(arch, vectors, test, weights)
@@ -712,7 +713,7 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     monkeypatch.setattr(models, "_screened_argmax", counted)
     monkeypatch.setattr(models, "first_layer_products", counted_products)
     monkeypatch.setattr(models, "_decide", counted_decide)
-    monkeypatch.setattr(RoundStack, "rebuild", counted_rebuild)
+    monkeypatch.setattr(estimators, "reconstruct_submodel", counted_reconstruct)
     for run, want in zip(runs, wants):
         # a fresh set over the same arrays, prepared under the patched bounds
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),

@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import float64_pass, gaussian_blobs, quick_log
+from conftest import (JOIN_ORDERS, STEPS, assert_products_match_the_float64_casts,
+                      float64_pass, gaussian_blobs, quick_log, round_products, steps,
+                      walked_coalitions)
 
 from fedshapley import (
     LabeledDataset,
@@ -698,43 +700,6 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
             and np.all(np.linalg.norm(w, axis=0) <= first.w_norms))
 
 
-# join orders over four players, each cut after the positions it reaches, as
-# truncation cuts a walk: the game's cache then skips a prefix scored before
-JOIN_ORDERS = [((1, 2, 3, 4), 4), ((2, 4, 1, 3), 1), ((1, 3, 4, 2), 3),
-               ((4, 3, 1, 2), 2), ((3, 1, 2, 4), 1), ((3, 4, 2, 1), 3),
-               ((1, 2, 4, 3), 3)]
-STEPS = ("empty", "grown by one", "grown by more", "singleton",
-         "one more, not a superset", "other")
-
-
-def walked_coalitions(walks) -> list[tuple[int, ...]]:
-    """The coalitions a walker scores along ``walks``, in order: each once,
-    as the game's cache has them."""
-    seen, scored = set(), []
-    for order, reach in walks:
-        for k in range(reach + 1):
-            ids = tuple(sorted(order[:k]))
-            if ids not in seen:
-                seen.add(ids)
-                scored.append(ids)
-    return scored
-
-
-def steps(scored) -> list[str]:
-    """How each coalition of ``scored`` follows the last non-empty one
-    before it (see :data:`STEPS`)."""
-    kinds, last = [], ()
-    for ids in scored:
-        more = len(ids) - len(last)
-        kinds.append("empty" if not ids else
-                     "singleton" if len(ids) == 1 else
-                     ("grown by one" if more == 1 else "grown by more")
-                     if set(last) < set(ids) else
-                     "one more, not a superset" if more == 1 else "other")
-        last = ids or last
-    return kinds
-
-
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # every set is wide, every model wide enough; rows are rescored 5 a chunk
@@ -765,9 +730,10 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
         # unequal weights, so w_i / W is no power of two and its rounding
         # shows; then one past 2^53, which rounds when cast to float64
         for weights in ({1: 7, 2: 13, 3: 3, 4: 101}, {1: 2 ** 53, 2: 13, 3: 3, 4: 101}):
-            stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+            rec = federation.RoundRecord(0, base, updates, base)
+            stack = RoundStack(rec, weights)
             for test in (full, one_row):
-                products = stack.first_layer_products(arch, test)
+                products = round_products(rec, weights, arch, test)
                 # a NaN anywhere in the round leaves it without products
                 assert (products is None) == bool(np.isnan(base).any())
                 for ids, kind in zip(scored, kinds):
@@ -811,8 +777,9 @@ def test_a_first_layer_serves_one_evaluation(monkeypatch):
     updates = {i: rng.normal(0.0, 1.0, arch.param_count).astype(np.float32)
                for i in (1, 2, 3)}
     weights = {1: 7, 2: 13, 3: 3}
-    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
-    products = stack.first_layer_products(arch, test)
+    rec = federation.RoundRecord(0, base, updates, base)
+    stack = RoundStack(rec, weights)
+    products = round_products(rec, weights, arch, test)
     for ids in [(), (1,), (1, 3), (1, 2, 3)]:
         params = stack.rebuild(ids) if ids else base
         first = products.combine(ids)
@@ -833,11 +800,11 @@ def test_scoring_a_round_holds_one_running_sum():
     base = init_params(arch, seed=4)
     updates = {i: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)
                for i in weights}
-    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
+    rec = federation.RoundRecord(0, base, updates, base)
     row = len(test) * arch.hidden_dim * 8
     tracemalloc.start()
     try:
-        products = stack.first_layer_products(arch, test)
+        products = round_products(rec, weights, arch, test)
         for mask in [*range(64), *rng.permutation(64).tolist()]:
             products.combine(players_of(mask))
         peak = tracemalloc.get_traced_memory()[1]
@@ -847,7 +814,62 @@ def test_scoring_a_round_holds_one_running_sum():
     assert peak <= (len(weights) + 1 + 3) * row
 
 
+@pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
+                                     {1: 2 ** 53 + 1, 2: 13, 3: 3, 4: 2 ** 64 + 3}],
+                         ids=["small", "past-2^53"])
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_products_from_float32_blocks_match_their_float64_casts(monkeypatch, arch,
+                                                                weights):
+    # every set is wide, every model wide enough; 5 rows a chunk, so that
+    # the chunks' edges show; past 2^53 the weights round when cast
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "WIDE_LAYER", 0)
+    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
+    full = blobs(arch, 12, seed=5)
+    one_row = LabeledDataset(full.features[:1], full.labels[:1])
+    rng = np.random.default_rng(arch.param_count)
+    cases = screen_param_cases(arch, full)
+    for base in cases[:-3] + cases[-2:]:  # a NaN makes no products
+        updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
+                   3: base * np.float32(-0.25),
+                   4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
+        rec = federation.RoundRecord(0, base, updates, base)
+        for test in (full, one_row):
+            assert_products_match_the_float64_casts(rec, weights, arch, test)
+
+
 # --- the lazy full rebuild of a wide coalition -----------------------------------
+
+
+def test_a_wide_round_holds_its_products_and_tails_not_a_float64_stack():
+    arch = ARCHS[-1]  # d=784, hidden 64: P = 50,890
+    test = fewest_wide_rows(arch)
+    test.prepared
+    n = 6
+    rng = np.random.default_rng(0)
+    base = init_params(arch, seed=4)
+    updates = {i: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)
+               for i in range(1, n + 1)}
+    weights = {i: 10 + i for i in updates}
+    rec = federation.RoundRecord(0, base, updates, base)
+    tracemalloc.start()
+    try:
+        rgame = estimators.RoundGame.from_round(rec, weights, arch, test)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = len(test) * arch.hidden_dim * 8  # one product, float64
+    products = (n + 1) * row
+    tails = (n + 1) * (arch.param_count - arch.first_layer_size) * 8
+    stack = (n + 1) * arch.param_count * 8  # every vector in float64
+    # the products, their running sum and the tails, and less than one
+    # float64 parameter vector besides
+    assert held < products + row + tails + arch.param_count * 8
+    # no float64 stack beside the products, even while they are made
+    assert peak < products + stack
+    assert rgame.base_utility == float64_pass(arch, base, test)
+    full = federation.reconstruct_submodel(rec, weights, weights)
+    assert rgame.full_utility == float64_pass(arch, full, test)
 
 
 @pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
@@ -864,13 +886,11 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
     branches = ScreenBranches(monkeypatch)
     start = arch.first_layer_size
     full_rebuilds = []
-    rebuild = RoundStack.rebuild
+    reconstruct = estimators.reconstruct_submodel
 
-    def counted_rebuild(stack, ids):
-        model = rebuild(stack, ids)
-        if model.size == arch.param_count:
-            full_rebuilds.append(ids)
-        return model
+    def counted_reconstruct(record, ids, weights):
+        full_rebuilds.append(ids)
+        return reconstruct(record, ids, weights)
 
     outcomes = collections.Counter()
 
@@ -897,7 +917,7 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         assert same_bits(accuracy, float64_pass(arch, params, test))
         return accuracy
 
-    monkeypatch.setattr(RoundStack, "rebuild", counted_rebuild)
+    monkeypatch.setattr(estimators, "reconstruct_submodel", counted_reconstruct)
     monkeypatch.setattr(estimators, "evaluate", checked_evaluate)
     full = blobs(arch, 12, seed=5)
     top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
@@ -916,9 +936,9 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
             tails = RoundStack(rec, weights, start)
             masks = np.arange(1, 16)
             for mask, tail in zip(masks.tolist(), tails.rebuild_masks(masks)):
-                model = rebuild(stack, players_of(mask))
+                model = stack.rebuild(players_of(mask))
                 assert same_bits(tail, model[start:])
-                assert same_bits(rebuild(tails, players_of(mask)), model[start:])
+                assert same_bits(tails.rebuild(players_of(mask)), model[start:])
             for test in (full, one_row):
                 lazy = outcomes.total()
                 game = estimators.RoundGame.from_round(rec, weights, arch, test).game
@@ -939,8 +959,9 @@ def test_coefficients_are_the_rebuilds_shares(monkeypatch):
     base = rng.normal(size=arch.param_count).astype(np.float32)
     updates = {i: rng.normal(size=arch.param_count).astype(np.float32)
                for i in weights}
-    stack = RoundStack(federation.RoundRecord(0, base, updates, base), weights)
-    products = stack.first_layer_products(arch, blobs(arch, 1, seed=0))
+    rec = federation.RoundRecord(0, base, updates, base)
+    stack = RoundStack(rec, weights)
+    products = round_products(rec, weights, arch, blobs(arch, 1, seed=0))
     for ids in [(), (2,), (1, 4), (1, 2, 3, 4)]:
         c = products.coefficients(ids)
         assert c.dtype == np.float64 and c[0] == 1.0
