@@ -84,7 +84,7 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> Experime
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
@@ -114,6 +114,9 @@ def config_from_dict(doc: object, path: str | Path,
         scenario = ScenarioSpec(seed=derive_seed(seed, "scenario"), **scen_tbl)
 
         model_tbl = _section(doc, "model")
+        activation = model_tbl.pop("activation", "relu")  # earlier sidecars hold it
+        if activation != "relu":
+            raise ConfigError(f"{path}: unsupported activation {activation!r}")
         model_tbl.setdefault("input_dim", source.input_dim)
         model_tbl.setdefault("class_count", source.class_count)
         model = ModelArchitecture(**model_tbl)
@@ -321,7 +324,7 @@ def cmd_evaluate(args) -> int:
     if args.params:
         try:
             params = json.loads(Path(args.params).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
         try:
             check_estimator_params(args.estimator, params)

@@ -113,8 +113,8 @@ def _make_sampler(cfg: GtgConfig, n: int, seed: int):
 class RoundScorer:
     """A round's coalition utilities, one evaluation each, from models rebuilt
     out of its updates.  On a wide test set (see
-    :func:`~fedshapley.models.first_layer_products`, which gates it first)
-    the first-layer products are made once, from the record's float32
+    :func:`~fedshapley.models.first_layer_products`, which checks the set
+    first) the first-layer products are made once, from the record's float32
     blocks; a coalition is then rebuilt as its tail, from a stack of the
     tails alone, and in full, by
     :func:`~fedshapley.federation.reconstruct_submodel`, only where
@@ -512,7 +512,8 @@ def _cfg_fields(*overridden: str) -> tuple[str, ...]:
 
 
 ESTIMATORS = {
-    "gtg": Estimator(gtg_eval, _cfg_fields(), sampled=True),
+    # gtg samples guided orders: its uniform form is gtg_tib
+    "gtg": Estimator(gtg_eval, _cfg_fields("sampling"), sampled=True),
     "gtg_oti": Estimator(gtg_oti, _cfg_fields("eps_between", "sampling"), sampled=True),
     "gtg_ti": Estimator(gtg_ti, _cfg_fields("eps_between", "sampling"), sampled=True),
     "gtg_tib": Estimator(gtg_tib, _cfg_fields("sampling"), sampled=True),

@@ -436,3 +436,5 @@ def load_log_metadata(path: str | Path) -> dict:
         return json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"{sidecar}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"{sidecar}: not UTF-8 text: {exc}") from exc

@@ -133,7 +133,7 @@ def read_report(path: str | Path) -> dict:
     document with a ``rows`` list of comparison rows."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != REPORT_SCHEMA:

@@ -26,12 +26,10 @@ import numpy as np
 INIT_SCALE = 0.05
 # A test set of at least WIDE_ELEMENTS feature values (rows x input_dim; see
 # LabeledDataset.prepared) is wide: evaluate casts it to float64 a chunk of
-# rows at a time.  first_layer_products makes products for it only where the
-# model's first layer makes at least WIDE_LAYER multiplies a row (input_dim x
-# hidden_dim, or x class_count).  Below either, the plain float64 work is
-# about as fast as the screen's bookkeeping, or faster.
+# rows at a time, and first_layer_products makes a round's products for it.
+# Below it, the plain float64 work is about as fast as the screen's
+# bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
-WIDE_LAYER = 1 << 12
 # float64 values per chunk of test rows cast to float64 (512 KiB)
 PRODUCT_CHUNK_ELEMENTS = 1 << 16
 # Unit roundoff and smallest normal value of float64.
@@ -63,12 +61,11 @@ def check_types(values: dict, annotations: dict) -> None:
 
 @dataclass(frozen=True)
 class ModelArchitecture:
-    """Layer layout: hidden_dim = 0 means plain softmax regression."""
+    """Layer layout: hidden_dim = 0 is softmax regression, else one ReLU hidden layer."""
 
     input_dim: int
     hidden_dim: int = 0
     class_count: int = 10
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         check_types(vars(self), ModelArchitecture.__annotations__)
@@ -78,8 +75,6 @@ class ModelArchitecture:
             raise ValueError("hidden_dim must be >= 0")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def param_count(self) -> int:
@@ -556,13 +551,11 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
     """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
     (flat float32 or float64 parameters of ``arch``, such as a round
     record's blocks: a base, then one update per weight), where
-    :func:`evaluate` reads them: a wide set, a wide enough first layer,
-    every value finite, no weight negative and every sum of weighted
-    products far inside float64's range; else None.  The set and the
-    layer's width are checked first, before any vector is read."""
+    :func:`evaluate` reads them: a wide set, every value finite, no weight
+    negative and every sum of weighted products far inside float64's range;
+    else None.  The set is checked first, before any vector is read."""
     features, norms = test.prepared
-    if (norms is None or arch.first_layer_size < WIDE_LAYER
-            or any(v.shape != (arch.param_count,) for v in vectors)):
+    if norms is None or any(v.shape != (arch.param_count,) for v in vectors):
         return None
     max_abs = np.array([np.abs(v).max() for v in vectors], dtype=np.float64)
     if not (np.isfinite(max_abs).all() and np.isfinite(norms).all()):

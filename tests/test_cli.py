@@ -136,6 +136,25 @@ def test_out_dir_env_fallback(config_path, tmp_path, monkeypatch):
     assert (target / f"{STEM}.gtgl").exists()
 
 
+def test_compare_writes_to_the_configs_output_dir_and_prints_its_table(
+        tmp_path, capsys, monkeypatch):
+    # without --out or the environment's directory, the config's output_dir
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    out = tmp_path / "from-config"
+    cfg = write_config(tmp_path / "exp.json", rounds=1, estimators=["mr"],
+                       output_dir=str(out))
+    assert main(["compare", "--config", str(cfg)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"csv:  {out / f'compare_{STEM}.csv'}",
+                         f"json: {out / f'compare_{STEM}.json'}"]
+    header, rule, row = lines[2:]
+    assert header.split() == ["scenario", "estimator", "cosine", "euclid",
+                              "maxdiff", "evals", "time_s"]
+    assert rule == "-" * len(header)
+    assert row.split()[:2] == ["same_dist_same_size", "mr"]
+    assert row.split()[5] == "8"  # 2^3 coalitions, one round
+
+
 def test_print_config_round_trips(config_path, tmp_path, capsys):
     code = main(["simulate", "--config", str(config_path), "--print-config"])
     assert code == EXIT_OK
@@ -505,14 +524,16 @@ def test_class_means_reach_the_sidecar_and_evaluate(tmp_path, capsys):
     assert evaluate_doc(log, "mr", tmp_path)["total"] == want
 
 
-def test_sidecars_written_with_per_class_pool_still_evaluate(
-        eval_log, tmp_path, capsys):
-    # every sidecar written before per_class_pool was deleted carries it
+def assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
+                                           section: str, field: str, value):
+    """A sidecar whose config ``section`` carries ``field``, as sidecars
+    written before it was deleted do, evaluates as one without it; a config
+    holding it parses, and --print-config leaves it out."""
     log = str(tmp_path / Path(eval_log).name)
     shutil.copy(eval_log, log)
     shutil.copy(eval_log + ".json", log + ".json")
-    _sidecar(log, lambda d: d["metadata"]["config"]["scenario"].update(
-        per_class_pool=100))
+    _sidecar(log, lambda d: d["metadata"]["config"].setdefault(section, {}).update(
+        {field: value}))
     old = evaluate_doc(log, "gtg", tmp_path / "old")
     new = evaluate_doc(eval_log, "gtg", tmp_path / "new")
     del old["wall_time_s"], new["wall_time_s"]
@@ -520,12 +541,25 @@ def test_sidecars_written_with_per_class_pool_still_evaluate(
     config = load_log_metadata(log)["metadata"]["config"]
     config_path = _file(tmp_path / "old.json", json.dumps(config))
     assert main(["simulate", "--config", config_path, "--print-config"]) == EXIT_OK
-    assert "per_class_pool" not in capsys.readouterr().out
+    assert field not in capsys.readouterr().out
+
+
+def test_sidecars_written_with_per_class_pool_still_evaluate(
+        eval_log, tmp_path, capsys):
+    assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
+                                           "scenario", "per_class_pool", 100)
+
+
+def test_sidecars_written_with_an_activation_still_evaluate(
+        eval_log, tmp_path, capsys):
+    # ReLU, the one activation there is, was written into every sidecar
+    assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
+                                           "model", "activation", "relu")
 
 
 def test_evaluate_holds_the_log_the_test_set_and_one_rounds_products(tmp_path):
     # a wide log: 670 test rows of 784 values (past WIDE_ELEMENTS), a first
-    # layer of 784 x 64 (past WIDE_LAYER) and 8 participants
+    # layer of 784 x 64 and 8 participants
     n, rows, width = 8, 670, 64
     config = tmp_path / "wide.json"
     config.write_text(json.dumps({
@@ -637,8 +671,12 @@ def test_compare_metadata_carries_ground_truth(compare_run):
     assert meta["config"]["schema"] == CONFIG_SCHEMA
 
 
-def test_report_merges_and_prints_table(compare_run, capsys):
+def test_report_merges_and_prints_table(compare_run, tmp_path, capsys):
     path = str(compare_run / f"compare_{STEM}.json")
+    # --print-config reads no report: the second does not exist
+    absent = str(tmp_path / "absent.json")
+    assert main(["report", path, absent, "--print-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"paths": [path, absent]}
     assert main(["report", path, path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "scenario" in out.splitlines()[0]
@@ -679,6 +717,15 @@ def _file(path: Path, text: str) -> str:
     return str(path)
 
 
+# a UTF-16 byte-order mark: no UTF-8 text starts so
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _not_utf8(path: Path) -> str:
+    path.write_bytes(NOT_UTF8 + "{}".encode("utf-16-le"))
+    return str(path)
+
+
 def _config(work: Path, **overrides) -> str:
     return str(write_config(work / "broken.json", **overrides))
 
@@ -704,6 +751,11 @@ def _drop_sidecar(log: str) -> str:
     return log
 
 
+def _sidecar_not_utf8(log: str) -> str:
+    _not_utf8(Path(log + ".json"))
+    return log
+
+
 def _report(work: Path, edit) -> str:
     row = ComparisonRow("mr", 0.1, 0.2, 0.3, 8, 0.5, -0.3)
     _, path = write_report(build_report([row], {"scenario": "same_dist_same_size"}),
@@ -723,6 +775,8 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="simulate-config-not-json"),
     pytest.param(lambda w, log: ["simulate", "--config", _file(w / "c.json", "[1]")],
                  EXIT_USAGE, id="simulate-config-not-an-object"),
+    pytest.param(lambda w, log: ["simulate", "--config", _not_utf8(w / "c.json")],
+                 EXIT_USAGE, id="simulate-config-not-utf-8"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, source=[1])],
                  EXIT_USAGE, id="simulate-config-section-not-a-table"),
     pytest.param(lambda w, log: ["simulate", "--config",
@@ -765,6 +819,9 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["simulate", "--config",
                                  _config(w, model={"hidden_dim": 1.5})],
                  EXIT_USAGE, id="simulate-config-hidden-dim-not-an-integer"),
+    pytest.param(lambda w, log: ["simulate", "--config",
+                                 _config(w, model={"activation": "tanh"})],
+                 EXIT_USAGE, id="simulate-config-activation-not-relu"),
     pytest.param(lambda w, log: ["simulate", "--config",
                                  _config(w, train={"local_epochs": 2.5})],
                  EXIT_USAGE, id="simulate-config-epochs-not-an-integer"),
@@ -855,6 +912,9 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
                                           _file(w / "p.json", "{bad")),
                  EXIT_USAGE, id="evaluate-params-not-json"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
+                                          _not_utf8(w / "p.json")),
+                 EXIT_USAGE, id="evaluate-params-not-utf-8"),
     pytest.param(lambda w, log: _evaluate(log, "tmr", "--params",
                                           _params(w, {"lam": 2})),
                  EXIT_USAGE, id="evaluate-params-tmr-lam-out-of-range"),
@@ -867,6 +927,10 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["compare", "--config", _config(
         w, estimators=[{"name": "gtg", "params": {"sampling": "metropolis"}}])],
                  EXIT_USAGE, id="compare-params-unknown-sampling"),
+    # gtg samples guided orders; its uniform form is gtg_tib
+    pytest.param(lambda w, log: _evaluate(log, "gtg", "--params",
+                                          _params(w, {"sampling": "uniform"})),
+                 EXIT_USAGE, id="evaluate-params-gtg-sampling"),
     # an ablation refuses the fields it overrides
     pytest.param(lambda w, log: _evaluate(log, "gtg_ti", "--params",
                                           _params(w, {"eps_between": 0.1})),
@@ -904,6 +968,8 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     # sidecar: evaluate
     pytest.param(lambda w, log: _evaluate(_drop_sidecar(log), "mr"),
                  EXIT_RUNTIME, id="evaluate-sidecar-missing"),
+    pytest.param(lambda w, log: _evaluate(_sidecar_not_utf8(log), "mr"),
+                 EXIT_RUNTIME, id="evaluate-sidecar-not-utf-8"),
     pytest.param(lambda w, log: _evaluate(_sidecar(
         log, lambda d: d["metadata"]["config"].update(source=[1])), "mr"),
                  EXIT_USAGE, id="evaluate-sidecar-config-section-not-a-table"),
@@ -915,6 +981,8 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_RUNTIME, id="report-missing"),
     pytest.param(lambda w, log: ["report", _file(w / "r.json", "{bad")],
                  EXIT_RUNTIME, id="report-not-json"),
+    pytest.param(lambda w, log: ["report", _not_utf8(w / "r.json")],
+                 EXIT_RUNTIME, id="report-not-utf-8"),
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["rows"][0].update(bogus=1))],
                  EXIT_RUNTIME, id="report-row-unknown-field"),
@@ -945,3 +1013,7 @@ def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # a file that is not UTF-8 text is named
+    for path in tmp_path.iterdir():
+        if path.is_file() and path.read_bytes().startswith(NOT_UTF8):
+            assert str(path) in err

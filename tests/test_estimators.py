@@ -30,12 +30,15 @@ from fedshapley import (
     RoundGame,
     RoundRecord,
     ScenarioKind,
+    ScenarioSpec,
+    SyntheticSource,
     TrainConfig,
     convergence_criterion,
     derive_seed,
     exact_shapley,
     exact_shapley_by_permutations,
     fedavg_aggregate,
+    generate_source,
     gtg_eval,
     gtg_oti,
     gtg_round,
@@ -44,6 +47,7 @@ from fedshapley import (
     guided_permutation,
     mr_eval,
     original_shapley_eval,
+    partition,
     position_marginal_profile,
     reconstruct_submodel,
     round_marginal_gains,
@@ -349,18 +353,52 @@ def test_weights_past_two_to_the_53_keep_every_path_exact():
 WIDE_BUILDS = {**COALITION_BUILDS, "spanning": spanning_log, "past-2^53": heavy_log}
 
 
+@pytest.mark.blas_order
 @pytest.mark.parametrize("build", WIDE_BUILDS.values(), ids=WIDE_BUILDS)
 def test_wide_reconstruction_is_bit_identical(monkeypatch, build):
-    # every set is wide and every first layer wide enough, so both scorers
-    # rebuild tails and screen from the round's first-layer products, made
-    # from the record's float32 blocks as from their float64 casts
+    # every set is wide, so both scorers rebuild tails and screen from the
+    # round's first-layer products, made from the record's float32 blocks as
+    # from their float64 casts
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     log, test = build()
     for rec in log.rounds:
         assert_products_match_the_float64_casts(rec, log.participant_weights,
                                                 log.architecture, test)
     assert_coalition_paths_bit_equal(log, test)
+
+
+def narrow_layer_wide_set_log() -> tuple[GradientLog, LabeledDataset]:
+    """One round of 4 participants at d = 784, hidden 4 (a first layer of
+    3,136 multiplies a row), and 1,000 test rows: a wide set unpatched."""
+    source = SyntheticSource(input_dim=784, class_count=10, spread=1.0, seed=3)
+    pool, test = generate_source(source, train_per_class=20, test_per_class=100)
+    shards = partition(pool, ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=4,
+                                          seed=3))
+    parts = [Participant(id=i, dataset=d) for i, d in enumerate(shards, start=1)]
+    log = run_federation(parts, ModelArchitecture(784, 4, 10),
+                         TrainConfig(batch_size=32, learning_rate=0.05, seed=5),
+                         rounds=1, init_seed=6)
+    return log, test
+
+
+def test_a_narrow_first_layer_on_a_wide_set_is_scored_from_products(monkeypatch):
+    # every coalition is screened from the round's products, and gtg's and
+    # mr's reports equal, bit for bit, those of the float64 pass alone
+    log, test = narrow_layer_wide_set_log()
+    assert test.features.size >= models.WIDE_ELEMENTS
+    assert_coalition_paths_bit_equal(log, test)
+    made, products = [], estimators.first_layer_products
+    monkeypatch.setattr(estimators, "first_layer_products",
+                        lambda *args: made.append(products(*args)) or made[-1])
+    cfg = GtgConfig(seed=9)
+    got = [gtg_eval(log, test, cfg), mr_eval(log, test)]
+    assert len(made) == 2 and all(made)
+    # the same rows as a narrow set, which every model takes through the
+    # float64 pass
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 1 << 62)
+    narrow = LabeledDataset(test.features, test.labels)
+    for report, want in zip(got, [gtg_eval(log, narrow, cfg), mr_eval(log, narrow)]):
+        assert_reports_bit_equal(report, want)
 
 
 @pytest.mark.parametrize("estimate", [mr_eval, tmr_eval], ids=["mr", "tmr"])
@@ -511,7 +549,8 @@ def test_estimator_registry_and_dispatch():
     assert estimator("tmr").options == ("lam", "round_threshold")
     # a sampled estimator takes the GtgConfig fields it does not override
     fields = {f.name for f in dataclasses.fields(GtgConfig)}
-    for name, overridden in (("gtg", set()), ("gtg_ti", {"eps_between", "sampling"}),
+    for name, overridden in (("gtg", {"sampling"}),
+                             ("gtg_ti", {"eps_between", "sampling"}),
                              ("gtg_oti", {"eps_between", "sampling"}),
                              ("gtg_tib", {"sampling"}),
                              ("tmc", {"eps_between", "sampling"})):
@@ -670,6 +709,7 @@ SCREENED_LOGS = {**{name: WALKER_LOGS[name]
                  "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2]}
 
 
+@pytest.mark.blas_order
 @pytest.mark.parametrize("name", sorted(SCREENED_LOGS))
 def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     # with every test set wide, each evaluation is screened first, from the
@@ -709,7 +749,6 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         return products(arch, vectors, test, weights)
 
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "_screened_argmax", counted)
     monkeypatch.setattr(models, "first_layer_products", counted_products)
     monkeypatch.setattr(models, "_decide", counted_decide)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -107,6 +108,7 @@ def test_stack_rebuilds_match_reconstruction_past_two_to_the_53():
         assert c.tobytes() == s.tobytes() == w.tobytes()
 
 
+@pytest.mark.blas_order
 def test_stack_rebuilds_match_reconstruction_past_two_to_the_63():
     # the first weight and every total past it do not fit in int64, so the
     # chunks sum Python ints; participant 3's update is scaled up so that its
@@ -341,6 +343,20 @@ def test_save_is_byte_deterministic(tmp_path):
     p1 = save_log(log, tmp_path / "a.gtgl")
     p2 = save_log(log, tmp_path / "b.gtgl")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_log_cut_short_while_read_is_refused(tmp_path, monkeypatch):
+    # the size checked before the blocks are read is the whole log's; the
+    # file then holds half of it
+    log, _, _ = quick_log(n=2, rounds=1, seed=0)
+    path = save_log(log, tmp_path / "run.gtgl")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    with monkeypatch.context() as patched:
+        patched.setattr(federation.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(LogFormatError, match="file changed while it was read"):
+            load_log(path)
 
 
 def test_loader_rejects_corruption(tmp_path):

@@ -114,6 +114,16 @@ def test_cache_counts_only_oracle_calls():
     assert game.eval_count == 8
 
 
+def test_a_game_refuses_no_players_and_masks_past_its_players():
+    with pytest.raises(ValueError, match="^need at least one player, got n=0$"):
+        CoalitionGame(0, lambda ids: 0.0)
+    game = three_player_game()
+    for mask in (-1, 0b1000):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            game.value_mask(mask)
+    assert game.eval_count == 0
+
+
 def test_single_player_game():
     game = CoalitionGame.from_table(1, {(1,): 7.0})
     assert exact_shapley(game).values.tolist() == [7.0]

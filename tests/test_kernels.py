@@ -14,6 +14,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -38,6 +39,8 @@ from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
 from fedshapley.federation import RoundStack
 from fedshapley.games import players_of
 from fedshapley.scenarios import ScenarioKind
+
+pytestmark = pytest.mark.blas_order
 
 # --- reference implementations --------------------------------------------------
 
@@ -512,9 +515,8 @@ def screen_param_cases(arch: ModelArchitecture,
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     # a model given no first layer is scored by the chunked float64 pass, here
-    # 7 rows a chunk; every set is wide, every model wide enough for products
+    # 7 rows a chunk; every set is wide
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 7 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
@@ -621,7 +623,7 @@ SINGLE_MODELS = {
 
 @pytest.mark.parametrize("case", SINGLE_MODELS.values(), ids=SINGLE_MODELS)
 def test_every_single_model_is_scored_without_a_float64_copy_of_the_set(case):
-    # models that products never screen take the chunked float64 pass
+    # a lone model, given no first layer, takes the chunked float64 pass
     arch, make = case
     test = blobs(arch, 100, seed=9)  # 1,000 rows of 784 values
     assert test.features.size >= models.WIDE_ELEMENTS
@@ -664,10 +666,11 @@ def test_a_dataset_is_frozen():
             setattr(data, name, getattr(data, name))
 
 
-def test_only_wide_enough_layers_are_screened(monkeypatch):
-    # every model on a wide set takes the screen's way; first-layer products,
-    # which screen a coalition, are made only for a first layer of at least
-    # WIDE_LAYER multiplies a row: 64 x 64, not 64 x 63
+def test_every_first_layer_on_a_wide_set_gets_products(monkeypatch):
+    # every model on a wide set takes the screen's way, and first-layer
+    # products, which screen a coalition, are made whatever the first
+    # layer's width: 64 x 64 and 64 x 63 alike.  None for a negative weight,
+    # or for products whose weighted sums could pass float64's range
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     branches = ScreenBranches(monkeypatch)
     for arch in ARCHS + [ModelArchitecture(64, 64, 2), ModelArchitecture(64, 63, 2)]:
@@ -677,9 +680,14 @@ def test_only_wide_enough_layers_are_screened(monkeypatch):
         assert branches.seen.total() == 1
         branches.seen.clear()
         vectors = [params.astype(np.float64), np.zeros(arch.param_count)]
-        width = arch.input_dim * (arch.hidden_dim or arch.class_count)
-        assert (models.first_layer_products(arch, vectors, test, [1]) is not None
-                ) == (width >= models.WIDE_LAYER)
+        assert models.first_layer_products(arch, vectors, test, [1]) is not None
+        assert models.first_layer_products(arch, vectors, test, [-1]) is None
+        # a bound on |P_1|, 1 x (0 + reach) sqrt(d) max ||x||, of half
+        # float64's largest value
+        reach = models._F64_MAX / 2 / (math.sqrt(arch.input_dim)
+                                        * test.prepared[1].max())
+        far = [np.zeros(arch.param_count), np.full(arch.param_count, reach)]
+        assert models.first_layer_products(arch, far, test, [1]) is None
 
 
 # --- the first layer from per-round products ------------------------------------
@@ -702,9 +710,8 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
-    # every set is wide, every model wide enough; rows are rescored 5 a chunk
+    # every set is wide; rows are rescored 5 a chunk
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
@@ -770,7 +777,6 @@ def test_a_first_layer_serves_one_evaluation(monkeypatch):
     # same values would count the bias twice
     arch = ARCHS[1]
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     test = blobs(arch, 12, seed=5)
     rng = np.random.default_rng(2)
     base = init_params(arch, seed=3) * np.float32(20.0)
@@ -820,10 +826,9 @@ def test_scoring_a_round_holds_one_running_sum():
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_products_from_float32_blocks_match_their_float64_casts(monkeypatch, arch,
                                                                 weights):
-    # every set is wide, every model wide enough; 5 rows a chunk, so that
-    # the chunks' edges show; past 2^53 the weights round when cast
+    # every set is wide; 5 rows a chunk, so that the chunks' edges show;
+    # past 2^53 the weights round when cast
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
     full = blobs(arch, 12, seed=5)
     one_row = LabeledDataset(full.features[:1], full.labels[:1])
@@ -878,11 +883,10 @@ def test_a_wide_round_holds_its_products_and_tails_not_a_float64_stack():
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         monkeypatch, arch, weights):
-    # every set is wide, every model wide enough; rebuild_masks rebuilds in
-    # chunks from exact integer totals, also past a total weight of 2^53,
-    # where the weights' and totals' casts to float64 round
+    # every set is wide; rebuild_masks rebuilds in chunks from exact integer
+    # totals, also past a total weight of 2^53, where the weights' and
+    # totals' casts to float64 round
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     branches = ScreenBranches(monkeypatch)
     start = arch.first_layer_size
     full_rebuilds = []
@@ -952,7 +956,6 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
 
 def test_coefficients_are_the_rebuilds_shares(monkeypatch):
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     arch = ARCHS[1]
     weights = {1: 7, 2: 13, 3: 3, 4: 101}
     rng = np.random.default_rng(3)

@@ -176,6 +176,23 @@ def test_skew_strength_is_configurable():
     assert sum(len(p) for p in mild) == 1000
 
 
+@pytest.mark.parametrize("classes, per_class, n, skew, match", [
+    # participant 11's pair would need classes 10 and 11
+    (10, 100, 12, 0.8, r"pair 6 needs classes \(10, 11\), but only 10 classes exist"),
+    # 7 rows each: round(3.5) = 4 rows to each designated class, 8 in all
+    (7, 2, 2, 1, "skew 1.0 with size 7 leaves negative remainder"),
+    # 10 rows each: 4 to each of the 2 classes, both designated, leaves 2
+    (2, 10, 2, 0.8, "skew 0.8 leaves 2 rows for non-designated classes, but "
+                    "every class is designated"),
+], ids=["pair-past-the-classes", "negative-remainder", "every-class-designated"])
+def test_a_skew_the_pool_cannot_deal_is_refused(classes, per_class, n, skew, match):
+    src = SyntheticSource(input_dim=4, class_count=classes, seed=0)
+    pool, _ = generate_source(src, train_per_class=per_class, test_per_class=1)
+    spec = ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=n, params={"skew": skew})
+    with pytest.raises(ValueError, match=match):
+        partition(pool, spec)
+
+
 def test_size_ramp_default_sizes():
     pool, _ = default_pool(2)
     parts = partition(pool, ScenarioSpec(ScenarioKind.SAME_DIST_DIFF_SIZE,

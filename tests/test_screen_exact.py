@@ -26,6 +26,8 @@ from fedshapley import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate
 from fedshapley import federation, models
 from fedshapley.games import players_of
 
+pytestmark = pytest.mark.blas_order
+
 # float32 values are integers times 2^-149, float64 values times 2^-1074
 F32_SCALE, F64_SCALE = 149, 1074
 
@@ -193,10 +195,8 @@ def worst_over(arch, case, decisions, drop_floors=False, same_accuracy=True) -> 
 
 @pytest.fixture()
 def wide(monkeypatch):
-    # every set is wide and every first layer wide enough; rows are scored
-    # again 5 a chunk at d = 8
+    # every set is wide; rows are scored again 5 a chunk at d = 8
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "WIDE_LAYER", 0)
     monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * 8)
     return Decisions(monkeypatch)
 
