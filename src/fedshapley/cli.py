@@ -105,30 +105,28 @@ def config_from_dict(doc: object, path: str | Path,
         # checked before every section's seed is derived from it
         check_types({"seed": seed}, ExperimentConfig.__annotations__)
 
-        source_tbl = _section(doc, "source")
-        source = SyntheticSource(seed=derive_seed(seed, "source"), **source_tbl)
+        source = SyntheticSource(seed=derive_seed(seed, "source"),
+                                 **_section(doc, "source"))
+        tables = {key: _section(doc, key) for key in ("scenario", "model")}
+        # keys that earlier configs and sidecars hold and no config sets now,
+        # each dropped where it holds its one value (None: any value)
+        retired = {("scenario", "per_class_pool"): None,
+                   ("model", "activation"): "relu",
+                   ("model", "input_dim"): source.input_dim,
+                   ("model", "class_count"): source.class_count}
+        for (section, key), allowed in retired.items():
+            value = tables[section].pop(key, allowed)
+            if allowed is not None and (type(value) is not type(allowed)
+                                        or value != allowed):
+                raise ConfigError(f"{path}: {section}.{key} may only be "
+                                  f"{allowed!r}, got {value!r}")
+        scenario = ScenarioSpec(seed=derive_seed(seed, "scenario"),
+                                **tables["scenario"])
+        scenario.check_classes(source.class_count)
+        model = ModelArchitecture(source.input_dim, class_count=source.class_count,
+                                  **tables["model"])
 
-        scen_tbl = _section(doc, "scenario")
-        scen_tbl.setdefault("kind", "same_dist_same_size")
-        scen_tbl.pop("per_class_pool", None)  # unused; earlier sidecars carry it
-        scenario = ScenarioSpec(seed=derive_seed(seed, "scenario"), **scen_tbl)
-
-        model_tbl = _section(doc, "model")
-        activation = model_tbl.pop("activation", "relu")  # earlier sidecars hold it
-        if activation != "relu":
-            raise ConfigError(f"{path}: unsupported activation {activation!r}")
-        model_tbl.setdefault("input_dim", source.input_dim)
-        model_tbl.setdefault("class_count", source.class_count)
-        model = ModelArchitecture(**model_tbl)
-        if model.input_dim != source.input_dim:
-            raise ConfigError(f"{path}: model input_dim {model.input_dim} does "
-                              f"not match source input_dim {source.input_dim}")
-        if model.class_count < source.class_count:
-            raise ConfigError(f"{path}: model class_count {model.class_count} is "
-                              f"below source class_count {source.class_count}")
-
-        train_tbl = _section(doc, "train")
-        train = TrainConfig(seed=derive_seed(seed, "train"), **train_tbl)
+        train = TrainConfig(seed=derive_seed(seed, "train"), **_section(doc, "train"))
 
         data_tbl = _section(doc, "data")
         train_per_class = data_tbl.pop("train_per_class", 100)
@@ -172,8 +170,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "schema": CONFIG_SCHEMA,
         "seed": cfg.seed,
         "rounds": cfg.rounds,
-        **{key: _section_doc(getattr(cfg, key))
-           for key in ("scenario", "source", "model", "train")},
+        "scenario": _section_doc(cfg.scenario),
+        "source": _section_doc(cfg.source),
+        "model": {"hidden_dim": cfg.model.hidden_dim},
+        "train": _section_doc(cfg.train),
         "data": {"train_per_class": cfg.train_per_class,
                  "test_per_class": cfg.test_per_class},
         "estimators": cfg.estimators,
@@ -256,11 +256,12 @@ def cmd_simulate(args) -> int:
                              cfg.federation_seed)
         path = out / f"{_log_stem(cfg)}.gtgl"
         save_log(log, path, metadata={"config": config_to_dict(cfg)})
-    final_acc = evaluate(cfg.model, log.rounds[-1].aggregated, test)
-    start_acc = evaluate(cfg.model, log.rounds[0].base_model, test)
-    _say(args, f"log: {path}")
-    _say(args, f"accuracy: {start_acc:.4f} -> {final_acc:.4f} "
-               f"over {cfg.rounds} rounds")
+    if not args.quiet:
+        final_acc = evaluate(cfg.model, log.rounds[-1].aggregated, test)
+        start_acc = evaluate(cfg.model, log.rounds[0].base_model, test)
+        print(f"log: {path}")
+        print(f"accuracy: {start_acc:.4f} -> {final_acc:.4f} "
+              f"over {cfg.rounds} rounds")
     return EXIT_OK
 
 
@@ -425,23 +426,24 @@ def cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this CLI reserves 2 for runtime."""
+    """argparse exits 2 on usage errors; this CLI reserves 2 for runtime,
+    and ends every error in one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"error: {self.prog}: {message} (see --help)", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    printable = _Parser(add_help=False)
+    printable.add_argument("--print-config", action="store_true",
+                           help="print the resolved configuration and exit")
+    common = _Parser(add_help=False, parents=[printable])
     common.add_argument("--seed", type=int, default=None,
                         help="override the config's master seed (evaluate: "
                              "the estimator's streams only, not the data)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
-    common.add_argument("--print-config", action="store_true",
-                        help="print the resolved configuration and exit")
 
     parser = _Parser(prog="fedshapley",
                      description="Deterministic federated-training simulator "
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_rep = sub.add_parser("report", parents=[common],
+    p_rep = sub.add_parser("report", parents=[printable],
                            help="merge comparison reports into one table")
     p_rep.add_argument("paths", nargs="+")
     p_rep.set_defaults(func=cmd_report)

@@ -30,20 +30,22 @@ class ScenarioKind(str, Enum):
     NOISY_LABELS = "noisy_labels"
     NOISY_FEATURES = "noisy_features"
 
-    @classmethod
-    def parse(cls, name: str) -> "ScenarioKind":
-        """Accepts snake_case or CamelCase spellings, case-insensitively."""
-        key = name.replace("_", "").replace("-", "").lower()
-        for member in cls:
-            if member.value.replace("_", "") == key:
-                return member
-        raise ValueError(f"unknown scenario kind {name!r}; known: "
-                         + ", ".join(m.value for m in cls))
-
 
 def pair_of(pid: int) -> int:
     """1-based pair index of participant ``pid`` (1,2 -> 1; 3,4 -> 2; ...)."""
     return (pid + 1) // 2
+
+
+def skewed_classes(pid: int, class_count: int) -> tuple[int, int]:
+    """The two classes participant ``pid`` of a skewed pair is dealt most
+    of: pair p takes classes 2p - 2 and 2p - 1.  ValueError if the source's
+    ``class_count`` classes do not reach them."""
+    pair = pair_of(pid)
+    designated = (2 * pair - 2, 2 * pair - 1)
+    if designated[1] >= class_count:
+        raise ValueError(f"pair {pair} needs classes {designated}, but only "
+                         f"{class_count} classes exist")
+    return designated
 
 
 def default_noise_rates(n: int) -> list[float]:
@@ -71,15 +73,17 @@ class ScenarioSpec:
     """Which partition scheme to apply, for how many participants; ``params``
     holds at most the entry :data:`SCENARIO_PARAMS` names for ``kind``."""
 
-    kind: ScenarioKind
+    kind: ScenarioKind = ScenarioKind.SAME_DIST_SAME_SIZE
     n: int = 10
     seed: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_types(vars(self), ScenarioSpec.__annotations__)
-        if not isinstance(self.kind, ScenarioKind):
-            self.kind = ScenarioKind.parse(str(self.kind))
+        if self.kind not in list(ScenarioKind):
+            raise ValueError(f"unknown scenario kind {self.kind!r}; known: "
+                             + ", ".join(kind.value for kind in ScenarioKind))
+        self.kind = ScenarioKind(self.kind)
         if self.n < 2:
             raise ValueError("need at least two participants")
         self.param()
@@ -118,6 +122,12 @@ class ScenarioSpec:
                 f"{'> 0' if key == 'ratios' else 'in [0, 1]'}, got {value!r}")
         return float(value) if key == "skew" else [float(v) for v in value]
 
+    def check_classes(self, class_count: int) -> None:
+        """ValueError unless a source of ``class_count`` classes can deal
+        this scenario: each skewed pair needs two classes of its own."""
+        if self.kind is ScenarioKind.DIFF_DIST_SAME_SIZE:
+            skewed_classes(self.n, class_count)
+
 
 @dataclass
 class SyntheticSource:
@@ -127,7 +137,6 @@ class SyntheticSource:
     class_count: int = 10
     spread: float = 1.0
     seed: int = 0
-    class_means: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         check_types(vars(self), SyntheticSource.__annotations__)
@@ -135,14 +144,6 @@ class SyntheticSource:
             raise ValueError("need at least two classes")
         if not 0 <= self.spread < math.inf:
             raise ValueError("spread must be finite and >= 0")
-        if self.class_means is not None:
-            means = np.asarray(self.class_means, dtype=np.float64)
-            shape = (self.class_count, self.input_dim)
-            if means.shape != shape:
-                raise ValueError(f"class_means must have shape {shape}, "
-                                 f"got {means.shape}")
-            if not np.isfinite(means).all():
-                raise ValueError("class_means must be finite")
 
 
 def generate_source(cfg: SyntheticSource, train_per_class: int,
@@ -152,14 +153,7 @@ def generate_source(cfg: SyntheticSource, train_per_class: int,
         raise ValueError("per-class sample counts must be >= 1")
     rng = np.random.default_rng(derive_seed(cfg.seed, "source"))
     c, d = cfg.class_count, cfg.input_dim
-    means = cfg.class_means
-    if means is None:
-        means = rng.standard_normal((c, d))
-    means = np.asarray(means, dtype=np.float64)
-    diffs = means[:, None, :] - means[None, :, :]
-    gaps = np.sqrt((diffs ** 2).sum(axis=2))
-    if np.any(gaps[~np.eye(c, dtype=bool)] == 0.0):
-        raise ValueError("class means must be pairwise distinct")
+    means = rng.standard_normal((c, d))
 
     def draw(per_class: int) -> LabeledDataset:
         feats = np.empty((c * per_class, d), dtype=np.float32)
@@ -170,9 +164,12 @@ def generate_source(cfg: SyntheticSource, train_per_class: int,
             labels[cls * per_class:(cls + 1) * per_class] = cls
         return LabeledDataset(features=feats, labels=labels)
 
-    train = draw(train_per_class)
-    test = draw(test_per_class)
-    return train, test
+    try:
+        with np.errstate(over="raise"):
+            return draw(train_per_class), draw(test_per_class)
+    except FloatingPointError:
+        raise ValueError(f"spread {cfg.spread} draws features past the float32 "
+                         "range") from None
 
 
 class _ClassQueues:
@@ -216,12 +213,7 @@ def _equal_balanced(pool: LabeledDataset, n: int,
 
 def _skewed_counts(pid: int, size: int, class_count: int, skew: float) -> dict[int, int]:
     """Per-class sample counts for one participant of a skewed pair."""
-    pair = pair_of(pid)
-    designated = (2 * pair - 2, 2 * pair - 1)
-    if designated[1] >= class_count:
-        raise ValueError(
-            f"pair {pair} needs classes {designated}, but only "
-            f"{class_count} classes exist")
+    designated = skewed_classes(pid, class_count)
     per_designated = int(round(skew * size / 2))
     others = [c for c in range(class_count) if c not in designated]
     rest = size - 2 * per_designated

@@ -43,10 +43,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def gaussian_blobs(rows_per_class: int, input_dim: int, class_count: int,
-                   seed: int, spread: float = 2.0) -> LabeledDataset:
-    """Well-separated class blobs; spread scales the mean separation."""
+                   seed: int, spread: float = 2.0,
+                   noise_seed: int | None = None) -> LabeledDataset:
+    """Well-separated class blobs; spread scales the mean separation.  The
+    means come from ``seed``, and the rows' noise from ``noise_seed`` when
+    given: other rows around the same means, as a test set's are."""
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((class_count, input_dim)) * spread
+    if noise_seed is not None:
+        rng = np.random.default_rng(noise_seed)
     feats = []
     labels = []
     for c in range(class_count):
@@ -74,7 +79,7 @@ def quick_log(n: int = 3, rounds: int = 2, seed: int = 0, lr: float = 0.1,
     arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
                              class_count=class_count)
     train = gaussian_blobs(rows_per_class * n, input_dim, class_count, seed)
-    test = gaussian_blobs(8, input_dim, class_count, seed + 1)
+    test = gaussian_blobs(8, input_dim, class_count, seed, noise_seed=seed + 1)
     parts = split_participants(train, n)
     cfg = TrainConfig(local_epochs=1, batch_size=16, learning_rate=lr,
                       seed=seed + 100)

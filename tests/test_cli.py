@@ -117,6 +117,16 @@ def test_simulate_quiet_prints_nothing(config_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_simulate_quiet_evaluates_nothing(config_path, tmp_path, monkeypatch):
+    scored = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args: scored.append(args) or 0.5)
+    simulate(config_path, tmp_path / "quiet")
+    assert not scored
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path / "loud")]) == EXIT_OK
+    assert len(scored) == 2  # the first round's base model and the last aggregate
+
+
 def test_seed_override_changes_stem_and_streams(config_path, tmp_path):
     code = main(["simulate", "--config", str(config_path), "--seed", "9",
                  "--out", str(tmp_path), "--quiet"])
@@ -506,34 +516,38 @@ def test_evaluate_rejects_a_sidecar_config_of_another_run(
     assert not list(tmp_path.glob("estimate_*"))
 
 
-def test_class_means_reach_the_sidecar_and_evaluate(tmp_path, capsys):
-    # class c sits at 3.0 on the dimensions j with j % 3 == c
+def test_class_means_are_refused(eval_log, tmp_path, capsys, work_calls):
+    # the source draws its class means from the seed; a config gives none
     means = [[3.0 * (j % 3 == c) for j in range(6)] for c in range(3)]
-    cfg = write_config(tmp_path / "exp.json",
-                       source={"input_dim": 6, "class_count": 3, "spread": 1.2,
-                               "class_means": means})
-    assert main(["simulate", "--config", str(cfg), "--print-config"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["source"]["class_means"] == means
-    log = simulate(cfg, tmp_path)
-    sidecar = load_log_metadata(log)["metadata"]["config"]
-    assert sidecar["source"]["class_means"] == means
-    # evaluate must score against the config's own test set, not one drawn
-    # from random class means
-    _, _, test = build_participants(parse_config(cfg))
-    want = mr_eval(load_log(log), test).total.values.tolist()
-    assert evaluate_doc(log, "mr", tmp_path)["total"] == want
+    source = {"input_dim": 6, "class_count": 3, "spread": 1.2, "class_means": means}
+    cfg = write_config(tmp_path / "exp.json", source=source)
+    log = str(tmp_path / Path(eval_log).name)
+    for suffix in ("", ".json"):
+        shutil.copy(eval_log + suffix, log + suffix)
+    _sidecar(log, lambda d: d["metadata"]["config"].update(source=source))
+    for argv in (["simulate", "--config", str(cfg), "--print-config"],
+                 ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                 _evaluate(log, "mr", "--out", str(tmp_path / "out"))):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "class_means" in err[0]
+    assert not work_calls and not (tmp_path / "out").exists()
 
 
-def assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
-                                           section: str, field: str, value):
-    """A sidecar whose config ``section`` carries ``field``, as sidecars
-    written before it was deleted do, evaluates as one without it; a config
-    holding it parses, and --print-config leaves it out."""
+def assert_retired_fields_still_evaluate(eval_log, tmp_path, capsys, retired: dict):
+    """A sidecar whose config tables also hold ``retired`` ({table: {key:
+    value}}), as sidecars written before those keys were retired do,
+    evaluates as one without them; a config holding them parses, and
+    --print-config prints it as the config without them."""
     log = str(tmp_path / Path(eval_log).name)
     shutil.copy(eval_log, log)
     shutil.copy(eval_log + ".json", log + ".json")
-    _sidecar(log, lambda d: d["metadata"]["config"].setdefault(section, {}).update(
-        {field: value}))
+
+    def add(doc):
+        for section, fields in retired.items():
+            doc["metadata"]["config"].setdefault(section, {}).update(fields)
+
+    _sidecar(log, add)
     old = evaluate_doc(log, "gtg", tmp_path / "old")
     new = evaluate_doc(eval_log, "gtg", tmp_path / "new")
     del old["wall_time_s"], new["wall_time_s"]
@@ -541,20 +555,33 @@ def assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
     config = load_log_metadata(log)["metadata"]["config"]
     config_path = _file(tmp_path / "old.json", json.dumps(config))
     assert main(["simulate", "--config", config_path, "--print-config"]) == EXIT_OK
-    assert field not in capsys.readouterr().out
+    assert (json.loads(capsys.readouterr().out)
+            == load_log_metadata(eval_log)["metadata"]["config"])
 
 
 def test_sidecars_written_with_per_class_pool_still_evaluate(
         eval_log, tmp_path, capsys):
-    assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
-                                           "scenario", "per_class_pool", 100)
+    assert_retired_fields_still_evaluate(eval_log, tmp_path, capsys,
+                                         {"scenario": {"per_class_pool": 100}})
 
 
 def test_sidecars_written_with_an_activation_still_evaluate(
         eval_log, tmp_path, capsys):
     # ReLU, the one activation there is, was written into every sidecar
-    assert_a_retired_field_still_evaluates(eval_log, tmp_path, capsys,
-                                           "model", "activation", "relu")
+    assert_retired_fields_still_evaluate(eval_log, tmp_path, capsys,
+                                         {"model": {"activation": "relu"}})
+
+
+def test_a_sidecar_as_earlier_runs_wrote_it_still_evaluates(
+        eval_log, tmp_path, capsys):
+    # earlier sidecars' model table repeated the source's dimensions, and
+    # their scenario table the pool size
+    assert load_log_metadata(eval_log)["metadata"]["config"]["model"] == {
+        "hidden_dim": 0}
+    assert_retired_fields_still_evaluate(eval_log, tmp_path, capsys, {
+        "scenario": {"per_class_pool": 100},
+        "model": {"input_dim": 6, "hidden_dim": 0, "class_count": 3,
+                  "activation": "relu"}})
 
 
 def test_evaluate_holds_the_log_the_test_set_and_one_rounds_products(tmp_path):
@@ -786,6 +813,7 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="simulate-config-rounds-not-a-number"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, output_dir=5)],
                  EXIT_USAGE, id="simulate-config-output-dir-not-a-string"),
+    # class_means is no field: any value is refused, well-formed or not
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 6, "class_count": 3, "class_means": [[0.0]]})],
                  EXIT_USAGE, id="simulate-config-class-means-shape"),
@@ -845,6 +873,10 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: _evaluate(log, "tmr", "--params",
                                           _params(w, {"round_threshold": math.nan})),
                  EXIT_USAGE, id="evaluate-params-tmr-threshold-nan"),
+    # features are float32: a spread that overflows them is refused once drawn
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={"input_dim": 6, "class_count": 3, "spread": 1e308})],
+                 EXIT_RUNTIME, id="simulate-config-spread-past-float32"),
     # integers past the float range, in float fields
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 6, "class_count": 3, "spread": 10 ** 400})],
@@ -863,6 +895,19 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="compare-config-unknown-scenario"),
     pytest.param(lambda w, log: ["compare", "--config", _scenario(w, 5, {})],
                  EXIT_USAGE, id="compare-config-scenario-kind-not-a-name"),
+    # a kind is one of the five values sidecars write, as they write it
+    pytest.param(lambda w, log: ["simulate", "--config", _scenario(
+        w, "SameDistSameSize", {}), "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-kind-camel-case"),
+    pytest.param(lambda w, log: _evaluate(_sidecar(
+        log, lambda d: d["metadata"]["config"]["scenario"].update(
+            kind="SameDistSameSize")), "mr"),
+                 EXIT_USAGE, id="evaluate-sidecar-kind-camel-case"),
+    # each skewed pair needs two classes of its own: pair 6 needs 10 and 11
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, source={}, scenario={"kind": "diff_dist_same_size", "n": 12}),
+        "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-pairs-past-the-classes"),
     pytest.param(lambda w, log: ["compare", "--config", _config(w, estimators=[])],
                  EXIT_USAGE, id="compare-config-no-estimators"),
     # scenario params: the one entry each kind reads
@@ -905,6 +950,16 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 6, "class_count": 10}, model={"class_count": 3})],
                  EXIT_USAGE, id="simulate-config-model-fewer-classes"),
+    # the model takes its dimensions from the source; a config may repeat them
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, model={"class_count": 4}), "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-model-more-classes"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, model={"input_dim": 6.0}), "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-model-input-dim-a-float"),
+    pytest.param(lambda w, log: _evaluate(_sidecar(
+        log, lambda d: d["metadata"]["config"]["model"].update(input_dim=5)), "mr"),
+                 EXIT_USAGE, id="evaluate-sidecar-model-input-dim"),
     pytest.param(lambda w, log: ["compare", "--config",
                                  _config(w, estimators={"mr": 1})],
                  EXIT_USAGE, id="compare-config-estimators-not-a-list"),
@@ -1001,6 +1056,11 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["report", _report(
         w, lambda d: d["rows"][0].update(estimator_name=[1]))],
                  EXIT_RUNTIME, id="report-estimator-not-a-string"),
+    # report reads paths; it takes no seed and prints nothing to quiet
+    pytest.param(lambda w, log: ["report", _report(w, lambda d: None), "--quiet"],
+                 EXIT_USAGE, id="report-quiet"),
+    pytest.param(lambda w, log: ["report", "--seed", "3", _report(w, lambda d: None)],
+                 EXIT_USAGE, id="report-seed"),
 ])
 def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
                                           monkeypatch, argv, code):
@@ -1008,7 +1068,12 @@ def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
     for suffix in ("", ".json"):
         shutil.copy(eval_log + suffix, log + suffix)
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
-    assert main([*argv(tmp_path, log), "--quiet"]) == code
+    argv = argv(tmp_path, log)
+    try:
+        ended = main(argv if argv[0] == "report" else [*argv, "--quiet"])
+    except SystemExit as exc:  # argparse refused the command line
+        ended = exc.code
+    assert ended == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err

@@ -87,16 +87,12 @@ def test_source_validation():
         SyntheticSource(class_count=1)
     with pytest.raises(ValueError):
         SyntheticSource(spread=-1.0)
-    dup_means = np.zeros((10, 16))
-    with pytest.raises(ValueError, match="distinct"):
-        generate_source(SyntheticSource(class_means=dup_means), 5, 5)
-    with pytest.raises(ValueError, match="shape"):
-        generate_source(SyntheticSource(class_means=np.zeros((3, 16))), 5, 5)
-    # checked on construction, before any data is drawn
-    with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(2, 3\)"):
-        SyntheticSource(input_dim=2, class_count=2, class_means=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        SyntheticSource(input_dim=2, class_count=2, class_means=[[0.0, 1.0], [2.0]])
+    # features are float32: a spread that overflows them is refused, not drawn
+    with pytest.raises(ValueError, match=r"spread 1e\+308 draws features past"):
+        generate_source(SyntheticSource(spread=1e308), 1, 1)
+    # the class means come from the seed; none can be given
+    with pytest.raises(TypeError, match="class_means"):
+        SyntheticSource(input_dim=2, class_count=2, class_means=np.eye(2))
     for bad in ({"input_dim": 2.5}, {"spread": "1"}, {"seed": None}):
         with pytest.raises(ValueError, match="must be"):
             SyntheticSource(**bad)
@@ -291,7 +287,7 @@ def test_scenario_spec_validation():
             ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, **bad)
     with pytest.raises(ValueError, match="params must be dict"):
         ScenarioSpec(ScenarioKind.NOISY_LABELS, n=4, params=[0.1] * 4)
-    with pytest.raises(ValueError, match="unknown scenario kind '5'"):
+    with pytest.raises(ValueError, match="unknown scenario kind 5;"):
         ScenarioSpec(5, n=4)
     for kind, params, match in (
             (ScenarioKind.SAME_DIST_SAME_SIZE, {"skew": 0.5}, "hold nothing, not skew"),
@@ -333,13 +329,30 @@ def test_scenario_spec_resolves_its_one_entry():
     assert set(SCENARIO_PARAMS) == set(ScenarioKind)
 
 
-def test_kind_parsing_accepts_both_spellings():
-    assert ScenarioKind.parse("SameDistSameSize") is ScenarioKind.SAME_DIST_SAME_SIZE
-    assert ScenarioKind.parse("noisy_labels") is ScenarioKind.NOISY_LABELS
-    assert ScenarioKind.parse("Noisy-Features") is ScenarioKind.NOISY_FEATURES
-    with pytest.raises(ValueError, match="known:"):
-        ScenarioKind.parse("dirichlet")
-    assert ScenarioSpec("DiffDistSameSize", n=4).kind is ScenarioKind.DIFF_DIST_SAME_SIZE
+def test_kind_takes_only_its_five_values():
+    for kind in ScenarioKind:
+        assert ScenarioSpec(kind.value, n=4).kind is ScenarioSpec(kind, n=4).kind is kind
+    assert ScenarioSpec().kind is ScenarioKind.SAME_DIST_SAME_SIZE
+    # the spellings sidecars write, and no other
+    for alias in ("SameDistSameSize", "Noisy-Features", "NOISY_LABELS",
+                  "noisylabels", "dirichlet", None, ["noisy_labels"]):
+        with pytest.raises(ValueError, match="known: same_dist_same_size, "):
+            ScenarioSpec(alias, n=4)
+    assert not hasattr(ScenarioKind, "parse")
+
+
+def test_a_skewed_scenario_needs_two_classes_for_each_pair():
+    spec = ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=12)
+    spec.check_classes(12)
+    message = r"pair 6 needs classes \(10, 11\), but only 10 classes exist"
+    with pytest.raises(ValueError, match=message):
+        spec.check_classes(10)
+    # partition deals by the same rule
+    with pytest.raises(ValueError, match=message):
+        partition(default_pool(0)[0], spec)
+    # the other kinds deal any classes there are
+    for kind in set(ALL_KINDS) - {ScenarioKind.DIFF_DIST_SAME_SIZE}:
+        ScenarioSpec(kind, n=12).check_classes(2)
 
 
 def test_pair_layout():
