@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +31,8 @@ from .seeding import derive_seed
 
 CONFIG_SCHEMA = "fedshapley-config-v1"
 ESTIMATE_SCHEMA = "fedshapley-estimate-v1"
-OUT_DIR_ENV = "FEDSHAPLEY_OUT_DIR"
+CONFIG_FIELDS = frozenset({"schema", "seed", "rounds", "scenario", "source", "model",
+                           "train", "data", "estimators"})
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
@@ -55,7 +55,6 @@ class ExperimentConfig:
     train_per_class: int
     test_per_class: int
     estimators: list[dict]
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
         check_types(vars(self), ExperimentConfig.__annotations__)
@@ -79,7 +78,7 @@ def _section(doc: dict, key: str) -> dict:
     return dict(val)
 
 
-def parse_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
+def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a JSON experiment config."""
     path = Path(path)
     try:
@@ -88,20 +87,23 @@ def parse_config(path: str | Path, seed_override: int | None = None) -> Experime
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(doc, path, seed_override)
+    return config_from_dict(doc, path)
 
 
-def config_from_dict(doc: object, path: str | Path,
-                     seed_override: int | None = None) -> ExperimentConfig:
+def config_from_dict(doc: object, path: str | Path) -> ExperimentConfig:
     """Validate a config document; errors name ``path``, where it came from."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     schema = doc.get("schema")
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"{path}: schema {schema!r}, expected {CONFIG_SCHEMA!r}")
+    unknown = sorted(set(doc) - CONFIG_FIELDS)
+    if unknown:
+        out = "; give the output directory with --out" * ("output_dir" in unknown)
+        raise ConfigError(f"{path}: unknown field(s) {', '.join(unknown)}{out}")
 
     try:
-        seed = doc.get("seed", 0) if seed_override is None else seed_override
+        seed = doc.get("seed", 0)
         # checked before every section's seed is derived from it
         check_types({"seed": seed}, ExperimentConfig.__annotations__)
 
@@ -150,8 +152,7 @@ def config_from_dict(doc: object, path: str | Path,
         return ExperimentConfig(seed=seed, rounds=doc.get("rounds", 1),
                                 scenario=scenario, source=source, model=model,
                                 train=train, train_per_class=train_per_class,
-                                test_per_class=test_per_class, estimators=entries,
-                                output_dir=doc.get("output_dir"))
+                                test_per_class=test_per_class, estimators=entries)
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -166,7 +167,7 @@ def _section_doc(section) -> dict:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical config document; reparsing it yields an equivalent config."""
-    doc = {
+    return {
         "schema": CONFIG_SCHEMA,
         "seed": cfg.seed,
         "rounds": cfg.rounds,
@@ -177,9 +178,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "data": {"train_per_class": cfg.train_per_class,
                  "test_per_class": cfg.test_per_class},
         "estimators": cfg.estimators,
-        "output_dir": cfg.output_dir,
     }
-    return {key: value for key, value in doc.items() if value is not None}
 
 
 def build_participants(cfg: ExperimentConfig):
@@ -192,23 +191,12 @@ def build_participants(cfg: ExperimentConfig):
     return participants, pool, test
 
 
-def _out_dir(args, cfg_dir: str | None = None) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if cfg_dir:
-        return Path(cfg_dir)
-    return Path.cwd()
-
-
 @contextlib.contextmanager
-def _output_dir(args, cfg_dir: str | None = None):
-    """The output directory, made before the work whose results go there, so
-    that a path no directory can take fails at once; if the work fails, the
-    directories made here are removed again, those still empty."""
-    out = _out_dir(args, cfg_dir)
+def _output_dir(args):
+    """``--out`` or else the working directory, made before the work whose
+    results go there, so a path no directory can take fails at once; if the
+    work fails, the directories made here are removed, those still empty."""
+    out = Path(args.out) if args.out else Path.cwd()
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -245,13 +233,13 @@ def _log_stem(cfg: ExperimentConfig) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config, args.seed)
+    cfg = parse_config(args.config)
     if args.print_config:
         print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
     # the pool is not kept alive through training: nothing reads it
     participants, test = build_participants(cfg)[::2]
-    with _output_dir(args, cfg.output_dir) as out:
+    with _output_dir(args) as out:
         log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
                              cfg.federation_seed)
         path = out / f"{_log_stem(cfg)}.gtgl"
@@ -281,7 +269,9 @@ def _sidecar_config(log_path: str) -> ExperimentConfig:
         raise LogFormatError(
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
-    return config_from_dict(json_object(config_doc, "'metadata.config'"), sidecar)
+    config_doc = json_object(config_doc, "'metadata.config'")
+    config_doc.pop("output_dir", None)  # earlier runs wrote it; it steers nothing
+    return config_from_dict(config_doc, sidecar)
 
 
 def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
@@ -301,15 +291,13 @@ def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
-                         log: GradientLog | None, test, participants,
-                         seed: int | None = None) -> EstimatorReport:
+                         log: GradientLog | None, test, participants) -> EstimatorReport:
     """Run ``name`` on the experiment.  Unless its params set a seed, a
-    sampled estimator's seed derives from ``seed``, or else the config's."""
+    sampled estimator's seed derives from the config's."""
     entry = estimator(name)
     params = dict(params)
     if entry.sampled:
-        params.setdefault("seed", derive_seed(
-            cfg.seed if seed is None else seed, "estimator", name))
+        params.setdefault("seed", derive_seed(cfg.seed, "estimator", name))
     if entry.retrains:
         return entry.run(participants, cfg.model, cfg.train, cfg.rounds, test,
                          init_seed=cfg.federation_seed, **entry.keywords(params))
@@ -336,14 +324,14 @@ def cmd_evaluate(args) -> int:
                          sort_keys=True, indent=2))
         return EXIT_OK
     cfg = _sidecar_config(args.log)
-    with _output_dir(args, cfg.output_dir) as out:
+    with _output_dir(args) as out:
         log = load_log(args.log)
         log.validate()
         participants, test = _experiment_of(args.log, cfg, log)
         if not estimator(args.estimator).retrains:
             participants = None  # checked against the log, and read no more
         report = _run_named_estimator(args.estimator, params, cfg, log, test,
-                                      participants, args.seed)
+                                      participants)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
         path.write_text(json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
                         + "\n")
@@ -355,7 +343,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = parse_config(args.config, args.seed)
+    cfg = parse_config(args.config)
     if args.print_config:
         print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
@@ -368,8 +356,11 @@ def cmd_compare(args) -> int:
             f"n={cfg.scenario.n} exceeds the n <= {RETRAIN_PLAYER_LIMIT} guard")
     # the pool is not kept alive through training: nothing reads it
     participants, test = build_participants(cfg)[::2]
-    with _output_dir(args, cfg.output_dir) as out:
+    with _output_dir(args) as out:
         truth = _run_named_estimator("original", {}, cfg, None, test, participants)
+        if not truth.total.values.any():
+            raise RuntimeError("the ground truth gives every participant 0, so "
+                               "no estimate can be compared with it")
         log = run_federation(participants, cfg.model, cfg.train, cfg.rounds,
                              cfg.federation_seed)
         rows = []
@@ -439,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     printable.add_argument("--print-config", action="store_true",
                            help="print the resolved configuration and exit")
     common = _Parser(add_help=False, parents=[printable])
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config's master seed (evaluate: "
-                             "the estimator's streams only, not the data)")
+    common.add_argument("--out", default=None,
+                        help="output directory (default: the working directory)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
 
@@ -454,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run federated training and store the gradient log")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None,
-                       help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("evaluate", parents=[common],
@@ -464,14 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--estimator", required=True)
     p_eval.add_argument("--params", default=None,
                         help="JSON file with estimator parameters")
-    p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="run every configured estimator against the "
                                 "retrained ground truth")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", parents=[printable],

@@ -38,14 +38,13 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _F64_MAX = float(np.finfo(np.float64).max)
 # Covers the rounding of the bounds' own float64 arithmetic.
 _SAFETY = 1.0 + 1e-9
-_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-          "str | None": (str, type(None)), "dict": dict}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
 
 
 def check_types(values: dict, annotations: dict) -> None:
-    """ValueError unless each value annotated int, float, str, str | None or
-    dict has that type (a bool is no number, NaN no float, and an int past
-    the float range no float); values of other annotations are not checked."""
+    """ValueError unless each value annotated int, float, str or dict has
+    that type (a bool is no number, NaN no float, and an int past the float
+    range no float); values of other annotations are not checked."""
     for name, value in values.items():
         kind = _TYPES.get(annotations[name])
         if kind and (isinstance(value, bool) or not isinstance(value, kind)

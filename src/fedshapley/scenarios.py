@@ -19,6 +19,7 @@ from numbers import Real
 
 import numpy as np
 
+from .federation import HEADER_FIELD_MAX
 from .models import LabeledDataset, check_types
 from .seeding import derive_seed
 
@@ -48,9 +49,13 @@ def skewed_classes(pid: int, class_count: int) -> tuple[int, int]:
     return designated
 
 
+def _noise_rate(pid: int) -> float:
+    return 0.05 * (pair_of(pid) - 1)
+
+
 def default_noise_rates(n: int) -> list[float]:
     """Per-pair ramp 0, 0, .05, .05, .10, .10, ... used for label/feature noise."""
-    return [0.05 * (pair_of(pid) - 1) for pid in range(1, n + 1)]
+    return [_noise_rate(pid) for pid in range(1, n + 1)]
 
 
 def default_size_ratios(n: int) -> list[float]:
@@ -84,16 +89,17 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}; known: "
                              + ", ".join(kind.value for kind in ScenarioKind))
         self.kind = ScenarioKind(self.kind)
-        if self.n < 2:
-            raise ValueError("need at least two participants")
-        self.param()
+        if not 2 <= self.n <= HEADER_FIELD_MAX:
+            raise ValueError(f"n must lie in 2..{HEADER_FIELD_MAX}, the most a "
+                             f"log's header stores, got {self.n}")
+        self._entry()
 
-    def param(self) -> float | list[float] | None:
-        """The entry this kind reads, or its default; ValueError unless
+    def _entry(self) -> str | None:
+        """The ``params`` key this kind reads, if any; ValueError unless
         ``params`` holds no other entry and a given skew is one number in
         [0, 1], a given schedule n numbers: rates in [0, 1], ratios > 0.
         The default flip rates pass 1 from n = 44 on, and are refused there."""
-        key, default = SCENARIO_PARAMS[self.kind] or (None, None)
+        key = (SCENARIO_PARAMS[self.kind] or (None,))[0]
         others = sorted(str(k) for k in self.params if k != key)
         if others:
             raise ValueError(f"{self.kind.value} params may hold "
@@ -105,12 +111,12 @@ class ScenarioSpec:
                 f"{self.kind.value} pairs participants; n={self.n} is odd and no "
                 "explicit per-participant schedule was given")
         if key not in self.params:
-            value = default(self.n)
-            # a flip rate is a share of rows; a noise scale may pass 1
-            if key == "flip_rates" and max(value) > 1:
+            # a flip rate is a share of rows; a noise scale may pass 1.  The
+            # last pair's default rate is the largest: no schedule is built
+            if key == "flip_rates" and _noise_rate(self.n) > 1:
                 raise ValueError(f"the default flip_rates pass 1 at n={self.n}; "
                                  "give explicit flip_rates")
-            return value
+            return key
         value = self.params[key]
         values, count = ([value], 1) if key == "skew" else (value, self.n)
         if not (isinstance(values, (list, tuple)) and len(values) == count and all(
@@ -120,7 +126,15 @@ class ScenarioSpec:
             raise ValueError(
                 f"{key} must be {'one number' if count == 1 else f'{count} numbers'} "
                 f"{'> 0' if key == 'ratios' else 'in [0, 1]'}, got {value!r}")
-        return float(value) if key == "skew" else [float(v) for v in value]
+        return key
+
+    def param(self) -> float | list[float] | None:
+        """The entry this kind reads, or its default for n participants."""
+        key = self._entry()
+        if key in self.params:
+            value = self.params[key]
+            return float(value) if key == "skew" else [float(v) for v in value]
+        return key and SCENARIO_PARAMS[self.kind][1](self.n)
 
     def check_classes(self, class_count: int) -> None:
         """ValueError unless a source of ``class_count`` classes can deal

@@ -7,6 +7,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -35,7 +36,6 @@ from fedshapley.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
-    OUT_DIR_ENV,
     build_participants,
     config_from_dict,
     config_to_dict,
@@ -127,36 +127,61 @@ def test_simulate_quiet_evaluates_nothing(config_path, tmp_path, monkeypatch):
     assert len(scored) == 2  # the first round's base model and the last aggregate
 
 
-def test_seed_override_changes_stem_and_streams(config_path, tmp_path):
-    code = main(["simulate", "--config", str(config_path), "--seed", "9",
-                 "--out", str(tmp_path), "--quiet"])
-    assert code == EXIT_OK
+def test_the_configs_seed_sets_the_stem_and_the_streams(config_path, tmp_path):
+    nine = write_config(tmp_path / "nine.json", seed=9)
+    assert main(["simulate", "--config", str(nine), "--out", str(tmp_path),
+                 "--quiet"]) == EXIT_OK
     other = tmp_path / "same_dist_same_size_seed9.gtgl"
     assert other.exists()
     base = simulate(config_path, tmp_path / "b")
-    from pathlib import Path
     assert Path(base).read_bytes() != other.read_bytes()
 
 
-def test_out_dir_env_fallback(config_path, tmp_path, monkeypatch):
-    target = tmp_path / "from-env"
-    monkeypatch.setenv(OUT_DIR_ENV, str(target))
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    """An empty working directory, entered for the test."""
+    path = tmp_path / "cwd"
+    path.mkdir()
+    monkeypatch.chdir(path)
+    return path
+
+
+def test_out_dir_falls_back_to_the_working_directory(config_path, workdir,
+                                                     monkeypatch):
+    # the environment steers nothing: a variable that once did is ignored
+    monkeypatch.setenv("FEDSHAPLEY_OUT_DIR", str(workdir.parent / "from-env"))
     code = main(["simulate", "--config", str(config_path), "--quiet"])
     assert code == EXIT_OK
-    assert (target / f"{STEM}.gtgl").exists()
+    assert (workdir / f"{STEM}.gtgl").exists()
+    assert not (workdir.parent / "from-env").exists()
 
 
-def test_compare_writes_to_the_configs_output_dir_and_prints_its_table(
-        tmp_path, capsys, monkeypatch):
-    # without --out or the environment's directory, the config's output_dir
-    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
-    out = tmp_path / "from-config"
-    cfg = write_config(tmp_path / "exp.json", rounds=1, estimators=["mr"],
-                       output_dir=str(out))
+def test_a_moved_log_writes_its_estimate_to_the_working_directory(
+        eval_log, tmp_path, workdir):
+    # earlier runs wrote a config's output_dir into the sidecar; such a log,
+    # moved away from where it was made, evaluates, and its estimate goes to
+    # the working directory, not to the output_dir
+    old_place = tmp_path / "original_place" / "deep"
+    log = str(tmp_path / "moved" / Path(eval_log).name)
+    Path(log).parent.mkdir()
+    for suffix in ("", ".json"):
+        shutil.copy(eval_log + suffix, log + suffix)
+    _sidecar(log, lambda d: d["metadata"]["config"].update(output_dir=str(old_place)))
+    assert main(_evaluate(log, "gtg", "--quiet")) == EXIT_OK
+    moved = json.loads((workdir / f"estimate_gtg_{STEM}.json").read_text())
+    made_here = evaluate_doc(eval_log, "gtg", tmp_path / "here")
+    del moved["wall_time_s"], made_here["wall_time_s"]
+    assert moved == made_here
+    assert not (tmp_path / "original_place").exists()
+
+
+def test_compare_writes_to_the_working_directory_and_prints_its_table(
+        tmp_path, workdir, capsys):
+    cfg = write_config(tmp_path / "exp.json", rounds=1, estimators=["mr"])
     assert main(["compare", "--config", str(cfg)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == [f"csv:  {out / f'compare_{STEM}.csv'}",
-                         f"json: {out / f'compare_{STEM}.json'}"]
+    assert lines[:2] == [f"csv:  {workdir / f'compare_{STEM}.csv'}",
+                         f"json: {workdir / f'compare_{STEM}.json'}"]
     header, rule, row = lines[2:]
     assert header.split() == ["scenario", "estimator", "cosine", "euclid",
                               "maxdiff", "evals", "time_s"]
@@ -186,8 +211,7 @@ def test_work_calls_see_simulate_train_and_evaluate_read(config_path, tmp_path,
 
 
 def test_print_config_on_evaluate_and_compare_starts_no_work(
-        config_path, tmp_path, capsys, monkeypatch, work_calls):
-    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
+        config_path, tmp_path, workdir, capsys, work_calls):
     params = _params(tmp_path, {"eps_within": 0.01})
     assert main(["evaluate", "--log", str(tmp_path / "absent.gtgl"), "--estimator",
                  "gtg", "--params", params, "--print-config"]) == EXIT_OK
@@ -196,7 +220,7 @@ def test_print_config_on_evaluate_and_compare_starts_no_work(
     assert main(["compare", "--config", str(config_path), "--print-config"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == config_to_dict(
         parse_config(config_path))
-    assert not (tmp_path / "out").exists() and not work_calls
+    assert not any(workdir.iterdir()) and not work_calls
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "compare"])
@@ -232,6 +256,46 @@ def test_the_most_rounds_a_log_header_stores_are_accepted(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", rounds=2 ** 32 - 1)
     assert main(["simulate", "--config", str(cfg), "--print-config"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["rounds"] == 2 ** 32 - 1
+
+
+def test_the_most_participants_a_log_header_stores_are_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.json", scenario={"n": 2 ** 32 - 1})
+    assert main(["simulate", "--config", str(cfg), "--print-config"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["scenario"]["n"] == 2 ** 32 - 1
+
+
+def test_a_default_schedule_is_not_built_when_a_config_is_parsed(tmp_path, capsys):
+    # two million participants' default noise rates would take tens of MB
+    cfg = write_config(tmp_path / "exp.json",
+                       scenario={"kind": "noisy_features", "n": 2_000_000})
+    argv = ["simulate", "--config", str(cfg), "--print-config"]
+    assert main(argv) == EXIT_OK  # once first, so that lazy imports are done
+    assert json.loads(capsys.readouterr().out)["scenario"]["n"] == 2_000_000
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"roundz": 5, "estimator": ["gtg"], "sead": 3},
+     "unknown field(s) estimator, roundz, sead"),
+    ({"output_dir": "runs"}, "give the output directory with --out"),
+])
+def test_a_config_refuses_top_level_keys_it_does_not_know(
+        tmp_path, workdir, capsys, work_calls, extra, named):
+    cfg = write_config(tmp_path / "exp.json", **extra)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(cfg)
+    for command in ("simulate", "compare"):
+        for argv in (["--print-config"], []):
+            assert main([command, "--config", str(cfg), *argv]) == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].endswith(named)
+    assert not work_calls and not any(workdir.iterdir())
 
 
 def test_wrong_config_schema_rejected(tmp_path, capsys):
@@ -451,14 +515,14 @@ def evaluate_doc(log, name, out, *extra) -> dict:
 
 def direct_estimate(name, log_path, seed=None):
     """``name`` called by hand on the sidecar's experiment.  The sampled
-    estimators get the seed the cli derives: from the config's master seed,
-    or from ``seed`` when given."""
+    estimators get ``seed``, as a ``--params`` seed gives it, or else the
+    seed the cli derives from the config's master seed."""
     cfg = config_from_dict(load_log_metadata(log_path)["metadata"]["config"],
                            log_path)
     participants, _, test = build_participants(cfg)
     log = load_log(log_path)
-    master = cfg.seed if seed is None else seed
-    seeded = GtgConfig(seed=derive_seed(master, "estimator", name))
+    seeded = GtgConfig(seed=derive_seed(cfg.seed, "estimator", name)
+                       if seed is None else seed)
     on_log = {"gtg": gtg_eval, "gtg_ti": gtg_ti, "gtg_tib": gtg_tib,
               "gtg_oti": gtg_oti}
     if name in on_log:
@@ -487,12 +551,15 @@ def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, name):
 
 
 def test_evaluate_seed_drives_only_the_estimator_streams(eval_log, tmp_path):
-    plain = evaluate_doc(eval_log, "mr", tmp_path / "plain")
-    seeded = evaluate_doc(eval_log, "mr", tmp_path / "seeded", "--seed", "9")
-    assert seeded["total"] == plain["total"]
-    assert seeded["per_round"] == plain["per_round"]
-    gtg = evaluate_doc(eval_log, "gtg", tmp_path / "gtg", "--seed", "9")
+    # a seed in --params moves a sampled estimator's stream and nothing else:
+    # the data is what the sidecar's config rebuilds, so mr stays as it was
+    plain = evaluate_doc(eval_log, "gtg", tmp_path / "plain")
+    params = _params(tmp_path, {"seed": 9})
+    gtg = evaluate_doc(eval_log, "gtg", tmp_path / "gtg", "--params", params)
+    assert gtg["total"] != plain["total"]
     assert gtg["total"] == direct_estimate("gtg", eval_log, seed=9).total.values.tolist()
+    mr = evaluate_doc(eval_log, "mr", tmp_path / "mr")
+    assert mr["total"] == direct_estimate("mr", eval_log).total.values.tolist()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -674,6 +741,26 @@ def compare_run(tmp_path_factory):
     return out
 
 
+def test_an_all_zero_ground_truth_ends_compare_before_any_estimator(
+        tmp_path, capsys, monkeypatch):
+    # at this seed the retrained coalitions all score alike, so every
+    # ground-truth share is 0 and no estimate has a direction to compare
+    cfg = _file(tmp_path / "zero.json", json.dumps({
+        "schema": CONFIG_SCHEMA, "seed": 2, "rounds": 2,
+        "source": {"input_dim": 5, "class_count": 4, "spread": 2.0},
+        "scenario": {"kind": "noisy_labels", "n": 4}, "model": {"hidden_dim": 2},
+        "estimators": ["gtg", "mr"]}))
+    ran = []
+    real = cli._run_named_estimator
+    monkeypatch.setattr(cli, "_run_named_estimator",
+                        lambda name, *args: ran.append(name) or real(name, *args))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "ground truth" in err[0]
+    assert ran == ["original"] and not out.exists()
+
+
 def test_compare_emits_csv_and_json(compare_run):
     csv_path = compare_run / f"compare_{STEM}.csv"
     json_path = compare_run / f"compare_{STEM}.json"
@@ -811,8 +898,19 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="simulate-config-unknown-field"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds="x")],
                  EXIT_USAGE, id="simulate-config-rounds-not-a-number"),
+    # a run's inputs are its config and --out: output_dir and other top-level
+    # keys a config does not know are refused, as is --seed on any command
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, output_dir=5)],
                  EXIT_USAGE, id="simulate-config-output-dir-not-a-string"),
+    pytest.param(lambda w, log: _evaluate(_sidecar(
+        log, lambda d: d["metadata"]["config"].update(roundz=5)), "mr"),
+                 EXIT_USAGE, id="evaluate-sidecar-unknown-top-level-key"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(w), "--seed", "3"],
+                 EXIT_USAGE, id="simulate-seed"),
+    pytest.param(lambda w, log: _evaluate(log, "gtg", "--seed", "3"),
+                 EXIT_USAGE, id="evaluate-seed"),
+    pytest.param(lambda w, log: ["compare", "--config", _config(w), "--seed", "3"],
+                 EXIT_USAGE, id="compare-seed"),
     # class_means is no field: any value is refused, well-formed or not
     pytest.param(lambda w, log: ["simulate", "--config", _config(
         w, source={"input_dim": 6, "class_count": 3, "class_means": [[0.0]]})],
@@ -842,6 +940,13 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
                  EXIT_USAGE, id="simulate-config-rounds-past-u32"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, rounds=2 ** 70)],
                  EXIT_USAGE, id="simulate-config-rounds-2-to-the-70"),
+    # and n as a u32 too
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, scenario={"n": 2 ** 32}), "--print-config"],
+                 EXIT_USAGE, id="simulate-print-config-n-past-u32"),
+    pytest.param(lambda w, log: ["simulate", "--config", _config(
+        w, scenario={"n": 2 ** 40})],
+                 EXIT_USAGE, id="simulate-config-n-2-to-the-40"),
     pytest.param(lambda w, log: ["simulate", "--config", _config(w, seed=True)],
                  EXIT_USAGE, id="simulate-config-seed-a-bool"),
     pytest.param(lambda w, log: ["simulate", "--config",
@@ -1062,12 +1167,11 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: ["report", "--seed", "3", _report(w, lambda d: None)],
                  EXIT_USAGE, id="report-seed"),
 ])
-def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
-                                          monkeypatch, argv, code):
+def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, workdir, capsys,
+                                          argv, code):
     log = str(tmp_path / Path(eval_log).name)
     for suffix in ("", ".json"):
         shutil.copy(eval_log + suffix, log + suffix)
-    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
     argv = argv(tmp_path, log)
     try:
         ended = main(argv if argv[0] == "report" else [*argv, "--quiet"])
@@ -1077,7 +1181,7 @@ def test_malformed_inputs_end_in_one_line(eval_log, tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert not any(workdir.iterdir()) and not (tmp_path / "out").exists()
     # a file that is not UTF-8 text is named
     for path in tmp_path.iterdir():
         if path.is_file() and path.read_bytes().startswith(NOT_UTF8):

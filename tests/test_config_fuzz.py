@@ -4,7 +4,8 @@ on stderr and no traceback.
 
 Configs go through ``simulate --print-config``, so nothing trains.  The
 sidecar of one n = 2, one-round log, written as earlier runs wrote it (with
-the retired keys), goes through ``evaluate --estimator gtg``.  Every field
+the retired keys and an ``output_dir``), goes through ``evaluate --estimator
+gtg``.  Every field
 meets every mutation, so the run is the same each time.
 """
 from __future__ import annotations
@@ -37,6 +38,8 @@ CONFIG = {
 RETIRED = {("scenario", "per_class_pool"): 100, ("model", "activation"): "relu",
            ("model", "input_dim"): 4, ("model", "class_count"): 3,
            ("source", "class_means"): [[0.0] * 4] * 3}
+# a top-level key no config holds
+UNKNOWN = ("roundz",)
 
 
 def paths(doc: dict, prefix=()) -> list[tuple]:
@@ -83,9 +86,15 @@ def ended(argv, capsys) -> int:
 
 def expected(path: tuple, value, code: int) -> None:
     """A config's ``path`` set to ``value`` ended in ``code``: any
-    class_means, an alias kind and a retired key holding another value than
-    its one are usage errors, and deleting a retired key changes nothing."""
-    if path in RETIRED and path[-1] != "per_class_pool":
+    class_means, an alias kind, an unknown top-level key and a retired key
+    holding another value than its one are usage errors, and deleting a
+    retired key changes nothing.  A sidecar's output_dir is dropped, whatever
+    it holds."""
+    if path == UNKNOWN:
+        assert code == (EXIT_OK if value is DELETE else EXIT_USAGE), (path, value)
+    elif path == ("output_dir",):
+        assert code == EXIT_OK, value
+    elif path in RETIRED and path[-1] != "per_class_pool":
         assert code == (EXIT_OK if value is DELETE else EXIT_USAGE), (path, value)
     elif path == ("scenario", "kind") and value == ALIAS_KIND:
         assert code == EXIT_USAGE
@@ -93,7 +102,7 @@ def expected(path: tuple, value, code: int) -> None:
 
 def test_every_config_mutation_ends_in_one_line(tmp_path, capsys):
     config = tmp_path / "exp.json"
-    extra = [path for path in RETIRED]
+    extra = [*RETIRED, UNKNOWN]
     codes = []
     for path, value in mutations(CONFIG, extra):
         config.write_text(json.dumps(mutated(CONFIG, path, value)))
@@ -105,8 +114,8 @@ def test_every_config_mutation_ends_in_one_line(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def old_log(tmp_path_factory):
-    """An n = 2, one-round log whose sidecar holds the retired keys, as
-    sidecars earlier runs wrote do."""
+    """An n = 2, one-round log whose sidecar holds the retired keys and an
+    output directory, as sidecars earlier runs wrote do."""
     out = tmp_path_factory.mktemp("old")
     config = out / "exp.json"
     config.write_text(json.dumps(CONFIG))
@@ -118,6 +127,7 @@ def old_log(tmp_path_factory):
     for (section, key), value in RETIRED.items():
         if key != "class_means":
             doc["metadata"]["config"][section][key] = value
+    doc["metadata"]["config"]["output_dir"] = str(out / "runs")
     sidecar.write_text(json.dumps(doc))
     return log, doc
 
@@ -137,3 +147,4 @@ def test_every_sidecar_mutation_ends_in_one_line(old_log, tmp_path, capsys):
         expected(path[2:], value, code)
         codes.append(code)
     assert len(codes) > 300 and {0, 1, 2} <= set(codes)
+    assert not Path(doc["metadata"]["config"]["output_dir"]).exists()

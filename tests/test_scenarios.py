@@ -277,6 +277,10 @@ def test_scenario_spec_validation():
                  params={"flip_rates": [0.0, 0.0, 0.1]})  # schedule lifts it
     with pytest.raises(ValueError):
         ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=1)
+    # a log's header stores n as a u32
+    ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=2 ** 32 - 1)
+    with pytest.raises(ValueError, match="^n must lie in 2..4294967295, "):
+        ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=2 ** 32)
     with pytest.raises(ValueError):
         ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=4, params={"skew": 1.5})
     with pytest.raises(ValueError):
