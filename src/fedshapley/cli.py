@@ -26,7 +26,8 @@ from .games import CapacityError
 from .metrics import (ComparisonRow, build_report, read_report,
                       write_report)
 from .models import ModelArchitecture, TrainConfig, check_types, evaluate
-from .scenarios import ScenarioSpec, SyntheticSource, generate_source, partition
+from .scenarios import (ScenarioSpec, SyntheticSource, deal_table, generate_source,
+                        partition)
 from .seeding import derive_seed
 
 CONFIG_SCHEMA = "fedshapley-config-v1"
@@ -181,8 +182,19 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _deal_table(cfg: ExperimentConfig):
+    """The rows of each class that the scenario deals each participant from
+    the config's pool (see :func:`deal_table`); ConfigError if it cannot."""
+    try:
+        return deal_table(cfg.scenario, [cfg.train_per_class] * cfg.source.class_count)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"cannot deal the scenario: {exc}") from exc
+
+
 def build_participants(cfg: ExperimentConfig):
-    """Generate the pool, test set, and per-participant datasets."""
+    """Generate the pool, test set, and per-participant datasets, once the
+    scenario is known to deal from that pool."""
+    _deal_table(cfg)
     pool, test = generate_source(cfg.source, cfg.train_per_class,
                                  cfg.test_per_class)
     parts = partition(pool, cfg.scenario)
@@ -276,17 +288,18 @@ def _sidecar_config(log_path: str) -> ExperimentConfig:
 
 def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
     """The participants and test set that the sidecar's config ``cfg``
-    rebuilds, checked against ``log``: its n, rounds and model before any
-    data is drawn, its participant weights after."""
+    rebuilds, checked against ``log`` before any data is drawn: its n,
+    rounds, model and the participant weights the config deals."""
     sidecar = f"{log_path}.json"
     found = (log.n, log.total_rounds, log.architecture)
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
         raise LogFormatError(f"{sidecar}: config does not describe the log's n, "
                              f"rounds and model {found}")
-    participants, _, test = build_participants(cfg)
-    if [p.weight for p in participants] != list(log.participant_weights.values()):
-        raise LogFormatError(f"{sidecar}: config rebuilds participants whose "
+    weights = list(log.participant_weights.values())
+    if _deal_table(cfg).sum(axis=1).tolist() != weights:
+        raise LogFormatError(f"{sidecar}: config deals participants whose "
                              "weights differ from the log's")
+    participants, _, test = build_participants(cfg)
     return participants, test
 
 

@@ -453,8 +453,8 @@ class FirstLayerProducts:
     W_S = sum_{i in S} w_i, its first layer is R_S / W_S, with the running
     sum R_S = sum_{i in S} P_i, to within bounds that :meth:`combine`
     gives.  ``combine`` keeps the R_S it made last, one row: a walk adds one
-    member at a time, so the next coalition is often that one plus one
-    member p, and costs one add of P_p."""
+    member at a time, so the next coalition often holds that one, and costs
+    one add of P_p per member p it adds."""
 
     def __init__(self, arch: ModelArchitecture, vectors: Sequence[np.ndarray],
                  features: np.ndarray, max_abs: np.ndarray, weights: Sequence[int]):
@@ -511,12 +511,13 @@ class FirstLayerProducts:
 
     def _running_sum(self, ids: Sequence[int]) -> np.ndarray:
         """R_S for the non-empty coalition ``ids`` (members in 1..n), kept
-        for the next call: one add where the coalition is the last one summed
-        plus one member, else a sum of its members' rows."""
-        rows, mask = self._products, sum(1 << i for i in ids)
-        last, added = self._summed, mask & ~self._summed
-        if last and mask & last == last and added and not added & (added - 1):
-            self._sum += rows[added.bit_length() - 1]
+        for the next call: where the last coalition summed is a subset of
+        this one, one add per missing member, else a sum of its members' rows."""
+        rows, mask, last = self._products, sum(1 << i for i in ids), self._summed
+        if last and mask & last == last:
+            for i in ids:
+                if not last >> i & 1:
+                    self._sum += rows[i]
         elif len(ids) == 1:
             np.copyto(self._sum, rows[ids[0]])
         else:

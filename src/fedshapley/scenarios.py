@@ -6,7 +6,10 @@ flipping, and per-pair feature noise.  Participants are configured in pairs
 (participants 2p-1 and 2p form pair p), so the paired kinds require an even
 participant count unless explicit per-participant schedules are supplied.
 
-All generation is seeded and deterministic; before noise injection, no pool
+Every scheme deals from one table of each participant's rows per class
+(:func:`deal_table`), built from the pool's class counts alone, so a pool
+that cannot deal a spec is refused before any row is drawn.  All
+generation is seeded and deterministic; before noise injection, no pool
 sample is handed to two participants.
 """
 
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
+from typing import Sequence
 
 import numpy as np
 
@@ -186,109 +190,69 @@ def generate_source(cfg: SyntheticSource, train_per_class: int,
                          "range") from None
 
 
-class _ClassQueues:
-    """Shuffled per-class index queues over a pool; draws never overlap."""
+def deal_table(spec: ScenarioSpec, class_counts: Sequence[int]) -> np.ndarray:
+    """The rows of each class that each participant is dealt (n x C, int64,
+    not to be written) from a pool of ``class_counts[c]`` rows of class c,
+    by ``spec``'s rule; ValueError if the pool cannot deal it, so it can be
+    refused before any data is drawn.
 
-    def __init__(self, pool: LabeledDataset, rng: np.random.Generator):
-        self.class_count = int(pool.labels.max()) + 1 if len(pool) else 0
-        self._queues = []
-        for cls in range(self.class_count):
-            idx = np.flatnonzero(pool.labels == cls)
-            self._queues.append(idx[rng.permutation(idx.size)])
-        self._cursors = [0] * self.class_count
-
-    def available(self, cls: int) -> int:
-        return self._queues[cls].size - self._cursors[cls]
-
-    def take(self, cls: int, k: int) -> np.ndarray:
-        if k > self.available(cls):
-            raise ValueError(
-                f"pool exhausted for class {cls}: need {k} more rows, "
-                f"have {self.available(cls)}")
-        start = self._cursors[cls]
-        self._cursors[cls] = start + k
-        return self._queues[cls][start:start + k]
-
-
-def _slice(pool: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
-    return LabeledDataset(features=pool.features[idx], labels=pool.labels[idx])
-
-
-def _equal_balanced(pool: LabeledDataset, n: int,
-                    queues: _ClassQueues) -> list[LabeledDataset]:
-    shares = [queues.available(cls) // n for cls in range(queues.class_count)]
-    out = []
-    for _ in range(n):
-        idx = np.concatenate([queues.take(cls, shares[cls])
-                              for cls in range(queues.class_count)])
-        out.append(_slice(pool, idx))
-    return out
-
-
-def _skewed_counts(pid: int, size: int, class_count: int, skew: float) -> dict[int, int]:
-    """Per-class sample counts for one participant of a skewed pair."""
-    designated = skewed_classes(pid, class_count)
-    per_designated = int(round(skew * size / 2))
-    others = [c for c in range(class_count) if c not in designated]
-    rest = size - 2 * per_designated
-    if rest < 0:
-        raise ValueError(f"skew {skew} with size {size} leaves negative remainder")
-    if not others and rest:
-        raise ValueError(
-            f"skew {skew} leaves {rest} rows for non-designated classes, "
-            "but every class is designated")
-    base, extra = divmod(rest, len(others)) if others else (0, 0)
-    counts = {c: base for c in others}
-    counts[designated[0]] = per_designated
-    counts[designated[1]] = per_designated
-    # rotate which classes absorb the rounding extras so that, across
-    # participants, no class is systematically over-drawn.  Skews whose
-    # per-participant remainder does not divide the non-designated class
-    # count can still leave a zero-slack pool short by a few rows; the
-    # draw then fails with an explicit pool-exhausted error.
-    offset = ((pid - 1) * extra) % len(others) if others else 0
-    for j in range(extra):
-        counts[others[(offset + j) % len(others)]] += 1
-    return counts
-
-
-def _diff_dist(pool: LabeledDataset, n: int, skew: float,
-               queues: _ClassQueues) -> list[LabeledDataset]:
-    size = len(pool) // n
-    out = []
-    for pid in range(1, n + 1):
-        counts = _skewed_counts(pid, size, queues.class_count, skew)
-        idx = np.concatenate([queues.take(cls, counts[cls])
-                              for cls in sorted(counts)])
-        out.append(_slice(pool, idx))
-    return out
-
-
-def _diff_size(pool: LabeledDataset, ratios: list[float],
-               queues: _ClassQueues) -> list[LabeledDataset]:
-    total = sum(ratios)
-    rows = len(pool)
-    sizes = [int(rows * r / total) for r in ratios]
-    for i in range(rows - sum(sizes)):  # leftovers to the lowest ids
-        sizes[i] += 1
-
-    c = queues.class_count
-    remaining = [queues.available(cls) for cls in range(c)]
-    out = []
-    for size in sizes:
-        base, extra = divmod(size, c)
-        counts = [base] * c
-        remaining = [remaining[cls] - base for cls in range(c)]
-        for _ in range(extra):
-            # greedy: send each rounding extra to the class with the most
-            # pool slack, so balanced pools are consumed exactly
-            cls = max((cls for cls in range(c) if counts[cls] == base),
-                      key=lambda cls: (remaining[cls], -cls))
-            counts[cls] += 1
-            remaining[cls] -= 1
-        idx = np.concatenate([queues.take(cls, counts[cls]) for cls in range(c)])
-        out.append(_slice(pool, idx))
-    return out
+    The equal kinds give everyone count // n rows of each class.  A skewed
+    pair takes round(skew * size / 2) rows of each of its two classes and
+    spreads the rest of size = rows // n over the others, rotating which
+    take the rounding extras.  Ratios r give participant i about
+    rows * r_i / sum(r) rows (leftovers to the lowest ids), split evenly by
+    class, each rounding extra going to a class with the most rows left, so
+    balanced pools are dealt out exactly."""
+    counts = np.asarray(class_counts, dtype=np.int64)
+    # summed exactly: a pool too large to draw must not wrap past int64
+    n, c, rows = spec.n, len(counts), sum(int(k) for k in class_counts)
+    if rows < n:
+        raise ValueError("pool smaller than the participant count")
+    value = spec.param()
+    if spec.kind is ScenarioKind.DIFF_DIST_SAME_SIZE:
+        spec.check_classes(c)
+        size = rows // n
+        designated = int(round(value * size / 2))
+        rest = size - 2 * designated
+        if rest < 0:
+            raise ValueError(f"skew {value} with size {size} leaves negative remainder")
+        if c == 2 and rest:
+            raise ValueError(f"skew {value} leaves {rest} rows for non-designated "
+                             "classes, but every class is designated")
+        base, extra = divmod(rest, max(c - 2, 1))
+        table = np.full((n, c), base, dtype=np.int64)
+        for pid, row in enumerate(table, start=1):
+            pair = skewed_classes(pid, c)
+            row[list(pair)] = designated
+            others = np.delete(np.arange(c), pair)
+            row[others[((pid - 1) * extra + np.arange(extra)) % others.size]] += 1
+    elif spec.kind is ScenarioKind.SAME_DIST_DIFF_SIZE:
+        total = sum(value)
+        sizes = [int(rows * r / total) for r in value]
+        for i in range(rows - sum(sizes)):
+            sizes[i] += 1
+        table = np.empty((n, c), dtype=np.int64)
+        left = counts.copy()
+        for size, row in zip(sizes, table):
+            base, extra = divmod(size, c)
+            left -= base
+            most = np.lexsort((np.arange(c), -left))[:extra]
+            row[:] = base
+            row[most] += 1
+            left[most] -= 1
+    else:  # one row, read n times: nothing n x C long is held
+        table = np.broadcast_to(counts // n, (n, c))
+    over = np.flatnonzero(table.sum(axis=0) > counts)
+    if over.size:
+        cls = over[0]
+        raise ValueError(f"pool exhausted for class {cls}: the scenario deals "
+                         f"{table[:, cls].sum()} rows of it, the pool has "
+                         f"{counts[cls]}")
+    empty = np.flatnonzero(table.sum(axis=1) == 0)
+    if empty.size:
+        raise ValueError(f"a pool of {rows} rows deals participant {empty[0] + 1} "
+                         f"of {n} no rows")
+    return table
 
 
 def _flip_labels(parts: list[LabeledDataset], rates: list[float],
@@ -314,21 +278,21 @@ def _add_feature_noise(parts: list[LabeledDataset], rates: list[float],
 
 
 def partition(pool: LabeledDataset, spec: ScenarioSpec) -> list[LabeledDataset]:
-    """Split ``pool`` into per-participant datasets according to ``spec``."""
-    if len(pool) < spec.n:
-        raise ValueError("pool smaller than the participant count")
+    """Split ``pool`` into per-participant datasets according to ``spec``:
+    participant by participant, each class's rows of :func:`deal_table` are
+    taken in turn from that class's shuffled queue of pool rows."""
+    counts = np.bincount(pool.labels)
+    table = deal_table(spec, counts)
     rng = np.random.default_rng(derive_seed(spec.seed, "partition", spec.kind.value))
-    queues = _ClassQueues(pool, rng)
-    kind, value = spec.kind, spec.param()
-    if kind == ScenarioKind.DIFF_DIST_SAME_SIZE:
-        return _diff_dist(pool, spec.n, value, queues)
-    if kind == ScenarioKind.SAME_DIST_DIFF_SIZE:
-        return _diff_size(pool, value, queues)
-    parts = _equal_balanced(pool, spec.n, queues)
-    if kind == ScenarioKind.NOISY_LABELS:
-        _flip_labels(parts, value, queues.class_count, rng)
-    elif kind == ScenarioKind.NOISY_FEATURES:
+    queues = [idx[rng.permutation(idx.size)] for idx in
+              (np.flatnonzero(pool.labels == cls) for cls in range(len(counts)))]
+    parts = []
+    for row, ends in zip(table, np.cumsum(table, axis=0)):
+        idx = np.concatenate([q[end - k:end] for q, k, end in zip(queues, row, ends)])
+        parts.append(LabeledDataset(pool.features[idx], pool.labels[idx]))
+    if spec.kind is ScenarioKind.NOISY_LABELS:
+        _flip_labels(parts, spec.param(), len(counts), rng)
+    elif spec.kind is ScenarioKind.NOISY_FEATURES:
         pool_std = pool.features.astype(np.float64).std(axis=0)
-        _add_feature_noise(parts, value, pool_std, rng)
+        _add_feature_noise(parts, spec.param(), pool_std, rng)
     return parts
-

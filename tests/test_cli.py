@@ -356,6 +356,54 @@ def test_compare_guards_large_player_counts(tmp_path, capsys):
     assert "n=12" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def drawn(monkeypatch):
+    """Counts the calls of ``cli.generate_source``, which draws the data."""
+    calls = []
+    real = cli.generate_source
+    monkeypatch.setattr(cli, "generate_source",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("config, named", [
+    # the first pair's two participants would take 100 rows of class 0 each,
+    # the second pair's 6 each
+    ({"scenario": {"kind": "diff_dist_same_size", "n": 4}},
+     "pool exhausted for class 0: the scenario deals 212 rows of it, the pool has 100"),
+    # 1,000 rows: every participant's equal share of each class is 0 rows
+    ({"scenario": {"n": 102}},
+     "a pool of 1000 rows deals participant 1 of 102 no rows"),
+    ({"scenario": {"n": 1002}}, "pool smaller than the participant count"),
+    ({"source": {"class_count": 7}, "data": {"train_per_class": 2},
+      "scenario": {"kind": "diff_dist_same_size", "n": 2, "params": {"skew": 1}}},
+     "skew 1.0 with size 7 leaves negative remainder"),
+    ({"source": {"class_count": 2}, "data": {"train_per_class": 10},
+      "scenario": {"kind": "diff_dist_same_size", "n": 2, "params": {"skew": 0.8}}},
+     "every class is designated"),
+], ids=["skewed-pairs-overdraw", "equal-shares-empty", "pool-smaller-than-n",
+        "negative-remainder", "every-class-designated"])
+def test_a_scenario_the_pool_cannot_deal_ends_before_any_data_is_drawn(
+        tmp_path, capsys, drawn, config, named):
+    cfg = _file(tmp_path / "deal.json", json.dumps(
+        {"schema": CONFIG_SCHEMA, "estimators": ["gtg"], **config}))
+    # parsing checks O(1) things only: the table is built when data would be
+    assert main(["simulate", "--config", cfg, "--print-config"]) == EXIT_OK
+    capsys.readouterr()
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        argv = [command, "--config", cfg, "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        # compare refuses n past its ground-truth guard (10) before it deals
+        if command == "simulate" or config["scenario"]["n"] <= 10:
+            assert err[0].startswith("error: cannot deal the scenario: ")
+            assert named in err[0]
+        assert not out.exists()
+    assert not drawn
+
+
 # --- evaluate --------------------------------------------------------------------
 
 
@@ -569,8 +617,9 @@ def test_evaluate_seed_drives_only_the_estimator_streams(eval_log, tmp_path):
     ("data", "train_per_class", 21),  # same shape, other participant weights
 ])
 def test_evaluate_rejects_a_sidecar_config_of_another_run(
-        config_path, tmp_path, capsys, section, key, value):
+        config_path, tmp_path, capsys, drawn, section, key, value):
     log = simulate(config_path, tmp_path)
+    drawn.clear()
     sidecar = Path(log + ".json")
     doc = json.loads(sidecar.read_text())
     config = doc["metadata"]["config"]
@@ -581,6 +630,8 @@ def test_evaluate_rejects_a_sidecar_config_of_another_run(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {sidecar}: ")
     assert not list(tmp_path.glob("estimate_*"))
+    # refused before any data is drawn, participant weights too
+    assert not drawn
 
 
 def test_class_means_are_refused(eval_log, tmp_path, capsys, work_calls):

@@ -26,7 +26,8 @@ from fedshapley import (
     partition,
     train_local,
 )
-from fedshapley.scenarios import SCENARIO_PARAMS
+from fedshapley.scenarios import SCENARIO_PARAMS, deal_table
+from test_partition_digests import PARTITION_DIGESTS, partition_grid
 
 ALL_KINDS = list(ScenarioKind)
 
@@ -255,6 +256,21 @@ def test_feature_noise_scales_with_rate(seed):
         measured = np.std(part.features.astype(np.float64)
                           - pool.features[nearest], axis=0)
         assert np.abs(measured.mean() - rate * pool_std.mean()) < 0.05
+
+
+def test_a_grid_spec_without_a_digest_is_refused_and_the_rest_deal_their_table():
+    for key, spec, pool in partition_grid():
+        counts = np.bincount(pool.labels).tolist()
+        if key not in PARTITION_DIGESTS:
+            with pytest.raises(ValueError):
+                deal_table(spec, counts)
+            with pytest.raises(ValueError):
+                partition(pool, spec)
+        elif spec.kind is not ScenarioKind.NOISY_LABELS:
+            # each participant holds the rows of each class the table deals it
+            dealt = [class_histogram(part, len(counts))
+                     for part in partition(pool, spec)]
+            assert np.array_equal(dealt, deal_table(spec, counts)), key
 
 
 def test_partition_errors():
