@@ -30,7 +30,7 @@ import dataclasses
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,15 +181,19 @@ class RoundGame:
 
     @classmethod
     def accumulated(cls, log: GradientLog, test: LabeledDataset) -> "RoundGame":
-        """Single game over updates summed across every round (float64 sums)."""
+        """Single game over updates summed across every round (float64 sums);
+        the rounds are visited once, in order."""
         p = log.architecture.param_count
         acc = {pid: np.zeros(p, dtype=np.float64) for pid in log.participant_weights}
+        base = None  # round 0's
         for rec in log.rounds:
+            if base is None:
+                base = rec.base_model
             for pid, delta in rec.updates.items():
                 acc[pid] += delta.astype(np.float64)
         summed = {pid: acc[pid].astype(np.float32) for pid in acc}
         # coalitions are rebuilt from the base and the updates alone
-        record = RoundRecord(0, log.rounds[0].base_model, summed, aggregated=None)
+        record = RoundRecord(0, base, summed, aggregated=None)
         return cls.from_round(record, log.participant_weights,
                               log.architecture, test)
 
@@ -265,7 +269,7 @@ class EstimatorReport:
 
 
 def _sample_games(name: str, cfg: GtgConfig,
-                  builders: Sequence[Callable[[], RoundGame]],
+                  builders: Iterable[Callable[[], RoundGame]],
                   evaluate_first: bool = False) -> EstimatorReport:
     """Score each builder's game with :func:`gtg_round`, in order; a game is
     built when its turn comes, so one game's stack (and products) is alive at
@@ -278,9 +282,11 @@ def _sample_games(name: str, cfg: GtgConfig,
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
-    return _sample_games(name, cfg, [
+    # a generator, not a list: a round's record (read from a loaded log's
+    # file) is made when its turn comes, and no record outlives the next one
+    return _sample_games(name, cfg, (
         functools.partial(RoundGame.from_round, rec, log.participant_weights,
-                          log.architecture, test) for rec in log.rounds])
+                          log.architecture, test) for rec in log.rounds))
 
 
 def gtg_eval(log: GradientLog, test: LabeledDataset,

@@ -9,11 +9,14 @@ Log file format (little-endian): magic ``GTGL``, format version u16,
 input_dim/hidden_dim/class_count/n/T as u32, participant weights u64[n],
 then per round ``base || update_1..update_n (ascending id) || aggregated``
 as float32[P] blocks, and a trailing CRC32 (of everything before it).
-A ``<path>.json`` sidecar carries run metadata.
+A ``<path>.json`` sidecar carries run metadata.  A loaded log holds no
+blocks: its rounds are read from the file when they are visited.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import contextlib
 import dataclasses
 import json
 import os
@@ -77,8 +80,13 @@ class RoundRecord:
 
 @dataclass
 class GradientLog:
+    """A run's rounds and participant weights.  ``rounds`` is a list for a
+    log :func:`run_federation` returns, and a :class:`StoredRounds`, which
+    reads each round from the file when it is visited, for one
+    :func:`load_log` returns."""
+
     architecture: ModelArchitecture
-    rounds: list[RoundRecord]
+    rounds: Sequence[RoundRecord]
     participant_weights: dict[int, int]
 
     @property
@@ -90,7 +98,10 @@ class GradientLog:
         return len(self.rounds)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
+        """Check structural invariants; raises ValueError on violation.
+
+        The rounds are visited once, in order, and each is compared with the
+        one before it, so one round is held at a time."""
         if self.n < 2 or not self.rounds:
             raise ValueError(f"need n >= 2 and T >= 1, got n={self.n}, T={len(self.rounds)}")
         ids = sorted(self.participant_weights)
@@ -99,20 +110,20 @@ class GradientLog:
         if min(self.participant_weights.values()) < 1:
             raise ValueError(f"participant weights must be positive, got "
                              f"{self.participant_weights}")
+        previous = None  # the aggregated model of the round before
         for t, rec in enumerate(self.rounds):
             if rec.round != t:
                 raise ValueError(f"round index {rec.round} at position {t}")
+            if previous is not None and not np.array_equal(previous, rec.base_model):
+                raise ValueError(f"round {t - 1}: aggregated differs from round "
+                                 f"{t} base model")
             if sorted(rec.updates) != ids:
                 raise ValueError(f"round {t}: updates missing for some participants")
             rebuilt = reconstruct_submodel(rec, ids, self.participant_weights)
             if not np.array_equal(rebuilt, rec.aggregated):
                 raise ValueError(f"round {t}: aggregated model does not match "
                                  "re-aggregation over the full participant set")
-            if t + 1 < len(self.rounds):
-                nxt = self.rounds[t + 1].base_model
-                if not np.array_equal(rec.aggregated, nxt):
-                    raise ValueError(f"round {t}: aggregated differs from round "
-                                     f"{t + 1} base model")
+            previous = rec.aggregated
 
 
 def fedavg_aggregate(base: np.ndarray, updates: Mapping[int, np.ndarray],
@@ -327,16 +338,32 @@ def _f32(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<f4")
 
 
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A binary file to write beside ``path``, moved over ``path`` once it is
+    written and closed, and removed if writing fails: ``path`` is read up to
+    the move, so a log loaded from it can be saved over it."""
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with part.open("wb") as out:
+            yield out
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def save_log(log: GradientLog, path: str | Path,
              metadata: dict | None = None) -> Path:
     """Write the binary log plus a ``<path>.json`` metadata sidecar.
 
-    The log is written a block at a time, under a running checksum, so no
-    copy of the whole file is held."""
+    The log is written a round at a time, under a running checksum, so no
+    copy of the whole file is held.  Each file is written beside its target
+    and then moved into place."""
     path = Path(path)
     arch = log.architecture
     n, big_t = log.n, log.total_rounds
-    with path.open("wb") as out:
+    with _replacing(path) as out:
         crc = 0
 
         def write(chunk) -> None:
@@ -359,17 +386,70 @@ def save_log(log: GradientLog, path: str | Path,
                "architecture": dataclasses.asdict(arch),
                "participants": n, "rounds": big_t,
                "metadata": metadata or {}}
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    with _replacing(Path(f"{path}.json")) as out:
+        out.write((json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
     return path
+
+
+def _fill(src: BinaryIO, values: np.ndarray, where: str) -> np.ndarray:
+    """``values``, read whole from ``src``: a short read means the file
+    changed since its size was checked."""
+    if src.readinto(values) != values.nbytes:
+        raise LogFormatError(f"{where}: file changed while it was read")
+    return values
+
+
+# unsubscripted: typing keeps each subscripted alias, and so the class it
+# names, for the life of the process
+class StoredRounds(collections.abc.Sequence):
+    """The rounds of a log :func:`load_log` checked, read from its file on
+    every visit (``len``, iteration, ``[t]`` with negative ``t``).
+
+    A visit reads the round's blocks into fresh float32 arrays, so edits to
+    them do not persist, and checks them against the round's CRC32 taken at
+    loading: a file changed or cut short since then fails with a
+    :class:`LogFormatError` that names the round, and one moved or deleted
+    with the ``OSError`` of opening it.  No block is held between visits."""
+
+    def __init__(self, path: str | Path, n: int, param_count: int,
+                 offsets: Sequence[int], crcs: Sequence[int]):
+        self._path = path
+        self._n = n
+        self._param_count = param_count
+        self._offsets = tuple(offsets)
+        self._crcs = tuple(crcs)
+
+    def __len__(self) -> int:
+        return len(self._crcs)
+
+    def __getitem__(self, t: int) -> RoundRecord:
+        if not -len(self) <= t < len(self):
+            raise IndexError(f"round {t} of a log of {len(self)} rounds")
+        t %= len(self)
+        where = f"{self._path}: round {t}"
+        blocks, crc = [], 0
+        with Path(self._path).open("rb") as src:
+            src.seek(self._offsets[t])
+            for _ in range(self._n + 2):
+                # each block is summed while it is still in cache
+                values = _fill(src, np.empty(self._param_count, dtype="<f4"), where)
+                crc = zlib.crc32(values, crc)
+                blocks.append(values)
+        if crc != self._crcs[t]:
+            raise LogFormatError(f"{where}: checksum mismatch (the file changed "
+                                 "after it was loaded)")
+        return RoundRecord(round=t, base_model=blocks[0],
+                           updates=dict(enumerate(blocks[1:-1], start=1)),
+                           aggregated=blocks[-1])
 
 
 def load_log(path: str | Path) -> GradientLog:
     """Read a log written by :func:`save_log`; verifies version and checksum.
 
-    The header and the file's size are checked before any block is read;
-    each block is then read straight into its own array, under a running
-    checksum, so the log is held once."""
+    The header and the file's size are checked before any block is read.
+    The blocks are then read once, a block at a time, under the file's
+    running checksum and each round's own; the returned log's rounds are a
+    :class:`StoredRounds`, which reads each round again when it is visited."""
     with Path(path).open("rb") as src:
         return _read_log(src, path)
 
@@ -403,28 +483,25 @@ def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
             f"P={p}; found {size} (truncated or corrupt)")
     raw_weights = src.read(8 * n)
     crc = zlib.crc32(raw_weights, zlib.crc32(header))
-
-    def block() -> np.ndarray:
-        nonlocal crc
-        values = np.empty(p, dtype="<f4")
-        if src.readinto(values) != values.nbytes:
-            raise LogFormatError(f"{path}: file changed while it was read")
-        crc = zlib.crc32(values, crc)
-        return values
-
-    records = [RoundRecord(round=t, base_model=block(),
-                           updates={pid: block() for pid in range(1, n + 1)},
-                           aggregated=block())
-               for t in range(big_t)]
-    stored_crc = struct.unpack("<I", src.read(4))[0]
+    offsets, round_crcs = [], []
+    values = np.empty(p, dtype="<f4")  # each block in turn
+    for _ in range(big_t):
+        offsets.append(src.tell())
+        round_crc = 0
+        for _ in range(n + 2):
+            _fill(src, values, str(path))
+            crc = zlib.crc32(values, crc)
+            round_crc = zlib.crc32(values, round_crc)
+        round_crcs.append(round_crc)
+    stored_crc = _fill(src, np.empty(1, dtype="<u4"), str(path))[0]
     if crc & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
     weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
     if 0 in weights.values():
         raise LogFormatError(f"{path}: participant weights must be positive, "
                              f"got {weights}")
-    return GradientLog(architecture=arch, rounds=records,
-                       participant_weights=weights)
+    return GradientLog(architecture=arch, participant_weights=weights,
+                       rounds=StoredRounds(path, n, p, offsets, round_crcs))
 
 
 def load_log_metadata(path: str | Path) -> dict:

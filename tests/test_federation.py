@@ -19,8 +19,10 @@ from fedshapley import (
     RoundRecord,
     TrainConfig,
     fedavg_aggregate,
+    gtg_eval,
     load_log,
     load_log_metadata,
+    mr_eval,
     reconstruct_submodel,
     run_federation,
     save_log,
@@ -305,21 +307,55 @@ def test_loaded_blocks_are_separate_writable_float32_arrays(tmp_path):
                    for i, a in enumerate(blocks) for b in blocks[i + 1:])
 
 
+def block_bytes(rec: RoundRecord) -> bytes:
+    """A round's blocks, in file order."""
+    return b"".join(a.tobytes() for a in (rec.base_model, *rec.updates.values(),
+                                          rec.aggregated))
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 4], ids=["softmax", "hidden"])
+def test_loaded_rounds_read_the_saved_blocks_on_every_visit(tmp_path, hidden_dim):
+    log, _, _ = quick_log(n=3, rounds=3, seed=4, hidden_dim=hidden_dim)
+    loaded = load_log(save_log(log, tmp_path / "run.gtgl"))
+    saved = [block_bytes(rec) for rec in log.rounds]
+    assert len(loaded.rounds) == 3
+    for visit in range(2):
+        assert [block_bytes(rec) for rec in loaded.rounds] == saved, visit
+        assert [rec.round for rec in loaded.rounds] == [0, 1, 2]
+    for t in range(-3, 3):
+        assert block_bytes(loaded.rounds[t]) == saved[t], t
+        assert loaded.rounds[t].round == t % 3
+    for t in (3, -4):
+        with pytest.raises(IndexError):
+            loaded.rounds[t]
+    with pytest.raises(TypeError):
+        loaded.rounds[0] = log.rounds[0]
+    # each visit reads fresh arrays: an edit is not kept
+    loaded.rounds[1].base_model[:] = 0.0
+    assert block_bytes(loaded.rounds[1]) == saved[1]
+
+
+def d784_round_bytes(n: int) -> int:
+    """One round's blocks at d = 784, hidden 64: P = 50,890, so the blocks
+    dwarf the per-round bookkeeping."""
+    return (n + 2) * ModelArchitecture(784, 64, 10).param_count * 4
+
+
 def test_save_and_load_hold_the_log_once(tmp_path):
-    # the d=784, hidden 64 model: P = 50,890, so the blocks (2 MB here)
-    # dwarf the per-block bookkeeping
+    # the d=784, hidden 64 model, five rounds
     arch = ModelArchitecture(input_dim=784, hidden_dim=64, class_count=10)
     rng = np.random.default_rng(5)
     base = rng.normal(0.0, 0.05, arch.param_count).astype(np.float32)
-    updates = {pid: rng.normal(0.0, 1e-3, arch.param_count).astype(np.float32)
-               for pid in (1, 2, 3)}
     weights = {1: 3, 2: 5, 3: 8}
-    aggregated = fedavg_aggregate(base, updates, weights)
-    log = GradientLog(arch, [RoundRecord(0, base, updates, aggregated),
-                             RoundRecord(1, aggregated, updates,
-                                         fedavg_aggregate(aggregated, updates,
-                                                          weights))], weights)
-    blocks = 2 * (3 + 2) * arch.param_count * 4
+    records = []
+    for t in range(5):
+        updates = {pid: rng.normal(0.0, 1e-3, arch.param_count).astype(np.float32)
+                   for pid in (1, 2, 3)}
+        records.append(RoundRecord(t, base, updates,
+                                   fedavg_aggregate(base, updates, weights)))
+        base = records[-1].aggregated
+    log = GradientLog(arch, records, weights)
+    round_bytes = d784_round_bytes(3)
     path = tmp_path / "run.gtgl"
     tracemalloc.start()
     try:
@@ -330,12 +366,73 @@ def test_save_and_load_hold_the_log_once(tmp_path):
         loading = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > blocks
-    # no copy of the file while writing, and the blocks alone while reading
-    assert saving <= 0.1 * blocks
-    assert loading <= 1.1 * blocks
+    assert path.stat().st_size > 5 * round_bytes
+    # no copy of the file while writing, and one round at most while checking
+    assert saving <= 0.1 * round_bytes
+    assert loading <= 1.1 * round_bytes
     assert all(np.array_equal(a.aggregated, b.aggregated)
                for a, b in zip(log.rounds, loaded.rounds))
+
+
+def traced_peak(work) -> int:
+    """The most memory ``work()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_work_on_a_loaded_log_holds_one_round_more_than_on_a_one_round_log(tmp_path):
+    # round 0 of the five-round run is the one-round run's only round
+    paths = {}
+    for rounds in (1, 5):
+        log, test, _ = quick_log(n=3, rounds=rounds, seed=2, input_dim=784,
+                                 hidden_dim=64, class_count=10, rows_per_class=4)
+        paths[rounds] = save_log(log, tmp_path / f"run{rounds}.gtgl")
+    assert np.array_equal(load_log(paths[1]).rounds[0].aggregated,
+                          load_log(paths[5]).rounds[0].aggregated)
+    work = {"validate": lambda log: log.validate(),
+            "save_log": lambda log: save_log(log, tmp_path / "copy.gtgl"),
+            "gtg_eval": lambda log: gtg_eval(log, test),
+            "mr_eval": lambda log: mr_eval(log, test)}
+    round_bytes = d784_round_bytes(3)
+    for name, run in work.items():
+        peaks = [traced_peak(lambda: run(load_log(paths[rounds])))
+                 for rounds in (1, 5)]
+        # a loop's variable holds one round while the next is read; a round's
+        # records and arrays add a few KB of objects to its blocks
+        assert peaks[1] <= peaks[0] + round_bytes + 16 * 1024, (name, peaks)
+
+
+def test_saving_a_loaded_log_over_its_own_file_keeps_its_bytes(tmp_path):
+    log, _, _ = quick_log(n=3, rounds=3, seed=4, hidden_dim=4)
+    path = save_log(log, tmp_path / "run.gtgl", metadata={"note": "kept"})
+    raw, sidecar = path.read_bytes(), (tmp_path / "run.gtgl.json").read_bytes()
+    loaded = load_log(path)
+    save_log(loaded, path, metadata={"note": "kept"})
+    assert path.read_bytes() == raw
+    assert (tmp_path / "run.gtgl.json").read_bytes() == sidecar
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.gtgl", "run.gtgl.json"]
+    # the file now in place holds the same rounds
+    assert [block_bytes(rec) for rec in loaded.rounds] == \
+        [block_bytes(rec) for rec in log.rounds]
+
+
+def test_a_save_that_fails_leaves_every_file_as_it_was(tmp_path):
+    log, _, _ = quick_log(n=3, rounds=3, seed=4)
+    path = save_log(log, tmp_path / "run.gtgl")
+    loaded = load_log(path)
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 4 - log.architecture.param_count * 4 // 2  # round 2's aggregated
+    raw[at] ^= 0xFF
+    path.write_bytes(raw)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    for target in (path, tmp_path / "other.gtgl"):
+        with pytest.raises(LogFormatError, match="round 2: checksum mismatch"):
+            save_log(loaded, target)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -2,7 +2,8 @@
 
 Every damaged file must make ``load_log`` raise ``LogFormatError`` and
 nothing else, and make ``fedshapley evaluate`` exit 2 with one line on
-stderr and no traceback.
+stderr and no traceback.  A file damaged after it was loaded fails when the
+damaged round is read.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from fedshapley import LogFormatError, load_log
+from fedshapley import LogFormatError, cli, load_log
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, EXIT_RUNTIME, main
 
 HEAD = struct.calcsize("<4sH5I")
@@ -121,3 +122,76 @@ def test_evaluate_exits_two_on_every_damaged_log(run, tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), label
         assert "Traceback" not in err, label
     assert not Path(tmp_path / "out").exists()
+
+
+def round_sections(run, t: int):
+    """(start, end) byte ranges of round ``t``'s blocks."""
+    return [(start, end) for name, start, end in run[2]
+            if name.startswith(f"round{t}.")]
+
+
+def test_a_round_changed_after_loading_fails_alone(run, tmp_path):
+    raw = run[1]
+    rounds = struct.unpack_from("<4sH5I", raw)[-1]
+    path = tmp_path / "changed.gtgl"
+    path.write_bytes(raw)
+    loaded = load_log(path)
+    saved = [rec.aggregated.tobytes() for rec in loaded.rounds]
+    for t in range(rounds):
+        for start, end in round_sections(run, t):
+            flipped = bytearray(raw)
+            flipped[(start + end) // 2] ^= 0xFF
+            path.write_bytes(flipped)
+            for at in (t, t - rounds):
+                with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: "
+                                   f"round {t}: checksum mismatch"):
+                    loaded.rounds[at]
+            assert [loaded.rounds[u].aggregated.tobytes()
+                    for u in range(rounds) if u != t] == saved[:t] + saved[t + 1:]
+    # a cut inside round t: the rounds before it read, the others fail
+    for t in range(rounds):
+        start, end = round_sections(run, t)[1]
+        path.write_bytes(raw[:(start + end) // 2])
+        assert [loaded.rounds[u].aggregated.tobytes() for u in range(t)] == saved[:t]
+        for u in range(t, rounds):
+            with pytest.raises(LogFormatError, match=f"round {u}: file changed "
+                               "while it was read"):
+                loaded.rounds[u]
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
+        loaded.rounds[0]
+
+
+@pytest.mark.parametrize("damage", ["cut", "flipped", "deleted"])
+def test_evaluate_exits_two_when_the_log_changes_after_it_is_checked(
+        run, tmp_path, capsys, monkeypatch, damage):
+    # the log is damaged once it is loaded, validated and checked against its
+    # sidecar's config: the estimator's own read of the round fails
+    log, raw, _ = run
+    path = tmp_path / "run.gtgl"
+    path.write_bytes(raw)
+    shutil.copyfile(f"{log}.json", f"{path}.json")
+    checked = cli._experiment_of
+
+    def check_then_damage(*args):
+        found = checked(*args)
+        if damage == "cut":
+            path.write_bytes(raw[:len(raw) // 2])
+        elif damage == "flipped":
+            flipped = bytearray(raw)
+            flipped[-8] ^= 0xFF  # in the last round's aggregated block
+            path.write_bytes(flipped)
+        else:
+            path.unlink()
+        return found
+
+    monkeypatch.setattr(cli, "_experiment_of", check_then_damage)
+    for estimator in ("gtg", "mr"):
+        code = main(["evaluate", "--log", str(path), "--estimator", estimator,
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME, estimator
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert str(path) in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+        path.write_bytes(raw)
