@@ -191,6 +191,7 @@ class RoundGame:
                 base = rec.base_model
             for pid, delta in rec.updates.items():
                 acc[pid] += delta.astype(np.float64)
+            rec = delta = None  # drop the round before the next is read
         summed = {pid: acc[pid].astype(np.float32) for pid in acc}
         # coalitions are rebuilt from the base and the updates alone
         record = RoundRecord(0, base, summed, aggregated=None)
@@ -282,11 +283,17 @@ def _sample_games(name: str, cfg: GtgConfig,
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
-    # a generator, not a list: a round's record (read from a loaded log's
-    # file) is made when its turn comes, and no record outlives the next one
+    # a builder holds a round's index, not its record: the record (read from
+    # a loaded log's file) is made when its game is built, and dropped with it
     return _sample_games(name, cfg, (
-        functools.partial(RoundGame.from_round, rec, log.participant_weights,
-                          log.architecture, test) for rec in log.rounds))
+        functools.partial(_round_game, log, t, test)
+        for t in range(log.total_rounds)))
+
+
+def _round_game(log: GradientLog, t: int, test: LabeledDataset) -> RoundGame:
+    """Round ``t``'s game, from its record read now."""
+    return RoundGame.from_round(log.rounds[t], log.participant_weights,
+                                log.architecture, test)
 
 
 def gtg_eval(log: GradientLog, test: LabeledDataset,
@@ -338,10 +345,12 @@ def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
         weight = lam ** rec.round
         if weight < round_threshold:
             per_round.append(ContributionVector(np.zeros(log.n), round=rec.round))
-            continue
-        values = round_utilities(rec, log, test)
-        per_round.append(ContributionVector(weight * shapley_from_values(values).values,
-                                            round=rec.round, eval_count=len(values)))
+        else:
+            values = round_utilities(rec, log, test)
+            per_round.append(ContributionVector(
+                weight * shapley_from_values(values).values, round=rec.round,
+                eval_count=len(values)))
+        del rec  # before the next round is read
     return EstimatorReport(name, per_round, time.perf_counter() - started)
 
 
@@ -463,10 +472,12 @@ def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
 
 def round_marginal_gains(log: GradientLog, test: LabeledDataset) -> list[float]:
     """Per-round total utility gain v_N - v_0 (no reconstructions needed)."""
-    arch = log.architecture
-    return [evaluate(arch, rec.aggregated, test)
-            - evaluate(arch, rec.base_model, test)
-            for rec in log.rounds]
+    arch, gains = log.architecture, []
+    for rec in log.rounds:
+        gains.append(evaluate(arch, rec.aggregated, test)
+                     - evaluate(arch, rec.base_model, test))
+        del rec  # before the next round is read
+    return gains
 
 
 def position_marginal_profile(log: GradientLog, test: LabeledDataset,
@@ -491,6 +502,7 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
             order = sampler(k)
             walk_order(rgame.game, order, marginals, rgame.base_utility)
             sums += marginals[np.subtract(order, 1)]
+        del rec, rgame  # before the next round is read
     return sums / (samples_per_round * log.total_rounds)
 
 

@@ -124,6 +124,7 @@ class GradientLog:
                 raise ValueError(f"round {t}: aggregated model does not match "
                                  "re-aggregation over the full participant set")
             previous = rec.aggregated
+            del rec, rebuilt  # before the next round is read
 
 
 def fedavg_aggregate(base: np.ndarray, updates: Mapping[int, np.ndarray],
@@ -380,6 +381,7 @@ def save_log(log: GradientLog, path: str | Path,
             for pid in sorted(rec.updates):
                 write(_f32(rec.updates[pid]))
             write(_f32(rec.aggregated))
+            del rec  # before the next round is read
         out.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
     sidecar = {"format_version": LOG_FORMAT_VERSION,
@@ -421,6 +423,12 @@ class StoredRounds(collections.abc.Sequence):
 
     def __len__(self) -> int:
         return len(self._crcs)
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        # the mixin's iterator keeps the round it yielded while it reads the
+        # next; this one keeps none
+        for t in range(len(self)):
+            yield self[t]
 
     def __getitem__(self, t: int) -> RoundRecord:
         if not -len(self) <= t < len(self):

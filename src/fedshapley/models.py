@@ -570,12 +570,13 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
 
 def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
              hidden: np.ndarray | None, others: tuple) -> np.ndarray:
-    """A margin per logit (float64, classes x rows) that covers its distance
-    from the float64 pass's logit, for rows of 2-norms ``norms``.  For each
-    first-layer unit j and row x, slope_j ||x|| + offset_j bounds e1 + e1',
-    the first pass's and the float64 pass's distances from the exact unit
-    (before the ReLU).  ``hidden`` is the first pass's hidden layer (float64;
-    None without one); ``others`` holds |b1|, |W2| and |b2| (float64).
+    """One margin per row (float64), for rows of 2-norms ``norms``, that
+    covers each of the row's logits' distance from the float64 pass's logit.
+    For each first-layer unit j and row x, slope_j ||x|| + offset_j bounds
+    e1 + e1', the first pass's and the float64 pass's distances from the
+    exact unit (before the ReLU).  ``hidden`` is the first pass's hidden
+    layer (float64; None without one); ``others`` holds |b1|, |W2| and |b2|
+    (float64).
 
     An inner product of n terms, summed in any order, with or without FMA,
     is within gamma_n |x|.|y| of the exact one, gamma_n = nu / (1 - nu)
@@ -617,51 +618,72 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
     cast from overflowing, and :func:`first_layer_products` every sum of
     rows from passing float64's range.
 
-    Without a hidden layer the units are the logits, and e1 + e1' is the
-    margin.  With one, the ReLU is 1-Lipschitz, so the first pass's logit is
-    within E = gamma (|h|.|W2| + |b2|) + e1.|W2| of exact, gamma =
-    gamma_{h+1}.  The float64 pass's hidden layer is within e1 + e1' of the
-    first pass's h, so its logit is within E' = gamma ((|h| + e1 +
-    e1').|W2| + |b2|) + e1'.|W2| of exact, and E + E' is the margin.
-    |h|.|W2|, summed in float64, falls short of the exact sum by at most a
-    factor 1 - gamma and 2h smallest normals.  The safety
-    factor covers the rounding of these bounds' own float64 arithmetic,
-    whose relative error is of order (d + n) 2^-53."""
+    Without a hidden layer the units are the logits, and e1 + e1' is class
+    c's margin.  With one, the ReLU is 1-Lipschitz, so the first pass's
+    logit c is within E = gamma (|h|.|W2_c| + |b2_c|) + e1.|W2_c| of exact,
+    gamma = gamma_{h+1}.  The float64 pass's hidden layer is within e1 + e1'
+    of the first pass's h, so its logit is within E' = gamma ((|h| + e1 +
+    e1').|W2_c| + |b2_c|) + e1'.|W2_c| of exact, and E + E' is class c's
+    margin.  |h|.|W2_c|, summed in float64, falls short of the exact sum by
+    at most a factor 1 - gamma and 2h smallest normals.  The safety factor
+    covers the rounding of these bounds' own float64 arithmetic, whose
+    relative error is of order (d + n) 2^-53.
+
+    A row's one margin covers every class by the same proof, term by term.
+    Without a hidden layer it is max_j slope_j ||x|| + max_j offset_j, at
+    least each class's margin, as rounding is monotone.  With one,
+    |h|.|W2_c| becomes h.max_c |W2_c|, one matrix-vector product: h >= 0
+    after the ReLU, so its exact value is at least every class's exact
+    |h|.|W2_c|, and its float64 sum falls short of that by no more than the
+    factor and the smallest normals above.  The terms in e1 + e1' and |b2|
+    are taken at their largest class.  So the proof above holds unchanged,
+    and a larger margin only sends more rows to the float64 pass (see
+    :func:`_decide`)."""
     if hidden is None:
-        err = np.multiply.outer(slope, norms)
-        err += offset[:, None]
+        err = np.multiply(slope.max(), norms)
+        err += offset.max()
     else:
         abs_w2, abs_b2 = others[1:]
         h, tiny = abs_w2.shape[0], _F64[1]
         gamma = _gamma(h + 1)
         lift, both = 1 + gamma, 2 * gamma  # both: in E and in E'
-        err = np.dot(abs_w2.T, hidden.T)
+        err = np.dot(hidden, abs_w2.max(axis=1))
         err *= both / (1 - gamma)
-        # (e1 + e1').|W2| is rank one in the rows, plus a constant
-        err += np.multiply.outer(lift * np.dot(slope, abs_w2), norms)
-        err += (lift * np.dot(offset, abs_w2) + both * abs_b2
-                + (2 * h + 2) * 2 * tiny
-                + 2 * h * tiny * both / (1 - gamma))[:, None]
+        # (e1 + e1').|W2_c| is rank one in the rows, plus a constant
+        err += lift * np.dot(slope, abs_w2).max() * norms
+        err += (np.max(lift * np.dot(offset, abs_w2) + both * abs_b2)
+                + (2 * h + 2) * 2 * tiny + 2 * h * tiny * both / (1 - gamma))
     err *= _SAFETY
     return err
 
 
 def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's top logit, and the rows where the float64 pass's argmax
-    could differ.  A row is decided when one class's lowest value (logit
-    less margin) beats every other class's highest: that class is then the
-    row's argmax in either pass.  A row with no such class at all can
-    only hold NaN, and is undecided too.  Each margin first grows by 2^-52
-    times its logit's magnitude, which covers the rounding of these float64
-    sums (given the safety factor of :func:`_margins`)."""
-    scores = np.array(logits.T, dtype=np.float64, order="C")
-    pad = np.abs(scores)
+    """The class of each row (rows x classes ``logits``, float64) that is
+    decided, and the rows where the float64 pass's argmax could differ,
+    given one margin per row (:func:`_margins`) that covers each logit of
+    the row.  A row is decided when one class's lowest value (logit less
+    margin) beats every other class's highest: that class is then the row's
+    argmax in either pass.  A row with no such class at all can only hold
+    NaN, and is undecided too; an undecided row's class is meaningless.
+    Each margin first grows by 2^-52 times the row's largest logit
+    magnitude, which covers the rounding of these float64 sums (given the
+    safety factor of :func:`_margins`).  A larger margin never decides a row
+    that a smaller one leaves, and never decides it differently.
+
+    Rounding is monotone, so the largest lowest value is the top logit less
+    the margin.  Each class whose highest value reaches it is a rival; a
+    decided row has one, its class, so one product of the rivals with the
+    class counts and indices (exact in float64) gives both."""
+    scores = np.array(logits.T, dtype=np.float64, order="C")  # classes x rows
+    pad = np.abs(scores).max(axis=0)
     pad *= 2 * _F64[0]
     margins += pad
-    low = scores - margins
-    high = np.add(scores, margins, out=margins)
-    rivals = (high >= low.max(axis=0)).sum(axis=0)
-    return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
+    low = scores.max(axis=0) - margins
+    high = np.add(scores, margins, out=scores)
+    classes = len(scores)
+    count, picked = np.dot(np.array([np.ones(classes), np.arange(classes)]),
+                           high >= low)
+    return picked.astype(np.intp), np.flatnonzero(count != 1)
 
 
 def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
@@ -671,12 +693,12 @@ def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
     features)`` for float32 rows of 2-norms ``norms``, or None.  Given
     ``first_layer``, these parameters' first layer on the rows, a float64
     pass from it and ``model.tail`` decides each row whose top logit beats
-    every other by more than their bounds (see :func:`_decide`).  The rows
-    it leaves, or all without a first layer, take the float64 pass itself:
-    their first layer :data:`PRODUCT_CHUNK_ELEMENTS` / d rows at a time, so
-    no float64 copy of the set is made, under twice that pass's own error
-    (it is both passes of :func:`_margins`), from column norms bounded by
-    :func:`_norm_bound`.  None where a parameter or a row norm is not
+    every other by more than twice the row's margin (see :func:`_decide`).
+    The rows it leaves, or all without a first layer, take the float64 pass
+    itself: their first layer :data:`PRODUCT_CHUNK_ELEMENTS` / d rows at a
+    time, so no float64 copy of the set is made, under twice that pass's own
+    error (it is both passes of :func:`_margins`), from column norms bounded
+    by :func:`_norm_bound`.  None where a parameter or a row norm is not
     finite, or a row is still undecided (exact ties, all-zero parameters)."""
     top, rows = np.empty(len(features), dtype=np.intp), None
     if first_layer is not None:

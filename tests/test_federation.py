@@ -28,6 +28,8 @@ from fedshapley import (
     save_log,
 )
 from fedshapley import federation
+from fedshapley.estimators import (gtg_oti, position_marginal_profile,
+                                   round_marginal_gains)
 from fedshapley.federation import RoundStack
 from fedshapley.games import players_of
 
@@ -384,8 +386,10 @@ def traced_peak(work) -> int:
         tracemalloc.stop()
 
 
-def test_work_on_a_loaded_log_holds_one_round_more_than_on_a_one_round_log(tmp_path):
-    # round 0 of the five-round run is the one-round run's only round
+def d784_logs(tmp_path) -> tuple[dict, LabeledDataset]:
+    """Saved logs of one and of five rounds at d = 784, hidden 64, n = 3, by
+    round count, and their test set; round 0 of the five-round run is the
+    one-round run's only round."""
     paths = {}
     for rounds in (1, 5):
         log, test, _ = quick_log(n=3, rounds=rounds, seed=2, input_dim=784,
@@ -393,6 +397,11 @@ def test_work_on_a_loaded_log_holds_one_round_more_than_on_a_one_round_log(tmp_p
         paths[rounds] = save_log(log, tmp_path / f"run{rounds}.gtgl")
     assert np.array_equal(load_log(paths[1]).rounds[0].aggregated,
                           load_log(paths[5]).rounds[0].aggregated)
+    return paths, test
+
+
+def test_work_on_a_loaded_log_holds_one_round_more_than_on_a_one_round_log(tmp_path):
+    paths, test = d784_logs(tmp_path)
     work = {"validate": lambda log: log.validate(),
             "save_log": lambda log: save_log(log, tmp_path / "copy.gtgl"),
             "gtg_eval": lambda log: gtg_eval(log, test),
@@ -404,6 +413,24 @@ def test_work_on_a_loaded_log_holds_one_round_more_than_on_a_one_round_log(tmp_p
         # a loop's variable holds one round while the next is read; a round's
         # records and arrays add a few KB of objects to its blocks
         assert peaks[1] <= peaks[0] + round_bytes + 16 * 1024, (name, peaks)
+
+
+def test_a_loop_over_a_loaded_log_drops_each_round_before_it_reads_the_next(tmp_path):
+    paths, test = d784_logs(tmp_path)
+    work = {"save_log": lambda log: save_log(log, tmp_path / "copy.gtgl"),
+            "validate": lambda log: log.validate(),
+            "gtg_eval": lambda log: gtg_eval(log, test),
+            "mr_eval": lambda log: mr_eval(log, test),
+            "gtg_oti": lambda log: gtg_oti(log, test),
+            "round_marginal_gains": lambda log: round_marginal_gains(log, test),
+            "position_marginal_profile":
+                lambda log: position_marginal_profile(log, test, samples_per_round=2)}
+    round_bytes = d784_round_bytes(3)
+    for name, run in work.items():
+        peaks = [traced_peak(lambda: run(load_log(paths[rounds])))
+                 for rounds in (1, 5)]
+        # validate keeps the round before's aggregated model, a fifth of a round
+        assert peaks[1] < peaks[0] + round_bytes / 2, (name, peaks)
 
 
 def test_saving_a_loaded_log_over_its_own_file_keeps_its_bytes(tmp_path):

@@ -10,7 +10,9 @@ checked for every row and class: on small models (d <= 8, h <= 4, c <= 3,
 tens of rows), near-ties, weights past 2^53, subnormal features, parameters
 that round to float32's subnormals, the empty and the full coalition, and
 running sums grown by one member or summed anew.  The same holds for the margins of the
-chunked float64 pass that scores the rows the screen leaves.
+chunked float64 pass that scores the rows the screen leaves.  A margin is one
+per row, checked against each of the row's logits; it is also checked against
+the per-class margins it replaced, which stay here as the reference.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (JOIN_ORDERS, STEPS, float64_pass, gaussian_blobs,
-                      round_products, steps, walked_coalitions)
+                      quick_log, round_products, steps, walked_coalitions)
 
 from fedshapley import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
                         init_params, predict_logits, train_local)
@@ -72,15 +74,18 @@ def exact_logits(arch: ModelArchitecture, params: np.ndarray,
 
 class Decisions:
     """Records each ``models._decide`` call: its logits (rows x classes),
-    its margins (classes x rows, before _decide pads them) and its rows,
-    and counts the rows scored again after the first call."""
+    its margins (one per row, before _decide pads them, broadcast to every
+    class of the row) and its rows, and counts the rows scored again after
+    the first call."""
 
     def __init__(self, monkeypatch):
         self.calls, self.rescored = [], 0
         decide = models._decide
 
         def recorded(logits, margins):
-            kept = (logits.copy(), margins.copy())
+            # each row's margin, for each of its classes
+            every_class = np.repeat(margins[:, None], logits.shape[1], axis=1)
+            kept = (logits.copy(), every_class)
             top, undecided = decide(logits, margins)
             rows = (np.arange(len(logits)) if not self.calls
                     else self.calls[-1][2][self.calls[-1][3]])
@@ -100,7 +105,8 @@ class Decisions:
                      for row in predict_logits(arch, params, test.features)]
         worst = 0.0
         for logits, margins, rows, _ in self.calls:
-            for got, bound, r in zip(logits, margins.T, rows.tolist()):
+            assert margins.shape == logits.shape
+            for got, bound, r in zip(logits, margins, rows.tolist()):
                 for have, margin, want, ref in zip(fixed(got, F64_SCALE),
                                                    fixed(bound, F64_SCALE),
                                                    exact[r], reference[r]):
@@ -173,31 +179,41 @@ def subnormal_rounding(arch: ModelArchitecture, data: LabeledDataset) -> tuple:
     return base, updates, {1: 1, 2: 2, 3: 4, 4: 8}, data
 
 
-def worst_over(arch, case, decisions, drop_floors=False, same_accuracy=True) -> float:
-    """The largest error-to-margin ratio over :data:`SCORED` in a round;
-    ``drop_floors`` sets the products' subnormal term and floor to 0."""
+def screen_each(arch, case, coalitions=SCORED, drop_floors=False):
+    """Evaluate each of ``coalitions`` in a round from its first layer,
+    yielding its parameters, the test set and the accuracy; ``drop_floors``
+    sets the products' subnormal term and floor to 0."""
     base, updates, weights, test = case
     rec = federation.RoundRecord(0, base, updates, base)
     products = round_products(rec, weights, arch, test)
     assert products is not None
     if drop_floors:
         products._subnormal = products._floor = 0.0
-    worst = 0.0
-    for ids in SCORED:
+    for ids in coalitions:
         params = federation.reconstruct_submodel(rec, ids, weights) if ids else base
         first = products.combine(ids)
         assert first is not None
-        accuracy = evaluate(arch, params, test, first)
+        yield params, test, evaluate(arch, params, test, first)
+
+
+def worst_over(arch, case, decisions, drop_floors=False, same_accuracy=True) -> float:
+    """The largest error-to-margin ratio over :data:`SCORED` in a round."""
+    worst = 0.0
+    for params, test, accuracy in screen_each(arch, case, drop_floors=drop_floors):
         assert accuracy == float64_pass(arch, params, test) or not same_accuracy
         worst = max(worst, decisions.worst_ratio(arch, params, test))
     return worst
 
 
 @pytest.fixture()
-def wide(monkeypatch):
+def wide_sets(monkeypatch):
     # every set is wide; rows are scored again 5 a chunk at d = 8
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * 8)
+
+
+@pytest.fixture()
+def wide(wide_sets, monkeypatch):
     return Decisions(monkeypatch)
 
 
@@ -218,7 +234,7 @@ def test_the_exact_check_fails_without_the_margin_or_the_floor(wide, monkeypatch
     data = gaussian_blobs(8, arch.input_dim, arch.class_count, seed=5, spread=0.5)
     with monkeypatch.context() as patched:
         patched.setattr(models, "_margins", lambda slope, offset, norms, hidden,
-                        others: np.zeros((len(others[-1]), len(norms))))
+                        others: np.zeros(len(norms)))
         assert worst_over(arch, cases(arch, data)["trained"], wide,
                           same_accuracy=False) > 1.0
     # without the subnormal term and the smallest-normal floors, a first
@@ -228,3 +244,111 @@ def test_the_exact_check_fails_without_the_margin_or_the_floor(wide, monkeypatch
         patched.setattr(models, "_F64", (2.0 ** -53, 0.0))
         assert worst_over(arch, rounding, wide, drop_floors=True,
                           same_accuracy=False) > 1.0
+
+
+# --- one margin per row against the margins of every class -----------------------
+
+
+def class_margins(slope, offset, norms, hidden, others) -> np.ndarray:
+    """A margin per logit (classes x rows): the bound of ``models._margins``
+    for each class on its own, as evaluate decided rows before it took one
+    margin per row."""
+    if hidden is None:
+        err = np.multiply.outer(slope, norms)
+        err += offset[:, None]
+    else:
+        abs_w2, abs_b2 = others[1:]
+        h, tiny = abs_w2.shape[0], models._F64[1]
+        gamma = models._gamma(h + 1)
+        lift, both = 1 + gamma, 2 * gamma
+        err = np.dot(abs_w2.T, hidden.T)
+        err *= both / (1 - gamma)
+        err += np.multiply.outer(lift * np.dot(slope, abs_w2), norms)
+        err += (lift * np.dot(offset, abs_w2) + both * abs_b2
+                + (2 * h + 2) * 2 * tiny
+                + 2 * h * tiny * both / (1 - gamma))[:, None]
+    err *= models._SAFETY
+    return err
+
+
+def decide_by_class(logits, margins):
+    """``models._decide``'s rule under :func:`class_margins`: each margin
+    padded by 2^-52 times its own logit's magnitude."""
+    scores = np.array(logits.T, dtype=np.float64, order="C")
+    margins = margins + np.abs(scores) * (2 * models._F64[0])
+    low = scores - margins
+    rivals = (scores + margins >= low.max(axis=0)).sum(axis=0)
+    return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
+
+
+class AgainstClassMargins:
+    """Checks each margin evaluate computes against :func:`class_margins` of
+    the same inputs, and each decision against :func:`decide_by_class`:
+    every row's margin is at least each of its classes', and every row
+    decided is decided by the per-class rule too, as the same class.
+    Counts the rows decided and left by both rules."""
+
+    def __init__(self, monkeypatch):
+        self.seen = {"decided": 0, "left": 0, "left by rows only": 0}
+        margins, decide = models._margins, models._decide
+        pending = []
+
+        def checked_margins(*args):
+            got, want = margins(*args), class_margins(*args)
+            assert got.shape == want.shape[1:]
+            assert (got >= want).all()
+            pending.append(want)
+            return got
+
+        def checked_decide(logits, got):
+            top, left = decide(logits, got)
+            want_top, want_left = decide_by_class(logits, pending.pop())
+            decided = np.setdiff1d(np.arange(len(logits)), left)
+            assert not np.isin(decided, want_left).any()
+            assert np.array_equal(top[decided], want_top[decided])
+            self.seen["decided"] += len(decided)
+            self.seen["left"] += len(left)
+            self.seen["left by rows only"] += len(np.setdiff1d(left, want_left))
+            return top, left
+
+        monkeypatch.setattr(models, "_margins", checked_margins)
+        monkeypatch.setattr(models, "_decide", checked_decide)
+
+
+@pytest.mark.parametrize("arch", EXACT_ARCHS, ids=EXACT_IDS)
+def test_a_rows_margin_covers_every_class_on_the_exact_cases(wide_sets, monkeypatch,
+                                                            arch):
+    against = AgainstClassMargins(monkeypatch)
+    data = gaussian_blobs(8, arch.input_dim, arch.class_count, seed=5, spread=0.5)
+    for case in cases(arch, data).values():
+        for params, test, accuracy in screen_each(arch, case):
+            assert accuracy == float64_pass(arch, params, test)
+    print(arch, against.seen)
+    # rows the screen leaves are decided again by the chunked pass, whose
+    # margins are checked too
+    assert against.seen["decided"] and against.seen["left"]
+
+
+def test_a_rows_margin_covers_every_class_on_a_784_wide_round(monkeypatch):
+    # a round shaped like the benchmark's (d = 784, hidden 64, ten classes,
+    # n = 10, 1,000 test rows), scored on random coalitions
+    against = AgainstClassMargins(monkeypatch)
+    log, _, _ = quick_log(n=10, rounds=1, seed=1, lr=0.05, input_dim=784,
+                          hidden_dim=64, class_count=10, rows_per_class=10)
+    arch, rec = log.architecture, log.rounds[0]
+    # in every coalition, class 1 is class 0 but for one float32 ulp in the
+    # base's bias: rows of either class are near-ties no margin decides
+    for vector in (rec.base_model, *rec.updates.values()):
+        w2, b2 = models._unpack(arch, vector)[2:]
+        w2[:, 1], b2[1] = w2[:, 0], b2[0]
+    b2 = models._unpack(arch, rec.base_model)[3]
+    b2[1] = np.nextafter(b2[0], np.float32(np.inf))
+    test = gaussian_blobs(100, 784, 10, seed=1, noise_seed=2)
+    rng = np.random.default_rng(7)
+    coalitions = [()] + [players_of(int(m)) for m in rng.integers(1, 1 << 10, 40)]
+    case = (rec.base_model, rec.updates, log.participant_weights, test)
+    for params, _, accuracy in screen_each(arch, case, coalitions):
+        assert accuracy == float64_pass(arch, params, test)
+    print(against.seen)
+    assert against.seen["decided"] > 0.5 * 1000 * len(coalitions)
+    assert against.seen["left"]
