@@ -282,14 +282,21 @@ def _sidecar_config(log_path: str) -> ExperimentConfig:
             f"{log_path}: sidecar has no embedded config; cannot rebuild the "
             "experiment (re-run simulate, or use compare with a config file)")
     config_doc = json_object(config_doc, "'metadata.config'")
-    config_doc.pop("output_dir", None)  # earlier runs wrote it; it steers nothing
+    # evaluate runs --estimator alone; earlier runs wrote output_dir, and
+    # estimator entries that today's checks may refuse
+    for key in ("output_dir", "estimators"):
+        config_doc.pop(key, None)
     return config_from_dict(config_doc, sidecar)
 
 
-def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
-    """The participants and test set that the sidecar's config ``cfg``
-    rebuilds, checked against ``log`` before any data is drawn: its n,
-    rounds, model and the participant weights the config deals."""
+def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog,
+                   retrains: bool):
+    """The participants (None unless the estimator ``retrains``) and test
+    set that the sidecar's config ``cfg`` rebuilds for ``log``.  Before any
+    data is drawn, the config is checked against ``log`` (its n, rounds,
+    model and the participant weights the config deals), then every round
+    of ``log`` (:meth:`GradientLog.validate`).  A log-based estimator reads
+    no participant, so the pool is drawn but not dealt."""
     sidecar = f"{log_path}.json"
     found = (log.n, log.total_rounds, log.architecture)
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
@@ -299,8 +306,11 @@ def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog):
     if _deal_table(cfg).sum(axis=1).tolist() != weights:
         raise LogFormatError(f"{sidecar}: config deals participants whose "
                              "weights differ from the log's")
-    participants, _, test = build_participants(cfg)
-    return participants, test
+    log.validate()
+    if retrains:
+        participants, _, test = build_participants(cfg)
+        return participants, test
+    return None, generate_source(cfg.source, cfg.train_per_class, cfg.test_per_class)[1]
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
@@ -339,10 +349,8 @@ def cmd_evaluate(args) -> int:
     cfg = _sidecar_config(args.log)
     with _output_dir(args) as out:
         log = load_log(args.log)
-        log.validate()
-        participants, test = _experiment_of(args.log, cfg, log)
-        if not estimator(args.estimator).retrains:
-            participants = None  # checked against the log, and read no more
+        participants, test = _experiment_of(args.log, cfg, log,
+                                            estimator(args.estimator).retrains)
         report = _run_named_estimator(args.estimator, params, cfg, log, test,
                                       participants)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"

@@ -6,10 +6,10 @@ ModelArchitecture.  Every result equals that of float64 arithmetic: losses,
 gradients and aggregation run in float64 and are rounded to float32 only at
 the storage boundary, and :func:`evaluate` decides each row of a wide test
 set under certified error bounds that prove its prediction equal to the
-float64 pass's: from a coalition's first-layer products
+float64 pass's, by one screen: from a coalition's first-layer products
 (:class:`FirstLayerProducts`, made once per round) where the caller has
-them, else by that pass itself, a chunk of rows at a time, on a test set
-prepared once, at its first evaluation.  Every operation is
+them, else from that pass's own first layer, a chunk of rows at a time, on
+a test set prepared once, at its first evaluation.  Every operation is
 bit-reproducible for fixed inputs.
 """
 
@@ -296,7 +296,8 @@ def loss_and_gradient(arch: ModelArchitecture, params: np.ndarray,
 def check_training(arch: ModelArchitecture, base: np.ndarray,
                    data: LabeledDataset) -> None:
     """ValueError unless ``base`` fits ``arch`` and ``data`` is a non-empty
-    set of ``arch``'s width, as training needs."""
+    set of ``arch``'s width whose labels are ``arch``'s classes, as training
+    needs."""
     _check_params(arch, base)
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -304,6 +305,9 @@ def check_training(arch: ModelArchitecture, base: np.ndarray,
         raise ValueError(
             f"dataset has {data.features.shape[1]} features, architecture "
             f"expects {arch.input_dim}")
+    if data.labels.max() >= arch.class_count:
+        raise ValueError(f"label {data.labels.max()} is past the model's "
+                         f"{arch.class_count} classes")
 
 
 def train_group(arch: ModelArchitecture, base: np.ndarray,
@@ -399,20 +403,33 @@ def _first_layer_error(d: int, w_norms: np.ndarray,
                        abs_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per first-layer unit j, a slope and an offset such that the float64
     pass computes the unit, for a row x, within slope_j ||x|| + offset_j of
-    exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`)."""
+    exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`).  With
+    ``abs_b`` 0 the offset is the floor alone, 2d + 2 smallest normals."""
     gamma = _gamma(d + 1)
     return gamma * w_norms, gamma * abs_b + (2 * d + 2) * _F64[1]
 
 
 class FirstLayer(NamedTuple):
-    """One model's first layer on every row of a wide test set, from
-    :meth:`FirstLayerProducts.combine`: ``values`` (float64, rows x units)
-    before the bias, and per unit j bounds ``slope_j`` and ``w_norms_j``.
-    Once the bias b is added in float64, a row x's unit j is within slope_j
-    ||x|| + 2^-53 |b_j| + ``floor`` of the exact x.W1_j + b_j, and ||W1_j||
-    <= w_norms_j (see :func:`_margins`).  :func:`evaluate` adds the bias to
-    ``values`` in place and then makes them read-only, spent, so a first
-    layer serves one evaluation: another is a ValueError."""
+    """One model's first layer on rows of a wide test set: ``values``
+    (float64, rows x units) before the bias, and per unit j bounds
+    ``slope_j`` and ``w_norms_j``.  Once the bias b is added in float64, a
+    row x's unit j is within slope_j ||x|| + 2^-53 |b_j| + ``floor`` of the
+    exact x.W1_j + b_j, and ||W1_j|| <= w_norms_j (see :func:`_margins`).
+    :func:`evaluate` adds the bias to ``values`` in place and then makes
+    them read-only, spent, so a first layer serves one evaluation: another
+    is a ValueError.
+
+    :meth:`FirstLayerProducts.combine` makes one on every row, and
+    :func:`_screened_argmax` one from the float64 product of the rows it
+    scores again with float64 weights W1, with w_norms = :func:`_norm_bound`
+    (W1), slope_j = gamma_{d+1} w_norms_j and a floor of 2d + 2 smallest
+    normals (:func:`_first_layer_error` without a bias).  That product meets
+    the bound: an inner product of d terms is within gamma_d ||x|| ||W1_j||
+    of exact (see :func:`_margins`), and the bias add rounds once, adding
+    at most u ((1 + gamma_d) ||x|| ||W1_j|| + |b_j|), u = 2^-53, where
+    gamma_{d+1} - gamma_d >= u (1 + gamma_d).  Underflow, gradual or
+    flushed to zero, costs at most a smallest normal in each of its d
+    products and d adds."""
 
     values: np.ndarray
     slope: np.ndarray
@@ -585,7 +602,10 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
     underflow, gradual or flushed to zero.  By Cauchy-Schwarz |x|.|w_j| <=
     ||x|| ||w_j||, so the float64 pass (u = 2^-53) computes a first-layer
     unit, bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
-    (:func:`_first_layer_error`).
+    (:func:`_first_layer_error`).  The rows a first pass leaves are scored
+    again from the float64 pass's own product of them, a first layer of the
+    bounds :class:`FirstLayer` states, so its margins follow by this proof
+    too.
 
     From :class:`FirstLayerProducts` (float64, u = 2^-53), for a coalition S
     of m <= n members: c_i = fl(w_i / W) are the rebuild's shares of the
@@ -686,54 +706,58 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
     return picked.astype(np.intp), np.flatnonzero(count != 1)
 
 
+def _screen(arch: ModelArchitecture, tail: np.ndarray, first_layer: FirstLayer,
+            norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_decide` of the rows of 2-norms ``norms`` on which
+    ``first_layer`` holds a model's first layer, not yet spent, and ``tail``
+    its parameters after the first layer's weights (float32 or float64): a
+    float64 pass from the two, under the margins of :func:`_margins` for the
+    first layer's bounds plus the float64 pass's own error, which
+    :func:`_first_layer_error` takes from ``first_layer.w_norms``.  Spends
+    the first layer."""
+    if not first_layer.values.flags.writeable:
+        raise ValueError("a first layer serves one evaluation")
+    layers = (None, *_unpack_tail(arch, tail))
+    others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
+    slope, offset = _first_layer_error(arch.input_dim, first_layer.w_norms, others[0])
+    hidden, logits = _forward(layers, None, first_layer.values)
+    first_layer.values.flags.writeable = False  # it holds the bias now
+    return _decide(logits, _margins(first_layer.slope + slope,
+                                    _F64[0] * others[0] + first_layer.floor + offset,
+                                    norms, hidden, others))
+
+
 def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
                      features: np.ndarray, norms: np.ndarray,
                      first_layer: FirstLayer | None) -> np.ndarray | None:
     """The argmax of every row of ``predict_logits(arch, model.params,
-    features)`` for float32 rows of 2-norms ``norms``, or None.  Given
-    ``first_layer``, these parameters' first layer on the rows, a float64
-    pass from it and ``model.tail`` decides each row whose top logit beats
-    every other by more than twice the row's margin (see :func:`_decide`).
-    The rows it leaves, or all without a first layer, take the float64 pass
-    itself: their first layer :data:`PRODUCT_CHUNK_ELEMENTS` / d rows at a
-    time, so no float64 copy of the set is made, under twice that pass's own
-    error (it is both passes of :func:`_margins`), from column norms bounded
-    by :func:`_norm_bound`.  None where a parameter or a row norm is not
-    finite, or a row is still undecided (exact ties, all-zero parameters)."""
-    top, rows = np.empty(len(features), dtype=np.intp), None
-    if first_layer is not None:
-        if not first_layer.values.flags.writeable:
-            raise ValueError("a first layer serves one evaluation")
-        layers = (None, *_unpack_tail(arch, model.tail))
-        others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
-        ref_slope, ref_offset = _first_layer_error(arch.input_dim,
-                                                   first_layer.w_norms, others[0])
-        offset = _F64[0] * others[0] + first_layer.floor
-        hidden, logits = _forward(layers, None, first_layer.values)
-        first_layer.values.flags.writeable = False  # it holds the bias now
-        top, rows = _decide(logits, _margins(first_layer.slope + ref_slope,
-                                             offset + ref_offset, norms, hidden,
-                                             others))
+    features)`` for float32 rows of 2-norms ``norms``, or None.  Every row
+    is decided by :func:`_screen`: first, given ``first_layer`` (these
+    parameters' first layer on the rows), from it and ``model.tail``; the
+    rows it leaves, or all without a first layer, from the float64 pass's
+    own product of those rows with W1, made :data:`PRODUCT_CHUNK_ELEMENTS` /
+    d rows at a time, so no float64 copy of the set is made, as a
+    :class:`FirstLayer` whose bounds that class states.  None where a
+    parameter or a row norm is not finite, or a row is still undecided
+    (exact ties, all-zero parameters)."""
+    if first_layer is None:
+        top, rows = np.empty(len(features), dtype=np.intp), np.arange(len(features))
+    else:
+        top, rows = _screen(arch, model.tail, first_layer, norms)
         if not rows.size:
             return top
     flat = np.asarray(model.params, dtype=np.float64)
     if not (np.isfinite(flat).all() and np.isfinite(norms).all()):
         return None
-    layers = _unpack(arch, flat)
-    others = tuple(np.abs(a) for a in layers[1:])
-    slope, offset = _first_layer_error(arch.input_dim, _norm_bound(layers[0]),
-                                       others[0])
-    count = len(features) if rows is None else len(rows)
-    first = np.empty((count, layers[0].shape[1]))
+    w1 = _unpack(arch, flat)[0]
+    first = np.empty((len(rows), w1.shape[1]))
     step = max(1, PRODUCT_CHUNK_ELEMENTS // arch.input_dim)
-    for start in range(0, count, step):
-        stop = start + step
-        x = features[start:stop] if rows is None else features[rows[start:stop]]
-        np.dot(x.astype(np.float64), layers[0], out=first[start:stop])
-    hidden, logits = _forward(layers, None, first)
-    picks = slice(None) if rows is None else rows
-    top[picks], still = _decide(logits, _margins(2 * slope, 2 * offset, norms[picks],
-                                                 hidden, others))
+    for start in range(0, len(rows), step):
+        np.dot(features[rows[start:start + step]].astype(np.float64), w1,
+               out=first[start:start + step])
+    w_norms = _norm_bound(w1)
+    layer = FirstLayer(first, *_first_layer_error(arch.input_dim, w_norms, 0.0), w_norms)
+    top[rows], still = _screen(arch, flat[arch.first_layer_size:], layer, norms[rows])
     return None if still.size else top
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fedshapley import cli, estimators, federation
+from fedshapley import cli, estimators, federation, scenarios
 from fedshapley import (
     GtgConfig,
     derive_seed,
@@ -588,14 +588,45 @@ def direct_estimate(name, log_path, seed=None):
 
 
 @pytest.mark.parametrize("name", list(estimators.ESTIMATORS))
-def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, name):
+def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, monkeypatch, name):
+    # a log-based estimator reads the test set alone: the pool is drawn but
+    # not dealt, and the deal table is built once, to check the log's weights
+    calls = collections.Counter()
+    for module, attr in ((cli, "partition"), (cli, "deal_table"),
+                         (scenarios, "deal_table")):
+        def counted(*args, _real=getattr(module, attr), _name=attr):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, attr, counted)
     doc = evaluate_doc(eval_log, name, tmp_path)
+    assert calls == ({"partition": 1, "deal_table": 3}
+                     if estimators.estimator(name).retrains else {"deal_table": 1})
     want = direct_estimate(name, eval_log)
     assert doc["estimator"] == want.name == name
     assert doc["total"] == want.total.values.tolist()
     assert ([r["values"] for r in doc["per_round"]]
             == [v.values.tolist() for v in want.per_round])
     assert doc["eval_count"] == want.eval_count
+
+
+@pytest.mark.parametrize("listed", [
+    [{"name": "gtg", "params": {"sampling": "guided"}}],
+    [{"name": "gtg", "params": {"guided_prefix": 1}}],
+    "mr",
+], ids=["sampling", "guided-prefix", "not-a-list"])
+def test_evaluate_reads_no_estimator_list_from_the_sidecar(eval_log, tmp_path, listed):
+    # evaluate runs --estimator alone, so a sidecar's estimator list is
+    # dropped: earlier runs wrote entries that today's checks refuse
+    log = str(tmp_path / Path(eval_log).name)
+    for suffix in ("", ".json"):
+        shutil.copy(eval_log + suffix, log + suffix)
+    _sidecar(log, lambda d: d["metadata"]["config"].update(estimators=listed))
+    for name in ("gtg", "mr"):
+        old = evaluate_doc(log, name, tmp_path / "old")
+        new = evaluate_doc(eval_log, name, tmp_path / "new")
+        del old["wall_time_s"], new["wall_time_s"]
+        assert old == new
 
 
 def test_evaluate_seed_drives_only_the_estimator_streams(eval_log, tmp_path):
@@ -1184,9 +1215,6 @@ def _evaluate(log: str, name: str, *extra: str) -> list[str]:
     pytest.param(lambda w, log: _evaluate(_sidecar(
         log, lambda d: d["metadata"]["config"].update(source=[1])), "mr"),
                  EXIT_USAGE, id="evaluate-sidecar-config-section-not-a-table"),
-    pytest.param(lambda w, log: _evaluate(_sidecar(
-        log, lambda d: d["metadata"]["config"].update(estimators="mr")), "mr"),
-                 EXIT_USAGE, id="evaluate-sidecar-config-estimators-not-a-list"),
     # report: report
     pytest.param(lambda w, log: ["report", str(w / "absent.json")],
                  EXIT_RUNTIME, id="report-missing"),

@@ -546,6 +546,60 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     assert set(branches.seen) == {"chunked", "fallback"}
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch):
+    # rows are scored again from the float64 pass's own product of them with
+    # W1, as a FirstLayer whose bounds the FirstLayer contract gives from W1
+    # alone: w_norms from _norm_bound, slope gamma_{d+1} w_norms and a floor
+    # of 2d + 2 smallest normals.  Each such FirstLayer is recorded as the
+    # screen receives it; the first layers made here are not.
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
+    given, received = [], []
+    screen = models._screen
+
+    def recorded(arch, tail, first_layer, norms):
+        if not any(first_layer is made for made in given):
+            received.append((tail.copy(), first_layer._replace(
+                values=first_layer.values.copy()), norms.copy()))
+        return screen(arch, tail, first_layer, norms)
+
+    monkeypatch.setattr(models, "_screen", recorded)
+    test = blobs(arch, 12, seed=5)
+    features, norms = test.prepared
+    d, u, tiny = arch.input_dim, 2.0 ** -53, 2.0 ** -1022
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    after_a_screen = 0
+    for params in screen_param_cases(arch, test):
+        if not np.isfinite(params).all():
+            continue
+        flat = params.astype(np.float64)
+        w1 = models._unpack(arch, flat)[0]
+        w_norms = models._norm_bound(w1)
+        # given no first layer, every row; given one, the rows it leaves
+        products = models.first_layer_products(arch, [params], test, [])
+        first = None if products is None else products.combine()
+        given.append(first)
+        for layer in [None] if first is None else [None, first]:
+            received.clear()
+            assert same_bits(evaluate(arch, params, test, layer),
+                             float64_pass(arch, params, test))
+            if layer is not None and not received:
+                continue  # the screen decided every row
+            (tail, got, rows_norms), = received
+            after_a_screen += layer is not None
+            assert same_bits(got.w_norms, w_norms)
+            assert same_bits(got.slope, gamma * w_norms)
+            assert got.floor == (2 * d + 2) * tiny
+            assert same_bits(tail, flat[arch.first_layer_size:])
+            assert len(got.values) == len(rows_norms) <= len(test)
+            if layer is None:  # every row, each within the bound of x.W1
+                assert same_bits(rows_norms, norms)
+                error = np.abs(got.values - features.astype(np.float64) @ w1)
+                assert (error <= 2 * (got.slope * norms[:, None] + got.floor)).all()
+    assert after_a_screen
+
+
 def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
     """The wide set of fewest rows: WIDE_ELEMENTS / input_dim, rounded up."""
     rows = -(-models.WIDE_ELEMENTS // arch.input_dim)

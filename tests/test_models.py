@@ -231,6 +231,21 @@ def test_train_input_validation():
         train_local(SOFTMAX, base[:-1], probe_data(), TrainConfig())
 
 
+def test_a_label_past_the_models_classes_cannot_train():
+    # checked before training, not met as an IndexError inside it; a group,
+    # and through it the retraining estimators, is refused the same way
+    base = init_params(SOFTMAX, seed=0)
+    data = probe_data()
+    past = LabeledDataset(data.features, np.where(data.labels == 2, 3, data.labels))
+    with pytest.raises(ValueError, match=r"^label 3 is past the model's 3 classes$"):
+        train_local(SOFTMAX, base, past, TrainConfig())
+    with pytest.raises(ValueError, match="past the model's"):
+        train_group(SOFTMAX, base, [data, past], TrainConfig())
+    # the same labels train a model of four classes
+    wider = ModelArchitecture(SOFTMAX.input_dim, 0, 4)
+    train_local(wider, init_params(wider, seed=0), past, TrainConfig())
+
+
 def test_a_group_trains_datasets_of_one_length():
     base = init_params(SOFTMAX, seed=0)
     with pytest.raises(ValueError, match="no datasets"):

@@ -281,6 +281,19 @@ def decide_by_class(logits, margins):
     return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
 
 
+def test_decide_pads_each_margin_by_the_rows_largest_logit():
+    # under margins of 0, the pad alone, 2^-52 |1e6| (about 1.9 ulps of 1e6),
+    # leaves a top two of 1e6 and 2 ulps below it to the float64 pass, and
+    # decides 8 ulps below it as class 0.  A pad by the row's smallest
+    # |logit|, 0, would decide the first row too
+    top = 1e6
+    ulp = np.spacing(top)
+    logits = np.array([[top, top - 2 * ulp, 0.0], [top, top - 8 * ulp, 0.0]])
+    picked, left = models._decide(logits, np.zeros(2))
+    assert left.tolist() == [0]
+    assert picked[1] == 0
+
+
 class AgainstClassMargins:
     """Checks each margin evaluate computes against :func:`class_margins` of
     the same inputs, and each decision against :func:`decide_by_class`:
