@@ -30,8 +30,8 @@ import numpy as np
 
 # run_federation trains with models._train_stacked; train_local, the trainer
 # of one dataset, stays importable from here under the name it has always had
-from .models import (LabeledDataset, ModelArchitecture, TrainConfig,
-                     _stack_datasets, _train_stacked, check_training,
+from .models import (CHUNK_ELEMENTS, LabeledDataset, ModelArchitecture,
+                     TrainConfig, _stack_datasets, _train_stacked, check_training,
                      coalition_total, gradient_update, init_params, train_local)
 from .seeding import derive_seed
 
@@ -40,9 +40,6 @@ LOG_FORMAT_VERSION = 1
 LOG_HEADER = struct.Struct("<4sH5I")
 # the largest value a u32 header field (a dimension, n or T) stores
 HEADER_FIELD_MAX = (1 << 32) - 1
-# float64 values per chunk of rebuilt models, and per group of participants
-# trained in one stacked pass (512 KiB)
-CHUNK_ELEMENTS = 1 << 16
 # RoundStack.rebuild sums a coalition of at least GATHER_MEMBERS members of a
 # model of at most GATHER_PARAMS values in one reduction over its gathered
 # rows; below either, adding one member at a time is faster.  Timed on a
@@ -139,7 +136,7 @@ def fedavg_aggregate(base: np.ndarray, updates: Mapping[int, np.ndarray],
         raise ValueError("no updates to aggregate")
     ids = sorted(updates)
     total = coalition_total(weights[i] for i in ids)
-    acc = np.asarray(base, dtype=np.float64).copy()
+    acc = np.array(base, dtype=np.float64)
     for pid in ids:
         delta = np.asarray(updates[pid])
         if delta.shape != acc.shape:
@@ -218,7 +215,6 @@ class RoundStack:
         self._gather_from = GATHER_MEMBERS if size <= GATHER_PARAMS else n + 1
         # coalition totals are summed exactly, in int64 while every total fits
         self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
-        # rows per chunk: at most CHUNK_ELEMENTS float64 values (512 KiB)
         self._chunk_rows = max(1, CHUNK_ELEMENTS // size)
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._rows[0])
@@ -408,11 +404,13 @@ class StoredRounds(collections.abc.Sequence):
     them do not persist, and checks them against the round's CRC32 taken at
     loading: a file changed or cut short since then fails with a
     :class:`LogFormatError` that names the round, and one moved or deleted
-    with the ``OSError`` of opening it.  No block is held between visits."""
+    with the ``OSError`` of opening it.  No block is held between visits.
+    A visit opens the file ``path`` named at loading, wherever it runs."""
 
     def __init__(self, path: str | Path, n: int, param_count: int,
                  offsets: Sequence[int], crcs: Sequence[int]):
         self._path = path
+        self._file = Path(path).absolute()
         self._n = n
         self._param_count = param_count
         self._offsets = tuple(offsets)
@@ -433,7 +431,7 @@ class StoredRounds(collections.abc.Sequence):
         t %= len(self)
         where = f"{self._path}: round {t}"
         blocks, crc = [], 0
-        with Path(self._path).open("rb") as src:
+        with self._file.open("rb") as src:
             src.seek(self._offsets[t])
             for _ in range(self._n + 2):
                 # each block is summed while it is still in cache

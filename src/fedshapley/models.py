@@ -24,14 +24,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 INIT_SCALE = 0.05
-# A test set of at least WIDE_ELEMENTS feature values (rows x input_dim; see
-# LabeledDataset.prepared) is wide: evaluate casts it to float64 a chunk of
-# rows at a time, and first_layer_products makes a round's products for it.
-# Below it, the plain float64 work is about as fast as the screen's
-# bookkeeping, or faster.
+# A test set of at least WIDE_ELEMENTS feature values (rows x input_dim), all
+# finite, is wide (see LabeledDataset.prepared): evaluate screens it, and
+# first_layer_products makes a round's products for it.  Below it, the plain
+# float64 work is about as fast as the screen's bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
-# float64 values per chunk of test rows cast to float64 (512 KiB)
-PRODUCT_CHUNK_ELEMENTS = 1 << 16
+# float64 values per chunk of test rows cast to float64, of rebuilt models,
+# and of participants trained in one stacked pass (512 KiB)
+CHUNK_ELEMENTS = 1 << 16
 # Unit roundoff and smallest normal value of float64.
 _F64 = (2.0 ** -53, 2.0 ** -1022)
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -134,13 +134,13 @@ class LabeledDataset:
     def prepared(self) -> tuple[np.ndarray, np.ndarray | None]:
         """What :func:`evaluate` reads, built at the first evaluation: the
         features cast to float64 and None; on a set of :data:`WIDE_ELEMENTS`
-        values or more, the float32 features (uncopied) and row 2-norms."""
-        features = self.features
-        if features.size < WIDE_ELEMENTS:
-            return np.asarray(features, dtype=np.float64), None
-        features = np.ascontiguousarray(features)
-        return features, np.sqrt(
-            np.einsum("ij,ij->i", features, features, dtype=np.float64))
+        values or more, all finite, the float32 features (uncopied) and row 2-norms."""
+        features = np.ascontiguousarray(self.features)
+        if features.size >= WIDE_ELEMENTS:
+            norms = np.sqrt(np.einsum("ij,ij->i", features, features, dtype=np.float64))
+            if np.isfinite(norms).all():
+                return features, norms
+        return np.asarray(features, dtype=np.float64), None
 
 
 def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
@@ -453,6 +453,19 @@ class LazyModel:
         return self._build()
 
 
+def _first_layer_product(features: np.ndarray, block: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """The float64 product of float32 rows with a float64 block (d x units),
+    into ``out`` where given, cast :data:`CHUNK_ELEMENTS` / d rows a slice."""
+    if out is None:
+        out = np.empty((len(features), block.shape[1]))
+    step = max(1, CHUNK_ELEMENTS // block.shape[0])
+    for start in range(0, len(features), step):
+        np.dot(features[start:start + step].astype(np.float64), block,
+               out=out[start:start + step])
+    return out
+
+
 class FirstLayerProducts:
     """The float64 products Q_i = X.B_i of a wide test set's rows X with the
     first-layer blocks B_0..B_n of n + 1 flat parameter vectors v_i (a base,
@@ -478,19 +491,15 @@ class FirstLayerProducts:
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
         self._shape = (features.shape[0], width)
         self._weights = list(weights)
-        scales = np.array(self._weights, dtype=np.float64)
         products = np.empty((len(vectors), *self._shape))
         squares = np.empty((len(vectors), width))
-        step = max(1, PRODUCT_CHUNK_ELEMENTS // d)
         for i, (vector, out) in enumerate(zip(vectors, products)):
             block = vector[:arch.first_layer_size].reshape(d, width).astype(np.float64)
             squares[i] = np.einsum("ij,ij->j", block, block)
-            for start in range(0, features.shape[0], step):
-                np.dot(features[start:start + step].astype(np.float64), block,
-                       out=out[start:start + step])
+            _first_layer_product(features, block, out)
             if i:  # P_i
                 out += products[0]
-                out *= scales[i - 1]
+                out *= float(self._weights[i - 1])
         self._products = products.reshape(len(vectors), -1)
         # R_S of the coalition whose bitmask (bit i for participant i) is
         # _summed; 0: none yet
@@ -568,14 +577,14 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
     """The :class:`FirstLayerProducts` of ``test``'s rows with ``vectors``
     (flat float32 or float64 parameters of ``arch``, such as a round
     record's blocks: a base, then one update per weight), where
-    :func:`evaluate` reads them: a wide set, every value finite, no weight
-    negative and every sum of weighted products far inside float64's range;
-    else None.  The set is checked first, before any vector is read."""
+    :func:`evaluate` reads them: a wide set, every vector's value finite, no
+    weight negative and every sum of weighted products far inside float64's
+    range; else None.  The set is checked first, before any vector is read."""
     features, norms = test.prepared
     if norms is None or any(v.shape != (arch.param_count,) for v in vectors):
         return None
     max_abs = np.array([np.abs(v).max() for v in vectors], dtype=np.float64)
-    if not (np.isfinite(max_abs).all() and np.isfinite(norms).all()):
+    if not np.isfinite(max_abs).all():
         return None
     # |P_i| <= w_i sqrt(d) (max|v_0| + max|v_i|) ||x||, up to rounding
     scales = np.array(weights, dtype=np.float64)
@@ -729,36 +738,33 @@ def _screen(arch: ModelArchitecture, tail: np.ndarray, first_layer: FirstLayer,
 
 def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
                      features: np.ndarray, norms: np.ndarray,
-                     first_layer: FirstLayer | None) -> np.ndarray | None:
+                     first_layer: FirstLayer | None) -> np.ndarray:
     """The argmax of every row of ``predict_logits(arch, model.params,
-    features)`` for float32 rows of 2-norms ``norms``, or None.  Every row
-    is decided by :func:`_screen`: first, given ``first_layer`` (these
-    parameters' first layer on the rows), from it and ``model.tail``; the
-    rows it leaves, or all without a first layer, from the float64 pass's
-    own product of those rows with W1, made :data:`PRODUCT_CHUNK_ELEMENTS` /
-    d rows at a time, so no float64 copy of the set is made, as a
-    :class:`FirstLayer` whose bounds that class states.  None where a
-    parameter or a row norm is not finite, or a row is still undecided
-    (exact ties, all-zero parameters)."""
+    features)`` for float32 rows of 2-norms ``norms``.  Every row is decided
+    by :func:`_screen`: first, given ``first_layer`` (these parameters'
+    first layer on the rows), from it and ``model.tail``; the rows it leaves,
+    gathered once, or all without one, as slices, from the float64 pass's
+    own product of them with W1 (:func:`_first_layer_product`), a
+    :class:`FirstLayer` whose bounds that class states.  The float64 pass
+    scores the whole set where a parameter is not finite, or a row is still
+    undecided (exact ties, all-zero parameters)."""
     if first_layer is None:
-        top, rows = np.empty(len(features), dtype=np.intp), np.arange(len(features))
+        top, rows = np.empty(len(features), dtype=np.intp), slice(None)
     else:
         top, rows = _screen(arch, model.tail, first_layer, norms)
         if not rows.size:
             return top
     flat = np.asarray(model.params, dtype=np.float64)
-    if not (np.isfinite(flat).all() and np.isfinite(norms).all()):
-        return None
-    w1 = _unpack(arch, flat)[0]
-    first = np.empty((len(rows), w1.shape[1]))
-    step = max(1, PRODUCT_CHUNK_ELEMENTS // arch.input_dim)
-    for start in range(0, len(rows), step):
-        np.dot(features[rows[start:start + step]].astype(np.float64), w1,
-               out=first[start:start + step])
-    w_norms = _norm_bound(w1)
-    layer = FirstLayer(first, *_first_layer_error(arch.input_dim, w_norms, 0.0), w_norms)
-    top[rows], still = _screen(arch, flat[arch.first_layer_size:], layer, norms[rows])
-    return None if still.size else top
+    if np.isfinite(flat).all():
+        w1 = _unpack(arch, flat)[0]
+        w_norms = _norm_bound(w1)
+        layer = FirstLayer(_first_layer_product(features[rows], w1),
+                           *_first_layer_error(arch.input_dim, w_norms, 0.0), w_norms)
+        top[rows], still = _screen(arch, flat[arch.first_layer_size:], layer,
+                                   norms[rows])
+        if not still.size:
+            return top
+    return predict_logits(arch, flat, features).argmax(axis=1)
 
 
 def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
@@ -773,25 +779,21 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
     evaluation, and otherwise scored by the float64 pass a chunk of rows at a
     time, under certified bounds, without a float64 copy of the set.  A
     :class:`LazyModel` is built in full only where that pass runs.  Only a
-    row still undecided, a parameter or row norm that is not finite sends
-    the whole set through the float64 pass at once.  The accuracy is always
-    that of the float64 forward pass."""
+    row still undecided or a parameter that is not finite sends the whole
+    set through the float64 pass at once.  The accuracy is always that of
+    the float64 forward pass."""
     features, norms = test.prepared
     rows = len(features)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
     if norms is None:
         full = params.params if isinstance(params, LazyModel) else params
-        _check_params(arch, full)
-        logits = _forward(_unpack(arch, np.asarray(full, dtype=np.float64)), features)[1]
-        predictions = logits.argmax(axis=1)
+        predictions = predict_logits(arch, full, features).argmax(axis=1)
     else:
         if not isinstance(params, LazyModel):
             _check_params(arch, params)
             params = LazyModel(params[arch.first_layer_size:], lambda full=params: full)
         predictions = _screened_argmax(arch, params, features, norms, first_layer)
-        if predictions is None:
-            predictions = predict_logits(arch, params.params, features).argmax(axis=1)
     return int(np.count_nonzero(predictions == test.labels)) / rows
 
 

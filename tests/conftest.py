@@ -142,7 +142,7 @@ def assert_products_match_the_float64_casts(record: RoundRecord,
               for v in vectors]
     features = test.prepared[0]
     products = np.empty((len(blocks), len(features), width))
-    step = max(1, models.PRODUCT_CHUNK_ELEMENTS // d)
+    step = max(1, models.CHUNK_ELEMENTS // d)
     for start in range(0, len(features), step):
         rows = features[start:start + step].astype(np.float64)
         chunk = products[:, start:start + step]

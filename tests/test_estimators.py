@@ -45,6 +45,7 @@ from fedshapley import (
     gtg_ti,
     gtg_tib,
     guided_permutation,
+    init_params,
     mr_eval,
     original_shapley_eval,
     partition,
@@ -722,20 +723,25 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     calls, rebuilds = collections.Counter(), collections.Counter()
     screen, products = models._screened_argmax, models.first_layer_products
     decide, reconstruct = models._decide, estimators.reconstruct_submodel
+    whole = models.predict_logits
 
     def counted(arch, model, features, norms, first_layer):
         calls["screen"] += 1
-        decided = rebuilds["decide"]
+        decided, fell_back = rebuilds["decide"], rebuilds["whole set"]
         top = screen(arch, model, features, norms, first_layer)
-        # a second decide scored rows again; None sends the set to the
-        # float64 pass
+        # a second decide scored rows again; predict_logits is the float64
+        # pass over the whole set
         rescored = rebuilds["decide"] > decided + 1
-        rebuilds["rescored or fell back"] += top is None or rescored
+        rebuilds["rescored or fell back"] += rescored or rebuilds["whole set"] > fell_back
         return top
 
     def counted_decide(logits, margins):
         rebuilds["decide"] += 1
         return decide(logits, margins)
+
+    def counted_whole(arch, params, features):
+        rebuilds["whole set"] += 1
+        return whole(arch, params, features)
 
     # a coalition's tail comes from a stack of tails, its full model from
     # reconstruct_submodel, where evaluate reads it
@@ -752,6 +758,7 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     monkeypatch.setattr(models, "_screened_argmax", counted)
     monkeypatch.setattr(models, "first_layer_products", counted_products)
     monkeypatch.setattr(models, "_decide", counted_decide)
+    monkeypatch.setattr(models, "predict_logits", counted_whole)
     monkeypatch.setattr(estimators, "reconstruct_submodel", counted_reconstruct)
     for run, want in zip(runs, wants):
         # a fresh set over the same arrays, prepared under the patched bounds
@@ -760,6 +767,42 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     assert calls == {"screen": sum(want.eval_count for want in wants)}
     # a coalition's model is rebuilt in full only where the screen read it
     assert rebuilds["full"] <= rebuilds["rescored or fell back"]
+
+
+# an infinite feature makes inf - inf in a row's logits, in every pass alike
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_wide_set_with_a_value_not_finite_scores_as_the_float64_pass(monkeypatch,
+                                                                      bad):
+    # a set of wide size whose row holds a value that is not finite is
+    # narrow: no screen runs, and every model, lone or a coalition of gtg's
+    # walks or of mr's enumeration, scores as the float64 pass does
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    log, clean = quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2]
+    features = clean.features.copy()
+    features[5, 2] = bad
+    arch, screened = log.architecture, []
+    screen = models._screened_argmax
+    monkeypatch.setattr(models, "_screened_argmax",
+                        lambda *args: screened.append(1) or screen(*args))
+
+    def fresh():
+        return LabeledDataset(features, clean.labels)
+
+    def float64_evaluate(arch, params, test, first_layer=None):
+        full = params.params if isinstance(params, models.LazyModel) else params
+        return float64_pass(arch, full, test)
+
+    test = fresh()
+    assert test.prepared[1] is None and test.prepared[0].dtype == np.float64
+    for params in (log.rounds[-1].aggregated, init_params(arch, seed=2)):
+        assert models.evaluate(arch, params, test) == float64_pass(arch, params, test)
+    runs = [lambda t: gtg_eval(log, t, GtgConfig(seed=9)), lambda t: mr_eval(log, t)]
+    got = [run(fresh()) for run in runs]
+    assert not screened
+    monkeypatch.setattr(estimators, "evaluate", float64_evaluate)
+    for run, report in zip(runs, got):
+        assert_reports_bit_equal(report, run(fresh()))
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

@@ -337,6 +337,24 @@ def test_loaded_rounds_read_the_saved_blocks_on_every_visit(tmp_path, hidden_dim
     assert block_bytes(loaded.rounds[1]) == saved[1]
 
 
+def test_a_log_loaded_by_a_relative_path_reads_its_rounds_from_elsewhere(
+        tmp_path, monkeypatch):
+    log, _, _ = quick_log(n=3, rounds=2, seed=4)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    loaded = load_log(save_log(log, "out/run.gtgl"))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert [block_bytes(rec) for rec in loaded.rounds] == \
+        [block_bytes(rec) for rec in log.rounds]
+    # a message names the path as it was given
+    raw = bytearray((tmp_path / "out" / "run.gtgl").read_bytes())
+    raw[-5] ^= 0xFF  # in the last round's aggregated block
+    (tmp_path / "out" / "run.gtgl").write_bytes(raw)
+    with pytest.raises(LogFormatError, match=r"^out/run\.gtgl: round 1: checksum"):
+        loaded.rounds[1]
+
+
 def d784_round_bytes(n: int) -> int:
     """One round's blocks at d = 784, hidden 64: P = 50,890, so the blocks
     dwarf the per-round bookkeeping."""

@@ -411,27 +411,33 @@ class ScreenBranches:
     def __init__(self, monkeypatch):
         self.seen = collections.Counter()
         decide, screen = models._decide, models._screened_argmax
+        whole = models.predict_logits
         stages = []
 
         def counted_decide(logits, margins):
-            stages.append(logits.dtype)
+            stages.append("decide")
             return decide(logits, margins)
+
+        def counted_whole(arch, params, features):
+            stages.append("fallback")
+            return whole(arch, params, features)
 
         def counted_screen(arch, model, features, norms, first_layer):
             stages.clear()
             top = screen(arch, model, features, norms, first_layer)
-            self.seen["fallback" if top is None else
+            self.seen["fallback" if "fallback" in stages else
                       "chunked" if first_layer is None else
                       "rescored" if len(stages) > 1 else "decided"] += 1
             return top
 
         monkeypatch.setattr(models, "_decide", counted_decide)
+        monkeypatch.setattr(models, "predict_logits", counted_whole)
         monkeypatch.setattr(models, "_screened_argmax", counted_screen)
 
 
 def logits_path(arch, params, test) -> float:
     """Accuracy through :func:`predict_logits` on the prepared features, as
-    evaluate scored a narrow set before it ran the forward pass itself."""
+    evaluate scores a narrow set."""
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
     full = params.params if isinstance(params, models.LazyModel) else params
@@ -517,7 +523,7 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
     # a model given no first layer is scored by the chunked float64 pass, here
     # 7 rows a chunk; every set is wide
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 7 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 7 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
     one_row = LabeledDataset(full.features[:1], full.labels[:1])
@@ -554,7 +560,7 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
     # of 2d + 2 smallest normals.  Each such FirstLayer is recorded as the
     # screen receives it; the first layers made here are not.
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
     given, received = [], []
     screen = models._screen
 
@@ -598,6 +604,36 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
                 error = np.abs(got.values - features.astype(np.float64) @ w1)
                 assert (error <= 2 * (got.slope * norms[:, None] + got.floor)).all()
     assert after_a_screen
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_the_rescoring_pass_slices_a_lone_models_rows_and_gathers_a_screens_once(
+        monkeypatch, arch):
+    # the prepared rows record the type of each index that reads them: a
+    # lone model's rows are read as slices of the set, 5 rows a chunk; the
+    # rows a first-layer screen leaves are gathered once, then sliced
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
+    keys = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            keys.append(type(key))
+            return super().__getitem__(key)
+
+    test = blobs(arch, 12, seed=5)
+    features, norms = test.prepared
+    test.__dict__["prepared"] = (features.view(Recorded), norms)
+    params = screen_param_cases(arch, test)[3]  # trained
+    want = float64_pass(arch, params, test)
+    chunks = -(-len(test) // 5)
+    assert same_bits(evaluate(arch, params, test), want)
+    assert keys == [slice] * (1 + chunks)  # the set, then each chunk
+    # a floor of 1e3 leaves every row to the rescoring pass
+    first = models.first_layer_products(arch, [params], test, []).combine()
+    keys.clear()
+    assert same_bits(evaluate(arch, params, test, first._replace(floor=1e3)), want)
+    assert keys == [np.ndarray] + [slice] * chunks
 
 
 def fewest_wide_rows(arch: ModelArchitecture) -> LabeledDataset:
@@ -766,7 +802,7 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
     # every set is wide; rows are rescored 5 a chunk
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
     full = blobs(arch, 12, seed=5)
     # the row of largest norm: in the 1x1 model it keeps the hidden unit
@@ -883,7 +919,7 @@ def test_products_from_float32_blocks_match_their_float64_casts(monkeypatch, arc
     # every set is wide; 5 rows a chunk, so that the chunks' edges show;
     # past 2^53 the weights round when cast
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
     full = blobs(arch, 12, seed=5)
     one_row = LabeledDataset(full.features[:1], full.labels[:1])
     rng = np.random.default_rng(arch.param_count)

@@ -209,7 +209,7 @@ def worst_over(arch, case, decisions, drop_floors=False, same_accuracy=True) -> 
 def wide_sets(monkeypatch):
     # every set is wide; rows are scored again 5 a chunk at d = 8
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "PRODUCT_CHUNK_ELEMENTS", 5 * 8)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * 8)
 
 
 @pytest.fixture()
