@@ -388,7 +388,8 @@ class RetrainOracle:
     parameters on the concatenation of S's datasets (ascending id order) for
     rounds x local_epochs epochs.  One fixed training seed is used for every
     coalition, so the utility is a deterministic function of the coalition's
-    data alone.
+    data alone.  A coalition whose training diverges is a ValueError that
+    names it.
     """
 
     def __init__(self, participants: list[Participant], arch: ModelArchitecture,
@@ -409,7 +410,10 @@ class RetrainOracle:
         merged = LabeledDataset(
             features=np.concatenate([p.features for p in parts]),
             labels=np.concatenate([p.labels for p in parts]))
-        model = train_local(self._arch, self._base, merged, self._cfg)
+        try:
+            model = train_local(self._arch, self._base, merged, self._cfg)
+        except ValueError as exc:
+            raise ValueError(f"retraining coalition {list(ids)}: {exc}") from exc
         return evaluate(self._arch, model, self._test)
 
 

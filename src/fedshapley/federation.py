@@ -280,7 +280,9 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     Participants whose datasets have one length visit the same batch
     positions, so each round trains them together (as ``models.train_group``
     does), in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters,
-    whose datasets are stacked once per run.
+    whose datasets are stacked once per run.  A round whose training
+    diverges, or whose updates or aggregate overflow float32, is a
+    RuntimeError that names it.
     """
     if len(participants) < 2:
         raise ValueError("need at least two participants")
@@ -310,20 +312,28 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     # the datasets are fixed: each group's are stacked once, for every round
     stacks = [_stack_datasets([by_id[pid].dataset for pid in group]) for group in groups]
     records: list[RoundRecord] = []
-    for t in range(rounds):
-        round_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "round", t))
-        updates = dict.fromkeys(ids)  # in ascending id order
-        for group, (features, labels) in zip(groups, stacks):
-            try:
-                trained = _train_stacked(arch, base, features, labels, round_cfg)
-            except Exception as exc:
-                raise RuntimeError(f"round {t}, participants {group}: {exc}") from exc
-            for pid, local in zip(group, trained):
-                updates[pid] = gradient_update(local, base)
-        aggregated = fedavg_aggregate(base, updates, weights)
-        records.append(RoundRecord(round=t, base_model=base, updates=updates,
-                                   aggregated=aggregated))
-        base = aggregated
+    # training that diverges, and an update or aggregate past float32's
+    # range, are refused below, so numpy's warnings on the way are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(rounds):
+            round_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "round", t))
+            updates = dict.fromkeys(ids)  # in ascending id order
+            for group, (features, labels) in zip(groups, stacks):
+                try:
+                    trained = _train_stacked(arch, base, features, labels, round_cfg)
+                except Exception as exc:
+                    raise RuntimeError(f"round {t}, participants {group}: {exc}") from exc
+                for pid, local in zip(group, trained):
+                    updates[pid] = gradient_update(local, base)
+            aggregated = fedavg_aggregate(base, updates, weights)
+            # an update past float32's range makes the aggregate infinite or
+            # NaN (every weight is positive), so one check covers both
+            if not np.isfinite(aggregated).all():
+                raise RuntimeError(f"round {t}: an update or the aggregated model "
+                                   "is past float32's range")
+            records.append(RoundRecord(round=t, base_model=base, updates=updates,
+                                       aggregated=aggregated))
+            base = aggregated
     return GradientLog(architecture=arch, rounds=records,
                        participant_weights=weights)
 
@@ -452,7 +462,9 @@ def load_log(path: str | Path) -> GradientLog:
     The header and the file's size are checked before any block is read.
     The blocks are then read once, a block at a time, under the file's
     running checksum and each round's own; the returned log's rounds are a
-    :class:`StoredRounds`, which reads each round again when it is visited."""
+    :class:`StoredRounds`, which reads each round again when it is visited.
+    Once the checksum holds, a block that holds a NaN or an infinity is a
+    :class:`LogFormatError` that names its round."""
     with Path(path).open("rb") as src:
         return _read_log(src, path)
 
@@ -488,17 +500,23 @@ def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
     crc = zlib.crc32(raw_weights, zlib.crc32(header))
     offsets, round_crcs = [], []
     values = np.empty(p, dtype="<f4")  # each block in turn
-    for _ in range(big_t):
+    not_finite = None  # the first round whose blocks hold a NaN or an infinity
+    for t in range(big_t):
         offsets.append(src.tell())
         round_crc = 0
         for _ in range(n + 2):
             _fill(src, values, str(path))
             crc = zlib.crc32(values, crc)
             round_crc = zlib.crc32(values, round_crc)
+            if not_finite is None and not np.isfinite(values).all():
+                not_finite = t
         round_crcs.append(round_crc)
     stored_crc = _fill(src, np.empty(1, dtype="<u4"), str(path))[0]
     if crc & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
+    if not_finite is not None:
+        raise LogFormatError(f"{path}: round {not_finite}: a block holds a value "
+                             "that is not finite")
     weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
     if 0 in weights.values():
         raise LogFormatError(f"{path}: participant weights must be positive, "

@@ -24,8 +24,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 INIT_SCALE = 0.05
-# A test set of at least WIDE_ELEMENTS feature values (rows x input_dim), all
-# finite, is wide (see LabeledDataset.prepared): evaluate screens it, and
+# A test set of at least WIDE_ELEMENTS feature values (rows x input_dim) is
+# wide (see LabeledDataset.prepared): evaluate screens it, and
 # first_layer_products makes a round's products for it.  Below it, the plain
 # float64 work is about as fast as the screen's bookkeeping, or faster.
 WIDE_ELEMENTS = 1 << 19
@@ -108,7 +108,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus integer class labels.  Frozen; change no feature in
-    place either, as :func:`evaluate` caches their preparation (not labels)."""
+    place either, as :func:`evaluate` caches their preparation (not labels).
+    Every feature is finite: a NaN or an infinity is a ValueError."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -118,6 +119,8 @@ class LabeledDataset:
         object.__setattr__(self, "labels", np.asarray(self.labels, np.int64))
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite: a value is NaN or infinite")
         if self.labels.ndim != 1:
             raise ValueError("labels must be a 1-D vector")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -134,13 +137,13 @@ class LabeledDataset:
     def prepared(self) -> tuple[np.ndarray, np.ndarray | None]:
         """What :func:`evaluate` reads, built at the first evaluation: the
         features cast to float64 and None; on a set of :data:`WIDE_ELEMENTS`
-        values or more, all finite, the float32 features (uncopied) and row 2-norms."""
+        values or more, the float32 features (uncopied) and row 2-norms, which
+        are finite, as the features are."""
         features = np.ascontiguousarray(self.features)
-        if features.size >= WIDE_ELEMENTS:
-            norms = np.sqrt(np.einsum("ij,ij->i", features, features, dtype=np.float64))
-            if np.isfinite(norms).all():
-                return features, norms
-        return np.asarray(features, dtype=np.float64), None
+        if features.size < WIDE_ELEMENTS:
+            return np.asarray(features, dtype=np.float64), None
+        return features, np.sqrt(np.einsum("ij,ij->i", features, features,
+                                           dtype=np.float64))
 
 
 def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
@@ -325,7 +328,8 @@ def train_group(arch: ModelArchitecture, base: np.ndarray,
         if len(data) != rows:
             raise ValueError(f"datasets of one group must have one length, got "
                              f"{rows} and {len(data)} rows")
-    return _train_stacked(arch, base, *_stack_datasets(datasets), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train_stacked(arch, base, *_stack_datasets(datasets), cfg)
 
 
 def _stack_datasets(datasets: Sequence[LabeledDataset]
@@ -342,7 +346,16 @@ def _stack_datasets(datasets: Sequence[LabeledDataset]
 def _train_stacked(arch: ModelArchitecture, base: np.ndarray, features: np.ndarray,
                    labels: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """:func:`train_group`'s pass over the stacks of :func:`_stack_datasets`,
-    of sets that :func:`check_training` accepts for ``base``."""
+    of sets that :func:`check_training` accepts for ``base``.  ValueError if
+    a trained parameter is not finite.
+
+    A step that overflows leaves an infinity or a NaN that every later step
+    keeps (bar a pre-activation of -inf, which the ReLU makes the exact 0),
+    as does the float32 cast of a parameter past its range, so the trained
+    parameters alone tell whether training diverged.  Callers run this under
+    ``np.errstate(over="ignore", invalid="ignore")``, which
+    ``federation.run_federation`` enters once per run, so numpy warns of
+    nothing on the way."""
     rows = features.shape[1]
     work = np.broadcast_to(base, (len(features), arch.param_count)).astype(np.float64)
     grad = np.empty_like(work)
@@ -356,7 +369,10 @@ def _train_stacked(arch: ModelArchitecture, base: np.ndarray, features: np.ndarr
                       np.take(labels, batch, axis=1), grads)
             grad *= cfg.learning_rate
             work -= grad
-    return work.astype(np.float32)
+    trained = work.astype(np.float32)
+    if not np.isfinite(trained).all():
+        raise ValueError("training diverged: a trained parameter is not finite")
+    return trained
 
 
 def train_local(arch: ModelArchitecture, base: np.ndarray,

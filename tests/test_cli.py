@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from fedshapley import cli, estimators, federation, scenarios
+from fedshapley import cli, estimators, federation, models, scenarios
 from fedshapley import (
+    GradientLog,
     GtgConfig,
     derive_seed,
+    evaluate,
     gtg_eval,
     gtg_oti,
     gtg_ti,
@@ -26,6 +28,7 @@ from fedshapley import (
     load_log_metadata,
     mr_eval,
     original_shapley_eval,
+    save_log,
     tmc_shapley_eval,
     tmr_eval,
 )
@@ -433,6 +436,35 @@ def test_evaluate_is_deterministic_for_sampling_estimators(config_path, tmp_path
         doc = json.loads((out / f"estimate_gtg_{STEM}.json").read_text())
         results.append((doc["total"], doc["per_round"], doc["eval_count"]))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("config", [
+    # at n = 8, gtg's walks rebuild coalitions of fewer than
+    # federation.GATHER_MEMBERS (6) members one member at a time, and larger
+    # ones in one reduction
+    {"scenario": {"n": 8}},
+    # a wide set, 1,030 test rows of 512 values: evaluate screens each
+    # coalition from the round's first-layer products, of a first layer of
+    # 512 x 4 ...
+    {"source": {"input_dim": 512}, "model": {"hidden_dim": 4},
+     "data": {"test_per_class": 103}, "scenario": {"n": 3}},
+    # ... or of softmax units, where each row's margin is the units' largest
+    # slope times its norm, plus their largest offset
+    {"source": {"input_dim": 512}, "model": {"hidden_dim": 0},
+     "data": {"test_per_class": 103}, "scenario": {"n": 3}},
+], ids=["n8", "wide", "wide-softmax"])
+def test_gtg_scores_a_log_alike_twice_and_mr_scores_every_coalition(
+        tmp_path, workdir, config):
+    cfg = _file(tmp_path / "run.json", json.dumps(
+        {"schema": CONFIG_SCHEMA, "seed": 3, "rounds": 1, **config}))
+    assert main(["simulate", "--config", cfg, "--quiet"]) == EXIT_OK
+    log = str(workdir / f"{STEM}.gtgl")
+    runs = [evaluate_doc(log, "gtg", tmp_path / run) for run in ("a", "b")]
+    for doc in runs:
+        del doc["wall_time_s"]
+    assert runs[0] == runs[1]
+    n = config["scenario"]["n"]
+    assert evaluate_doc(log, "mr", tmp_path / "mr")["eval_count"] == 2 ** n
 
 
 def test_evaluate_accepts_params_file(config_path, tmp_path):
@@ -880,6 +912,29 @@ def test_report_merges_and_prints_table(compare_run, tmp_path, capsys):
     assert "same_dist_same_size" in out
 
 
+def test_compare_on_a_wide_set_scores_as_the_float64_pass(tmp_path, workdir,
+                                                         monkeypatch):
+    # on a wide set (1,030 rows of 512 values), original scores each lone
+    # retrained model from the float64 pass's first layer on slices of the
+    # set, and gtg each coalition by the screen: both score as a narrow set
+    # of the same rows, which takes the float64 pass on every row
+    cfg = _file(tmp_path / "wide.json", json.dumps({
+        "schema": CONFIG_SCHEMA, "seed": 3, "rounds": 1,
+        "source": {"input_dim": 512}, "model": {"hidden_dim": 4},
+        "data": {"test_per_class": 103}, "scenario": {"n": 2},
+        "estimators": ["gtg"]}))
+    assert main(["compare", "--config", cfg, "--quiet"]) == EXIT_OK
+    report = workdir / f"compare_{STEM}.json"
+    assert main(["report", str(report)]) == EXIT_OK
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 2 ** 62)
+    narrow = tmp_path / "narrow"
+    assert main(["compare", "--config", cfg, "--out", str(narrow), "--quiet"]) == EXIT_OK
+    screened, whole = (json.loads(path.read_text())["metadata"]
+                       for path in (report, narrow / report.name))
+    assert screened["ground_truth"] == whole["ground_truth"]
+    assert screened["trajectories"] == whole["trajectories"]
+
+
 def test_report_rejects_foreign_documents(compare_run, tmp_path, capsys):
     alien = tmp_path / "alien.json"
     alien.write_text(json.dumps({"schema": ESTIMATE_SCHEMA, "rows": []}))
@@ -903,6 +958,90 @@ def test_report_rejects_malformed_documents(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "broken.json" in err
+
+
+# --- numbers that are not finite --------------------------------------------------
+
+
+def _trained_at(work: Path, hidden_dim: int, learning_rate: float, **extra) -> str:
+    return _file(work / "trained.json", json.dumps({
+        "schema": CONFIG_SCHEMA, "rounds": 5, "scenario": {"n": 3},
+        "model": {"hidden_dim": hidden_dim},
+        "train": {"learning_rate": learning_rate}, **extra}))
+
+
+# a RuntimeWarning fails these tests (pyproject.toml): none reaches stderr
+@pytest.mark.parametrize("hidden_dim, learning_rate", [(8, 100), (8, 1e5), (0, 1e300)])
+def test_training_that_diverges_ends_simulate_in_one_line(tmp_path, capsys,
+                                                          hidden_dim, learning_rate):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _trained_at(tmp_path, hidden_dim, learning_rate),
+                 "--out", str(out), "--quiet"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: round \d, participants \[1, 2, 3\]: training "
+                        r"diverged: a trained parameter is not finite", err[0])
+    assert not out.exists()
+
+
+def test_training_that_diverges_ends_compare_before_any_estimator(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    real = cli._run_named_estimator
+    monkeypatch.setattr(cli, "_run_named_estimator",
+                        lambda name, *args: ran.append(name) or real(name, *args))
+    cfg = _trained_at(tmp_path, 8, 100, estimators=["gtg", "mr"])
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: retraining coalition \[[\d, ]+\]: training "
+                        r"diverged: a trained parameter is not finite", err[0])
+    assert ran == ["original"] and not out.exists()
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 8])
+@pytest.mark.parametrize("learning_rate", [0.1, 10, 100, 1e5])
+def test_any_learning_rate_gives_finite_efficient_shares_or_one_line(
+        tmp_path, capsys, hidden_dim, learning_rate):
+    cfg = _trained_at(tmp_path, hidden_dim, learning_rate)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err.splitlines()
+    if code == EXIT_RUNTIME:
+        assert len(err) == 1 and not out.exists()
+        assert re.fullmatch(r"error: round \d+(, participants \[[\d, ]+\])?: (training "
+                            r"diverged: .+|an update or the aggregated model .+)", err[0])
+        return
+    assert code == EXIT_OK and not err
+    log = str(out / "same_dist_same_size_seed0.gtgl")
+    assert main(_evaluate(log, "gtg", "--out", str(out), "--quiet")) == EXIT_OK
+    doc = json.loads((out / "estimate_gtg_same_dist_same_size_seed0.json").read_text())
+    assert all(map(math.isfinite, doc["total"]))
+    # each round's shares add up to its gain, within the truncation thresholds
+    test, loaded, gtg = build_participants(parse_config(cfg))[2], load_log(log), GtgConfig()
+    tolerance = max(gtg.eps_within, gtg.eps_between) + 1e-9
+    assert len(doc["per_round"]) == loaded.total_rounds
+    for rec, shares in zip(loaded.rounds, doc["per_round"]):
+        gain = (evaluate(loaded.architecture, rec.aggregated, test)
+                - evaluate(loaded.architecture, rec.base_model, test))
+        assert math.fsum(shares["values"]) == pytest.approx(gain, abs=tolerance)
+
+
+def test_a_log_holding_a_value_not_finite_is_refused_by_round(eval_log, tmp_path,
+                                                             capsys):
+    loaded = load_log(eval_log)
+    rounds = list(loaded.rounds)
+    rounds[1].updates[2][0] = math.nan
+    log = str(save_log(GradientLog(loaded.architecture, rounds,
+                                   loaded.participant_weights),
+                       tmp_path / Path(eval_log).name,
+                       load_log_metadata(eval_log)["metadata"]))
+    out = tmp_path / "out"
+    assert main(_evaluate(log, "gtg", "--out", str(out), "--quiet")) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {log}: round 1: a block holds a value that is not finite"]
+    assert not out.exists()
 
 
 # --- malformed inputs: every subcommand, every input kind ---------------------------

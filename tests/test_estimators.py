@@ -45,7 +45,6 @@ from fedshapley import (
     gtg_ti,
     gtg_tib,
     guided_permutation,
-    init_params,
     mr_eval,
     original_shapley_eval,
     partition,
@@ -767,42 +766,6 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     assert calls == {"screen": sum(want.eval_count for want in wants)}
     # a coalition's model is rebuilt in full only where the screen read it
     assert rebuilds["full"] <= rebuilds["rescored or fell back"]
-
-
-# an infinite feature makes inf - inf in a row's logits, in every pass alike
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_a_wide_set_with_a_value_not_finite_scores_as_the_float64_pass(monkeypatch,
-                                                                      bad):
-    # a set of wide size whose row holds a value that is not finite is
-    # narrow: no screen runs, and every model, lone or a coalition of gtg's
-    # walks or of mr's enumeration, scores as the float64 pass does
-    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    log, clean = quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2]
-    features = clean.features.copy()
-    features[5, 2] = bad
-    arch, screened = log.architecture, []
-    screen = models._screened_argmax
-    monkeypatch.setattr(models, "_screened_argmax",
-                        lambda *args: screened.append(1) or screen(*args))
-
-    def fresh():
-        return LabeledDataset(features, clean.labels)
-
-    def float64_evaluate(arch, params, test, first_layer=None):
-        full = params.params if isinstance(params, models.LazyModel) else params
-        return float64_pass(arch, full, test)
-
-    test = fresh()
-    assert test.prepared[1] is None and test.prepared[0].dtype == np.float64
-    for params in (log.rounds[-1].aggregated, init_params(arch, seed=2)):
-        assert models.evaluate(arch, params, test) == float64_pass(arch, params, test)
-    runs = [lambda t: gtg_eval(log, t, GtgConfig(seed=9)), lambda t: mr_eval(log, t)]
-    got = [run(fresh()) for run in runs]
-    assert not screened
-    monkeypatch.setattr(estimators, "evaluate", float64_evaluate)
-    for run, report in zip(runs, got):
-        assert_reports_bit_equal(report, run(fresh()))
 
 
 # at 1.0 every gap is below the threshold, so only the first position of

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 import types
@@ -275,6 +276,24 @@ def test_a_group_that_fails_to_train_names_its_round_and_participants(monkeypatc
                        ModelArchitecture(5, 0, 3), TrainConfig(), 1, 0)
 
 
+def test_an_update_past_float32s_range_names_its_round(monkeypatch):
+    # round 0 trains every model to float32's largest value, and round 1 to
+    # its negative, whose update from round 0's aggregate overflows float32
+    largest = np.finfo(np.float32).max
+    signs = iter([1, -1])
+
+    def to_the_edge(arch, base, features, labels, cfg):
+        return np.full((len(features), arch.param_count), next(signs) * largest,
+                       dtype=np.float32)
+
+    monkeypatch.setattr(federation, "_train_stacked", to_the_edge)
+    good = gaussian_blobs(6, 5, 3, seed=0)
+    with pytest.raises(RuntimeError, match=r"^round 1: an update or the aggregated "
+                                           r"model is past float32's range$"):
+        run_federation([Participant(1, good), Participant(2, good)],
+                       ModelArchitecture(5, 0, 3), TrainConfig(), 3, 0)
+
+
 # --- persistence ---------------------------------------------------------------
 
 
@@ -456,7 +475,7 @@ def test_saving_a_loaded_log_over_its_own_file_keeps_its_bytes(tmp_path):
     path = save_log(log, tmp_path / "run.gtgl", metadata={"note": "kept"})
     raw, sidecar = path.read_bytes(), (tmp_path / "run.gtgl.json").read_bytes()
     loaded = load_log(path)
-    save_log(loaded, path, metadata={"note": "kept"})
+    save_log(loaded, path, metadata=load_log_metadata(path)["metadata"])
     assert path.read_bytes() == raw
     assert (tmp_path / "run.gtgl.json").read_bytes() == sidecar
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.gtgl", "run.gtgl.json"]
@@ -556,6 +575,22 @@ def test_loader_rejects_corruption(tmp_path):
 
     with pytest.raises(LogFormatError):
         load_log_metadata(tmp_path / "missing.gtgl")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_block_not_finite_is_refused_once_the_checksum_holds(tmp_path, bad):
+    log, _, _ = quick_log(n=3, rounds=3, seed=4)
+    log.rounds[1].updates[2][3] = bad
+    path = save_log(log, tmp_path / "run.gtgl")
+    with pytest.raises(LogFormatError, match=rf"^{re.escape(str(path))}: round 1: a "
+                                             r"block holds a value that is not finite$"):
+        load_log(path)
+    # a damaged file reports its checksum first
+    raw = bytearray(path.read_bytes())
+    raw[-8] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(LogFormatError, match=r": checksum mismatch$"):
+        load_log(path)
 
 
 def test_validate_flags_tampering():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import gaussian_blobs
 
+from fedshapley import models
 from fedshapley import (
     LabeledDataset,
     ModelArchitecture,
@@ -77,6 +78,26 @@ def test_dataset_validation_and_dtypes():
         LabeledDataset(np.ones((3, 2)), np.array([0, 1]))
     with pytest.raises(ValueError):
         LabeledDataset(np.ones((2, 2)), np.array([0, -1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_feature_that_is_not_finite_is_refused(bad):
+    features = np.ones((4, 3), dtype=np.float32)
+    features[2, 1] = bad
+    with pytest.raises(ValueError, match="^features must be finite"):
+        LabeledDataset(features, np.zeros(4, dtype=np.int64))
+
+
+def test_a_set_is_wide_by_size_alone(monkeypatch):
+    # the float64 row norms of finite float32 rows are finite: a 784-wide
+    # row of float32's largest value, 3.4e38, has a norm of 28 times that
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 784)
+    largest = np.finfo(np.float32).max
+    data = LabeledDataset(np.full((2, 784), largest, dtype=np.float32), [0, 1])
+    features, norms = data.prepared
+    assert features is data.features
+    assert np.isfinite(norms).all()
+    assert norms == pytest.approx(28 * np.float64(largest), rel=1e-12)
 
 
 def test_init_params_seeded_uniform():
@@ -244,6 +265,16 @@ def test_a_label_past_the_models_classes_cannot_train():
     # the same labels train a model of four classes
     wider = ModelArchitecture(SOFTMAX.input_dim, 0, 4)
     train_local(wider, init_params(wider, seed=0), past, TrainConfig())
+
+
+# a RuntimeWarning fails this test (pyproject.toml): none is raised on the way
+@pytest.mark.parametrize("arch", [SOFTMAX, MLP], ids=["softmax", "mlp"])
+def test_training_that_diverges_is_refused(arch):
+    data = gaussian_blobs(8, 4, 3, seed=1)
+    with pytest.raises(ValueError, match="^training diverged: a trained parameter "
+                                         "is not finite$"):
+        train_local(arch, init_params(arch, seed=0), data,
+                    TrainConfig(local_epochs=3, learning_rate=1e300))
 
 
 def test_a_group_trains_datasets_of_one_length():
