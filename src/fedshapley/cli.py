@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .estimators import (RETRAIN_PLAYER_LIMIT, EstimatorReport,
+from .estimators import (RETRAIN_PLAYER_LIMIT, Estimator, EstimatorReport,
                          check_estimator_params, estimator)
 from .federation import (HEADER_FIELD_MAX, GradientLog, LogFormatError,
                          Participant, load_log, load_log_metadata, run_federation,
@@ -292,11 +292,11 @@ def _sidecar_config(log_path: str) -> ExperimentConfig:
 def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog,
                    retrains: bool):
     """The participants (None unless the estimator ``retrains``) and test
-    set that the sidecar's config ``cfg`` rebuilds for ``log``.  Before any
-    data is drawn, the config is checked against ``log`` (its n, rounds,
-    model and the participant weights the config deals), then every round
-    of ``log`` (:meth:`GradientLog.validate`).  A log-based estimator reads
-    no participant, so the pool is drawn but not dealt."""
+    set that the sidecar's config ``cfg`` rebuilds for ``log``, which
+    :func:`load_log` has checked.  Before any data is drawn, the config is
+    checked against ``log`` (its n, rounds, model and the participant
+    weights the config deals).  A log-based estimator reads no participant,
+    so the pool is drawn but not dealt."""
     sidecar = f"{log_path}.json"
     found = (log.n, log.total_rounds, log.architecture)
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
@@ -306,11 +306,19 @@ def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog,
     if _deal_table(cfg).sum(axis=1).tolist() != weights:
         raise LogFormatError(f"{sidecar}: config deals participants whose "
                              "weights differ from the log's")
-    log.validate()
     if retrains:
         participants, _, test = build_participants(cfg)
         return participants, test
     return None, generate_source(cfg.source, cfg.train_per_class, cfg.test_per_class)[1]
+
+
+def _check_retraining(cfg: ExperimentConfig, entry: Estimator) -> None:
+    """Usage error, before any data is drawn or block read, where ``entry``
+    retrains coalitions (``original``, whose shares are compare's ground
+    truth, and ``tmc``) past the n guard."""
+    if entry.retrains and cfg.scenario.n > RETRAIN_PLAYER_LIMIT:
+        raise ConfigError(f"retraining coalitions: n={cfg.scenario.n} exceeds the "
+                          f"n <= {RETRAIN_PLAYER_LIMIT} guard")
 
 
 def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
@@ -329,7 +337,7 @@ def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
 
 def cmd_evaluate(args) -> int:
     try:
-        estimator(args.estimator)
+        entry = estimator(args.estimator)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     params = {}
@@ -347,10 +355,10 @@ def cmd_evaluate(args) -> int:
                          sort_keys=True, indent=2))
         return EXIT_OK
     cfg = _sidecar_config(args.log)
+    _check_retraining(cfg, entry)
     with _output_dir(args) as out:
         log = load_log(args.log)
-        participants, test = _experiment_of(args.log, cfg, log,
-                                            estimator(args.estimator).retrains)
+        participants, test = _experiment_of(args.log, cfg, log, entry.retrains)
         report = _run_named_estimator(args.estimator, params, cfg, log, test,
                                       participants)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
@@ -371,10 +379,7 @@ def cmd_compare(args) -> int:
     if not cfg.estimators:
         raise ConfigError("compare needs at least one estimator in the config")
     # fail fast: ground truth retrains 2^n models, so guard before any training
-    if cfg.scenario.n > RETRAIN_PLAYER_LIMIT:
-        raise ConfigError(
-            f"compare computes ground truth by retraining all coalitions; "
-            f"n={cfg.scenario.n} exceeds the n <= {RETRAIN_PLAYER_LIMIT} guard")
+    _check_retraining(cfg, estimator("original"))
     # the pool is not kept alive through training: nothing reads it
     participants, test = build_participants(cfg)[::2]
     with _output_dir(args) as out:

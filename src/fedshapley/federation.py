@@ -28,8 +28,9 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-# run_federation trains with models._train_stacked; train_local, the trainer
-# of one dataset, stays importable from here under the name it has always had
+# run_federation trains with models._train_stacked, and nothing here calls
+# train_local; the benchmark's traced run (perfbench/spans.py) wraps
+# federation.train_local by name, so the import stays
 from .models import (CHUNK_ELEMENTS, LabeledDataset, ModelArchitecture,
                      TrainConfig, _stack_datasets, _train_stacked, check_training,
                      coalition_total, gradient_update, init_params, train_local)
@@ -95,33 +96,81 @@ class GradientLog:
         return len(self.rounds)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation.
+        """Check the log's layout (:meth:`_blocks`) and its FedAvg chain
+        (:class:`_Chain`); raises ValueError at the first broken rule.
 
-        The rounds are visited once, in order, and each is compared with the
-        one before it, so one round is held at a time."""
-        if self.n < 2 or not self.rounds:
-            raise ValueError(f"need n >= 2 and T >= 1, got n={self.n}, T={len(self.rounds)}")
-        ids = sorted(self.participant_weights)
-        if ids != list(range(1, self.n + 1)):
-            raise ValueError(f"participant ids not contiguous from 1: {ids}")
-        if min(self.participant_weights.values()) < 1:
-            raise ValueError(f"participant weights must be positive, got "
-                             f"{self.participant_weights}")
-        previous = None  # the aggregated model of the round before
-        for t, rec in enumerate(self.rounds):
+        The rounds are visited once, in order, so one round is held at a
+        time."""
+        chain = _Chain(self.participant_weights, len(self.rounds))
+        for t, k, block in self._blocks():
+            chain.add(t, k, block)
+            if chain.problem is not None:
+                break
+        if chain.problem is not None:
+            raise ValueError(chain.problem)
+
+    def _blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Every round's blocks in file order, as (round, index, block): the
+        base is block 0, participant i's update block i, the aggregate block
+        n + 1.  A round's layout is checked before its blocks are yielded:
+        its index is its position, it holds an update of each participant
+        1..n (:func:`round_vectors`) and of no one else, and each block holds
+        the model's values.  A round is dropped before the next is read."""
+        p = self.architecture.param_count
+        t = 0  # not enumerate: its tuple would keep a round while the next is read
+        for rec in self.rounds:
             if rec.round != t:
                 raise ValueError(f"round index {rec.round} at position {t}")
-            if previous is not None and not np.array_equal(previous, rec.base_model):
-                raise ValueError(f"round {t - 1}: aggregated differs from round "
-                                 f"{t} base model")
-            if sorted(rec.updates) != ids:
-                raise ValueError(f"round {t}: updates missing for some participants")
-            rebuilt = reconstruct_submodel(rec, ids, self.participant_weights)
-            if not np.array_equal(rebuilt, rec.aggregated):
-                raise ValueError(f"round {t}: aggregated model does not match "
-                                 "re-aggregation over the full participant set")
-            previous = rec.aggregated
-            del rec, rebuilt  # before the next round is read
+            blocks = [*round_vectors(rec, self.participant_weights), rec.aggregated]
+            if len(rec.updates) != self.n or {np.shape(b) for b in blocks} != {(p,)}:
+                raise ValueError(f"round {t}: not a base, updates of participants "
+                                 f"1..{self.n} and an aggregate, of {p} values each")
+            for k, block in enumerate(blocks):
+                yield t, k, block
+            t += 1
+            del rec, blocks, block  # before the next round is read
+
+
+class _Chain:
+    """The rule a sound log keeps, checked a block at a time in file order
+    (each round's base, its updates in ascending id order, its aggregate):
+    n >= 2 participants, each of positive weight, and T >= 1 rounds; every
+    value is finite; each round's base is the round before's aggregate; and
+    each aggregate is :func:`fedavg_aggregate`'s float64 sum of its round's
+    updates, cast to float32 once.  ``problem`` is the first rule broken,
+    or None; once it is set, no block is checked.  One float64 block is
+    held, the sum: no copy of an aggregate is kept, since once it matches
+    the sum's cast, the next base is compared with that cast."""
+
+    def __init__(self, weights: Mapping[int, int], rounds: int):
+        self.problem = None
+        if len(weights) < 2 or rounds < 1:
+            self.problem = f"need n >= 2 and T >= 1, got n={len(weights)}, T={rounds}"
+        elif min(weights.values()) < 1:
+            self.problem = f"participant weights must be positive, got {dict(weights)}"
+        else:
+            total = coalition_total(weights.values())
+            self._scales = [weights[i] / total for i in sorted(weights)]
+
+    # two float32 blocks can sum past float32's range: the sum's cast is then
+    # inf, which no finite aggregate equals
+    @np.errstate(over="ignore")
+    def add(self, t: int, k: int, block: np.ndarray) -> None:
+        """Check block ``k`` of round ``t``: 0 is the base, 1..n the
+        updates, n + 1 the aggregate."""
+        if self.problem is not None:
+            return
+        if not np.isfinite(block).all():
+            self.problem = f"round {t}: a block holds a value that is not finite"
+        elif k == 0 and t and not np.array_equal(self._sum.astype(np.float32), block):
+            self.problem = f"round {t - 1}: aggregated differs from round {t} base model"
+        elif k == 0:
+            self._sum = np.array(block, dtype=np.float64)
+        elif k <= len(self._scales):
+            self._sum += np.multiply(block, self._scales[k - 1], dtype=np.float64)
+        elif not np.array_equal(self._sum.astype(np.float32), block):
+            self.problem = (f"round {t}: aggregated model does not match "
+                            "re-aggregation over the full participant set")
 
 
 def fedavg_aggregate(base: np.ndarray, updates: Mapping[int, np.ndarray],
@@ -363,7 +412,9 @@ def save_log(log: GradientLog, path: str | Path,
 
     The log is written a round at a time, under a running checksum, so no
     copy of the whole file is held.  Each file is written beside its target
-    and then moved into place."""
+    and then moved into place.  A round whose layout :func:`load_log` could
+    not read back (:meth:`GradientLog._blocks`) is a ValueError that names
+    it, and leaves no file."""
     path = Path(path)
     arch = log.architecture
     n, big_t = log.n, log.total_rounds
@@ -379,12 +430,8 @@ def save_log(log: GradientLog, path: str | Path,
                               arch.hidden_dim, arch.class_count, n, big_t))
         write(struct.pack(f"<{n}Q", *(log.participant_weights[pid]
                                       for pid in sorted(log.participant_weights))))
-        for rec in log.rounds:
-            write(_f32(rec.base_model))
-            for pid in sorted(rec.updates):
-                write(_f32(rec.updates[pid]))
-            write(_f32(rec.aggregated))
-            del rec  # before the next round is read
+        for _, _, block in log._blocks():
+            write(_f32(block))
         out.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
     sidecar = {"format_version": LOG_FORMAT_VERSION,
@@ -461,10 +508,11 @@ def load_log(path: str | Path) -> GradientLog:
 
     The header and the file's size are checked before any block is read.
     The blocks are then read once, a block at a time, under the file's
-    running checksum and each round's own; the returned log's rounds are a
-    :class:`StoredRounds`, which reads each round again when it is visited.
-    Once the checksum holds, a block that holds a NaN or an infinity is a
-    :class:`LogFormatError` that names its round."""
+    running checksum and each round's own, and checked against the FedAvg
+    chain (:class:`_Chain`, as :meth:`GradientLog.validate` checks them);
+    the returned log's rounds are a :class:`StoredRounds`, which reads each
+    round again when it is visited.  Once the checksum holds, a broken rule
+    is a :class:`LogFormatError` worded as ``validate`` words it."""
     with Path(path).open("rb") as src:
         return _read_log(src, path)
 
@@ -483,8 +531,6 @@ def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
         raise LogFormatError(
             f"{path}: format version {version}, this reader supports "
             f"{LOG_FORMAT_VERSION}")
-    if n < 2 or big_t < 1:
-        raise LogFormatError(f"{path}: need n >= 2 and T >= 1, got n={n}, T={big_t}")
     try:
         arch = ModelArchitecture(input_dim=input_dim, hidden_dim=hidden_dim,
                                  class_count=class_count)
@@ -498,29 +544,24 @@ def _read_log(src: BinaryIO, path: str | Path) -> GradientLog:
             f"P={p}; found {size} (truncated or corrupt)")
     raw_weights = src.read(8 * n)
     crc = zlib.crc32(raw_weights, zlib.crc32(header))
+    weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
+    chain = _Chain(weights, big_t)
     offsets, round_crcs = [], []
     values = np.empty(p, dtype="<f4")  # each block in turn
-    not_finite = None  # the first round whose blocks hold a NaN or an infinity
     for t in range(big_t):
         offsets.append(src.tell())
         round_crc = 0
-        for _ in range(n + 2):
+        for k in range(n + 2):
             _fill(src, values, str(path))
             crc = zlib.crc32(values, crc)
             round_crc = zlib.crc32(values, round_crc)
-            if not_finite is None and not np.isfinite(values).all():
-                not_finite = t
+            chain.add(t, k, values)
         round_crcs.append(round_crc)
     stored_crc = _fill(src, np.empty(1, dtype="<u4"), str(path))[0]
     if crc & 0xFFFFFFFF != stored_crc:
         raise LogFormatError(f"{path}: checksum mismatch")
-    if not_finite is not None:
-        raise LogFormatError(f"{path}: round {not_finite}: a block holds a value "
-                             "that is not finite")
-    weights = dict(enumerate(struct.unpack(f"<{n}Q", raw_weights), start=1))
-    if 0 in weights.values():
-        raise LogFormatError(f"{path}: participant weights must be positive, "
-                             f"got {weights}")
+    if chain.problem is not None:
+        raise LogFormatError(f"{path}: {chain.problem}")
     return GradientLog(architecture=arch, participant_weights=weights,
                        rounds=StoredRounds(path, n, p, offsets, round_crcs))
 

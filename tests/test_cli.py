@@ -359,6 +359,26 @@ def test_compare_guards_large_player_counts(tmp_path, capsys):
     assert "n=12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("estimator", ["original", "tmc"])
+def test_evaluate_refuses_retraining_past_the_guard_before_reading_a_block(
+        tmp_path, capsys, monkeypatch, estimator):
+    cfg = write_config(tmp_path / "exp.json", rounds=1,
+                       scenario={"kind": "same_dist_same_size", "n": 12},
+                       data={"train_per_class": 12, "test_per_class": 2})
+    log = simulate(cfg, tmp_path)
+    assert main(["compare", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+    refused = capsys.readouterr().err.splitlines()
+    assert refused == ["error: retraining coalitions: n=12 exceeds the n <= 10 guard"]
+    read = []
+    monkeypatch.setattr(federation, "_fill", lambda *args: read.append(args))
+    monkeypatch.setattr(cli, "generate_source", lambda *args: read.append(args))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--log", log, "--estimator", estimator,
+                 "--out", str(out), "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == refused
+    assert not read and not out.exists()
+
+
 @pytest.fixture()
 def drawn(monkeypatch):
     """Counts the calls of ``cli.generate_source``, which draws the data."""
@@ -534,6 +554,25 @@ def test_evaluate_unknown_estimator(config_path, tmp_path, capsys):
     assert main(["evaluate", "--log", log, "--estimator", "shapley",
                  "--quiet"]) == EXIT_USAGE
     assert "registered:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["gtg", "mr"])
+def test_evaluate_reads_each_block_twice_and_calls_no_validate(
+        config_path, tmp_path, monkeypatch, name):
+    # load_log checks the chain as it reads the blocks, and the estimator
+    # reads them again: no third walk
+    def refuse(self):
+        raise RuntimeError("validate was called")
+
+    log = simulate(config_path, tmp_path)
+    read = []
+    fill = federation._fill
+    monkeypatch.setattr(federation, "_fill", lambda *args: read.append(1) or fill(*args))
+    monkeypatch.setattr(GradientLog, "validate", refuse)
+    assert main(["evaluate", "--log", log, "--estimator", name,
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    # T = 2 rounds of n + 2 = 5 blocks, read twice, and the checksum once
+    assert len(read) == 2 * 2 * 5 + 1
 
 
 def test_evaluate_corrupt_log_is_a_runtime_error(config_path, tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -620,3 +621,119 @@ def test_validate_flags_tampering():
     log5.rounds[1].round = 5
     with pytest.raises(ValueError, match="round index 5 at position 1"):
         log5.validate()
+
+
+# --- one chain rule for load_log and validate -------------------------------------
+
+
+def one_ulp_up(block: np.ndarray, at: int) -> np.ndarray:
+    """A copy of ``block`` whose value ``at`` is the next float32 up."""
+    out = block.copy()
+    out[at] = np.nextafter(out[at], np.float32(np.inf))
+    return out
+
+
+def break_aggregate(log):
+    log.rounds[1].aggregated = one_ulp_up(log.rounds[1].aggregated, 3)
+
+
+def break_base(log):
+    log.rounds[1].base_model = one_ulp_up(log.rounds[1].base_model, 3)
+
+
+def double_update(log):
+    log.rounds[0].updates[2] = log.rounds[0].updates[2] * np.float32(2.0)
+
+
+def put_nan(log):
+    log.rounds[1].updates[2] = log.rounds[1].updates[2].copy()
+    log.rounds[1].updates[2][3] = np.nan
+
+
+# each log differs from a sound one in one place; the first rule broken
+CHAIN_BREAKS = {
+    "aggregate-one-ulp": (break_aggregate, "round 1: aggregated model does not match "
+                          "re-aggregation over the full participant set"),
+    "base": (break_base, "round 0: aggregated differs from round 1 base model"),
+    "update-doubled": (double_update, "round 0: aggregated model does not match "
+                       "re-aggregation over the full participant set"),
+    "nan": (put_nan, "round 1: a block holds a value that is not finite"),
+}
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 4], ids=["softmax", "hidden"])
+@pytest.mark.parametrize("case", CHAIN_BREAKS)
+def test_load_log_and_validate_refuse_a_broken_chain_alike(tmp_path, case, hidden_dim):
+    tamper, message = CHAIN_BREAKS[case]
+    log, _, _ = quick_log(n=3, rounds=2, seed=4, hidden_dim=hidden_dim)
+    log.validate()
+    path = save_log(log, tmp_path / "sound.gtgl")
+    load_log(path).validate()
+    tamper(log)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log.validate()
+    path = save_log(log, tmp_path / "broken.gtgl")
+    with pytest.raises(LogFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_log(path)
+
+
+def test_an_aggregate_one_ulp_off_in_the_file_is_refused_as_validate_refuses_it(tmp_path):
+    log, _, _ = quick_log(n=3, rounds=2, seed=4)
+    path = save_log(log, tmp_path / "run.gtgl")
+    raw = bytearray(path.read_bytes())
+    p = log.architecture.param_count
+    at = len(raw) - 4 - 4 * p  # round 1's aggregate, the last block
+    raw[at:at + 4 * p] = one_ulp_up(log.rounds[1].aggregated, 3).tobytes()
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    path.write_bytes(raw)
+    message = CHAIN_BREAKS["aggregate-one-ulp"][1]
+    with pytest.raises(LogFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_log(path)
+    break_aggregate(log)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log.validate()
+    # a damaged file still reports its checksum first
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(raw)
+    with pytest.raises(LogFormatError, match=r": checksum mismatch$"):
+        load_log(path)
+
+
+def no_update_of_3(log):
+    del log.rounds[1].updates[3]
+
+
+def an_update_of_4(log):
+    log.rounds[1].updates[4] = log.rounds[1].updates[3]
+
+
+def one_input_more(log):
+    arch = log.architecture
+    log.architecture = ModelArchitecture(arch.input_dim + 1, arch.hidden_dim,
+                                         arch.class_count)
+
+
+# rounds that no file of the log's header holds
+LAYOUT_BREAKS = {
+    "no-update-of-3": (no_update_of_3, r"^round 1 has no updates for \[3\]$"),
+    "an-update-of-4": (an_update_of_4, r"^round 1: not a base, updates of "
+                       r"participants 1\.\.3 and an aggregate, of 18 values each$"),
+    "one-input-more": (one_input_more, r"^round 0: not a base, updates of "
+                       r"participants 1\.\.3 and an aggregate, of 21 values each$"),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_BREAKS)
+def test_save_log_writes_no_round_that_load_log_cannot_read(tmp_path, case):
+    tamper, message = LAYOUT_BREAKS[case]
+    log, _, _ = quick_log(n=3, rounds=2, seed=4)
+    assert log.architecture.param_count == 18
+    path = save_log(log, tmp_path / "run.gtgl")
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    tamper(log)
+    with pytest.raises(ValueError, match=message):
+        log.validate()
+    for target in (path, tmp_path / "other.gtgl"):
+        with pytest.raises(ValueError, match=message):
+            save_log(log, target)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
