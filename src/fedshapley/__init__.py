@@ -29,8 +29,7 @@ from .metrics import (ComparisonRow, build_report, cosine_distance,
                       report_to_csv, write_report)
 from .models import (LabeledDataset, ModelArchitecture, TrainConfig, evaluate,
                      finite_difference_check, gradient_update, init_params,
-                     loss_and_gradient, predict_logits, train_group,
-                     train_local)
+                     loss_and_gradient, predict_logits, train_local)
 from .scenarios import (ScenarioKind, ScenarioSpec, SyntheticSource,
                         default_noise_rates, default_size_ratios,
                         generate_source, pair_of, partition)
@@ -57,5 +56,5 @@ __all__ = [
     "pair_of", "partition", "permutation_marginals", "position_marginal_profile",
     "predict_logits", "read_report", "reconstruct_submodel", "report_to_csv",
     "round_marginal_gains", "run_federation", "run_log_estimator", "save_log",
-    "tmc_shapley_eval", "tmr_eval", "train_group", "train_local", "write_report",
+    "tmc_shapley_eval", "tmr_eval", "train_local", "write_report",
 ]

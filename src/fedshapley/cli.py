@@ -326,13 +326,13 @@ def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
     """Run ``name`` on the experiment.  Unless its params set a seed, a
     sampled estimator's seed derives from the config's."""
     entry = estimator(name)
-    params = dict(params)
-    if entry.sampled:
-        params.setdefault("seed", derive_seed(cfg.seed, "estimator", name))
+    if "seed" in entry.options:
+        params = {"seed": derive_seed(cfg.seed, "estimator", name), **params}
+    keywords = check_estimator_params(name, params)
     if entry.retrains:
         return entry.run(participants, cfg.model, cfg.train, cfg.rounds, test,
-                         init_seed=cfg.federation_seed, **entry.keywords(params))
-    return entry.run(log, test, **entry.keywords(params))
+                         init_seed=cfg.federation_seed, **keywords)
+    return entry.run(log, test, **keywords)
 
 
 def cmd_evaluate(args) -> int:

@@ -27,10 +27,9 @@ original              retraining-based exact values (ground truth)
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,31 +268,20 @@ class EstimatorReport:
         return [v.converged is not False for v in self.per_round]
 
 
-def _sample_games(name: str, cfg: GtgConfig,
-                  builders: Iterable[Callable[[], RoundGame]],
-                  evaluate_first: bool = False) -> EstimatorReport:
-    """Score each builder's game with :func:`gtg_round`, in order; a game is
-    built when its turn comes, so one game's stack (and products) is alive at
-    a time."""
+def _report(name: str, count: int,
+            score: Callable[[int], ContributionVector]) -> EstimatorReport:
+    """The one per-round loop: ``score(t)`` for t in range(``count``), timed.
+    A call reads round t, builds and scores its game, and drops both on
+    return, so one round is alive at a time."""
     started = time.perf_counter()
-    rounds = [gtg_round(build(), cfg, always_evaluate_first=evaluate_first)
-              for build in builders]
-    return EstimatorReport(name, rounds, time.perf_counter() - started)
+    per_round = [score(t) for t in range(count)]
+    return EstimatorReport(name, per_round, time.perf_counter() - started)
 
 
 def _gtg_family(log: GradientLog, test: LabeledDataset, cfg: GtgConfig,
                 name: str) -> EstimatorReport:
-    # a builder holds a round's index, not its record: the record (read from
-    # a loaded log's file) is made when its game is built, and dropped with it
-    return _sample_games(name, cfg, (
-        functools.partial(_round_game, log, t, test)
-        for t in range(log.total_rounds)))
-
-
-def _round_game(log: GradientLog, t: int, test: LabeledDataset) -> RoundGame:
-    """Round ``t``'s game, from its record read now."""
-    return RoundGame.from_round(log.rounds[t], log.participant_weights,
-                                log.architecture, test)
+    return _report(name, log.total_rounds, lambda t: gtg_round(RoundGame.from_round(
+        log.rounds[t], log.participant_weights, log.architecture, test), cfg))
 
 
 def gtg_eval(log: GradientLog, test: LabeledDataset,
@@ -323,7 +311,8 @@ def gtg_oti(log: GradientLog, test: LabeledDataset,
     all rounds; within-round truncation only, uniform sampling."""
     cfg = dataclasses.replace(cfg or GtgConfig(), eps_between=0.0,
                               sampling="uniform")
-    return _sample_games("gtg_oti", cfg, [lambda: RoundGame.accumulated(log, test)])
+    return _report("gtg_oti", 1,
+                   lambda _: gtg_round(RoundGame.accumulated(log, test), cfg))
 
 
 def round_utilities(rec: RoundRecord, log: GradientLog,
@@ -338,20 +327,17 @@ def round_utilities(rec: RoundRecord, log: GradientLog,
 
 def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
                   lam: float, round_threshold: float) -> EstimatorReport:
-    """The one loop of :func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
-    started = time.perf_counter()
-    per_round = []
-    for rec in log.rounds:
-        weight = lam ** rec.round
+    """:func:`mr_eval` and :func:`tmr_eval` (see the latter)."""
+
+    def score(t: int) -> ContributionVector:
+        weight = lam ** t
         if weight < round_threshold:
-            per_round.append(ContributionVector(np.zeros(log.n), round=rec.round))
-        else:
-            values = round_utilities(rec, log, test)
-            per_round.append(ContributionVector(
-                weight * shapley_from_values(values).values, round=rec.round,
-                eval_count=len(values)))
-        del rec  # before the next round is read
-    return EstimatorReport(name, per_round, time.perf_counter() - started)
+            return ContributionVector(np.zeros(log.n), round=t)
+        values = round_utilities(log.rounds[t], log, test)
+        return ContributionVector(weight * shapley_from_values(values).values,
+                                  round=t, eval_count=len(values))
+
+    return _report(name, log.total_rounds, score)
 
 
 def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
@@ -434,11 +420,10 @@ def original_shapley_eval(participants: list[Participant],
                           rounds: int, test: LabeledDataset,
                           init_seed: int = 0) -> EstimatorReport:
     """Ground truth: exact values over the retraining utility (2^n - 1 trainings)."""
-    started = time.perf_counter()
     game = _retraining_game(participants, arch, train_cfg, rounds, test, init_seed)
-    vec = exact_shapley(game)
-    vec.eval_count = game.eval_count
-    return EstimatorReport("original", [vec], time.perf_counter() - started)
+    # the count is read once exact_shapley has evaluated every coalition
+    return _report("original", 1, lambda _: dataclasses.replace(
+        exact_shapley(game), eval_count=game.eval_count))
 
 
 def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
@@ -454,7 +439,8 @@ def tmc_shapley_eval(participants: list[Participant], arch: ModelArchitecture,
     cfg = cfg or GtgConfig()
     cfg = dataclasses.replace(cfg, eps_between=0.0, sampling=(
         "uniform" if cfg.sampling == "guided" else cfg.sampling))
-    return _sample_games("tmc", cfg, [lambda: RoundGame(0, game)], evaluate_first=True)
+    return _report("tmc", 1, lambda _: gtg_round(RoundGame(0, game), cfg,
+                                                 always_evaluate_first=True))
 
 
 def mc_shapley(game: CoalitionGame, sampler: Callable[[int], Sequence[int]],
@@ -512,19 +498,20 @@ def position_marginal_profile(log: GradientLog, test: LabeledDataset,
 
 class Estimator(NamedTuple):
     """An entry of :data:`ESTIMATORS`.  ``options``: the names its parameter
-    table may hold.  ``sampled``: it takes them as a :class:`GtgConfig` ``cfg``
-    and draws from a seed of its own.  ``retrains``: it takes ``(participants,
-    arch, train_cfg, rounds, test)`` and ``init_seed``, not ``(log, test)``.
-    ``checked``: the keywords of a table, if not sampled; ValueError if bad."""
+    table may hold; it is sampled, and draws from a seed of its own, if they
+    hold ``seed``.  ``parse``: ``run``'s keywords from a table of those names;
+    ValueError if a value is bad.  ``retrains``: it takes ``(participants,
+    arch, train_cfg, rounds, test)`` and ``init_seed``, not ``(log, test)``."""
 
     run: Callable[..., EstimatorReport]
     options: tuple[str, ...] = ()
-    sampled: bool = False
+    parse: Callable[..., dict] = dict
     retrains: bool = False
-    checked: Callable[..., dict] = dict
 
-    def keywords(self, params: dict) -> dict:
-        return {"cfg": GtgConfig(**params)} if self.sampled else self.checked(**params)
+
+def _sampled(**params) -> dict:
+    """A sampled estimator's keywords: its table as a :class:`GtgConfig`."""
+    return {"cfg": GtgConfig(**params)}
 
 
 def _cfg_fields(*overridden: str) -> tuple[str, ...]:
@@ -535,15 +522,15 @@ def _cfg_fields(*overridden: str) -> tuple[str, ...]:
 
 ESTIMATORS = {
     # gtg samples guided orders: its uniform form is gtg_tib
-    "gtg": Estimator(gtg_eval, _cfg_fields("sampling"), sampled=True),
-    "gtg_oti": Estimator(gtg_oti, _cfg_fields("eps_between", "sampling"), sampled=True),
-    "gtg_ti": Estimator(gtg_ti, _cfg_fields("eps_between", "sampling"), sampled=True),
-    "gtg_tib": Estimator(gtg_tib, _cfg_fields("sampling"), sampled=True),
+    "gtg": Estimator(gtg_eval, _cfg_fields("sampling"), _sampled),
+    "gtg_oti": Estimator(gtg_oti, _cfg_fields("eps_between", "sampling"), _sampled),
+    "gtg_ti": Estimator(gtg_ti, _cfg_fields("eps_between", "sampling"), _sampled),
+    "gtg_tib": Estimator(gtg_tib, _cfg_fields("sampling"), _sampled),
     "mr": Estimator(mr_eval),
-    "tmr": Estimator(tmr_eval, ("lam", "round_threshold"), checked=_tmr_params),
+    "tmr": Estimator(tmr_eval, ("lam", "round_threshold"), _tmr_params),
     "original": Estimator(original_shapley_eval, retrains=True),
     "tmc": Estimator(tmc_shapley_eval, _cfg_fields("eps_between", "sampling"),
-                     sampled=True, retrains=True),
+                     _sampled, retrains=True),
 }
 
 
@@ -557,9 +544,10 @@ def estimator(name: str, log_based: bool = False) -> Estimator:
     return ESTIMATORS[name]
 
 
-def check_estimator_params(name: str, params: object) -> None:
-    """Raise ValueError unless ``name`` is registered and ``params`` is a
-    table of parameter names it accepts, each holding a value it accepts."""
+def check_estimator_params(name: str, params: object) -> dict:
+    """``name``'s ``run`` keywords from ``params``; ValueError unless ``name``
+    is registered and ``params`` is a table of parameter names it accepts,
+    each holding a value it accepts."""
     entry = estimator(name)
     if not isinstance(params, dict):
         raise ValueError(f"{name} params must be a table of name/value pairs, "
@@ -568,13 +556,12 @@ def check_estimator_params(name: str, params: object) -> None:
     if unknown:
         raise ValueError(f"{name} does not accept {', '.join(unknown)}; "
                          f"accepted: {', '.join(entry.options) or 'none'}")
-    entry.keywords(params)
+    return entry.parse(**params)
 
 
 def run_log_estimator(name: str, log: GradientLog, test: LabeledDataset,
                       params: dict | None = None) -> EstimatorReport:
     """Dispatch a log-based estimator by name with a plain parameter table."""
     entry = estimator(name, log_based=True)
-    params = {} if params is None else params
-    check_estimator_params(name, params)
-    return entry.run(log, test, **entry.keywords(params))
+    return entry.run(log, test, **check_estimator_params(
+        name, {} if params is None else params))

@@ -327,8 +327,8 @@ def run_federation(participants: list[Participant], arch: ModelArchitecture,
     per-round seed derived from ``cfg.seed`` shared by all participants, so
     identically configured participants produce identical updates.
     Participants whose datasets have one length visit the same batch
-    positions, so each round trains them together (as ``models.train_group``
-    does), in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters,
+    positions, so each round trains them together (``models._train_stacked``),
+    in groups of at most :data:`CHUNK_ELEMENTS` float64 parameters,
     whose datasets are stacked once per run.  A round whose training
     diverges, or whose updates or aggregate overflow float32, is a
     RuntimeError that names it.
@@ -432,6 +432,7 @@ def save_log(log: GradientLog, path: str | Path,
                                       for pid in sorted(log.participant_weights))))
         for _, _, block in log._blocks():
             write(_f32(block))
+            del block  # before the next is read
         out.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
     sidecar = {"format_version": LOG_FORMAT_VERSION,

@@ -313,25 +313,6 @@ def check_training(arch: ModelArchitecture, base: np.ndarray,
                          f"{arch.class_count} classes")
 
 
-def train_group(arch: ModelArchitecture, base: np.ndarray,
-                datasets: Sequence[LabeledDataset], cfg: TrainConfig) -> np.ndarray:
-    """:func:`train_local` of each of ``datasets``, of one length, in one
-    pass: float32 parameters, a row per dataset, each bit-equal to training
-    that dataset alone.  One length means one shuffle visits the same batch
-    positions in each; their parameters, batches and gradients are stacked
-    along a leading axis (see :func:`_gradient`)."""
-    if not datasets:
-        raise ValueError("no datasets to train on")
-    rows = len(datasets[0])
-    for data in datasets:
-        check_training(arch, base, data)
-        if len(data) != rows:
-            raise ValueError(f"datasets of one group must have one length, got "
-                             f"{rows} and {len(data)} rows")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _train_stacked(arch, base, *_stack_datasets(datasets), cfg)
-
-
 def _stack_datasets(datasets: Sequence[LabeledDataset]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The features (sets x rows x d) and labels (sets x rows) of non-empty
@@ -345,9 +326,13 @@ def _stack_datasets(datasets: Sequence[LabeledDataset]
 
 def _train_stacked(arch: ModelArchitecture, base: np.ndarray, features: np.ndarray,
                    labels: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """:func:`train_group`'s pass over the stacks of :func:`_stack_datasets`,
-    of sets that :func:`check_training` accepts for ``base``.  ValueError if
-    a trained parameter is not finite.
+    """:func:`train_local` of each set in the stacks of :func:`_stack_datasets`
+    (sets that :func:`check_training` accepts for ``base``) in one pass:
+    float32 parameters, a row per set, each bit-equal to training that set
+    alone.  One length means one shuffle visits the same batch positions in
+    each; their parameters, batches and gradients are stacked along a
+    leading axis (see :func:`_gradient`).  ValueError if a trained parameter
+    is not finite.
 
     A step that overflows leaves an infinity or a NaN that every later step
     keeps (bar a pre-activation of -inf, which the ReLU makes the exact 0),
@@ -381,9 +366,11 @@ def train_local(arch: ModelArchitecture, base: np.ndarray,
 
     Bit-deterministic: shuffling is seeded per config, batches are visited in
     shuffle order, and the working precision is float64 with a single cast to
-    float32 at the end.  A group of one for :func:`train_group`.
+    float32 at the end.  A stack of one for :func:`_train_stacked`.
     """
-    return train_group(arch, base, [data], cfg)[0]
+    check_training(arch, base, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train_stacked(arch, base, *_stack_datasets([data]), cfg)[0]
 
 
 def gradient_update(local: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -57,8 +57,10 @@ from fedshapley import (
     tmr_eval,
 )
 from fedshapley import estimators, models
-from fedshapley.estimators import estimator, round_utilities
-from fedshapley.federation import CHUNK_ELEMENTS, RoundStack
+from fedshapley.estimators import (check_estimator_params, estimator,
+                                   round_utilities)
+from fedshapley.federation import (CHUNK_ELEMENTS, RoundStack, StoredRounds,
+                                   load_log, save_log)
 from fedshapley.games import players_of
 
 EXHAUSTIVE = GtgConfig(eps_between=0.0, eps_within=0.0, sampling="cycle",
@@ -529,7 +531,7 @@ def test_position_profile_telescopes_to_mean_round_gain():
     assert profile.sum() == pytest.approx(np.mean(gains), abs=1e-9)
 
 
-def test_estimator_registry_and_dispatch():
+def test_estimator_registry_and_dispatch(monkeypatch):
     assert list(estimators.ESTIMATORS) == ["gtg", "gtg_oti", "gtg_ti", "gtg_tib",
                                            "mr", "tmr", "original", "tmc"]
     log, test, _ = quick_log(n=3, rounds=2, seed=11)
@@ -561,6 +563,44 @@ def test_estimator_registry_and_dispatch():
         run_log_estimator("mr", log, test, {"lam": 0.5})
     with pytest.raises(ValueError, match="table"):
         run_log_estimator("tmr", log, test, [("lam", 0.5)])
+    # the checked table is the keywords run receives
+    received = []
+    for name, params in (("gtg", {"eps_within": 0.01, "seed": 3}), ("gtg_oti", {}),
+                         ("mr", {}), ("tmr", {"lam": 0.5})):
+        monkeypatch.setitem(estimators.ESTIMATORS, name, estimator(name)._replace(
+            run=lambda *args, **keywords: received.append(keywords)))
+        run_log_estimator(name, log, test, params)
+        assert received.pop() == check_estimator_params(name, params)
+
+
+def test_a_library_run_builds_one_config(monkeypatch):
+    log, test, _ = quick_log(n=3, rounds=2, seed=11)
+    built = []
+
+    class Counted(GtgConfig):
+        # GtgConfig's check reads the annotations of the class its name holds
+        __annotations__ = GtgConfig.__annotations__
+
+        def __post_init__(self) -> None:
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(estimators, "GtgConfig", Counted)
+    run_log_estimator("gtg", log, test, {"seed": 3})
+    assert [vars(cfg) for cfg in built] == [vars(GtgConfig(seed=3))]
+
+
+def test_tmr_reads_no_round_it_skips(tmp_path, monkeypatch):
+    log, test, _ = quick_log(n=3, rounds=5, seed=11)
+    loaded = load_log(save_log(log, tmp_path / "run.gtgl"))
+    read = []
+    visit = StoredRounds.__getitem__
+    monkeypatch.setattr(StoredRounds, "__getitem__",
+                        lambda rounds, t: read.append(t) or visit(rounds, t))
+    # 0.5 ** t falls below 0.2 from round 3 on
+    report = tmr_eval(loaded, test, lam=0.5, round_threshold=0.2)
+    assert read == [0, 1, 2]
+    assert [v.eval_count for v in report.per_round] == [8, 8, 8, 0, 0]
 
 
 def test_report_totals_match_per_round_sums():

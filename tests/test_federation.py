@@ -22,12 +22,15 @@ from fedshapley import (
     TrainConfig,
     fedavg_aggregate,
     gtg_eval,
+    gtg_ti,
+    gtg_tib,
     load_log,
     load_log_metadata,
     mr_eval,
     reconstruct_submodel,
     run_federation,
     save_log,
+    tmr_eval,
 )
 from fedshapley import federation
 from fedshapley.estimators import (gtg_oti, position_marginal_profile,
@@ -458,7 +461,11 @@ def test_a_loop_over_a_loaded_log_drops_each_round_before_it_reads_the_next(tmp_
     work = {"save_log": lambda log: save_log(log, tmp_path / "copy.gtgl"),
             "validate": lambda log: log.validate(),
             "gtg_eval": lambda log: gtg_eval(log, test),
+            "gtg_ti": lambda log: gtg_ti(log, test),
+            "gtg_tib": lambda log: gtg_tib(log, test),
             "mr_eval": lambda log: mr_eval(log, test),
+            # rounds 0 to 2 are scored and rounds 3 and 4 skipped
+            "tmr_eval": lambda log: tmr_eval(log, test, lam=0.5, round_threshold=0.2),
             "gtg_oti": lambda log: gtg_oti(log, test),
             "round_marginal_gains": lambda log: round_marginal_gains(log, test),
             "position_marginal_profile":
@@ -469,6 +476,16 @@ def test_a_loop_over_a_loaded_log_drops_each_round_before_it_reads_the_next(tmp_
                  for rounds in (1, 5)]
         # validate keeps the round before's aggregated model, a fifth of a round
         assert peaks[1] < peaks[0] + round_bytes / 2, (name, peaks)
+
+
+def test_saving_a_loaded_log_holds_no_round_past_the_one_it_writes(tmp_path):
+    paths, _ = d784_logs(tmp_path)
+    peaks = []
+    for rounds in (1, 5):
+        log = load_log(paths[rounds])
+        peaks.append(traced_peak(lambda: save_log(log, tmp_path / "copy.gtgl")))
+    # a block is dropped before the next is read: no more than a one-round log
+    assert peaks[1] <= peaks[0] + 0.01 * d784_round_bytes(3), peaks
 
 
 def test_saving_a_loaded_log_over_its_own_file_keeps_its_bytes(tmp_path):

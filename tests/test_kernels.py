@@ -390,7 +390,8 @@ def test_the_stacked_trainer_matches_the_reference(arch, rows, batch_size):
         cfg = TrainConfig(local_epochs=epochs, batch_size=batch_size,
                           learning_rate=0.3, seed=epochs)
         before = base.copy()
-        trained = models.train_group(arch, base, datasets, cfg)
+        trained = models._train_stacked(arch, base, *models._stack_datasets(datasets),
+                                        cfg)
         assert trained.shape == (len(datasets), arch.param_count)
         for data, got in zip(datasets, trained):
             assert same_bits(got, ref_train_local(arch, base, data, cfg))

@@ -16,7 +16,6 @@ from fedshapley import (
     init_params,
     loss_and_gradient,
     predict_logits,
-    train_group,
     train_local,
 )
 
@@ -253,15 +252,13 @@ def test_train_input_validation():
 
 
 def test_a_label_past_the_models_classes_cannot_train():
-    # checked before training, not met as an IndexError inside it; a group,
-    # and through it the retraining estimators, is refused the same way
+    # checked before training, not met as an IndexError inside it; the
+    # retraining estimators, which train through train_local, are refused too
     base = init_params(SOFTMAX, seed=0)
     data = probe_data()
     past = LabeledDataset(data.features, np.where(data.labels == 2, 3, data.labels))
     with pytest.raises(ValueError, match=r"^label 3 is past the model's 3 classes$"):
         train_local(SOFTMAX, base, past, TrainConfig())
-    with pytest.raises(ValueError, match="past the model's"):
-        train_group(SOFTMAX, base, [data, past], TrainConfig())
     # the same labels train a model of four classes
     wider = ModelArchitecture(SOFTMAX.input_dim, 0, 4)
     train_local(wider, init_params(wider, seed=0), past, TrainConfig())
@@ -275,17 +272,6 @@ def test_training_that_diverges_is_refused(arch):
                                          "is not finite$"):
         train_local(arch, init_params(arch, seed=0), data,
                     TrainConfig(local_epochs=3, learning_rate=1e300))
-
-
-def test_a_group_trains_datasets_of_one_length():
-    base = init_params(SOFTMAX, seed=0)
-    with pytest.raises(ValueError, match="no datasets"):
-        train_group(SOFTMAX, base, [], TrainConfig())
-    with pytest.raises(ValueError, match="one length, got 12 and 11 rows"):
-        train_group(SOFTMAX, base, [probe_data(), probe_data(rows=11)], TrainConfig())
-    # a member that cannot train fails the group, as it fails alone
-    with pytest.raises(ValueError, match="empty dataset"):
-        train_group(SOFTMAX, base, [probe_data(), probe_data(rows=0)], TrainConfig())
 
 
 def test_gradient_update_is_plain_difference():
