@@ -148,8 +148,9 @@ def config_from_dict(doc: object, path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: each estimator must be a name or a "
                                   f"table, got {type(item).__name__}")
             params = item.get("params", {})
-            check_estimator_params(item.get("name"), params)
-            entries.append({"name": item["name"], "params": dict(params)})
+            keywords = _estimator_keywords(item.get("name"), params, seed, path)
+            entries.append({"name": item["name"], "params": dict(params),
+                            "keywords": keywords})
         return ExperimentConfig(seed=seed, rounds=doc.get("rounds", 1),
                                 scenario=scenario, source=source, model=model,
                                 train=train, train_per_class=train_per_class,
@@ -178,7 +179,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "train": _section_doc(cfg.train),
         "data": {"train_per_class": cfg.train_per_class,
                  "test_per_class": cfg.test_per_class},
-        "estimators": cfg.estimators,
+        "estimators": [{"name": entry["name"], "params": entry["params"]}
+                       for entry in cfg.estimators],
     }
 
 
@@ -321,14 +323,27 @@ def _check_retraining(cfg: ExperimentConfig, entry: Estimator) -> None:
                           f"n <= {RETRAIN_PLAYER_LIMIT} guard")
 
 
-def _run_named_estimator(name: str, params: dict, cfg: ExperimentConfig,
+def _estimator_keywords(name: str, params: object, seed: int | None,
+                        source) -> dict:
+    """``name``'s ``run`` keywords from its params table, which is parsed
+    once, here (see ``estimators.check_estimator_params``); a ConfigError
+    that names ``source``, where the table came from, if it is refused.
+    Unless the table sets a seed, a sampled estimator's seed derives from
+    the config's master ``seed`` (None: no seed is put in)."""
+    try:
+        if (seed is not None and isinstance(params, dict)
+                and "seed" in estimator(name).options):
+            params = {"seed": derive_seed(seed, "estimator", name), **params}
+        return check_estimator_params(name, params)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _run_named_estimator(name: str, keywords: dict, cfg: ExperimentConfig,
                          log: GradientLog | None, test, participants) -> EstimatorReport:
-    """Run ``name`` on the experiment.  Unless its params set a seed, a
-    sampled estimator's seed derives from the config's."""
+    """Run ``name`` on the experiment with ``run`` keywords from
+    :func:`_estimator_keywords`."""
     entry = estimator(name)
-    if "seed" in entry.options:
-        params = {"seed": derive_seed(cfg.seed, "estimator", name), **params}
-    keywords = check_estimator_params(name, params)
     if entry.retrains:
         return entry.run(participants, cfg.model, cfg.train, cfg.rounds, test,
                          init_seed=cfg.federation_seed, **keywords)
@@ -346,20 +361,23 @@ def cmd_evaluate(args) -> int:
             params = json.loads(Path(args.params).read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
-        try:
-            check_estimator_params(args.estimator, params)
-        except ValueError as exc:
-            raise ConfigError(f"{args.params}: {exc}") from exc
     if args.print_config:
+        _estimator_keywords(args.estimator, params, None, args.params)
         print(json.dumps({"estimator": args.estimator, "params": params},
                          sort_keys=True, indent=2))
         return EXIT_OK
-    cfg = _sidecar_config(args.log)
+    try:
+        cfg = _sidecar_config(args.log)
+    except (OSError, ValueError):
+        # a bad table is a usage error whatever the sidecar
+        _estimator_keywords(args.estimator, params, None, args.params)
+        raise
+    keywords = _estimator_keywords(args.estimator, params, cfg.seed, args.params)
     _check_retraining(cfg, entry)
     with _output_dir(args) as out:
         log = load_log(args.log)
         participants, test = _experiment_of(args.log, cfg, log, entry.retrains)
-        report = _run_named_estimator(args.estimator, params, cfg, log, test,
+        report = _run_named_estimator(args.estimator, keywords, cfg, log, test,
                                       participants)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
         path.write_text(json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
@@ -383,6 +401,7 @@ def cmd_compare(args) -> int:
     # the pool is not kept alive through training: nothing reads it
     participants, test = build_participants(cfg)[::2]
     with _output_dir(args) as out:
+        # the ground truth takes no parameters
         truth = _run_named_estimator("original", {}, cfg, None, test, participants)
         if not truth.total.values.any():
             raise RuntimeError("the ground truth gives every participant 0, so "
@@ -392,7 +411,7 @@ def cmd_compare(args) -> int:
         rows = []
         trajectories = {}
         for entry in cfg.estimators:
-            report = _run_named_estimator(entry["name"], entry["params"], cfg, log,
+            report = _run_named_estimator(entry["name"], entry["keywords"], cfg, log,
                                           test, participants)
             rows.append(ComparisonRow.compare(truth.total, report))
             trajectories[report.name] = {

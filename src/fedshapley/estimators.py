@@ -114,8 +114,9 @@ class RoundScorer:
     out of its updates.  On a wide test set (see
     :func:`~fedshapley.models.first_layer_products`, which checks the set
     first) the first-layer products are made once, from the record's float32
-    blocks; a coalition is then rebuilt as its tail, from a stack of the
-    tails alone, and in full, by
+    blocks, biases included; a coalition is then rebuilt as its tail, the
+    layers after the first (W2 and b2; none without a hidden layer), from a
+    stack of the tails alone, and in full, by
     :func:`~fedshapley.federation.reconstruct_submodel`, only where
     ``evaluate`` reads it (see :class:`~fedshapley.models.LazyModel`).  Else
     every coalition is rebuilt in full, from one stack of the round."""

@@ -46,8 +46,8 @@ HEADER_FIELD_MAX = (1 << 32) - 1
 # rows; below either, adding one member at a time is faster.  Timed on a
 # 2-core Xeon (numpy 2.4.6): at 170 values, 4 members take 11 us one at a
 # time and 14 us gathered, and 31 members 72 us and 23 us; at 714 values
-# (cli784's tails), 4 members take 8.6 us and 15 us; at 2,410 and 50,890
-# values one at a time is faster at every size.
+# (near cli784's 650-value tails), 4 members take 8.6 us and 15 us; at
+# 2,410 and 50,890 values one at a time is faster at every size.
 GATHER_MEMBERS = 6
 GATHER_PARAMS = 512
 
@@ -243,8 +243,8 @@ class RoundStack:
     (:func:`round_vectors`), and not on each rebuild.  Every operation is
     element-wise, so a stack from ``start`` rebuilds
     ``reconstruct_submodel(...)[start:]``, bit for bit, at the cost of the
-    slice alone (on a wide test set, what follows the first layer's weights:
-    see ``models.LazyModel``).
+    slice alone (on a wide test set, what follows the first layer's bias,
+    possibly nothing: see ``models.LazyModel``).
     """
 
     def __init__(self, record: RoundRecord, weights: Mapping[int, int],
@@ -264,7 +264,7 @@ class RoundStack:
         self._gather_from = GATHER_MEMBERS if size <= GATHER_PARAMS else n + 1
         # coalition totals are summed exactly, in int64 while every total fits
         self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
-        self._chunk_rows = max(1, CHUNK_ELEMENTS // size)
+        self._chunk_rows = max(1, CHUNK_ELEMENTS // max(size, 1))
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._rows[0])
 

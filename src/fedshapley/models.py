@@ -84,8 +84,9 @@ class ModelArchitecture:
 
     @property
     def first_layer_size(self) -> int:
-        """The first layer's weights: where the rest of a flat vector starts."""
-        return self.input_dim * (self.hidden_dim or self.class_count)
+        """The first layer, weights then bias, (W1; b1) of d + 1 rows: where
+        the rest of a flat vector, its tail, starts."""
+        return (self.input_dim + 1) * (self.hidden_dim or self.class_count)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,14 @@ class LabeledDataset:
     def prepared(self) -> tuple[np.ndarray, np.ndarray | None]:
         """What :func:`evaluate` reads, built at the first evaluation: the
         features cast to float64 and None; on a set of :data:`WIDE_ELEMENTS`
-        values or more, the float32 features (uncopied) and row 2-norms, which
-        are finite, as the features are."""
+        values or more, the float32 features (uncopied) and the 2-norm of each
+        row x with a 1 appended, ||(x, 1)||, which are finite, as the features
+        are (see :class:`FirstLayer`)."""
         features = np.ascontiguousarray(self.features)
         if features.size < WIDE_ELEMENTS:
             return np.asarray(features, dtype=np.float64), None
         return features, np.sqrt(np.einsum("ij,ij->i", features, features,
-                                           dtype=np.float64))
+                                           dtype=np.float64) + 1.0)
 
 
 def init_params(arch: ModelArchitecture, seed: int) -> np.ndarray:
@@ -186,25 +188,22 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
 
 
 def _unpack_tail(arch: ModelArchitecture, tail: np.ndarray) -> tuple:
-    """:func:`_unpack`'s views after the first layer's weights, from a vector
-    ``tail`` of the parameters from ``arch.first_layer_size`` on.  (Training
-    and narrow evaluations unpack a whole vector per call, so :func:`_unpack`
-    keeps its own offsets rather than pay for a call of this.)"""
+    """:func:`_unpack`'s W2 and b2 (none without a hidden layer) from a
+    vector ``tail`` of the parameters from ``arch.first_layer_size`` on.
+    (Training and narrow evaluations unpack a whole vector per call, so
+    :func:`_unpack` keeps its own offsets rather than pay for a call of
+    this.)"""
     h, c = arch.hidden_dim, arch.class_count
     if h == 0:
-        return (tail,)
-    return tail[:h], tail[h:h + h * c].reshape(h, c), tail[h + h * c:]
+        return ()
+    return tail[:h * c].reshape(h, c), tail[h * c:]
 
 
-def _forward(layers: tuple, x: np.ndarray | None,
-             first: np.ndarray | None = None, product=np.dot):
+def _forward(layers: tuple, x: np.ndarray, product=np.dot):
     """One float64 forward pass of ``x`` through the views :func:`_unpack`
-    gives: (post-ReLU hidden layer or None, logits).  Given ``first``, the
-    product of ``x`` with the first layer's weights (float64, made
-    elsewhere), ``x`` is not read, and the rest runs on ``first`` itself,
-    also from float32 views (as :func:`evaluate`'s screen does).  Biases
-    and the ReLU are applied in place on each fresh product, which gives the
-    same bits as ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot``
+    gives: (post-ReLU hidden layer or None, logits).  Biases and the ReLU
+    are applied in place on each fresh product, which gives the same bits
+    as ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot``
     gives ``@``'s bits on these 2-D float64 operands with less dispatch
     overhead, except for one row through a layer of one input (d = 1, or one
     hidden unit).  There an exact-zero input times a NaN or infinite weight
@@ -212,7 +211,7 @@ def _forward(layers: tuple, x: np.ndarray | None,
     product's zero may differ in sign, which the bias add erases unless that
     bias is -0.0.  Training passes ``product=np.matmul`` and the stacks of
     :func:`_unpack_stack`, which run each member's slice as ``@`` does."""
-    hidden = product(x, layers[0]) if first is None else first
+    hidden = product(x, layers[0])
     hidden += layers[1]
     if len(layers) == 2:
         return None, hidden
@@ -402,37 +401,34 @@ def _norm_bound(w: np.ndarray) -> np.ndarray:
     return np.sqrt(sums) * (1 + _gamma(2 * d + 4))
 
 
-def _first_layer_error(d: int, w_norms: np.ndarray,
-                       abs_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per first-layer unit j, a slope and an offset such that the float64
-    pass computes the unit, for a row x, within slope_j ||x|| + offset_j of
-    exact, if ||W1_j|| <= ``w_norms_j`` (see :func:`_margins`).  With
-    ``abs_b`` 0 the offset is the floor alone, 2d + 2 smallest normals."""
-    gamma = _gamma(d + 1)
-    return gamma * w_norms, gamma * abs_b + (2 * d + 2) * _F64[1]
+def _first_layer_error(d: int, w_norms: np.ndarray) -> tuple[np.ndarray, float]:
+    """The float64 pass's first-layer bounds (slope per unit, floor) given
+    ``w_norms``, as :class:`FirstLayer` states them."""
+    return _gamma(d + 1) * w_norms, (2 * d + 2) * _F64[1]
 
 
 class FirstLayer(NamedTuple):
-    """One model's first layer on rows of a wide test set: ``values``
-    (float64, rows x units) before the bias, and per unit j bounds
-    ``slope_j`` and ``w_norms_j``.  Once the bias b is added in float64, a
-    row x's unit j is within slope_j ||x|| + 2^-53 |b_j| + ``floor`` of the
-    exact x.W1_j + b_j, and ||W1_j|| <= w_norms_j (see :func:`_margins`).
-    :func:`evaluate` adds the bias to ``values`` in place and then makes
-    them read-only, spent, so a first layer serves one evaluation: another
-    is a ValueError.
+    """One model's first layer on rows x of a wide test set: ``values``, the
+    pre-activations, bias included (float64, units x rows).  With x' = (x, 1)
+    and W1'_j = (W1_j; b1_j), unit j's weights over its bias, the exact
+    x.W1_j + b1_j is x'.W1'_j, d + 1 terms; each value is within slope_j
+    ||x'|| + ``floor`` of it, and ||W1'_j|| <= ``w_norms_j``.
+    :func:`evaluate`'s screen works in ``values`` in place, then makes them
+    read-only, spent: a first layer serves one evaluation, another is a
+    ValueError.
 
-    :meth:`FirstLayerProducts.combine` makes one on every row, and
-    :func:`_screened_argmax` one from the float64 product of the rows it
-    scores again with float64 weights W1, with w_norms = :func:`_norm_bound`
-    (W1), slope_j = gamma_{d+1} w_norms_j and a floor of 2d + 2 smallest
-    normals (:func:`_first_layer_error` without a bias).  That product meets
-    the bound: an inner product of d terms is within gamma_d ||x|| ||W1_j||
-    of exact (see :func:`_margins`), and the bias add rounds once, adding
-    at most u ((1 + gamma_d) ||x|| ||W1_j|| + |b_j|), u = 2^-53, where
-    gamma_{d+1} - gamma_d >= u (1 + gamma_d).  Underflow, gradual or
-    flushed to zero, costs at most a smallest normal in each of its d
-    products and d adds."""
+    :meth:`FirstLayerProducts.combine` makes one on every row (see
+    :func:`_margins`), and :func:`_screened_argmax` one from the float64
+    product of the rows it scores again with float64 weights W1, plus b1,
+    with w_norms = :func:`_norm_bound` (W1'), slope_j = gamma_{d+1}
+    w_norms_j and a floor of 2d + 2 smallest normals
+    (:func:`_first_layer_error`).  These bound the float64 pass's first
+    layer too: each sums x'.W1'_j in float64 in some order, so within
+    gamma_{d+1} |x'|.|W1'_j| <= gamma_{d+1} ||x'|| ||W1'_j|| of exact (see
+    :func:`_margins`; Cauchy-Schwarz also gives ||x|| ||W1_j|| + |b1_j| <=
+    ||x'|| ||W1'_j||, so the bias needs no term of its own), and underflow
+    costs at most a smallest normal in each of d inexact products (1 b1_j is
+    exact) and d adds.  :attr:`LabeledDataset.prepared` keeps each ||x'||."""
 
     values: np.ndarray
     slope: np.ndarray
@@ -456,50 +452,54 @@ class LazyModel:
         return self._build()
 
 
-def _first_layer_product(features: np.ndarray, block: np.ndarray,
+def _first_layer_product(features: np.ndarray, layer: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """The float64 product of float32 rows with a float64 block (d x units),
-    into ``out`` where given, cast :data:`CHUNK_ELEMENTS` / d rows a slice."""
+    """The float64 pre-activations (units x rows) of float32 rows with a
+    float64 first layer ``layer``, (W1; b1): their product with W1, cast
+    :data:`CHUNK_ELEMENTS` / d rows a slice, plus b1; into ``out`` if given."""
+    weights = layer[:-1]
     if out is None:
-        out = np.empty((len(features), block.shape[1]))
-    step = max(1, CHUNK_ELEMENTS // block.shape[0])
-    for start in range(0, len(features), step):
-        np.dot(features[start:start + step].astype(np.float64), block,
-               out=out[start:start + step])
+        out = np.empty((weights.shape[1], len(features)))
+    step = max(1, CHUNK_ELEMENTS // len(weights))
+    for start in range(0, len(features), step):  # X.W1 is the faster GEMM
+        out[:, start:start + step] = np.dot(
+            features[start:start + step].astype(np.float64), weights).T
+    out += layer[-1][:, None]
     return out
 
 
 class FirstLayerProducts:
-    """The float64 products Q_i = X.B_i of a wide test set's rows X with the
-    first-layer blocks B_0..B_n of n + 1 flat parameter vectors v_i (a base,
-    then one update per participant, of integer weight w_i >= 0), and each
-    B_i's column 2-norms, made once (see :func:`first_layer_products`).  The
-    vectors may be float32, as a round's record holds them: each block is
-    cast to float64 in its turn, and the rows a chunk at a time, so neither
-    every float64 block nor a float64 copy of X is held.  Q_0 is kept as it
-    is, and each update's row as P_i = w_i (Q_0 + Q_i), in float64.
+    """The float64 pre-activations Q_i = X'.B_i (units x rows) of a wide test
+    set's rows X' = (X, 1) with the first layers B_i = (W1_i; b1_i) of n + 1
+    flat parameter vectors v_i (a base, then one update per participant, of
+    integer weight w_i >= 0), and each B_i's column 2-norms, made once (see
+    :func:`first_layer_products`).  The vectors may be float32, as a round's
+    record holds them: each block is cast to float64 in its turn, and the
+    rows a chunk at a time, so neither every float64 block nor a float64
+    copy of X is held.  Q_0 is kept as it is, and each update's row as
+    P_i = w_i (Q_0 + Q_i), in float64.
 
     A coalition S's model is fl32(v_0 + sum_{i in S} c_i v_i), with
     c_i = w_i / W_S the float64 shares of :meth:`coefficients` and the
     products and their sum taken in float64, in any order (as
     :class:`~fedshapley.federation.RoundStack` rebuilds it).  Since
     W_S = sum_{i in S} w_i, its first layer is R_S / W_S, with the running
-    sum R_S = sum_{i in S} P_i, to within bounds that :meth:`combine`
-    gives.  ``combine`` keeps the R_S it made last, one row: a walk adds one
-    member at a time, so the next coalition often holds that one, and costs
-    one add of P_p per member p it adds."""
+    sum R_S = sum_{i in S} P_i, bias included, to within bounds that
+    :meth:`combine` gives.  ``combine`` keeps the R_S it made last, one
+    row: a walk adds one member at a time, so the next coalition often holds
+    that one, and costs one add of P_p per member p it adds."""
 
     def __init__(self, arch: ModelArchitecture, vectors: Sequence[np.ndarray],
                  features: np.ndarray, max_abs: np.ndarray, weights: Sequence[int]):
         d, width = arch.input_dim, arch.hidden_dim or arch.class_count
-        self._shape = (features.shape[0], width)
+        self._shape = (width, features.shape[0])
         self._weights = list(weights)
         products = np.empty((len(vectors), *self._shape))
         squares = np.empty((len(vectors), width))
         for i, (vector, out) in enumerate(zip(vectors, products)):
-            block = vector[:arch.first_layer_size].reshape(d, width).astype(np.float64)
-            squares[i] = np.einsum("ij,ij->j", block, block)
-            _first_layer_product(features, block, out)
+            layer = vector[:arch.first_layer_size].reshape(-1, width).astype(np.float64)
+            squares[i] = np.einsum("ij,ij->j", layer, layer)
+            _first_layer_product(features, layer, out)
             if i:  # P_i
                 out += products[0]
                 out *= float(self._weights[i - 1])
@@ -510,15 +510,15 @@ class FirstLayerProducts:
         self._summed = 0
         self._norms = np.sqrt(squares)
         self._max_abs = max_abs
-        # see _margins for these factors of s_j = ||B_0j|| + sum_i c_i ||B_ij||
-        u32, u = 2.0 ** -24, _F64[0]  # float32's unit roundoff, and float64's
-        n, g_d = len(vectors) - 1, _gamma(d)
+        # slope_j, w_norms_j: these factors of s_j = sum_i c_i ||B_ij||, plus
+        # the subnormal term (see _margins)
+        u32 = 2.0 ** -24  # float32's unit roundoff
+        n, g_d = len(vectors) - 1, _gamma(d + 1)
         cast = u32 * (1 + _gamma(n + 1)) + _gamma(n + 1)
-        self._w_factor = 1 + cast
-        self._slope_factor = ((cast + g_d + _gamma(n + 7) * (1 + g_d)) * (1 + u)
-                              + u * (1 + cast))
-        self._subnormal = math.sqrt(d) * 2.0 ** -150
-        self._floor = (4 * d + 2 * n + 8) * _F64[1]
+        self._factors = np.array([[cast + g_d + _gamma(n + 7) * (1 + g_d)],
+                                  [1 + cast]])
+        self._subnormal = math.sqrt(d + 1) * 2.0 ** -150
+        self._floor = (4 * d + 2 * n + 12) * _F64[1]
 
     def _total(self, ids: Sequence[int]) -> float:
         """W_S, the total weight of the non-empty coalition ``ids``, as the
@@ -567,11 +567,8 @@ class FirstLayerProducts:
             values = np.multiply(self._running_sum(ids), 1.0 / self._total(ids))
         else:
             values = self._products[0].copy()
-        s = np.dot(c, self._norms)
-        return FirstLayer(
-            values.reshape(self._shape),
-            self._slope_factor * s + self._subnormal * (1 + 2 * _F64[0]),
-            self._floor, self._w_factor * s + self._subnormal)
+        slope, w_norms = self._factors * np.dot(c, self._norms) + self._subnormal
+        return FirstLayer(values.reshape(self._shape), slope, self._floor, w_norms)
 
 
 def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
@@ -589,66 +586,66 @@ def first_layer_products(arch: ModelArchitecture, vectors: Sequence[np.ndarray],
     max_abs = np.array([np.abs(v).max() for v in vectors], dtype=np.float64)
     if not np.isfinite(max_abs).all():
         return None
-    # |P_i| <= w_i sqrt(d) (max|v_0| + max|v_i|) ||x||, up to rounding
+    # |P_i| <= w_i sqrt(d + 1) (max|v_0| + max|v_i|) ||x'||, up to rounding
     scales = np.array(weights, dtype=np.float64)
-    reach = np.dot(scales, max_abs[1:] + max_abs[0]) * math.sqrt(arch.input_dim)
+    reach = np.dot(scales, max_abs[1:] + max_abs[0]) * math.sqrt(arch.input_dim + 1)
     if not (scales >= 0).all() or not reach * norms.max() < _F64_MAX / 4:
         return None
     return FirstLayerProducts(arch, vectors, features, max_abs, weights)
 
 
-def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
+def _margins(slope: np.ndarray, offset: float, norms: np.ndarray,
              hidden: np.ndarray | None, others: tuple) -> np.ndarray:
-    """One margin per row (float64), for rows of 2-norms ``norms``, that
-    covers each of the row's logits' distance from the float64 pass's logit.
-    For each first-layer unit j and row x, slope_j ||x|| + offset_j bounds
-    e1 + e1', the first pass's and the float64 pass's distances from the
-    exact unit (before the ReLU).  ``hidden`` is the first pass's hidden
-    layer (float64; None without one); ``others`` holds |b1|, |W2| and |b2|
-    (float64).
+    """One margin per row (float64), for rows x of norms ``norms``, each
+    ||x'|| with x' = (x, 1), that covers each of the row's logits' distance
+    from the float64 pass's logit.  For each first-layer unit j, slope_j
+    ||x'|| + ``offset`` bounds e1 + e1', the first pass's and the float64
+    pass's distances from the exact unit x'.W1'_j, W1'_j = (W1_j; b1_j)
+    (before the ReLU; see :class:`FirstLayer`).  ``hidden`` is the first
+    pass's hidden layer (float64, units x rows; None without one);
+    ``others`` holds |W2| and |b2| (float64; nothing without a hidden
+    layer).
 
     An inner product of n terms, summed in any order, with or without FMA,
     is within gamma_n |x|.|y| of the exact one, gamma_n = nu / (1 - nu)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
     and each layer adds 2n + 2 times the smallest normal value, which covers
-    underflow, gradual or flushed to zero.  By Cauchy-Schwarz |x|.|w_j| <=
-    ||x|| ||w_j||, so the float64 pass (u = 2^-53) computes a first-layer
-    unit, bias included, within gamma_{d+1} (||x|| ||w_j|| + |b_j|) of exact
-    (:func:`_first_layer_error`).  The rows a first pass leaves are scored
-    again from the float64 pass's own product of them, a first layer of the
-    bounds :class:`FirstLayer` states, so its margins follow by this proof
-    too.
+    underflow, gradual or flushed to zero.  So the float64 pass (u = 2^-53)
+    computes a first-layer unit, x'.W1'_j of d + 1 terms, within the bounds
+    :class:`FirstLayer` states (:func:`_first_layer_error`), as does the
+    pass that scores again the rows a first pass leaves, whose margins
+    follow by this proof too.
 
     From :class:`FirstLayerProducts` (float64, u = 2^-53), for a coalition S
     of m <= n members: c_i = fl(w_i / W) are the rebuild's shares of the
     weights w_i >= 0 and total W, cast to float64 as the rebuild casts them,
-    c_0 = 1, A = sum_i c_i B_i, s_j = sum_i c_i ||B_ij|| and g = gamma_{n+1}.
-    The rebuild's float64 sum is within g sum_i c_i |B_i| of A, and its cast
-    to float32 adds u32 = 2^-24 of that sum and up to 2^-150 (half a
-    subnormal step) per value, so ||W1_j - A_j|| <= (u32 (1 + g) + g) s_j +
-    sqrt(d) 2^-150 and ||W1_j|| <= w_norms_j = s_j + that.  Each product
-    Q_i = x.B_ij is within gamma_d ||x|| ||B_ij|| of exact.  The values are
-    fl(R fl(1 / W)), R the float64 sum, in any order, of the members' rows
-    P_i = fl(w_i fl(Q_0 + Q_i)); a member's term takes at most m + 4
-    roundings (two make P_i, m - 1 adds, the scale, and the two that part
-    w_i fl(1 / W) from c_i), so by Higham's Lemma 3.1 the values are
+    c_0 = 1, B_i = (W1_i; b1_i) of d + 1 rows, A = sum_i c_i B_i, s_j =
+    sum_i c_i ||B_ij|| and g = gamma_{n+1}.  The rebuild's float64 sum is
+    within g sum_i c_i |B_i| of A, and its cast to float32 adds u32 = 2^-24
+    of that sum and up to 2^-150 (half a subnormal step) per value, so
+    ||W1'_j - A_j|| <= (u32 (1 + g) + g) s_j + sqrt(d + 1) 2^-150 and
+    ||W1'_j|| <= w_norms_j = s_j + that.  Each Q_i = x'.B_ij, summed as
+    x.W1_ij + b1_ij, is within gamma_{d+1} ||x'|| ||B_ij|| of exact.  The
+    values are fl(R fl(1 / W)), R the float64 sum, in any order, of the
+    members' rows P_i = fl(w_i fl(Q_0 + Q_i)); a member's term takes at most
+    m + 4 roundings (two make P_i, m - 1 adds, the scale, and the two that
+    part w_i fl(1 / W) from c_i), so by Higham's Lemma 3.1 the values are
     sum_{i in S} c_i (Q_0 + Q_i) (1 + theta_i), |theta_i| <= gamma_{m+4}.
     With w_i >= 0, sum_{i in S} c_i is within gamma_3 of 1 (each cast
     weight, the cast total and each share round once), even where weights
     past 2^53 make the cast weights' sum differ from the cast total.  So the
     values are within gamma_{m+7} (|Q_0| + sum_{i in S} c_i |Q_i|) <= g' (1
-    + gamma_d) ||x|| s_j of Q_0 + sum_{i in S} c_i Q_i, g' = gamma_{n+7}
-    (the empty coalition's are Q_0 itself), and within sigma_j ||x|| of
-    x.W1_j, sigma_j = (u32 (1 + g) + g + gamma_d + g' (1 + gamma_d)) s_j +
-    sqrt(d) 2^-150; adding the bias in float64 adds u (||x|| (w_norms_j +
-    sigma_j) + |b_j|), so slope_j = sigma_j (1 + u) + u w_norms_j.  The
-    floor, 4d + 2n + 8 smallest normals, covers underflow: up to 2d + 2 in
-    each product, which reaches the values times c_i (Q_i) or sum_{i in S}
-    c_i (Q_0), and one in each later operation, times c_i or 1 / W (W is at
-    least the count of members of non-zero weight; one of weight 0 adds an
-    exact 0).  The guard of :meth:`FirstLayerProducts.combine` keeps the
-    cast from overflowing, and :func:`first_layer_products` every sum of
-    rows from passing float64's range.
+    + gamma_{d+1}) ||x'|| s_j of Q_0 + sum_{i in S} c_i Q_i, g' =
+    gamma_{n+7} (the empty coalition's are Q_0 itself), and within slope_j
+    ||x'|| of x'.W1'_j, slope_j = (u32 (1 + g) + g + gamma_{d+1} + g' (1 +
+    gamma_{d+1})) s_j + sqrt(d + 1) 2^-150.  The floor, 4d + 2n + 12
+    smallest normals, covers underflow: up to 2d + 4 in each product, which
+    reaches the values times c_i (Q_i) or sum_{i in S} c_i (Q_0), and one in
+    each later operation, times c_i or 1 / W (W is at least the count of
+    members of non-zero weight; one of weight 0 adds an exact 0).  The guard
+    of :meth:`FirstLayerProducts.combine` keeps the cast from overflowing,
+    and :func:`first_layer_products` every sum of rows from passing
+    float64's range.
 
     Without a hidden layer the units are the logits, and e1 + e1' is class
     c's margin.  With one, the ReLU is 1-Lipschitz, so the first pass's
@@ -662,57 +659,56 @@ def _margins(slope: np.ndarray, offset: np.ndarray, norms: np.ndarray,
     relative error is of order (d + n) 2^-53.
 
     A row's one margin covers every class by the same proof, term by term.
-    Without a hidden layer it is max_j slope_j ||x|| + max_j offset_j, at
-    least each class's margin, as rounding is monotone.  With one,
-    |h|.|W2_c| becomes h.max_c |W2_c|, one matrix-vector product: h >= 0
-    after the ReLU, so its exact value is at least every class's exact
-    |h|.|W2_c|, and its float64 sum falls short of that by no more than the
-    factor and the smallest normals above.  The terms in e1 + e1' and |b2|
-    are taken at their largest class.  So the proof above holds unchanged,
-    and a larger margin only sends more rows to the float64 pass (see
-    :func:`_decide`)."""
+    Without a hidden layer it is max_j slope_j ||x'|| + offset, at least
+    each class's margin, as rounding is monotone.  With one, |h|.|W2_c|
+    becomes max_c |W2_c|.h, one matrix-vector product: h >= 0 after the
+    ReLU, so its exact value is at least every class's exact |h|.|W2_c|,
+    and its float64 sum falls short of that by no more than the factor and
+    the smallest normals above.  The terms in e1 + e1' and |b2| are taken at
+    their largest class.  So the proof above holds unchanged, and a larger
+    margin only sends more rows to the float64 pass (see :func:`_decide`)."""
     if hidden is None:
         err = np.multiply(slope.max(), norms)
-        err += offset.max()
+        err += offset
     else:
-        abs_w2, abs_b2 = others[1:]
+        abs_w2, abs_b2 = others
         h, tiny = abs_w2.shape[0], _F64[1]
         gamma = _gamma(h + 1)
         lift, both = 1 + gamma, 2 * gamma  # both: in E and in E'
-        err = np.dot(hidden, abs_w2.max(axis=1))
+        err = np.dot(abs_w2.max(axis=1), hidden)
         err *= both / (1 - gamma)
         # (e1 + e1').|W2_c| is rank one in the rows, plus a constant
         err += lift * np.dot(slope, abs_w2).max() * norms
-        err += (np.max(lift * np.dot(offset, abs_w2) + both * abs_b2)
+        err += (np.max(lift * offset * abs_w2.sum(axis=0) + both * abs_b2)
                 + (2 * h + 2) * 2 * tiny + 2 * h * tiny * both / (1 - gamma))
     err *= _SAFETY
     return err
 
 
 def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class of each row (rows x classes ``logits``, float64) that is
-    decided, and the rows where the float64 pass's argmax could differ,
-    given one margin per row (:func:`_margins`) that covers each logit of
-    the row.  A row is decided when one class's lowest value (logit less
-    margin) beats every other class's highest: that class is then the row's
-    argmax in either pass.  A row with no such class at all can only hold
-    NaN, and is undecided too; an undecided row's class is meaningless.
-    Each margin first grows by 2^-52 times the row's largest logit
-    magnitude, which covers the rounding of these float64 sums (given the
-    safety factor of :func:`_margins`).  A larger margin never decides a row
-    that a smaller one leaves, and never decides it differently.
+    """The class of each row (of class-major ``logits``, classes x rows,
+    float64, which it overwrites) that is decided, and the rows where the
+    float64 pass's argmax could differ, given one margin per row
+    (:func:`_margins`) that covers each logit of the row.  A row is decided
+    when one class's lowest value (logit less margin) beats every other
+    class's highest: that class is then the row's argmax in either pass.  A
+    row with no such class at all can only hold NaN, and is undecided too;
+    an undecided row's class is meaningless.  Each margin first grows by
+    2^-52 times the row's largest logit magnitude, which covers the rounding
+    of these float64 sums (given the safety factor of :func:`_margins`).  A
+    larger margin never decides a row that a smaller one leaves, and never
+    decides it differently.
 
     Rounding is monotone, so the largest lowest value is the top logit less
     the margin.  Each class whose highest value reaches it is a rival; a
     decided row has one, its class, so one product of the rivals with the
     class counts and indices (exact in float64) gives both."""
-    scores = np.array(logits.T, dtype=np.float64, order="C")  # classes x rows
-    pad = np.abs(scores).max(axis=0)
+    pad = np.abs(logits).max(axis=0)
     pad *= 2 * _F64[0]
     margins += pad
-    low = scores.max(axis=0) - margins
-    high = np.add(scores, margins, out=scores)
-    classes = len(scores)
+    low = logits.max(axis=0) - margins
+    high = np.add(logits, margins, out=logits)
+    classes = len(logits)
     count, picked = np.dot(np.array([np.ones(classes), np.arange(classes)]),
                            high >= low)
     return picked.astype(np.intp), np.flatnonzero(count != 1)
@@ -720,37 +716,41 @@ def _decide(logits: np.ndarray, margins: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _screen(arch: ModelArchitecture, tail: np.ndarray, first_layer: FirstLayer,
             norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_decide` of the rows of 2-norms ``norms`` on which
-    ``first_layer`` holds a model's first layer, not yet spent, and ``tail``
-    its parameters after the first layer's weights (float32 or float64): a
-    float64 pass from the two, under the margins of :func:`_margins` for the
-    first layer's bounds plus the float64 pass's own error, which
-    :func:`_first_layer_error` takes from ``first_layer.w_norms``.  Spends
-    the first layer."""
-    if not first_layer.values.flags.writeable:
+    """:func:`_decide` of the rows of norms ``norms`` on which ``first_layer``
+    holds a model's first layer, not yet spent (this spends it), and
+    ``tail`` its parameters after it (float32 or float64): logits W2^T
+    relu(values) + b2, class-major, under the :func:`_margins` of the first
+    layer's bounds plus the float64 pass's own (:func:`_first_layer_error`)."""
+    values = first_layer.values
+    if not values.flags.writeable:
         raise ValueError("a first layer serves one evaluation")
-    layers = (None, *_unpack_tail(arch, tail))
-    others = tuple(np.abs(a).astype(np.float64) for a in layers[1:])
-    slope, offset = _first_layer_error(arch.input_dim, first_layer.w_norms, others[0])
-    hidden, logits = _forward(layers, None, first_layer.values)
-    first_layer.values.flags.writeable = False  # it holds the bias now
-    return _decide(logits, _margins(first_layer.slope + slope,
-                                    _F64[0] * others[0] + first_layer.floor + offset,
-                                    norms, hidden, others))
+    layers = _unpack_tail(arch, tail)
+    others = tuple(np.abs(a).astype(np.float64) for a in layers)
+    slope, floor = _first_layer_error(arch.input_dim, first_layer.w_norms)
+    hidden, logits = None, values
+    if layers:
+        hidden = np.maximum(values, 0.0, out=values)
+        logits = np.dot(layers[0].T, hidden)
+        logits += layers[1][:, None]
+    decided = _decide(logits, _margins(first_layer.slope + slope,
+                                       first_layer.floor + floor, norms,
+                                       hidden, others))
+    values.flags.writeable = False
+    return decided
 
 
 def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
                      features: np.ndarray, norms: np.ndarray,
                      first_layer: FirstLayer | None) -> np.ndarray:
     """The argmax of every row of ``predict_logits(arch, model.params,
-    features)`` for float32 rows of 2-norms ``norms``.  Every row is decided
+    features)`` for float32 rows of norms ``norms``.  Every row is decided
     by :func:`_screen`: first, given ``first_layer`` (these parameters'
-    first layer on the rows), from it and ``model.tail``; the rows it leaves,
-    gathered once, or all without one, as slices, from the float64 pass's
-    own product of them with W1 (:func:`_first_layer_product`), a
-    :class:`FirstLayer` whose bounds that class states.  The float64 pass
-    scores the whole set where a parameter is not finite, or a row is still
-    undecided (exact ties, all-zero parameters)."""
+    first layer on the rows), from it and ``model.tail``; the rows it
+    leaves, gathered once, or all without one, as slices, from the float64
+    pass's own first layer of them (:func:`_first_layer_product`), whose
+    bounds :class:`FirstLayer` states.  The float64 pass scores the whole
+    set where a parameter is not finite, or a row is still undecided (exact
+    ties, all-zero parameters)."""
     if first_layer is None:
         top, rows = np.empty(len(features), dtype=np.intp), slice(None)
     else:
@@ -759,11 +759,11 @@ def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
             return top
     flat = np.asarray(model.params, dtype=np.float64)
     if np.isfinite(flat).all():
-        w1 = _unpack(arch, flat)[0]
-        w_norms = _norm_bound(w1)
-        layer = FirstLayer(_first_layer_product(features[rows], w1),
-                           *_first_layer_error(arch.input_dim, w_norms, 0.0), w_norms)
-        top[rows], still = _screen(arch, flat[arch.first_layer_size:], layer,
+        layer = flat[:arch.first_layer_size].reshape(arch.input_dim + 1, -1)
+        w_norms = _norm_bound(layer)
+        first = FirstLayer(_first_layer_product(features[rows], layer),
+                           *_first_layer_error(arch.input_dim, w_norms), w_norms)
+        top[rows], still = _screen(arch, flat[arch.first_layer_size:], first,
                                    norms[rows])
         if not still.size:
             return top

@@ -136,20 +136,22 @@ def assert_products_match_the_float64_casts(record: RoundRecord,
     cast = first_layer_products(arch, [v.astype(np.float64) for v in vectors],
                                 test, shares)
     assert got is not None and cast is not None
-    # the first construction, on the float64 casts
+    # the first construction, on the float64 casts: blocks (W1; b1), each
+    # chunk of rows times W1, unit-major, plus b1
     d, width = arch.input_dim, arch.hidden_dim or arch.class_count
-    blocks = [v[:arch.first_layer_size].reshape(d, width).astype(np.float64)
+    blocks = [v[:arch.first_layer_size].reshape(d + 1, width).astype(np.float64)
               for v in vectors]
     features = test.prepared[0]
-    products = np.empty((len(blocks), len(features), width))
+    products = np.empty((len(blocks), width, len(features)))
     step = max(1, models.CHUNK_ELEMENTS // d)
     for start in range(0, len(features), step):
         rows = features[start:start + step].astype(np.float64)
-        chunk = products[:, start:start + step]
-        for block, out in zip(blocks, chunk):
-            np.dot(rows, block, out=out)
-        chunk[1:] += chunk[0]
-        chunk[1:] *= np.array(shares, dtype=np.float64)[:, None, None]
+        for block, out in zip(blocks, products):
+            out[:, start:start + step] = np.dot(rows, block[:-1]).T
+    for block, out in zip(blocks, products):
+        out += block[-1][:, None]
+    products[1:] += products[0]
+    products[1:] *= np.array(shares, dtype=np.float64)[:, None, None]
     norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
     max_abs = np.array([np.abs(v.astype(np.float64)).max() for v in vectors])
     for made in (got, cast):

@@ -529,6 +529,35 @@ def test_evaluate_bad_params_tables_are_usage_errors(tmp_path, capsys,
     assert not work_calls
 
 
+def test_a_run_parses_each_estimator_table_once(eval_log, tmp_path, monkeypatch):
+    # the table is checked and turned into run's keywords in one parse, the
+    # derived seed already in
+    built = []
+
+    class Counted(GtgConfig):
+        # GtgConfig's check reads the annotations of the name this class
+        # takes over
+        __annotations__ = GtgConfig.__annotations__
+
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(estimators, "GtgConfig", Counted)
+    params = _params(tmp_path, {"eps_within": 0.01})
+    evaluate_doc(eval_log, "gtg", tmp_path / "evaluate", "--params", params)
+    sidecar = load_log_metadata(eval_log)["metadata"]["config"]
+    seed = derive_seed(sidecar["seed"], "estimator", "gtg")
+    assert [vars(c) for c in built] == [vars(GtgConfig(eps_within=0.01, seed=seed))]
+    built.clear()
+    cfg = write_config(tmp_path / "one.json", estimators=[
+        {"name": "gtg", "params": {"max_perms_per_round": 30}}])
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "compare"),
+                 "--quiet"]) == EXIT_OK
+    assert [vars(c) for c in built] == [vars(GtgConfig(
+        max_perms_per_round=30, seed=derive_seed(3, "estimator", "gtg")))]
+
+
 @pytest.mark.parametrize("estimator", ["mr", "tmr"])
 def test_enumeration_past_its_guard_stops_at_once(tmp_path, capsys, estimator):
     cfg = write_config(tmp_path / "wide.json", rounds=1,

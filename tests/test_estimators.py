@@ -383,6 +383,7 @@ def narrow_layer_wide_set_log() -> tuple[GradientLog, LabeledDataset]:
     return log, test
 
 
+@pytest.mark.blas_order
 def test_a_narrow_first_layer_on_a_wide_set_is_scored_from_products(monkeypatch):
     # every coalition is screened from the round's products, and gtg's and
     # mr's reports equal, bit for bit, those of the float64 pass alone

@@ -556,10 +556,11 @@ def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch):
     # rows are scored again from the float64 pass's own product of them with
-    # W1, as a FirstLayer whose bounds the FirstLayer contract gives from W1
-    # alone: w_norms from _norm_bound, slope gamma_{d+1} w_norms and a floor
-    # of 2d + 2 smallest normals.  Each such FirstLayer is recorded as the
-    # screen receives it; the first layers made here are not.
+    # W1, plus b1, as a FirstLayer whose bounds the FirstLayer contract gives
+    # from W1' = (W1; b1) alone: w_norms from _norm_bound, slope gamma_{d+1}
+    # w_norms and a floor of 2d + 2 smallest normals.  Each such FirstLayer
+    # is recorded as the screen receives it; the first layers made here are
+    # not.
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
     given, received = [], []
@@ -581,8 +582,8 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
         if not np.isfinite(params).all():
             continue
         flat = params.astype(np.float64)
-        w1 = models._unpack(arch, flat)[0]
-        w_norms = models._norm_bound(w1)
+        w1, b1 = models._unpack(arch, flat)[:2]
+        w_norms = models._norm_bound(np.vstack([w1, b1]))
         # given no first layer, every row; given one, the rows it leaves
         products = models.first_layer_products(arch, [params], test, [])
         first = None if products is None else products.combine()
@@ -599,10 +600,10 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
             assert same_bits(got.slope, gamma * w_norms)
             assert got.floor == (2 * d + 2) * tiny
             assert same_bits(tail, flat[arch.first_layer_size:])
-            assert len(got.values) == len(rows_norms) <= len(test)
-            if layer is None:  # every row, each within the bound of x.W1
+            assert got.values.shape[1] == len(rows_norms) <= len(test)
+            if layer is None:  # every row, each within the bound of x.W1 + b1
                 assert same_bits(rows_norms, norms)
-                error = np.abs(got.values - features.astype(np.float64) @ w1)
+                error = np.abs(got.values.T - (features.astype(np.float64) @ w1 + b1))
                 assert (error <= 2 * (got.slope * norms[:, None] + got.floor)).all()
     assert after_a_screen
 
@@ -655,8 +656,9 @@ def test_a_set_is_wide_from_wide_elements_values():
     features, norms = wide.prepared
     assert features.dtype == np.float32 and np.shares_memory(features, wide.features)
     assert norms.dtype == np.float64
-    assert np.allclose(norms, np.linalg.norm(features.astype(np.float64), axis=1),
-                       rtol=1e-12)
+    # each row's norm with a 1 appended, (x, 1)
+    squares = np.linalg.norm(features.astype(np.float64), axis=1) ** 2
+    assert np.allclose(norms, np.sqrt(squares + 1), rtol=1e-12)
 
 
 def test_a_set_is_prepared_once():
@@ -773,9 +775,9 @@ def test_every_first_layer_on_a_wide_set_gets_products(monkeypatch):
         vectors = [params.astype(np.float64), np.zeros(arch.param_count)]
         assert models.first_layer_products(arch, vectors, test, [1]) is not None
         assert models.first_layer_products(arch, vectors, test, [-1]) is None
-        # a bound on |P_1|, 1 x (0 + reach) sqrt(d) max ||x||, of half
-        # float64's largest value
-        reach = models._F64_MAX / 2 / (math.sqrt(arch.input_dim)
+        # a bound on |P_1|, 1 x (0 + reach) sqrt(d + 1) max ||(x, 1)||, of
+        # half float64's largest value
+        reach = models._F64_MAX / 2 / (math.sqrt(arch.input_dim + 1)
                                         * test.prepared[1].max())
         far = [np.zeros(arch.param_count), np.full(arch.param_count, reach)]
         assert models.first_layer_products(arch, far, test, [1]) is None
@@ -786,17 +788,18 @@ def test_every_first_layer_on_a_wide_set_gets_products(monkeypatch):
 
 def first_layer_bound_holds(arch, params, test, first) -> bool:
     """Whether ``first`` bounds its distance from the float64 pass's first
-    layer (before the ReLU) as its fields say, plus that pass's own error,
-    and bounds the first layer's column norms."""
-    features, norms = test.prepared
+    layer (before the ReLU, bias included) as its fields say, plus that
+    pass's own error, and bounds the norms of the first layer's columns
+    with their biases below them, (W1_j; b1_j)."""
+    features, norms = test.prepared  # norms of the rows (x, 1)
     w, b = [a.astype(np.float64) for a in models._unpack(arch, params)[:2]]
     u, d = 2.0 ** -53, arch.input_dim
     gamma = (d + 1) * u / (1 - (d + 1) * u)
     reference = features.astype(np.float64) @ w + b
     margin = ((first.slope + gamma * first.w_norms) * norms[:, None]
-              + (u + gamma) * np.abs(b) + first.floor + gamma * (2 * d + 2) * 2.0 ** -1022)
-    return (np.all(np.abs(first.values + b - reference) <= margin * (1 + 1e-9))
-            and np.all(np.linalg.norm(w, axis=0) <= first.w_norms))
+              + first.floor + gamma * (2 * d + 2) * 2.0 ** -1022)
+    return (np.all(np.abs(first.values.T - reference) <= margin * (1 + 1e-9))
+            and np.all(np.linalg.norm(np.vstack([w, b]), axis=0) <= first.w_norms))
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
@@ -843,7 +846,7 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
                         assert first_layer_bound_holds(arch, params, test,
                                                        first), (ids, kind)
                     want = float64_pass(arch, params, test)
-                    # evaluate adds the bias into a first layer's values
+                    # evaluate's screen works in a first layer's values
                     again = None if first is None else first._replace(
                         values=first.values.copy())
                     before = branches.seen.copy()
@@ -864,8 +867,9 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
 
 
 def test_a_first_layer_serves_one_evaluation(monkeypatch):
-    # evaluate adds the bias into a first layer's values: scored again, the
-    # same values would count the bias twice
+    # evaluate's screen works in a first layer's values in place (the ReLU,
+    # or the decision where they are the logits): scored again, the same
+    # values would give the ReLU's output, or the logits plus the margins
     arch = ARCHS[1]
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
     test = blobs(arch, 12, seed=5)

@@ -73,10 +73,10 @@ def exact_logits(arch: ModelArchitecture, params: np.ndarray,
 
 
 class Decisions:
-    """Records each ``models._decide`` call: its logits (rows x classes),
-    its margins (one per row, before _decide pads them, broadcast to every
-    class of the row) and its rows, and counts the rows scored again after
-    the first call."""
+    """Records each ``models._decide`` call: its logits (class-major as
+    _decide reads them, kept as rows x classes), its margins (one per row,
+    before _decide pads them, broadcast to every class of the row) and its
+    rows, and counts the rows scored again after the first call."""
 
     def __init__(self, monkeypatch):
         self.calls, self.rescored = [], 0
@@ -84,10 +84,10 @@ class Decisions:
 
         def recorded(logits, margins):
             # each row's margin, for each of its classes
-            every_class = np.repeat(margins[:, None], logits.shape[1], axis=1)
-            kept = (logits.copy(), every_class)
+            every_class = np.repeat(margins[:, None], logits.shape[0], axis=1)
+            kept = (logits.T.copy(), every_class)
             top, undecided = decide(logits, margins)
-            rows = (np.arange(len(logits)) if not self.calls
+            rows = (np.arange(logits.shape[1]) if not self.calls
                     else self.calls[-1][2][self.calls[-1][3]])
             self.rescored += len(rows) if self.calls else 0
             self.calls.append((*kept, rows, undecided))
@@ -173,7 +173,7 @@ def subnormal_rounding(arch: ModelArchitecture, data: LabeledDataset) -> tuple:
         w2 = models._unpack(arch, base)[2]
         w2[...] = np.random.default_rng(0).normal(size=w2.shape)
     first = np.zeros_like(base)
-    first[:arch.first_layer_size] = 2.0 ** -149
+    models._unpack(arch, first)[0][...] = 2.0 ** -149  # W1 (W), not b1
     updates = {1: first, 2: np.zeros_like(base), 3: np.zeros_like(base),
                4: np.zeros_like(base)}
     return base, updates, {1: 1, 2: 2, 3: 4, 4: 8}, data
@@ -252,19 +252,20 @@ def test_the_exact_check_fails_without_the_margin_or_the_floor(wide, monkeypatch
 def class_margins(slope, offset, norms, hidden, others) -> np.ndarray:
     """A margin per logit (classes x rows): the bound of ``models._margins``
     for each class on its own, as evaluate decided rows before it took one
-    margin per row."""
+    margin per row.  ``hidden`` is units x rows, and ``offset`` one floor
+    for every unit."""
     if hidden is None:
         err = np.multiply.outer(slope, norms)
-        err += offset[:, None]
+        err += offset
     else:
-        abs_w2, abs_b2 = others[1:]
+        abs_w2, abs_b2 = others
         h, tiny = abs_w2.shape[0], models._F64[1]
         gamma = models._gamma(h + 1)
         lift, both = 1 + gamma, 2 * gamma
-        err = np.dot(abs_w2.T, hidden.T)
+        err = np.dot(abs_w2.T, hidden)
         err *= both / (1 - gamma)
         err += np.multiply.outer(lift * np.dot(slope, abs_w2), norms)
-        err += (lift * np.dot(offset, abs_w2) + both * abs_b2
+        err += (lift * offset * abs_w2.sum(axis=0) + both * abs_b2
                 + (2 * h + 2) * 2 * tiny
                 + 2 * h * tiny * both / (1 - gamma))[:, None]
     err *= models._SAFETY
@@ -272,13 +273,12 @@ def class_margins(slope, offset, norms, hidden, others) -> np.ndarray:
 
 
 def decide_by_class(logits, margins):
-    """``models._decide``'s rule under :func:`class_margins`: each margin
-    padded by 2^-52 times its own logit's magnitude."""
-    scores = np.array(logits.T, dtype=np.float64, order="C")
-    margins = margins + np.abs(scores) * (2 * models._F64[0])
-    low = scores - margins
-    rivals = (scores + margins >= low.max(axis=0)).sum(axis=0)
-    return logits.argmax(axis=1), np.flatnonzero(rivals != 1)
+    """``models._decide``'s rule under :func:`class_margins`, on class-major
+    logits: each margin padded by 2^-52 times its own logit's magnitude."""
+    margins = margins + np.abs(logits) * (2 * models._F64[0])
+    low = logits - margins
+    rivals = (logits + margins >= low.max(axis=0)).sum(axis=0)
+    return logits.argmax(axis=0), np.flatnonzero(rivals != 1)
 
 
 def test_decide_pads_each_margin_by_the_rows_largest_logit():
@@ -289,7 +289,7 @@ def test_decide_pads_each_margin_by_the_rows_largest_logit():
     top = 1e6
     ulp = np.spacing(top)
     logits = np.array([[top, top - 2 * ulp, 0.0], [top, top - 8 * ulp, 0.0]])
-    picked, left = models._decide(logits, np.zeros(2))
+    picked, left = models._decide(logits.T.copy(), np.zeros(2))
     assert left.tolist() == [0]
     assert picked[1] == 0
 
@@ -314,9 +314,9 @@ class AgainstClassMargins:
             return got
 
         def checked_decide(logits, got):
-            top, left = decide(logits, got)
             want_top, want_left = decide_by_class(logits, pending.pop())
-            decided = np.setdiff1d(np.arange(len(logits)), left)
+            top, left = decide(logits, got)  # overwrites the logits
+            decided = np.setdiff1d(np.arange(logits.shape[1]), left)
             assert not np.isin(decided, want_left).any()
             assert np.array_equal(top[decided], want_top[decided])
             self.seen["decided"] += len(decided)
@@ -365,3 +365,38 @@ def test_a_rows_margin_covers_every_class_on_a_784_wide_round(monkeypatch):
     print(against.seen)
     assert against.seen["decided"] > 0.5 * 1000 * len(coalitions)
     assert against.seen["left"]
+
+
+def test_the_screen_leaves_no_more_rows_of_a_784_wide_round(monkeypatch):
+    # the benchmark's shape (d = 784, hidden 64, ten classes, n = 10, 1,000
+    # test rows) without forced ties, on rows drawn near the class boundaries
+    # (means scaled by 0.05): the rows the screen of each coalition's first
+    # layer leaves to the float64 pass.  Before b1 was folded into the
+    # products, with |b1| in a term of its own, the screen left 9 here; a
+    # looser bound would send more rows to the rescoring pass
+    log, _, _ = quick_log(n=10, rounds=1, seed=1, lr=0.05, input_dim=784,
+                          hidden_dim=64, class_count=10, rows_per_class=10)
+    arch, rec, weights = log.architecture, log.rounds[0], log.participant_weights
+    test = gaussian_blobs(100, 784, 10, seed=1, noise_seed=2, spread=0.05)
+    rng = np.random.default_rng(7)
+    coalitions = [()] + [players_of(int(m)) for m in rng.integers(1, 1 << 10, 100)]
+    given, left = [], []
+    screen = models._screen
+
+    def counted(arch, tail, first_layer, norms):
+        top, rows = screen(arch, tail, first_layer, norms)
+        if any(first_layer is made for made in given):
+            left.append(len(rows))
+        return top, rows
+
+    monkeypatch.setattr(models, "_screen", counted)
+    products = round_products(rec, weights, arch, test)
+    for ids in coalitions:
+        params = (federation.reconstruct_submodel(rec, ids, weights) if ids
+                  else rec.base_model)
+        given.append(products.combine(ids))
+        accuracy = evaluate(arch, params, test, given[-1])
+        assert accuracy == float64_pass(arch, params, test)
+    print("rows left by the screen:", sum(left))
+    assert len(left) == len(coalitions)
+    assert 0 < sum(left) <= 9
