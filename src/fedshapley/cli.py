@@ -193,13 +193,15 @@ def _deal_table(cfg: ExperimentConfig):
         raise ConfigError(f"cannot deal the scenario: {exc}") from exc
 
 
-def build_participants(cfg: ExperimentConfig):
+def build_participants(cfg: ExperimentConfig, table=None):
     """Generate the pool, test set, and per-participant datasets, once the
-    scenario is known to deal from that pool."""
-    _deal_table(cfg)
+    scenario is known to deal from that pool: ``table``, its
+    :func:`_deal_table`, is made here unless the caller has made it."""
+    if table is None:
+        table = _deal_table(cfg)
     pool, test = generate_source(cfg.source, cfg.train_per_class,
                                  cfg.test_per_class)
-    parts = partition(pool, cfg.scenario)
+    parts = partition(pool, cfg.scenario, table)
     participants = [Participant(id=i, dataset=ds)
                     for i, ds in enumerate(parts, start=1)]
     return participants, pool, test
@@ -304,12 +306,12 @@ def _experiment_of(log_path: str, cfg: ExperimentConfig, log: GradientLog,
     if (cfg.scenario.n, cfg.rounds, cfg.model) != found:
         raise LogFormatError(f"{sidecar}: config does not describe the log's n, "
                              f"rounds and model {found}")
-    weights = list(log.participant_weights.values())
-    if _deal_table(cfg).sum(axis=1).tolist() != weights:
+    weights, table = list(log.participant_weights.values()), _deal_table(cfg)
+    if table.sum(axis=1).tolist() != weights:
         raise LogFormatError(f"{sidecar}: config deals participants whose "
                              "weights differ from the log's")
     if retrains:
-        participants, _, test = build_participants(cfg)
+        participants, _, test = build_participants(cfg, table)
         return participants, test
     return None, generate_source(cfg.source, cfg.train_per_class, cfg.test_per_class)[1]
 

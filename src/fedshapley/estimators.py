@@ -44,8 +44,8 @@ from .games import (CapacityError, CoalitionGame, ContributionVector,
                     check_enumerable, exact_shapley, players_of,
                     shapley_from_values, walk_order)
 from .models import (LabeledDataset, LazyModel, ModelArchitecture, TrainConfig,
-                     check_types, evaluate, first_layer_products, init_params,
-                     train_local)
+                     check_types, evaluate, first_layer_chunk, first_layer_products,
+                     first_layers, init_params, train_local)
 from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
@@ -137,14 +137,29 @@ class RoundScorer:
         return self._score(ids, self._stack.rebuild(ids) if ids else None)
 
     def every_coalition(self, n: int) -> np.ndarray:
-        """Utility of every coalition, indexed by bitmask; rebuilt in chunks."""
+        """Utility of every coalition, indexed by bitmask; rebuilt in chunks,
+        one ``evaluate`` call each.  On a narrow set, each chunk is cast to
+        float64 and scored :func:`~fedshapley.models.first_layer_chunk`
+        models at a time: their first layers are made in one stacked product
+        (:func:`~fedshapley.models.first_layers`), and each coalition is
+        scored from its own."""
+        arch, test = self._arch, self._test
         masks = np.arange(1, 1 << n)
+        utilities = [self.score(())]
+        most = first_layer_chunk(arch, test)
+        if most:
+            for chunk in self._stack.rebuild_chunks(masks):
+                for start in range(0, len(chunk), most):
+                    part = chunk[start:start + most].astype(np.float64)
+                    utilities += [evaluate(arch, model, test, first) for model, first
+                                  in zip(part, first_layers(arch, part, test))]
+            return np.array(utilities)
         # only the products read a coalition's members
         members = ([None] * len(masks) if self._products is None
                    else map(players_of, masks.tolist()))
         rebuilt = self._stack.rebuild_masks(masks)
-        return np.array([self.score(())] + [self._score(ids, model)
-                                            for ids, model in zip(members, rebuilt)])
+        utilities += [self._score(ids, model) for ids, model in zip(members, rebuilt)]
+        return np.array(utilities)
 
     def _score(self, ids: tuple[int, ...] | None, model: np.ndarray | None) -> float:
         """The utility of ``ids`` from its rebuilt ``model``, a tail where

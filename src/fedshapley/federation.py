@@ -293,13 +293,18 @@ class RoundStack:
         return acc.astype(np.float32)
 
     def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
-        """Models of the non-empty coalitions ``masks``, in order.
+        """Models of the non-empty coalitions ``masks``, in order, from
+        :meth:`rebuild_chunks`."""
+        for chunk in self.rebuild_chunks(masks):
+            yield from chunk
 
-        They are built a chunk of rows at a time, so memory stays bounded
-        however many masks there are.
-        """
+    def rebuild_chunks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
+        """Models of the non-empty coalitions ``masks``, in order, a chunk
+        at a time (float32, a row per model): at most :data:`CHUNK_ELEMENTS`
+        values, or one model, so memory stays bounded however many masks
+        there are."""
         for start in range(0, len(masks), self._chunk_rows):
-            yield from self._rebuild_chunk(masks[start:start + self._chunk_rows])
+            yield self._rebuild_chunk(masks[start:start + self._chunk_rows])
 
     def _rebuild_chunk(self, masks: np.ndarray) -> np.ndarray:
         # models.coalition_total's rule, vectorised: exact integer totals

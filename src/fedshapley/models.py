@@ -9,8 +9,10 @@ set under certified error bounds that prove its prediction equal to the
 float64 pass's, by one screen: from a coalition's first-layer products
 (:class:`FirstLayerProducts`, made once per round) where the caller has
 them, else from that pass's own first layer, a chunk of rows at a time, on
-a test set prepared once, at its first evaluation.  Every operation is
-bit-reproducible for fixed inputs.
+a test set prepared once, at its first evaluation.  A narrow set takes the
+float64 pass itself, from a first layer the caller made for many models in
+one stacked product (:func:`first_layers`) where it has one.  Every
+operation is bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -190,9 +192,9 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray):
 def _unpack_tail(arch: ModelArchitecture, tail: np.ndarray) -> tuple:
     """:func:`_unpack`'s W2 and b2 (none without a hidden layer) from a
     vector ``tail`` of the parameters from ``arch.first_layer_size`` on.
-    (Training and narrow evaluations unpack a whole vector per call, so
-    :func:`_unpack` keeps its own offsets rather than pay for a call of
-    this.)"""
+    (Training and a narrow evaluation without a first layer unpack a whole
+    vector per call, so :func:`_unpack` keeps its own offsets rather than
+    pay for a call of this.)"""
     h, c = arch.hidden_dim, arch.class_count
     if h == 0:
         return ()
@@ -211,14 +213,21 @@ def _forward(layers: tuple, x: np.ndarray, product=np.dot):
     product's zero may differ in sign, which the bias add erases unless that
     bias is -0.0.  Training passes ``product=np.matmul`` and the stacks of
     :func:`_unpack_stack`, which run each member's slice as ``@`` does."""
-    hidden = product(x, layers[0])
-    hidden += layers[1]
-    if len(layers) == 2:
-        return None, hidden
-    np.maximum(hidden, 0.0, out=hidden)
-    logits = product(hidden, layers[2])
-    logits += layers[3]
-    return hidden, logits
+    first = product(x, layers[0])
+    first += layers[1]
+    return _from_first_layer(layers[2:], first, product)
+
+
+def _from_first_layer(layers: tuple, first: np.ndarray, product=np.dot):
+    """:func:`_forward` from its first layer ``first``, the pre-activations,
+    bias included, which the ReLU overwrites, through ``layers``, the views
+    of W2 and b2 (none without a hidden layer)."""
+    if not layers:
+        return None, first
+    np.maximum(first, 0.0, out=first)
+    logits = product(first, layers[0])
+    logits += layers[1]
+    return first, logits
 
 
 def predict_logits(arch: ModelArchitecture, params: np.ndarray,
@@ -770,15 +779,50 @@ def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
     return predict_logits(arch, flat, features).argmax(axis=1)
 
 
+def first_layer_chunk(arch: ModelArchitecture, test: LabeledDataset) -> int:
+    """How many models one :func:`first_layers` call takes on ``test``: as
+    many as keep their first layers within :data:`CHUNK_ELEMENTS` values,
+    at least one; 0 where :func:`evaluate` takes no such first layer (a
+    wide set, see :attr:`LabeledDataset.prepared`) or the stacked product
+    could differ from the float64 pass's (a layer of one input, d = 1: see
+    :func:`_forward`; there a lone row's exact-zero input times an infinite
+    weight makes ``np.matmul`` warn, and ``np.dot`` not)."""
+    features, norms = test.prepared
+    if norms is not None or arch.input_dim == 1:
+        return 0
+    width = arch.hidden_dim or arch.class_count
+    return max(1, CHUNK_ELEMENTS // max(1, len(features) * width))
+
+
+def first_layers(arch: ModelArchitecture, stack: np.ndarray,
+                 test: LabeledDataset) -> np.ndarray:
+    """The float64 pass's first layer on the rows of a narrow set ``test``,
+    bias included, of each model of an (m, P) ``stack`` of flat parameter
+    vectors (cast to float64 once): m x rows x units, each what
+    :func:`evaluate` takes as ``first_layer``.  One ``np.matmul`` makes
+    them, which runs each model's slice as the 2-D product that
+    :func:`_forward`'s ``np.dot`` runs, bit for bit, where
+    :func:`first_layer_chunk` is not 0."""
+    weights, bias = _unpack_stack(arch, np.asarray(stack, dtype=np.float64))[:2]
+    out = np.matmul(test.prepared[0], weights)
+    out += bias
+    return out
+
+
 def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
-             test: LabeledDataset, first_layer: FirstLayer | None = None) -> float:
+             test: LabeledDataset,
+             first_layer: FirstLayer | np.ndarray | None = None) -> float:
     """Top-1 accuracy on ``test``; argmax ties resolve to the lowest class.
 
+    ``first_layer``, if given, is these parameters' first layer on ``test``.
     A narrow set takes the float64 forward pass on its cached float64
-    features.  On a wide set (see :attr:`LabeledDataset.prepared`), every
-    model takes :func:`_screened_argmax`: screened from ``first_layer`` where
-    the caller passes one, which must be these parameters' first layer on
-    ``test`` (:meth:`FirstLayerProducts.combine`), not yet spent by another
+    features, from ``first_layer`` where the caller passes one: that pass's
+    own first layer, rows x units, bias included (:func:`first_layers`),
+    which the ReLU may overwrite; only the parameters after it are read
+    then.  On a wide set (see :attr:`LabeledDataset.prepared`), every model
+    takes :func:`_screened_argmax`: screened from ``first_layer`` where the
+    caller passes one, a bounded :class:`FirstLayer`
+    (:meth:`FirstLayerProducts.combine`), not yet spent by another
     evaluation, and otherwise scored by the float64 pass a chunk of rows at a
     time, under certified bounds, without a float64 copy of the set.  A
     :class:`LazyModel` is built in full only where that pass runs.  Only a
@@ -789,9 +833,21 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
     rows = len(features)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    if norms is None:
+    if norms is None and first_layer is None:
         full = params.params if isinstance(params, LazyModel) else params
         predictions = predict_logits(arch, full, features).argmax(axis=1)
+    elif norms is None:
+        if isinstance(params, LazyModel):
+            tail = params.tail
+        else:
+            _check_params(arch, params)
+            tail = params[arch.first_layer_size:]
+        shape = (rows, arch.hidden_dim or arch.class_count)
+        if getattr(first_layer, "shape", None) != shape:
+            raise ValueError(f"a narrow set's first layer is an array of shape {shape}")
+        predictions = _from_first_layer(
+            _unpack_tail(arch, np.asarray(tail, dtype=np.float64)),
+            first_layer)[1].argmax(axis=1)
     else:
         if not isinstance(params, LazyModel):
             _check_params(arch, params)

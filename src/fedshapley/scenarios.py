@@ -277,12 +277,19 @@ def _add_feature_noise(parts: list[LabeledDataset], rates: list[float],
         parts[i] = LabeledDataset(noisy, part.labels)
 
 
-def partition(pool: LabeledDataset, spec: ScenarioSpec) -> list[LabeledDataset]:
+def partition(pool: LabeledDataset, spec: ScenarioSpec,
+              table: np.ndarray | None = None) -> list[LabeledDataset]:
     """Split ``pool`` into per-participant datasets according to ``spec``:
-    participant by participant, each class's rows of :func:`deal_table` are
-    taken in turn from that class's shuffled queue of pool rows."""
+    participant by participant, each class's rows of ``table``, the
+    :func:`deal_table` of ``spec`` and the pool's class counts (made here
+    unless the caller has made it), are taken in turn from that class's
+    shuffled queue of pool rows.  ValueError if ``table`` does not fit."""
     counts = np.bincount(pool.labels)
-    table = deal_table(spec, counts)
+    if table is None:
+        table = deal_table(spec, counts)
+    elif np.shape(table) != (spec.n, len(counts)) or (table.sum(axis=0) > counts).any():
+        raise ValueError(f"a deal table of shape {np.shape(table)} does not deal "
+                         f"{spec.n} participants from a pool of {len(counts)} classes")
     rng = np.random.default_rng(derive_seed(spec.seed, "partition", spec.kind.value))
     queues = [idx[rng.permutation(idx.size)] for idx in
               (np.flatnonzero(pool.labels == cls) for cls in range(len(counts)))]

@@ -193,6 +193,19 @@ def test_compare_writes_to_the_working_directory_and_prints_its_table(
     assert row.split()[5] == "8"  # 2^3 coalitions, one round
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_run_deals_its_table_once(tmp_path, monkeypatch, command):
+    # the table that checks the scenario deals the pool too
+    calls = collections.Counter()
+    for module in (cli, scenarios):
+        monkeypatch.setattr(module, "deal_table", lambda *args, _real=module.deal_table:
+                            calls.update(["deal_table"]) or _real(*args))
+    cfg = write_config(tmp_path / "exp.json", rounds=1, estimators=["mr"])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == EXIT_OK
+    assert calls == {"deal_table": 1}
+
+
 def test_print_config_round_trips(config_path, tmp_path, capsys):
     code = main(["simulate", "--config", str(config_path), "--print-config"])
     assert code == EXIT_OK
@@ -690,7 +703,8 @@ def direct_estimate(name, log_path, seed=None):
 @pytest.mark.parametrize("name", list(estimators.ESTIMATORS))
 def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, monkeypatch, name):
     # a log-based estimator reads the test set alone: the pool is drawn but
-    # not dealt, and the deal table is built once, to check the log's weights
+    # not dealt; the deal table is built once, to check the log's weights,
+    # and a retraining estimator's pool is dealt from that table
     calls = collections.Counter()
     for module, attr in ((cli, "partition"), (cli, "deal_table"),
                          (scenarios, "deal_table")):
@@ -700,7 +714,7 @@ def test_evaluate_dispatch_matches_direct_calls(eval_log, tmp_path, monkeypatch,
 
         monkeypatch.setattr(module, attr, counted)
     doc = evaluate_doc(eval_log, name, tmp_path)
-    assert calls == ({"partition": 1, "deal_table": 3}
+    assert calls == ({"partition": 1, "deal_table": 1}
                      if estimators.estimator(name).retrains else {"deal_table": 1})
     want = direct_estimate(name, eval_log)
     assert doc["estimator"] == want.name == name

@@ -10,6 +10,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from fedshapley import (
     gtg_ti,
     gtg_tib,
     guided_permutation,
+    init_params,
     mr_eval,
     original_shapley_eval,
     partition,
@@ -402,6 +405,125 @@ def test_a_narrow_first_layer_on_a_wide_set_is_scored_from_products(monkeypatch)
     narrow = LabeledDataset(test.features, test.labels)
     for report, want in zip(got, [gtg_eval(log, narrow, cfg), mr_eval(log, narrow)]):
         assert_reports_bit_equal(report, want)
+
+
+# --- stacked first layers on narrow sets ------------------------------------------
+
+
+def assert_every_mask_scores_as_the_float64_pass(rec: RoundRecord,
+                                                 weights: dict[int, int],
+                                                 arch: ModelArchitecture,
+                                                 test: LabeledDataset) -> None:
+    """round_utilities of the round equal, bit for bit, the float64 pass over
+    reconstruct_submodel's model of every mask, with no warning on the way."""
+    log = GradientLog(arch, [rec], weights)
+    models_ = [rec.base_model] + [reconstruct_submodel(rec, players_of(mask), weights)
+                                  for mask in range(1, 1 << len(weights))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = round_utilities(rec, log, test)
+        want = np.array([float64_pass(arch, model, test) for model in models_])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.blas_order
+@pytest.mark.parametrize("hidden_dim", [0, 4])
+def test_a_one_row_set_scores_every_stacked_coalition_as_the_float64_pass(hidden_dim):
+    log, test, _ = quick_log(n=4, rounds=2, seed=21, hidden_dim=hidden_dim)
+    for row in (0, len(test) - 1):
+        single = LabeledDataset(test.features[row:row + 1], test.labels[row:row + 1])
+        assert models.first_layer_chunk(log.architecture, single) > 0
+        for rec in log.rounds:
+            assert_every_mask_scores_as_the_float64_pass(
+                rec, log.participant_weights, log.architecture, single)
+
+
+@pytest.mark.blas_order
+@pytest.mark.parametrize("hidden_dim", [0, 2])
+def test_a_layer_of_one_input_keeps_the_per_model_product(hidden_dim):
+    # at d = 1, a lone row's exact-zero input times an infinite weight makes
+    # np.matmul warn where np.dot does not: such rounds take no stacked product
+    arch = ModelArchitecture(1, hidden_dim, 3)
+    rng = np.random.default_rng(7)
+    weights = {1: 3, 2: 5, 3: 7}
+    updates = {i: rng.normal(0.0, 0.1, arch.param_count).astype(np.float32)
+               for i in weights}
+    updates[2][0] = np.inf  # W1[0, 0] of every coalition that holds 2
+    base = init_params(arch, seed=5)
+    rec = RoundRecord(0, base, updates, aggregated=base)
+    assert not np.isfinite(reconstruct_submodel(rec, (2,), weights)).all()
+    for test in (LabeledDataset([[0.0]], [1]), LabeledDataset([[1.5]], [0])):
+        assert models.first_layer_chunk(arch, test) == 0
+        assert_every_mask_scores_as_the_float64_pass(rec, weights, arch, test)
+
+
+@pytest.mark.blas_order
+@pytest.mark.parametrize("hidden_dim", [0, 4])
+def test_all_zero_parameters_tie_every_stacked_coalition_to_class_0(hidden_dim):
+    arch = ModelArchitecture(5, hidden_dim, 3)
+    zeros = np.zeros(arch.param_count, dtype=np.float32)
+    weights = {1: 2, 2: 3, 3: 4}
+    rec = RoundRecord(0, zeros, dict.fromkeys(weights, zeros), aggregated=zeros)
+    test = gaussian_blobs(8, 5, 3, seed=22)
+    assert models.first_layer_chunk(arch, test) > 0
+    assert_every_mask_scores_as_the_float64_pass(rec, weights, arch, test)
+    utilities = round_utilities(rec, GradientLog(arch, [rec], weights), test)
+    assert utilities.tolist() == [np.count_nonzero(test.labels == 0) / len(test)] * 8
+
+
+@pytest.mark.blas_order
+def test_a_hidden_round_spanning_three_first_layer_chunks_scores_as_the_float64_pass():
+    log, _, _ = quick_log(n=5, rounds=2, seed=23, hidden_dim=64)
+    arch = log.architecture
+    test = gaussian_blobs(40, arch.input_dim, arch.class_count, seed=23, noise_seed=24)
+    most = models.first_layer_chunk(arch, test)
+    assert 1 <= most and 2 ** log.n - 1 > 2 * most  # at least three chunks
+    for rec in log.rounds:
+        assert_every_mask_scores_as_the_float64_pass(rec, log.participant_weights,
+                                                     arch, test)
+
+
+@pytest.mark.parametrize("build", [COALITION_BUILDS["hidden"],
+                                   COALITION_BUILDS["unequal-weights"]],
+                         ids=["hidden", "unequal-weights"])
+def test_mr_on_a_narrow_log_calls_evaluate_once_per_evaluation(monkeypatch, build):
+    # the traced benchmark run's rule: one models.evaluate span per eval
+    log, test = build()
+    assert models.first_layer_chunk(log.architecture, test) > 0
+    calls, evaluate = [], estimators.evaluate
+    monkeypatch.setattr(estimators, "evaluate",
+                        lambda *args: calls.append(len(args)) or evaluate(*args))
+    report = mr_eval(log, test)
+    assert len(calls) == report.eval_count == log.total_rounds * 2 ** log.n
+    # every coalition but each round's base is scored from its stacked first layer
+    assert calls.count(4) == report.eval_count - log.total_rounds
+
+
+def test_enumerating_a_narrow_round_holds_one_chunk_of_first_layers():
+    # the enum workload's shape: n = 10, d = 16, softmax, 100 test rows
+    log, test, _ = scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10, rounds=1)
+    arch, rec = log.architecture, log.rounds[0]
+    assert (arch.input_dim, arch.hidden_dim, len(test)) == (16, 0, 100)
+    test.prepared
+    masks = np.arange(1, 2 ** log.n)
+    stack = RoundStack(rec, log.participant_weights)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: next(stack.rebuild_chunks(masks)),
+                    lambda: round_utilities(rec, log, test)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            done = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            del done
+    finally:
+        tracemalloc.stop()
+    rebuilt, enumerated = peaks
+    assert rebuilt > CHUNK_ELEMENTS * 8  # a chunk's float64 sums, at least
+    # a chunk rebuilt while the last one is held (float32 values), plus one
+    # chunk of first layers (float64 values)
+    assert enumerated < rebuilt + CHUNK_ELEMENTS * (4 + 8)
 
 
 @pytest.mark.parametrize("estimate", [mr_eval, tmr_eval], ids=["mr", "tmr"])

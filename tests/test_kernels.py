@@ -484,6 +484,42 @@ def test_a_narrow_set_scores_as_the_logits_path(arch):
                 assert str(err.value) == message
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_stacked_first_layers_are_the_float64_passs_own(arch):
+    # one np.matmul over a stack gives each model the first layer, bias
+    # included, that the float64 pass makes, bit for bit, and evaluate
+    # scores the model from it and its tail alone
+    full = blobs(arch, 12, seed=1)
+    one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
+    cases = screen_param_cases(arch, full)
+    builds = []
+
+    def tail_only(params):
+        return models.LazyModel(params[arch.first_layer_size:],
+                                lambda: builds.append(1) or params)
+
+    for test in (full, one_row):
+        if arch.input_dim == 1:
+            # a layer of one input keeps the per-model product
+            assert models.first_layer_chunk(arch, test) == 0
+            continue
+        assert models.first_layer_chunk(arch, test) >= 1
+        for stack in (np.stack(cases), np.stack(cases).astype(np.float64)):
+            firsts = models.first_layers(arch, stack, test)
+            assert firsts.shape == (len(cases), len(test),
+                                    arch.hidden_dim or arch.class_count)
+            for params, first in zip(stack, firsts):
+                w1, b1 = ref_unpack(arch, params.astype(np.float64))[:2]
+                assert same_bits(first, test.features.astype(np.float64) @ w1 + b1)
+                want = logits_path(arch, params, test)
+                for model in (params, tail_only(params)):
+                    assert same_bits(evaluate(arch, model, test, first.copy()), want)
+        assert builds == []
+        with pytest.raises(ValueError, match="a narrow set's first layer is an "
+                                             "array of shape"):
+            evaluate(arch, cases[0], test, firsts[0][:, :1])
+
+
 def screen_param_cases(arch: ModelArchitecture,
                        data: LabeledDataset) -> list[np.ndarray]:
     """:func:`param_cases`, trained parameters, and trained parameters

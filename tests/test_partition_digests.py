@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from fedshapley import (ScenarioKind, ScenarioSpec, SyntheticSource, generate_source,
                         partition)
-from fedshapley.scenarios import SCENARIO_PARAMS
+from fedshapley.scenarios import SCENARIO_PARAMS, deal_table
 
 EXPLICIT_PARAMS = {"skew": lambda n: 0.5,
                    "ratios": lambda n: [1 + i % 3 for i in range(n)],
@@ -201,12 +202,14 @@ def test_partitions_are_pinned_bit_for_bit(kind):
     for key, spec, pool in partition_grid([kind]):
         if key not in PARTITION_DIGESTS:
             continue
-        parts = partition(pool, spec)
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part.features.tobytes())
-        for part in parts:
-            digest.update(part.labels.tobytes())
-        assert digest.hexdigest()[:16] == PARTITION_DIGESTS[key], key
+        # a table made beforehand deals the same partition
+        table = deal_table(spec, np.bincount(pool.labels))
+        for parts in (partition(pool, spec), partition(pool, spec, table)):
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(part.features.tobytes())
+            for part in parts:
+                digest.update(part.labels.tobytes())
+            assert digest.hexdigest()[:16] == PARTITION_DIGESTS[key], key
         pinned += 1
     assert pinned == sum(key.startswith(f"{kind.value} ") for key in PARTITION_DIGESTS)

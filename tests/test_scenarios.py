@@ -284,6 +284,12 @@ def test_partition_errors():
         np.concatenate([pool.labels[:5], pool.labels[100:]]))
     with pytest.raises(ValueError, match="exhausted"):
         partition(lopsided, ScenarioSpec(ScenarioKind.DIFF_DIST_SAME_SIZE, n=10))
+    # a table made beforehand must deal the spec's participants from the pool
+    spec = ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=4)
+    table = deal_table(spec, np.bincount(pool.labels))
+    for bad in (table[:3], table[:, :-1], table * 2):
+        with pytest.raises(ValueError, match="does not deal 4 participants"):
+            partition(pool, spec, bad)
 
 
 def test_scenario_spec_validation():
