@@ -149,6 +149,8 @@ def config_from_dict(doc: object, path: str | Path) -> ExperimentConfig:
                                   f"table, got {type(item).__name__}")
             params = item.get("params", {})
             keywords = _estimator_keywords(item.get("name"), params, seed, path)
+            if any(entry["name"] == item["name"] for entry in entries):
+                raise ConfigError(f"{path}: estimator {item['name']!r} is listed twice")
             entries.append({"name": item["name"], "params": dict(params),
                             "keywords": keywords})
         return ExperimentConfig(seed=seed, rounds=doc.get("rounds", 1),

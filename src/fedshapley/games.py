@@ -277,6 +277,8 @@ class ConvergenceWindow:
             raise ValueError("threshold must be positive")
         if self.lookback < 1:
             raise ValueError("lookback must be at least 1")
+        if self.min_samples < 0:
+            raise ValueError("min_samples must be >= 0")
         self.clear()
 
     @property

@@ -22,7 +22,6 @@ from fedshapley import (
     run_federation,
 )
 from fedshapley.federation import RoundRecord, round_vectors
-from fedshapley import models
 from fedshapley.models import FirstLayerProducts, first_layer_products
 
 _ACCEPTANCE_OUTCOMES: dict[str, str] = {}
@@ -119,53 +118,6 @@ def round_products(record: RoundRecord, weights: dict[int, int],
     reads none)."""
     return first_layer_products(arch, round_vectors(record, weights), test,
                                 [weights[i] for i in sorted(weights)])
-
-
-def assert_products_match_the_float64_casts(record: RoundRecord,
-                                            weights: dict[int, int],
-                                            arch: ModelArchitecture,
-                                            test: LabeledDataset) -> None:
-    """The round's products made from the record's float32 blocks equal, bit
-    for bit, those made from the blocks' float64 casts, and both equal the
-    products of the first construction: every float64 block held at once,
-    each chunk of rows multiplied by each block in turn.  Every coalition's
-    first layer from them is the same too."""
-    vectors = round_vectors(record, weights)
-    shares = [weights[i] for i in sorted(weights)]
-    got = first_layer_products(arch, vectors, test, shares)
-    cast = first_layer_products(arch, [v.astype(np.float64) for v in vectors],
-                                test, shares)
-    assert got is not None and cast is not None
-    # the first construction, on the float64 casts: blocks (W1; b1), each
-    # chunk of rows times W1, unit-major, plus b1
-    d, width = arch.input_dim, arch.hidden_dim or arch.class_count
-    blocks = [v[:arch.first_layer_size].reshape(d + 1, width).astype(np.float64)
-              for v in vectors]
-    features = test.prepared[0]
-    products = np.empty((len(blocks), width, len(features)))
-    step = max(1, models.CHUNK_ELEMENTS // d)
-    for start in range(0, len(features), step):
-        rows = features[start:start + step].astype(np.float64)
-        for block, out in zip(blocks, products):
-            out[:, start:start + step] = np.dot(rows, block[:-1]).T
-    for block, out in zip(blocks, products):
-        out += block[-1][:, None]
-    products[1:] += products[0]
-    products[1:] *= np.array(shares, dtype=np.float64)[:, None, None]
-    norms = np.sqrt([np.einsum("ij,ij->j", b, b) for b in blocks])
-    max_abs = np.array([np.abs(v.astype(np.float64)).max() for v in vectors])
-    for made in (got, cast):
-        for name, want in [("_products", products.reshape(len(blocks), -1)),
-                           ("_norms", norms), ("_max_abs", max_abs)]:
-            have = getattr(made, name)
-            assert have.dtype == np.float64 and have.tobytes() == want.tobytes(), name
-    for mask in range(1 << len(weights)):
-        ids = tuple(i for i in sorted(weights) if mask >> (i - 1) & 1)
-        first, again = got.combine(ids), cast.combine(ids)
-        assert (first is None) == (again is None)
-        if first is not None:
-            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
-                       for a, b in zip(first, again))
 
 
 # join orders over four players, each cut after the positions it reaches, as

@@ -345,6 +345,7 @@ def test_unknown_estimator_in_config_lists_names(tmp_path, capsys):
     {"name": "tmr", "params": {"round_threshold": "x"}},
     {"name": "tmr", "params": {"lam": True}},
     {"name": "gtg", "params": {"guided_prefix": 1}},  # no prefix length to set
+    {"name": "mr", "params": {}},  # listed twice: two rows would read mr
 ])
 def test_bad_estimator_entries_fail_before_any_training(tmp_path, capsys,
                                                         work_calls, entry):
@@ -527,6 +528,7 @@ def test_a_lookback_past_the_cap_scores_as_the_cap(eval_log, tmp_path):
     # values and types are checked as early as the names
     {"eps_within": -1.0}, {"lookback": 0}, {"threshold": 0.0},
     {"eps_within": "abc"}, {"max_perms_per_round": 2.5}, {"sampling": None},
+    {"min_samples": -5},
 ])
 def test_evaluate_bad_params_tables_are_usage_errors(tmp_path, capsys,
                                                      work_calls, params):

@@ -1,15 +1,21 @@
-"""Smoke tests for the demo scripts: each runs to completion on its own."""
+"""Smoke tests for the demo scripts and the README's examples: each runs to
+completion on its own, with a RuntimeWarning as an error."""
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fedshapley.cli import config_from_dict
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_all_five_demos_are_collected():
@@ -21,7 +27,26 @@ def test_demo_runs_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def fenced(language: str) -> str:
+    """The README's one fenced block of ``language``."""
+    (block,) = re.findall(rf"^```{language}\n(.*?)^```", README.read_text(),
+                          re.MULTILINE | re.DOTALL)
+    return block
+
+
+def test_the_readme_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(fenced("python"), str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_the_readme_config_parses():
+    cfg = config_from_dict(json.loads(fenced("json")), README)
+    assert [entry["name"] for entry in cfg.estimators] == ["mr", "gtg"]

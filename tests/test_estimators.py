@@ -11,12 +11,10 @@ import collections
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
-from conftest import (assert_products_match_the_float64_casts, float64_pass,
-                      gaussian_blobs, quick_log, scenario_log, split_participants)
+from conftest import gaussian_blobs, quick_log, scenario_log, split_participants
 
 from fedshapley import (
     CapacityError,
@@ -47,12 +45,10 @@ from fedshapley import (
     gtg_ti,
     gtg_tib,
     guided_permutation,
-    init_params,
     mr_eval,
     original_shapley_eval,
     partition,
     position_marginal_profile,
-    reconstruct_submodel,
     round_marginal_gains,
     run_federation,
     run_log_estimator,
@@ -64,7 +60,6 @@ from fedshapley.estimators import (check_estimator_params, estimator,
                                    round_utilities)
 from fedshapley.federation import (CHUNK_ELEMENTS, RoundStack, StoredRounds,
                                    load_log, save_log)
-from fedshapley.games import players_of
 
 EXHAUSTIVE = GtgConfig(eps_between=0.0, eps_within=0.0, sampling="cycle",
                        max_perms_per_round=6, min_samples=6)
@@ -87,6 +82,22 @@ def small_participants(n: int, seed: int = 0) -> tuple[list[Participant], Labele
     train = gaussian_blobs(6 * n, 5, 3, seed=seed)
     test = gaussian_blobs(8, 5, 3, seed=seed)
     return split_participants(train, n), test
+
+
+# logs that tests here and in test_fast_paths.py score: name -> (log, test set)
+LOGS = {
+    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
+    "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
+    "unequal-weights": lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6,
+                                            rounds=3, seed=4)[:2],
+    # the acceptance logs of test_acceptance.py
+    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
+                                           rounds=10, seed=1, lr=0.1)[:2],
+    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
+                                              n=10, rounds=10, seed=2, lr=0.02)[:2],
+    "n50": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=50, rounds=3,
+                                seed=1, train_per_class=500)[:2],
+}
 
 
 # --- permutation scheduling ----------------------------------------------------
@@ -116,6 +127,7 @@ def test_gtg_config_validation():
     for bad in ({"lookback": 0}, {"threshold": 0.0}, {"threshold": math.nan},
                 {"eps_within": math.nan},
                 {"eps_within": "abc"}, {"lookback": 2.5}, {"min_samples": "3"},
+                {"min_samples": -5},
                 {"seed": None}, {"sampling": 1}, {"eps_between": True}):
         with pytest.raises(ValueError):
             GtgConfig(**bad)
@@ -275,101 +287,7 @@ def test_participant_with_zero_updates_scores_exactly_zero():
     assert sampled.total.values[2] == 0.0
 
 
-# --- batched coalition reconstruction ----------------------------------------------
-
-
-def assert_coalition_paths_bit_equal(log: GradientLog, test: LabeledDataset) -> None:
-    """Every coalition of every round three ways: the reference
-    reconstruct_submodel, the walkers' single rebuild and the chunked
-    rebuild.  Models must agree bit for bit, and both scorers' utilities
-    with the float64 pass's over the reference models, at the same costs."""
-    weights, arch = log.participant_weights, log.architecture
-    full = (1 << log.n) - 1
-    masks = np.arange(1, full + 1)
-    for rec in log.rounds:
-        stack = RoundStack(rec, weights)
-        reference = [reconstruct_submodel(rec, players_of(m), weights)
-                     for m in masks.tolist()]
-        chunked = list(stack.rebuild_masks(masks))
-        assert len(chunked) == full
-        for mask, want, got in zip(masks.tolist(), reference, chunked):
-            assert got.dtype == np.float32
-            assert got.tobytes() == want.tobytes()
-            assert stack.rebuild(players_of(mask)).tobytes() == want.tobytes()
-
-        batched = round_utilities(rec, log, test)
-        walked = RoundGame.from_round(rec, weights, arch, test)
-        utilities = [float64_pass(arch, model, test)
-                     for model in [rec.base_model, *reference]]
-        assert len(batched) == full + 1
-        for mask, want in enumerate(utilities):
-            assert walked.game.value_mask(mask) == want
-            assert batched[mask] == want
-        assert walked.game.eval_count == full + 1
-
-
-def spanning_log() -> tuple[GradientLog, LabeledDataset]:
-    """A log whose chunked rebuilds of every coalition span four chunks."""
-    log, test, _ = quick_log(n=5, rounds=2, seed=14, hidden_dim=1500)
-    rows = CHUNK_ELEMENTS // log.architecture.param_count
-    assert 1 <= rows and 2 ** log.n - 1 > 3 * rows  # at least four chunks
-    return log, test
-
-
-def heavy_log() -> tuple[GradientLog, LabeledDataset]:
-    """A log whose weights are not representable in float64, so float and
-    integer totals can differ."""
-    log, test, _ = quick_log(n=3, rounds=2, seed=0)
-    log.participant_weights = {pid: (2 ** 55) * w + pid
-                               for pid, w in log.participant_weights.items()}
-    return log, test
-
-
-COALITION_BUILDS = {
-    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
-    "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
-    "unequal-weights": lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6,
-                                            rounds=3, seed=4)[:2],
-    # the acceptance logs of test_acceptance.py
-    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
-                                           rounds=10, seed=1, lr=0.1)[:2],
-    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
-                                              n=10, rounds=10, seed=2, lr=0.02)[:2],
-}
-
-
-@pytest.mark.parametrize("build", COALITION_BUILDS.values(), ids=COALITION_BUILDS)
-def test_batched_reconstruction_is_bit_identical(build):
-    assert_coalition_paths_bit_equal(*build())
-
-
-def test_batched_reconstruction_spanning_several_chunks():
-    assert_coalition_paths_bit_equal(*spanning_log())
-
-
-def test_weights_past_two_to_the_53_keep_every_path_exact():
-    log, test = heavy_log()
-    assert_coalition_paths_bit_equal(log, test)
-    assert mr_eval(log, test).eval_count == 2 * 2 ** 3
-    assert gtg_eval(log, test).eval_count > 0
-    assert len(position_marginal_profile(log, test, samples_per_round=2)) == 3
-
-
-WIDE_BUILDS = {**COALITION_BUILDS, "spanning": spanning_log, "past-2^53": heavy_log}
-
-
-@pytest.mark.blas_order
-@pytest.mark.parametrize("build", WIDE_BUILDS.values(), ids=WIDE_BUILDS)
-def test_wide_reconstruction_is_bit_identical(monkeypatch, build):
-    # every set is wide, so both scorers rebuild tails and screen from the
-    # round's first-layer products, made from the record's float32 blocks as
-    # from their float64 casts
-    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    log, test = build()
-    for rec in log.rounds:
-        assert_products_match_the_float64_casts(rec, log.participant_weights,
-                                                log.architecture, test)
-    assert_coalition_paths_bit_equal(log, test)
+# --- screened scoring of a narrow first layer on a wide set ---------------------
 
 
 def narrow_layer_wide_set_log() -> tuple[GradientLog, LabeledDataset]:
@@ -392,7 +310,6 @@ def test_a_narrow_first_layer_on_a_wide_set_is_scored_from_products(monkeypatch)
     # mr's reports equal, bit for bit, those of the float64 pass alone
     log, test = narrow_layer_wide_set_log()
     assert test.features.size >= models.WIDE_ELEMENTS
-    assert_coalition_paths_bit_equal(log, test)
     made, products = [], estimators.first_layer_products
     monkeypatch.setattr(estimators, "first_layer_products",
                         lambda *args: made.append(products(*args)) or made[-1])
@@ -410,85 +327,10 @@ def test_a_narrow_first_layer_on_a_wide_set_is_scored_from_products(monkeypatch)
 # --- stacked first layers on narrow sets ------------------------------------------
 
 
-def assert_every_mask_scores_as_the_float64_pass(rec: RoundRecord,
-                                                 weights: dict[int, int],
-                                                 arch: ModelArchitecture,
-                                                 test: LabeledDataset) -> None:
-    """round_utilities of the round equal, bit for bit, the float64 pass over
-    reconstruct_submodel's model of every mask, with no warning on the way."""
-    log = GradientLog(arch, [rec], weights)
-    models_ = [rec.base_model] + [reconstruct_submodel(rec, players_of(mask), weights)
-                                  for mask in range(1, 1 << len(weights))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = round_utilities(rec, log, test)
-        want = np.array([float64_pass(arch, model, test) for model in models_])
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.blas_order
-@pytest.mark.parametrize("hidden_dim", [0, 4])
-def test_a_one_row_set_scores_every_stacked_coalition_as_the_float64_pass(hidden_dim):
-    log, test, _ = quick_log(n=4, rounds=2, seed=21, hidden_dim=hidden_dim)
-    for row in (0, len(test) - 1):
-        single = LabeledDataset(test.features[row:row + 1], test.labels[row:row + 1])
-        assert models.first_layer_chunk(log.architecture, single) > 0
-        for rec in log.rounds:
-            assert_every_mask_scores_as_the_float64_pass(
-                rec, log.participant_weights, log.architecture, single)
-
-
-@pytest.mark.blas_order
-@pytest.mark.parametrize("hidden_dim", [0, 2])
-def test_a_layer_of_one_input_keeps_the_per_model_product(hidden_dim):
-    # at d = 1, a lone row's exact-zero input times an infinite weight makes
-    # np.matmul warn where np.dot does not: such rounds take no stacked product
-    arch = ModelArchitecture(1, hidden_dim, 3)
-    rng = np.random.default_rng(7)
-    weights = {1: 3, 2: 5, 3: 7}
-    updates = {i: rng.normal(0.0, 0.1, arch.param_count).astype(np.float32)
-               for i in weights}
-    updates[2][0] = np.inf  # W1[0, 0] of every coalition that holds 2
-    base = init_params(arch, seed=5)
-    rec = RoundRecord(0, base, updates, aggregated=base)
-    assert not np.isfinite(reconstruct_submodel(rec, (2,), weights)).all()
-    for test in (LabeledDataset([[0.0]], [1]), LabeledDataset([[1.5]], [0])):
-        assert models.first_layer_chunk(arch, test) == 0
-        assert_every_mask_scores_as_the_float64_pass(rec, weights, arch, test)
-
-
-@pytest.mark.blas_order
-@pytest.mark.parametrize("hidden_dim", [0, 4])
-def test_all_zero_parameters_tie_every_stacked_coalition_to_class_0(hidden_dim):
-    arch = ModelArchitecture(5, hidden_dim, 3)
-    zeros = np.zeros(arch.param_count, dtype=np.float32)
-    weights = {1: 2, 2: 3, 3: 4}
-    rec = RoundRecord(0, zeros, dict.fromkeys(weights, zeros), aggregated=zeros)
-    test = gaussian_blobs(8, 5, 3, seed=22)
-    assert models.first_layer_chunk(arch, test) > 0
-    assert_every_mask_scores_as_the_float64_pass(rec, weights, arch, test)
-    utilities = round_utilities(rec, GradientLog(arch, [rec], weights), test)
-    assert utilities.tolist() == [np.count_nonzero(test.labels == 0) / len(test)] * 8
-
-
-@pytest.mark.blas_order
-def test_a_hidden_round_spanning_three_first_layer_chunks_scores_as_the_float64_pass():
-    log, _, _ = quick_log(n=5, rounds=2, seed=23, hidden_dim=64)
-    arch = log.architecture
-    test = gaussian_blobs(40, arch.input_dim, arch.class_count, seed=23, noise_seed=24)
-    most = models.first_layer_chunk(arch, test)
-    assert 1 <= most and 2 ** log.n - 1 > 2 * most  # at least three chunks
-    for rec in log.rounds:
-        assert_every_mask_scores_as_the_float64_pass(rec, log.participant_weights,
-                                                     arch, test)
-
-
-@pytest.mark.parametrize("build", [COALITION_BUILDS["hidden"],
-                                   COALITION_BUILDS["unequal-weights"]],
-                         ids=["hidden", "unequal-weights"])
-def test_mr_on_a_narrow_log_calls_evaluate_once_per_evaluation(monkeypatch, build):
+@pytest.mark.parametrize("name", ["hidden", "unequal-weights"])
+def test_mr_on_a_narrow_log_calls_evaluate_once_per_evaluation(monkeypatch, name):
     # the traced benchmark run's rule: one models.evaluate span per eval
-    log, test = build()
+    log, test = LOGS[name]()
     assert models.first_layer_chunk(log.architecture, test) > 0
     calls, evaluate = [], estimators.evaluate
     monkeypatch.setattr(estimators, "evaluate",
@@ -835,21 +677,10 @@ def assert_reports_bit_equal(got, want):
     assert got.converged_rounds == want.converged_rounds
 
 
-WALKER_LOGS = {
-    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
-    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
-                                           rounds=10, seed=1, lr=0.1)[:2],
-    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
-                                              n=10, rounds=10, seed=2,
-                                              lr=0.02)[:2],
-    "n50": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=50, rounds=3,
-                                seed=1, train_per_class=500)[:2],
-}
-
-
-@pytest.fixture(scope="module", params=sorted(WALKER_LOGS))
+@pytest.fixture(scope="module", params=["acceptance-iid", "acceptance-skewed", "n50",
+                                        "quick"])
 def walker_log(request):
-    return request.param, WALKER_LOGS[request.param]()
+    return request.param, LOGS[request.param]()
 
 
 @pytest.mark.parametrize("eps_within", [0.0, 0.001, 0.05])
@@ -867,17 +698,13 @@ def test_walker_matches_the_first_implementation(monkeypatch, walker_log,
         assert_reports_bit_equal(got, want)
 
 
-SCREENED_LOGS = {**{name: WALKER_LOGS[name]
-                    for name in ("quick", "acceptance-iid", "acceptance-skewed")},
-                 "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2]}
-
-
 @pytest.mark.blas_order
-@pytest.mark.parametrize("name", sorted(SCREENED_LOGS))
+@pytest.mark.parametrize("name", ["acceptance-iid", "acceptance-skewed", "hidden",
+                                  "quick"])
 def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
     # with every test set wide, each evaluation is screened first, from the
     # first layer the round's products give its coalition
-    log, test = SCREENED_LOGS[name]()
+    log, test = LOGS[name]()
     cfg = GtgConfig(seed=9)
     runs = [lambda t: gtg_eval(log, t, cfg), lambda t: gtg_oti(log, t, cfg),
             lambda t: mr_eval(log, t)]

@@ -1,12 +1,12 @@
-"""Differential tests: the model kernels and the single-coalition rebuild
-against test-local copies of their first implementations.
+"""Differential tests: the model kernels against test-local copies of their
+first implementations.  (Every fast route to a coalition's model and score
+is checked in test_fast_paths.py.)
 
 The references below allocate a fresh float64 copy of the test features on
-every call, add biases and the ReLU into new temporaries, compute the loss on
-every training batch and allocate one temporary per coalition member.  The
-library's kernels skip that work, and evaluate screens wide test sets from
-first-layer products; every result must still be bit-equal, not merely
-close.
+every call, add biases and the ReLU into new temporaries and compute the
+loss on every training batch.  The library's kernels skip that work, and
+evaluate screens wide test sets from first-layer products; every result must
+still be bit-equal, not merely close.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (JOIN_ORDERS, STEPS, assert_products_match_the_float64_casts,
-                      float64_pass, gaussian_blobs, quick_log, round_products, steps,
-                      walked_coalitions)
+from conftest import (JOIN_ORDERS, STEPS, float64_pass, gaussian_blobs, round_products,
+                      steps, walked_coalitions)
 
 from fedshapley import (
     LabeledDataset,
@@ -150,16 +149,6 @@ def ref_train_stacked(arch, base, features, labels, cfg):
             for x, y in zip(features, labels)]
 
 
-def ref_rebuild(record, weights, ids):
-    base = np.asarray(record.base_model, dtype=np.float64)
-    updates = {i: np.asarray(record.updates[i], dtype=np.float64) for i in ids}
-    total = float(sum(weights[i] for i in ids))
-    acc = base.copy()
-    for i in ids:
-        acc += (weights[i] / total) * updates[i]
-    return acc.astype(np.float32)
-
-
 # --- cases --------------------------------------------------------------------------
 
 ARCHS = [
@@ -261,35 +250,6 @@ def test_kernel_errors_are_unchanged():
     for fn in (ref_loss_and_gradient, loss_and_gradient):
         with pytest.raises(ValueError, match="^empty batch$"):
             fn(arch, params, np.empty((0, arch.input_dim)), np.empty(0, np.int64))
-
-
-@pytest.mark.parametrize("hidden_dim", [0, 6])
-def test_single_rebuilds_match_the_reference(hidden_dim):
-    log, _, _ = quick_log(n=4, rounds=2, seed=3, hidden_dim=hidden_dim)
-    # unequal weights, so w_i / W is no power of two and its rounding shows
-    weights = {1: 7, 2: 13, 3: 3, 4: 101}
-    for rec in log.rounds:
-        stack = RoundStack(rec, weights)
-        coalitions = [ids for k in range(1, log.n + 1)
-                      for ids in itertools.combinations(range(1, log.n + 1), k)]
-        # the scratch row is shared by every rebuild: visit the coalitions
-        # forwards and backwards so no rebuild can lean on the previous one
-        for ids in coalitions + coalitions[::-1]:
-            assert same_bits(stack.rebuild(ids), ref_rebuild(rec, weights, ids))
-
-
-def test_wide_rebuilds_match_the_reference():
-    # the d=784, hidden 64 model: P = 50,890 parameters per update
-    arch = ARCHS[-1]
-    rng = np.random.default_rng(7)
-    base = init_params(arch, seed=1)
-    updates = {i: rng.normal(0.0, 1e-3, arch.param_count).astype(np.float32)
-               for i in (1, 2, 3)}
-    weights = {1: 30, 2: 70, 3: 11}
-    rec = federation.RoundRecord(0, base, updates, base)
-    stack = RoundStack(rec, weights)
-    for ids in [(1,), (2, 3), (1, 2, 3), (1, 3)]:
-        assert same_bits(stack.rebuild(ids), ref_rebuild(rec, weights, ids))
 
 
 def simulate_bytes(tmp_path, name: str, hidden_dim: int, **sections) -> bytes:
@@ -949,29 +909,6 @@ def test_scoring_a_round_holds_one_running_sum():
         tracemalloc.stop()
     # the 7 products, the running sum, one first layer and a chunk of rows
     assert peak <= (len(weights) + 1 + 3) * row
-
-
-@pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
-                                     {1: 2 ** 53 + 1, 2: 13, 3: 3, 4: 2 ** 64 + 3}],
-                         ids=["small", "past-2^53"])
-@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-def test_products_from_float32_blocks_match_their_float64_casts(monkeypatch, arch,
-                                                                weights):
-    # every set is wide; 5 rows a chunk, so that the chunks' edges show;
-    # past 2^53 the weights round when cast
-    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
-    full = blobs(arch, 12, seed=5)
-    one_row = LabeledDataset(full.features[:1], full.labels[:1])
-    rng = np.random.default_rng(arch.param_count)
-    cases = screen_param_cases(arch, full)
-    for base in cases[:-3] + cases[-2:]:  # a NaN makes no products
-        updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
-                   3: base * np.float32(-0.25),
-                   4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
-        rec = federation.RoundRecord(0, base, updates, base)
-        for test in (full, one_row):
-            assert_products_match_the_float64_casts(rec, weights, arch, test)
 
 
 # --- the lazy full rebuild of a wide coalition -----------------------------------
