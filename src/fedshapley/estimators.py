@@ -27,6 +27,7 @@ original              retraining-based exact values (ground truth)
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -50,6 +51,9 @@ from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
 RETRAIN_PLAYER_LIMIT = 10
+# the tail of a softmax model on a wide set, whose first layer is all of it
+_NO_TAIL = np.empty(0, dtype=np.float32)
+_NO_TAIL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,8 @@ class RoundScorer:
     :func:`~fedshapley.models.first_layer_products`, which checks the set
     first) the first-layer products are made once, from the record's float32
     blocks, biases included; a coalition is then rebuilt as its tail, the
-    layers after the first (W2 and b2; none without a hidden layer), from a
-    stack of the tails alone, and in full, by
+    layers after the first (W2 and b2), from a stack of the tails alone (a
+    model without a hidden layer has no tail, and no stack), and in full, by
     :func:`~fedshapley.federation.reconstruct_submodel`, only where
     ``evaluate`` reads it (see :class:`~fedshapley.models.LazyModel`).  Else
     every coalition is rebuilt in full, from one stack of the round."""
@@ -128,36 +132,40 @@ class RoundScorer:
         self._products = first_layer_products(
             arch, round_vectors(record, weights), test,
             [weights[i] for i in range(1, len(weights) + 1)])
-        self._stack = RoundStack(record, weights, 0 if self._products is None
-                                 else arch.first_layer_size)
+        start = 0 if self._products is None else arch.first_layer_size
+        # with products, a softmax model has no tail: its first layer is all of it
+        self._stack = (RoundStack(record, weights, start) if start < arch.param_count
+                       else None)
 
     def score(self, ids: tuple[int, ...]) -> float:
         """The coalition ``ids``'s utility: a game's oracle, as a bound method,
         which Python calls inline (an instance's ``__call__`` goes through C)."""
-        return self._score(ids, self._stack.rebuild(ids) if ids else None)
+        if not ids:
+            return self._score(ids, None)
+        return self._score(ids, self._stack.rebuild(ids) if self._stack else _NO_TAIL)
 
     def every_coalition(self, n: int) -> np.ndarray:
-        """Utility of every coalition, indexed by bitmask; rebuilt in chunks,
-        one ``evaluate`` call each.  On a narrow set, each chunk is cast to
+        """Utility of every coalition, indexed by bitmask; rebuilt a block at
+        a time (:meth:`~fedshapley.federation.RoundStack.rebuild_chunks`), one
+        ``evaluate`` call each.  On a narrow set, each block is cast to
         float64 and scored :func:`~fedshapley.models.first_layer_chunk`
         models at a time: their first layers are made in one stacked product
         (:func:`~fedshapley.models.first_layers`), and each coalition is
         scored from its own."""
         arch, test = self._arch, self._test
-        masks = np.arange(1, 1 << n)
         utilities = [self.score(())]
         most = first_layer_chunk(arch, test)
         if most:
-            for chunk in self._stack.rebuild_chunks(masks):
+            for chunk in self._stack.rebuild_chunks(n):
                 for start in range(0, len(chunk), most):
                     part = chunk[start:start + most].astype(np.float64)
                     utilities += [evaluate(arch, model, test, first) for model, first
                                   in zip(part, first_layers(arch, part, test))]
             return np.array(utilities)
         # only the products read a coalition's members
-        members = ([None] * len(masks) if self._products is None
-                   else map(players_of, masks.tolist()))
-        rebuilt = self._stack.rebuild_masks(masks)
+        members = ([None] * ((1 << n) - 1) if self._products is None
+                   else map(players_of, range(1, 1 << n)))
+        rebuilt = self._stack.rebuild_masks(n) if self._stack else itertools.repeat(_NO_TAIL)
         utilities += [self._score(ids, model) for ids, model in zip(members, rebuilt)]
         return np.array(utilities)
 

@@ -245,6 +245,16 @@ class RoundStack:
     ``reconstruct_submodel(...)[start:]``, bit for bit, at the cost of the
     slice alone (on a wide test set, what follows the first layer's bias,
     possibly nothing: see ``models.LazyModel``).
+
+    Every coalition at once (:meth:`rebuild_chunks`) is rebuilt a block at a
+    time: the 2^k consecutive masks from a multiple of 2^k, 2^k the largest
+    power of two within :data:`CHUNK_ELEMENTS` values (at least one model,
+    at most 2^n).  In a block, participant i's members are the rows whose
+    bit i - 1 is set: below the block's size, every other run of 2^(i-1)
+    rows, the strided view ``acc.reshape(-1, 2, 2**(i-1), P)[:, 1]``; at or
+    above it, the whole block or none.  Each member row takes fl(w_i / W_S)
+    u_i in place, in ascending id order, as :meth:`rebuild` adds it, so no
+    row is gathered or scattered.
     """
 
     def __init__(self, record: RoundRecord, weights: Mapping[int, int],
@@ -264,7 +274,9 @@ class RoundStack:
         self._gather_from = GATHER_MEMBERS if size <= GATHER_PARAMS else n + 1
         # coalition totals are summed exactly, in int64 while every total fits
         self._total_type = np.int64 if sum(self._weights) < 1 << 63 else object
-        self._chunk_rows = max(1, CHUNK_ELEMENTS // max(size, 1))
+        # rebuild_chunks' block: the largest power of two of rows within
+        # CHUNK_ELEMENTS values, at least one
+        self._block_rows = 1 << (max(1, CHUNK_ELEMENTS // max(size, 1)).bit_length() - 1)
         # (w_i / W) * u_i of the member being added, reused by every rebuild
         self._scaled = np.empty_like(self._rows[0])
 
@@ -292,35 +304,54 @@ class RoundStack:
             acc += scaled
         return acc.astype(np.float32)
 
-    def rebuild_masks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
-        """Models of the non-empty coalitions ``masks``, in order, from
-        :meth:`rebuild_chunks`."""
-        for chunk in self.rebuild_chunks(masks):
+    def rebuild_masks(self, n: int) -> Iterator[np.ndarray]:
+        """Models of every non-empty coalition of participants 1..n, in mask
+        order, from :meth:`rebuild_chunks`."""
+        for chunk in self.rebuild_chunks(n):
             yield from chunk
 
-    def rebuild_chunks(self, masks: np.ndarray) -> Iterator[np.ndarray]:
-        """Models of the non-empty coalitions ``masks``, in order, a chunk
-        at a time (float32, a row per model): at most :data:`CHUNK_ELEMENTS`
-        values, or one model, so memory stays bounded however many masks
-        there are."""
-        for start in range(0, len(masks), self._chunk_rows):
-            yield self._rebuild_chunk(masks[start:start + self._chunk_rows])
+    def rebuild_chunks(self, n: int) -> Iterator[np.ndarray]:
+        """Models of every non-empty coalition of participants 1..n (masks 1
+        to 2^n - 1), in mask order, a block at a time (float32, a row per
+        model; see the class docstring).  The first block also builds the
+        empty coalition's row, which no participant's view holds, so its
+        zero total is never divided by; it is dropped."""
+        if not 1 <= n <= len(self._weights):
+            raise ValueError(f"n must be in 1..{len(self._weights)}, got {n}")
+        rows = min(self._block_rows, 1 << n)
+        scratch = np.empty(rows * self._rows.shape[1])
+        # a block of one model starts at mask 1, past the empty coalition
+        for start in range(int(rows == 1), 1 << n, rows):
+            models = self._rebuild_block(start, rows, n, scratch)
+            yield models[1:] if start == 0 else models
 
-    def _rebuild_chunk(self, masks: np.ndarray) -> np.ndarray:
+    def _rebuild_block(self, start: int, rows: int, n: int,
+                       scratch: np.ndarray) -> np.ndarray:
+        def members(a: np.ndarray, i: int) -> np.ndarray | None:
+            # the rows of ``a`` (a value or a model per mask) that hold i
+            bit = 1 << (i - 1)
+            if bit < rows:
+                return a.reshape(rows // (2 * bit), 2, bit, *a.shape[1:])[:, 1]
+            return a if start & bit else None
+
         # models.coalition_total's rule, vectorised: exact integer totals
         # (Python ints past int64), each cast to float64 once
-        members = [(masks >> i) & 1 == 1 for i in range(len(self._weights))]
-        totals = np.zeros(len(masks), dtype=self._total_type)
-        for w, member in zip(self._weights, members):
-            totals[member] += w
+        totals = np.zeros(rows, dtype=self._total_type)
+        for i, w in enumerate(self._weights[:n], start=1):
+            held = members(totals, i)
+            if held is not None:
+                held += w
         totals = totals.astype(np.float64)
-        if totals.min() <= 0:
+        if (totals[1:] if start == 0 else totals).min() <= 0:
             raise ValueError("total coalition weight must be positive")
-        acc = np.empty((len(masks), self._rows.shape[1]), dtype=np.float64)
+        acc = np.empty((rows, self._rows.shape[1]))
         acc[:] = self._rows[0]
-        for w, member, update in zip(self._weights, members, self._rows[1:]):
-            rows = np.flatnonzero(member)
-            acc[rows] += (float(w) / totals[rows])[:, None] * update
+        for i, (w, update) in enumerate(zip(self._weights[:n], self._rows[1:]), start=1):
+            held = members(acc, i)
+            if held is not None:
+                scales = float(w) / members(totals, i)
+                held += np.multiply(scales[..., None], update,
+                                    out=scratch[:held.size].reshape(held.shape))
         return acc.astype(np.float32)
 
 

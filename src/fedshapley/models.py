@@ -77,14 +77,17 @@ class ModelArchitecture:
         if self.class_count < 2:
             raise ValueError("need at least two classes")
 
-    @property
+    # The sizes are computed once, at the first read, and kept in the
+    # instance's __dict__, beside the fields: equality, hash, repr and
+    # dataclasses.asdict read the fields alone.
+    @functools.cached_property
     def param_count(self) -> int:
         if self.hidden_dim == 0:
             return self.input_dim * self.class_count + self.class_count
         return (self.input_dim * self.hidden_dim + self.hidden_dim
                 + self.hidden_dim * self.class_count + self.class_count)
 
-    @property
+    @functools.cached_property
     def first_layer_size(self) -> int:
         """The first layer, weights then bias, (W1; b1) of d + 1 rows: where
         the rest of a flat vector, its tail, starts."""
@@ -837,17 +840,18 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
         full = params.params if isinstance(params, LazyModel) else params
         predictions = predict_logits(arch, full, features).argmax(axis=1)
     elif norms is None:
-        if isinstance(params, LazyModel):
-            tail = params.tail
-        else:
+        lazy = isinstance(params, LazyModel)
+        if not lazy:
             _check_params(arch, params)
-            tail = params[arch.first_layer_size:]
         shape = (rows, arch.hidden_dim or arch.class_count)
         if getattr(first_layer, "shape", None) != shape:
             raise ValueError(f"a narrow set's first layer is an array of shape {shape}")
-        predictions = _from_first_layer(
-            _unpack_tail(arch, np.asarray(tail, dtype=np.float64)),
-            first_layer)[1].argmax(axis=1)
+        logits = first_layer  # a softmax model's first layer is its logits
+        if arch.hidden_dim:
+            tail = params.tail if lazy else params[arch.first_layer_size:]
+            logits = _from_first_layer(
+                _unpack_tail(arch, np.asarray(tail, dtype=np.float64)), first_layer)[1]
+        predictions = logits.argmax(axis=1)
     else:
         if not isinstance(params, LazyModel):
             _check_params(arch, params)

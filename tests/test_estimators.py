@@ -347,12 +347,11 @@ def test_enumerating_a_narrow_round_holds_one_chunk_of_first_layers():
     arch, rec = log.architecture, log.rounds[0]
     assert (arch.input_dim, arch.hidden_dim, len(test)) == (16, 0, 100)
     test.prepared
-    masks = np.arange(1, 2 ** log.n)
     stack = RoundStack(rec, log.participant_weights)
     peaks = []
     tracemalloc.start()
     try:
-        for run in (lambda: next(stack.rebuild_chunks(masks)),
+        for run in (lambda: next(stack.rebuild_chunks(log.n)),
                     lambda: round_utilities(rec, log, test)):
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -362,8 +361,12 @@ def test_enumerating_a_narrow_round_holds_one_chunk_of_first_layers():
     finally:
         tracemalloc.stop()
     rebuilt, enumerated = peaks
-    assert rebuilt > CHUNK_ELEMENTS * 8  # a chunk's float64 sums, at least
-    # a chunk rebuilt while the last one is held (float32 values), plus one
+    # a block is the largest power of two of models within CHUNK_ELEMENTS
+    # values: 256 of the 385 that fit
+    rows = 1 << (CHUNK_ELEMENTS // arch.param_count).bit_length() - 1
+    assert rows == 256
+    assert rebuilt > rows * arch.param_count * 8  # a block's float64 sums, at least
+    # a block rebuilt while the last one is held (float32 values), plus one
     # chunk of first layers (float64 values)
     assert enumerated < rebuilt + CHUNK_ELEMENTS * (4 + 8)
 
@@ -743,7 +746,16 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         calls["own products"] += 1
         return products(arch, vectors, test, weights)
 
+    # a tail is rebuilt one coalition at a time or a block of them at once
+    def counted_tails(method):
+        def counted_method(stack, *args):
+            rebuilds["tails"] += 1
+            return method(stack, *args)
+        return counted_method
+
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    for name in ("rebuild", "rebuild_chunks"):
+        monkeypatch.setattr(RoundStack, name, counted_tails(getattr(RoundStack, name)))
     monkeypatch.setattr(models, "_screened_argmax", counted)
     monkeypatch.setattr(models, "first_layer_products", counted_products)
     monkeypatch.setattr(models, "_decide", counted_decide)
@@ -754,6 +766,8 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
                                  want)
     assert calls == {"screen": sum(want.eval_count for want in wants)}
+    # a softmax model's first layer is all of it: no tail is rebuilt
+    assert (rebuilds["tails"] > 0) == (log.architecture.hidden_dim > 0)
     # a coalition's model is rebuilt in full only where the screen read it
     assert rebuilds["full"] <= rebuilds["rescored or fell back"]
 

@@ -69,14 +69,15 @@ def scores(case: Case, built: dict[int, np.ndarray], test: LabeledDataset) -> li
 
 def rebuilt(tail: bool, chunked: bool = False):
     """RoundStack's model of every coalition (from the first layer's end, for
-    a ``tail``): a chunk at a time, or one at a time, forwards and then
-    backwards, so that no rebuild can lean on the scratch row's last use."""
+    a ``tail``): a block of masks at a time, each model keyed by its place in
+    mask order, or one at a time, forwards and then backwards, so that no
+    rebuild can lean on the scratch row's last use."""
     def path(run):
         stack = RoundStack(run.record, run.weights, run.arch.first_layer_size * tail)
-        masks = list(run.models)
         if chunked:
-            return zip(masks, itertools.chain.from_iterable(
-                stack.rebuild_chunks(np.array(masks))))
+            return enumerate(itertools.chain.from_iterable(
+                stack.rebuild_chunks(len(run.weights))), start=1)
+        masks = list(run.models)
         return ((mask, stack.rebuild(players_of(mask))) for mask in masks + masks[::-1])
     return path
 

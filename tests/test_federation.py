@@ -114,7 +114,10 @@ def test_stack_refuses_coalitions_of_zero_weight():
     with pytest.raises(ValueError, match="must be positive"):
         stack.rebuild([1])
     with pytest.raises(ValueError, match="must be positive"):
-        list(stack.rebuild_masks(np.array([2, 1, 3])))
+        list(stack.rebuild_masks(2))
+    for n in (0, 3):  # every coalition of participants 1..n, of the stack's 2
+        with pytest.raises(ValueError, match=r"n must be in 1\.\.2"):
+            list(stack.rebuild_masks(n))
 
 
 def test_federation_chain_and_full_set_reconstruction():

@@ -1,6 +1,8 @@
 """Classifier tests: closed-form forward passes, gradient checks, SGD plumbing."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import gaussian_blobs
@@ -35,6 +37,25 @@ def test_param_count_layout():
     assert SOFTMAX.param_count == 4 * 3 + 3
     assert MLP.param_count == 4 * 5 + 5 + 5 * 3 + 3
     assert init_params(MLP, seed=0).shape == (MLP.param_count,)
+    # (d, h, c): (param_count, first_layer_size); a softmax model's first
+    # layer is all of it
+    layouts = {(4, 0, 3): (15, 15), (4, 5, 3): (43, 25), (1, 0, 2): (4, 4),
+               (1, 1, 2): (6, 2), (1, 1, 1 << 40): (2 + 2 * (1 << 40), 2),
+               (np.int64(3), np.int64(2), np.int64(4)): (20, 8)}
+    for dims, sizes in layouts.items():
+        arch = ModelArchitecture(*dims)
+        fields = dict(zip(("input_dim", "hidden_dim", "class_count"), dims))
+        unread = (hash(arch), repr(arch), dataclasses.asdict(arch))
+        # read twice: the sizes are computed once and kept beside the fields,
+        # which alone still decide equality, hash, repr and asdict (the
+        # sidecar's architecture)
+        for _ in range(2):
+            assert (arch.param_count, arch.first_layer_size) == sizes
+        assert (hash(arch), repr(arch), dataclasses.asdict(arch)) == unread
+        assert dataclasses.asdict(arch) == fields
+        assert arch == ModelArchitecture(*dims)
+        assert hash(arch) == hash(ModelArchitecture(*dims))
+        assert repr(arch) == repr(ModelArchitecture(*dims))
 
 
 def test_architecture_validation():
