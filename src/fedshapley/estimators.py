@@ -27,7 +27,6 @@ original              retraining-based exact values (ground truth)
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -51,9 +50,6 @@ from .seeding import derive_seed
 
 SAMPLING_MODES = ("guided", "uniform", "cycle")
 RETRAIN_PLAYER_LIMIT = 10
-# the tail of a softmax model on a wide set, whose first layer is all of it
-_NO_TAIL = np.empty(0, dtype=np.float32)
-_NO_TAIL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -115,15 +111,16 @@ def _make_sampler(cfg: GtgConfig, n: int, seed: int):
 
 class RoundScorer:
     """A round's coalition utilities, one evaluation each, from models rebuilt
-    out of its updates.  On a wide test set (see
+    out of its updates by one :class:`~fedshapley.federation.RoundStack`,
+    the empty coalition's (the base) too.  On a wide test set (see
     :func:`~fedshapley.models.first_layer_products`, which checks the set
     first) the first-layer products are made once, from the record's float32
-    blocks, biases included; a coalition is then rebuilt as its tail, the
-    layers after the first (W2 and b2), from a stack of the tails alone (a
-    model without a hidden layer has no tail, and no stack), and in full, by
-    :func:`~fedshapley.federation.reconstruct_submodel`, only where
-    ``evaluate`` reads it (see :class:`~fedshapley.models.LazyModel`).  Else
-    every coalition is rebuilt in full, from one stack of the round."""
+    blocks, biases included; the stack then holds the tails alone, the
+    layers after the first (W2 and b2; none without a hidden layer), and a
+    coalition is rebuilt in full, by
+    :func:`~fedshapley.federation.reconstruct_submodel` (the base needs
+    none), only where ``evaluate`` reads it (see
+    :class:`~fedshapley.models.LazyModel`)."""
 
     def __init__(self, record: RoundRecord, weights: dict[int, int],
                  arch: ModelArchitecture, test: LabeledDataset):
@@ -133,16 +130,12 @@ class RoundScorer:
             arch, round_vectors(record, weights), test,
             [weights[i] for i in range(1, len(weights) + 1)])
         start = 0 if self._products is None else arch.first_layer_size
-        # with products, a softmax model has no tail: its first layer is all of it
-        self._stack = (RoundStack(record, weights, start) if start < arch.param_count
-                       else None)
+        self._stack = RoundStack(record, weights, start)
 
     def score(self, ids: tuple[int, ...]) -> float:
         """The coalition ``ids``'s utility: a game's oracle, as a bound method,
         which Python calls inline (an instance's ``__call__`` goes through C)."""
-        if not ids:
-            return self._score(ids, None)
-        return self._score(ids, self._stack.rebuild(ids) if self._stack else _NO_TAIL)
+        return self._score(ids, self._stack.rebuild(ids))
 
     def every_coalition(self, n: int) -> np.ndarray:
         """Utility of every coalition, indexed by bitmask; rebuilt a block at
@@ -153,30 +146,26 @@ class RoundScorer:
         (:func:`~fedshapley.models.first_layers`), and each coalition is
         scored from its own."""
         arch, test = self._arch, self._test
-        utilities = [self.score(())]
         most = first_layer_chunk(arch, test)
-        if most:
-            for chunk in self._stack.rebuild_chunks(n):
-                for start in range(0, len(chunk), most):
-                    part = chunk[start:start + most].astype(np.float64)
+        utilities = []
+        for block in self._stack.rebuild_chunks(n):
+            if most:
+                for start in range(0, len(block), most):
+                    part = block[start:start + most].astype(np.float64)
                     utilities += [evaluate(arch, model, test, first) for model, first
                                   in zip(part, first_layers(arch, part, test))]
-            return np.array(utilities)
-        # only the products read a coalition's members
-        members = ([None] * ((1 << n) - 1) if self._products is None
-                   else map(players_of, range(1, 1 << n)))
-        rebuilt = self._stack.rebuild_masks(n) if self._stack else itertools.repeat(_NO_TAIL)
-        utilities += [self._score(ids, model) for ids, model in zip(members, rebuilt)]
+            else:
+                utilities += [self._score(players_of(mask), model) for mask, model
+                              in enumerate(block, start=len(utilities))]
         return np.array(utilities)
 
-    def _score(self, ids: tuple[int, ...] | None, model: np.ndarray | None) -> float:
+    def _score(self, ids: tuple[int, ...], model: np.ndarray) -> float:
         """The utility of ``ids`` from its rebuilt ``model``, a tail where
-        there are products (None: the base)."""
+        there are products."""
         if self._products is None:
-            return evaluate(self._arch, self._base if model is None else model,
-                            self._test)
-        model = (self._base if model is None else LazyModel(
-            model, lambda: reconstruct_submodel(self._record, ids, self._weights)))
+            return evaluate(self._arch, model, self._test)
+        model = LazyModel(model, lambda: (reconstruct_submodel(
+            self._record, ids, self._weights) if ids else self._base))
         return evaluate(self._arch, model, self._test, self._products.combine(ids))
 
 
@@ -185,8 +174,8 @@ class RoundGame:
 
     ``base_utility`` (v0) and ``full_utility`` (vN) are evaluated on
     construction, so a round handled purely by between-round truncation costs
-    exactly two utility evaluations.  v0 is evaluated first and is the one
-    evaluation that rebuilds (or retrains) nothing.
+    exactly two utility evaluations.  v0, the empty coalition's utility, is
+    evaluated first; its model is the round's base.
     """
 
     def __init__(self, round_index: int | None, game: CoalitionGame):
@@ -367,8 +356,8 @@ def _exact_rounds(name: str, log: GradientLog, test: LabeledDataset,
 def mr_eval(log: GradientLog, test: LabeledDataset) -> EstimatorReport:
     """Exact per-round values by subset enumeration; totals are their sum.
 
-    Costs exactly 2^n utility evaluations per round (the base model plus
-    every non-empty coalition reconstruction): tmr's loop with lam = 1.0."""
+    Costs exactly 2^n utility evaluations per round, one per coalition's
+    reconstruction (the empty one's is the base): tmr's loop with lam = 1.0."""
     return _exact_rounds("mr", log, test, lam=1.0, round_threshold=0.0)
 
 

@@ -50,6 +50,9 @@ HEADER_FIELD_MAX = (1 << 32) - 1
 # 2,410 and 50,890 values one at a time is faster at every size.
 GATHER_MEMBERS = 6
 GATHER_PARAMS = 512
+# every model a stack of no columns rebuilds (a softmax model's tail on a wide set)
+_NO_VALUES = np.empty(0, dtype=np.float32)
+_NO_VALUES.flags.writeable = False
 
 
 class LogFormatError(ValueError):
@@ -246,6 +249,10 @@ class RoundStack:
     slice alone (on a wide test set, what follows the first layer's bias,
     possibly nothing: see ``models.LazyModel``).
 
+    The empty coalition, with no members, rebuilds the base, bit for bit.
+    On a stack of no columns, :meth:`rebuild` returns one shared read-only
+    empty row, and sums nothing.
+
     Every coalition at once (:meth:`rebuild_chunks`) is rebuilt a block at a
     time: the 2^k consecutive masks from a multiple of 2^k, 2^k the largest
     power of two within :data:`CHUNK_ELEMENTS` values (at least one model,
@@ -281,7 +288,7 @@ class RoundStack:
         self._scaled = np.empty_like(self._rows[0])
 
     def rebuild(self, ids: Sequence[int]) -> np.ndarray:
-        """Model of the coalition ``ids``: ascending, non-empty, in 1..n.
+        """Model of the coalition ``ids``: ascending, in 1..n (none: the base).
 
         A coalition of at least :data:`GATHER_MEMBERS` members of a model of
         at most :data:`GATHER_PARAMS` values gathers its rows, scales them
@@ -289,7 +296,9 @@ class RoundStack:
         time, which is faster there.  The reduction starts from -0.0, the
         one value whose sum with the base is the base itself, signed zeros
         included, so both give the same bits."""
-        total = coalition_total(self._weights[i - 1] for i in ids)
+        if not self._rows.shape[1]:
+            return _NO_VALUES
+        total = coalition_total(self._weights[i - 1] for i in ids) if ids else None
         if len(ids) >= self._gather_from:
             members = np.array((0, *ids))
             scales = self._float_weights[members] / total
@@ -304,26 +313,17 @@ class RoundStack:
             acc += scaled
         return acc.astype(np.float32)
 
-    def rebuild_masks(self, n: int) -> Iterator[np.ndarray]:
-        """Models of every non-empty coalition of participants 1..n, in mask
-        order, from :meth:`rebuild_chunks`."""
-        for chunk in self.rebuild_chunks(n):
-            yield from chunk
-
     def rebuild_chunks(self, n: int) -> Iterator[np.ndarray]:
-        """Models of every non-empty coalition of participants 1..n (masks 1
-        to 2^n - 1), in mask order, a block at a time (float32, a row per
-        model; see the class docstring).  The first block also builds the
-        empty coalition's row, which no participant's view holds, so its
-        zero total is never divided by; it is dropped."""
+        """Models of every coalition of participants 1..n (masks 0 to
+        2^n - 1), in mask order, a block at a time (float32, a row per
+        model; see the class docstring).  No view holds the first block's
+        row 0, the empty coalition's: it stays the base."""
         if not 1 <= n <= len(self._weights):
             raise ValueError(f"n must be in 1..{len(self._weights)}, got {n}")
         rows = min(self._block_rows, 1 << n)
         scratch = np.empty(rows * self._rows.shape[1])
-        # a block of one model starts at mask 1, past the empty coalition
-        for start in range(int(rows == 1), 1 << n, rows):
-            models = self._rebuild_block(start, rows, n, scratch)
-            yield models[1:] if start == 0 else models
+        for start in range(0, 1 << n, rows):
+            yield self._rebuild_block(start, rows, n, scratch)
 
     def _rebuild_block(self, start: int, rows: int, n: int,
                        scratch: np.ndarray) -> np.ndarray:
@@ -342,7 +342,8 @@ class RoundStack:
             if held is not None:
                 held += w
         totals = totals.astype(np.float64)
-        if (totals[1:] if start == 0 else totals).min() <= 0:
+        # every coalition but the empty one, the first block's row 0, weighs something
+        if totals[int(start == 0):].min(initial=1.0) <= 0:
             raise ValueError("total coalition weight must be positive")
         acc = np.empty((rows, self._rows.shape[1]))
         acc[:] = self._rows[0]

@@ -250,6 +250,8 @@ def convergence_criterion(current: np.ndarray, history: Sequence[np.ndarray],
     |current_i - past_i| / max(|current_i|, floor).  The floor keeps
     near-zero shares from dividing by zero and from converging for free.
     """
+    if not history:
+        raise ValueError("no past estimate to compare against")
     cur = np.asarray(current, dtype=np.float64)
     denom = np.maximum(np.abs(cur), floor)
     total = 0.0
@@ -300,7 +302,11 @@ class ConvergenceWindow:
         the reference sums one vector, and the row sums are added oldest first."""
         cur = np.asarray(current, dtype=np.float64)
         denom = np.maximum(np.abs(cur), RELATIVE_CHANGE_FLOOR)
-        rows = (np.abs(cur - self._ring[:self._size]) / denom).sum(axis=1).tolist()
+        try:  # no branch for check_convergence, which reads a full window
+            past = self._ring[:self._size]
+        except TypeError:  # the ring is None until the first push
+            raise ValueError("no estimate has been pushed") from None
+        rows = (np.abs(cur - past) / denom).sum(axis=1).tolist()
         total = 0.0
         # until the ring wraps, _next == _size and the rows are in order
         for row in rows[self._next:] + rows[:self._next]:

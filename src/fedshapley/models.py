@@ -853,6 +853,8 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
                 _unpack_tail(arch, np.asarray(tail, dtype=np.float64)), first_layer)[1]
         predictions = logits.argmax(axis=1)
     else:
+        if not isinstance(first_layer, (FirstLayer, type(None))):
+            raise ValueError("a wide set's first layer is a FirstLayer")
         if not isinstance(params, LazyModel):
             _check_params(arch, params)
             params = LazyModel(params[arch.first_layer_size:], lambda full=params: full)

@@ -55,7 +55,7 @@ from fedshapley import (
     tmc_shapley_eval,
     tmr_eval,
 )
-from fedshapley import estimators, models
+from fedshapley import estimators, federation, models
 from fedshapley.estimators import (check_estimator_params, estimator,
                                    round_utilities)
 from fedshapley.federation import (CHUNK_ELEMENTS, RoundStack, StoredRounds,
@@ -337,8 +337,8 @@ def test_mr_on_a_narrow_log_calls_evaluate_once_per_evaluation(monkeypatch, name
                         lambda *args: calls.append(len(args)) or evaluate(*args))
     report = mr_eval(log, test)
     assert len(calls) == report.eval_count == log.total_rounds * 2 ** log.n
-    # every coalition but each round's base is scored from its stacked first layer
-    assert calls.count(4) == report.eval_count - log.total_rounds
+    # every coalition, each round's base too, is scored from its stacked first layer
+    assert calls.count(4) == report.eval_count
 
 
 def test_enumerating_a_narrow_round_holds_one_chunk_of_first_layers():
@@ -746,11 +746,15 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         calls["own products"] += 1
         return products(arch, vectors, test, weights)
 
-    # a tail is rebuilt one coalition at a time or a block of them at once
+    # a tail is rebuilt one coalition at a time or a block of them at once; a
+    # softmax model's first layer is all of it, so each of its single
+    # rebuilds returns the one shared empty row
     def counted_tails(method):
         def counted_method(stack, *args):
             rebuilds["tails"] += 1
-            return method(stack, *args)
+            tails = method(stack, *args)
+            rebuilds["shared empty rows"] += tails is federation._NO_VALUES
+            return tails
         return counted_method
 
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
@@ -766,8 +770,10 @@ def test_screened_evaluation_reproduces_every_report(monkeypatch, name):
         assert_reports_bit_equal(run(LabeledDataset(test.features, test.labels)),
                                  want)
     assert calls == {"screen": sum(want.eval_count for want in wants)}
-    # a softmax model's first layer is all of it: no tail is rebuilt
-    assert (rebuilds["tails"] > 0) == (log.architecture.hidden_dim > 0)
+    single = sum(want.eval_count for want in wants[:2])  # gtg's and gtg_oti's
+    assert rebuilds["tails"] == single + log.total_rounds  # and mr's blocks
+    softmax = log.architecture.hidden_dim == 0
+    assert rebuilds["shared empty rows"] == (single if softmax else 0)
     # a coalition's model is rebuilt in full only where the screen read it
     assert rebuilds["full"] <= rebuilds["rescored or fell back"]
 

@@ -1,5 +1,6 @@
 """Every fast route to a coalition's model and score, checked bit for bit
-against reconstruct_submodel's model and conftest.float64_pass's accuracy.
+against reconstruct_submodel's model (the base, for the empty coalition)
+and conftest.float64_pass's accuracy.
 
 PATHS pairs each fast path with what it must give; a new path joins as one
 line there.  Both sides of a pair take a Run, one round on one test set with
@@ -50,18 +51,19 @@ class Run(NamedTuple):
     record: RoundRecord
     weights: dict[int, int]
     test: LabeledDataset
-    models: dict[int, np.ndarray]  # bitmask -> reconstruct_submodel's model
-    utilities: list[float]  # bitmask -> float64_pass's accuracy (0: the base's)
+    models: dict[int, np.ndarray]  # bitmask -> reconstruct_submodel's model, or the base
+    utilities: list[float]  # bitmask -> float64_pass's accuracy
 
 
 def rebuilt_models(case: Case) -> dict[int, np.ndarray]:
-    return {mask: reconstruct_submodel(case.record, players_of(mask), case.weights)
-            for mask in range(1, 1 << len(case.weights))}
+    """Every coalition's model by mask: the empty one's is the base."""
+    return {0: case.record.base_model,
+            **{mask: reconstruct_submodel(case.record, players_of(mask), case.weights)
+               for mask in range(1, 1 << len(case.weights))}}
 
 
 def scores(case: Case, built: dict[int, np.ndarray], test: LabeledDataset) -> list[float]:
-    return [float64_pass(case.arch, model, test)
-            for model in [case.record.base_model, *built.values()]]
+    return [float64_pass(case.arch, model, test) for model in built.values()]
 
 
 # --- the fast paths and their references -------------------------------------------
@@ -76,7 +78,7 @@ def rebuilt(tail: bool, chunked: bool = False):
         stack = RoundStack(run.record, run.weights, run.arch.first_layer_size * tail)
         if chunked:
             return enumerate(itertools.chain.from_iterable(
-                stack.rebuild_chunks(len(run.weights))), start=1)
+                stack.rebuild_chunks(len(run.weights))))
         masks = list(run.models)
         return ((mask, stack.rebuild(players_of(mask))) for mask in masks + masks[::-1])
     return path
@@ -275,7 +277,9 @@ def gathered(size: int, weights: dict[int, int]) -> list[Case]:
         update[1:5] = [-0.0, 0.0, -0.0, 0.0]
     (case,) = one_round(arch, base, updates, weights,
                         gaussian_blobs(2, arch.input_dim, arch.class_count, seed=size))
-    for model in rebuilt_models(case).values():
+    built = rebuilt_models(case)
+    assert np.signbit(built.pop(0)[1:5]).tolist() == [True, True, False, False]
+    for model in built.values():
         assert np.signbit(model[1:5]).tolist() == [True, False, False, False]
     return [case]
 

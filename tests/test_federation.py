@@ -111,13 +111,15 @@ def test_stack_refuses_coalitions_of_zero_weight():
     # participant 1 holds no rows, so a coalition of it alone weighs nothing
     stack = RoundStack(RoundRecord(0, BASE, {1: U1, 2: U2}, BASE), {1: 0, 2: 3})
     assert np.array_equal(stack.rebuild([1, 2]), BASE + U2)
+    # the empty coalition divides by no total: its model is the base
+    assert stack.rebuild([]).tobytes() == BASE.tobytes()
     with pytest.raises(ValueError, match="must be positive"):
         stack.rebuild([1])
     with pytest.raises(ValueError, match="must be positive"):
-        list(stack.rebuild_masks(2))
+        list(stack.rebuild_chunks(2))
     for n in (0, 3):  # every coalition of participants 1..n, of the stack's 2
         with pytest.raises(ValueError, match=r"n must be in 1\.\.2"):
-            list(stack.rebuild_masks(n))
+            list(stack.rebuild_chunks(n))
 
 
 def test_federation_chain_and_full_set_reconstruction():

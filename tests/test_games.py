@@ -257,6 +257,13 @@ def test_convergence_needs_full_window():
     assert not check_convergence(window, np.array([1.0, 1.0]))
     window.push(np.array([1.0, 1.0]))
     assert check_convergence(window, np.array([1.0, 1.0]))
+    # with no past estimate there is nothing to compare against
+    window.clear()
+    with pytest.raises(ValueError, match="^no estimate has been pushed$"):
+        window.relative_change(np.array([1.0, 1.0]))
+    assert not check_convergence(window, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^no past estimate to compare against$"):
+        convergence_criterion(np.array([1.0, 1.0]), [])
 
 
 def test_near_zero_shares_do_not_converge_for_free():

@@ -878,9 +878,12 @@ def test_a_first_layer_serves_one_evaluation(monkeypatch):
     stack = RoundStack(rec, weights)
     products = round_products(rec, weights, arch, test)
     for ids in [(), (1,), (1, 3), (1, 2, 3)]:
-        params = stack.rebuild(ids) if ids else base
+        params = stack.rebuild(ids)
         first = products.combine(ids)
         want = float64_pass(arch, params, test)
+        # an array, the first layer a narrow set takes, is refused unspent
+        with pytest.raises(ValueError, match="^a wide set's first layer is a First"):
+            evaluate(arch, params, test, first.values)
         assert same_bits(evaluate(arch, params, test, first), want)
         for model in (params, params.astype(np.float64)):
             with pytest.raises(ValueError, match="^a first layer serves one evaluation$"):
@@ -951,7 +954,7 @@ def test_a_wide_round_holds_its_products_and_tails_not_a_float64_stack():
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         monkeypatch, arch, weights):
-    # every set is wide; rebuild_masks rebuilds in chunks from exact integer
+    # every set is wide; rebuild_chunks rebuilds in blocks from exact integer
     # totals, also past a total weight of 2^53, where the weights' and
     # totals' casts to float64 round
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
@@ -980,7 +983,9 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
             else:
                 (outcome,) = seen
             outcomes[outcome] += 1
-            assert rebuilt == (outcome != "decided")
+            # the empty coalition's full model is the base itself, rebuilt by
+            # nothing
+            assert rebuilt == (outcome != "decided" and params.params is not base)
             # the tail is the model's, bit for bit
             assert same_bits(params.tail, params.params[start:])
             params = params.params
@@ -1006,19 +1011,20 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
             log = federation.GradientLog(arch, [rec], weights)
             stack = RoundStack(rec, weights)
             tails = RoundStack(rec, weights, start)
-            for mask, tail in enumerate(tails.rebuild_masks(4), start=1):
+            for mask, tail in enumerate(itertools.chain(*tails.rebuild_chunks(4))):
                 model = stack.rebuild(players_of(mask))
                 assert same_bits(tail, model[start:])
                 assert same_bits(tails.rebuild(players_of(mask)), model[start:])
-            assert mask == 15
+            assert mask == 15 and same_bits(stack.rebuild(()), base)
             for test in (full, one_row):
                 lazy = outcomes.total()
                 game = estimators.RoundGame.from_round(rec, weights, arch, test).game
                 values = [game.value_mask(mask) for mask in range(16)]
                 assert estimators.round_utilities(rec, log, test).tolist() == values
                 # a NaN leaves the round without products: every model is
-                # rebuilt in full before evaluate, as on a narrow set
-                assert outcomes.total() - lazy == (0 if np.isnan(base).any() else 30)
+                # rebuilt in full before evaluate, as on a narrow set; else
+                # every model is lazy, the base's too
+                assert outcomes.total() - lazy == (0 if np.isnan(base).any() else 32)
     assert set(outcomes) == {"decided", "rescored", "fallback", "refused"}
 
 
