@@ -69,13 +69,17 @@ def scores(case: Case, built: dict[int, np.ndarray], test: LabeledDataset) -> li
 # --- the fast paths and their references -------------------------------------------
 
 
-def rebuilt(tail: bool, chunked: bool = False):
+def rebuilt(tail: bool, chunked: bool = False, buffer: int | None = None):
     """RoundStack's model of every coalition (from the first layer's end, for
     a ``tail``): a block of masks at a time, each model keyed by its place in
-    mask order, or one at a time, forwards and then backwards, so that no
-    rebuild can lean on the scratch row's last use."""
+    mask order, each block summed under a ufunc ``buffer`` of that many values
+    (None: the stack's own, federation.block_buffer's), or one at a time,
+    forwards and then backwards, so that no rebuild can lean on the scratch
+    row's last use."""
     def path(run):
         stack = RoundStack(run.record, run.weights, run.arch.first_layer_size * tail)
+        if buffer is not None:
+            stack._buffer = buffer
         if chunked:
             return enumerate(itertools.chain.from_iterable(
                 stack.rebuild_chunks(len(run.weights))))
@@ -161,12 +165,17 @@ def utilities(run):
     return enumerate(run.utilities)
 
 
+# the ufunc buffers, in values, that rebuild_chunks' blocks are summed under:
+# the bits may not depend on it
+BUFFERS = {"16": 16, "block_buffer's size": None, "2^20": 1 << 20}
+
 PATHS = {  # name: (path, reference, whether the path reads the test set)
     "RoundStack.rebuild": (rebuilt(False), models_from(False), False),
     "RoundStack.rebuild from first_layer_size": (rebuilt(True), models_from(True), False),
-    "RoundStack.rebuild_chunks": (rebuilt(False, True), models_from(False), False),
-    "RoundStack.rebuild_chunks from first_layer_size": (
-        rebuilt(True, True), models_from(True), False),
+    **{f"RoundStack.rebuild_chunks{start} under a buffer of {name}": (
+        rebuilt(tail, True, buffer), models_from(tail), False)
+       for tail, start in ((False, ""), (True, " from first_layer_size"))
+       for name, buffer in BUFFERS.items()},
     "first_layer_products of the float64 casts": (
         products_of(lambda v: v.astype(np.float64), combine=False), first_construction,
         True),

@@ -122,6 +122,43 @@ def test_stack_refuses_coalitions_of_zero_weight():
             list(stack.rebuild_chunks(n))
 
 
+def test_each_block_is_summed_under_its_own_ufunc_buffer(monkeypatch):
+    # rows of 170 values, 256 to a block: the 2^9 coalitions of 9 take two
+    rng = np.random.default_rng(4)
+    weights = {i: 3 * i for i in range(1, 10)}
+    base = rng.normal(size=170).astype(np.float32)
+    updates = {i: rng.normal(size=170).astype(np.float32) for i in weights}
+    stack = RoundStack(RoundRecord(0, base, updates, base), weights)
+    zero = RoundStack(RoundRecord(0, base, updates, base), {**weights, 4: 0})
+    inside = []
+    block = RoundStack._rebuild_block
+
+    def recorded(self, *args):
+        inside.append(np.getbufsize())
+        return block(self, *args)
+
+    monkeypatch.setattr(RoundStack, "_rebuild_block", recorded)
+    old = np.setbufsize(4096)  # the caller's size
+    try:
+        for _ in stack.rebuild_chunks(9):
+            assert np.getbufsize() == 4096  # between yields
+        assert np.getbufsize() == 4096 and inside == [256, 256]
+        half = stack.rebuild_chunks(9)
+        next(half)
+        half.close()
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="must be positive"):
+            next(zero.rebuild_chunks(9))
+        assert np.getbufsize() == 4096 and inside == [256] * 4
+    finally:
+        np.setbufsize(old)
+    sizes = (0, 1, 2, 17, 170, 714, 65_536, 10 ** 6)
+    buffers = [federation.block_buffer(size) for size in sizes]
+    # None leaves the buffer as it is; numpy 1.24 takes multiples of 16 in 16..10^7
+    assert all(b is None or (b % 16 == 0 and 16 <= b <= 10 ** 7) for b in buffers)
+    assert buffers == [None, None, None, None, 256, 720, None, None]
+
+
 def test_federation_chain_and_full_set_reconstruction():
     log, _, _ = quick_log(n=4, rounds=3, seed=2)
     log.validate()  # raises if the chain or re-aggregation is off
