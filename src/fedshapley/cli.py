@@ -20,8 +20,8 @@ from pathlib import Path
 from .estimators import (RETRAIN_PLAYER_LIMIT, Estimator, EstimatorReport,
                          check_estimator_params, estimator)
 from .federation import (HEADER_FIELD_MAX, GradientLog, LogFormatError,
-                         Participant, load_log, load_log_metadata, run_federation,
-                         save_log)
+                         Participant, load_log, load_log_metadata, replacing,
+                         run_federation, save_log)
 from .games import CapacityError
 from .metrics import (ComparisonRow, build_report, read_report,
                       write_report)
@@ -384,8 +384,9 @@ def cmd_evaluate(args) -> int:
         report = _run_named_estimator(args.estimator, keywords, cfg, log, test,
                                       participants)
         path = out / f"estimate_{args.estimator}_{Path(args.log).stem}.json"
-        path.write_text(json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
-                        + "\n")
+        with replacing(path) as file:
+            file.write((json.dumps(_estimate_doc(report), sort_keys=True, indent=2)
+                        + "\n").encode())
     _say(args, f"report: {path}")
     shares = ", ".join(f"{v:.5f}" for v in report.total.values)
     _say(args, f"total contributions: [{shares}]")

@@ -126,11 +126,11 @@ class RoundScorer:
                  arch: ModelArchitecture, test: LabeledDataset):
         self._arch, self._test, self._base = arch, test, record.base_model
         self._record, self._weights = record, weights
+        vectors = round_vectors(record, weights)
         self._products = first_layer_products(
-            arch, round_vectors(record, weights), test,
-            [weights[i] for i in range(1, len(weights) + 1)])
+            arch, vectors, test, [weights[i] for i in range(1, len(weights) + 1)])
         start = 0 if self._products is None else arch.first_layer_size
-        self._stack = RoundStack(record, weights, start)
+        self._stack = RoundStack(vectors, weights, start)
 
     def score(self, ids: tuple[int, ...]) -> float:
         """The coalition ``ids``'s utility: a game's oracle, as a bound method,

@@ -250,17 +250,17 @@ def round_vectors(record: RoundRecord, weights: Mapping[int, int]) -> list[np.nd
 
 
 class RoundStack:
-    """One round's base model and updates from parameter ``start`` on, cast
-    to float64 once into one array, the base at row 0 and participant i's
-    update at row i, for rebuilding many coalitions' models.
+    """One round's base model and updates, ``vectors``, from parameter
+    ``start`` on, cast to float64 once into one array, the base at row 0 and
+    participant i's update at row i, for rebuilding many coalitions' models.
 
     A rebuild follows :func:`fedavg_aggregate`'s float64 operation order
     (the base, plus each member's weighted update in ascending id order, then
     one cast to float32), so it returns the same bits as
     :func:`reconstruct_submodel`.  Participants are 1..n, the keys of
     ``weights``; a coalition given as a bitmask has bit ``i - 1`` set iff
-    participant ``i`` is in it.  Shapes are checked here, once
-    (:func:`round_vectors`), and not on each rebuild.  Every operation is
+    participant ``i`` is in it.  ``vectors`` are checked once, by
+    :func:`round_vectors`, and not on each rebuild.  Every operation is
     element-wise, so a stack from ``start`` rebuilds
     ``reconstruct_submodel(...)[start:]``, bit for bit, at the cost of the
     slice alone (on a wide test set, what follows the first layer's bias,
@@ -292,10 +292,9 @@ class RoundStack:
     cannot change a bit.
     """
 
-    def __init__(self, record: RoundRecord, weights: Mapping[int, int],
+    def __init__(self, vectors: Sequence[np.ndarray], weights: Mapping[int, int],
                  start: int = 0):
-        vectors = round_vectors(record, weights)
-        n, size = len(weights), len(record.base_model[start:])
+        n, size = len(weights), len(vectors[0][start:])
         # each row is cast into place: no other copy of the updates is made
         self._rows = np.empty((n + 1, size))
         for row, vector in zip(self._rows, vectors):
@@ -470,7 +469,7 @@ def _f32(a: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[BinaryIO]:
+def replacing(path: Path) -> Iterator[BinaryIO]:
     """A binary file to write beside ``path``, moved over ``path`` once it is
     written and closed, and removed if writing fails: ``path`` is read up to
     the move, so a log loaded from it can be saved over it."""
@@ -496,7 +495,7 @@ def save_log(log: GradientLog, path: str | Path,
     path = Path(path)
     arch = log.architecture
     n, big_t = log.n, log.total_rounds
-    with _replacing(path) as out:
+    with replacing(path) as out:
         crc = 0
 
         def write(chunk) -> None:
@@ -517,7 +516,7 @@ def save_log(log: GradientLog, path: str | Path,
                "architecture": dataclasses.asdict(arch),
                "participants": n, "rounds": big_t,
                "metadata": metadata or {}}
-    with _replacing(Path(f"{path}.json")) as out:
+    with replacing(Path(f"{path}.json")) as out:
         out.write((json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
     return path
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .federation import replacing
 from .models import check_types
 
 REPORT_SCHEMA = "fedshapley-report-v1"
@@ -120,9 +121,11 @@ def write_report(report: dict, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{stem}.json"
     csv_path = out / f"{stem}.csv"
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with replacing(json_path) as file:
+        file.write((json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
     rows = [ComparisonRow(**row) for row in report["rows"]]
-    csv_path.write_text(report_to_csv(rows))
+    with replacing(csv_path) as file:
+        file.write(report_to_csv(rows).encode())
     return csv_path, json_path
 
 

@@ -11,8 +11,9 @@ float64 pass's, by one screen: from a coalition's first-layer products
 them, else from that pass's own first layer, a chunk of rows at a time, on
 a test set prepared once, at its first evaluation.  A narrow set takes the
 float64 pass itself, from a first layer the caller made for many models in
-one stacked product (:func:`first_layers`) where it has one.  Every
-operation is bit-reproducible for fixed inputs.
+one stacked product (:func:`first_layers`) where it has one: each product
+of that pass is ``@``, alone or stacked.  Every operation is
+bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -204,31 +205,28 @@ def _unpack_tail(arch: ModelArchitecture, tail: np.ndarray) -> tuple:
     return tail[:h * c].reshape(h, c), tail[h * c:]
 
 
-def _forward(layers: tuple, x: np.ndarray, product=np.dot):
+def _forward(layers: tuple, x: np.ndarray):
     """One float64 forward pass of ``x`` through the views :func:`_unpack`
-    gives: (post-ReLU hidden layer or None, logits).  Biases and the ReLU
-    are applied in place on each fresh product, which gives the same bits
-    as ``x @ w + b`` and ``np.maximum(pre, 0.0)``.  ``np.dot``
-    gives ``@``'s bits on these 2-D float64 operands with less dispatch
-    overhead, except for one row through a layer of one input (d = 1, or one
-    hidden unit).  There an exact-zero input times a NaN or infinite weight
-    gives 0 where ``@`` gives NaN (with two or more outputs), and a 1x1
-    product's zero may differ in sign, which the bias add erases unless that
-    bias is -0.0.  Training passes ``product=np.matmul`` and the stacks of
-    :func:`_unpack_stack`, which run each member's slice as ``@`` does."""
-    first = product(x, layers[0])
+    gives, or those of :func:`_unpack_stack`: (post-ReLU hidden layer or
+    None, logits).  Each product is ``@``, which runs each member of a stack
+    as the 2-D product of a lone model, so every shape gives a model the
+    same bits.  Biases and the ReLU are applied in place on each fresh
+    product, which gives the same bits as ``x @ w + b`` and
+    ``np.maximum(pre, 0.0)``.  Given (W1, b1) alone, it makes the first
+    layer: (None, pre-activations)."""
+    first = x @ layers[0]
     first += layers[1]
-    return _from_first_layer(layers[2:], first, product)
+    return _from_first_layer(layers[2:], first)
 
 
-def _from_first_layer(layers: tuple, first: np.ndarray, product=np.dot):
+def _from_first_layer(layers: tuple, first: np.ndarray):
     """:func:`_forward` from its first layer ``first``, the pre-activations,
     bias included, which the ReLU overwrites, through ``layers``, the views
     of W2 and b2 (none without a hidden layer)."""
     if not layers:
         return None, first
     np.maximum(first, 0.0, out=first)
-    logits = product(first, layers[0])
+    logits = first @ layers[0]
     logits += layers[1]
     return first, logits
 
@@ -265,7 +263,7 @@ def _gradient(layers: tuple, x: np.ndarray, y: np.ndarray,
     or reduces a member's own values along one axis, so each member's
     gradient is bit-equal to that of a stack of one."""
     rows = x.shape[1]
-    hidden, logits = _forward(layers, x, product=np.matmul)
+    hidden, logits = _forward(layers, x)
 
     # log-sum-exp stabilized log-softmax, in place on the logits
     logits -= logits.max(axis=2, keepdims=True)
@@ -532,23 +530,20 @@ class FirstLayerProducts:
         self._subnormal = math.sqrt(d + 1) * 2.0 ** -150
         self._floor = (4 * d + 2 * n + 12) * _F64[1]
 
-    def _total(self, ids: Sequence[int]) -> float:
-        """W_S, the total weight of the non-empty coalition ``ids``, as the
-        rebuild sums it."""
-        return coalition_total(self._weights[i - 1] for i in ids)
-
-    def coefficients(self, ids: Sequence[int]) -> np.ndarray:
+    def coefficients(self, ids: Sequence[int]) -> tuple[np.ndarray, float | None]:
         """The coalition ``ids``'s model as a weighted sum of the vectors
         (float64, n + 1 values): 1 for the base, then the w_i / W_S that
-        every rebuild gives each member i, 0 for the rest.  No ids give the
-        base alone, the empty coalition's model."""
+        every rebuild gives each member i, 0 for the rest; and W_S, the
+        members' total weight as the rebuild sums it.  No ids give the base
+        alone, the empty coalition's model, and no total."""
         coefficients = np.zeros(len(self._products))
         coefficients[0] = 1.0
+        total = None
         if ids:
-            total = self._total(ids)
+            total = coalition_total(self._weights[i - 1] for i in ids)
             for i in ids:
                 coefficients[i] = self._weights[i - 1] / total
-        return coefficients
+        return coefficients, total
 
     def _running_sum(self, ids: Sequence[int]) -> np.ndarray:
         """R_S for the non-empty coalition ``ids`` (members in 1..n), kept
@@ -572,11 +567,11 @@ class FirstLayerProducts:
         """The first layer of the coalition ``ids``'s model (ascending, in
         1..n; none for the base alone), or None where its float32 parameters
         could overflow."""
-        c = self.coefficients(ids)  # none negative
+        c, total = self.coefficients(ids)  # none negative
         if not np.dot(c, self._max_abs) < _F32_MAX / 2:
             return None
         if ids:
-            values = np.multiply(self._running_sum(ids), 1.0 / self._total(ids))
+            values = np.multiply(self._running_sum(ids), 1.0 / total)
         else:
             values = self._products[0].copy()
         slope, w_norms = self._factors * np.dot(c, self._norms) + self._subnormal
@@ -785,13 +780,10 @@ def _screened_argmax(arch: ModelArchitecture, model: LazyModel,
 def first_layer_chunk(arch: ModelArchitecture, test: LabeledDataset) -> int:
     """How many models one :func:`first_layers` call takes on ``test``: as
     many as keep their first layers within :data:`CHUNK_ELEMENTS` values,
-    at least one; 0 where :func:`evaluate` takes no such first layer (a
-    wide set, see :attr:`LabeledDataset.prepared`) or the stacked product
-    could differ from the float64 pass's (a layer of one input, d = 1: see
-    :func:`_forward`; there a lone row's exact-zero input times an infinite
-    weight makes ``np.matmul`` warn, and ``np.dot`` not)."""
+    at least one; 0 on a wide set, where :func:`evaluate` takes no such
+    first layer (see :attr:`LabeledDataset.prepared`)."""
     features, norms = test.prepared
-    if norms is not None or arch.input_dim == 1:
+    if norms is not None:
         return 0
     width = arch.hidden_dim or arch.class_count
     return max(1, CHUNK_ELEMENTS // max(1, len(features) * width))
@@ -802,14 +794,10 @@ def first_layers(arch: ModelArchitecture, stack: np.ndarray,
     """The float64 pass's first layer on the rows of a narrow set ``test``,
     bias included, of each model of an (m, P) ``stack`` of flat parameter
     vectors (cast to float64 once): m x rows x units, each what
-    :func:`evaluate` takes as ``first_layer``.  One ``np.matmul`` makes
-    them, which runs each model's slice as the 2-D product that
-    :func:`_forward`'s ``np.dot`` runs, bit for bit, where
-    :func:`first_layer_chunk` is not 0."""
-    weights, bias = _unpack_stack(arch, np.asarray(stack, dtype=np.float64))[:2]
-    out = np.matmul(test.prepared[0], weights)
-    out += bias
-    return out
+    :func:`evaluate` takes as ``first_layer``.  :func:`_forward` makes them
+    in one stacked product, bit for bit each model's own."""
+    layers = _unpack_stack(arch, np.asarray(stack, dtype=np.float64))
+    return _forward(layers[:2], test.prepared[0])[1]
 
 
 def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
@@ -819,43 +807,49 @@ def evaluate(arch: ModelArchitecture, params: np.ndarray | LazyModel,
 
     ``first_layer``, if given, is these parameters' first layer on ``test``.
     A narrow set takes the float64 forward pass on its cached float64
-    features, from ``first_layer`` where the caller passes one: that pass's
+    features: from ``first_layer`` where the caller passes one, that pass's
     own first layer, rows x units, bias included (:func:`first_layers`),
-    which the ReLU may overwrite; only the parameters after it are read
-    then.  On a wide set (see :attr:`LabeledDataset.prepared`), every model
-    takes :func:`_screened_argmax`: screened from ``first_layer`` where the
+    which the ReLU may overwrite, and then only the parameters after it are
+    read; else from the first layer it makes the same way.  On a wide set
+    (see :attr:`LabeledDataset.prepared`), every model takes
+    :func:`_screened_argmax`: screened from ``first_layer`` where the
     caller passes one, a bounded :class:`FirstLayer`
     (:meth:`FirstLayerProducts.combine`), not yet spent by another
     evaluation, and otherwise scored by the float64 pass a chunk of rows at a
     time, under certified bounds, without a float64 copy of the set.  A
     :class:`LazyModel` is built in full only where that pass runs.  Only a
     row still undecided or a parameter that is not finite sends the whole
-    set through the float64 pass at once.  The accuracy is always that of
-    the float64 forward pass."""
+    set through the float64 pass at once (:func:`predict_logits`).  The
+    accuracy is always that of the float64 forward pass."""
     features, norms = test.prepared
     rows = len(features)
     if rows == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    if norms is None and first_layer is None:
-        full = params.params if isinstance(params, LazyModel) else params
-        predictions = predict_logits(arch, full, features).argmax(axis=1)
-    elif norms is None:
-        lazy = isinstance(params, LazyModel)
-        if not lazy:
-            _check_params(arch, params)
-        shape = (rows, arch.hidden_dim or arch.class_count)
-        if getattr(first_layer, "shape", None) != shape:
-            raise ValueError(f"a narrow set's first layer is an array of shape {shape}")
-        logits = first_layer  # a softmax model's first layer is its logits
-        if arch.hidden_dim:
-            tail = params.tail if lazy else params[arch.first_layer_size:]
-            logits = _from_first_layer(
-                _unpack_tail(arch, np.asarray(tail, dtype=np.float64)), first_layer)[1]
+    lazy = isinstance(params, LazyModel)
+    if norms is None:
+        if first_layer is None:
+            full = params.params if lazy else params
+            _check_params(arch, full)
+            layers = _unpack(arch, np.asarray(full, dtype=np.float64))
+            first_layer, tail = _forward(layers[:2], features)[1], layers[2:]
+        else:
+            if not lazy:
+                _check_params(arch, params)
+            shape = (rows, arch.hidden_dim or arch.class_count)
+            if getattr(first_layer, "shape", None) != shape:
+                raise ValueError(f"a narrow set's first layer is an array of shape {shape}")
+            tail = ()
+            if arch.hidden_dim:
+                tail = _unpack_tail(arch, np.asarray(
+                    params.tail if lazy else params[arch.first_layer_size:],
+                    dtype=np.float64))
+        # a softmax model's first layer is its logits
+        logits = _from_first_layer(tail, first_layer)[1] if tail else first_layer
         predictions = logits.argmax(axis=1)
     else:
         if not isinstance(first_layer, (FirstLayer, type(None))):
             raise ValueError("a wide set's first layer is a FirstLayer")
-        if not isinstance(params, LazyModel):
+        if not lazy:
             _check_params(arch, params)
             params = LazyModel(params[arch.first_layer_size:], lambda full=params: full)
         predictions = _screened_argmax(arch, params, features, norms, first_layer)

@@ -253,6 +253,52 @@ def test_an_out_path_taken_by_a_file_fails_before_any_work(
     assert not work_calls and taken.read_text() == "kept"
 
 
+class HalfWriter:
+    """A file that writes half of the first chunk it is given, then fails as
+    a full disk does."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def write(self, data):
+        self._file.write(data[:len(data) // 2])
+        self._file.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate", f"{STEM}.gtgl"), ("simulate", f"{STEM}.gtgl.json"),
+    ("evaluate", f"estimate_mr_{STEM}.json"),
+    ("compare", f"compare_{STEM}.json"), ("compare", f"compare_{STEM}.csv")])
+def test_a_write_that_fails_part_way_leaves_no_file(
+        eval_log, tmp_path, capsys, monkeypatch, command, target):
+    config = write_config(tmp_path / "exp.json", rounds=1, estimators=["mr"])
+    argv = {"simulate": ["simulate", "--config", str(config)],
+            "evaluate": ["evaluate", "--log", eval_log, "--estimator", "mr"],
+            "compare": ["compare", "--config", str(config)]}[command]
+    opened = Path.open
+
+    def failing(path, mode="r", *args, **kwargs):
+        file = opened(path, mode, *args, **kwargs)
+        # the name the file is written under, less what marks it a part
+        if "w" in mode and re.sub(r"^\.(.+)\.\d+\.part$", r"\1", path.name) == target:
+            return HalfWriter(file)
+        return file
+
+    monkeypatch.setattr(Path, "open", failing)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not (out / target).exists()
+    assert not list(out.glob(".*.part"))
+
+
 # --- config validation -----------------------------------------------------------
 
 

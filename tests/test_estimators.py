@@ -59,7 +59,7 @@ from fedshapley import estimators, federation, models
 from fedshapley.estimators import (check_estimator_params, estimator,
                                    round_utilities)
 from fedshapley.federation import (CHUNK_ELEMENTS, RoundStack, StoredRounds,
-                                   load_log, save_log)
+                                   load_log, round_vectors, save_log)
 
 EXHAUSTIVE = GtgConfig(eps_between=0.0, eps_within=0.0, sampling="cycle",
                        max_perms_per_round=6, min_samples=6)
@@ -341,13 +341,27 @@ def test_mr_on_a_narrow_log_calls_evaluate_once_per_evaluation(monkeypatch, name
     assert calls.count(4) == report.eval_count
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_round_scorer_checks_its_round_once(monkeypatch, wide):
+    log, test = LOGS["hidden"]()
+    monkeypatch.setattr(models, "WIDE_ELEMENTS", 0 if wide else models.WIDE_ELEMENTS)
+    checked = []
+    for module in (estimators, federation):
+        monkeypatch.setattr(module, "round_vectors",
+                            lambda *args: checked.append(1) or round_vectors(*args))
+    scorer = estimators.RoundScorer(log.rounds[0], log.participant_weights,
+                                    log.architecture, test)
+    assert (scorer._products is not None) == wide
+    assert len(checked) == 1
+
+
 def test_enumerating_a_narrow_round_holds_one_chunk_of_first_layers():
     # the enum workload's shape: n = 10, d = 16, softmax, 100 test rows
     log, test, _ = scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10, rounds=1)
     arch, rec = log.architecture, log.rounds[0]
     assert (arch.input_dim, arch.hidden_dim, len(test)) == (16, 0, 100)
     test.prepared
-    stack = RoundStack(rec, log.participant_weights)
+    stack = RoundStack(round_vectors(rec, log.participant_weights), log.participant_weights)
     peaks = []
     tracemalloc.start()
     try:

@@ -30,7 +30,7 @@ from fedshapley import (GradientLog, LabeledDataset, ModelArchitecture, RoundGam
                         RoundRecord, fedavg_aggregate, gtg_eval,
                         init_params, mr_eval, position_marginal_profile,
                         reconstruct_submodel)
-from fedshapley import federation, models
+from fedshapley import estimators, federation, models
 from fedshapley.estimators import round_utilities
 from fedshapley.federation import CHUNK_ELEMENTS, RoundStack, round_vectors
 from fedshapley.games import mask_of, players_of
@@ -77,7 +77,8 @@ def rebuilt(tail: bool, chunked: bool = False, buffer: int | None = None):
     forwards and then backwards, so that no rebuild can lean on the scratch
     row's last use."""
     def path(run):
-        stack = RoundStack(run.record, run.weights, run.arch.first_layer_size * tail)
+        stack = RoundStack(round_vectors(run.record, run.weights), run.weights,
+                           run.arch.first_layer_size * tail)
         if buffer is not None:
             stack._buffer = buffer
         if chunked:
@@ -163,6 +164,18 @@ def enumerated(run):
 
 def utilities(run):
     return enumerate(run.utilities)
+
+
+def through_first_layers(case: Case, test: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """round_utilities of the case's round on ``test``, and the models whose
+    first layers it stacked, in the order it stacked them."""
+    stacked, first_layers = [], models.first_layers
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(estimators, "first_layers",
+                        lambda *args: stacked.append(args[1]) or first_layers(*args))
+        got = round_utilities(case.record, GradientLog(case.arch, [case.record],
+                                                       case.weights), test)
+    return got, np.concatenate(stacked)
 
 
 # the ufunc buffers, in values, that rebuild_chunks' blocks are summed under:
@@ -360,19 +373,30 @@ def one_row_sets(hidden_dim: int) -> list[Case]:
 
 
 def one_input_layer(hidden_dim: int) -> list[Case]:
-    # at d = 1, a lone row's exact-zero input times an infinite weight makes
-    # np.matmul warn where np.dot does not: such rounds take no stacked product
+    # d = 1 takes the stacked first layers, as every narrow round does; where
+    # the infinite weight meets a lone row's exact-zero input, the product
+    # is NaN and warns, alone and stacked alike, so that set is checked here
     arch = ModelArchitecture(1, hidden_dim, 3)
     rng = np.random.default_rng(7)
     weights = {1: 3, 2: 5, 3: 7}
     updates = {i: rng.normal(0.0, 0.1, arch.param_count).astype(np.float32)
                for i in weights}
+    base, zero, nonzero = (init_params(arch, seed=5), LabeledDataset([[0.0]], [1]),
+                           LabeledDataset([[1.5]], [0]))
+    (finite,) = one_round(arch, base, updates, weights, zero, nonzero)
+    updates = {**updates, 2: updates[2].copy()}
     updates[2][0] = np.inf  # W1[0, 0] of every coalition that holds 2
-    (case,) = one_round(arch, init_params(arch, seed=5), updates, weights,
-                        LabeledDataset([[0.0]], [1]), LabeledDataset([[1.5]], [0]))
-    assert not np.isfinite(reconstruct_submodel(case.record, (2,), weights)).all()
-    assert [models.first_layer_chunk(arch, test) for test in case.tests] == [0, 0]
-    return [case]
+    (infinite,) = one_round(arch, base, updates, weights, nonzero)
+    built = rebuilt_models(infinite)
+    assert not np.isfinite(built[mask_of((2,))]).all()
+    assert all(models.first_layer_chunk(arch, test) > 0 for test in (zero, nonzero))
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        want = scores(infinite, built, zero)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        got, stacked = through_first_layers(infinite, zero)
+    assert bits(got) == bits(want)
+    assert bits(stacked) == bits(np.stack([*built.values()]).astype(np.float64))
+    return [finite, infinite]
 
 
 def all_zero_parameters(hidden_dim: int) -> list[Case]:
@@ -443,6 +467,15 @@ def test_the_drawn_rounds_reach_every_corner():
     assert {case.arch.input_dim for case in drawn} >= {1, 800}
     assert {case.arch.hidden_dim for case in drawn} >= {0, 8}
     assert {len(case.tests[0]) for case in drawn} >= {1, 200}
+    # a d = 1 round, one of a lone row among them, is scored through the
+    # stacked first layers of reconstruct_submodel's models
+    one_input = [case for case in drawn if case.arch.input_dim == 1]
+    assert 1 in {len(case.tests[0]) for case in one_input}
+    for case in one_input:
+        built = rebuilt_models(case)
+        got, stacked = through_first_layers(case, case.tests[0])
+        assert bits(got) == bits(scores(case, built, case.tests[0]))
+        assert bits(stacked) == bits(np.stack([*built.values()]).astype(np.float64))
 
 
 # --- every input through every path ------------------------------------------------

@@ -35,7 +35,7 @@ from fedshapley import (
 from fedshapley import federation
 from fedshapley.estimators import (gtg_oti, position_marginal_profile,
                                    round_marginal_gains)
-from fedshapley.federation import RoundStack
+from fedshapley.federation import RoundStack, round_vectors
 
 BASE = np.array([1.0, 2.0, -4.0], dtype=np.float32)
 U1 = np.array([0.5, -1.0, 2.0], dtype=np.float32)
@@ -97,19 +97,24 @@ def test_reconstruct_rejects_empty_or_unknown_coalitions():
         reconstruct_submodel(rec, [3], WEIGHTS)
 
 
+def stack_of(rec: RoundRecord, weights: dict[int, int]) -> RoundStack:
+    """The round's stack, built as a round's scorer builds it."""
+    return RoundStack(round_vectors(rec, weights), weights)
+
+
 def test_stack_refuses_malformed_rounds():
     rec = RoundRecord(0, BASE, {1: U1, 2: U2}, BASE)
     with pytest.raises(ValueError, match="not contiguous"):
-        RoundStack(rec, {1: 1, 3: 3})
+        stack_of(rec, {1: 1, 3: 3})
     with pytest.raises(ValueError, match=r"no updates for \[2\]"):
-        RoundStack(RoundRecord(0, BASE, {1: U1}, BASE), WEIGHTS)
+        stack_of(RoundRecord(0, BASE, {1: U1}, BASE), WEIGHTS)
     with pytest.raises(ValueError, match="participant 2: update shape"):
-        RoundStack(RoundRecord(0, BASE, {1: U1, 2: U2[:2]}, BASE), WEIGHTS)
+        stack_of(RoundRecord(0, BASE, {1: U1, 2: U2[:2]}, BASE), WEIGHTS)
 
 
 def test_stack_refuses_coalitions_of_zero_weight():
     # participant 1 holds no rows, so a coalition of it alone weighs nothing
-    stack = RoundStack(RoundRecord(0, BASE, {1: U1, 2: U2}, BASE), {1: 0, 2: 3})
+    stack = stack_of(RoundRecord(0, BASE, {1: U1, 2: U2}, BASE), {1: 0, 2: 3})
     assert np.array_equal(stack.rebuild([1, 2]), BASE + U2)
     # the empty coalition divides by no total: its model is the base
     assert stack.rebuild([]).tobytes() == BASE.tobytes()
@@ -128,8 +133,8 @@ def test_each_block_is_summed_under_its_own_ufunc_buffer(monkeypatch):
     weights = {i: 3 * i for i in range(1, 10)}
     base = rng.normal(size=170).astype(np.float32)
     updates = {i: rng.normal(size=170).astype(np.float32) for i in weights}
-    stack = RoundStack(RoundRecord(0, base, updates, base), weights)
-    zero = RoundStack(RoundRecord(0, base, updates, base), {**weights, 4: 0})
+    stack = stack_of(RoundRecord(0, base, updates, base), weights)
+    zero = stack_of(RoundRecord(0, base, updates, base), {**weights, 4: 0})
     inside = []
     block = RoundStack._rebuild_block
 

@@ -35,7 +35,7 @@ from fedshapley import (
 )
 from fedshapley import estimators, federation, models
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
-from fedshapley.federation import RoundStack
+from fedshapley.federation import RoundStack, round_vectors
 from fedshapley.games import players_of
 from fedshapley.scenarios import ScenarioKind
 
@@ -446,9 +446,9 @@ def test_a_narrow_set_scores_as_the_logits_path(arch):
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_stacked_first_layers_are_the_float64_passs_own(arch):
-    # one np.matmul over a stack gives each model the first layer, bias
-    # included, that the float64 pass makes, bit for bit, and evaluate
-    # scores the model from it and its tail alone
+    # one product over a stack gives each model the first layer, bias
+    # included, that the float64 pass makes, bit for bit, on every shape, and
+    # evaluate scores the model from it and its tail alone
     full = blobs(arch, 12, seed=1)
     one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
     cases = screen_param_cases(arch, full)
@@ -459,10 +459,6 @@ def test_stacked_first_layers_are_the_float64_passs_own(arch):
                                 lambda: builds.append(1) or params)
 
     for test in (full, one_row):
-        if arch.input_dim == 1:
-            # a layer of one input keeps the per-model product
-            assert models.first_layer_chunk(arch, test) == 0
-            continue
         assert models.first_layer_chunk(arch, test) >= 1
         for stack in (np.stack(cases), np.stack(cases).astype(np.float64)):
             firsts = models.first_layers(arch, stack, test)
@@ -477,7 +473,20 @@ def test_stacked_first_layers_are_the_float64_passs_own(arch):
         assert builds == []
         with pytest.raises(ValueError, match="a narrow set's first layer is an "
                                              "array of shape"):
-            evaluate(arch, cases[0], test, firsts[0][:, :1])
+            evaluate(arch, cases[0], test, firsts[0][:, :0])
+    # an infinite first-layer weight times an exact-zero input is NaN, which
+    # warns, alone and stacked alike
+    infinite = cases[0].copy()
+    infinite[0] = np.inf  # W1[0, 0]
+    zeroed = one_row.features.copy()
+    zeroed[0, 0] = 0.0
+    test = LabeledDataset(zeroed, one_row.labels)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        want = logits_path(arch, infinite, test)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        (first,) = models.first_layers(arch, infinite[None], test)
+    assert np.isnan(first[0, 0])
+    assert same_bits(evaluate(arch, infinite, test, first), want)
 
 
 def screen_param_cases(arch: ModelArchitecture,
@@ -828,7 +837,7 @@ def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
         # shows; then one past 2^53, which rounds when cast to float64
         for weights in ({1: 7, 2: 13, 3: 3, 4: 101}, {1: 2 ** 53, 2: 13, 3: 3, 4: 101}):
             rec = federation.RoundRecord(0, base, updates, base)
-            stack = RoundStack(rec, weights)
+            stack = RoundStack(round_vectors(rec, weights), weights)
             for test in (full, one_row):
                 products = round_products(rec, weights, arch, test)
                 # a NaN anywhere in the round leaves it without products
@@ -875,7 +884,7 @@ def test_a_first_layer_serves_one_evaluation(monkeypatch):
                for i in (1, 2, 3)}
     weights = {1: 7, 2: 13, 3: 3}
     rec = federation.RoundRecord(0, base, updates, base)
-    stack = RoundStack(rec, weights)
+    stack = RoundStack(round_vectors(rec, weights), weights)
     products = round_products(rec, weights, arch, test)
     for ids in [(), (1,), (1, 3), (1, 2, 3)]:
         params = stack.rebuild(ids)
@@ -1009,8 +1018,8 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         for updates in (mixed, dict.fromkeys(weights, zeros)):
             rec = federation.RoundRecord(0, base, updates, base)
             log = federation.GradientLog(arch, [rec], weights)
-            stack = RoundStack(rec, weights)
-            tails = RoundStack(rec, weights, start)
+            stack = RoundStack(round_vectors(rec, weights), weights)
+            tails = RoundStack(round_vectors(rec, weights), weights, start)
             for mask, tail in enumerate(itertools.chain(*tails.rebuild_chunks(4))):
                 model = stack.rebuild(players_of(mask))
                 assert same_bits(tail, model[start:])
@@ -1037,12 +1046,13 @@ def test_coefficients_are_the_rebuilds_shares(monkeypatch):
     updates = {i: rng.normal(size=arch.param_count).astype(np.float32)
                for i in weights}
     rec = federation.RoundRecord(0, base, updates, base)
-    stack = RoundStack(rec, weights)
+    stack = RoundStack(round_vectors(rec, weights), weights)
     products = round_products(rec, weights, arch, blobs(arch, 1, seed=0))
     for ids in [(), (2,), (1, 4), (1, 2, 3, 4)]:
-        c = products.coefficients(ids)
+        c, made = products.coefficients(ids)
         assert c.dtype == np.float64 and c[0] == 1.0
         total = sum(weights[i] for i in ids)
+        assert made == (float(total) if ids else None)
         assert c[1:].tolist() == [weights[i] / total if i in ids else 0.0
                                   for i in weights]
         if ids:  # one float64 term per member, summed in id order
