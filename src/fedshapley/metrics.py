@@ -116,16 +116,17 @@ def build_report(rows: list[ComparisonRow], metadata: dict | None = None) -> dic
 
 def write_report(report: dict, out_dir: str | Path,
                  stem: str) -> tuple[Path, Path]:
-    """Write ``<stem>.csv`` and ``<stem>.json`` under ``out_dir``."""
+    """Write ``<stem>.csv`` and ``<stem>.json`` under ``out_dir``: both are
+    written before either is moved into place, the JSON last, so a failed
+    write leaves neither."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{stem}.json"
     csv_path = out / f"{stem}.csv"
-    with replacing(json_path) as file:
-        file.write((json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
     rows = [ComparisonRow(**row) for row in report["rows"]]
-    with replacing(csv_path) as file:
-        file.write(report_to_csv(rows).encode())
+    with replacing(json_path) as json_file, replacing(csv_path) as csv_file:
+        csv_file.write(report_to_csv(rows).encode())
+        json_file.write((json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
     return csv_path, json_path
 
 

@@ -297,6 +297,8 @@ def test_a_write_that_fails_part_way_leaves_no_file(
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert not (out / target).exists()
     assert not list(out.glob(".*.part"))
+    # compare writes both reports or neither
+    assert not list(out.glob("compare_*"))
 
 
 # --- config validation -----------------------------------------------------------

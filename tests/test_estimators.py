@@ -14,7 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import gaussian_blobs, quick_log, scenario_log, split_participants
+from conftest import (LOGS, gaussian_blobs, narrow_layer_wide_set_log, quick_log,
+                      scenario_log, split_participants)
 
 from fedshapley import (
     CapacityError,
@@ -30,15 +31,12 @@ from fedshapley import (
     RoundGame,
     RoundRecord,
     ScenarioKind,
-    ScenarioSpec,
-    SyntheticSource,
     TrainConfig,
     convergence_criterion,
     derive_seed,
     exact_shapley,
     exact_shapley_by_permutations,
     fedavg_aggregate,
-    generate_source,
     gtg_eval,
     gtg_oti,
     gtg_round,
@@ -47,7 +45,6 @@ from fedshapley import (
     guided_permutation,
     mr_eval,
     original_shapley_eval,
-    partition,
     position_marginal_profile,
     round_marginal_gains,
     run_federation,
@@ -82,22 +79,6 @@ def small_participants(n: int, seed: int = 0) -> tuple[list[Participant], Labele
     train = gaussian_blobs(6 * n, 5, 3, seed=seed)
     test = gaussian_blobs(8, 5, 3, seed=seed)
     return split_participants(train, n), test
-
-
-# logs that tests here and in test_fast_paths.py score: name -> (log, test set)
-LOGS = {
-    "quick": lambda: quick_log(n=3, rounds=2, seed=0)[:2],
-    "hidden": lambda: quick_log(n=4, rounds=2, seed=13, hidden_dim=6)[:2],
-    "unequal-weights": lambda: scenario_log(ScenarioKind.SAME_DIST_DIFF_SIZE, n=6,
-                                            rounds=3, seed=4)[:2],
-    # the acceptance logs of test_acceptance.py
-    "acceptance-iid": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=10,
-                                           rounds=10, seed=1, lr=0.1)[:2],
-    "acceptance-skewed": lambda: scenario_log(ScenarioKind.DIFF_DIST_SAME_SIZE,
-                                              n=10, rounds=10, seed=2, lr=0.02)[:2],
-    "n50": lambda: scenario_log(ScenarioKind.SAME_DIST_SAME_SIZE, n=50, rounds=3,
-                                seed=1, train_per_class=500)[:2],
-}
 
 
 # --- permutation scheduling ----------------------------------------------------
@@ -288,20 +269,6 @@ def test_participant_with_zero_updates_scores_exactly_zero():
 
 
 # --- screened scoring of a narrow first layer on a wide set ---------------------
-
-
-def narrow_layer_wide_set_log() -> tuple[GradientLog, LabeledDataset]:
-    """One round of 4 participants at d = 784, hidden 4 (a first layer of
-    3,136 multiplies a row), and 1,000 test rows: a wide set unpatched."""
-    source = SyntheticSource(input_dim=784, class_count=10, spread=1.0, seed=3)
-    pool, test = generate_source(source, train_per_class=20, test_per_class=100)
-    shards = partition(pool, ScenarioSpec(ScenarioKind.SAME_DIST_SAME_SIZE, n=4,
-                                          seed=3))
-    parts = [Participant(id=i, dataset=d) for i, d in enumerate(shards, start=1)]
-    log = run_federation(parts, ModelArchitecture(784, 4, 10),
-                         TrainConfig(batch_size=32, learning_rate=0.05, seed=5),
-                         rounds=1, init_seed=6)
-    return log, test
 
 
 @pytest.mark.blas_order

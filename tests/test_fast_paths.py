@@ -1,16 +1,19 @@
-"""Every fast route to a coalition's model and score, checked bit for bit
-against reconstruct_submodel's model (the base, for the empty coalition)
-and conftest.float64_pass's accuracy.
+"""Every fast route to a coalition's model and score, and the kernels under
+them, checked bit for bit against reconstruct_submodel's model (the base,
+for the empty coalition) and conftest's float64 reference: float64_pass's
+accuracy, ref_forward's first layers and logits, and ref_train_local's
+training of each set alone.
 
 PATHS pairs each fast path with what it must give; a new path joins as one
 line there.  Both sides of a pair take a Run, one round on one test set with
 its reference, and yield (key, value) pairs: the path must yield every key
 of the other side, each value with the same type, shape and bytes.  A path
-that reads no test set runs once a round; every other runs on each of the
-round's test sets, in one test as it is and in another (its id ending in
--wide) with every set wide (models.WIDE_ELEMENTS patched to 0).  INPUTS
-holds the rounds: hand-built adversarial ones, whose own assertions run as
-they are built, and rounds drawn from the constant SEEDS.
+that reads no test set, or trains on one, runs once a round, on the first;
+every other runs on each of the round's test sets, in one test as it is and
+in another (its id ending in -wide) with every set wide
+(models.WIDE_ELEMENTS patched to 0).  INPUTS holds the rounds: hand-built
+adversarial ones, whose own assertions run as they are built, and rounds
+drawn from the constant SEEDS.
 """
 from __future__ import annotations
 
@@ -21,15 +24,15 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import (JOIN_ORDERS, float64_pass, gaussian_blobs, quick_log,
-                      walked_coalitions)
-from test_estimators import LOGS, narrow_layer_wide_set_log
-from test_kernels import ARCH_IDS, ARCHS, blobs, screen_param_cases
+from conftest import (ARCH_IDS, ARCHS, BLOCK_ROWS, BLOCK_WEIGHTS, JOIN_ORDERS, LOGS,
+                      bits, blobs, block_rounds, float64_pass, gaussian_blobs,
+                      narrow_layer_wide_set_log, quick_log, ref_accuracy, ref_forward,
+                      ref_train_local, walked_coalitions)
 
 from fedshapley import (GradientLog, LabeledDataset, ModelArchitecture, RoundGame,
-                        RoundRecord, fedavg_aggregate, gtg_eval,
+                        RoundRecord, TrainConfig, evaluate, fedavg_aggregate, gtg_eval,
                         init_params, mr_eval, position_marginal_profile,
-                        reconstruct_submodel)
+                        predict_logits, reconstruct_submodel, train_local)
 from fedshapley import estimators, federation, models
 from fedshapley.estimators import round_utilities
 from fedshapley.federation import CHUNK_ELEMENTS, RoundStack, round_vectors
@@ -53,6 +56,9 @@ class Run(NamedTuple):
     test: LabeledDataset
     models: dict[int, np.ndarray]  # bitmask -> reconstruct_submodel's model, or the base
     utilities: list[float]  # bitmask -> float64_pass's accuracy
+    # bitmask -> ref_forward's first layer and logits; None in a -wide test
+    # that reads the accuracies its twin as it is left
+    forwards: list[tuple[np.ndarray, np.ndarray]] | None
 
 
 def rebuilt_models(case: Case) -> dict[int, np.ndarray]:
@@ -166,6 +172,86 @@ def utilities(run):
     return enumerate(run.utilities)
 
 
+def forwards(run):
+    """evaluate of every coalition's model: cast to float64 on a narrow set,
+    where the game scores the float32 model, and in float32 on a wide set,
+    where the game screens a lazy one.  On a narrow set, also predict_logits
+    of the float32 model on the set's prepared float64 features, and the
+    model's first layer from one first_layers call over the stacked float64
+    models, as mr makes them.  (predict_logits does not depend on the set's
+    width, and on a wide set a float64 model takes the float32 one's way
+    after one cast, which test_kernels.py checks.)"""
+    arch, test = run.arch, run.test
+    narrow = test.prepared[1] is None
+    for mask, model in run.models.items():
+        yield ("evaluate", mask), evaluate(arch, model.astype(np.float64) if narrow
+                                           else model, test)
+        if narrow:
+            yield ("predict_logits", mask), predict_logits(arch, model, test.prepared[0])
+    if narrow:
+        stack = np.stack(list(run.models.values())).astype(np.float64)
+        yield from ((("first_layers", mask), first)
+                    for mask, first in enumerate(models.first_layers(arch, stack, test)))
+
+
+def forwards_reference(run):
+    narrow = run.test.prepared[1] is None
+    for mask in run.models:
+        yield ("evaluate", mask), run.utilities[mask]
+        if narrow:
+            first, logits = run.forwards[mask]
+            yield ("predict_logits", mask), logits
+            yield ("first_layers", mask), first
+
+
+# two epochs of 4-row batches, over sets of at most 9 rows whose last batch
+# holds one row
+TRAINING = TrainConfig(local_epochs=2, batch_size=4, learning_rate=0.3, seed=5)
+
+
+def training_sets(test: LabeledDataset) -> list[LabeledDataset]:
+    """Two sets of one length from ``test``: its first rows, and its last
+    rows in reverse, as many as leave a last batch of one row, up to 9."""
+    rows = min(len(test) - 1, 8) // TRAINING.batch_size * TRAINING.batch_size + 1
+    return [LabeledDataset(test.features[:rows], test.labels[:rows]),
+            LabeledDataset(test.features[::-1][:rows], test.labels[::-1][:rows])]
+
+
+def trained(run):
+    """models._train_stacked of the round's base on the training_sets in one
+    pass, then train_local of the first alone; or that training diverged.
+    Either way, whether the base was left as it was."""
+    base, sets = run.record.base_model, training_sets(run.test)
+    kept = base.copy()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as run_federation runs it
+            stacked = models._train_stacked(run.arch, base, *models._stack_datasets(sets),
+                                            TRAINING)
+        alone = train_local(run.arch, base, sets[0], TRAINING)
+    except ValueError as error:
+        assert str(error) == "training diverged: a trained parameter is not finite"
+        yield "diverged", True
+    else:
+        yield "diverged", False
+        yield from enumerate(stacked)
+        yield "train_local", alone
+    yield "base kept", bits(base) == bits(kept)
+
+
+def trained_alone(run):
+    """ref_train_local of each of the training_sets alone: diverged where a
+    trained parameter is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [ref_train_local(run.arch, run.record.base_model, data, TRAINING)
+                 for data in training_sets(run.test)]
+    diverged = not np.isfinite(alone).all()
+    yield "diverged", diverged
+    if not diverged:
+        yield from enumerate(alone)
+        yield "train_local", alone[0]
+    yield "base kept", True
+
+
 def through_first_layers(case: Case, test: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """round_utilities of the case's round on ``test``, and the models whose
     first layers it stacked, in the order it stacked them."""
@@ -182,7 +268,7 @@ def through_first_layers(case: Case, test: LabeledDataset) -> tuple[np.ndarray, 
 # the bits may not depend on it
 BUFFERS = {"16": 16, "block_buffer's size": None, "2^20": 1 << 20}
 
-PATHS = {  # name: (path, reference, whether the path reads the test set)
+PATHS = {  # name: (path, reference, whether the path runs on every test set)
     "RoundStack.rebuild": (rebuilt(False), models_from(False), False),
     "RoundStack.rebuild from first_layer_size": (rebuilt(True), models_from(True), False),
     **{f"RoundStack.rebuild_chunks{start} under a buffer of {name}": (
@@ -197,23 +283,21 @@ PATHS = {  # name: (path, reference, whether the path reads the test set)
     "RoundGame.from_round along JOIN_ORDERS walks": (
         walked, lambda run: [*utilities(run), ("evals", len(run.utilities))], True),
     "round_utilities": (enumerated, utilities, True),
+    "evaluate, predict_logits and first_layers": (forwards, forwards_reference, True),
+    "_train_stacked and train_local": (trained, trained_alone, False),
 }
 
 
-def bits(value):
-    """``value``'s type, shape and bytes (each field's, for a tuple)."""
-    if isinstance(value, tuple):
-        return tuple(map(bits, value))
-    if value is None:
-        return None
-    value = np.asarray(value)
-    return value.dtype, value.shape, value.tobytes()
-
-
-def check_every_path(case: Case, wide: bool, monkeypatch) -> None:
-    built = rebuilt_models(case)
+def check_every_path(case: Case, built: dict[int, np.ndarray],
+                     accuracies: dict[int, list[float]], wide: bool, monkeypatch) -> None:
     for index, test in enumerate(case.tests):
-        accuracies = scores(case, built, test)
+        # the reference's first layers and logits of every model: a -wide
+        # test needs only their accuracies, which its twin as it is left
+        forwards = None
+        if not wide or index not in accuracies:
+            forwards = [ref_forward(case.arch, model, test.features)
+                        for model in built.values()]
+            accuracies[index] = [ref_accuracy(logits, test) for _, logits in forwards]
         with monkeypatch.context() as patched:
             if wide:
                 patched.setattr(models, "WIDE_ELEMENTS", 0)
@@ -221,9 +305,10 @@ def check_every_path(case: Case, wide: bool, monkeypatch) -> None:
                 patched.setattr(models, "CHUNK_ELEMENTS", case.chunk)
             # a set prepares itself for evaluate once: a fresh one per run
             run = Run(case.arch, case.record, case.weights,
-                      LabeledDataset(test.features, test.labels), built, accuracies)
-            for name, (path, want_of, reads_the_set) in PATHS.items():
-                if not reads_the_set and (wide or index):
+                      LabeledDataset(test.features, test.labels), built,
+                      accuracies[index], forwards)
+            for name, (path, want_of, every_set) in PATHS.items():
+                if not every_set and (wide or index):
                     continue
                 want, got = dict(want_of(run)), list(path(run))
                 where = (name, "wide" if wide else "as is", case.record.round, len(test))
@@ -240,9 +325,9 @@ def cases(log: GradientLog, *tests: LabeledDataset) -> list[Case]:
             for rec in log.rounds]
 
 
-def one_round(arch, base, updates, weights, *tests, chunk=None) -> list[Case]:
+def one_round(arch, base, updates, weights, *tests) -> list[Case]:
     rec = RoundRecord(0, base, updates, fedavg_aggregate(base, updates, weights))
-    return [Case(arch, rec, weights, tests, chunk)]
+    return [Case(arch, rec, weights, tests)]
 
 
 def tie_past_two_to_the_53() -> list[Case]:
@@ -323,25 +408,10 @@ def wide_rebuilds() -> list[Case]:
     return one_round(arch, base, updates, {1: 30, 2: 70, 3: 11}, blobs(arch, 2, seed=7))
 
 
-BLOCK_WEIGHTS = {"small": {1: 7, 2: 13, 3: 3, 4: 101},
-                 "past-2^53": {1: 2 ** 53 + 1, 2: 13, 3: 3, 4: 2 ** 64 + 3}}
-
-
 def float32_blocks(arch: ModelArchitecture, weights: dict[int, int]) -> list[Case]:
-    # 5 rows a chunk, so that the chunks' edges show; past 2^53 the weights
-    # round when cast
-    full = blobs(arch, 12, seed=5)
-    one_row = LabeledDataset(full.features[:1], full.labels[:1])
-    rng = np.random.default_rng(arch.param_count)
-    params = screen_param_cases(arch, full)
-    out = []
-    for base in params[:-3] + params[-2:]:  # a NaN makes no products
-        updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
-                   3: base * np.float32(-0.25),
-                   4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
-        out += one_round(arch, base, updates, weights, full, one_row,
-                         chunk=5 * arch.input_dim)
-    return out
+    records, tests = block_rounds(arch, weights)
+    return [Case(arch, rec, weights, tests, BLOCK_ROWS * arch.input_dim)
+            for rec in records]
 
 
 def spanning_log() -> list[Case]:
@@ -375,7 +445,8 @@ def one_row_sets(hidden_dim: int) -> list[Case]:
 def one_input_layer(hidden_dim: int) -> list[Case]:
     # d = 1 takes the stacked first layers, as every narrow round does; where
     # the infinite weight meets a lone row's exact-zero input, the product
-    # is NaN and warns, alone and stacked alike, so that set is checked here
+    # is NaN and warns, stacked (as round_utilities makes it) and alone
+    # alike, so that set is checked here
     arch = ModelArchitecture(1, hidden_dim, 3)
     rng = np.random.default_rng(7)
     weights = {1: 3, 2: 5, 3: 7}
@@ -396,6 +467,9 @@ def one_input_layer(hidden_dim: int) -> list[Case]:
         got, stacked = through_first_layers(infinite, zero)
     assert bits(got) == bits(want)
     assert bits(stacked) == bits(np.stack([*built.values()]).astype(np.float64))
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        alone = [evaluate(arch, model, zero) for model in built.values()]
+    assert bits(alone) == bits(want)
     return [finite, infinite]
 
 
@@ -476,6 +550,14 @@ def test_the_drawn_rounds_reach_every_corner():
         got, stacked = through_first_layers(case, case.tests[0])
         assert bits(got) == bits(scores(case, built, case.tests[0]))
         assert bits(stacked) == bits(np.stack([*built.values()]).astype(np.float64))
+    # every round trains two sets of one length whose last batch is one row,
+    # among them d = 1 with h = 1, and d784h64 (float32-blocks inputs)
+    for case in drawn:
+        sets = training_sets(case.tests[0])
+        assert len(sets) == 2 and len(sets[0]) == len(sets[1])
+        assert len(sets[0]) % TRAINING.batch_size == 1
+    blocks = {name.split("-")[2] for name in INPUTS if name.startswith("float32-blocks")}
+    assert {"d1h1c2", "d784h64c10"} <= blocks
 
 
 # --- every input through every path ------------------------------------------------
@@ -503,11 +585,19 @@ INPUTS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def built_input(name: str) -> list[tuple[Case, dict[int, np.ndarray], dict]]:
+    """INPUTS[name]'s rounds, each with its coalitions' models and room for
+    their accuracies on each test set: made once for an input's test as it
+    is and its -wide twin, which run one after the other."""
+    return [(case, rebuilt_models(case), {}) for case in INPUTS[name]()]
+
+
 @pytest.mark.parametrize("name, wide", [
     pytest.param(name, wide, id=f"{name}-wide" if wide else name)
     for name in INPUTS for wide in (False, True)])
 def test_every_fast_path_gives_the_references_bits(monkeypatch, name, wide):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for case in INPUTS[name]():
-            check_every_path(case, wide, monkeypatch)
+        for case, built, accuracies in built_input(name):
+            check_every_path(case, built, accuracies, wide, monkeypatch)

@@ -1,18 +1,20 @@
-"""Differential tests: the model kernels against test-local copies of their
-first implementations.  (Every fast route to a coalition's model and score
-is checked in test_fast_paths.py.)
+"""Differential tests: the model kernels against conftest's float64
+reference, the test-local copies of their first implementations, where
+test_fast_paths.py's harness does not reach: the loss, errors, which way
+evaluate goes on a wide set and what it reads, the bounds of a first layer,
+and memory.  (Every coalition's model, logits, first layer and score, and
+the stacked trainer, are checked bit for bit in test_fast_paths.py.)
 
-The references below allocate a fresh float64 copy of the test features on
-every call, add biases and the ReLU into new temporaries and compute the
-loss on every training batch.  The library's kernels skip that work, and
-evaluate screens wide test sets from first-layer products; every result must
-still be bit-equal, not merely close.
+The reference allocates a fresh float64 copy of the test features on every
+call, adds biases and the ReLU into new temporaries and computes the loss on
+every training batch.  The library's kernels skip that work, and evaluate
+screens wide test sets from first-layer products; every result must still be
+bit-equal, not merely close.
 """
 from __future__ import annotations
 
 import collections
 import dataclasses
-import itertools
 import json
 import math
 import tracemalloc
@@ -20,18 +22,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (JOIN_ORDERS, STEPS, float64_pass, gaussian_blobs, round_products,
-                      steps, walked_coalitions)
+from conftest import (ARCH_IDS, ARCHS, BLOCK_ROWS, BLOCK_WEIGHTS, JOIN_ORDERS, STEPS,
+                      blobs, block_rounds, float64_pass, param_cases, ref_forward,
+                      ref_loss_and_gradient, ref_train_stacked, round_products,
+                      same_bits, screen_param_cases, steps, walked_coalitions)
 
 from fedshapley import (
     LabeledDataset,
     ModelArchitecture,
-    TrainConfig,
     evaluate,
     init_params,
     loss_and_gradient,
     predict_logits,
-    train_local,
 )
 from fedshapley import estimators, federation, models
 from fedshapley.cli import CONFIG_SCHEMA, EXIT_OK, main
@@ -40,165 +42,6 @@ from fedshapley.games import players_of
 from fedshapley.scenarios import ScenarioKind
 
 pytestmark = pytest.mark.blas_order
-
-# --- reference implementations --------------------------------------------------
-
-
-def ref_check_params(arch, params):
-    if params.shape != (arch.param_count,):
-        raise ValueError(
-            f"parameter vector has shape {params.shape}, architecture needs "
-            f"({arch.param_count},)")
-
-
-def ref_unpack(arch, flat):
-    d, h, c = arch.input_dim, arch.hidden_dim, arch.class_count
-    if h == 0:
-        return flat[:d * c].reshape(d, c), flat[d * c:]
-    off = 0
-    w1 = flat[off:off + d * h].reshape(d, h); off += d * h
-    b1 = flat[off:off + h]; off += h
-    w2 = flat[off:off + h * c].reshape(h, c); off += h * c
-    b2 = flat[off:]
-    return w1, b1, w2, b2
-
-
-def ref_predict_logits(arch, params, features):
-    ref_check_params(arch, params)
-    flat = np.asarray(params, dtype=np.float64)
-    x = np.asarray(features, dtype=np.float64)
-    if arch.hidden_dim == 0:
-        w, b = ref_unpack(arch, flat)
-        return x @ w + b
-    w1, b1, w2, b2 = ref_unpack(arch, flat)
-    hidden = np.maximum(x @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
-
-
-def ref_evaluate(arch, params, test):
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
-    logits = ref_predict_logits(arch, params, test.features)
-    predictions = logits.argmax(axis=1)
-    return int(np.count_nonzero(predictions == test.labels)) / len(test)
-
-
-def ref_loss_and_gradient(arch, params, features, labels):
-    flat = np.asarray(params, dtype=np.float64)
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    rows = x.shape[0]
-    if rows == 0:
-        raise ValueError("empty batch")
-    if arch.hidden_dim == 0:
-        w, b = ref_unpack(arch, flat)
-        logits = x @ w + b
-        hidden = None
-    else:
-        w1, b1, w2, b2 = ref_unpack(arch, flat)
-        pre = x @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ w2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(rows), y].mean())
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(rows), y] -= 1.0
-    d_logits /= rows
-    grad = np.empty_like(flat)
-    if arch.hidden_dim == 0:
-        gw = x.T @ d_logits
-        gb = d_logits.sum(axis=0)
-        grad[:gw.size] = gw.reshape(-1)
-        grad[gw.size:] = gb
-    else:
-        gw2 = hidden.T @ d_logits
-        gb2 = d_logits.sum(axis=0)
-        d_hidden = d_logits @ w2.T
-        d_hidden[pre <= 0.0] = 0.0
-        gw1 = x.T @ d_hidden
-        gb1 = d_hidden.sum(axis=0)
-        grad[:] = np.concatenate([gw1.reshape(-1), gb1, gw2.reshape(-1), gb2])
-    return loss, grad
-
-
-def ref_train_local(arch, base, data, cfg):
-    ref_check_params(arch, base)
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if data.features.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"dataset has {data.features.shape[1]} features, architecture "
-            f"expects {arch.input_dim}")
-    work = np.asarray(base, dtype=np.float64).copy()
-    rng = np.random.default_rng(cfg.seed)
-    rows = len(data)
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(rows)
-        for start in range(0, rows, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            _, grad = ref_loss_and_gradient(
-                arch, work, data.features[batch], data.labels[batch])
-            work = work - cfg.learning_rate * grad
-    return work.astype(np.float32)
-
-
-def ref_train_stacked(arch, base, features, labels, cfg):
-    """One :func:`ref_train_local` per stacked dataset, in order."""
-    return [ref_train_local(arch, base, LabeledDataset(x, y), cfg)
-            for x, y in zip(features, labels)]
-
-
-# --- cases --------------------------------------------------------------------------
-
-ARCHS = [
-    ModelArchitecture(input_dim=1, hidden_dim=1, class_count=2),  # 1x1 products
-    ModelArchitecture(input_dim=5, hidden_dim=0, class_count=3),
-    ModelArchitecture(input_dim=6, hidden_dim=4, class_count=3),
-    ModelArchitecture(input_dim=16, hidden_dim=0, class_count=10),
-    ModelArchitecture(input_dim=784, hidden_dim=64, class_count=10),
-]
-ARCH_IDS = [f"d{a.input_dim}h{a.hidden_dim}c{a.class_count}" for a in ARCHS]
-
-
-def blobs(arch: ModelArchitecture, rows_per_class: int, seed: int) -> LabeledDataset:
-    return gaussian_blobs(rows_per_class, arch.input_dim, arch.class_count, seed,
-                          spread=0.5)
-
-
-def param_cases(arch: ModelArchitecture) -> list[np.ndarray]:
-    """Small initial weights, large ones that saturate the softmax and kill
-    ReLU units, and all zeros (every argmax ties, and resolves to class 0)."""
-    rng = np.random.default_rng(arch.param_count)
-    return [init_params(arch, seed=3),
-            rng.uniform(-4.0, 4.0, arch.param_count).astype(np.float32),
-            np.zeros(arch.param_count, dtype=np.float32)]
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-def test_forward_and_evaluate_match_the_reference(arch):
-    full = blobs(arch, 12, seed=1)
-    one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
-    for test in (full, one_row):
-        for params in param_cases(arch):
-            want = ref_predict_logits(arch, params, test.features)
-            assert same_bits(predict_logits(arch, params, test.features), want)
-            accuracy = ref_evaluate(arch, params, test)
-            assert same_bits(evaluate(arch, params, test), accuracy)
-            # float64 parameters holding the same values score the same
-            assert same_bits(evaluate(arch, params.astype(np.float64), test),
-                             accuracy)
-            # the prepared float64 features give the same logits
-            assert same_bits(predict_logits(arch, params, test.prepared[0]), want)
-        features, norms = test.prepared
-        assert features.dtype == np.float64 and norms is None
-    zeros = param_cases(arch)[-1]
-    assert evaluate(arch, zeros, full) == float(np.mean(full.labels == 0))
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
@@ -212,33 +55,18 @@ def test_loss_and_gradient_match_the_reference(arch):
         assert same_bits(grad, want_grad)
 
 
-@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-def test_training_matches_the_reference(arch):
-    data = blobs(arch, 6, seed=4)
-    # batches of 7 rows, and batches that leave a single row at the end
-    configs = [TrainConfig(local_epochs=2, batch_size=7, learning_rate=0.3, seed=5),
-               TrainConfig(local_epochs=2, batch_size=len(data) - 1,
-                           learning_rate=0.3, seed=6)]
-    for cfg, base in itertools.product(configs, param_cases(arch)[:2]):
-        before = base.copy()
-        want = ref_train_local(arch, base, data, cfg)
-        got = train_local(arch, base, data, cfg)
-        assert same_bits(got, want)
-        assert same_bits(base, before)  # training works on its own copy
-
-
 def test_kernel_errors_are_unchanged():
     arch = ARCHS[2]
     params = init_params(arch, seed=0)
     empty = LabeledDataset(np.empty((0, arch.input_dim)), np.empty(0))
-    for fn in (ref_evaluate, evaluate):
+    for fn in (float64_pass, evaluate):
         with pytest.raises(ValueError) as err:
             fn(arch, params, empty)
         assert str(err.value) == "cannot evaluate on an empty test set"
     full = blobs(arch, 2, seed=0)
     messages = []
     # evaluate fails the same on a set it has already prepared
-    for fn in (ref_evaluate, evaluate, evaluate):
+    for fn in (float64_pass, evaluate, evaluate):
         with pytest.raises(ValueError) as err:
             fn(arch, params[:-1], full)
         messages.append(str(err.value))
@@ -252,32 +80,15 @@ def test_kernel_errors_are_unchanged():
             fn(arch, params, np.empty((0, arch.input_dim)), np.empty(0, np.int64))
 
 
-def simulate_bytes(tmp_path, name: str, hidden_dim: int, **sections) -> bytes:
+def simulate_bytes(tmp_path, name: str, **sections) -> bytes:
     config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps({
-        "schema": CONFIG_SCHEMA, "seed": 4, "rounds": 2,
-        "source": {"input_dim": 7, "class_count": 3, "spread": 1.0},
-        "scenario": {"kind": "same_dist_same_size", "n": 3},
-        "model": {"hidden_dim": hidden_dim},
-        "train": {"local_epochs": 2, "batch_size": 5, "learning_rate": 0.2},
-        "data": {"train_per_class": 15, "test_per_class": 4},
-        **sections,
-    }))
+    config.write_text(json.dumps({"schema": CONFIG_SCHEMA, "seed": 4, "rounds": 2,
+                                  **sections}))
     out = tmp_path / name
     assert main(["simulate", "--config", str(config), "--out", str(out),
                  "--quiet"]) == EXIT_OK
     (log,) = out.glob("*.gtgl")
     return log.read_bytes()
-
-
-@pytest.mark.parametrize("hidden_dim", [0, 5])
-def test_simulate_writes_the_reference_log_bytes(tmp_path, monkeypatch, hidden_dim):
-    got = simulate_bytes(tmp_path, "kernels", hidden_dim)
-    # run_federation trains each group's stacked datasets in one pass: the
-    # reference trains each participant alone
-    monkeypatch.setattr(federation, "_train_stacked", ref_train_stacked)
-    want = simulate_bytes(tmp_path, "reference", hidden_dim)
-    assert got == want
 
 
 @pytest.mark.parametrize("hidden_dim", [0, 5])
@@ -289,7 +100,7 @@ def test_simulate_trains_groups_as_each_participant_alone(tmp_path, monkeypatch,
     # last batch of one); a budget of three models splits each group of one
     # length into groups of at most three
     sections = {"source": {"input_dim": 16, "class_count": 10, "spread": 1.0},
-                "scenario": {"kind": kind, "n": 10},
+                "scenario": {"kind": kind, "n": 10}, "model": {"hidden_dim": hidden_dim},
                 "train": {"local_epochs": 2, "batch_size": 8, "learning_rate": 0.2},
                 "data": {"train_per_class": 20, "test_per_class": 4}}
     arch = ModelArchitecture(16, hidden_dim, 10)
@@ -310,10 +121,10 @@ def test_simulate_trains_groups_as_each_participant_alone(tmp_path, monkeypatch,
         return stack_datasets(datasets)
 
     monkeypatch.setattr(federation, "_stack_datasets", counted)
-    got = simulate_bytes(tmp_path, "groups", hidden_dim, **sections)
+    got = simulate_bytes(tmp_path, "groups", **sections)
     monkeypatch.setattr(federation, "_stack_datasets", stack_datasets)
     monkeypatch.setattr(federation, "_train_stacked", ref_train_stacked)
-    want = simulate_bytes(tmp_path, "reference", hidden_dim, **sections)
+    want = simulate_bytes(tmp_path, "reference", **sections)
     assert got == want
     # two rounds of ten participants, in groups of one length, of at most three
     assert sum(map(len, groups)) == 20
@@ -321,41 +132,6 @@ def test_simulate_trains_groups_as_each_participant_alone(tmp_path, monkeypatch,
     assert max(map(len, groups)) == (2 if kind == "same_dist_diff_size" else 3)
     # each group is stacked once, for both rounds
     assert stacked == [len(lengths) for lengths in groups[:len(groups) // 2]]
-
-
-def equal_length_sets(arch: ModelArchitecture, rows: int,
-                      count: int) -> list[LabeledDataset]:
-    """``count`` datasets of ``rows`` rows each, drawn from one pool."""
-    pool = blobs(arch, rows, seed=10)
-    rng = np.random.default_rng(rows)
-    picks = [rng.choice(len(pool), rows, replace=False) for _ in range(count)]
-    return [LabeledDataset(pool.features[p], pool.labels[p]) for p in picks]
-
-
-# (architecture, rows, batch size): each last batch holds one row, through
-# softmax and hidden-layer models, and through a layer of one input (d = 1)
-# and of one hidden unit (h = 1)
-STACKED = [(ARCHS[0], 10, 3), (ModelArchitecture(1, 0, 3), 10, 3),
-           (ModelArchitecture(3, 1, 2), 65, 8), (ARCHS[2], 33, 32),
-           (ARCHS[3], 97, 32), (ARCHS[-1], 100, 33)]
-
-
-@pytest.mark.parametrize("arch, rows, batch_size", STACKED,
-                         ids=[f"d{a.input_dim}h{a.hidden_dim}c{a.class_count}-{r}rows"
-                              for a, r, _ in STACKED])
-def test_the_stacked_trainer_matches_the_reference(arch, rows, batch_size):
-    assert rows % batch_size == 1
-    datasets = equal_length_sets(arch, rows, 3)
-    for epochs, base in itertools.product((1, 2), param_cases(arch)[:2]):
-        cfg = TrainConfig(local_epochs=epochs, batch_size=batch_size,
-                          learning_rate=0.3, seed=epochs)
-        before = base.copy()
-        trained = models._train_stacked(arch, base, *models._stack_datasets(datasets),
-                                        cfg)
-        assert trained.shape == (len(datasets), arch.param_count)
-        for data, got in zip(datasets, trained):
-            assert same_bits(got, ref_train_local(arch, base, data, cfg))
-        assert same_bits(base, before)  # training works on its own copy
 
 
 # --- the screen of wide test sets -----------------------------------------------
@@ -396,16 +172,6 @@ class ScreenBranches:
         monkeypatch.setattr(models, "_screened_argmax", counted_screen)
 
 
-def logits_path(arch, params, test) -> float:
-    """Accuracy through :func:`predict_logits` on the prepared features, as
-    evaluate scores a narrow set."""
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
-    full = params.params if isinstance(params, models.LazyModel) else params
-    predictions = predict_logits(arch, full, test.prepared[0]).argmax(axis=1)
-    return int(np.count_nonzero(predictions == test.labels)) / len(test)
-
-
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_a_narrow_set_scores_as_the_logits_path(arch):
     full = blobs(arch, 12, seed=1)
@@ -422,33 +188,35 @@ def test_a_narrow_set_scores_as_the_logits_path(arch):
 
     for test in (full, one_row):
         assert test.prepared[1] is None
-        # all zeros tie every class and score class 0; a NaN picks its class
+        # all zeros tie every class and score class 0; a NaN picks its class.
+        # A LazyModel is read through params, built once (the models
+        # themselves are scored in test_fast_paths.py)
         for params in [*param_cases(arch), nan, nan.astype(np.float64)]:
-            want = logits_path(arch, params, test)
-            assert same_bits(evaluate(arch, params, test), want)
-            # a LazyModel is read through params, built once
             del builds[:]
-            assert same_bits(evaluate(arch, lazy(params), test), want)
+            assert same_bits(evaluate(arch, lazy(params), test),
+                             float64_pass(arch, params, test))
             assert len(builds) == 1
     # the messages, an empty set's first, whatever the parameters
     empty = LabeledDataset(np.empty((0, arch.input_dim)), np.empty(0))
     short = init_params(arch, seed=0)[:-1]
-    for params in (short, lazy(short)):
-        for test, message in [(empty, "cannot evaluate on an empty test set"),
-                              (full, f"parameter vector has shape "
-                                     f"({arch.param_count - 1},), architecture "
-                                     f"needs ({arch.param_count},)")]:
-            for fn in (logits_path, evaluate):
-                with pytest.raises(ValueError) as err:
-                    fn(arch, params, test)
-                assert str(err.value) == message
+    for test, message in [(empty, "cannot evaluate on an empty test set"),
+                          (full, f"parameter vector has shape "
+                                 f"({arch.param_count - 1},), architecture "
+                                 f"needs ({arch.param_count},)")]:
+        for fn, params in [(float64_pass, short), (evaluate, short),
+                           (evaluate, lazy(short))]:
+            with pytest.raises(ValueError) as err:
+                fn(arch, params, test)
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_stacked_first_layers_are_the_float64_passs_own(arch):
-    # one product over a stack gives each model the first layer, bias
-    # included, that the float64 pass makes, bit for bit, on every shape, and
-    # evaluate scores the model from it and its tail alone
+    # given the first layer of one product over a stack, evaluate scores a
+    # model from its tail alone, and refuses a first layer of the wrong
+    # shape (the layers themselves, and the models scored from them, are
+    # checked in test_fast_paths.py; an infinite weight times a zero input
+    # there too, in one_input_layer)
     full = blobs(arch, 12, seed=1)
     one_row = LabeledDataset(full.features[-1:], full.labels[-1:])
     cases = screen_param_cases(arch, full)
@@ -462,87 +230,35 @@ def test_stacked_first_layers_are_the_float64_passs_own(arch):
         assert models.first_layer_chunk(arch, test) >= 1
         for stack in (np.stack(cases), np.stack(cases).astype(np.float64)):
             firsts = models.first_layers(arch, stack, test)
-            assert firsts.shape == (len(cases), len(test),
-                                    arch.hidden_dim or arch.class_count)
             for params, first in zip(stack, firsts):
-                w1, b1 = ref_unpack(arch, params.astype(np.float64))[:2]
-                assert same_bits(first, test.features.astype(np.float64) @ w1 + b1)
-                want = logits_path(arch, params, test)
-                for model in (params, tail_only(params)):
-                    assert same_bits(evaluate(arch, model, test, first.copy()), want)
+                assert same_bits(evaluate(arch, tail_only(params), test, first),
+                                 float64_pass(arch, params, test))
         assert builds == []
         with pytest.raises(ValueError, match="a narrow set's first layer is an "
                                              "array of shape"):
             evaluate(arch, cases[0], test, firsts[0][:, :0])
-    # an infinite first-layer weight times an exact-zero input is NaN, which
-    # warns, alone and stacked alike
-    infinite = cases[0].copy()
-    infinite[0] = np.inf  # W1[0, 0]
-    zeroed = one_row.features.copy()
-    zeroed[0, 0] = 0.0
-    test = LabeledDataset(zeroed, one_row.labels)
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
-        want = logits_path(arch, infinite, test)
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
-        (first,) = models.first_layers(arch, infinite[None], test)
-    assert np.isnan(first[0, 0])
-    assert same_bits(evaluate(arch, infinite, test, first), want)
-
-
-def screen_param_cases(arch: ModelArchitecture,
-                       data: LabeledDataset) -> list[np.ndarray]:
-    """:func:`param_cases`, trained parameters, and trained parameters
-    edited so that class 1 ties class 0 exactly (the tie resolves to class
-    0), or differs from it by one float32 ulp in its bias or in each
-    weight, which rounding can miss or reverse; one NaN, which leaves a
-    model without products; large values, scaled by 1e17 in the first layer
-    and 1e22 in the second, if there is one; and values near float32's
-    largest, whose products :meth:`~models.FirstLayerProducts.combine`
-    refuses."""
-    cases = param_cases(arch)
-    trained = train_local(arch, cases[0], data, TrainConfig(
-        local_epochs=3, batch_size=8, learning_rate=0.3, seed=1))
-    up = np.float32(np.inf)
-    tied, near_bias, near_weight = trained.copy(), trained.copy(), trained.copy()
-    for params in (tied, near_bias, near_weight):
-        w, b = models._unpack(arch, params)[-2:]
-        w[:, 1] = w[:, 0]
-        b[1] = b[0]
-    bias = models._unpack(arch, near_bias)[-1]
-    bias[1] = np.nextafter(bias[0], up)
-    weights = models._unpack(arch, near_weight)[-2]
-    signs = np.random.default_rng(arch.param_count).choice([-up, up], len(weights))
-    weights[:, 1] = np.nextafter(weights[:, 0], signs)
-    nan = trained.copy()
-    nan[arch.param_count // 2] = np.nan
-    large = trained.copy()
-    layers = models._unpack(arch, large)
-    layers[0][...] *= np.float32(1e17)
-    if arch.hidden_dim:
-        layers[2][...] *= np.float32(1e22)
-    return cases + [trained, tied, near_bias, near_weight, nan, large,
-                    np.full(arch.param_count, 3e38, dtype=np.float32)]
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_the_float32_screen_scores_like_the_float64_pass(monkeypatch, arch):
-    # a model given no first layer is scored by the chunked float64 pass, here
-    # 7 rows a chunk; every set is wide
+    # a model given no first layer is scored by the chunked float64 pass;
+    # every set is wide.  The models are the bases of the float32-blocks
+    # inputs, whose float32 scores test_fast_paths.py checks, as its -wide
+    # tests; here, which way each goes
+    records, tests = block_rounds(arch, BLOCK_WEIGHTS["small"])
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 7 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", BLOCK_ROWS * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
-    full = blobs(arch, 12, seed=5)
-    one_row = LabeledDataset(full.features[:1], full.labels[:1])
-    cases = screen_param_cases(arch, full)
+    cases = [rec.base_model for rec in records]
     nan, huge = cases[-3], cases[-1]
-    for test in (full, one_row):
+    for test in tests:
         for params in cases:
-            want = float64_pass(arch, params, test)
             before = branches.seen.copy()
-            assert same_bits(evaluate(arch, params, test), want)
+            accuracy = evaluate(arch, params, test)
             (branch,) = branches.seen - before
-            # float64 parameters holding the same values go the same way
-            assert same_bits(evaluate(arch, params.astype(np.float64), test), want)
+            # float64 parameters holding the same values go the same way, to
+            # the same accuracy
+            assert same_bits(evaluate(arch, params.astype(np.float64), test), accuracy)
             assert branches.seen - before == {branch: 2}
             # a NaN sends the set straight to the float64 pass
             assert branch == "fallback" or params is not nan
@@ -595,8 +311,7 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
         given.append(first)
         for layer in [None] if first is None else [None, first]:
             received.clear()
-            assert same_bits(evaluate(arch, params, test, layer),
-                             float64_pass(arch, params, test))
+            evaluate(arch, params, test, layer)  # scored as in test_fast_paths.py
             if layer is not None and not received:
                 continue  # the screen decided every row
             (tail, got, rows_norms), = received
@@ -608,7 +323,7 @@ def test_the_rescoring_first_layer_takes_the_contracts_bounds(monkeypatch, arch)
             assert got.values.shape[1] == len(rows_norms) <= len(test)
             if layer is None:  # every row, each within the bound of x.W1 + b1
                 assert same_bits(rows_norms, norms)
-                error = np.abs(got.values.T - (features.astype(np.float64) @ w1 + b1))
+                error = np.abs(got.values.T - ref_forward(arch, params, features)[0])
                 assert (error <= 2 * (got.slope * norms[:, None] + got.floor)).all()
     assert after_a_screen
 
@@ -681,7 +396,7 @@ def test_a_wide_dataset_passed_straight_to_evaluate_is_screened(monkeypatch):
     arch = ARCHS[-1]
     test = fewest_wide_rows(arch)
     params = init_params(arch, seed=4)
-    assert same_bits(evaluate(arch, params, test), ref_evaluate(arch, params, test))
+    assert same_bits(evaluate(arch, params, test), float64_pass(arch, params, test))
     assert branches.seen == {"chunked": 1}
     # a vector of the wrong shape fails as on a narrow set
     with pytest.raises(ValueError, match=r"^parameter vector has shape \(50889,\)"):
@@ -800,7 +515,7 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
     w, b = [a.astype(np.float64) for a in models._unpack(arch, params)[:2]]
     u, d = 2.0 ** -53, arch.input_dim
     gamma = (d + 1) * u / (1 - (d + 1) * u)
-    reference = features.astype(np.float64) @ w + b
+    reference = ref_forward(arch, params, features)[0]
     margin = ((first.slope + gamma * first.w_norms) * norms[:, None]
               + first.floor + gamma * (2 * d + 2) * 2.0 ** -1022)
     return (np.all(np.abs(first.values.T - reference) <= margin * (1 + 1e-9))
@@ -809,58 +524,45 @@ def first_layer_bound_holds(arch, params, test, first) -> bool:
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_first_layer_products_score_like_the_float64_pass(monkeypatch, arch):
-    # every set is wide; rows are rescored 5 a chunk
+    # every set is wide.  Over the float32-blocks inputs, whose scores
+    # test_fast_paths.py checks (along these walks, as its -wide tests),
+    # each coalition's combined first layer keeps its bounds, and evaluate
+    # takes the same way, and gives the same accuracy, from float32 and
+    # float64 parameters
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
-    monkeypatch.setattr(models, "CHUNK_ELEMENTS", 5 * arch.input_dim)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", BLOCK_ROWS * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
-    full = blobs(arch, 12, seed=5)
-    # the row of largest norm: in the 1x1 model it keeps the hidden unit
-    # alive, so that a one-ulp tie in the second layer shows
-    top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
-    one_row = LabeledDataset(full.features[top:top + 1], full.labels[top:top + 1])
     # the walks' coalitions, then all 16 in ascending mask order, as mr
     # enumerates them: combine's running sum is grown by one member, or
     # summed anew after a singleton, the base or a skipped prefix
     scored = walked_coalitions(JOIN_ORDERS) + [players_of(m) for m in range(16)]
     kinds = steps(scored)
     assert set(kinds) == set(STEPS)
-    rng = np.random.default_rng(arch.param_count)
     refused, from_coalitions = 0, collections.Counter()
-    for base in screen_param_cases(arch, full):
-        # a zero update; two that scale the base by powers of two, so that
-        # every coalition's model keeps the base's exact ties and (up to
-        # rounding) its one-ulp ones, its NaN and its scale; a random one
-        updates = {1: np.zeros_like(base), 2: base * np.float32(0.125),
-                   3: base * np.float32(-0.25),
-                   4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
-        # unequal weights, so w_i / W is no power of two and its rounding
-        # shows; then one past 2^53, which rounds when cast to float64
-        for weights in ({1: 7, 2: 13, 3: 3, 4: 101}, {1: 2 ** 53, 2: 13, 3: 3, 4: 101}):
-            rec = federation.RoundRecord(0, base, updates, base)
+    for weights in (BLOCK_WEIGHTS["small"], BLOCK_WEIGHTS["2^53"]):
+        records, tests = block_rounds(arch, weights)
+        for rec in records:
             stack = RoundStack(round_vectors(rec, weights), weights)
-            for test in (full, one_row):
+            for test in tests:
                 products = round_products(rec, weights, arch, test)
                 # a NaN anywhere in the round leaves it without products
-                assert (products is None) == bool(np.isnan(base).any())
+                assert (products is None) == bool(np.isnan(rec.base_model).any())
                 for ids, kind in zip(scored, kinds):
-                    params = stack.rebuild(ids) if ids else base
+                    params = stack.rebuild(ids)
                     first = None if products is None else products.combine(ids)
                     if first is None:
                         refused += products is not None
                     else:
                         assert first_layer_bound_holds(arch, params, test,
                                                        first), (ids, kind)
-                    want = float64_pass(arch, params, test)
                     # evaluate's screen works in a first layer's values
                     again = None if first is None else first._replace(
                         values=first.values.copy())
                     before = branches.seen.copy()
-                    assert same_bits(evaluate(arch, params, test, first), want), (
-                        ids, kind)
+                    accuracy = evaluate(arch, params, test, first)
                     (branch,) = branches.seen - before
-                    # float64 parameters holding the same values go the same way
                     assert same_bits(evaluate(arch, params.astype(np.float64), test,
-                                              again), want)
+                                              again), accuracy), (ids, kind)
                     assert branches.seen - before == {branch: 2}
                     # without a first layer, by the chunked float64 pass
                     assert (branch == "chunked") <= (first is None)
@@ -957,18 +659,19 @@ def test_a_wide_round_holds_its_products_and_tails_not_a_float64_stack():
     assert rgame.full_utility == float64_pass(arch, full, test)
 
 
-@pytest.mark.parametrize("weights", [{1: 7, 2: 13, 3: 3, 4: 101},
-                                     {1: 2 ** 53, 2: 13, 3: 3, 4: 101}],
+@pytest.mark.parametrize("weights", [BLOCK_WEIGHTS["small"], BLOCK_WEIGHTS["2^53"]],
                          ids=["chunked", "past-2^53"])
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
 def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
         monkeypatch, arch, weights):
-    # every set is wide; rebuild_chunks rebuilds in blocks from exact integer
-    # totals, also past a total weight of 2^53, where the weights' and
-    # totals' casts to float64 round
+    # every set is wide.  Over the float32-blocks inputs, whose rebuilds and
+    # scores test_fast_paths.py checks (as its -wide tests), a round's game
+    # and round_utilities hand evaluate a lazy model of each coalition's
+    # tail, rebuilt in full only where evaluate reads it
+    records, tests = block_rounds(arch, weights)
     monkeypatch.setattr(models, "WIDE_ELEMENTS", 0)
+    monkeypatch.setattr(models, "CHUNK_ELEMENTS", BLOCK_ROWS * arch.input_dim)
     branches = ScreenBranches(monkeypatch)
-    start = arch.first_layer_size
     full_rebuilds = []
     reconstruct = estimators.reconstruct_submodel
 
@@ -995,45 +698,24 @@ def test_a_wide_coalition_is_rebuilt_in_full_only_where_evaluate_reads_it(
             # the empty coalition's full model is the base itself, rebuilt by
             # nothing
             assert rebuilt == (outcome != "decided" and params.params is not base)
-            # the tail is the model's, bit for bit
-            assert same_bits(params.tail, params.params[start:])
-            params = params.params
         else:
             assert rebuilt == 0
-        assert same_bits(accuracy, float64_pass(arch, params, test))
         return accuracy
 
     monkeypatch.setattr(estimators, "reconstruct_submodel", counted_reconstruct)
     monkeypatch.setattr(estimators, "evaluate", checked_evaluate)
-    full = blobs(arch, 12, seed=5)
-    top = int(np.argmax(np.linalg.norm(full.features, axis=1)))
-    one_row = LabeledDataset(full.features[top:top + 1], full.labels[top:top + 1])
-    rng = np.random.default_rng(arch.param_count)
-    for base in screen_param_cases(arch, full):
-        zeros = np.zeros_like(base)
-        # as in the products test above, and a round of zero updates, whose
-        # every coalition is the base, with its ties
-        mixed = {1: zeros, 2: base * np.float32(0.125), 3: base * np.float32(-0.25),
-                 4: rng.normal(0.0, 1e-2, arch.param_count).astype(np.float32)}
-        for updates in (mixed, dict.fromkeys(weights, zeros)):
-            rec = federation.RoundRecord(0, base, updates, base)
-            log = federation.GradientLog(arch, [rec], weights)
-            stack = RoundStack(round_vectors(rec, weights), weights)
-            tails = RoundStack(round_vectors(rec, weights), weights, start)
-            for mask, tail in enumerate(itertools.chain(*tails.rebuild_chunks(4))):
-                model = stack.rebuild(players_of(mask))
-                assert same_bits(tail, model[start:])
-                assert same_bits(tails.rebuild(players_of(mask)), model[start:])
-            assert mask == 15 and same_bits(stack.rebuild(()), base)
-            for test in (full, one_row):
-                lazy = outcomes.total()
-                game = estimators.RoundGame.from_round(rec, weights, arch, test).game
-                values = [game.value_mask(mask) for mask in range(16)]
-                assert estimators.round_utilities(rec, log, test).tolist() == values
-                # a NaN leaves the round without products: every model is
-                # rebuilt in full before evaluate, as on a narrow set; else
-                # every model is lazy, the base's too
-                assert outcomes.total() - lazy == (0 if np.isnan(base).any() else 32)
+    for rec in records:
+        base, log = rec.base_model, federation.GradientLog(arch, [rec], weights)
+        for test in tests:
+            lazy = outcomes.total()
+            game = estimators.RoundGame.from_round(rec, weights, arch, test).game
+            for mask in range(16):
+                game.value_mask(mask)
+            estimators.round_utilities(rec, log, test)
+            # a NaN leaves the round without products: every model is
+            # rebuilt in full before evaluate, as on a narrow set; else
+            # every model is lazy, the base's too
+            assert outcomes.total() - lazy == (0 if np.isnan(base).any() else 32)
     assert set(outcomes) == {"decided", "rescored", "fallback", "refused"}
 
 

@@ -3,7 +3,7 @@
 Each digest is the first 16 hex digits of the sha256 of a partition's
 features, then its labels, in participant order, as the per-kind dealing
 loops that ``scenarios.deal_table`` replaced made them.  A spec of the grid
-missing here is one the pool cannot deal (see test_scenarios.py).
+missing here is one the pool cannot deal, and is refused.
 """
 from __future__ import annotations
 
@@ -213,3 +213,18 @@ def test_partitions_are_pinned_bit_for_bit(kind):
             assert digest.hexdigest()[:16] == PARTITION_DIGESTS[key], key
         pinned += 1
     assert pinned == sum(key.startswith(f"{kind.value} ") for key in PARTITION_DIGESTS)
+
+
+def test_a_grid_spec_without_a_digest_is_refused_and_the_rest_deal_their_table():
+    for key, spec, pool in partition_grid():
+        counts = np.bincount(pool.labels).tolist()
+        if key not in PARTITION_DIGESTS:
+            with pytest.raises(ValueError):
+                deal_table(spec, counts)
+            with pytest.raises(ValueError):
+                partition(pool, spec)
+        elif spec.kind is not ScenarioKind.NOISY_LABELS:
+            # each participant holds the rows of each class the table deals it
+            dealt = [np.bincount(part.labels, minlength=len(counts))
+                     for part in partition(pool, spec)]
+            assert np.array_equal(dealt, deal_table(spec, counts)), key
